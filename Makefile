@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet fmt test race bench-baseline bench-ckpt bench-simnet bench-adapt bench-farm bench-spectral bench-fft race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral
+.PHONY: check build vet fmt test race bench-all race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral
 
 build:
 	$(GO) build ./...
@@ -24,17 +24,18 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the committed engine-overhead baseline (BENCH_engine.json
-# at the repo root). Run after intentional engine cost changes and
-# commit the diff.
-bench-baseline:
-	BENCH_BASELINE=1 $(GO) test ./internal/bench -run TestWriteEngineBaseline -count=1 -v
-
-# Regenerate the committed checkpoint-store baseline (BENCH_ckpt.json
-# at the repo root). Run after intentional store/writer changes and
-# commit the diff.
-bench-ckpt:
-	BENCH_CKPT=1 $(GO) test ./internal/bench -run TestWriteCkptBaseline -count=1 -v
+# Regenerate the committed baselines (BENCH_*.json at the repo root)
+# through the one recorder, `repro -record`: every experiment that has
+# a baseline, or just NAMES="ckptbench engine". Each file is stamped
+# with commit, date, Go version, NumCPU and GOMAXPROCS; the two
+# serial-vs-parallel baselines (simbench, spectral) are refused on a
+# host with fewer than two cores. Run after an intentional cost change
+# and commit the diff; the whole set takes about ten minutes. Record
+# adaptbench by itself (NAMES=adaptbench) to reproduce the committed
+# digits: its checkpoint sizes shift in the fourth digit with what the
+# process gob-encoded before it (DESIGN.md §8, checkpoint codec).
+bench-all:
+	$(GO) run ./cmd/repro -record $(NAMES)
 
 # The async writer is the only real host-side concurrency in the repo
 # besides the parallel simnet scheduler; hammer it under the race
@@ -42,8 +43,8 @@ bench-ckpt:
 race-ckpt:
 	$(GO) test -race -count=2 ./internal/ckpt
 
-# Force the host-parallel simnet scheduler (SchedAuto falls back to
-# serial on one core) and put every layer that runs rank goroutines —
+# Force the host-parallel simnet scheduler (SchedAuto resolves to the
+# serial reference) and put every layer that runs rank goroutines —
 # the simulator itself, the MPI layer, all three solvers, faults, and
 # the supervisor — under the race detector.
 race-simnet:
@@ -53,8 +54,8 @@ race-simnet:
 
 # The scheduler-equivalence suites (serial vs conservative-parallel
 # differential, relaxed statistical equivalence, resolver validation,
-# P=2048 capacity) must hold on both a single-core budget — where auto
-# falls back to serial and relaxed still has to make progress — and a
+# P=2048 capacity) must hold on both a single-core budget — where
+# relaxed still has to make progress without a second core — and a
 # multi-core one, where the conservative scheduler must stay
 # bit-identical while goroutines genuinely interleave. Both pins run
 # race-enabled.
@@ -65,34 +66,11 @@ race-sched-multi:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'Scheduler|Relaxed|ManyRanks' ./internal/simnet ./internal/mpi
 
-# Regenerate the committed scheduler-speedup baseline
-# (BENCH_simnet.json at the repo root), including the relaxed-scheduler
-# capacity sweep to P=1024. The speedups only mean something relative
-# to the recorded GOMAXPROCS/core count; a 1-core host is refused
-# unless BENCH_SIMNET_FORCE=1 is also set.
-bench-simnet:
-	BENCH_SIMNET=1 $(GO) test ./internal/bench -run TestWriteSimnetBaseline -count=1 -v -timeout 30m
-
-# Regenerate the committed adaptive-resilience baseline
-# (BENCH_adapt.json at the repo root): the fault-swept differential of
-# the adaptive policy against the static checkpoint-cadence sweep. The
-# run enforces the acceptance bars (within 5% of the best static in
-# every cell, >= 20% better than the worst in at least one).
-bench-adapt:
-	BENCH_ADAPT=1 $(GO) test ./internal/bench -run TestWriteAdaptBaseline -count=1 -v
-
 # The adaptive-resilience layer (estimator, cadence controller, writer
 # selection, escalation ladder) runs inside every rank goroutine and
 # the supervisor's monitor; keep it race-clean under repetition.
 race-policy:
 	$(GO) test -race -count=2 ./internal/policy ./internal/supervisor
-
-# Regenerate the committed job-farm chaos baseline (BENCH_farm.json at
-# the repo root): the full paper campaign — thousands of jobs, >= 20
-# daemon SIGKILLs — with the zero-loss / zero-dup / bit-identity audit
-# enforced.
-bench-farm:
-	BENCH_FARM=1 $(GO) test ./internal/bench -run TestWriteFarmBaseline -count=1 -v
 
 # The farm daemon runs a worker pool, retry timers, an HTTP server, and
 # chaos injection against one mutex-guarded state machine; hammer it
@@ -108,20 +86,5 @@ race-farm:
 race-spectral:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
 		./internal/spectral ./internal/fft
-
-# Regenerate the committed serial-vs-slab spectral baseline
-# (BENCH_spectral.json at the repo root). Bit-identity between the
-# serial reference and both scheduler runs is enforced before any
-# number is written; a 1-core host is refused unless
-# BENCH_SPECTRAL_FORCE=1 is also set.
-bench-spectral:
-	BENCH_SPECTRAL=1 $(GO) test ./internal/bench -run TestWriteSpectralBaseline -count=1 -v -timeout 30m
-
-# Microbenchmark the FFT kernels: the legacy all-radix-2 ladder vs the
-# mixed-radix Stockham planner at matched lengths, and the 2N-vs-3N/2
-# de-aliasing row comparison behind the padded-pipeline speedup. Attach
-# a profile with ARGS="-cpuprofile fft.pprof".
-bench-fft:
-	$(GO) run ./cmd/fftbench $(ARGS)
 
 check: build vet fmt race race-ckpt race-simnet race-policy race-farm race-spectral

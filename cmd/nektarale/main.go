@@ -8,58 +8,27 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"nektar/internal/bench"
-	"nektar/internal/cliutil"
 )
 
 func main() {
-	machines := flag.String("machines", strings.Join(bench.PaperALE.Machines, ","), "comma-separated machine list")
-	procs := flag.String("procs", "16,32,64,128", "comma-separated processor counts")
+	cfg := bench.PaperALE
 	stages := flag.Bool("stages", false, "print Figures 15-16 region breakdowns")
-	trace := flag.String("trace", "", "write the engine's per-step JSONL event stream (all cells, all ranks) to this file")
-	ckptDir := flag.String("ckptdir", "", "write per-cell durable checkpoints under this directory (simulated write cost)")
-	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in steps (requires -ckptdir)")
+	open := cfg.Sweep.Flags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := bench.PaperALE
-	cfg.Machines = strings.Split(*machines, ",")
-	tracer, closeTrace, err := cliutil.Tracer(*trace)
+	closeTrace, err := open()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer closeTrace()
-	cfg.Trace = tracer
-	if err := cliutil.CheckpointFlags(*ckptDir, *ckptEvery); err != nil {
-		log.Fatal(err)
-	}
-	cfg.CkptDir, cfg.CkptEvery = *ckptDir, *ckptEvery
-	cfg.Procs = nil
-	for _, p := range strings.Split(*procs, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Procs = append(cfg.Procs, v)
-	}
 	res, err := bench.RunALE(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bench.Table3(res, cfg.Procs, cfg.Machines).Write(os.Stdout)
 	if *stages {
-		for _, cell := range []struct {
-			m string
-			p int
-		}{{"NCSA", 16}, {"RoadRunner-myr", 16}, {"NCSA", 64}, {"RoadRunner-myr", 64}} {
-			out, err := bench.Fig1516(res, cell.m, cell.p)
-			if err != nil {
-				continue
-			}
-			fmt.Println()
-			fmt.Print(out)
-		}
+		fmt.Print(bench.Figs1516(res))
 	}
 }

@@ -8,59 +8,28 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"nektar/internal/bench"
-	"nektar/internal/cliutil"
 )
 
 func main() {
-	machines := flag.String("machines", strings.Join(bench.PaperFourier.Machines, ","), "comma-separated machine list")
-	procs := flag.String("procs", "2,4,8,16,32,64,128", "comma-separated processor counts")
-	steps := flag.Int("steps", bench.PaperFourier.Steps, "measured steps")
+	cfg := bench.PaperFourier
+	flag.IntVar(&cfg.Steps, "steps", cfg.Steps, "measured steps")
 	stages := flag.Bool("stages", false, "print Figures 13-14 stage breakdowns")
-	trace := flag.String("trace", "", "write the engine's per-step JSONL event stream (all cells, all ranks) to this file")
-	ckptDir := flag.String("ckptdir", "", "write per-cell durable checkpoints under this directory (simulated write cost)")
-	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in steps (requires -ckptdir)")
+	open := cfg.Sweep.Flags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := bench.PaperFourier
-	cfg.Machines = strings.Split(*machines, ",")
-	cfg.Steps = *steps
-	tracer, closeTrace, err := cliutil.Tracer(*trace)
+	closeTrace, err := open()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer closeTrace()
-	cfg.Trace = tracer
-	if err := cliutil.CheckpointFlags(*ckptDir, *ckptEvery); err != nil {
-		log.Fatal(err)
-	}
-	cfg.CkptDir, cfg.CkptEvery = *ckptDir, *ckptEvery
-	cfg.Procs = nil
-	for _, p := range strings.Split(*procs, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Procs = append(cfg.Procs, v)
-	}
 	res, err := bench.RunFourier(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	bench.Table2(res, cfg.Procs, cfg.Machines).Write(os.Stdout)
 	if *stages {
-		for _, cell := range [][2]interface{}{
-			{"NCSA", 4}, {"SP2-Silver", 4}, {"RoadRunner-eth", 4}, {"RoadRunner-myr", 4},
-		} {
-			out, err := bench.Fig1314(res, cell[0].(string), cell[1].(int))
-			if err != nil {
-				continue // machine not in this run
-			}
-			fmt.Println()
-			fmt.Print(out)
-		}
+		fmt.Print(bench.Figs1314(res))
 	}
 }

@@ -10,31 +10,23 @@ import (
 	"os"
 
 	"nektar/internal/bench"
-	"nektar/internal/cliutil"
 )
 
 func main() {
-	nt := flag.Int("nt", bench.PaperSerial.Nt, "O-grid sectors")
-	nr := flag.Int("nr", bench.PaperSerial.Nr, "O-grid rings")
-	order := flag.Int("order", bench.PaperSerial.Order, "polynomial order")
-	steps := flag.Int("steps", bench.PaperSerial.Steps, "measured steps")
+	cfg := bench.PaperSerial
+	flag.IntVar(&cfg.Nt, "nt", cfg.Nt, "O-grid sectors")
+	flag.IntVar(&cfg.Nr, "nr", cfg.Nr, "O-grid rings")
+	flag.IntVar(&cfg.Order, "order", cfg.Order, "polynomial order")
+	flag.IntVar(&cfg.Steps, "steps", cfg.Steps, "measured steps")
 	stages := flag.Bool("stages", false, "print Figure 12 stage breakdowns")
-	trace := flag.String("trace", "", "write the engine's per-step JSONL event stream to this file")
-	ckptDir := flag.String("ckptdir", "", "write durable checkpoints into this directory (async background writer)")
-	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint cadence in steps (requires -ckptdir)")
+	open := cfg.Instrument.Flags(flag.CommandLine)
 	flag.Parse()
 
-	cfg := bench.SerialConfig{Nt: *nt, Nr: *nr, Order: *order, Steps: *steps}
-	tracer, closeTrace, err := cliutil.Tracer(*trace)
+	closeTrace, err := open()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer closeTrace()
-	cfg.Trace = tracer
-	if err := cliutil.CheckpointFlags(*ckptDir, *ckptEvery); err != nil {
-		log.Fatal(err)
-	}
-	cfg.CkptDir, cfg.CkptEvery = *ckptDir, *ckptEvery
 	res, _, err := bench.RunSerial(cfg)
 	if err != nil {
 		log.Fatal(err)

@@ -3,13 +3,14 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"nektar/internal/ckpt"
 	"nektar/internal/engine"
 	"nektar/internal/fault"
-	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/policy"
 	"nektar/internal/report"
@@ -189,21 +190,9 @@ func ValidateAdaptbench(cfg AdaptbenchConfig) error {
 	if len(cfg.Machines) == 0 {
 		return fmt.Errorf("bench: need at least one machine to sweep")
 	}
-	wl, err := WorkloadByName(cfg.Solver)
-	if err != nil {
-		return err
-	}
-	if err := ValidateWorkloadRanks(wl, cfg.Procs); err != nil {
-		return err
-	}
 	for _, name := range cfg.Machines {
-		mach, merr := machine.ByName(name)
-		if merr != nil {
-			return fmt.Errorf("%w (see internal/machine for the catalogue)", merr)
-		}
-		if cfg.Procs+cfg.Spares > mach.MaxProcs {
-			return fmt.Errorf("bench: %d ranks + %d spares exceed the %d nodes of %s",
-				cfg.Procs, cfg.Spares, mach.MaxProcs, name)
+		if _, _, err := clusterFor(name, cfg.Solver, cfg.Procs, cfg.Spares); err != nil {
+			return err
 		}
 	}
 	if cfg.Spares < cfg.Procs {
@@ -246,10 +235,6 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 	if err := ValidateAdaptbench(cfg); err != nil {
 		return nil, nil, err
 	}
-	wl, err := WorkloadByName(cfg.Solver)
-	if err != nil {
-		return nil, nil, err
-	}
 	out := &AdaptbenchResult{
 		Solver: cfg.Solver, Procs: cfg.Procs, Steps: cfg.Steps,
 		SeedInterval: cfg.SeedInterval, Seeds: cfg.Seeds,
@@ -264,9 +249,9 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 		"final interval", "write mode", "campaign")
 
 	for mi, name := range cfg.Machines {
-		mach, merr := machine.ByName(name)
-		if merr != nil {
-			return nil, nil, merr
+		mach, wl, err := clusterFor(name, cfg.Solver, cfg.Procs, cfg.Spares)
+		if err != nil {
+			return nil, nil, err
 		}
 
 		// Probe: measure the bare per-step wall and one checkpoint's
@@ -274,56 +259,19 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 		// SimWriter pricing the adaptive runs use — so the static runs'
 		// flat per-checkpoint charge and the adaptive runs' modeled
 		// writes price the same event identically.
-		var stepWallS, deltaS float64
-		const probeSteps = 3
-		_, _, err = simnet.Run(cfg.Procs, mach.Net, func(n *simnet.Node) {
-			comm := mpi.World(n)
-			s, werr := wl.New(comm, &mach.CPU)
-			if werr != nil {
-				panic(werr)
-			}
-			s.Step() // warmup
-			comm.Barrier()
-			w0 := comm.Wtime()
-			loop := engine.Loop{Solver: s, Steps: s.StepCount() + probeSteps,
-				Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true}}
-			lres, lerr := loop.Run()
-			if lerr != nil {
-				panic(lerr)
-			}
-			comm.Barrier()
-			perStep := (comm.Wtime() - w0) / probeSteps
-			sw := &ckpt.SimWriter{Kind: cfg.Solver, Comm: comm, DiskMBs: cfg.DiskMBs, Mode: ckpt.WriteLocal}
-			if werr := sw.Submit(s.StepCount(), lres.Final, true); werr != nil {
-				panic(werr)
-			}
-			mx := comm.Allreduce([]float64{perStep, sw.LastCostS()}, mpi.Max)
-			if comm.Rank() == 0 {
-				stepWallS, deltaS = mx[0], mx[1]
-			}
-		})
+		stepWallS, _, deltaS, err := probeCheckpointCost(mach, cfg.Procs, 3, cfg.Solver, cfg.DiskMBs, ckpt.WriteLocal,
+			func(comm *mpi.Comm) (engine.Solver, error) { return wl.New(comm, &mach.CPU) })
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: probe on %s: %w", name, err)
 		}
 		out.StepWallS[name] = stepWallS
 		out.DeltaS[name] = deltaS
 
-		// The supervised runtime owns rank placement (one rank per
-		// physical node plus spares and the monitor's head node).
-		model := *mach.Net
-		model.RanksPerNode = 0
-		factory := func(comm *mpi.Comm) (supervisor.Solver, error) {
-			return wl.New(comm, &mach.CPU)
-		}
-		base := supervisor.Config{
-			Procs: cfg.Procs, Spares: cfg.Spares,
-			Model: &model, NewSolver: factory,
-			Steps:           cfg.Steps,
-			CheckpointEvery: cfg.SeedInterval,
-			CheckpointCostS: deltaS,
-			Kind:            cfg.Solver,
-			MaxRestarts:     cfg.MaxRestarts,
-		}
+		base := supervisedConfig(mach, wl, cfg.Procs, cfg.Spares, cfg.Steps)
+		base.CheckpointEvery = cfg.SeedInterval
+		base.CheckpointCostS = deltaS
+		base.Kind = cfg.Solver
+		base.MaxRestarts = cfg.MaxRestarts
 
 		// Fault-free supervised reference: anchors the MTBF regimes and
 		// is the bit-identity baseline for every faulted run.
@@ -332,17 +280,6 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 			return nil, nil, fmt.Errorf("bench: supervised reference on %s: %w", name, rerr)
 		}
 		out.RefWallS[name] = ref.VirtualWall
-		identicalToRef := func(res *supervisor.Result) bool {
-			if len(res.FinalStates) != len(ref.FinalStates) {
-				return false
-			}
-			for r := range ref.FinalStates {
-				if !bytes.Equal(res.FinalStates[r], ref.FinalStates[r]) {
-					return false
-				}
-			}
-			return true
-		}
 		// Prime the detector past the checkpoint-inflated step boundary:
 		// a sparse cadence makes the first checkpoint's delta-long gap
 		// stand out against an otherwise tight heartbeat rhythm, and the
@@ -396,7 +333,7 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 						return nil, nil, fmt.Errorf("bench: %s frac %g static %d seed %d: %w", name, frac, k, si, serr)
 					}
 					staticSum[ki] += res.VirtualWall
-					if !identicalToRef(res) {
+					if !slices.EqualFunc(ref.FinalStates, res.FinalStates, bytes.Equal) {
 						cell.BitIdentical = false
 					}
 				}
@@ -422,7 +359,7 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 					return nil, nil, fmt.Errorf("bench: %s frac %g adaptive seed %d: %w", name, frac, si, serr)
 				}
 				adaptSum += res.VirtualWall
-				if !identicalToRef(res) {
+				if !slices.EqualFunc(ref.FinalStates, res.FinalStates, bytes.Equal) {
 					cell.BitIdentical = false
 				}
 				cell.Failures += len(res.Failures)
@@ -483,4 +420,15 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 		}
 	}
 	return out, tbl, nil
+}
+
+func runAdaptbench(cfg AdaptbenchConfig, w io.Writer) (any, error) {
+	res, tbl, err := RunAdaptbench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Write(w)
+	fmt.Fprintf(w, "\nadaptive vs best static, worst cell: %+.1f%%; vs worst static, best cell: %.1f%% faster\n",
+		100*(res.MaxVsBest-1), 100*res.MaxGainVsWorst)
+	return res, nil
 }

@@ -2,18 +2,15 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"math"
-	"path/filepath"
 
-	"nektar/internal/ckpt"
 	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
 	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
-	"nektar/internal/simnet"
-	"nektar/internal/timing"
 )
 
 // ALEConfig parametrizes the Table 3 / Figures 15-16 experiment: the
@@ -45,21 +42,7 @@ type ALEConfig struct {
 	MatrixFreeCalA  float64
 	MatrixFreeCalBC float64
 
-	Steps    int
-	Machines []string
-	Procs    []int
-
-	// Trace, when set, receives the engine's per-step event stream for
-	// every measured cell (all ranks interleaved).
-	Trace *engine.Tracer
-
-	// CkptDir, when set, gives every measured cell its own durable
-	// checkpoint store under it (<machine>-p<P>/), written every
-	// CkptEvery steps through the simulated cost model at CkptDiskMBs
-	// per node-local disk.
-	CkptDir     string
-	CkptEvery   int
-	CkptDiskMBs float64
+	Sweep
 }
 
 // PaperALE is the paper's Table 3 setup: 15,870 elements, order 4,
@@ -69,19 +52,12 @@ var PaperALE = ALEConfig{
 	PaperElems: 15870, PaperOrder: 4,
 	PressureIters: 90, HelmIters: 26,
 	MatrixFreeCalA: 1.0, MatrixFreeCalBC: 0.9,
-	Steps:       1,
-	Machines:    []string{"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2", "RoadRunner-myr"},
-	Procs:       []int{16, 32, 64, 128},
-	CkptDiskMBs: 20,
-}
-
-// ALEResult is one (machine, P) cell of Table 3.
-type ALEResult struct {
-	Machine    string
-	P          int
-	CPU, Wall  float64
-	RegionCPU  [3]float64
-	RegionWall [3]float64
+	Sweep: Sweep{
+		Steps:       1,
+		Machines:    []string{"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2", "RoadRunner-myr"},
+		Procs:       []int{16, 32, 64, 128},
+		CkptDiskMBs: 20,
+	},
 }
 
 // aleScale derives the extrapolation multipliers from the probe and
@@ -146,153 +122,66 @@ func aleSolverConfig(scale *core.ALEScale) core.ALEConfig {
 	}
 }
 
-// RunALE executes the Table 3 sweep.
-func RunALE(cfg ALEConfig) ([]ALEResult, error) {
-	// Probe mesh element count (built once to size the scale factors).
+// aleProbeMesh builds the extruded wing-section probe mesh.
+func aleProbeMesh(cfg ALEConfig) (*mesh.Mesh, error) {
 	m2, err := mesh.WingSection(cfg.ProbeOrder, cfg.ProbeNt, cfg.ProbeNr)
 	if err != nil {
 		return nil, err
 	}
-	m3, err := mesh.ExtrudeQuads(m2, cfg.ProbeOrder, cfg.ProbeNz, 0, 1)
+	return mesh.ExtrudeQuads(m2, cfg.ProbeOrder, cfg.ProbeNz, 0, 1)
+}
+
+// RunALE executes the Table 3 sweep. Cells with more ranks than the
+// probe mesh has elements are "n/a" too.
+func RunALE(cfg ALEConfig) ([]SweepCell, error) {
+	// Probe mesh element count (built once to size the scale factors).
+	m3, err := aleProbeMesh(cfg)
 	if err != nil {
 		return nil, err
 	}
 	probeElems := len(m3.Elems)
 	scale := aleScale(cfg, probeElems)
-
-	var out []ALEResult
-	for _, name := range cfg.Machines {
-		mach, err := machine.ByName(name)
+	return cfg.Sweep.run("nsale", probeElems, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
+		m3, err := aleProbeMesh(cfg)
 		if err != nil {
 			return nil, err
-		}
-		for _, p := range cfg.Procs {
-			if p > mach.MaxProcs || p > probeElems {
-				out = append(out, ALEResult{Machine: name, P: p, CPU: -1, Wall: -1})
-				continue
-			}
-			r, err := runALECell(mach, p, cfg, scale)
-			if err != nil {
-				return nil, fmt.Errorf("%s P=%d: %w", name, p, err)
-			}
-			out = append(out, *r)
-		}
-	}
-	return out, nil
-}
-
-func runALECell(mach *machine.Machine, p int, cfg ALEConfig, scale *core.ALEScale) (*ALEResult, error) {
-	res := &ALEResult{Machine: mach.Name, P: p}
-	var store *ckpt.DirStore
-	if cfg.CkptDir != "" {
-		var serr error
-		store, serr = ckpt.NewDirStore(filepath.Join(cfg.CkptDir, fmt.Sprintf("%s-p%d", mach.Name, p)))
-		if serr != nil {
-			return nil, serr
-		}
-	}
-	_, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
-		comm := mpi.World(n)
-		m2, err := mesh.WingSection(cfg.ProbeOrder, cfg.ProbeNt, cfg.ProbeNr)
-		if err != nil {
-			panic(err)
-		}
-		m3, err := mesh.ExtrudeQuads(m2, cfg.ProbeOrder, cfg.ProbeNz, 0, 1)
-		if err != nil {
-			panic(err)
 		}
 		// Probe pass: measure the per-neighbor interface so the
 		// phantom factor reproduces paper-scale message sizes.
 		probe, err := core.NewNSALE(m3, aleSolverConfig(nil), comm, nil)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		cellScale := *scale
-		ifd := probe.MeanInterfaceDofs()
-		all := comm.Allreduce([]float64{ifd, 1}, mpi.Sum)
+		all := comm.Allreduce([]float64{probe.MeanInterfaceDofs(), 1}, mpi.Sum)
 		cellScale.Comm = commFactor(cfg, p, all[0]/all[1])
 		ns, err := core.NewNSALE(m3, aleSolverConfig(&cellScale), comm, &mach.CPU)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
 		ns.SetUniformInitial(1, 0, 0)
-		ns.Step() // warmup (order ramp)
-		comm.Barrier()
-		cpu0, wall0 := comm.CPUTime(), comm.Wtime()
-		st := ns.Stages()
-		st.Reset()
-		loop := engine.Loop{Solver: ns, Steps: ns.StepCount() + cfg.Steps,
-			Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true},
-			Trace: cfg.Trace}
-		if store != nil {
-			loop.Sink = &ckpt.SimWriter{Kind: "nsale", Store: store, Comm: comm,
-				DiskMBs: cfg.CkptDiskMBs, Trace: cfg.Trace}
-			loop.CheckpointEvery = cfg.CkptEvery
-		}
-		if _, lerr := loop.Run(); lerr != nil {
-			panic(lerr)
-		}
-		comm.Barrier()
-		cpu1, wall1 := comm.CPUTime(), comm.Wtime()
-		perStep := 1 / float64(cfg.Steps)
-		mx := comm.Allreduce([]float64{
-			(cpu1 - cpu0) * perStep,
-			(wall1 - wall0) * perStep,
-		}, mpi.Max)
-		if comm.Rank() == 0 {
-			res.CPU, res.Wall = mx[0], mx[1]
-			for si := range res.RegionCPU {
-				res.RegionCPU[si] = st.Priced[si] * perStep
-				res.RegionWall[si] = st.Wall[si] * perStep
-			}
-		}
+		return ns, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Table3 renders the Table 3 report.
-func Table3(res []ALEResult, procs []int, machines []string) *report.Table {
-	cols := []string{"P"}
-	cols = append(cols, machines...)
-	t := report.NewTable("Table 3: Nektar-ALE 3D CPU/Wall clock time per step (s), flapping wing", cols...)
-	cell := map[string]map[int]ALEResult{}
-	for _, r := range res {
-		if cell[r.Machine] == nil {
-			cell[r.Machine] = map[int]ALEResult{}
-		}
-		cell[r.Machine][r.P] = r
-	}
-	for _, p := range procs {
-		row := []string{fmt.Sprintf("%d", p)}
-		for _, m := range machines {
-			r, ok := cell[m][p]
-			if !ok || r.CPU < 0 {
-				row = append(row, "n/a")
-			} else {
-				row = append(row, fmt.Sprintf("%.2f/%.2f", r.CPU, r.Wall))
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
+func Table3(res []SweepCell, procs []int, machines []string) *report.Table {
+	return sweepTable("Table 3: Nektar-ALE 3D CPU/Wall clock time per step (s), flapping wing", res, procs, machines)
 }
 
-// Fig1516 renders the Figures 15-16 region breakdowns for one cell.
-func Fig1516(res []ALEResult, machineName string, p int) (string, error) {
-	for _, r := range res {
-		if r.Machine != machineName || r.P != p {
-			continue
-		}
-		out := report.PieBreakdown(
-			fmt.Sprintf("Figures 15-16: Nektar-ALE CPU timing, %s, %d processors", machineName, p),
-			core.ALEStageNames, timing.Percent(r.RegionCPU[:]))
-		out += report.PieBreakdown(
-			fmt.Sprintf("Figures 15-16: Nektar-ALE wall-clock timing, %s, %d processors", machineName, p),
-			core.ALEStageNames, timing.Percent(r.RegionWall[:]))
-		return out, nil
+// Figs1516 renders the Figures 15-16 region breakdowns of the P=16 and
+// P=64 cells the paper shows.
+func Figs1516(res []SweepCell) string {
+	return sweepPies("Figures 15-16: Nektar-ALE", core.ALEStageNames, res, 16, "NCSA", "RoadRunner-myr") +
+		sweepPies("Figures 15-16: Nektar-ALE", core.ALEStageNames, res, 64, "NCSA", "RoadRunner-myr")
+}
+
+func runTable3(cfg ALEConfig, w io.Writer) (any, error) {
+	res, err := RunALE(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return "", fmt.Errorf("bench: no result for %s P=%d", machineName, p)
+	Table3(res, cfg.Procs, cfg.Machines).Write(w)
+	fmt.Fprint(w, Figs1516(res))
+	return nil, nil
 }

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"nektar/internal/core"
 )
 
 func TestKernelFigures(t *testing.T) {
@@ -83,9 +85,12 @@ func TestFourierSmallScale(t *testing.T) {
 	cfg := FourierConfig{
 		ProbeNt: 8, ProbeNr: 2,
 		PaperNt: 12, PaperNr: 3, // small "paper" target keeps the test quick
-		Order: 5, Steps: 1,
-		Machines: []string{"RoadRunner-myr", "RoadRunner-eth"},
-		Procs:    []int{2, 4},
+		Order: 5,
+		Sweep: Sweep{
+			Steps:    1,
+			Machines: []string{"RoadRunner-myr", "RoadRunner-eth"},
+			Procs:    []int{2, 4},
+		},
 	}
 	res, err := RunFourier(cfg)
 	if err != nil {
@@ -119,8 +124,8 @@ func TestFourierSmallScale(t *testing.T) {
 	if !strings.Contains(tab.String(), "/") {
 		t.Fatalf("table malformed:\n%s", tab.String())
 	}
-	if _, err := Fig1314(res, "RoadRunner-eth", 4); err != nil {
-		t.Fatal(err)
+	if figs := Figs1314(res); !strings.Contains(figs, "wall-clock timing, RoadRunner-eth, 4 processors") {
+		t.Fatalf("Figures 13-14 missing the Ethernet cell:\n%s", figs)
 	}
 }
 
@@ -129,9 +134,11 @@ func TestALESmallScale(t *testing.T) {
 		ProbeNt: 12, ProbeNr: 2, ProbeNz: 2, ProbeOrder: 2,
 		PaperElems: 200, PaperOrder: 3,
 		PressureIters: 30, HelmIters: 12,
-		Steps:    1,
-		Machines: []string{"RoadRunner-myr"},
-		Procs:    []int{2, 4},
+		Sweep: Sweep{
+			Steps:    1,
+			Machines: []string{"RoadRunner-myr"},
+			Procs:    []int{2, 4},
+		},
 	}
 	res, err := RunALE(cfg)
 	if err != nil {
@@ -142,9 +149,9 @@ func TestALESmallScale(t *testing.T) {
 			t.Fatalf("%s P=%d: cpu=%v wall=%v", r.Machine, r.P, r.CPU, r.Wall)
 		}
 		// Regions b+c dominate (Figures 15-16: solves are ~90%).
-		total := r.RegionCPU[0] + r.RegionCPU[1] + r.RegionCPU[2]
-		if (r.RegionCPU[1]+r.RegionCPU[2])/total < 0.5 {
-			t.Fatalf("solves only %v of CPU", (r.RegionCPU[1]+r.RegionCPU[2])/total)
+		total := r.StageCPU[0] + r.StageCPU[1] + r.StageCPU[2]
+		if (r.StageCPU[1]+r.StageCPU[2])/total < 0.5 {
+			t.Fatalf("solves only %v of CPU", (r.StageCPU[1]+r.StageCPU[2])/total)
 		}
 	}
 	// Strong scaling: P=4 must be faster than P=2.
@@ -155,8 +162,8 @@ func TestALESmallScale(t *testing.T) {
 	if !strings.Contains(tab.String(), "RoadRunner-myr") {
 		t.Fatalf("table malformed:\n%s", tab.String())
 	}
-	if _, err := Fig1516(res, "RoadRunner-myr", 4); err != nil {
-		t.Fatal(err)
+	if figs := sweepPies("Figures 15-16: Nektar-ALE", core.ALEStageNames, res, 4, "RoadRunner-myr"); !strings.Contains(figs, "b pressure solve") {
+		t.Fatalf("Figures 15-16 missing the region names:\n%s", figs)
 	}
 }
 

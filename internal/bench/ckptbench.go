@@ -2,14 +2,13 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"nektar/internal/ckpt"
-	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
-	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
@@ -91,16 +90,9 @@ func ValidateCkptbench(cfg CkptbenchConfig) error {
 	if cfg.Steps < 1 || cfg.Every < 1 {
 		return fmt.Errorf("bench: ckptbench needs positive steps and cadence, got %d/%d", cfg.Steps, cfg.Every)
 	}
-	if cfg.Procs < 1 || cfg.Procs&(cfg.Procs-1) != 0 {
-		return fmt.Errorf("bench: the Nektar-F probe needs a power-of-two rank count, got %d", cfg.Procs)
-	}
 	for _, name := range cfg.Machines {
-		mach, err := machine.ByName(name)
-		if err != nil {
-			return fmt.Errorf("%w (see internal/machine for the catalogue)", err)
-		}
-		if cfg.Procs > mach.MaxProcs {
-			return fmt.Errorf("bench: %s has at most %d procs, got %d", name, mach.MaxProcs, cfg.Procs)
+		if _, _, err := clusterFor(name, "nsf", cfg.Procs, 0); err != nil {
+			return err
 		}
 	}
 	if cfg.DiskMBs <= 0 {
@@ -109,36 +101,14 @@ func ValidateCkptbench(cfg CkptbenchConfig) error {
 	return nil
 }
 
-// ckptProbeNS2D builds a fresh, ramped serial solver for one host-side
-// variant (each variant must step an identical trajectory).
-func ckptProbeNS2D(cfg CkptbenchConfig) (*core.NS2D, error) {
-	m, err := mesh.BluffBody(cfg.Order, cfg.Nt, cfg.Nr)
+// runCkptVariant drives one host-side run through sink (nil: no
+// durability) and reports the step-loop host wall.
+func runCkptVariant(cfg CkptbenchConfig, sink engine.CheckpointSink) (float64, error) {
+	// A fresh, ramped solver per variant: each must step an identical
+	// trajectory.
+	ns, err := bluffNS2D(cfg.Order, cfg.Nt, cfg.Nr)
 	if err != nil {
-		return nil, err
-	}
-	ns, err := core.NewNS2D(m, core.NS2DConfig{
-		Nu: 1.0 / 500, Dt: 2e-3, Order: 2,
-		VelDirichlet: map[string]core.VelBC{
-			"wall":   core.ConstantVel(0, 0),
-			"inflow": core.ConstantVel(1, 0),
-		},
-		PresDirichlet: map[string]bool{"outflow": true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ns.SetUniformInitial(1, 0)
-	ns.Step() // multistep order ramp
-	ns.Step()
-	return ns, nil
-}
-
-// runCkptVariant drives one host-side run and reports the step-loop
-// host wall plus the writer's counters (zero for a nil sink).
-func runCkptVariant(cfg CkptbenchConfig, sink engine.CheckpointSink, stats func() ckpt.WriterStats) (float64, ckpt.WriterStats, error) {
-	ns, err := ckptProbeNS2D(cfg)
-	if err != nil {
-		return 0, ckpt.WriterStats{}, err
+		return 0, err
 	}
 	loop := engine.Loop{Solver: ns, Steps: ns.StepCount() + cfg.Steps,
 		Watchdog: engine.Watchdog{Disabled: true}}
@@ -147,14 +117,8 @@ func runCkptVariant(cfg CkptbenchConfig, sink engine.CheckpointSink, stats func(
 		loop.CheckpointEvery = cfg.Every
 	}
 	t0 := time.Now()
-	if _, err := loop.Run(); err != nil {
-		return 0, ckpt.WriterStats{}, err
-	}
-	wall := time.Since(t0).Seconds()
-	if stats == nil {
-		return wall, ckpt.WriterStats{}, nil
-	}
-	return wall, stats(), nil
+	_, err = loop.Run()
+	return time.Since(t0).Seconds(), err
 }
 
 // stripedCostCell measures one machine's local vs striped virtual
@@ -168,15 +132,10 @@ func stripedCostCell(name string, procs int, diskMBs float64, order int) (Stripe
 	sc := StripedCost{Machine: name, Procs: procs}
 	_, _, err = simnet.Run(procs, mach.Net, func(n *simnet.Node) {
 		comm := mpi.World(n)
-		m, merr := mesh.BluffBody(order, 8, 2)
-		if merr != nil {
-			panic(merr)
-		}
-		ns, nerr := core.NewNSF(m, fourierBCs(), comm, &mach.CPU)
+		ns, nerr := fourierProbe(order, 8, 2, comm, &mach.CPU)
 		if nerr != nil {
 			panic(nerr)
 		}
-		ns.SetUniformInitial(1, 0)
 		ns.Step()
 		state, serr := engine.Marshal(ns)
 		if serr != nil {
@@ -218,7 +177,7 @@ func RunCkptbench(cfg CkptbenchConfig) (*CkptbenchResult, []*report.Table, error
 	// Host side: none, then sync, then async — fresh solver and fresh
 	// store each, so the three runs do identical solver work.
 	var err error
-	if res.NoneLoopS, _, err = runCkptVariant(cfg, nil, nil); err != nil {
+	if res.NoneLoopS, err = runCkptVariant(cfg, nil); err != nil {
 		return nil, nil, err
 	}
 	syncStore, err := ckpt.NewDirStore(dir + "/sync")
@@ -226,17 +185,17 @@ func RunCkptbench(cfg CkptbenchConfig) (*CkptbenchResult, []*report.Table, error
 		return nil, nil, err
 	}
 	sw := ckpt.NewSyncWriter(syncStore, ckpt.WriterConfig{Kind: "ns2d"})
-	var syncStats ckpt.WriterStats
-	if res.SyncLoopS, syncStats, err = runCkptVariant(cfg, sw, sw.Stats); err != nil {
+	if res.SyncLoopS, err = runCkptVariant(cfg, sw); err != nil {
 		return nil, nil, err
 	}
+	syncStats := sw.Stats()
 	asyncStore, err := ckpt.NewDirStore(dir + "/async")
 	if err != nil {
 		return nil, nil, err
 	}
 	aw := ckpt.NewAsyncWriter(asyncStore, ckpt.WriterConfig{Kind: "ns2d"})
-	var asyncStats ckpt.WriterStats
-	res.AsyncLoopS, asyncStats, err = runCkptVariant(cfg, aw, aw.Stats)
+	res.AsyncLoopS, err = runCkptVariant(cfg, aw)
+	asyncStats := aw.Stats()
 	if cerr := aw.Close(); err == nil {
 		err = cerr
 	}
@@ -279,4 +238,18 @@ func RunCkptbench(cfg CkptbenchConfig) (*CkptbenchResult, []*report.Table, error
 			fmt.Sprintf("%+.1f%%", 100*(sc.StripedS/sc.LocalS-1)))
 	}
 	return res, []*report.Table{hostTbl, stripeTbl}, nil
+}
+
+func runCkptbench(cfg CkptbenchConfig, w io.Writer) (any, error) {
+	res, tables, err := RunCkptbench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for i, tbl := range tables {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		tbl.Write(w)
+	}
+	return res, nil
 }

@@ -1,10 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"testing"
-)
+import "testing"
 
 func quickCkptbench(t *testing.T) CkptbenchConfig {
 	t.Helper()
@@ -69,25 +65,5 @@ func TestCkptbenchAsyncHidesWriteTime(t *testing.T) {
 	if sc.StripedS <= sc.LocalS {
 		t.Errorf("RoadRunner-eth striped %.6gs <= local %.6gs, want a striping penalty",
 			sc.StripedS, sc.LocalS)
-	}
-}
-
-// TestWriteCkptBaseline regenerates BENCH_ckpt.json (the committed
-// ckptbench baseline) when BENCH_CKPT=1 is set; `make bench-ckpt` runs
-// it.
-func TestWriteCkptBaseline(t *testing.T) {
-	if os.Getenv("BENCH_CKPT") == "" {
-		t.Skip("set BENCH_CKPT=1 to regenerate BENCH_ckpt.json")
-	}
-	res, _, err := RunCkptbench(PaperCkptbench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_ckpt.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,46 +1,25 @@
 package bench
 
 import (
-	"encoding/json"
 	"io"
-	"os"
 	"testing"
 
 	"nektar/internal/core"
 	"nektar/internal/engine"
-	"nektar/internal/mesh"
 )
 
 // Engine micro-benchmarks: the driver loop's own overhead on top of a
 // real (small) NS2D solver — stepping, checkpoint serialization, and
-// the per-step trace emission. BENCH_engine.json at the repo root is
-// the committed baseline; regenerate it with
-//
-//	BENCH_BASELINE=1 go test ./internal/bench -run TestWriteEngineBaseline
-//
-// (or `make bench-baseline`) and commit the diff when the engine's
-// cost profile changes on purpose.
+// the per-step trace emission — the `go test -bench Engine` twins of
+// the registry's engine experiment (engine.go), which records the
+// committed BENCH_engine.json.
 
 func benchNS2D(b *testing.B) *core.NS2D {
 	b.Helper()
-	m, err := mesh.BluffBody(3, 8, 2)
+	ns, err := bluffNS2D(3, 8, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ns, err := core.NewNS2D(m, core.NS2DConfig{
-		Nu: 1.0 / 500, Dt: 2e-3, Order: 2,
-		VelDirichlet: map[string]core.VelBC{
-			"wall":   core.ConstantVel(0, 0),
-			"inflow": core.ConstantVel(1, 0),
-		},
-		PresDirichlet: map[string]bool{"outflow": true},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ns.SetUniformInitial(1, 0)
-	ns.Step() // multistep order ramp
-	ns.Step()
 	return ns
 }
 
@@ -76,39 +55,4 @@ func BenchmarkEngineTracedStep(b *testing.B) {
 	if _, err := loop.Run(); err != nil {
 		b.Fatal(err)
 	}
-}
-
-// TestWriteEngineBaseline regenerates BENCH_engine.json at the repo
-// root. Gated behind BENCH_BASELINE=1 so normal test runs stay fast
-// and deterministic.
-func TestWriteEngineBaseline(t *testing.T) {
-	if os.Getenv("BENCH_BASELINE") == "" {
-		t.Skip("set BENCH_BASELINE=1 to regenerate BENCH_engine.json")
-	}
-	type entry struct {
-		NsPerOp     int64 `json:"ns_per_op"`
-		AllocsPerOp int64 `json:"allocs_per_op"`
-		BytesPerOp  int64 `json:"bytes_per_op"`
-	}
-	out := map[string]entry{}
-	for name, fn := range map[string]func(*testing.B){
-		"EngineStep":       BenchmarkEngineStep,
-		"EngineCheckpoint": BenchmarkEngineCheckpoint,
-		"EngineTracedStep": BenchmarkEngineTracedStep,
-	} {
-		r := testing.Benchmark(fn)
-		out[name] = entry{
-			NsPerOp:     r.NsPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_engine.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote BENCH_engine.json:\n%s", buf)
 }

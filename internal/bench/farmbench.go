@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -55,9 +56,6 @@ type FarmbenchConfig struct {
 	Seed int64
 	// Dir is the daemon state directory ("" = a fresh temp dir).
 	Dir string
-	// Image is the daemon binary to exec ("" = this binary, which must
-	// call farm.MaybeDaemon early in main/TestMain).
-	Image string
 }
 
 // PaperFarmbench is the recorded campaign: thousands of jobs, at least
@@ -241,10 +239,6 @@ func RunFarmbench(cfg FarmbenchConfig) (*FarmbenchResult, *report.Table, error) 
 		defer os.RemoveAll(tmp)
 		dir = tmp
 	}
-	image := cfg.Image
-	if image == "" {
-		image = os.Args[0]
-	}
 	// One port for every daemon generation: reserve it by binding and
 	// releasing, then hand the same address to each restart.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -255,7 +249,9 @@ func RunFarmbench(cfg FarmbenchConfig) (*FarmbenchResult, *report.Table, error) 
 	ln.Close()
 
 	d := &farmDaemon{
-		image: image,
+		// This binary is its own daemon image: main (or TestMain) calls
+		// farm.MaybeDaemon first thing.
+		image: os.Args[0],
 		args: []string{"-dir", dir, "-addr", addr, "-chaos",
 			"-workers", fmt.Sprint(cfg.Workers), "-queue-cap", "0", "-seed", "7"},
 		url: "http://" + addr,
@@ -502,4 +498,19 @@ func latencyQuantiles(acked, done []time.Time) (p50, p99 float64) {
 	}
 	sort.Float64s(lats)
 	return lats[len(lats)/2], lats[(len(lats)*99)/100]
+}
+
+// runFarmbench prints the audited ledger and fails unless the
+// crash-safety audit is clean.
+func runFarmbench(cfg FarmbenchConfig, w io.Writer) (any, error) {
+	res, tbl, err := RunFarmbench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Write(w)
+	if res.LostAcked != 0 || res.DupResults != 0 || res.HashMismatches != 0 || res.FailedJobs != 0 {
+		return nil, fmt.Errorf("farmbench: crash-safety audit failed: lost=%d dup=%d mismatch=%d failed=%d",
+			res.LostAcked, res.DupResults, res.HashMismatches, res.FailedJobs)
+	}
+	return res, nil
 }

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
 
 	"nektar/internal/ckpt"
@@ -9,7 +11,6 @@ import (
 	"nektar/internal/engine"
 	"nektar/internal/fault"
 	"nektar/internal/machine"
-	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
@@ -34,7 +35,7 @@ import (
 // 1/P-th shards with Stripe — so the Young table prices the framed,
 // compressed record plus any network traffic the write mode incurs.
 // A second, measured experiment injects a seeded node crash and
-// recovers through core.RunFourierRecovery, reporting the actual
+// recovers through core.RunRecovery, reporting the actual
 // virtual-wall overhead of the crash-recovery round trip.
 
 // FaultbenchConfig parametrizes the sweep.
@@ -92,18 +93,8 @@ type FaultbenchResult struct {
 // ValidateFaultbench checks a sweep configuration and returns an
 // actionable error for each way the experiment cannot run.
 func ValidateFaultbench(cfg FaultbenchConfig) error {
-	mach, err := machine.ByName(cfg.Machine)
-	if err != nil {
-		return fmt.Errorf("%w (see internal/machine for the catalogue)", err)
-	}
-	if cfg.Procs < 1 {
-		return fmt.Errorf("bench: need at least one rank, got %d", cfg.Procs)
-	}
-	if cfg.Procs&(cfg.Procs-1) != 0 {
-		return fmt.Errorf("bench: the Nektar-F probe needs a power-of-two rank count, got %d", cfg.Procs)
-	}
-	if cfg.Procs > mach.MaxProcs {
-		return fmt.Errorf("bench: %s has at most %d procs, got %d", cfg.Machine, mach.MaxProcs, cfg.Procs)
+	if _, _, err := clusterFor(cfg.Machine, "nsf", cfg.Procs, 0); err != nil {
+		return err
 	}
 	if cfg.DiskMBs <= 0 || math.IsNaN(cfg.DiskMBs) {
 		return fmt.Errorf("bench: disk bandwidth %g MB/s must be positive — it prices the checkpoint writes", cfg.DiskMBs)
@@ -146,43 +137,10 @@ func RunFaultbench(cfg FaultbenchConfig) (*FaultbenchResult, *report.Table, erro
 	}
 	res := &FaultbenchResult{Machine: cfg.Machine, Procs: cfg.Procs, WriteMode: mode.String()}
 
-	// Probe run: real solver state, priced machine, measured per-step
-	// wall, checkpoint bytes, and write cost.
-	var wallPerStep, ckptBytes, deltaS float64
-	_, _, err = simnet.Run(cfg.Procs, mach.Net, func(n *simnet.Node) {
-		comm := mpi.World(n)
-		m, merr := mesh.BluffBody(cfg.Order, cfg.ProbeNt, cfg.ProbeNr)
-		if merr != nil {
-			panic(merr)
-		}
-		ns, nerr := core.NewNSF(m, fourierBCs(), comm, &mach.CPU)
-		if nerr != nil {
-			panic(nerr)
-		}
-		ns.SetUniformInitial(1, 0)
-		ns.Step() // warmup
-		comm.Barrier()
-		w0 := comm.Wtime()
-		loop := engine.Loop{Solver: ns, Steps: ns.StepCount() + cfg.Steps,
-			Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true}}
-		lres, lerr := loop.Run()
-		if lerr != nil {
-			panic(lerr)
-		}
-		comm.Barrier()
-		perStep := (comm.Wtime() - w0) / float64(cfg.Steps)
-		// Measure delta by actually writing the final state through the
-		// simulated parallel-write cost model: framing, compression, and
-		// (striped) the all-to-all shard exchange are all priced.
-		sw := &ckpt.SimWriter{Kind: "nsf", Comm: comm, DiskMBs: cfg.DiskMBs, Mode: mode}
-		if werr := sw.Submit(ns.StepCount(), lres.Final, true); werr != nil {
-			panic(werr)
-		}
-		mx := comm.Allreduce([]float64{perStep, float64(len(lres.Final)), sw.LastCostS()}, mpi.Max)
-		if comm.Rank() == 0 {
-			wallPerStep, ckptBytes, deltaS = mx[0], mx[1], mx[2]
-		}
-	})
+	wallPerStep, ckptBytes, deltaS, err := probeCheckpointCost(mach, cfg.Procs, cfg.Steps, "nsf", cfg.DiskMBs, mode,
+		func(comm *mpi.Comm) (engine.Solver, error) {
+			return fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, &mach.CPU)
+		})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,6 +181,43 @@ func RunFaultbench(cfg FaultbenchConfig) (*FaultbenchResult, *report.Table, erro
 	return res, tbl, nil
 }
 
+// probeCheckpointCost runs a real solver on procs ranks of the priced
+// machine — one warm-up step, then steps measured ones — and writes
+// its final state through the simulated parallel-write cost model, so
+// framing, compression and (striped) the all-to-all shard exchange are
+// all priced. It returns, max over ranks, the per-step virtual wall,
+// the raw state size in bytes, and one checkpoint's write cost.
+func probeCheckpointCost(mach *machine.Machine, procs, steps int, kind string, diskMBs float64, mode ckpt.WriteMode,
+	newSolver func(comm *mpi.Comm) (engine.Solver, error)) (stepWallS, stateBytes, deltaS float64, err error) {
+	_, _, err = simnet.Run(procs, mach.Net, func(n *simnet.Node) {
+		comm := mpi.World(n)
+		s, serr := newSolver(comm)
+		if serr != nil {
+			panic(serr)
+		}
+		s.Step() // warmup
+		comm.Barrier()
+		w0 := comm.Wtime()
+		loop := engine.Loop{Solver: s, Steps: s.StepCount() + steps,
+			Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true}}
+		lres, lerr := loop.Run()
+		if lerr != nil {
+			panic(lerr)
+		}
+		comm.Barrier()
+		perStep := (comm.Wtime() - w0) / float64(steps)
+		sw := &ckpt.SimWriter{Kind: kind, Comm: comm, DiskMBs: diskMBs, Mode: mode}
+		if werr := sw.Submit(s.StepCount(), lres.Final, true); werr != nil {
+			panic(werr)
+		}
+		mx := comm.Allreduce([]float64{perStep, float64(len(lres.Final)), sw.LastCostS()}, mpi.Max)
+		if comm.Rank() == 0 {
+			stepWallS, stateBytes, deltaS = mx[0], mx[1], mx[2]
+		}
+	})
+	return stepWallS, stateBytes, deltaS, err
+}
+
 // youngOverhead is the expected fractional runtime overhead of
 // checkpointing every tau seconds on a cluster with MTBF theta:
 // delta/tau of pure I/O plus tau/(2 theta) of expected recomputation.
@@ -245,24 +240,21 @@ func RunFaultbenchRecovery(cfg FaultbenchConfig, seed int64) (*report.Table, err
 	}
 	steps := 12
 	every := 3
-	rc := core.FourierRecovery{
+	rc := core.Recovery{
 		Procs: procs,
 		Model: mach.Net,
-		CPU:   &mach.CPU,
-		Mesh: func() (*mesh.Mesh, error) {
-			return mesh.BluffBody(cfg.Order, cfg.ProbeNt, cfg.ProbeNr)
+		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
+			return fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, &mach.CPU)
 		},
-		Cfg:             fourierBCs(),
-		InitU:           1,
 		Steps:           steps,
 		CheckpointEvery: every,
 	}
-	ref, err := core.RunFourierRecovery(rc)
+	ref, err := core.RunRecovery(rc)
 	if err != nil {
 		return nil, err
 	}
 	rc.CheckpointCostS = ref.VirtualWall / float64(steps) // order-of-step checkpoint cost
-	ref2, err := core.RunFourierRecovery(rc)
+	ref2, err := core.RunRecovery(rc)
 	if err != nil {
 		return nil, err
 	}
@@ -271,7 +263,7 @@ func RunFaultbenchRecovery(cfg FaultbenchConfig, seed int64) (*report.Table, err
 	crashed.Plans = []simnet.Injector{
 		fault.NewPlan(seed).Crash(procs-1, 0.45*ref2.VirtualWall),
 	}
-	got, err := core.RunFourierRecovery(crashed)
+	got, err := core.RunRecovery(crashed)
 	if err != nil {
 		return nil, err
 	}
@@ -289,4 +281,23 @@ func RunFaultbenchRecovery(cfg FaultbenchConfig, seed int64) (*report.Table, err
 		fmt.Sprintf("%d", got.StepsComputed), fmt.Sprintf("%.4g", got.VirtualWall),
 		fmt.Sprintf("%.1f%%", 100*(got.VirtualWall/ref.VirtualWall-1)))
 	return tbl, nil
+}
+
+func faultbenchFlags(fs *flag.FlagSet, c *FaultbenchConfig) {
+	fs.BoolVar(&c.Stripe, "stripe", c.Stripe, "price checkpoints as striped 1/P-th shards exchanged over the interconnect instead of node-local files")
+}
+
+func runFaultbench(cfg FaultbenchConfig, w io.Writer) (any, error) {
+	_, tbl, err := RunFaultbench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Write(w)
+	demo, err := RunFaultbenchRecovery(cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintln(w)
+	demo.Write(w)
+	return nil, nil
 }

@@ -2,19 +2,16 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
+	"io"
 
 	"nektar/internal/blas"
-	"nektar/internal/ckpt"
 	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
 	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
-	"nektar/internal/simnet"
 	"nektar/internal/solver"
-	"nektar/internal/timing"
 )
 
 // FourierConfig parametrizes the Table 2 / Figures 13-14 experiment:
@@ -30,22 +27,7 @@ type FourierConfig struct {
 	ProbeNt, ProbeNr int
 	PaperNt, PaperNr int
 	Order            int
-	Steps            int // measured steps (after 1 warmup)
-	Machines         []string
-	Procs            []int
-
-	// Trace, when set, receives the engine's per-step event stream for
-	// every measured cell (all ranks interleaved).
-	Trace *engine.Tracer
-
-	// CkptDir, when set, gives every measured cell its own durable
-	// checkpoint store under it (<machine>-p<P>/), written every
-	// CkptEvery steps through the simulated cost model: each rank's
-	// record is priced as a node-local restart-file write at
-	// CkptDiskMBs, and that time lands in the cell's wall clock.
-	CkptDir     string
-	CkptEvery   int
-	CkptDiskMBs float64
+	Sweep
 }
 
 // PaperFourier is the paper's Table 2 setup.
@@ -53,22 +35,15 @@ var PaperFourier = FourierConfig{
 	ProbeNt: 8, ProbeNr: 2,
 	PaperNt: 82, PaperNr: 11,
 	Order: 8,
-	Steps: 2,
-	Machines: []string{
-		"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2",
-		"RoadRunner-eth", "RoadRunner-myr", "Muses",
+	Sweep: Sweep{
+		Steps: 2,
+		Machines: []string{
+			"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2",
+			"RoadRunner-eth", "RoadRunner-myr", "Muses",
+		},
+		Procs:       []int{2, 4, 8, 16, 32, 64, 128},
+		CkptDiskMBs: 20,
 	},
-	Procs:       []int{2, 4, 8, 16, 32, 64, 128},
-	CkptDiskMBs: 20,
-}
-
-// FourierResult is one (machine, P) cell of Table 2.
-type FourierResult struct {
-	Machine   string
-	P         int
-	CPU, Wall float64 // max over ranks, per step
-	StageCPU  [7]float64
-	StageWall [7]float64
 }
 
 // fourierBCs are the bluff-body boundary conditions shared by probe
@@ -82,6 +57,21 @@ func fourierBCs() core.NSFConfig {
 		},
 		PresDirichlet: map[string]bool{"outflow": true},
 	}
+}
+
+// fourierProbe builds one rank's bluff-body Nektar-F solver on an
+// nt x nr O-grid, impulsively started.
+func fourierProbe(order, nt, nr int, comm *mpi.Comm, cpu *machine.CPU) (*core.NSF, error) {
+	m, err := mesh.BluffBody(order, nt, nr)
+	if err != nil {
+		return nil, err
+	}
+	ns, err := core.NewNSF(m, fourierBCs(), comm, cpu)
+	if err != nil {
+		return nil, err
+	}
+	ns.SetUniformInitial(1, 0)
+	return ns, nil
 }
 
 // solveStats captures the condensed-solver cost parameters of a mesh.
@@ -132,10 +122,8 @@ func fourierScale(cpu *machine.CPU, probe, paper *solveStats) *core.ScaleConfig 
 	return sc
 }
 
-// RunFourier executes the Table 2 sweep. Cells beyond a machine's
-// MaxProcs (or beyond Muses' 4 nodes) are reported with negative
-// times, rendering as "n/a" like the paper.
-func RunFourier(cfg FourierConfig) ([]FourierResult, error) {
+// RunFourier executes the Table 2 sweep.
+func RunFourier(cfg FourierConfig) ([]SweepCell, error) {
 	probe, err := gatherSolveStats(cfg.ProbeNt, cfg.ProbeNr, cfg.Order)
 	if err != nil {
 		return nil, err
@@ -144,131 +132,36 @@ func RunFourier(cfg FourierConfig) ([]FourierResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []FourierResult
-	for _, name := range cfg.Machines {
-		mach, err := machine.ByName(name)
+	return cfg.Sweep.run("nsf", 0, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
+		ns, err := fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, &mach.CPU)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range cfg.Procs {
-			if p > mach.MaxProcs {
-				out = append(out, FourierResult{Machine: name, P: p, CPU: -1, Wall: -1})
-				continue
-			}
-			r, err := runFourierCell(mach, p, cfg, probe, paper)
-			if err != nil {
-				return nil, fmt.Errorf("%s P=%d: %w", name, p, err)
-			}
-			out = append(out, *r)
-		}
-	}
-	return out, nil
-}
-
-func runFourierCell(mach *machine.Machine, p int, cfg FourierConfig, probe, paper *solveStats) (*FourierResult, error) {
-	res := &FourierResult{Machine: mach.Name, P: p}
-	sc := fourierScale(&mach.CPU, probe, paper)
-	var store *ckpt.DirStore
-	if cfg.CkptDir != "" {
-		var serr error
-		store, serr = ckpt.NewDirStore(filepath.Join(cfg.CkptDir, fmt.Sprintf("%s-p%d", mach.Name, p)))
-		if serr != nil {
-			return nil, serr
-		}
-	}
-	_, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
-		comm := mpi.World(n)
-		m, err := mesh.BluffBody(cfg.Order, cfg.ProbeNt, cfg.ProbeNr)
-		if err != nil {
-			panic(err)
-		}
-		ns, err := core.NewNSF(m, fourierBCs(), comm, &mach.CPU)
-		if err != nil {
-			panic(err)
-		}
-		ns.SetScale(sc)
-		ns.SetUniformInitial(1, 0)
-		ns.Step() // warmup (order ramp + eager caches)
-		comm.Barrier()
-		cpu0, wall0 := comm.CPUTime(), comm.Wtime()
-		st := ns.Stages()
-		st.Reset()
-		loop := engine.Loop{Solver: ns, Steps: ns.StepCount() + cfg.Steps,
-			Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true},
-			Trace: cfg.Trace}
-		if store != nil {
-			loop.Sink = &ckpt.SimWriter{Kind: "nsf", Store: store, Comm: comm,
-				DiskMBs: cfg.CkptDiskMBs, Trace: cfg.Trace}
-			loop.CheckpointEvery = cfg.CkptEvery
-		}
-		if _, lerr := loop.Run(); lerr != nil {
-			panic(lerr)
-		}
-		comm.Barrier()
-		cpu1, wall1 := comm.CPUTime(), comm.Wtime()
-		perStep := 1 / float64(cfg.Steps)
-		mx := comm.Allreduce([]float64{
-			(cpu1 - cpu0) * perStep,
-			(wall1 - wall0) * perStep,
-		}, mpi.Max)
-		if comm.Rank() == 0 {
-			res.CPU, res.Wall = mx[0], mx[1]
-			for si := range res.StageCPU {
-				res.StageCPU[si] = st.Priced[si] * perStep
-				res.StageWall[si] = st.Wall[si] * perStep
-			}
-		}
+		ns.SetScale(fourierScale(&mach.CPU, probe, paper))
+		return ns, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // Table2 renders the Table 2 report: CPU/wall-clock per step for each
 // machine and processor count.
-func Table2(res []FourierResult, procs []int, machines []string) *report.Table {
-	cols := []string{"P"}
-	cols = append(cols, machines...)
-	t := report.NewTable("Table 2: Nektar-F CPU/Wall clock time per step (s), bluff body, 2 Fourier planes per processor", cols...)
-	cell := map[string]map[int]FourierResult{}
-	for _, r := range res {
-		if cell[r.Machine] == nil {
-			cell[r.Machine] = map[int]FourierResult{}
-		}
-		cell[r.Machine][r.P] = r
-	}
-	for _, p := range procs {
-		row := []string{fmt.Sprintf("%d", p)}
-		for _, m := range machines {
-			r, ok := cell[m][p]
-			if !ok || r.CPU < 0 {
-				row = append(row, "n/a")
-			} else {
-				row = append(row, fmt.Sprintf("%.2f/%.2f", r.CPU, r.Wall))
-			}
-		}
-		t.AddRow(row...)
-	}
-	return t
+func Table2(res []SweepCell, procs []int, machines []string) *report.Table {
+	return sweepTable("Table 2: Nektar-F CPU/Wall clock time per step (s), bluff body, 2 Fourier planes per processor",
+		res, procs, machines)
 }
 
-// Fig1314 renders the Figures 13-14 stage breakdowns (CPU and
-// wall-clock percentages) for one result cell.
-func Fig1314(res []FourierResult, machineName string, p int) (string, error) {
-	for _, r := range res {
-		if r.Machine != machineName || r.P != p {
-			continue
-		}
-		cpuPct := timing.Percent(r.StageCPU[:])
-		wallPct := timing.Percent(r.StageWall[:])
-		out := report.PieBreakdown(
-			fmt.Sprintf("Figures 13-14: Nektar-F CPU timing, %s, %d processors", machineName, p),
-			core.StageNames, cpuPct)
-		out += report.PieBreakdown(
-			fmt.Sprintf("Figures 13-14: Nektar-F wall-clock timing, %s, %d processors", machineName, p),
-			core.StageNames, wallPct)
-		return out, nil
+// Figs1314 renders the Figures 13-14 stage breakdowns (CPU and
+// wall-clock percentages) of the four P=4 cells the paper shows.
+func Figs1314(res []SweepCell) string {
+	return sweepPies("Figures 13-14: Nektar-F", core.StageNames, res, 4,
+		"NCSA", "SP2-Silver", "RoadRunner-eth", "RoadRunner-myr")
+}
+
+func runTable2(cfg FourierConfig, w io.Writer) (any, error) {
+	res, err := RunFourier(cfg)
+	if err != nil {
+		return nil, err
 	}
-	return "", fmt.Errorf("bench: no result for %s P=%d", machineName, p)
+	Table2(res, cfg.Procs, cfg.Machines).Write(w)
+	fmt.Fprint(w, Figs1314(res))
+	return nil, nil
 }

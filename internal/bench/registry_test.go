@@ -1,0 +1,165 @@
+package bench
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"nektar/internal/simnet"
+)
+
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool
+
+// TestRegistry: every entry is well-formed, and its flag hook is a
+// pure binding — parsing no flags leaves the selected configuration
+// exactly the declared one.
+func TestRegistry(t *testing.T) {
+	names, baselines := map[string]bool{}, map[string]bool{}
+	for _, e := range Experiments() {
+		t.Run(e.Name, func(t *testing.T) {
+			if e.Name == "" || e.Desc == "" {
+				t.Fatalf("entry %+v lacks a name or description", e)
+			}
+			if names[e.Name] {
+				t.Fatalf("name %q registered twice", e.Name)
+			}
+			names[e.Name] = true
+			if e.Baseline != "" && baselines[e.Baseline] {
+				t.Fatalf("two experiments record BENCH_%s.json", e.Baseline)
+			}
+			baselines[e.Baseline] = true
+			if e.NeedsCores && e.Baseline == "" {
+				t.Error("NeedsCores without a baseline guards nothing")
+			}
+			if reflect.TypeOf(e.Paper) != reflect.TypeOf(e.Quick) {
+				t.Fatalf("paper config %T and quick config %T differ in type", e.Paper, e.Quick)
+			}
+			for quick, want := range map[bool]any{false: e.Paper, true: e.Quick} {
+				fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+				cfg, run := e.Bind(fs, quick)
+				if err := fs.Parse(nil); err != nil {
+					t.Fatal(err)
+				}
+				if run == nil {
+					t.Fatal("no run")
+				}
+				if got := reflect.ValueOf(cfg).Elem().Interface(); !reflect.DeepEqual(got, want) {
+					t.Errorf("quick=%v: flag hook changed the config with no flag set:\n got %+v\nwant %+v", quick, got, want)
+				}
+			}
+			fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
+			e.Bind(fs, false)
+			if err := fs.Parse(e.RecordFlags); err != nil {
+				t.Errorf("RecordFlags %v do not parse on the entry's own flags: %v", e.RecordFlags, err)
+			}
+		})
+	}
+
+	if e, err := ExperimentByName("supervise"); err != nil || e.Name != "supervise" {
+		t.Fatalf("ExperimentByName(supervise) = %v, %v", e, err)
+	}
+	_, err := ExperimentByName("nosuch")
+	if err == nil {
+		t.Fatal("unknown experiment name accepted")
+	}
+	for name := range names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-name error does not list %q: %v", name, err)
+		}
+	}
+}
+
+// TestRecordEnvelope: the one baseline writer stamps the host, wraps
+// the result unchanged, and refuses a core-starved host exactly for
+// the experiments whose numbers need cores.
+func TestRecordEnvelope(t *testing.T) {
+	host := ThisHost()
+	if host.Commit == "" || host.Date == "" || host.GoVersion == "" || host.NumCPU < 1 || host.GOMAXPROCS < 1 {
+		t.Fatalf("host stamps missing: %+v", host)
+	}
+	starved, roomy := host, host
+	starved.NumCPU, starved.GOMAXPROCS = 1, 1
+	roomy.NumCPU, roomy.GOMAXPROCS = 8, 8
+	want := &SimbenchResult{GoMaxProcs: 8, NumCPU: 8, Steps: 2,
+		Cells: []SimbenchCellResult{{Workload: "nsf", Procs: 8, Speedup: 1.5}}}
+
+	for _, e := range Experiments() {
+		dir := t.TempDir()
+		path, err := Record(dir, &e, starved, true, want)
+		switch {
+		case e.Baseline == "":
+			if err == nil {
+				t.Errorf("%s: recorded without a baseline", e.Name)
+			}
+			continue
+		case e.NeedsCores:
+			if err == nil {
+				t.Errorf("%s: needs cores, yet a 1-core host was allowed to record it", e.Name)
+			}
+			if left, _ := os.ReadDir(dir); len(left) != 0 {
+				t.Errorf("%s: the refused write still left %v behind", e.Name, left)
+			}
+			if path, err = Record(dir, &e, roomy, true, want); err != nil {
+				t.Fatalf("%s: multi-core host refused: %v", e.Name, err)
+			}
+		case err != nil:
+			t.Errorf("%s: does not need cores, yet a 1-core host was refused: %v", e.Name, err)
+			continue
+		}
+		if path != filepath.Join(dir, "BENCH_"+e.Baseline+".json") {
+			t.Errorf("%s recorded to %s", e.Name, path)
+		}
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env Envelope
+		if err := json.Unmarshal(buf, &env); err != nil {
+			t.Fatalf("%s: %v\n%s", e.Name, err, buf)
+		}
+		if env.Experiment != e.Name || env.Config != "quick" || env.Commit != host.Commit ||
+			env.Date != host.Date || env.GoVersion != host.GoVersion || env.NumCPU < 1 || env.GOMAXPROCS < 1 {
+			t.Errorf("%s: envelope stamps wrong: %+v", e.Name, env)
+		}
+		var back SimbenchResult
+		if err := json.Unmarshal(env.Result, &back); err != nil || !reflect.DeepEqual(&back, want) {
+			t.Errorf("%s: result did not round-trip: %+v (%v)", e.Name, back, err)
+		}
+	}
+}
+
+// TestExperimentsRegenerate: the committed experiments/*.txt are
+// byte-for-byte what the registry produces. The three application
+// tables run at paper scale (minutes), so -short, the race detector
+// and a forced scheduler (all virtual-time, so the bytes would not
+// differ — only the wait) check the figures alone.
+func TestExperimentsRegenerate(t *testing.T) {
+	files := []string{"fig1-6_kernels", "fig7_pingpong", "fig8_alltoall"}
+	if !testing.Short() && !raceDetector && os.Getenv(simnet.SchedulerEnv) == "" {
+		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale")
+	}
+	for _, name := range files {
+		e, err := ExperimentByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join("..", "..", "experiments", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		_, run := e.Bind(flag.NewFlagSet(name, flag.ContinueOnError), false)
+		if _, err := run(&got); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("experiments/%s.txt is stale: regenerate with `go run ./cmd/repro -outdir experiments %s`", name, name)
+		}
+	}
+}

@@ -2,7 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"time"
+	"slices"
 
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
@@ -142,11 +142,7 @@ func solverGridN(solverProcs []int, p int, weak bool) int {
 	if weak {
 		return 2 * p
 	}
-	maxP := 0
-	for _, q := range solverProcs {
-		maxP = max(maxP, q)
-	}
-	return 2 * maxP
+	return 2 * slices.Max(solverProcs)
 }
 
 // solverBody returns a live pseudospectral solver run for one cell:
@@ -187,18 +183,11 @@ func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, workload string,
 		gridN = solverGridN(cfg.SolverProcs, p, weak)
 		body = solverBody(workload, gridN, cfg.Steps, &mach.CPU)
 	}
-	model := *mach.Net
-	model.Scheduler = cfg.Scheduler
-	t0 := time.Now()
-	wall, _, err := simnet.Run(p, &model, body)
+	wall, _, hostS, err := timedRun(mach, cfg.Scheduler, p, body)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	var maxWall float64
-	for _, w := range wall {
-		maxWall = max(maxWall, w)
-	}
-	return maxWall / float64(cfg.Steps), time.Since(t0).Seconds(), gridN, nil
+	return slices.Max(wall) / float64(cfg.Steps), hostS, gridN, nil
 }
 
 // RunScalebench executes the sweep and renders the weak/strong tables.

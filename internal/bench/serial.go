@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"io"
 
 	"nektar/internal/ckpt"
 	"nektar/internal/core"
@@ -19,16 +20,9 @@ type SerialConfig struct {
 	Order  int
 	Steps  int // measured steps (after a 2-step order ramp)
 
-	// Trace, when set, receives the engine's per-step event stream for
-	// the measured steps.
-	Trace *engine.Tracer
-
-	// CkptDir, when set, streams a durable checkpoint every CkptEvery
-	// steps (plus the final state) into an on-disk store there, written
-	// by the async background writer so the step loop only pays the
-	// marshal.
-	CkptDir   string
-	CkptEvery int
+	// Checkpoints go through the async background writer, so the step
+	// loop only pays the marshal.
+	Instrument
 }
 
 // PaperSerial is the paper's discretization: 902 elements at
@@ -57,13 +51,13 @@ type SerialResult struct {
 	StagePct [7]float64
 }
 
-// RunSerial executes the serial DNS for real at the configured scale,
-// records the per-stage BLAS operation counts of one step, and prices
-// them on every Table 1 machine.
-func RunSerial(cfg SerialConfig) ([]SerialResult, *timing.Stages, error) {
-	m, err := mesh.BluffBody(cfg.Order, cfg.Nt, cfg.Nr)
+// bluffNS2D builds the serial bluff-body solver on an nt x nr O-grid,
+// impulsively started and stepped twice so the multistep scheme is on
+// its final order-2 path.
+func bluffNS2D(order, nt, nr int) (*core.NS2D, error) {
+	m, err := mesh.BluffBody(order, nt, nr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ns, err := core.NewNS2D(m, core.NS2DConfig{
 		Nu: 1.0 / 500, Dt: 2e-3, Order: 2,
@@ -74,13 +68,22 @@ func RunSerial(cfg SerialConfig) ([]SerialResult, *timing.Stages, error) {
 		PresDirichlet: map[string]bool{"outflow": true},
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	ns.SetUniformInitial(1, 0)
-	// Ramp the multistep scheme so the measured steps use the final
-	// order-2 path.
 	ns.Step()
 	ns.Step()
+	return ns, nil
+}
+
+// RunSerial executes the serial DNS for real at the configured scale,
+// records the per-stage BLAS operation counts of one step, and prices
+// them on every Table 1 machine.
+func RunSerial(cfg SerialConfig) ([]SerialResult, *timing.Stages, error) {
+	ns, err := bluffNS2D(cfg.Order, cfg.Nt, cfg.Nr)
+	if err != nil {
+		return nil, nil, err
+	}
 	st := ns.Stages()
 	st.Reset()
 	st.Attach()
@@ -155,4 +158,18 @@ func Fig12(res []SerialResult, machines ...string) (string, error) {
 		}
 	}
 	return out, nil
+}
+
+func runSerial(cfg SerialConfig, w io.Writer) (any, error) {
+	res, _, err := RunSerial(cfg)
+	if err != nil {
+		return nil, err
+	}
+	Table1(res).Write(w)
+	txt, err := Fig12(res, "Onyx2", "Muses")
+	if err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(w, "\n%s", txt)
+	return nil, nil
 }

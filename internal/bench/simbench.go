@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
 	"nektar/internal/machine"
@@ -24,9 +27,8 @@ import (
 // The speedup is bounded by the host's core count: rank host work
 // (mesh build, operator factorization, the solver flops that drive
 // calibrated virtual time) overlaps, while shared-state events still
-// admit one at a time. BENCH_simnet.json records GOMAXPROCS and the
-// host CPU count next to the numbers so a 1-core CI box's ~1x is not
-// mistaken for a regression of the >=4x an 8-core host reaches.
+// admit one at a time, which is why the registry marks this experiment
+// NeedsCores: `repro -record` refuses to write it from a starved host.
 
 // SimbenchCell names one workload x rank-count measurement.
 type SimbenchCell struct {
@@ -40,6 +42,11 @@ type SimbenchConfig struct {
 	// Steps per run (after construction; kept small — the scheduler
 	// comparison needs overlap, not convergence).
 	Steps int
+
+	// Scale appends the Capacity sweep (scalebench.go) and records it
+	// under Scale in the result.
+	Scale    bool
+	Capacity ScalebenchConfig
 }
 
 // PaperSimbench covers the tentpole's target cells: Nektar-F at the
@@ -49,13 +56,15 @@ var PaperSimbench = SimbenchConfig{
 		{"nsf", 8}, {"nsf", 32}, {"nsf", 128},
 		{"nsale", 16}, {"nsale", 64},
 	},
-	Steps: 2,
+	Steps:    2,
+	Capacity: PaperScalebench,
 }
 
 // QuickSimbench is the budget-limited registry variant.
 var QuickSimbench = SimbenchConfig{
-	Cells: []SimbenchCell{{"nsf", 8}, {"nsale", 16}},
-	Steps: 2,
+	Cells:    []SimbenchCell{{"nsf", 8}, {"nsale", 16}},
+	Steps:    2,
+	Capacity: QuickScalebench,
 }
 
 // SimbenchCellResult is one measured cell.
@@ -87,16 +96,22 @@ type SimbenchResult struct {
 	Scale *ScalebenchResult `json:",omitempty"`
 }
 
-// runSimbenchOnce runs one workload x procs cell under one scheduler
-// and returns the per-rank virtual clocks plus the real host seconds.
-func runSimbenchOnce(wl Workload, p, steps int, sched simnet.Scheduler) (wall, cpu []float64, hostS float64, err error) {
-	mach := machine.Muses()
+// timedRun runs body on p ranks of mach under one scheduler and
+// returns the per-rank virtual clocks plus the real host seconds the
+// run took.
+func timedRun(mach *machine.Machine, sched simnet.Scheduler, p int, body func(*simnet.Node)) (wall, cpu []float64, hostS float64, err error) {
 	model := *mach.Net
 	model.Scheduler = sched
 	t0 := time.Now()
-	wall, cpu, err = simnet.Run(p, &model, func(n *simnet.Node) {
-		comm := mpi.World(n)
-		s, err := wl.New(comm, &mach.CPU)
+	wall, cpu, err = simnet.Run(p, &model, body)
+	return wall, cpu, time.Since(t0).Seconds(), err
+}
+
+// runSimbenchOnce runs one workload x procs cell under one scheduler.
+func runSimbenchOnce(wl Workload, p, steps int, sched simnet.Scheduler) (wall, cpu []float64, hostS float64, err error) {
+	mach := machine.Muses()
+	return timedRun(mach, sched, p, func(n *simnet.Node) {
+		s, err := wl.New(mpi.World(n), &mach.CPU)
 		if err != nil {
 			panic(err)
 		}
@@ -104,7 +119,6 @@ func runSimbenchOnce(wl Workload, p, steps int, sched simnet.Scheduler) (wall, c
 			s.Step()
 		}
 	})
-	return wall, cpu, time.Since(t0).Seconds(), err
 }
 
 // RunSimbench executes the sweep and renders the comparison table.
@@ -131,7 +145,6 @@ func RunSimbench(cfg SimbenchConfig) (*SimbenchResult, *report.Table, error) {
 			return nil, nil, fmt.Errorf("bench: simbench %s P=%d parallel: %w", cell.Workload, cell.Procs, err)
 		}
 		// The contract the speedup is worthless without.
-		var maxWall float64
 		for r := 0; r < cell.Procs; r++ {
 			if math.Float64bits(wallS[r]) != math.Float64bits(wallP[r]) ||
 				math.Float64bits(cpuS[r]) != math.Float64bits(cpuP[r]) {
@@ -139,7 +152,6 @@ func RunSimbench(cfg SimbenchConfig) (*SimbenchResult, *report.Table, error) {
 					"bench: simbench %s P=%d: virtual clocks diverged between schedulers at rank %d (wall %v vs %v, cpu %v vs %v)",
 					cell.Workload, cell.Procs, r, wallS[r], wallP[r], cpuS[r], cpuP[r])
 			}
-			maxWall = max(maxWall, wallS[r])
 		}
 		res.Cells = append(res.Cells, SimbenchCellResult{
 			Workload:      cell.Workload,
@@ -147,7 +159,7 @@ func RunSimbench(cfg SimbenchConfig) (*SimbenchResult, *report.Table, error) {
 			SerialHostS:   serialS,
 			ParallelHostS: parS,
 			Speedup:       serialS / parS,
-			VirtualWallS:  maxWall,
+			VirtualWallS:  slices.Max(wallS),
 		})
 	}
 
@@ -161,4 +173,26 @@ func RunSimbench(cfg SimbenchConfig) (*SimbenchResult, *report.Table, error) {
 			fmt.Sprintf("%.2fx", c.Speedup), fmt.Sprintf("%.4f", c.VirtualWallS))
 	}
 	return res, tbl, nil
+}
+
+func simbenchFlags(fs *flag.FlagSet, c *SimbenchConfig) {
+	fs.BoolVar(&c.Scale, "scale", c.Scale, "also run the relaxed-scheduler capacity sweep (PMS/Tanaka models to P=1024)")
+}
+
+func runSimbench(cfg SimbenchConfig, w io.Writer) (any, error) {
+	res, tbl, err := RunSimbench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Write(w)
+	if cfg.Scale {
+		scale, scaleTbl, err := RunScalebench(cfg.Capacity)
+		if err != nil {
+			return nil, err
+		}
+		res.Scale = scale
+		fmt.Fprintln(w)
+		scaleTbl.Write(w)
+	}
+	return res, nil
 }

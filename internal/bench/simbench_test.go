@@ -1,12 +1,6 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"path/filepath"
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // TestSimbenchQuick runs the budget-limited sweep: it both exercises
 // RunSimbench end to end and re-checks the scheduler-equivalence
@@ -27,70 +21,5 @@ func TestSimbenchQuick(t *testing.T) {
 	}
 	if tbl == nil {
 		t.Fatal("nil table")
-	}
-}
-
-// TestWriteSimnetBaseline regenerates BENCH_simnet.json (the committed
-// scheduler-speedup baseline plus the relaxed capacity sweep) when
-// BENCH_SIMNET=1 is set; `make bench-simnet` runs it. The write goes
-// through WriteSimnetBaseline, so a 1-core host is refused unless
-// BENCH_SIMNET_FORCE=1 deliberately overrides — the file records
-// GOMAXPROCS and the host core count next to the speedups, and the
-// numbers only mean something relative to the core budget they ran
-// with.
-func TestWriteSimnetBaseline(t *testing.T) {
-	if os.Getenv("BENCH_SIMNET") == "" {
-		t.Skip("set BENCH_SIMNET=1 to regenerate BENCH_simnet.json")
-	}
-	res, _, err := RunSimbench(PaperSimbench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scale, _, err := RunScalebench(PaperScalebench)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Scale = scale
-	force := os.Getenv("BENCH_SIMNET_FORCE") != ""
-	if err := WriteSimnetBaseline("../../BENCH_simnet.json", res, force); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWriteSimnetBaselineGuard: the writer must refuse a 1-core host
-// without force and leave the target untouched; force must always
-// write, and the file must round-trip through the JSON schema.
-func TestWriteSimnetBaselineGuard(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_simnet.json")
-	res := &SimbenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Steps:      2,
-		Cells:      []SimbenchCellResult{{Workload: "nsf", Procs: 8, Speedup: 1}},
-	}
-	err := WriteSimnetBaseline(path, res, false)
-	if runtime.NumCPU() == 1 {
-		if err == nil {
-			t.Fatal("expected 1-core refusal without force")
-		}
-		if _, statErr := os.Stat(path); !os.IsNotExist(statErr) {
-			t.Fatalf("refused write still touched %s", path)
-		}
-	} else if err != nil {
-		t.Fatalf("multi-core write refused: %v", err)
-	}
-	if err := WriteSimnetBaseline(path, res, true); err != nil {
-		t.Fatalf("forced write failed: %v", err)
-	}
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back SimbenchResult
-	if err := json.Unmarshal(buf, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.NumCPU != res.NumCPU || len(back.Cells) != 1 {
-		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 }

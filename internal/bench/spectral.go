@@ -1,13 +1,19 @@
 package bench
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"math"
 	"runtime"
+	"slices"
 	"time"
 
+	"nektar/internal/cliutil"
+	"nektar/internal/engine"
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
@@ -21,24 +27,20 @@ import (
 // scheduler, and the same slab run under the host-parallel scheduler —
 // and requires the three trajectories to be bit-identical before any
 // number is recorded: the serial host run is the physics reference,
-// and the two scheduler runs are the clock contract. BENCH_spectral.json
-// carries GOMAXPROCS and the host core count next to the speedups for
-// the same reason BENCH_simnet.json does: a 1-core box's ~1x is a core
-// budget, not a regression.
+// and the two scheduler runs are the clock contract.
 
 // SpectralBenchConfig parametrizes the sweep.
 type SpectralBenchConfig struct {
-	N      int   // grid size (>= 8, divisible by 4, 5-smooth)
-	Steps  int   // steps per run
-	Procs  []int // slab rank counts (each must divide N and 3N/2)
-	ABReps int   // de-aliased evaluations per leg of the pad A/B cell
+	N     int   // grid size (>= 8, divisible by 4, 5-smooth)
+	Steps int   // steps per run
+	Procs []int // slab rank counts (each must divide N and 3N/2)
 }
 
 // PaperSpectral is the committed-baseline configuration.
-var PaperSpectral = SpectralBenchConfig{N: 32, Steps: 4, Procs: []int{4, 8}, ABReps: 40}
+var PaperSpectral = SpectralBenchConfig{N: 32, Steps: 4, Procs: []int{4, 8}}
 
 // QuickSpectral is the budget-limited variant.
-var QuickSpectral = SpectralBenchConfig{N: 16, Steps: 2, Procs: []int{4}, ABReps: 8}
+var QuickSpectral = SpectralBenchConfig{N: 16, Steps: 2, Procs: []int{4}}
 
 // SpectralCellResult is one variant x rank-count measurement.
 type SpectralCellResult struct {
@@ -57,35 +59,9 @@ type SpectralCellResult struct {
 	// TransformFlopsPerStep is the modeled transform work of one step
 	// (5 L log2 L per length-L row FFT, summed over the step's
 	// pipeline), and TransposeBytesPerStep the global Alltoall payload
-	// the step's distributed transposes move. For turb2d these are the
-	// padded-pipeline numbers the 2N -> 3N/2 change shrinks.
+	// the step's distributed transposes move.
 	TransformFlopsPerStep int64
 	TransposeBytesPerStep int64
-}
-
-// SpectralPadAB is the radix-2/2N vs mixed-radix/3N/2 comparison at
-// fixed N: the same de-aliased convective evaluation (4 padded inverse
-// transforms, the pointwise products, 1 padded forward transform) run
-// on the exact-3/2 pipeline and on the legacy power-of-two pipeline.
-type SpectralPadAB struct {
-	N      int
-	MExact int // 3N/2
-	MPow2  int // next power of two >= 3N/2 (2N for power-of-two N)
-	Reps   int
-
-	ExactHostS float64 // reps de-aliased evaluations, exact-3/2 grid
-	Pow2HostS  float64 // same work on the pow2 grid
-	// HostReduction is 1 - Exact/Pow2: the fraction of padded-pipeline
-	// host time the exact grid saves (the tentpole target is >= 0.25).
-	HostReduction float64
-
-	// Per-evaluation transpose payloads and modeled transform flops on
-	// each grid; the byte ratio is exactly 3:4.
-	ExactBytesPerEval int64
-	Pow2BytesPerEval  int64
-	ByteReduction     float64
-	ExactFlopsPerEval int64
-	Pow2FlopsPerEval  int64
 }
 
 // SpectralBenchResult is the schema of BENCH_spectral.json.
@@ -93,14 +69,10 @@ type SpectralBenchResult struct {
 	GoMaxProcs int
 	NumCPU     int
 	N          int
-	// PadM stamps the de-aliasing grid the decaying pipeline ran on, so
-	// the 2N -> 3N/2 change is visible in the baseline itself.
+	// PadM stamps the de-aliasing grid the decaying pipeline ran on.
 	PadM  int
 	Steps int
 	Cells []SpectralCellResult
-
-	// PadAB is the exact-3/2 vs power-of-two padded-pipeline A/B cell.
-	PadAB *SpectralPadAB `json:",omitempty"`
 }
 
 // fftModelFlops is the 5 L log2 L transform cost model, matching what
@@ -127,94 +99,6 @@ func stepCosts(variant string, n int) (flops, bytes int64) {
 	return 4 * perTransform, 4 * 16 * int64(n) * int64(n)
 }
 
-// padABSpectrum builds a deterministic band-limited Hermitian spectrum
-// on the n-grid by borrowing a solver's PAO initializer.
-func padABSpectrum(n int, seed uint64) ([]complex128, error) {
-	s, err := spectral.NewTurb2D(spectral.Config{N: n, Re: 500, Dt: 2e-3, Seed: seed}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, n*n)
-	copy(out, s.Field())
-	return out, nil
-}
-
-// runPadAB times the de-aliased convective evaluation shape — four
-// padded inverse transforms, the pointwise products, one padded forward
-// transform — on the exact-3/2 grid and on the legacy power-of-two
-// grid, reps times each. Same plan code, same spectra; only M differs.
-func runPadAB(n, reps int) (*SpectralPadAB, error) {
-	specA, err := padABSpectrum(n, 33)
-	if err != nil {
-		return nil, err
-	}
-	specB, err := padABSpectrum(n, 77)
-	if err != nil {
-		return nil, err
-	}
-	leg := func(mode spectral.PadMode) (float64, *spectral.Plan2D, error) {
-		pl, err := spectral.NewPlan2DPad(n, mode, nil)
-		if err != nil {
-			return 0, nil, err
-		}
-		rows := pl.PadRows() * pl.M
-		pa, pb := make([]float64, rows), make([]float64, rows)
-		ua, ub := make([]float64, rows), make([]float64, rows)
-		out := make([]complex128, n*n)
-		eval := func() {
-			pl.InversePad(specA, pa)
-			pl.InversePad(specB, pb)
-			pl.InversePad(specA, ua)
-			pl.InversePad(specB, ub)
-			for i := range pa {
-				pa[i] = pa[i]*pb[i] + ua[i]*ub[i]
-			}
-			pl.ForwardPad(pa, out)
-		}
-		eval() // warm the plan and the page cache before timing
-		t0 := time.Now()
-		for r := 0; r < reps; r++ {
-			eval()
-		}
-		return time.Since(t0).Seconds(), pl, nil
-	}
-	exactS, exactPl, err := leg(spectral.PadExact)
-	if err != nil {
-		return nil, err
-	}
-	pow2S, pow2Pl, err := leg(spectral.PadPow2)
-	if err != nil {
-		return nil, err
-	}
-	evalFlops := func(m int) int64 { return 5 * int64(n+m) * fftModelFlops(m) }
-	return &SpectralPadAB{
-		N: n, MExact: exactPl.M, MPow2: pow2Pl.M, Reps: reps,
-		ExactHostS: exactS, Pow2HostS: pow2S,
-		HostReduction:     1 - exactS/pow2S,
-		ExactBytesPerEval: 5 * exactPl.PadTransposeBytes(),
-		Pow2BytesPerEval:  5 * pow2Pl.PadTransposeBytes(),
-		ByteReduction:     1 - float64(exactPl.M)/float64(pow2Pl.M),
-		ExactFlopsPerEval: evalFlops(exactPl.M),
-		Pow2FlopsPerEval:  evalFlops(pow2Pl.M),
-	}, nil
-}
-
-// Table renders the A/B cell the way BENCH_spectral.json records it.
-func (ab *SpectralPadAB) Table() *report.Table {
-	tbl := report.NewTable(
-		fmt.Sprintf("Padded-pipeline A/B at N=%d: exact 3/2-rule grid vs legacy power-of-two round-up (%d de-aliased evaluations per leg)",
-			ab.N, ab.Reps),
-		"pipeline", "M", "host s", "xpose B/eval", "Mflop/eval")
-	tbl.AddRow("exact 3N/2", fmt.Sprintf("%d", ab.MExact), fmt.Sprintf("%.4f", ab.ExactHostS),
-		fmt.Sprintf("%d", ab.ExactBytesPerEval), fmt.Sprintf("%.3f", float64(ab.ExactFlopsPerEval)/1e6))
-	tbl.AddRow("pow2 legacy", fmt.Sprintf("%d", ab.MPow2), fmt.Sprintf("%.4f", ab.Pow2HostS),
-		fmt.Sprintf("%d", ab.Pow2BytesPerEval), fmt.Sprintf("%.3f", float64(ab.Pow2FlopsPerEval)/1e6))
-	tbl.AddRow("reduction", "", fmt.Sprintf("%.1f%%", 100*ab.HostReduction),
-		fmt.Sprintf("%.1f%%", 100*ab.ByteReduction),
-		fmt.Sprintf("%.1f%%", 100*(1-float64(ab.ExactFlopsPerEval)/float64(ab.Pow2FlopsPerEval))))
-	return tbl
-}
-
 // spectralVariants names the two solver builds the bench sweeps.
 var spectralVariants = []struct {
 	name string
@@ -229,18 +113,11 @@ func hashField(w []complex128) string {
 	h := sha256.New()
 	var b [16]byte
 	for _, v := range w {
-		putBits(b[0:8], real(v))
-		putBits(b[8:16], imag(v))
+		binary.LittleEndian.PutUint64(b[0:8], math.Float64bits(real(v)))
+		binary.LittleEndian.PutUint64(b[8:16], math.Float64bits(imag(v)))
 		h.Write(b[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func putBits(dst []byte, f float64) {
-	u := math.Float64bits(f)
-	for i := 0; i < 8; i++ {
-		dst[i] = byte(u >> (8 * i))
-	}
 }
 
 // runSpectralSlab runs one variant at p ranks under one scheduler and
@@ -248,11 +125,8 @@ func putBits(dst []byte, f float64) {
 func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *machine.CPU) (*spectral.Turb2D, error),
 	p, steps int, sched simnet.Scheduler) ([]string, float64, float64, error) {
 	mach := machine.Muses()
-	model := *mach.Net
-	model.Scheduler = sched
 	hashes := make([]string, p)
-	t0 := time.Now()
-	wall, _, err := simnet.Run(p, &model, func(n *simnet.Node) {
+	wall, _, hostS, err := timedRun(mach, sched, p, func(n *simnet.Node) {
 		s, err := mk(cfg, mpi.World(n), &mach.CPU)
 		if err != nil {
 			panic(err)
@@ -262,15 +136,10 @@ func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *m
 		}
 		hashes[n.Rank] = hashField(s.Field())
 	})
-	hostS := time.Since(t0).Seconds()
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	var maxWall float64
-	for _, w := range wall {
-		maxWall = max(maxWall, w)
-	}
-	return hashes, maxWall, hostS, nil
+	return hashes, slices.Max(wall), hostS, nil
 }
 
 // RunSpectralBench executes the sweep and renders the comparison table.
@@ -344,14 +213,6 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 		}
 	}
 
-	if cfg.ABReps > 0 {
-		ab, err := runPadAB(cfg.N, cfg.ABReps)
-		if err != nil {
-			return nil, nil, fmt.Errorf("bench: spectral pad A/B: %w", err)
-		}
-		res.PadAB = ab
-	}
-
 	tbl := report.NewTable(
 		fmt.Sprintf("Spectral bench: serial vs slab-parallel pseudospectral solvers, bit-identity enforced (GOMAXPROCS=%d, host cores=%d, N=%d, M=%d, %d steps)",
 			res.GoMaxProcs, res.NumCPU, res.N, res.PadM, res.Steps),
@@ -367,16 +228,32 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 	return res, tbl, nil
 }
 
-// WriteSpectralBaseline records res as the committed BENCH_spectral.json
-// baseline, under the same 1-core honesty rule as WriteSimnetBaseline:
-// a single-core host cannot measure the parallel scheduler, so the
-// write is refused without force, and a forced write still stamps
-// GoMaxProcs/NumCPU so readers can discount it.
-func WriteSpectralBaseline(path string, res *SpectralBenchResult, force bool) error {
-	if runtime.NumCPU() == 1 && !force {
-		return fmt.Errorf(
-			"bench: refusing to overwrite %s from a 1-core host: the serial-vs-parallel speedups would be core-starved noise, not a baseline; re-run on a multi-core host, or pass -force to record anyway (the file stamps NumCPU=1 so readers can discount it)",
-			path)
+// runSpectral is the registry's spectral experiment: the bench sweep,
+// then a short forced run with the tracer on, to show the online
+// spectrum/dissipation stream and its offline aggregation.
+func runSpectral(cfg SpectralBenchConfig, w io.Writer) (any, error) {
+	if err := cliutil.SpectralFlags(cfg.N, 500, true, 3, 5); err != nil {
+		return nil, err
 	}
-	return writeBaselineJSON(path, res)
+	res, tbl, err := RunSpectralBench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Write(w)
+	var buf bytes.Buffer
+	s, err := spectral.NewForced(spectral.Config{
+		N: cfg.N, Re: 500, Dt: 2e-3, Seed: 33, DiagEvery: 2,
+	}, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.Trace = engine.NewTracer(&buf)
+	loop := engine.Loop{Solver: s, Steps: 8, Trace: s.Trace}
+	if _, err := loop.Run(); err != nil {
+		return nil, err
+	}
+	return res, writeTrace(w, &buf, func(events int) string {
+		return fmt.Sprintf("Spectral trace: forced 2D turbulence event stream — N=%d, 8 steps, diag every 2 (%d events)",
+			cfg.N, events)
+	})
 }

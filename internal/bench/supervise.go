@@ -2,7 +2,11 @@ package bench
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
+	"io"
+	"math"
+	"slices"
 	"strings"
 
 	"nektar/internal/ckpt"
@@ -79,20 +83,8 @@ var PaperSupervise = SuperviseConfig{
 // ValidateSupervise checks a configuration and returns an actionable
 // error for each way the demonstration cannot run.
 func ValidateSupervise(cfg SuperviseConfig) error {
-	mach, err := machine.ByName(cfg.Machine)
-	if err != nil {
-		return fmt.Errorf("%w (see internal/machine for the catalogue)", err)
-	}
-	wl, err := WorkloadByName(cfg.Solver)
-	if err != nil {
+	if _, _, err := clusterFor(cfg.Machine, cfg.Solver, cfg.Procs, cfg.Spares); err != nil {
 		return err
-	}
-	if err := ValidateWorkloadRanks(wl, cfg.Procs); err != nil {
-		return err
-	}
-	if cfg.Procs+cfg.Spares > mach.MaxProcs {
-		return fmt.Errorf("bench: %d ranks + %d spares exceed the %d nodes of %s",
-			cfg.Procs, cfg.Spares, mach.MaxProcs, cfg.Machine)
 	}
 	if cfg.Spares < 0 {
 		return fmt.Errorf("bench: negative spare count %d", cfg.Spares)
@@ -112,8 +104,8 @@ func ValidateSupervise(cfg SuperviseConfig) error {
 		if err != nil {
 			return err
 		}
-		if mode == policy.Adaptive && cfg.MTBFHours <= 0 {
-			return fmt.Errorf("bench: the adaptive policy needs a positive per-node MTBF prior in hours, got %g", cfg.MTBFHours)
+		if mode == policy.Adaptive && (!(cfg.MTBFHours > 0) || math.IsInf(cfg.MTBFHours, 0)) {
+			return fmt.Errorf("bench: the adaptive policy needs a positive finite per-node MTBF prior in hours (-mtbf), got %g", cfg.MTBFHours)
 		}
 	}
 	return nil
@@ -126,36 +118,31 @@ func aleBCs() core.ALEConfig {
 	}
 }
 
+// supervisedConfig is the supervisor configuration both resilience
+// experiments start from. The supervised runtime owns rank placement:
+// one rank per physical node plus the hot spares and the monitor's
+// head node, so the machine's SMP packing is cleared.
+func supervisedConfig(mach *machine.Machine, wl Workload, procs, spares, steps int) supervisor.Config {
+	model := *mach.Net
+	model.RanksPerNode = 0
+	return supervisor.Config{
+		Procs: procs, Spares: spares, Steps: steps, Model: &model,
+		NewSolver: func(comm *mpi.Comm) (supervisor.Solver, error) { return wl.New(comm, &mach.CPU) },
+	}
+}
+
 // RunSupervise executes the demonstration and renders the report.
 func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 	if err := ValidateSupervise(cfg); err != nil {
 		return nil, err
 	}
-	mach, err := machine.ByName(cfg.Machine)
+	mach, wl, err := clusterFor(cfg.Machine, cfg.Solver, cfg.Procs, cfg.Spares)
 	if err != nil {
 		return nil, err
 	}
-	wl, err := WorkloadByName(cfg.Solver)
-	if err != nil {
-		return nil, err
-	}
-	factory := func(comm *mpi.Comm) (supervisor.Solver, error) {
-		return wl.New(comm, &mach.CPU)
-	}
-	// The supervised runtime owns rank placement: one rank per physical
-	// node plus the hot spares and the monitor's head node, so the
-	// machine's SMP packing is cleared.
-	model := *mach.Net
-	model.RanksPerNode = 0
-
-	sup := supervisor.Config{
-		Procs:  cfg.Procs,
-		Spares: cfg.Spares,
-		Model:  &model, NewSolver: factory,
-		Steps:           cfg.Steps,
-		CheckpointEvery: cfg.CheckpointEvery,
-		CheckpointCostS: 1e-4,
-	}
+	sup := supervisedConfig(mach, wl, cfg.Procs, cfg.Spares, cfg.Steps)
+	sup.CheckpointEvery = cfg.CheckpointEvery
+	sup.CheckpointCostS = 1e-4
 	ref, err := supervisor.Run(sup)
 	if err != nil {
 		return nil, fmt.Errorf("bench: supervised reference run: %w", err)
@@ -204,13 +191,9 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 		return nil, fmt.Errorf("bench: supervised faulted run: %w", err)
 	}
 
-	identical := len(got.FinalStates) == len(ref.FinalStates)
-	for r := range ref.FinalStates {
-		if !identical || !bytes.Equal(ref.FinalStates[r], got.FinalStates[r]) {
-			identical = false
-			break
-		}
-	}
+	// gob is deterministic within a process, so equal trajectories
+	// give equal per-rank state bytes.
+	identical := slices.EqualFunc(ref.FinalStates, got.FinalStates, bytes.Equal)
 
 	tbl := report.NewTable(
 		fmt.Sprintf("Supervise: self-healing runtime — %s, %s, P=%d +%d spares, %d steps, ckpt every %d [%s]",
@@ -247,4 +230,24 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 		return tbl, fmt.Errorf("bench: recovered trajectory is NOT bit-identical to the reference")
 	}
 	return tbl, nil
+}
+
+func superviseFlags(fs *flag.FlagSet, c *SuperviseConfig) {
+	fs.StringVar(&c.Solver, "solver", c.Solver, "solver to supervise: nsf or nsale")
+	fs.IntVar(&c.Procs, "procs", c.Procs, "solver rank count (power of two for nsf)")
+	fs.IntVar(&c.Spares, "spares", c.Spares, "hot-spare node count")
+	fs.IntVar(&c.Steps, "steps", c.Steps, "solver steps")
+	fs.StringVar(&c.CkptDir, "ckptdir", c.CkptDir, "back the faulted campaign's checkpoints with a durable on-disk store here (directory must start empty)")
+	fs.StringVar(&c.Policy, "adapt", c.Policy, "resilience policy for the campaign: static (the default), pinned, or adaptive")
+	fs.Float64Var(&c.MTBFHours, "mtbf", c.MTBFHours, "per-node MTBF prior in hours of virtual time (required by -adapt adaptive)")
+}
+
+// runSupervise prints the report even when the campaign fails its
+// bit-identity audit, then returns that failure.
+func runSupervise(cfg SuperviseConfig, w io.Writer) (any, error) {
+	tbl, err := RunSupervise(cfg)
+	if tbl != nil {
+		tbl.Write(w)
+	}
+	return nil, err
 }

@@ -1,14 +1,15 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 
 	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/fault"
-	"nektar/internal/machine"
 	"nektar/internal/mpi"
+	"nektar/internal/report"
 	"nektar/internal/simnet"
 )
 
@@ -51,19 +52,8 @@ var PaperTrace = TraceConfig{
 
 // ValidateTrace checks a trace configuration.
 func ValidateTrace(cfg TraceConfig) error {
-	mach, err := machine.ByName(cfg.Machine)
-	if err != nil {
-		return fmt.Errorf("%w (see internal/machine for the catalogue)", err)
-	}
-	wl, err := WorkloadByName(cfg.Workload)
-	if err != nil {
+	if _, _, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, 0); err != nil {
 		return err
-	}
-	if err := ValidateWorkloadRanks(wl, cfg.Procs); err != nil {
-		return err
-	}
-	if cfg.Procs > mach.MaxProcs {
-		return fmt.Errorf("bench: %s has at most %d procs, got %d", cfg.Machine, mach.MaxProcs, cfg.Procs)
 	}
 	if cfg.Steps < 1 {
 		return fmt.Errorf("bench: need at least one step, got %d", cfg.Steps)
@@ -83,11 +73,7 @@ func RunTrace(cfg TraceConfig, w io.Writer) (*core.RecoveryResult, error) {
 	if err := ValidateTrace(cfg); err != nil {
 		return nil, err
 	}
-	mach, err := machine.ByName(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	wl, err := WorkloadByName(cfg.Workload)
+	mach, wl, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -117,4 +103,33 @@ func RunTrace(cfg TraceConfig, w io.Writer) (*core.RecoveryResult, error) {
 		return nil, fmt.Errorf("bench: traced run: %w", err)
 	}
 	return res, nil
+}
+
+// runTrace is the registry's trace experiment. The raw JSONL stream is
+// the artifact; the breakdown table that follows is internal/report's
+// offline aggregation of it.
+func runTrace(cfg TraceConfig, w io.Writer) (any, error) {
+	var buf bytes.Buffer
+	if _, err := RunTrace(cfg, &buf); err != nil {
+		return nil, err
+	}
+	return nil, writeTrace(w, &buf, func(events int) string {
+		return fmt.Sprintf("Trace: engine event stream — %s, %s, P=%d, %d steps, ckpt every %d (%d events)",
+			cfg.Machine, cfg.Workload, cfg.Procs, cfg.Steps, cfg.CheckpointEvery, events)
+	})
+}
+
+// writeTrace writes a buffered JSONL event stream to w, then a blank
+// line and the stream's breakdown table under title(event count).
+func writeTrace(w io.Writer, buf *bytes.Buffer, title func(events int) string) error {
+	evs, err := engine.ReadEvents(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(buf.Bytes()); err != nil {
+		return err
+	}
+	fmt.Fprintln(w)
+	report.TraceBreakdown(evs, title(len(evs))).Write(w)
+	return nil
 }

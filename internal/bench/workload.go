@@ -39,16 +39,7 @@ var workloads = map[string]Workload{
 		Description:     "Nektar-F bluff body (Fourier-parallel, 2D x Fourier)",
 		PowerOfTwoRanks: true,
 		New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			m, err := mesh.BluffBody(4, 6, 2)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := core.NewNSF(m, fourierBCs(), comm, cpu)
-			if err != nil {
-				return nil, err
-			}
-			ns.SetUniformInitial(1, 0)
-			return ns, nil
+			return fourierProbe(4, 6, 2, comm, cpu)
 		},
 	},
 	"nsale": {
@@ -73,26 +64,20 @@ var workloads = map[string]Workload{
 			return ns, nil
 		},
 	},
-	"turb2d": {
-		Name:            "turb2d",
-		Description:     "decaying 2D pseudospectral turbulence (slab-parallel, de-aliased)",
-		PowerOfTwoRanks: true,
+	"turb2d": spectralWorkload("turb2d", spectral.NewTurb2D, 20,
+		"decaying 2D pseudospectral turbulence (slab-parallel, de-aliased)"),
+	"turbforce": spectralWorkload("turbforce", spectral.NewForced, 21,
+		"forced 2D pseudospectral turbulence (Basdevant form, banded white noise)"),
+}
+
+// spectralWorkload registers a pseudospectral solver build on a 16^2
+// grid.
+func spectralWorkload(name string, mk func(spectral.Config, *mpi.Comm, *machine.CPU) (*spectral.Turb2D, error),
+	seed uint64, desc string) Workload {
+	return Workload{Name: name, Description: desc, PowerOfTwoRanks: true,
 		New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			return spectral.NewTurb2D(spectral.Config{
-				N: 16, Re: 500, Dt: 2e-3, Seed: 20,
-			}, comm, cpu)
-		},
-	},
-	"turbforce": {
-		Name:            "turbforce",
-		Description:     "forced 2D pseudospectral turbulence (Basdevant form, banded white noise)",
-		PowerOfTwoRanks: true,
-		New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			return spectral.NewForced(spectral.Config{
-				N: 16, Re: 500, Dt: 2e-3, Seed: 21,
-			}, comm, cpu)
-		},
-	},
+			return mk(spectral.Config{N: 16, Re: 500, Dt: 2e-3, Seed: seed}, comm, cpu)
+		}}
 }
 
 // WorkloadNames lists the registered workloads, sorted.
@@ -114,6 +99,28 @@ func WorkloadByName(name string) (Workload, error) {
 			name, strings.Join(WorkloadNames(), ", "))
 	}
 	return wl, nil
+}
+
+// clusterFor resolves the machine and the workload of a run of procs
+// ranks plus spares hot-spare nodes, with an actionable error for each
+// way the pairing cannot run.
+func clusterFor(machineName, workload string, procs, spares int) (*machine.Machine, Workload, error) {
+	mach, err := machine.ByName(machineName)
+	if err != nil {
+		return nil, Workload{}, fmt.Errorf("%w (see internal/machine for the catalogue)", err)
+	}
+	wl, err := WorkloadByName(workload)
+	if err != nil {
+		return nil, Workload{}, err
+	}
+	if err := ValidateWorkloadRanks(wl, procs); err != nil {
+		return nil, Workload{}, err
+	}
+	if procs+spares > mach.MaxProcs {
+		return nil, Workload{}, fmt.Errorf("bench: %d ranks + %d spares exceed the %d nodes of %s",
+			procs, spares, mach.MaxProcs, machineName)
+	}
+	return mach, wl, nil
 }
 
 // ValidateWorkloadRanks checks a rank count against a workload's

@@ -235,6 +235,31 @@ func LatestBelow(s Store, procs, below int) (int, [][]byte, error) {
 	return -1, nil, nil
 }
 
+// LatestStaged is Latest's commit rule for checkpoints staged in
+// memory, one step-to-state map per rank: the newest step present on
+// every rank (ranks may differ by one interval when a crash hit
+// mid-step) with the per-rank payloads, or (-1, nil).
+func LatestStaged(staged []map[int][]byte) (int, [][]byte) {
+	best := -1
+	for s := range staged[0] {
+		onAll := s > best
+		for r := 1; onAll && r < len(staged); r++ {
+			_, onAll = staged[r][s]
+		}
+		if onAll {
+			best = s
+		}
+	}
+	if best < 0 {
+		return -1, nil
+	}
+	states := make([][]byte, len(staged))
+	for r := range staged {
+		states[r] = staged[r][best]
+	}
+	return best, states
+}
+
 // Retention is the GC policy: keep the newest KeepLast steps plus every
 // step divisible by KeepEvery. The zero value keeps everything.
 type Retention struct {

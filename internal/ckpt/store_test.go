@@ -228,6 +228,23 @@ func TestLatestBelow(t *testing.T) {
 	}
 }
 
+// LatestStaged applies the same commit rule to in-memory staging: the
+// newest step every rank holds, skipping a step a crash left on only
+// some ranks.
+func TestLatestStaged(t *testing.T) {
+	staged := []map[int][]byte{
+		{2: {0, 2}, 4: {0, 4}, 6: {0, 6}},
+		{2: {1, 2}, 4: {1, 4}},
+	}
+	step, states := LatestStaged(staged)
+	if step != 4 || len(states) != 2 || !bytes.Equal(states[1], []byte{1, 4}) {
+		t.Fatalf("LatestStaged = %d, %v; want step 4 with each rank's own payload", step, states)
+	}
+	if step, states := LatestStaged([]map[int][]byte{{2: {0}}, nil}); step != -1 || states != nil {
+		t.Fatalf("rank without checkpoints: step=%d states=%v, want -1, nil", step, states)
+	}
+}
+
 // A DirStore must detect damage applied directly to the file on disk —
 // the e2e recovery scenario.
 func TestDirStoreOnDiskDamage(t *testing.T) {

@@ -5,14 +5,11 @@ package cliutil
 
 import (
 	"fmt"
-	"math"
 	"os"
-	"strconv"
 	"strings"
 
 	"nektar/internal/ckpt"
 	"nektar/internal/engine"
-	"nektar/internal/policy"
 )
 
 // Tracer opens the -trace file and wraps it in an engine tracer. An
@@ -62,36 +59,4 @@ func CheckpointFlags(dir string, every int) error {
 	default:
 		return fmt.Errorf("checkpoint flags: %s", strings.Join(problems, "; "))
 	}
-}
-
-// ParseMTBFHours parses a comma-separated -mtbf flag value into
-// per-node MTBF values in hours. Every entry must be a positive finite
-// number: an MTBF of zero or less has no meaning as a failure rate,
-// and catching it here fails the command before any solver work
-// starts.
-func ParseMTBFHours(flagVal string) ([]float64, error) {
-	var out []float64
-	for _, s := range strings.Split(flagVal, ",") {
-		s = strings.TrimSpace(s)
-		v, err := strconv.ParseFloat(s, 64)
-		if err != nil {
-			return nil, fmt.Errorf("-mtbf %q: %q is not a number of hours", flagVal, s)
-		}
-		if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("-mtbf %q: MTBF must be a positive number of hours, got %g", flagVal, v)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// PolicyMode resolves the -adapt flag value to a resilience policy
-// mode. The error for an unknown name lists the registered policies,
-// so a typo is answered with the menu rather than a bare failure.
-func PolicyMode(name string) (policy.Mode, error) {
-	m, err := policy.ModeByName(name)
-	if err != nil {
-		return m, fmt.Errorf("-adapt: %w", err)
-	}
-	return m, nil
 }

@@ -40,36 +40,6 @@ func TestTracerWritesFile(t *testing.T) {
 	}
 }
 
-func TestParseMTBFHours(t *testing.T) {
-	got, err := ParseMTBFHours("24, 0.5,1e3")
-	if err != nil || len(got) != 3 || got[0] != 24 || got[1] != 0.5 || got[2] != 1e3 {
-		t.Fatalf("got %v err %v", got, err)
-	}
-	for _, bad := range []string{"", "abc", "24,xyz", "0", "-3", "24,0", "NaN", "+Inf"} {
-		if _, err := ParseMTBFHours(bad); err == nil {
-			t.Errorf("ParseMTBFHours(%q) accepted", bad)
-		}
-	}
-}
-
-func TestPolicyMode(t *testing.T) {
-	for _, name := range []string{"static", "adaptive", "pinned"} {
-		if m, err := PolicyMode(name); err != nil || m.String() != name {
-			t.Errorf("PolicyMode(%q) = %v, %v", name, m, err)
-		}
-	}
-	_, err := PolicyMode("turbo")
-	if err == nil {
-		t.Fatal("unknown policy name accepted")
-	}
-	// The rejection lists the registered policies — the menu UX.
-	for _, want := range []string{"static", "adaptive", "pinned"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Errorf("error %q does not list %q", err, want)
-		}
-	}
-}
-
 func TestCheckpointFlags(t *testing.T) {
 	if err := CheckpointFlags("", 0); err != nil {
 		t.Fatalf("off: %v", err)

@@ -8,10 +8,9 @@ import (
 	"runtime/pprof"
 )
 
-// Profiles is the shared -cpuprofile/-memprofile flag pair. Every bench
-// command registers the same two flags through ProfileFlags so a
-// profiling session works identically across simbench, ckptbench and
-// adaptbench instead of each command growing its own variant.
+// Profiles is the -cpuprofile/-memprofile flag pair. cmd/repro
+// registers it once, so a profiling session works identically for
+// every experiment in the registry.
 type Profiles struct {
 	cpuPath *string
 	memPath *string

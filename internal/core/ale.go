@@ -96,7 +96,7 @@ type NSALE struct {
 
 	// clk charges simulated wall-clock seconds per region (the basis
 	// of Figures 15-16 wall-clock breakdowns; stages.Wall).
-	clk stageClock
+	clk timing.Clock
 
 	// Iters accumulates PCG iteration counts of the last step.
 	ItersPressure, ItersViscous int
@@ -329,7 +329,7 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 		M: m, Cfg: cfg, Comm: comm, CPUModel: cpu,
 		stages: timing.NewStages(ALEStageNames...),
 	}
-	ns.clk = newStageClock(ns.stages, comm.Wtime)
+	ns.clk = timing.NewClock(ns.stages, comm.Wtime)
 	isVelD := func(tag string) bool { return tag == "wall" || tag == "farfield" }
 	isPresD := func(tag string) bool { return tag == "farfield" }
 	ns.AV = mesh.NewAssembly(m, isVelD)
@@ -478,7 +478,7 @@ func (ns *NSALE) Stages() *timing.Stages { return ns.stages }
 
 // markStage transitions region accounting, charging elapsed simulated
 // wall time to the previous region (-1 closes the step).
-func (ns *NSALE) markStage(i int) { ns.clk.mark(i) }
+func (ns *NSALE) markStage(i int) { ns.clk.Mark(i) }
 
 func (ns *NSALE) order() int {
 	o := ns.step + 1

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nektar/internal/engine"
 	"nektar/internal/fault"
 	"nektar/internal/mesh"
 	"nektar/internal/mpi"
@@ -208,31 +209,39 @@ func TestNSFCheckpointRejectsWrongRank(t *testing.T) {
 // committed checkpoint, and a final state byte-identical to the
 // unfaulted reference (gob encoding is deterministic).
 func TestALECrashRecoveryBitIdentical(t *testing.T) {
-	base := ALERecovery{
+	cfg := ALEConfig{
+		Nu: 0.05, Dt: 2e-3, Order: 2,
+		FarfieldVel: [3]float64{1, 0, 0},
+		WallVelocity: func(t float64) [3]float64 {
+			return [3]float64{0, 0.3 * math.Cos(2*math.Pi*t), 0}
+		},
+		MoveMesh: true,
+	}
+	base := Recovery{
 		Procs: 2,
 		Model: aleTestNet(),
-		Mesh: func() (*mesh.Mesh, error) {
+		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
 			m2, err := mesh.WingSection(2, 12, 2)
 			if err != nil {
 				return nil, err
 			}
-			return mesh.ExtrudeQuads(m2, 2, 2, 0, 1)
+			m, err := mesh.ExtrudeQuads(m2, 2, 2, 0, 1)
+			if err != nil {
+				return nil, err
+			}
+			ns, err := NewNSALE(m, cfg, comm, nil)
+			if err != nil {
+				return nil, err
+			}
+			ns.SetUniformInitial(1, 0, 0)
+			return ns, nil
 		},
-		Cfg: ALEConfig{
-			Nu: 0.05, Dt: 2e-3, Order: 2,
-			FarfieldVel: [3]float64{1, 0, 0},
-			WallVelocity: func(t float64) [3]float64 {
-				return [3]float64{0, 0.3 * math.Cos(2*math.Pi*t), 0}
-			},
-			MoveMesh: true,
-		},
-		InitVel:         [3]float64{1, 0, 0},
 		Steps:           6,
 		CheckpointEvery: 2,
 		CheckpointCostS: 1e-4,
 	}
 
-	ref, err := RunALERecovery(base)
+	ref, err := RunRecovery(base)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -247,7 +256,7 @@ func TestALECrashRecoveryBitIdentical(t *testing.T) {
 	faulty.Plans = []simnet.Injector{
 		fault.NewPlan(1).Crash(1, 3.5/6*ref.VirtualWall),
 	}
-	got, err := RunALERecovery(faulty)
+	got, err := RunRecovery(faulty)
 	if err != nil {
 		t.Fatalf("recovery run: %v", err)
 	}
@@ -268,30 +277,24 @@ func TestALECrashRecoveryBitIdentical(t *testing.T) {
 }
 
 func TestFourierCrashRecoveryBitIdentical(t *testing.T) {
-	base := FourierRecovery{
+	base := Recovery{
 		Procs: 2,
 		Model: aleTestNet(),
-		Mesh: func() (*mesh.Mesh, error) {
-			return mesh.RectQuad(4, 3, 2, 0, 3, -1, 1, func(x, y, z float64) string {
-				switch {
-				case y <= -0.999 || y >= 0.999:
-					return "wall"
-				case x <= 1e-9:
-					return "inflow"
-				default:
-					return "outflow"
-				}
-			})
+		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
+			ns, err := NewNSF(channelMesh(t, 4, 3, 2, 3), nsfChannelCfg(0.1, 2e-3), comm, nil)
+			if err != nil {
+				return nil, err
+			}
+			ns.SetUniformInitial(1, 0)
+			return ns, nil
 		},
-		Cfg:             nsfChannelCfg(0.1, 2e-3),
-		InitU:           1,
 		Steps:           8,
 		CheckpointEvery: 2,
 		CheckpointCostS: 1e-4,
 	}
 
 	// Reference: fault-free.
-	ref, err := RunFourierRecovery(base)
+	ref, err := RunRecovery(base)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -307,7 +310,7 @@ func TestFourierCrashRecoveryBitIdentical(t *testing.T) {
 	faulty.Plans = []simnet.Injector{
 		fault.NewPlan(1).Crash(1, 0.4*ref.VirtualWall),
 	}
-	got, err := RunFourierRecovery(faulty)
+	got, err := RunRecovery(faulty)
 	if err != nil {
 		t.Fatalf("recovery run: %v", err)
 	}
@@ -323,20 +326,12 @@ func TestFourierCrashRecoveryBitIdentical(t *testing.T) {
 	if got.VirtualWall <= ref.VirtualWall {
 		t.Errorf("recovery wall %v not larger than reference %v", got.VirtualWall, ref.VirtualWall)
 	}
-	for r := range ref.Fields {
-		for c := 0; c < 3; c++ {
-			for part := 0; part < 2; part++ {
-				a, b := ref.Fields[r][c][part], got.Fields[r][c][part]
-				if len(a) != len(b) {
-					t.Fatalf("rank %d field size mismatch", r)
-				}
-				for i := range a {
-					if a[i] != b[i] {
-						t.Fatalf("rank %d: U[%d][%d][%d] = %v after recovery, want %v (bit-identical)",
-							r, c, part, i, b[i], a[i])
-					}
-				}
-			}
+	if len(got.Final) != len(ref.Final) {
+		t.Fatalf("final state count %d, want %d", len(got.Final), len(ref.Final))
+	}
+	for r := range ref.Final {
+		if !bytes.Equal(ref.Final[r], got.Final[r]) {
+			t.Fatalf("rank %d: final Nektar-F state differs from the unfaulted reference (not bit-identical)", r)
 		}
 	}
 }

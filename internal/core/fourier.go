@@ -97,7 +97,7 @@ type NSF struct {
 	// clk charges simulated wall-clock per stage (cluster runs only),
 	// including communication and idle time — the basis of the paper's
 	// Figures 13-14 wall-clock breakdowns (stages.Wall).
-	clk stageClock
+	clk timing.Clock
 
 	rec blas.Counts // per-section recording buffer
 }
@@ -121,7 +121,7 @@ func NewNSF(m *mesh.Mesh, cfg NSFConfig, comm *mpi.Comm, cpu *machine.CPU) (*NSF
 		K:      comm.Rank(),
 		stages: timing.NewStages(StageNames...),
 	}
-	ns.clk = newStageClock(ns.stages, comm.Wtime)
+	ns.clk = timing.NewClock(ns.stages, comm.Wtime)
 	ns.Beta = 2 * 3.141592653589793 * float64(ns.K) / cfg.Lz
 
 	isVelD := func(tag string) bool { _, ok := cfg.VelDirichlet[tag]; return ok }
@@ -260,7 +260,7 @@ func (ns *NSF) endCompute() {
 // markStage transitions stage accounting: it charges the simulated
 // wall-clock elapsed since the previous mark to the previous stage and
 // begins the new one (-1 closes the step).
-func (ns *NSF) markStage(i int) { ns.clk.mark(i) }
+func (ns *NSF) markStage(i int) { ns.clk.Mark(i) }
 
 func (ns *NSF) order() int {
 	o := ns.step + 1

@@ -6,8 +6,6 @@ import (
 
 	"nektar/internal/ckpt"
 	"nektar/internal/engine"
-	"nektar/internal/machine"
-	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/simnet"
 )
@@ -20,10 +18,10 @@ import (
 // commodity hardware: "restart files". Because the solver state
 // round-trips bit-identically and the arithmetic does not depend on
 // the virtual clock, the recovered trajectory matches an unfaulted
-// reference run exactly. The attempt loop drives any engine.Solver —
-// the Fourier and ALE harnesses below are thin factories — and package
-// supervisor builds the fully-automatic version (failure detection,
-// hot spares, watchdog) on the same checkpoint-commit rule.
+// reference run exactly. The attempt loop drives any engine.Solver, and
+// package supervisor builds the fully-automatic version (failure
+// detection, hot spares, watchdog) on the same checkpoint-commit rule
+// (ckpt.Latest / ckpt.LatestStaged).
 
 // Recovery is the solver-agnostic fault-tolerant run: the attempt
 // loop, per-rank checkpoint staging, and the commit rule (newest step
@@ -69,53 +67,6 @@ type Recovery struct {
 	Kind  string
 }
 
-// FourierRecovery configures a fault-tolerant Fourier run.
-type FourierRecovery struct {
-	Procs int
-	Model *simnet.Model
-	CPU   *machine.CPU
-
-	// Mesh builds a fresh 2D cross-section mesh; called once per rank
-	// per attempt (solver construction mutates per-rank operator
-	// state, so ranks do not share a mesh).
-	Mesh func() (*mesh.Mesh, error)
-	Cfg  NSFConfig
-	// InitU, InitV seed the mean mode (SetUniformInitial).
-	InitU, InitV float64
-
-	Steps           int
-	CheckpointEvery int
-	CheckpointCostS float64
-
-	Plans       []simnet.Injector
-	Rel         *mpi.Reliability
-	MaxAttempts int
-	Trace       *engine.Tracer
-}
-
-// ALERecovery configures a fault-tolerant Nektar-ALE run (the
-// moving-mesh solver): same attempt loop, domain-decomposed solver.
-type ALERecovery struct {
-	Procs int
-	Model *simnet.Model
-	CPU   *machine.CPU
-
-	// Mesh builds a fresh 3D mesh; called once per rank per attempt.
-	Mesh func() (*mesh.Mesh, error)
-	Cfg  ALEConfig
-	// InitVel seeds the uniform initial velocity.
-	InitVel [3]float64
-
-	Steps           int
-	CheckpointEvery int
-	CheckpointCostS float64
-
-	Plans       []simnet.Injector
-	Rel         *mpi.Reliability
-	MaxAttempts int
-	Trace       *engine.Tracer
-}
-
 // RecoveryResult reports how a fault-tolerant run went.
 type RecoveryResult struct {
 	// Attempts is the number of runs launched (1 = no failures).
@@ -133,9 +84,6 @@ type RecoveryResult struct {
 	// Final holds each rank's final serialized solver state (gob is
 	// deterministic, so equal trajectories give equal bytes).
 	Final [][]byte
-	// Fields holds each rank's final velocity state ([comp][plane]);
-	// Fourier runs only.
-	Fields [][3][2][]float64
 }
 
 // RunRecovery executes the configured run to completion, restarting
@@ -250,93 +198,13 @@ func RunRecovery(rc Recovery) (*RecoveryResult, error) {
 			if s > committedStep {
 				committedStep, committed = s, states
 			}
-		} else if s := commitNewest(staged, rc.Procs); s > committedStep {
-			committedStep = s
-			committed = make([][]byte, rc.Procs)
-			for r := 0; r < rc.Procs; r++ {
-				committed[r] = staged[r][s]
-			}
+		} else if s, states := ckpt.LatestStaged(staged); s > committedStep {
+			committedStep, committed = s, states
 		}
 		// Without any usable checkpoint the next attempt restarts from
 		// step 0 — still correct, just maximally wasteful.
 	}
 	return nil, fmt.Errorf("core: recovery exhausted %d attempts (%d crashes)", maxAttempts, len(res.Crashes))
-}
-
-// commitNewest returns the newest checkpoint step present on every
-// rank, or -1 (ranks may differ by one interval when the crash hit
-// mid-step).
-func commitNewest(staged []map[int][]byte, procs int) int {
-	best := -1
-	for s := range staged[0] {
-		onAll := true
-		for r := 1; r < procs; r++ {
-			if _, ok := staged[r][s]; !ok {
-				onAll = false
-				break
-			}
-		}
-		if onAll && s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// RunFourierRecovery executes the configured run, restarting from the
-// last complete checkpoint after every injected crash.
-func RunFourierRecovery(rc FourierRecovery) (*RecoveryResult, error) {
-	// solvers keeps the latest attempt's per-rank solver so the final
-	// velocity fields can be reported after success.
-	solvers := make([]*NSF, rc.Procs)
-	res, err := RunRecovery(Recovery{
-		Procs: rc.Procs, Steps: rc.Steps, CheckpointEvery: rc.CheckpointEvery,
-		MaxAttempts: rc.MaxAttempts, CheckpointCostS: rc.CheckpointCostS,
-		Model: rc.Model, Plans: rc.Plans, Rel: rc.Rel, Trace: rc.Trace,
-		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
-			m, merr := rc.Mesh()
-			if merr != nil {
-				return nil, merr
-			}
-			ns, nerr := NewNSF(m, rc.Cfg, comm, rc.CPU)
-			if nerr != nil {
-				return nil, nerr
-			}
-			ns.SetUniformInitial(rc.InitU, rc.InitV)
-			solvers[rank] = ns
-			return ns, nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Fields = make([][3][2][]float64, rc.Procs)
-	for r, ns := range solvers {
-		res.Fields[r] = ns.U
-	}
-	return res, nil
-}
-
-// RunALERecovery executes the configured moving-mesh run, restarting
-// from the last complete checkpoint after every injected crash.
-func RunALERecovery(rc ALERecovery) (*RecoveryResult, error) {
-	return RunRecovery(Recovery{
-		Procs: rc.Procs, Steps: rc.Steps, CheckpointEvery: rc.CheckpointEvery,
-		MaxAttempts: rc.MaxAttempts, CheckpointCostS: rc.CheckpointCostS,
-		Model: rc.Model, Plans: rc.Plans, Rel: rc.Rel, Trace: rc.Trace,
-		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
-			m, merr := rc.Mesh()
-			if merr != nil {
-				return nil, merr
-			}
-			ns, nerr := NewNSALE(m, rc.Cfg, comm, rc.CPU)
-			if nerr != nil {
-				return nil, nerr
-			}
-			ns.SetUniformInitial(rc.InitVel[0], rc.InitVel[1], rc.InitVel[2])
-			return ns, nil
-		},
-	})
 }
 
 func maxFloat(xs []float64) float64 {

@@ -52,25 +52,17 @@ type Plan struct {
 }
 
 // factorize splits n into the stage radices, greedily taking 4s from
-// the power-of-two part (radix2Only suppresses that, keeping the
-// legacy all-radix-2 ladder for A/B benchmarks), then 3s, 5s, and
-// finally any remaining primes by trial division.
-func factorize(n int, radix2Only bool) []int {
+// the power-of-two part, then 3s, 5s, and finally any remaining primes
+// by trial division.
+func factorize(n int) []int {
 	var fs []int
-	if radix2Only {
-		for n%2 == 0 {
-			fs = append(fs, 2)
-			n /= 2
-		}
-	} else {
-		for n%4 == 0 {
-			fs = append(fs, 4)
-			n /= 4
-		}
-		if n%2 == 0 {
-			fs = append(fs, 2)
-			n /= 2
-		}
+	for n%4 == 0 {
+		fs = append(fs, 4)
+		n /= 4
+	}
+	if n%2 == 0 {
+		fs = append(fs, 2)
+		n /= 2
 	}
 	for _, r := range []int{3, 5} {
 		for n%r == 0 {
@@ -112,25 +104,10 @@ func NewPlan(n int) (*Plan, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("fft: length %d must be >= 1 (fast lengths are 2^a*3^b*5^c)", n)
 	}
-	return newPlan(n, false), nil
-}
-
-// NewRadix2Plan creates a plan restricted to the all-radix-2 ladder
-// the package shipped before the mixed-radix planner. It exists so
-// `fftbench` can A/B the radix-4/2 split against the legacy ladder at
-// matched power-of-two sizes; everything else should use NewPlan.
-func NewRadix2Plan(n int) (*Plan, error) {
-	if n < 1 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("fft: radix-2 plan length %d is not a power of two", n)
-	}
-	return newPlan(n, true), nil
-}
-
-func newPlan(n int, radix2Only bool) *Plan {
 	p := &Plan{N: n}
 	maxR := 1
 	l := n
-	for _, r := range factorize(n, radix2Only) {
+	for _, r := range factorize(n) {
 		m := l / r
 		st := stage{r: r, m: m}
 		// Stage twiddles w_l^{p*j} = exp(-2*pi*i*p*j/l), j = 1..r-1.
@@ -161,7 +138,7 @@ func newPlan(n int, radix2Only bool) *Plan {
 	if n > 1 {
 		p.flops = int64(5 * float64(n) * math.Log2(float64(n)))
 	}
-	return p
+	return p, nil
 }
 
 // conjIf conjugates w for the inverse transform.

@@ -95,39 +95,6 @@ func TestGenericPrimeFallback(t *testing.T) {
 	}
 }
 
-// TestRadix2PlanMatchesMixed: the legacy all-radix-2 ladder kept for
-// the fftbench A/B must agree with the radix-4/2 split bit-for-bit in
-// spirit (to roundoff) at matched power-of-two sizes.
-func TestRadix2PlanMatchesMixed(t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for _, n := range []int{2, 8, 64, 256} {
-		r2, err := NewRadix2Plan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mx, err := NewPlan(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		a := append([]complex128(nil), x...)
-		b := append([]complex128(nil), x...)
-		r2.Transform(a, false)
-		mx.Transform(b, false)
-		for i := range a {
-			if cmplx.Abs(a[i]-b[i]) > 1e-10*float64(n) {
-				t.Fatalf("n=%d: radix-2 %v vs mixed %v at %d", n, a[i], b[i], i)
-			}
-		}
-	}
-	if _, err := NewRadix2Plan(24); err == nil {
-		t.Fatal("NewRadix2Plan(24) should reject non-power-of-two lengths")
-	}
-}
-
 // TestManyMatchesPerRow: the batched entry points are the same
 // transforms as the per-row calls, just with one workspace and one
 // cost-model record per slab.

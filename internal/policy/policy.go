@@ -2,7 +2,7 @@
 // turn the static fault-tolerance knobs — checkpoint cadence, writer
 // choice, recovery strategy — into live controllers driven by what the
 // run actually observes. The paper's operators picked these by hand
-// per machine; cmd/faultbench picks them offline from a swept table;
+// per machine; `repro faultbench` picks them offline from a swept table;
 // this package closes the loop online, so a campaign tunes itself to
 // the failure rate and I/O cost it measures instead of the ones the
 // operator guessed.

@@ -71,11 +71,12 @@ type Model struct {
 	// BackplaneMBs caps the aggregate inter-node traffic (an
 	// oversubscribed Ethernet switch); 0 = full crossbar.
 	BackplaneMBs float64
-	// Scheduler selects the simulator's execution strategy. Serial and
-	// the host-parallel conservative scheduler produce bit-identical
-	// virtual-time results; SchedRelaxed trades bit-identity for
-	// concurrency (see RelaxWindowUS). The NEKTAR_SIMNET_SCHED
-	// environment variable overrides it.
+	// Scheduler selects the simulator's execution strategy. The zero
+	// value (SchedAuto) runs the serial reference scheduler. Serial and
+	// the host-parallel conservative scheduler (SchedParallel) produce
+	// bit-identical virtual-time results; SchedRelaxed trades
+	// bit-identity for concurrency (see RelaxWindowUS). The
+	// NEKTAR_SIMNET_SCHED environment variable overrides it.
 	Scheduler Scheduler
 	// RelaxWindowUS is the relaxed scheduler's admission window in
 	// virtual microseconds: ranks whose next event lies within this
@@ -91,11 +92,11 @@ type Model struct {
 type Scheduler int
 
 const (
-	// SchedAuto (the default) uses the parallel scheduler whenever the
-	// platform supports it, the run has at least two ranks, and more
-	// than one host core is available (GOMAXPROCS > 1).
+	// SchedAuto (the default) lets simnet choose; it chooses the serial
+	// reference scheduler, the fastest on every measured cell (see
+	// resolveScheduler).
 	SchedAuto Scheduler = iota
-	// SchedSerial forces the original one-rank-at-a-time scheduler.
+	// SchedSerial names the one-rank-at-a-time reference scheduler.
 	SchedSerial
 	// SchedParallel forces the host-parallel conservative scheduler.
 	SchedParallel

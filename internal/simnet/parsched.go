@@ -87,11 +87,14 @@ const (
 // invalid relaxed window) are reported up front with the valid menu.
 // Single-rank runs and platforms without thread-keyed BLAS recording
 // (which per-rank operation counting needs once ranks overlap) fall
-// back to serial. SchedAuto additionally requires more than one host
-// core: with GOMAXPROCS=1 no host work can overlap and the admission
-// protocol is pure overhead. Forcing SchedParallel or SchedRelaxed
-// still works on one core — the differential and race suites depend on
-// that.
+// back to serial. SchedAuto resolves to the serial reference on every
+// host: measured on 2 cores the conservative scheduler's per-event
+// admission handoff costs more than the overlapped host work buys on
+// every committed cell (BENCH_simnet.json: nsf 0.60-0.88x of serial,
+// nsale 0.04x; EXPERIMENTS.md, Simbench), so it runs only where a
+// caller or the environment variable asks for it by name. Forcing
+// SchedParallel or SchedRelaxed works on any core count — the
+// differential and race suites depend on that.
 func resolveScheduler(m *Model, p int) (schedKind, error) {
 	mode := m.Scheduler
 	switch mode {
@@ -126,15 +129,10 @@ func resolveScheduler(m *Model, p int) (schedKind, error) {
 		return kindSerial, nil
 	}
 	switch mode {
-	case SchedSerial:
-		return kindSerial, nil
 	case SchedParallel:
 		return kindParallel, nil
 	case SchedRelaxed:
 		return kindRelaxed, nil
-	}
-	if runtime.GOMAXPROCS(0) > 1 {
-		return kindParallel, nil
 	}
 	return kindSerial, nil
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"testing"
 
 	"nektar/internal/blas"
@@ -192,19 +191,15 @@ func TestResolveScheduler(t *testing.T) {
 	if !blas.ThreadRecordingSupported() {
 		t.Skip("platform cannot key BLAS recording by thread")
 	}
-	// SchedAuto only goes parallel with real cores to overlap on;
-	// forced parallel ignores the core count.
-	autoKind := kindSerial
-	if runtime.GOMAXPROCS(0) > 1 {
-		autoKind = kindParallel
-	}
+	// SchedAuto is the serial reference on every core count; the
+	// parallel schedulers run only when named.
 	cases := []struct {
 		env  string
 		mode Scheduler
 		p    int
 		want schedKind
 	}{
-		{"", SchedAuto, 8, autoKind},
+		{"", SchedAuto, 8, kindSerial},
 		{"", SchedAuto, 1, kindSerial},
 		{"", SchedSerial, 8, kindSerial},
 		{"", SchedParallel, 8, kindParallel},
@@ -214,7 +209,7 @@ func TestResolveScheduler(t *testing.T) {
 		{"serial", SchedAuto, 8, kindSerial},
 		{"parallel", SchedSerial, 8, kindParallel},
 		{"relaxed", SchedSerial, 8, kindRelaxed},
-		{"auto", SchedSerial, 8, autoKind},
+		{"auto", SchedParallel, 8, kindSerial},
 	}
 	for _, c := range cases {
 		t.Setenv(SchedulerEnv, c.env)

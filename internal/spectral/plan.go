@@ -7,23 +7,6 @@ import (
 	"nektar/internal/mpi"
 )
 
-// PadMode selects the de-aliasing grid of a Plan2D.
-type PadMode int
-
-const (
-	// PadNone builds only the unpadded N x N pipeline.
-	PadNone PadMode = iota
-	// PadExact pads to M = 3N/2 — the exact 3/2-rule grid the
-	// mixed-radix transforms make reachable (N divisible by 4 keeps M
-	// even). This is what the solvers use.
-	PadExact
-	// PadPow2 pads to the next power of two >= 3N/2 (always 2N for
-	// power-of-two N) — the grid the radix-2-only planner forced.
-	// Kept so spectralbench can A/B the exact-3/2 pipeline against the
-	// legacy one on the same plan code.
-	PadPow2
-)
-
 // Plan2D is a slab-decomposed 2D FFT on an N x N periodic grid. The
 // spectral representation holds unnormalized DFT coefficients
 // what[ky][kx] distributed by contiguous bands of ky rows; the physical
@@ -34,12 +17,12 @@ const (
 // The padded pipeline (InversePad/ForwardPad) implements 3/2-rule
 // de-aliasing by zero-extension: spectra are padded to an M x M grid
 // before going physical, so quadratic products formed there alias only
-// into modes the truncation back to N discards. With the mixed-radix
-// planner the default grid is the exact bound M = 3N/2 (PadExact): for
-// retained modes |k| <= N/2 - 1 a product reaches |k| <= N - 2, and
-// wrapping by M sends it to k - M <= -N/2 - 2, outside the retained
-// band — no resolved mode is ever polluted, with a third less padded
-// work than the legacy power-of-two grid (PadPow2). Both kx = N/2 and
+// into modes the truncation back to N discards. The grid is the exact
+// bound M = 3N/2: for retained modes |k| <= N/2 - 1 a product reaches
+// |k| <= N - 2, and wrapping by M sends it to k - M <= -N/2 - 2,
+// outside the retained band — no resolved mode is ever polluted (a 2N
+// grid would do a third more padded work for the same result; the A/B
+// is recorded in EXPERIMENTS.md). Both kx = N/2 and
 // ky = N/2 Nyquist lines are dropped by the pad and zeroed by the
 // truncation; solvers keep them identically zero, which removes the
 // +-N/2 derivative ambiguity.
@@ -73,21 +56,11 @@ type Plan2D struct {
 }
 
 // NewPlan2D builds the plan for an n x n grid over comm (nil = serial).
-// padded selects the exact-3/2 de-aliasing pipeline (PadExact); use
-// NewPlan2DPad to pick another mode.
+// padded adds the exact-3/2 de-aliasing pipeline on M = 3N/2. n must be
+// even (the Nyquist pinning needs N/2 integral) and, when padded,
+// divisible by 4 so M stays even. Both n and M must slab-decompose over
+// the rank count.
 func NewPlan2D(n int, padded bool, comm *mpi.Comm) (*Plan2D, error) {
-	mode := PadNone
-	if padded {
-		mode = PadExact
-	}
-	return NewPlan2DPad(n, mode, comm)
-}
-
-// NewPlan2DPad builds the plan with an explicit pad mode. n must be
-// even (the Nyquist pinning needs N/2 integral) and, for PadExact,
-// divisible by 4 so M = 3N/2 stays even. Both n and the padded grid M
-// must slab-decompose over the rank count.
-func NewPlan2DPad(n int, mode PadMode, comm *mpi.Comm) (*Plan2D, error) {
 	if n < 2 || n%2 != 0 {
 		return nil, fmt.Errorf("spectral: grid size %d must be even and >= 2", n)
 	}
@@ -107,24 +80,14 @@ func NewPlan2DPad(n int, mode PadMode, comm *mpi.Comm) (*Plan2D, error) {
 		return nil, err
 	}
 	pl.sa = make([]complex128, pl.nloc*n)
-	if mode == PadNone {
+	if !padded {
 		pl.sb = make([]complex128, pl.nloc*n)
 		return pl, nil
 	}
-	switch mode {
-	case PadExact:
-		if n%4 != 0 {
-			return nil, fmt.Errorf("spectral: exact-3/2 padding needs a grid size divisible by 4, got %d", n)
-		}
-		pl.M = 3 * n / 2
-	case PadPow2:
-		pl.M = 1
-		for pl.M < 3*n/2 {
-			pl.M *= 2
-		}
-	default:
-		return nil, fmt.Errorf("spectral: unknown pad mode %d", mode)
+	if n%4 != 0 {
+		return nil, fmt.Errorf("spectral: exact-3/2 padding needs a grid size divisible by 4, got %d", n)
 	}
+	pl.M = 3 * n / 2
 	if pl.M%pl.p != 0 {
 		return nil, fmt.Errorf("spectral: padded grid %d (from N=%d) does not slab-decompose over %d ranks (the rank count must divide both N and M)",
 			pl.M, n, pl.p)
@@ -159,8 +122,7 @@ func (pl *Plan2D) TransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.N)
 
 // PadTransposeBytes returns the global Alltoall payload, in bytes,
 // moved by one padded half-transform (InversePad or ForwardPad): an
-// N x M complex matrix. Shrinking M from 2N to 3N/2 cuts this — and
-// the per-destination Transposer blocks behind it — by a quarter.
+// N x M complex matrix.
 func (pl *Plan2D) PadTransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.M) }
 
 func (pl *Plan2D) begin() {
@@ -178,9 +140,8 @@ func (pl *Plan2D) end() {
 // padRow zero-extends a length-N spectral line to length M, preserving
 // wavenumber identity: modes k in [0, N/2) keep their index, negative
 // modes k in (-N/2, 0) move to the tail slots M+k, and the Nyquist
-// line N/2 is dropped. The map needs only M >= N, so it covers the
-// exact M = 3N/2 grid and the legacy power-of-two one alike: out[h]
-// through out[M-h] (the fine grid's own high modes) stay zero.
+// line N/2 is dropped. The map needs only M >= N: out[h] through
+// out[M-h] (the fine grid's own high modes) stay zero.
 func padRow(in, out []complex128, n, m int) {
 	for j := range out {
 		out[j] = 0

@@ -79,67 +79,18 @@ func TestPlan2DPadRoundTrip(t *testing.T) {
 }
 
 // TestPlan2DExactPadGrid: the padded pipeline allocates the exact
-// 3/2-rule grid, not the legacy power-of-two round-up, and the two pad
-// modes agree on what de-aliasing means: padding a band-limited
-// spectrum out and truncating back is the identity on both grids, and
-// the de-aliased product of two band-limited fields matches between
-// M = 3N/2 and M = 2N to roundoff (both grids resolve every product
-// mode the truncation keeps).
+// 3/2-rule grid and moves an N x M complex matrix per half-transform.
 func TestPlan2DExactPadGrid(t *testing.T) {
 	const n = 16
-	exact, err := NewPlan2DPad(n, PadExact, nil)
+	pl, err := NewPlan2D(n, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exact.M != 3*n/2 {
-		t.Fatalf("PadExact M = %d, want %d", exact.M, 3*n/2)
+	if pl.M != 3*n/2 {
+		t.Fatalf("M = %d, want %d", pl.M, 3*n/2)
 	}
-	pow2, err := NewPlan2DPad(n, PadPow2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pow2.M != 2*n {
-		t.Fatalf("PadPow2 M = %d, want %d", pow2.M, 2*n)
-	}
-	if eb, pb := exact.PadTransposeBytes(), pow2.PadTransposeBytes(); eb*4 != pb*3 {
-		t.Fatalf("transpose payloads %d vs %d are not in the 3:4 ratio", eb, pb)
-	}
-
-	specA := bandLimitedSpec(t, n)
-	specB := make([]complex128, n*n)
-	// A second independent band-limited field: conjugate-symmetric
-	// scramble of the first via the solver with another seed.
-	s2, err := NewTurb2D(Config{N: n, Re: 80, Dt: 1e-3, Seed: 123}, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(specB, s2.Field())
-
-	product := func(pl *Plan2D) []complex128 {
-		pa := make([]float64, pl.PadRows()*pl.M)
-		pb := make([]float64, pl.PadRows()*pl.M)
-		pl.InversePad(specA, pa)
-		pl.InversePad(specB, pb)
-		for i := range pa {
-			pa[i] *= pb[i]
-		}
-		out := make([]complex128, n*n)
-		pl.ForwardPad(pa, out)
-		return out
-	}
-	got := product(exact)
-	want := product(pow2)
-	maxAmp := 0.0
-	for _, v := range want {
-		if a := math.Hypot(real(v), imag(v)); a > maxAmp {
-			maxAmp = a
-		}
-	}
-	for i := range want {
-		d := got[i] - want[i]
-		if math.Abs(real(d)) > 1e-10*maxAmp || math.Abs(imag(d)) > 1e-10*maxAmp {
-			t.Fatalf("de-aliased product differs between exact-3/2 and pow2 grids at %d: %g (scale %g)", i, d, maxAmp)
-		}
+	if got, want := pl.PadTransposeBytes(), int64(16*n*pl.M); got != want {
+		t.Fatalf("padded transpose payload %d bytes, want %d", got, want)
 	}
 }
 
@@ -173,11 +124,8 @@ func TestPlan2DRejectsBadShapes(t *testing.T) {
 	if _, err := NewPlan2D(15, false, nil); err == nil {
 		t.Fatal("odd grid accepted")
 	}
-	if _, err := NewPlan2DPad(18, PadExact, nil); err == nil {
+	if _, err := NewPlan2D(18, true, nil); err == nil {
 		t.Fatal("exact-3/2 pad of an N % 4 != 0 grid accepted (M would be odd)")
-	}
-	if _, err := NewPlan2DPad(16, PadMode(99), nil); err == nil {
-		t.Fatal("unknown pad mode accepted")
 	}
 }
 

@@ -79,7 +79,7 @@ type Turb2D struct {
 
 	plan   *Plan2D
 	stages *timing.Stages
-	clk    stageClock
+	clk    timing.Clock
 	rec    blas.Counts
 
 	specA, specB               []complex128
@@ -176,7 +176,7 @@ func newSolver(cfg Config, comm *mpi.Comm, cpu *machine.CPU) (*Turb2D, error) {
 	if comm != nil {
 		now = comm.Wtime
 	}
-	s.clk = newStageClock(s.stages, now)
+	s.clk = timing.NewClock(s.stages, now)
 	s.initPAO()
 	return s, nil
 }
@@ -369,14 +369,14 @@ func (s *Turb2D) Step() {
 	} else {
 		s.stepConvective()
 	}
-	s.clk.mark(3)
+	s.clk.Mark(3)
 	s.beginCompute()
 	s.update()
 	s.endCompute()
 	s.step++
-	s.clk.mark(4)
+	s.clk.Mark(4)
 	s.diagnose()
-	s.clk.mark(-1)
+	s.clk.Mark(-1)
 }
 
 // stepConvective computes the advection term u.grad(w) in specB via the
@@ -386,7 +386,7 @@ func (s *Turb2D) Step() {
 // alias-free after truncation.
 func (s *Turb2D) stepConvective() {
 	n := s.Cfg.N
-	s.clk.mark(0)
+	s.clk.Mark(0)
 	s.beginCompute()
 	s.velocities()
 	s.endCompute()
@@ -409,7 +409,7 @@ func (s *Turb2D) stepConvective() {
 	s.plan.InversePad(s.specA, s.physA)
 	s.plan.InversePad(s.specB, s.physB)
 
-	s.clk.mark(1)
+	s.clk.Mark(1)
 	s.beginCompute()
 	np := len(s.physU)
 	blas.Dvmul(np, s.physU, 1, s.physA, 1, s.physC, 1)
@@ -417,7 +417,7 @@ func (s *Turb2D) stepConvective() {
 	blas.Daxpy(np, 1, s.physA, 1, s.physC, 1)
 	s.endCompute()
 
-	s.clk.mark(2)
+	s.clk.Mark(2)
 	s.plan.ForwardPad(s.physC, s.specB)
 }
 
@@ -431,14 +431,14 @@ func (s *Turb2D) stepConvective() {
 // truncation band.
 func (s *Turb2D) stepBasdevant() {
 	n := s.Cfg.N
-	s.clk.mark(0)
+	s.clk.Mark(0)
 	s.beginCompute()
 	s.velocities()
 	s.endCompute()
 	s.plan.Inverse(s.specA, s.physU)
 	s.plan.Inverse(s.specB, s.physV)
 
-	s.clk.mark(1)
+	s.clk.Mark(1)
 	s.beginCompute()
 	np := len(s.physU)
 	blas.Dvmul(np, s.physV, 1, s.physV, 1, s.physA, 1)
@@ -447,7 +447,7 @@ func (s *Turb2D) stepBasdevant() {
 	blas.Dvmul(np, s.physU, 1, s.physV, 1, s.physB, 1)
 	s.endCompute()
 
-	s.clk.mark(2)
+	s.clk.Mark(2)
 	s.plan.Forward(s.physA, s.specA)
 	s.plan.Forward(s.physB, s.specB)
 	s.beginCompute()

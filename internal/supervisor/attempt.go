@@ -180,25 +180,6 @@ func (a *attempt) attemptWall(wall []float64) float64 {
 	return m
 }
 
-// commitNewest returns the newest checkpoint step staged on every
-// rank, or -1.
-func (a *attempt) commitNewest() int {
-	best := -1
-	for s := range a.staged[0] {
-		onAll := true
-		for r := 1; r < a.cfg.Procs; r++ {
-			if _, ok := a.staged[r][s]; !ok {
-				onAll = false
-				break
-			}
-		}
-		if onAll && s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 // worker is one solver rank: the engine's driver loop with the
 // supervisor's hooks plugged in — a collective halt poll before every
 // step, a heartbeat to the monitor after the watchdog clears, and

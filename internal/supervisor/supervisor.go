@@ -398,12 +398,8 @@ func Run(cfg Config) (*Result, error) {
 			if s > committedStep {
 				committedStep, committed = s, states
 			}
-		} else if s := a.commitNewest(); s > committedStep {
-			committedStep = s
-			committed = make([][]byte, cfg.Procs)
-			for r := 0; r < cfg.Procs; r++ {
-				committed[r] = a.staged[r][s]
-			}
+		} else if s, states := ckpt.LatestStaged(a.staged); s > committedStep {
+			committedStep, committed = s, states
 			commitLog = append(commitLog, memCommit{step: s, states: committed})
 		}
 

@@ -170,3 +170,36 @@ func Percent(vals []float64) []float64 {
 	}
 	return out
 }
+
+// Clock is the stage-transition accounting shared by the
+// cluster-simulated solvers: each Mark charges the simulated wall
+// clock elapsed since the previous mark (communication and idle time
+// included) to the previous stage's Wall accumulator, and brackets the
+// new stage for CPU pricing. Marking -1 closes the step. Serial runs
+// pass a zero clock, so only the host/priced accumulators move.
+type Clock struct {
+	st   *Stages
+	now  func() float64 // the rank's simulated wall clock (Comm.Wtime)
+	last int
+	t    float64
+}
+
+// NewClock creates a stage clock over st reading now.
+func NewClock(st *Stages, now func() float64) Clock {
+	return Clock{st: st, now: now, last: -1}
+}
+
+// Mark enters stage i (-1 closes the step).
+func (c *Clock) Mark(i int) {
+	now := c.now()
+	if c.last >= 0 {
+		c.st.AddWall(c.last, now-c.t)
+	}
+	c.last = i
+	c.t = now
+	if i >= 0 {
+		c.st.Begin(i)
+	} else {
+		c.st.End()
+	}
+}
