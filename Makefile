@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet fmt test race bench-all race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral
+.PHONY: check build vet fmt test race bench-all race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -66,9 +66,10 @@ race-sched-multi:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'Scheduler|Relaxed|ManyRanks' ./internal/simnet ./internal/mpi
 
-# The adaptive-resilience layer (estimator, cadence controller, writer
-# selection, escalation ladder) runs inside every rank goroutine and
-# the supervisor's monitor; keep it race-clean under repetition.
+# The adaptive-resilience layer (estimator, cadence controller,
+# simulated-cluster write-mode selector, escalation ladder) runs inside
+# every rank goroutine and the supervisor's monitor; keep it race-clean
+# under repetition.
 race-policy:
 	$(GO) test -race -count=2 ./internal/policy ./internal/supervisor
 
@@ -87,4 +88,11 @@ race-spectral:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
 		./internal/spectral ./internal/fft
 
-check: build vet fmt race race-ckpt race-simnet race-policy race-farm race-spectral
+# The checkpoint-record parser reads bytes from outside the program
+# (restart files, farm journal entries); ten seconds of native fuzzing
+# on top of the seed corpus plain `go test` already runs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/ckpt
+
+# Everything CI runs, in CI's order.
+check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke

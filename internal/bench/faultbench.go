@@ -1,19 +1,21 @@
 package bench
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"nektar/internal/ckpt"
-	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/fault"
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
+	"nektar/internal/supervisor"
 )
 
 // Faultbench: checkpoint interval vs cluster MTBF. The paper's
@@ -34,9 +36,9 @@ import (
 // (ckpt.SimWriter) — node-local restart files by default, striped
 // 1/P-th shards with Stripe — so the Young table prices the framed,
 // compressed record plus any network traffic the write mode incurs.
-// A second, measured experiment injects a seeded node crash and
-// recovers through core.RunRecovery, reporting the actual
-// virtual-wall overhead of the crash-recovery round trip.
+// A second, measured experiment injects a seeded node crash into a
+// supervised campaign (supervisor.Run, one hot spare), reporting the
+// actual virtual-wall overhead of the crash-recovery round trip.
 
 // FaultbenchConfig parametrizes the sweep.
 type FaultbenchConfig struct {
@@ -226,9 +228,11 @@ func youngOverhead(delta, tau, theta float64) float64 {
 }
 
 // RunFaultbenchRecovery runs the measured counterpart on a small
-// cluster: a fault-free Nektar-F reference, then the same run with a
-// seeded node crash recovered from checkpoints, reporting the actual
-// virtual wall-clock overhead.
+// cluster: a fault-free supervised Nektar-F reference, then the same
+// campaign with a seeded node crash that the supervisor detects, moves
+// onto the hot spare and recovers from checkpoints, reporting the
+// actual virtual wall-clock overhead. It fails unless the recovered
+// trajectory is bit-identical to the reference.
 func RunFaultbenchRecovery(cfg FaultbenchConfig, seed int64) (*report.Table, error) {
 	mach, err := machine.ByName(cfg.Machine)
 	if err != nil {
@@ -238,48 +242,47 @@ func RunFaultbenchRecovery(cfg FaultbenchConfig, seed int64) (*report.Table, err
 	if procs > 4 {
 		procs = 4 // the measured demo stays small
 	}
-	steps := 12
-	every := 3
-	rc := core.Recovery{
-		Procs: procs,
-		Model: mach.Net,
-		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
-			return fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, &mach.CPU)
-		},
-		Steps:           steps,
-		CheckpointEvery: every,
-	}
-	ref, err := core.RunRecovery(rc)
+	const steps, every = 12, 3
+	probe := Workload{New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
+		return fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, cpu)
+	}}
+	sup := supervisedConfig(mach, probe, procs, 1, steps)
+	sup.CheckpointEvery = every
+	ref, err := supervisor.Run(sup)
 	if err != nil {
 		return nil, err
 	}
-	rc.CheckpointCostS = ref.VirtualWall / float64(steps) // order-of-step checkpoint cost
-	ref2, err := core.RunRecovery(rc)
+	sup.CheckpointCostS = ref.VirtualWall / steps // order-of-step checkpoint cost
+	ref2, err := supervisor.Run(sup)
 	if err != nil {
 		return nil, err
 	}
 
-	crashed := rc
-	crashed.Plans = []simnet.Injector{
-		fault.NewPlan(seed).Crash(procs-1, 0.45*ref2.VirtualWall),
-	}
-	got, err := core.RunRecovery(crashed)
+	sup.Faults = fault.NewPlan(seed).Crash(procs-1, 0.45*ref2.VirtualWall)
+	sup.Heartbeat.InitialInterval = ref2.VirtualWall / steps
+	got, err := supervisor.Run(sup)
 	if err != nil {
 		return nil, err
 	}
+	identical := slices.EqualFunc(ref.FinalStates, got.FinalStates, bytes.Equal)
 
 	tbl := report.NewTable(
-		fmt.Sprintf("Faultbench: measured crash recovery — %s, P=%d, %d steps, checkpoint every %d",
+		fmt.Sprintf("Faultbench: measured crash recovery — %s, P=%d +1 spare, %d steps, checkpoint every %d",
 			cfg.Machine, procs, steps, every),
-		"run", "attempts", "steps computed", "virtual wall (s)", "overhead")
-	tbl.AddRow("fault-free (no ckpt cost)", fmt.Sprintf("%d", ref.Attempts),
-		fmt.Sprintf("%d", ref.StepsComputed), fmt.Sprintf("%.4g", ref.VirtualWall), "—")
-	tbl.AddRow("fault-free (ckpt cost)", fmt.Sprintf("%d", ref2.Attempts),
-		fmt.Sprintf("%d", ref2.StepsComputed), fmt.Sprintf("%.4g", ref2.VirtualWall),
-		fmt.Sprintf("%.1f%%", 100*(ref2.VirtualWall/ref.VirtualWall-1)))
-	tbl.AddRow("node crash + recovery", fmt.Sprintf("%d", got.Attempts),
-		fmt.Sprintf("%d", got.StepsComputed), fmt.Sprintf("%.4g", got.VirtualWall),
-		fmt.Sprintf("%.1f%%", 100*(got.VirtualWall/ref.VirtualWall-1)))
+		"run", "attempts", "steps computed", "virtual wall (s)", "overhead", "bit-identical")
+	row := func(name string, r *supervisor.Result, overhead, verdict string) {
+		tbl.AddRow(name, fmt.Sprintf("%d", r.Attempts), fmt.Sprintf("%d", r.StepsComputed),
+			fmt.Sprintf("%.4g", r.VirtualWall), overhead, verdict)
+	}
+	overhead := func(r *supervisor.Result) string {
+		return fmt.Sprintf("%.1f%%", 100*(r.VirtualWall/ref.VirtualWall-1))
+	}
+	row("fault-free (no ckpt cost)", ref, "—", "—")
+	row("fault-free (ckpt cost)", ref2, overhead(ref2), "—")
+	row("node crash + recovery", got, overhead(got), yesNO(identical))
+	if !identical {
+		return tbl, fmt.Errorf("bench: recovered trajectory is NOT bit-identical to the reference")
+	}
 	return tbl, nil
 }
 
@@ -294,10 +297,9 @@ func runFaultbench(cfg FaultbenchConfig, w io.Writer) (any, error) {
 	}
 	tbl.Write(w)
 	demo, err := RunFaultbenchRecovery(cfg, 1)
-	if err != nil {
-		return nil, err
+	if demo != nil {
+		fmt.Fprintln(w)
+		demo.Write(w)
 	}
-	fmt.Fprintln(w)
-	demo.Write(w)
-	return nil, nil
+	return nil, err
 }

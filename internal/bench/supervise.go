@@ -49,10 +49,10 @@ type SuperviseConfig struct {
 	Seed      int64
 
 	// CkptDir, when set, backs the faulted campaign's checkpoints with
-	// a durable on-disk store (framed, compressed, CRC-verified): the
-	// rollback step then comes from records that verify on every rank
-	// rather than from the in-memory staging area. The directory must
-	// start empty — leftover records warm-start the campaign.
+	// a durable on-disk store instead of the default in-memory one (the
+	// same framed, compressed, CRC-verified records either way). The
+	// directory must start empty — leftover records warm-start the
+	// campaign.
 	CkptDir string
 
 	// Policy selects the resilience policy for the faulted campaign:
@@ -129,6 +129,15 @@ func supervisedConfig(mach *machine.Machine, wl Workload, procs, spares, steps i
 		Procs: procs, Spares: spares, Steps: steps, Model: &model,
 		NewSolver: func(comm *mpi.Comm) (supervisor.Solver, error) { return wl.New(comm, &mach.CPU) },
 	}
+}
+
+// yesNO renders a bit-identity verdict for a table cell; the failure
+// is the one that must catch the eye.
+func yesNO(ok bool) string {
+	if ok {
+		return "yes"
+	}
+	return "NO"
 }
 
 // RunSupervise executes the demonstration and renders the report.
@@ -210,13 +219,9 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 		}
 		handled = append(handled, entry)
 	}
-	verdictCol := "NO"
-	if identical {
-		verdictCol = "yes"
-	}
 	tbl.AddRow("crash+freeze campaign", fmt.Sprintf("%d", got.Attempts),
 		fmt.Sprintf("%d (%s)", len(got.Failures), strings.Join(handled, "; ")),
-		fmt.Sprintf("%d", got.StepsComputed), fmt.Sprintf("%.4g", got.VirtualWall), verdictCol)
+		fmt.Sprintf("%d", got.StepsComputed), fmt.Sprintf("%.4g", got.VirtualWall), yesNO(identical))
 	if mode != policy.Static {
 		// The policy end state, in the campaign row's shape: what the
 		// controllers converged to and how often the ladder fired.

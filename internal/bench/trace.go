@@ -4,23 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 
-	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/fault"
-	"nektar/internal/mpi"
 	"nektar/internal/report"
-	"nektar/internal/simnet"
+	"nektar/internal/supervisor"
 )
 
-// Trace: a demonstration-scale engine run with the structured per-step
-// event stream switched on. The engine emits one JSONL event per step
-// and per active stage (priced and virtual-wall seconds), plus
+// Trace: a demonstration-scale supervised campaign with the structured
+// per-step event stream switched on. The engine emits one JSONL event
+// per step and per active stage (priced and virtual-wall seconds), plus
 // checkpoint, rollback, trip, halt and done markers; this experiment
-// writes the stream to w and returns the run result. With CrashNode
-// set, a seeded node crash forces a rollback so the stream shows the
-// recovery round trip — the same events the supervisor sees, now
-// inspectable offline.
+// writes the stream to w and returns the campaign result. With
+// CrashNode set, a seeded node crash forces the supervisor to move the
+// rank onto the one spare and roll back, so the stream shows the
+// recovery round trip, inspectable offline.
 
 // TraceConfig parametrizes a traced run.
 type TraceConfig struct {
@@ -52,7 +51,7 @@ var PaperTrace = TraceConfig{
 
 // ValidateTrace checks a trace configuration.
 func ValidateTrace(cfg TraceConfig) error {
-	if _, _, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, 0); err != nil {
+	if _, _, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, traceSpares); err != nil {
 		return err
 	}
 	if cfg.Steps < 1 {
@@ -67,40 +66,40 @@ func ValidateTrace(cfg TraceConfig) error {
 	return nil
 }
 
-// RunTrace executes the configured run with tracing enabled, writing
-// one JSON event per line to w.
-func RunTrace(cfg TraceConfig, w io.Writer) (*core.RecoveryResult, error) {
+// traceSpares is the hot-spare count of the traced campaign: its one
+// crash consumes one.
+const traceSpares = 1
+
+// RunTrace executes the configured campaign with tracing enabled,
+// writing one JSON event per line to w. It fails unless the recovered
+// trajectory is bit-identical to the fault-free reference.
+func RunTrace(cfg TraceConfig, w io.Writer) (*supervisor.Result, error) {
 	if err := ValidateTrace(cfg); err != nil {
 		return nil, err
 	}
-	mach, wl, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, 0)
+	mach, wl, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, traceSpares)
 	if err != nil {
 		return nil, err
 	}
-	rc := core.Recovery{
-		Procs: cfg.Procs,
-		Model: mach.Net,
-		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
-			return wl.New(comm, &mach.CPU)
-		},
-		Steps:           cfg.Steps,
-		CheckpointEvery: cfg.CheckpointEvery,
-	}
+	sup := supervisedConfig(mach, wl, cfg.Procs, traceSpares, cfg.Steps)
+	sup.CheckpointEvery = cfg.CheckpointEvery
+	var ref *supervisor.Result
 	if cfg.CrashNode >= 0 {
 		// The crash time is a fraction of the fault-free wall, so run an
 		// untraced reference first to measure it.
-		ref, rerr := core.RunRecovery(rc)
-		if rerr != nil {
-			return nil, fmt.Errorf("bench: trace reference run: %w", rerr)
+		if ref, err = supervisor.Run(sup); err != nil {
+			return nil, fmt.Errorf("bench: trace reference run: %w", err)
 		}
-		rc.Plans = []simnet.Injector{
-			fault.NewPlan(cfg.Seed).Crash(cfg.CrashNode, cfg.CrashFrac*ref.VirtualWall),
-		}
+		sup.Faults = fault.NewPlan(cfg.Seed).Crash(cfg.CrashNode, cfg.CrashFrac*ref.VirtualWall)
+		sup.Heartbeat.InitialInterval = ref.VirtualWall / float64(cfg.Steps)
 	}
-	rc.Trace = engine.NewTracer(w)
-	res, err := core.RunRecovery(rc)
+	sup.Trace = engine.NewTracer(w)
+	res, err := supervisor.Run(sup)
 	if err != nil {
 		return nil, fmt.Errorf("bench: traced run: %w", err)
+	}
+	if ref != nil && !slices.EqualFunc(ref.FinalStates, res.FinalStates, bytes.Equal) {
+		return res, fmt.Errorf("bench: traced recovery is NOT bit-identical to the fault-free reference")
 	}
 	return res, nil
 }
@@ -113,9 +112,13 @@ func runTrace(cfg TraceConfig, w io.Writer) (any, error) {
 	if _, err := RunTrace(cfg, &buf); err != nil {
 		return nil, err
 	}
+	recovered := ""
+	if cfg.CrashNode >= 0 {
+		recovered = ", recovery bit-identical" // RunTrace fails otherwise
+	}
 	return nil, writeTrace(w, &buf, func(events int) string {
-		return fmt.Sprintf("Trace: engine event stream — %s, %s, P=%d, %d steps, ckpt every %d (%d events)",
-			cfg.Machine, cfg.Workload, cfg.Procs, cfg.Steps, cfg.CheckpointEvery, events)
+		return fmt.Sprintf("Trace: supervised engine event stream — %s, %s, P=%d +%d spare, %d steps, ckpt every %d (%d events%s)",
+			cfg.Machine, cfg.Workload, cfg.Procs, traceSpares, cfg.Steps, cfg.CheckpointEvery, events, recovered)
 	})
 }
 

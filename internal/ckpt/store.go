@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -180,20 +181,26 @@ func DecodeRecord(frame []byte) (Meta, []byte, error) {
 	if len(rest) < kindLen+20 {
 		return corrupt("truncated header")
 	}
-	m := Meta{Kind: string(rest[:kindLen])}
-	rest = rest[kindLen:]
-	m.Step = int(binary.BigEndian.Uint64(rest[0:]))
-	m.Rank = int(binary.BigEndian.Uint32(rest[8:]))
+	kind, rest := string(rest[:kindLen]), rest[kindLen:]
+	step := binary.BigEndian.Uint64(rest[0:])
+	rank := binary.BigEndian.Uint32(rest[8:])
 	rawLen := binary.BigEndian.Uint64(rest[12:])
+	// EncodeRecord writes only non-negative ints; a frame that says
+	// otherwise is damage (or hostile), however good its CRC.
+	if step > math.MaxInt || uint64(rank) > math.MaxInt || rawLen >= math.MaxInt {
+		return corrupt("header out of range: step %d, rank %d, payload length %d", step, rank, rawLen)
+	}
+	// Inflate at most one byte past the declared length: enough to see
+	// a mismatch, never an unbounded expansion of a small frame.
 	zr := flate.NewReader(bytes.NewReader(rest[20:]))
-	state, err := io.ReadAll(zr)
+	state, err := io.ReadAll(io.LimitReader(zr, int64(rawLen)+1))
 	if err != nil {
 		return corrupt("inflating payload: %v", err)
 	}
 	if uint64(len(state)) != rawLen {
-		return corrupt("payload inflated to %d bytes, header says %d", len(state), rawLen)
+		return corrupt("payload inflated to %d bytes or more, header says %d", len(state), rawLen)
 	}
-	return m, state, nil
+	return Meta{Kind: kind, Rank: int(rank), Step: int(step)}, state, nil
 }
 
 // Latest returns the newest step at which every rank in [0, procs) has
@@ -233,31 +240,6 @@ func LatestBelow(s Store, procs, below int) (int, [][]byte, error) {
 		}
 	}
 	return -1, nil, nil
-}
-
-// LatestStaged is Latest's commit rule for checkpoints staged in
-// memory, one step-to-state map per rank: the newest step present on
-// every rank (ranks may differ by one interval when a crash hit
-// mid-step) with the per-rank payloads, or (-1, nil).
-func LatestStaged(staged []map[int][]byte) (int, [][]byte) {
-	best := -1
-	for s := range staged[0] {
-		onAll := s > best
-		for r := 1; onAll && r < len(staged); r++ {
-			_, onAll = staged[r][s]
-		}
-		if onAll {
-			best = s
-		}
-	}
-	if best < 0 {
-		return -1, nil
-	}
-	states := make([][]byte, len(staged))
-	for r := range staged {
-		states[r] = staged[r][best]
-	}
-	return best, states
 }
 
 // Retention is the GC policy: keep the newest KeepLast steps plus every

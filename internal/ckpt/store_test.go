@@ -2,8 +2,10 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,16 +41,31 @@ func TestRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// The corruption matrix of the acceptance criteria: a truncated
-// record, a flipped payload bit, and a flipped CRC bit must each fail
-// verification with a *CorruptError — never decode to wrong bytes.
-func TestRecordCorruptionDetected(t *testing.T) {
-	state := payload(9, 4096)
-	frame, err := EncodeRecord(Meta{Kind: "ns2d", Rank: 0, Step: 4}, state)
+// corruptFrames is the damage matrix shared by the corruption test
+// and the fuzz seeds: torn and bit-flipped copies of a valid frame,
+// plus CRC-valid frames no writer produces — header fields that do not
+// fit a non-negative int, and a small frame whose payload inflates far
+// past the length its header declares.
+func corruptFrames(t testing.TB) (valid []byte, bad map[string][]byte) {
+	t.Helper()
+	frame, err := EncodeRecord(Meta{Kind: "ns2d", Rank: 0, Step: 4}, payload(9, 4096))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string][]byte{
+	hdr := len(magic) + 2 + len("ns2d")
+	// reseal overwrites the 8-byte header field at off and recomputes
+	// the trailer, so only the field itself is wrong.
+	reseal := func(f []byte, off int, v uint64) []byte {
+		out := append([]byte(nil), f...)
+		binary.BigEndian.PutUint64(out[off:], v)
+		binary.BigEndian.PutUint32(out[len(out)-trailerLen:], crc32.ChecksumIEEE(out[:len(out)-trailerLen]))
+		return out
+	}
+	bomb, err := EncodeRecord(Meta{Kind: "ns2d", Rank: 0, Step: 4}, make([]byte, 4<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame, map[string][]byte{
 		"truncated":       frame[:len(frame)/2],
 		"empty":           nil,
 		"flipped payload": flipBit(frame, 8*(len(frame)/2)),
@@ -56,7 +73,17 @@ func TestRecordCorruptionDetected(t *testing.T) {
 		"flipped magic":   flipBit(frame, 0),
 		"flipped raw len": flipBit(frame, 8*(len(magic)+2+len("ns2d")+12)),
 		"doubled trailer": append(append([]byte{}, frame...), frame[len(frame)-4:]...),
+		"negative step":   reseal(frame, hdr, 0x8000000000000005),
+		"huge raw len":    reseal(frame, hdr+12, 1<<63),
+		"inflation bomb":  reseal(bomb, hdr+12, 16),
 	}
+}
+
+// The corruption matrix of the acceptance criteria: every damaged or
+// forged frame must fail verification with a *CorruptError — never
+// decode to wrong bytes.
+func TestRecordCorruptionDetected(t *testing.T) {
+	_, cases := corruptFrames(t)
 	for name, bad := range cases {
 		_, _, err := DecodeRecord(bad)
 		var ce *CorruptError
@@ -225,23 +252,6 @@ func TestLatestBelow(t *testing.T) {
 		if tc.want >= 0 && !bytes.Equal(states[0], payload(byte(tc.want), 200)) {
 			t.Errorf("LatestBelow(%d) returned wrong states", tc.below)
 		}
-	}
-}
-
-// LatestStaged applies the same commit rule to in-memory staging: the
-// newest step every rank holds, skipping a step a crash left on only
-// some ranks.
-func TestLatestStaged(t *testing.T) {
-	staged := []map[int][]byte{
-		{2: {0, 2}, 4: {0, 4}, 6: {0, 6}},
-		{2: {1, 2}, 4: {1, 4}},
-	}
-	step, states := LatestStaged(staged)
-	if step != 4 || len(states) != 2 || !bytes.Equal(states[1], []byte{1, 4}) {
-		t.Fatalf("LatestStaged = %d, %v; want step 4 with each rank's own payload", step, states)
-	}
-	if step, states := LatestStaged([]map[int][]byte{{2: {0}}, nil}); step != -1 || states != nil {
-		t.Fatalf("rank without checkpoints: step=%d states=%v, want -1, nil", step, states)
 	}
 }
 

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"nektar/internal/engine"
-	"nektar/internal/fault"
-	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/simnet"
 )
@@ -197,141 +194,5 @@ func TestNSFCheckpointRejectsWrongRank(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestFourierCrashRecoveryBitIdentical is the tentpole acceptance
-// criterion: a Nektar-F run killed by an injected node crash and
-// restarted from its last checkpoint finishes with fields
-// bit-identical to an unfaulted reference run.
-// TestALECrashRecoveryBitIdentical runs the moving-mesh solver through
-// the same harness: an injected crash mid-run, restart from the last
-// committed checkpoint, and a final state byte-identical to the
-// unfaulted reference (gob encoding is deterministic).
-func TestALECrashRecoveryBitIdentical(t *testing.T) {
-	cfg := ALEConfig{
-		Nu: 0.05, Dt: 2e-3, Order: 2,
-		FarfieldVel: [3]float64{1, 0, 0},
-		WallVelocity: func(t float64) [3]float64 {
-			return [3]float64{0, 0.3 * math.Cos(2*math.Pi*t), 0}
-		},
-		MoveMesh: true,
-	}
-	base := Recovery{
-		Procs: 2,
-		Model: aleTestNet(),
-		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
-			m2, err := mesh.WingSection(2, 12, 2)
-			if err != nil {
-				return nil, err
-			}
-			m, err := mesh.ExtrudeQuads(m2, 2, 2, 0, 1)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := NewNSALE(m, cfg, comm, nil)
-			if err != nil {
-				return nil, err
-			}
-			ns.SetUniformInitial(1, 0, 0)
-			return ns, nil
-		},
-		Steps:           6,
-		CheckpointEvery: 2,
-		CheckpointCostS: 1e-4,
-	}
-
-	ref, err := RunRecovery(base)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if ref.Attempts != 1 {
-		t.Fatalf("reference run took %d attempts", ref.Attempts)
-	}
-
-	// Kill rank 1 mid-way through step 4 (3.5/6 of the reference wall):
-	// the newest committed checkpoint is step 2, so the rollback
-	// recomputes step 3 before passing the crash point.
-	faulty := base
-	faulty.Plans = []simnet.Injector{
-		fault.NewPlan(1).Crash(1, 3.5/6*ref.VirtualWall),
-	}
-	got, err := RunRecovery(faulty)
-	if err != nil {
-		t.Fatalf("recovery run: %v", err)
-	}
-	if got.Attempts != 2 {
-		t.Fatalf("recovery took %d attempts, want 2 (one crash)", got.Attempts)
-	}
-	if got.StepsComputed <= base.Steps {
-		t.Errorf("recovery recomputed nothing (%d steps total); crash too late to matter", got.StepsComputed)
-	}
-	if len(got.Final) != len(ref.Final) {
-		t.Fatalf("final state count %d, want %d", len(got.Final), len(ref.Final))
-	}
-	for r := range ref.Final {
-		if !bytes.Equal(ref.Final[r], got.Final[r]) {
-			t.Fatalf("rank %d: final ALE state differs from the unfaulted reference (not bit-identical)", r)
-		}
-	}
-}
-
-func TestFourierCrashRecoveryBitIdentical(t *testing.T) {
-	base := Recovery{
-		Procs: 2,
-		Model: aleTestNet(),
-		NewSolver: func(rank int, comm *mpi.Comm) (engine.Solver, error) {
-			ns, err := NewNSF(channelMesh(t, 4, 3, 2, 3), nsfChannelCfg(0.1, 2e-3), comm, nil)
-			if err != nil {
-				return nil, err
-			}
-			ns.SetUniformInitial(1, 0)
-			return ns, nil
-		},
-		Steps:           8,
-		CheckpointEvery: 2,
-		CheckpointCostS: 1e-4,
-	}
-
-	// Reference: fault-free.
-	ref, err := RunRecovery(base)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	if ref.Attempts != 1 {
-		t.Fatalf("reference run took %d attempts", ref.Attempts)
-	}
-
-	// Faulted: rank 1's node dies partway through the reference's
-	// virtual runtime (0.4 lands between checkpoints, so the rollback
-	// recomputes at least one step); the second attempt runs
-	// fault-free from the last committed checkpoint.
-	faulty := base
-	faulty.Plans = []simnet.Injector{
-		fault.NewPlan(1).Crash(1, 0.4*ref.VirtualWall),
-	}
-	got, err := RunRecovery(faulty)
-	if err != nil {
-		t.Fatalf("recovery run: %v", err)
-	}
-	if got.Attempts != 2 {
-		t.Fatalf("recovery took %d attempts, want 2 (one crash)", got.Attempts)
-	}
-	if len(got.Crashes) != 1 {
-		t.Fatalf("recorded %d crashes, want 1", len(got.Crashes))
-	}
-	if got.StepsComputed <= base.Steps {
-		t.Errorf("recovery recomputed nothing (%d steps total); crash too late to matter", got.StepsComputed)
-	}
-	if got.VirtualWall <= ref.VirtualWall {
-		t.Errorf("recovery wall %v not larger than reference %v", got.VirtualWall, ref.VirtualWall)
-	}
-	if len(got.Final) != len(ref.Final) {
-		t.Fatalf("final state count %d, want %d", len(got.Final), len(ref.Final))
-	}
-	for r := range ref.Final {
-		if !bytes.Equal(ref.Final[r], got.Final[r]) {
-			t.Fatalf("rank %d: final Nektar-F state differs from the unfaulted reference (not bit-identical)", r)
-		}
 	}
 }

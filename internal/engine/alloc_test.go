@@ -25,6 +25,9 @@ func (s *nullSolver) Checkpoint(w io.Writer) error  { return nil }
 func (s *nullSolver) Restore(r io.Reader) error     { return nil }
 func (s *nullSolver) HealthSample() (float64, bool) { return 1, true }
 
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool
+
 // runAllocs returns the average allocations of one traced Loop.Run over
 // the given step count (setup and the final snapshot included).
 func runAllocs(t *testing.T, steps int) float64 {
@@ -49,6 +52,9 @@ func runAllocs(t *testing.T, steps int) float64 {
 // encoder-internal growth without letting a per-event regression (>= 2
 // allocs/step) back in.
 func TestStepLoopAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector's instrumentation allocates on the traced path (3.8-3.9 allocs/step with the code unchanged)")
+	}
 	const span = 200
 	base := runAllocs(t, 1)
 	long := runAllocs(t, 1+span)

@@ -21,8 +21,8 @@ import (
 // (amortized write cost plus expected recomputation loss), minimized
 // at tau_opt = sqrt(2*delta*theta). The controller converts tau_opt to
 // a step interval with the measured mean step duration, clamps it to
-// [MinInterval, MaxInterval], and applies hysteresis: a retune smaller
-// than HysteresisFrac of the current interval is noise and is ignored.
+// [minInterval, maxInterval], and applies hysteresis: a retune smaller
+// than hysteresisFrac of the current interval is noise and is ignored.
 //
 // Determinism contract: in a parallel run every rank holds its own
 // controller instance, and checkpoint staging is collective, so every
@@ -118,14 +118,14 @@ func (c *CadenceController) Observe(step int, costS, stepWallS, mtbfS float64) {
 
 	tau := YoungInterval(c.deltaS, mtbfS)
 	want := int(math.Round(tau / c.stepS))
-	if want < c.cfg.MinInterval {
-		want = c.cfg.MinInterval
+	if want < minInterval {
+		want = minInterval
 	}
-	if want > c.cfg.MaxInterval {
-		want = c.cfg.MaxInterval
+	if want > maxInterval {
+		want = maxInterval
 	}
 	// Hysteresis: ignore retunes within the noise band.
-	band := int(math.Ceil(c.cfg.HysteresisFrac * float64(c.interval)))
+	band := int(math.Ceil(hysteresisFrac * float64(c.interval)))
 	if band < 1 {
 		band = 1
 	}

@@ -7,7 +7,7 @@ type Action int
 
 const (
 	// ActionRetryDt: relaunch from the last commit with the time step
-	// reduced by DtFactor — the cheapest response to a numerical
+	// reduced by dtFactor — the cheapest response to a numerical
 	// excursion (a CFL violation often just needs a smaller dt).
 	ActionRetryDt Action = iota
 	// ActionRollback: the reduced dt didn't help, so the instability
@@ -40,8 +40,8 @@ type Decision struct {
 }
 
 // Ladder is the adaptive watchdog recovery policy: each watchdog trip
-// climbs one rung — retry with reduced dt while RetryBudget lasts,
-// then roll back deeper while RollbackBudget lasts, then convict the
+// climbs one rung — retry with reduced dt while retryBudget lasts,
+// then roll back deeper while rollbackBudget lasts, then convict the
 // tripping rank. Budgets are per campaign, not per trip, so a
 // persistently sick run escalates monotonically instead of cycling.
 // Every decision is emitted as an escalate trace event.
@@ -63,11 +63,11 @@ func NewLadder(cfg Config) *Ladder {
 func (l *Ladder) Decide(attempt, rank, step int) Decision {
 	var d Decision
 	switch {
-	case l.retries < l.cfg.RetryBudget:
+	case l.retries < retryBudget:
 		l.retries++
-		l.dtScale *= l.cfg.DtFactor
+		l.dtScale *= dtFactor
 		d = Decision{Action: ActionRetryDt, DtScale: l.dtScale}
-	case l.rollbacks < l.cfg.RollbackBudget:
+	case l.rollbacks < rollbackBudget:
 		l.rollbacks++
 		d = Decision{Action: ActionRollback, DtScale: l.dtScale}
 	default:

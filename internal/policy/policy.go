@@ -16,9 +16,9 @@
 //     checkpoint interval from the estimated MTBF and the measured
 //     per-checkpoint cost, with clamping and hysteresis; implements
 //     engine.CadencePolicy.
-//   - AdaptiveSink / SimSelector (writer.go): runtime writer
-//     selection — start conservative, measure, promote when the
-//     evidence justifies it.
+//   - SimSelector (writer.go): runtime write-mode selection on the
+//     simulated cluster — start with node-local files, price one
+//     striped write, promote when the fabric makes it affordable.
 //   - Ladder (ladder.go): the watchdog escalation ladder — retry with
 //     reduced dt, roll back deeper, convict and re-home — with
 //     per-rung budgets.
@@ -93,8 +93,9 @@ func ModeByName(name string) (Mode, error) {
 	return m, nil
 }
 
-// Config parametrizes the adaptive layer. The zero value of every
-// field means "use the default"; Withdefaults() resolves them.
+// Config parametrizes the adaptive layer: the five values some caller
+// chooses. The zero value of Alpha and InitialInterval means "use the
+// default"; WithDefaults resolves them.
 type Config struct {
 	// Mode selects static/adaptive/pinned (see Mode).
 	Mode Mode
@@ -114,48 +115,46 @@ type Config struct {
 	// InitialInterval is the starting checkpoint cadence in steps
 	// (default 10); Pinned mode holds it forever.
 	InitialInterval int
-	// MinInterval/MaxInterval clamp the controller (defaults 1 / 500):
-	// Young's formula near theta -> 0 or delta -> 0 would otherwise ask
-	// for absurd cadences.
-	MinInterval int
-	MaxInterval int
-	// HysteresisFrac suppresses cadence changes smaller than this
-	// fraction of the current interval (default 0.25), so measurement
-	// noise cannot make the cadence thrash.
-	HysteresisFrac float64
-
-	// ProbeAfter is the checkpoint count at which the writer selector
-	// runs its probe (default 3: enough submits to trust the local cost
-	// measurement).
-	ProbeAfter int
-	// MaxStripePenalty bounds writer promotion to striped mode: the
-	// measured striped cost must not exceed this multiple of the local
-	// cost (default 2.0 — striping doubles the restart-read bandwidth,
-	// so paying up to 2x on the write breaks even; BENCH_ckpt.json
-	// measures 6.4x on Ethernet and 2.5x on Myrinet, so promotion only
-	// fires on genuinely low-latency fabrics).
-	MaxStripePenalty float64
-	// MaxExposedFrac bounds the host-side sync writer: when measured
-	// exposed checkpoint time exceeds this fraction of elapsed wall
-	// time over the probe window, the sink promotes to async (default
-	// 0.02).
-	MaxExposedFrac float64
-
-	// RetryBudget is the escalation ladder's first-rung budget: how
-	// many watchdog trips are answered with a dt-reduced retry before
-	// escalating (default 2). RollbackBudget is the second rung: how
-	// many trips are answered by rolling back one commit deeper
-	// (default 1). Past both budgets the ladder convicts the tripping
-	// rank and re-homes it onto a spare.
-	RetryBudget    int
-	RollbackBudget int
-	// DtFactor is the time-step reduction applied per first-rung retry
-	// (default 0.5).
-	DtFactor float64
 
 	// Trace, when set, receives policy_switch and escalate events.
 	Trace *engine.Tracer
 }
+
+// The controllers' fixed tuning: constants rather than Config fields,
+// because every caller runs with these values.
+const (
+	// minInterval/maxInterval clamp the cadence controller: Young's
+	// formula near theta -> 0 or delta -> 0 would otherwise ask for
+	// absurd cadences.
+	minInterval = 1
+	maxInterval = 500
+	// hysteresisFrac suppresses cadence changes smaller than this
+	// fraction of the current interval, so measurement noise cannot
+	// make the cadence thrash.
+	hysteresisFrac = 0.25
+
+	// probeAfter is the checkpoint count at which the writer selector
+	// runs its probe: enough submits to trust the local cost
+	// measurement.
+	probeAfter = 3
+	// maxStripePenalty bounds promotion to striped mode: the measured
+	// striped cost must not exceed this multiple of the local cost
+	// (striping doubles the restart-read bandwidth, so paying up to 2x
+	// on the write breaks even; BENCH_ckpt.json measures 6.4x on
+	// Ethernet and 2.5x on Myrinet, so promotion only fires on
+	// genuinely low-latency fabrics).
+	maxStripePenalty = 2.0
+
+	// retryBudget is the escalation ladder's first rung: how many
+	// watchdog trips are answered with a dt-reduced retry before
+	// escalating. rollbackBudget is the second: how many are answered
+	// by rolling back one commit deeper. Past both the ladder convicts
+	// the tripping rank and re-homes it onto a spare.
+	retryBudget    = 2
+	rollbackBudget = 1
+	// dtFactor is the time-step reduction applied per first-rung retry.
+	dtFactor = 0.5
+)
 
 // WithDefaults resolves zero fields to their defaults.
 func (c Config) WithDefaults() Config {
@@ -164,37 +163,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.InitialInterval < 1 {
 		c.InitialInterval = 10
-	}
-	if c.MinInterval < 1 {
-		c.MinInterval = 1
-	}
-	if c.MaxInterval < c.MinInterval {
-		c.MaxInterval = 500
-	}
-	if c.HysteresisFrac <= 0 {
-		c.HysteresisFrac = 0.25
-	}
-	if c.ProbeAfter < 1 {
-		c.ProbeAfter = 3
-	}
-	if c.MaxStripePenalty <= 0 {
-		c.MaxStripePenalty = 2.0
-	}
-	if c.MaxExposedFrac <= 0 {
-		c.MaxExposedFrac = 0.02
-	}
-	if c.RetryBudget < 0 {
-		c.RetryBudget = 0
-	} else if c.RetryBudget == 0 {
-		c.RetryBudget = 2
-	}
-	if c.RollbackBudget == 0 {
-		c.RollbackBudget = 1
-	} else if c.RollbackBudget < 0 {
-		c.RollbackBudget = 0
-	}
-	if c.DtFactor <= 0 || c.DtFactor >= 1 {
-		c.DtFactor = 0.5
 	}
 	return c
 }

@@ -1,126 +1,18 @@
 package policy
 
 import (
-	"time"
-
 	"nektar/internal/ckpt"
 	"nektar/internal/engine"
 	"nektar/internal/mpi"
 )
 
-// AdaptiveSink is the host-side runtime writer selector
-// (engine.CheckpointSink): it starts with the conservative synchronous
-// writer, measures the exposed checkpoint time over a probe window,
-// and promotes to the asynchronous writer when checkpoints are
-// actually costing the step loop more than MaxExposedFrac of its wall
-// time. The promotion is one-way (the async writer is strictly less
-// exposed at equal cadence — BENCH_ckpt.json measures ~10x less) and
-// is emitted as a policy_switch event carrying the measured evidence.
-type AdaptiveSink struct {
-	cfg   Config
-	store ckpt.Store
-	wcfg  ckpt.WriterConfig
-
-	sync  *ckpt.SyncWriter
-	async *ckpt.AsyncWriter
-
-	submits int
-	t0      time.Time
-}
-
-// NewAdaptiveSink starts a selector in sync mode over store.
-func NewAdaptiveSink(cfg Config, store ckpt.Store, wcfg ckpt.WriterConfig) *AdaptiveSink {
-	cfg = cfg.WithDefaults()
-	return &AdaptiveSink{
-		cfg: cfg, store: store, wcfg: wcfg,
-		sync: ckpt.NewSyncWriter(store, wcfg),
-	}
-}
-
-// Submit implements engine.CheckpointSink.
-func (s *AdaptiveSink) Submit(step int, state []byte, final bool) error {
-	if s.async != nil {
-		return s.async.Submit(step, state, final)
-	}
-	if s.submits == 0 {
-		s.t0 = time.Now()
-	}
-	err := s.sync.Submit(step, state, final)
-	s.submits++
-	if err != nil || s.cfg.Mode != Adaptive || s.submits < s.cfg.ProbeAfter {
-		return err
-	}
-	// Probe verdict: exposed fraction of wall time since the first
-	// submit. Below the bound, sync is fine and the probe re-arms one
-	// window out (a workload whose states grow can still promote
-	// later).
-	elapsed := time.Since(s.t0).Seconds()
-	exposed := s.sync.Stats().ExposedS
-	if elapsed <= 0 {
-		return nil
-	}
-	frac := exposed / elapsed
-	if frac <= s.cfg.MaxExposedFrac {
-		s.submits = 0
-		return nil
-	}
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Emit(engine.Event{
-			Ev: engine.EvPolicySwitch, Rank: s.wcfg.Rank, Step: step,
-			Policy: "writer", From: "sync", To: "async",
-			ExposedS: exposed, WallS: elapsed,
-		})
-	}
-	s.async = ckpt.NewAsyncWriter(s.store, s.wcfg)
-	return nil
-}
-
-// Drain implements engine.CheckpointSink.
-func (s *AdaptiveSink) Drain() error {
-	if s.async != nil {
-		return s.async.Drain()
-	}
-	return s.sync.Drain()
-}
-
-// Close releases the async writer's goroutine, if one was promoted.
-// Idempotent and defer-safe.
-func (s *AdaptiveSink) Close() error {
-	if s.async != nil {
-		return s.async.Close()
-	}
-	return s.sync.Drain()
-}
-
-// Mode reports the writer currently in force ("sync" or "async").
-func (s *AdaptiveSink) Mode() string {
-	if s.async != nil {
-		return "async"
-	}
-	return "sync"
-}
-
-// Stats merges the counters of whichever writers have run.
-func (s *AdaptiveSink) Stats() ckpt.WriterStats {
-	st := s.sync.Stats()
-	if s.async != nil {
-		ast := s.async.Stats()
-		st.Snapshots += ast.Snapshots
-		st.RawBytes += ast.RawBytes
-		st.StoredBytes += ast.StoredBytes
-		st.ExposedS += ast.ExposedS
-		st.HiddenS += ast.HiddenS
-	}
-	return st
-}
-
 // SimSelector is the simulated-cluster writer selector
 // (engine.CheckpointSink): it wraps a ckpt.SimWriter that starts in
-// local mode and, at the ProbeAfter-th checkpoint, prices one striped
+// local mode and, at the probeAfter-th checkpoint, prices one striped
 // write through the calibrated network to decide whether striping is
 // affordable on this fabric. Striped restart shards read back at the
 // aggregate disk bandwidth of the whole cluster, so promotion pays
-// when the measured write penalty is below MaxStripePenalty; on the
+// when the measured write penalty is below maxStripePenalty; on the
 // paper's Ethernet (penalty ~6.4x) it never fires, on a low-latency
 // fabric it does.
 //
@@ -155,7 +47,7 @@ func (s *SimSelector) Submit(step int, state []byte, final bool) error {
 		return nil
 	}
 	s.submits++
-	if s.cfg.Mode != Adaptive || s.probed || s.submits < s.cfg.ProbeAfter {
+	if s.cfg.Mode != Adaptive || s.probed || s.submits < probeAfter {
 		return nil
 	}
 	s.probed = true
@@ -177,7 +69,7 @@ func (s *SimSelector) Submit(step int, state []byte, final bool) error {
 	// worst-case costs.
 	costs := s.W.Comm.Allreduce([]float64{local, striped}, mpi.Max)
 	s.localCostS, s.stripedCostS = costs[0], costs[1]
-	if s.localCostS <= 0 || s.stripedCostS > s.cfg.MaxStripePenalty*s.localCostS {
+	if s.localCostS <= 0 || s.stripedCostS > maxStripePenalty*s.localCostS {
 		return nil // striping too expensive on this fabric
 	}
 	if s.cfg.Trace != nil && s.W.Comm.Rank() == 0 {

@@ -185,13 +185,27 @@ func TestLadderEscalatesToConviction(t *testing.T) {
 		}
 		return s, nil
 	}
-	cfg.Adapt = &policy.Config{Mode: policy.Pinned, RetryBudget: 1, RollbackBudget: 1}
+	// The ladder's budgets: two dt retries (attempts 0-1), one deeper
+	// rollback (attempt 2), then conviction (attempt 3).
+	cfg.Adapt = &policy.Config{Mode: policy.Pinned}
 	cfg.MaxRestarts = 3
+	var trace bytes.Buffer
+	cfg.Trace = engine.NewTracer(&trace)
 	tuneDetector(&cfg, ref)
 	_, err := supervisor.Run(cfg)
 	var re *supervisor.RetryError
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RetryError after the ladder runs out", err)
+	}
+	// The rollback rung demotes the step-4 commit on the default
+	// in-memory store: attempts 1 and 2 resume from step 4, attempt 3
+	// from the older step-2 checkpoint.
+	resumedFrom := map[int]int{}
+	for _, m := range rollbackMarks(t, &trace) {
+		resumedFrom[m.Attempt] = m.Step
+	}
+	if resumedFrom[1] != 4 || resumedFrom[2] != 4 || resumedFrom[3] != 2 {
+		t.Errorf("attempts resumed from steps %v, want 4, 4, then 2 after the deeper rollback", resumedFrom)
 	}
 	// The ladder's decisions are visible in the failure log: the
 	// convicted attempts carry a replacement node where plain watchdog

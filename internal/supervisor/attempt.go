@@ -40,11 +40,11 @@ const (
 	verdictTrip                       // watchdog trip reported by a rank
 )
 
-// attempt is the shared state of one launch: per-rank checkpoint
-// staging, completion flags, watchdog trips, and the monitor's
-// verdict. Rank goroutines write only their own slots and the
-// simulator's scheduler serializes execution, so no locking is needed;
-// the harness reads everything after the run ends.
+// attempt is the shared state of one launch: completion flags,
+// watchdog trips, and the monitor's verdict. Rank goroutines write
+// only their own slots and the simulator's scheduler serializes
+// execution, so no locking is needed; the harness reads everything
+// after the run ends.
 type attempt struct {
 	cfg   *Config
 	index int
@@ -59,7 +59,6 @@ type attempt struct {
 	// to diagnose stall failures after the run.
 	stallAt []float64
 
-	staged   []map[int][]byte
 	final    [][]byte
 	done     []bool
 	trips    []*Trip
@@ -96,7 +95,6 @@ func newAttempt(cfg *Config, pool *simnet.SparePool, index, committedStep int, c
 		committedStep: committedStep,
 		committed:     committed,
 		stallAt:       make([]float64, procs),
-		staged:        make([]map[int][]byte, procs),
 		final:         make([][]byte, procs),
 		done:          make([]bool, procs),
 		trips:         make([]*Trip, procs),
@@ -205,10 +203,15 @@ func (a *attempt) worker(n *simnet.Node) {
 	if err != nil {
 		panic(err)
 	}
-	a.staged[n.Rank] = map[int][]byte{}
 	if a.committedStep >= 0 {
 		if lerr := engine.Restore(s, a.committed[n.Rank]); lerr != nil {
 			panic(lerr)
+		}
+		if a.cfg.Trace != nil {
+			a.cfg.Trace.Emit(engine.Event{
+				Ev: engine.EvRollback, Rank: n.Rank,
+				Step: a.committedStep, Attempt: a.index,
+			})
 		}
 	}
 
@@ -239,7 +242,7 @@ func (a *attempt) worker(n *simnet.Node) {
 
 	wd := &a.cfg.Watchdog
 	loop := engine.Loop{
-		Solver: s, Steps: a.cfg.Steps, Rank: n.Rank,
+		Solver: s, Steps: a.cfg.Steps, Rank: n.Rank, Trace: a.cfg.Trace,
 		// A halt order parks in the inbox while we are inside a step;
 		// the deadline Clock() makes this a non-blocking poll. The
 		// decision to stop must be collective: a peer may already be
@@ -265,7 +268,7 @@ func (a *attempt) worker(n *simnet.Node) {
 			// The verdict must be collective: if any rank is sick, every
 			// rank exits at this same boundary — a lone exit would leave
 			// the others blocked in the next collective. The corrupt
-			// state is abandoned before it can reach the staging area.
+			// state is abandoned before it can reach the store.
 			Agree: func(bad bool) bool {
 				flag := 0.0
 				if bad {
@@ -285,11 +288,8 @@ func (a *attempt) worker(n *simnet.Node) {
 		},
 		CheckpointEvery: a.cfg.CheckpointEvery,
 		OnCheckpoint: func(step int, state []byte) {
-			a.staged[n.Rank][step] = state
-			if a.cfg.Store != nil {
-				if _, perr := a.cfg.Store.Put(ckpt.Meta{Kind: a.cfg.Kind, Rank: n.Rank, Step: step}, state); perr != nil {
-					panic(perr)
-				}
+			if _, perr := a.cfg.Store.Put(ckpt.Meta{Kind: a.cfg.Kind, Rank: n.Rank, Step: step}, state); perr != nil {
+				panic(perr)
 			}
 			t0 := n.Clock()
 			if sel != nil {

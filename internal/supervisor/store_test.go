@@ -1,6 +1,7 @@
 package supervisor_test
 
 import (
+	"os"
 	"testing"
 
 	"nektar/internal/ckpt"
@@ -66,4 +67,88 @@ func TestSupervisedCrashBitFlipFallsBack(t *testing.T) {
 		t.Fatalf("attempts=%d failures=%+v, want a retry from step 2", got.Attempts, got.Failures)
 	}
 	assertBitIdentical(t, ref, got)
+}
+
+// A campaign is killed mid-flight (the process gone, only its on-disk
+// store left behind), the newest checkpoint record is then damaged on
+// disk, and a fresh process warm-starts from the previous valid
+// checkpoint to a final state bit-identical to an uninterrupted run.
+func TestSupervisedWarmStartFromDamagedStore(t *testing.T) {
+	cfg := baseConfig(2, nsfFactory(t))
+	ref := runReference(t, cfg)
+
+	// The "killed" campaign: a crash with no spare to move onto plays
+	// the role of an operator's kill -9 — the run dies, the store
+	// survives.
+	store, err := ckpt.NewDirStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	killed := cfg
+	killed.Store, killed.Kind = store, "nsf"
+	killed.Spares = 0
+	killed.Faults = fault.NewPlan(1).Crash(1, 0.8*ref.VirtualWall)
+	tuneDetector(&killed, ref)
+	if _, err := supervisor.Run(killed); err == nil {
+		t.Fatal("killed campaign reported success")
+	}
+	steps, err := store.Steps()
+	if err != nil || len(steps) < 2 {
+		t.Fatalf("store after the kill holds steps %v (err %v); need at least two to corrupt one", steps, err)
+	}
+	newest, prev := steps[len(steps)-1], steps[len(steps)-2]
+
+	// Damage the newest record on disk the way a dying node does — one
+	// flipped bit in rank 1's file.
+	path := store.Path(newest, 1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x10
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if s, _, lerr := ckpt.Latest(store, cfg.Procs); lerr != nil || s != prev {
+		t.Fatalf("Latest = %d (err %v), want fallback to step %d past the damaged step %d", s, lerr, prev, newest)
+	}
+
+	// A fresh fault-free campaign over the same store must resume from
+	// the surviving checkpoint, not recompute from scratch.
+	resumed := cfg
+	resumed.Store, resumed.Kind = store, "nsf"
+	got, err := supervisor.Run(resumed)
+	if err != nil {
+		t.Fatalf("resumed campaign: %v", err)
+	}
+	if got.Attempts != 1 {
+		t.Fatalf("resumed campaign took %d attempts, want 1", got.Attempts)
+	}
+	if want := cfg.Steps - prev; got.StepsComputed != want {
+		t.Errorf("resumed campaign computed %d steps, want %d (warm start from step %d)", got.StepsComputed, want, prev)
+	}
+	assertBitIdentical(t, ref, got)
+}
+
+// An empty store handed in by the caller must behave exactly like the
+// default one: the campaign starts from step 0 and leaves verifiable
+// records behind.
+func TestSupervisedEmptyStoreCleanStart(t *testing.T) {
+	cfg := baseConfig(2, nsfFactory(t))
+	ref := runReference(t, cfg)
+
+	stored := cfg
+	stored.Store, stored.Kind = ckpt.NewMemStore(), "nsf"
+	got, err := supervisor.Run(stored)
+	if err != nil {
+		t.Fatalf("stored campaign: %v", err)
+	}
+	if got.StepsComputed != cfg.Steps {
+		t.Errorf("computed %d steps, want %d (no warm start from an empty store)", got.StepsComputed, cfg.Steps)
+	}
+	assertBitIdentical(t, ref, got)
+	s, states, err := ckpt.Latest(stored.Store, cfg.Procs)
+	if err != nil || s != 6 || len(states) != cfg.Procs {
+		t.Fatalf("store after the run: Latest = %d (err %v), want the last mid-run checkpoint (6)", s, err)
+	}
 }

@@ -131,14 +131,21 @@ type Config struct {
 	Heartbeat HeartbeatConfig
 	Watchdog  WatchdogConfig
 
-	// Store, when set, makes every staged checkpoint durable (framed,
-	// compressed, CRC-protected — internal/ckpt) and the rollback rule
-	// corruption-aware: after a failure the supervisor resumes from the
+	// Store holds every checkpoint of the campaign as a framed,
+	// compressed, CRC-protected record (internal/ckpt), and is the only
+	// commit path: after a failure the supervisor resumes from the
 	// newest step whose records verify on every rank, falling back past
 	// torn or bit-flipped records. A pre-populated store warm-starts
-	// the whole campaign (cross-process resume). Kind tags the records.
+	// the whole campaign (cross-process resume). Nil means a fresh
+	// in-memory store that lives as long as the Run call. Kind tags the
+	// records.
 	Store ckpt.Store
 	Kind  string
+
+	// Trace, when set, receives the engine's per-step event stream from
+	// every solver rank, plus a rollback marker per rank whenever an
+	// attempt resumes from a committed checkpoint.
+	Trace *engine.Tracer
 
 	// Adapt, when set, turns on the adaptive-resilience layer
 	// (internal/policy): the live Young's-formula cadence replaces
@@ -154,11 +161,40 @@ type Config struct {
 	// escalation ladder's current time-step reduction (1 = nominal).
 	// Required for the ladder's retry-dt rung to have any effect.
 	NewTunedSolver func(comm *mpi.Comm, dtScale float64) (Solver, error)
-	// SimDiskMBs, when > 0 with Adapt set, prices each checkpoint
-	// through a per-rank ckpt.SimWriter over the cluster's calibrated
-	// disk/network model — in the write mode the runtime selector
-	// chooses — instead of the flat CheckpointCostS sleep.
+	// SimDiskMBs, when > 0, prices each checkpoint through a per-rank
+	// ckpt.SimWriter over the cluster's calibrated disk/network model —
+	// in the write mode the runtime selector chooses — instead of the
+	// flat CheckpointCostS sleep. It needs Adapt: the selector is part
+	// of the adaptive layer.
 	SimDiskMBs float64
+}
+
+// validate returns a descriptive error for each configuration that
+// cannot run, before any rank starts.
+func (cfg *Config) validate() error {
+	switch {
+	case cfg.Procs < 1 || cfg.Steps < 1:
+		return fmt.Errorf("supervisor: need at least one rank and one step")
+	case cfg.NewSolver == nil && cfg.NewTunedSolver == nil:
+		return fmt.Errorf("supervisor: NewSolver (or NewTunedSolver) is required")
+	case cfg.Model == nil:
+		return fmt.Errorf("supervisor: Model is required")
+	case cfg.Model.RanksPerNode > 1 || cfg.Model.NodeMap != nil:
+		return fmt.Errorf("supervisor: Model must leave rank placement to the supervisor (RanksPerNode <= 1, NodeMap nil)")
+	case cfg.Spares < 0:
+		return fmt.Errorf("supervisor: negative spare count %d", cfg.Spares)
+	case cfg.CheckpointEvery < 0:
+		return fmt.Errorf("supervisor: negative CheckpointEvery %d — use 0 to disable checkpointing", cfg.CheckpointEvery)
+	case cfg.MaxRestarts < 0:
+		return fmt.Errorf("supervisor: negative MaxRestarts %d — use 0 for the default budget (Spares+3)", cfg.MaxRestarts)
+	case !(cfg.CheckpointCostS >= 0) || math.IsInf(cfg.CheckpointCostS, 0):
+		return fmt.Errorf("supervisor: CheckpointCostS %g must be a finite, non-negative number of seconds", cfg.CheckpointCostS)
+	case !(cfg.SimDiskMBs >= 0) || math.IsInf(cfg.SimDiskMBs, 0):
+		return fmt.Errorf("supervisor: SimDiskMBs %g must be a finite, non-negative bandwidth", cfg.SimDiskMBs)
+	case cfg.SimDiskMBs > 0 && cfg.Adapt == nil:
+		return fmt.Errorf("supervisor: SimDiskMBs %g needs Adapt — without the adaptive layer checkpoints are priced at the flat CheckpointCostS", cfg.SimDiskMBs)
+	}
+	return nil
 }
 
 // Cause classifies a failure.
@@ -267,23 +303,14 @@ func (e *RetryError) Error() string {
 // error for failures outside the fault model (a solver bug, an invalid
 // configuration).
 func Run(cfg Config) (*Result, error) {
-	if cfg.Procs < 1 || cfg.Steps < 1 {
-		return nil, fmt.Errorf("supervisor: need at least one rank and one step")
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
-	if cfg.NewSolver == nil && cfg.NewTunedSolver == nil {
-		return nil, fmt.Errorf("supervisor: NewSolver (or NewTunedSolver) is required")
-	}
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("supervisor: Model is required")
-	}
-	if cfg.Model.RanksPerNode > 1 || cfg.Model.NodeMap != nil {
-		return nil, fmt.Errorf("supervisor: Model must leave rank placement to the supervisor (RanksPerNode <= 1, NodeMap nil)")
-	}
-	if cfg.Spares < 0 {
-		return nil, fmt.Errorf("supervisor: negative spare count %d", cfg.Spares)
+	if cfg.Store == nil {
+		cfg.Store = ckpt.NewMemStore()
 	}
 	maxAttempts := cfg.MaxRestarts + 1
-	if cfg.MaxRestarts <= 0 {
+	if cfg.MaxRestarts == 0 {
 		maxAttempts = cfg.Spares + 4
 	}
 	pool, err := simnet.NewSparePool(cfg.Procs, cfg.Spares)
@@ -300,26 +327,11 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	res := &Result{}
-	committedStep := -1
-	var committed [][]byte
-	// commitLog is the in-memory commit history (newest last) backing
-	// the ladder's deeper-rollback rung when no durable store records
-	// it for us.
-	type memCommit struct {
-		step   int
-		states [][]byte
-	}
-	var commitLog []memCommit
-	// A durable store may already hold a usable checkpoint from an
-	// earlier (killed) process — resume the campaign from it.
-	if cfg.Store != nil {
-		s, states, serr := ckpt.Latest(cfg.Store, cfg.Procs)
-		if serr != nil {
-			return nil, fmt.Errorf("supervisor: reading checkpoint store: %w", serr)
-		}
-		if s >= 0 {
-			committedStep, committed = s, states
-		}
+	// The store may already hold a usable checkpoint from an earlier
+	// (killed) process — resume the campaign from it.
+	committedStep, committed, err := ckpt.Latest(cfg.Store, cfg.Procs)
+	if err != nil {
+		return nil, fmt.Errorf("supervisor: reading checkpoint store: %w", err)
 	}
 
 	for attemptNo := 0; attemptNo < maxAttempts; attemptNo++ {
@@ -383,24 +395,19 @@ func Run(cfg Config) (*Result, error) {
 				attemptNo, a.verdictRanks())
 		}
 
-		// Commit the newest checkpoint present on every rank; a trip
-		// exits before staging, so corrupt state never gets here. Doing
-		// this before recording failures lets each Failure carry the
-		// step the next attempt actually resumes from. With a durable
-		// store the commit re-reads through CRC verification, so a torn
-		// or bit-flipped record demotes its step and the rollback lands
-		// on the previous complete checkpoint.
-		if cfg.Store != nil {
-			s, states, serr := ckpt.Latest(cfg.Store, cfg.Procs)
-			if serr != nil {
-				return nil, fmt.Errorf("supervisor: reading checkpoint store after failure: %w", serr)
-			}
-			if s > committedStep {
-				committedStep, committed = s, states
-			}
-		} else if s, states := ckpt.LatestStaged(a.staged); s > committedStep {
+		// Commit the newest checkpoint that verifies on every rank; a
+		// trip exits before staging, so corrupt state never gets here.
+		// Doing this before recording failures lets each Failure carry
+		// the step the next attempt actually resumes from. The commit
+		// re-reads through CRC verification, so a torn or bit-flipped
+		// record demotes its step and the rollback lands on the previous
+		// complete checkpoint.
+		s, states, serr := ckpt.Latest(cfg.Store, cfg.Procs)
+		if serr != nil {
+			return nil, fmt.Errorf("supervisor: reading checkpoint store after failure: %w", serr)
+		}
+		if s > committedStep {
 			committedStep, committed = s, states
-			commitLog = append(commitLog, memCommit{step: s, states: committed})
 		}
 
 		// Hardware failures consume spares; the rank keeps its id and
@@ -458,29 +465,18 @@ func Run(cfg Config) (*Result, error) {
 			case policy.ActionRollback:
 				// The restart state itself is suspect: demote the newest
 				// commit and recompute through the bad region. The
-				// demoted records are deleted (durable store) or dropped
-				// (memory log) so a later commit pass cannot resurrect
-				// them.
+				// demoted records are deleted so a later commit pass
+				// cannot resurrect them.
 				if committedStep < 0 {
 					break
 				}
 				drop := committedStep
-				if cfg.Store != nil {
-					s2, st2, serr := ckpt.LatestBelow(cfg.Store, cfg.Procs, drop)
-					if serr != nil {
-						return nil, fmt.Errorf("supervisor: reading checkpoint store for deep rollback: %w", serr)
-					}
-					committedStep, committed = s2, st2
-					if derr := cfg.Store.Delete(drop); derr != nil {
-						return nil, fmt.Errorf("supervisor: demoting checkpoint step %d: %w", drop, derr)
-					}
-				} else if n := len(commitLog); n > 0 {
-					commitLog = commitLog[:n-1]
-					if n >= 2 {
-						committedStep, committed = commitLog[n-2].step, commitLog[n-2].states
-					} else {
-						committedStep, committed = -1, nil
-					}
+				committedStep, committed, serr = ckpt.LatestBelow(cfg.Store, cfg.Procs, drop)
+				if serr != nil {
+					return nil, fmt.Errorf("supervisor: reading checkpoint store for deep rollback: %w", serr)
+				}
+				if derr := cfg.Store.Delete(drop); derr != nil {
+					return nil, fmt.Errorf("supervisor: demoting checkpoint step %d: %w", drop, derr)
 				}
 			case policy.ActionConvict:
 				newNode, rerr := pool.Replace(tr.Rank)

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"nektar/internal/core"
+	"nektar/internal/engine"
 	"nektar/internal/fault"
 	"nektar/internal/mesh"
 	"nektar/internal/mpi"
+	"nektar/internal/policy"
 	"nektar/internal/simnet"
 	"nektar/internal/supervisor"
 )
@@ -144,6 +147,8 @@ func testCrashRecovery(t *testing.T, factory func(comm *mpi.Comm) (supervisor.So
 	target := steps/2 | 1
 	crashT := (float64(target) + 0.5) / float64(steps) * ref.VirtualWall
 	cfg.Faults = fault.NewPlan(1).Crash(1, crashT)
+	var trace bytes.Buffer
+	cfg.Trace = engine.NewTracer(&trace)
 	tuneDetector(&cfg, ref)
 	got, err := supervisor.Run(cfg)
 	if err != nil {
@@ -159,6 +164,12 @@ func testCrashRecovery(t *testing.T, factory func(comm *mpi.Comm) (supervisor.So
 	if f.Rank != 1 || f.Cause != supervisor.CauseCrash {
 		t.Fatalf("failure = %+v, want rank 1 crash", f)
 	}
+	// The traced stream marks the rollback once per rank, at the step
+	// and attempt the campaign actually resumed from.
+	if marks := rollbackMarks(t, &trace); len(marks) != cfg.Procs ||
+		marks[0] != (rollbackMark{Attempt: 1, Step: f.RestartStep}) || marks[1] != marks[0] {
+		t.Errorf("rollback markers = %+v, want one per rank at attempt 1, step %d", marks, f.RestartStep)
+	}
 	if f.DetectedAt < crashT {
 		t.Errorf("detected at t=%.6g, before the crash at t=%.6g", f.DetectedAt, crashT)
 	}
@@ -171,7 +182,29 @@ func testCrashRecovery(t *testing.T, factory func(comm *mpi.Comm) (supervisor.So
 	if got.StepsComputed <= steps {
 		t.Errorf("no recomputation recorded (%d steps total); crash too late to matter", got.StepsComputed)
 	}
+	if got.VirtualWall <= ref.VirtualWall {
+		t.Errorf("recovery wall %v not larger than reference %v", got.VirtualWall, ref.VirtualWall)
+	}
 	assertBitIdentical(t, ref, got)
+}
+
+type rollbackMark struct{ Attempt, Step int }
+
+// rollbackMarks lists the rollback markers of a traced campaign, in
+// emission order.
+func rollbackMarks(t *testing.T, trace *bytes.Buffer) []rollbackMark {
+	t.Helper()
+	evs, err := engine.ReadEvents(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var marks []rollbackMark
+	for _, e := range evs {
+		if e.Ev == engine.EvRollback {
+			marks = append(marks, rollbackMark{Attempt: e.Attempt, Step: e.Step})
+		}
+	}
+	return marks
 }
 
 func testStallRecovery(t *testing.T, factory func(comm *mpi.Comm) (supervisor.Solver, error), steps int) {
@@ -431,9 +464,22 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"no model":     {Procs: 2, Steps: 1, NewSolver: factory},
 		"neg spares":   {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, Spares: -1},
 		"placed model": {Procs: 2, Steps: 1, Model: &simnet.Model{RanksPerNode: 2}, NewSolver: factory},
+		"neg interval": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, CheckpointEvery: -2},
+		"neg restarts": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, MaxRestarts: -1},
+		"disk, static": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, SimDiskMBs: 20},
+		"NaN cost":     {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, CheckpointCostS: math.NaN()},
+		"neg cost":     {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, CheckpointCostS: -1e-4},
+		"Inf disk": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, SimDiskMBs: math.Inf(1),
+			Adapt: &policy.Config{Mode: policy.Pinned}},
+		"neg disk": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, SimDiskMBs: -20,
+			Adapt: &policy.Config{Mode: policy.Pinned}},
 	} {
+		// A bad configuration is named before any rank starts — not
+		// reported as a rank panic "outside the fault model".
 		if _, err := supervisor.Run(cfg); err == nil {
 			t.Errorf("%s: Run accepted an invalid config", name)
+		} else if strings.Contains(err.Error(), "fault model") {
+			t.Errorf("%s: rejected only once ranks were running: %v", name, err)
 		}
 	}
 }
