@@ -27,10 +27,9 @@ race:
 # Regenerate the committed baselines (BENCH_*.json at the repo root)
 # through the one recorder, `repro -record`: every experiment that has
 # a baseline, or just NAMES="ckptbench engine". Each file is stamped
-# with commit, date, Go version, NumCPU and GOMAXPROCS; the two
-# serial-vs-parallel baselines (simbench, spectral) are refused on a
-# host with fewer than two cores. Run after an intentional cost change
-# and commit the diff; the whole set takes about ten minutes. Record
+# with commit, date, Go version, NumCPU and GOMAXPROCS. Run after an
+# intentional cost change and commit the diff; the whole set takes
+# about three and a half minutes on a 2-vCPU host. Record
 # adaptbench by itself (NAMES=adaptbench) to reproduce the committed
 # digits: its checkpoint sizes shift in the fourth digit with what the
 # process gob-encoded before it (DESIGN.md §8, checkpoint codec).
@@ -53,18 +52,16 @@ race-simnet:
 		./internal/core ./internal/supervisor ./internal/bench
 
 # The scheduler-equivalence suites (serial vs conservative-parallel
-# differential, relaxed statistical equivalence, resolver validation,
-# P=2048 capacity) must hold on both a single-core budget — where
-# relaxed still has to make progress without a second core — and a
-# multi-core one, where the conservative scheduler must stay
-# bit-identical while goroutines genuinely interleave. Both pins run
-# race-enabled.
+# differential, resolver validation, P=2048 capacity) must hold on both
+# a single-core budget and a multi-core one, where the conservative
+# scheduler must stay bit-identical while goroutines genuinely
+# interleave. Both pins run race-enabled.
 race-sched-single:
 	GOMAXPROCS=1 $(GO) test -race -count=1 \
-		-run 'Scheduler|Relaxed|ManyRanks' ./internal/simnet ./internal/mpi
+		-run 'Scheduler|ManyRanks' ./internal/simnet ./internal/mpi
 race-sched-multi:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
-		-run 'Scheduler|Relaxed|ManyRanks' ./internal/simnet ./internal/mpi
+		-run 'Scheduler|ManyRanks' ./internal/simnet ./internal/mpi
 
 # The adaptive-resilience layer (estimator, cadence controller,
 # simulated-cluster write-mode selector, escalation ladder) runs inside

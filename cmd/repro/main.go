@@ -20,7 +20,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"nektar/internal/bench"
@@ -67,14 +66,12 @@ func main() {
 		}
 		fs := flag.NewFlagSet(e.Name, flag.ExitOnError)
 		_, run := e.Bind(fs, *quick)
-		own := args[1:]
 		if *record {
-			if err := e.Recordable(host); err != nil {
+			if err := e.Recordable(); err != nil {
 				log.Fatal(err)
 			}
-			own = slices.Concat(e.RecordFlags, own)
 		}
-		fs.Parse(own) // stops at the next experiment name
+		fs.Parse(args[1:]) // stops at the next experiment name
 		args = fs.Args()
 
 		t0 := time.Now()

@@ -45,17 +45,11 @@ type Envelope struct {
 	Result json.RawMessage `json:"result"`
 }
 
-// Recordable reports whether e's result may be recorded from h: the
-// experiment must have a baseline, and one that NeedsCores must see at
-// least two cores — a serial-vs-parallel speedup measured on one is
-// bounded by 1x and would replace a real measurement with noise.
-func (e *Experiment) Recordable(h Host) error {
+// Recordable reports whether e's result may be recorded: the
+// experiment must have a baseline.
+func (e *Experiment) Recordable() error {
 	if e.Baseline == "" {
 		return fmt.Errorf("bench: experiment %s records no baseline: its committed artifact is its table", e.Name)
-	}
-	if e.NeedsCores && (h.NumCPU < 2 || h.GOMAXPROCS < 2) {
-		return fmt.Errorf("bench: refusing to record %s from a core-starved host (NumCPU=%d, GOMAXPROCS=%d): its serial-vs-parallel numbers need at least 2 cores; re-run on a multi-core host",
-			e.Name, h.NumCPU, h.GOMAXPROCS)
 	}
 	return nil
 }
@@ -63,7 +57,7 @@ func (e *Experiment) Recordable(h Host) error {
 // Record writes result, as returned by e's run, to BENCH_<e.Baseline>.json
 // in dir, wrapped in the envelope. It is the only writer of those files.
 func Record(dir string, e *Experiment, h Host, quick bool, result any) (string, error) {
-	if err := e.Recordable(h); err != nil {
+	if err := e.Recordable(); err != nil {
 		return "", err
 	}
 	env := Envelope{Experiment: e.Name, Host: h, Config: "paper"}

@@ -22,13 +22,6 @@ type Experiment struct {
 	// `repro -record` writes the run's result to; "" for experiments
 	// whose committed artifact is their table.
 	Baseline string
-	// NeedsCores marks results that compare host-parallel against
-	// serial execution: recorded from a core-starved host they are
-	// noise, so Record refuses them there.
-	NeedsCores bool
-	// RecordFlags are the entry flags `repro -record` implies, so the
-	// recorded baseline always has its full shape.
-	RecordFlags []string
 
 	// Bind selects the paper or quick configuration, registers the
 	// experiment's flags (if any) on fs, and returns a pointer to the
@@ -95,11 +88,11 @@ var experiments = []Experiment{
 		nil, runTrace),
 	entry(Experiment{Name: "farmbench", Desc: "job-farm chaos campaign: SIGKILL the daemon, audit the ledger", Baseline: "farm"},
 		PaperFarmbench, QuickFarmbench, nil, runFarmbench),
-	entry(Experiment{Name: "simbench", Desc: "simnet scheduler: host wall-clock, serial vs parallel (-scale: capacity sweep)",
-		Baseline: "simnet", NeedsCores: true, RecordFlags: []string{"-scale"}},
-		PaperSimbench, QuickSimbench, simbenchFlags, runSimbench),
+	entry(Experiment{Name: "scalebench", Desc: "simnet capacity sweep: weak/strong scaling on the PMS and Tanaka models to P=1024",
+		Baseline: "simnet"},
+		PaperScalebench, QuickScalebench, nil, runScalebench),
 	entry(Experiment{Name: "spectral", Desc: "pseudospectral turbulence: serial vs slab bit-identity + online spectra",
-		Baseline: "spectral", NeedsCores: true},
+		Baseline: "spectral"},
 		PaperSpectral, QuickSpectral, nil, runSpectral),
 	entry(Experiment{Name: "fftbench", Desc: "FFT kernel rows at N and 3N/2 on this host"},
 		PaperFftbench, QuickFftbench, nil, runFftbench),

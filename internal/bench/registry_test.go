@@ -34,9 +34,6 @@ func TestRegistry(t *testing.T) {
 				t.Fatalf("two experiments record BENCH_%s.json", e.Baseline)
 			}
 			baselines[e.Baseline] = true
-			if e.NeedsCores && e.Baseline == "" {
-				t.Error("NeedsCores without a baseline guards nothing")
-			}
 			if reflect.TypeOf(e.Paper) != reflect.TypeOf(e.Quick) {
 				t.Fatalf("paper config %T and quick config %T differ in type", e.Paper, e.Quick)
 			}
@@ -52,11 +49,6 @@ func TestRegistry(t *testing.T) {
 				if got := reflect.ValueOf(cfg).Elem().Interface(); !reflect.DeepEqual(got, want) {
 					t.Errorf("quick=%v: flag hook changed the config with no flag set:\n got %+v\nwant %+v", quick, got, want)
 				}
-			}
-			fs := flag.NewFlagSet(e.Name, flag.ContinueOnError)
-			e.Bind(fs, false)
-			if err := fs.Parse(e.RecordFlags); err != nil {
-				t.Errorf("RecordFlags %v do not parse on the entry's own flags: %v", e.RecordFlags, err)
 			}
 		})
 	}
@@ -76,40 +68,31 @@ func TestRegistry(t *testing.T) {
 }
 
 // TestRecordEnvelope: the one baseline writer stamps the host, wraps
-// the result unchanged, and refuses a core-starved host exactly for
-// the experiments whose numbers need cores.
+// the result unchanged, and records exactly the experiments that have
+// a baseline — from any host, one core included.
 func TestRecordEnvelope(t *testing.T) {
 	host := ThisHost()
 	if host.Commit == "" || host.Date == "" || host.GoVersion == "" || host.NumCPU < 1 || host.GOMAXPROCS < 1 {
 		t.Fatalf("host stamps missing: %+v", host)
 	}
-	starved, roomy := host, host
-	starved.NumCPU, starved.GOMAXPROCS = 1, 1
-	roomy.NumCPU, roomy.GOMAXPROCS = 8, 8
-	want := &SimbenchResult{GoMaxProcs: 8, NumCPU: 8, Steps: 2,
-		Cells: []SimbenchCellResult{{Workload: "nsf", Procs: 8, Speedup: 1.5}}}
+	host.NumCPU, host.GOMAXPROCS = 1, 1
+	want := &ScalebenchResult{Steps: 2,
+		Cells: []ScaleCellResult{{Machine: "PMS", Workload: "skeleton", Procs: 8, Mode: "weak", StepVirtualS: 1.5e-3, Efficiency: 1}}}
 
 	for _, e := range Experiments() {
 		dir := t.TempDir()
-		path, err := Record(dir, &e, starved, true, want)
-		switch {
-		case e.Baseline == "":
+		path, err := Record(dir, &e, host, true, want)
+		if e.Baseline == "" {
 			if err == nil {
 				t.Errorf("%s: recorded without a baseline", e.Name)
-			}
-			continue
-		case e.NeedsCores:
-			if err == nil {
-				t.Errorf("%s: needs cores, yet a 1-core host was allowed to record it", e.Name)
 			}
 			if left, _ := os.ReadDir(dir); len(left) != 0 {
 				t.Errorf("%s: the refused write still left %v behind", e.Name, left)
 			}
-			if path, err = Record(dir, &e, roomy, true, want); err != nil {
-				t.Fatalf("%s: multi-core host refused: %v", e.Name, err)
-			}
-		case err != nil:
-			t.Errorf("%s: does not need cores, yet a 1-core host was refused: %v", e.Name, err)
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: has a baseline, yet a 1-core host was refused: %v", e.Name, err)
 			continue
 		}
 		if path != filepath.Join(dir, "BENCH_"+e.Baseline+".json") {
@@ -124,10 +107,10 @@ func TestRecordEnvelope(t *testing.T) {
 			t.Fatalf("%s: %v\n%s", e.Name, err, buf)
 		}
 		if env.Experiment != e.Name || env.Config != "quick" || env.Commit != host.Commit ||
-			env.Date != host.Date || env.GoVersion != host.GoVersion || env.NumCPU < 1 || env.GOMAXPROCS < 1 {
+			env.Date != host.Date || env.GoVersion != host.GoVersion || env.NumCPU != 1 || env.GOMAXPROCS != 1 {
 			t.Errorf("%s: envelope stamps wrong: %+v", e.Name, env)
 		}
-		var back SimbenchResult
+		var back ScalebenchResult
 		if err := json.Unmarshal(env.Result, &back); err != nil || !reflect.DeepEqual(&back, want) {
 			t.Errorf("%s: result did not round-trip: %+v (%v)", e.Name, back, err)
 		}
@@ -136,13 +119,14 @@ func TestRecordEnvelope(t *testing.T) {
 
 // TestExperimentsRegenerate: the committed experiments/*.txt are
 // byte-for-byte what the registry produces. The three application
-// tables run at paper scale (minutes), so -short, the race detector
-// and a forced scheduler (all virtual-time, so the bytes would not
-// differ — only the wait) check the figures alone.
+// tables and the capacity sweep run at paper scale (minutes), so
+// -short, the race detector and a forced scheduler (all virtual-time,
+// so the bytes would not differ — only the wait) check the figures
+// alone.
 func TestExperimentsRegenerate(t *testing.T) {
 	files := []string{"fig1-6_kernels", "fig7_pingpong", "fig8_alltoall"}
 	if !testing.Short() && !raceDetector && os.Getenv(simnet.SchedulerEnv) == "" {
-		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale")
+		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale", "scalebench")
 	}
 	for _, name := range files {
 		e, err := ExperimentByName(name)

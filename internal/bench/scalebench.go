@@ -2,7 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"io"
 	"slices"
+	"strings"
+	"time"
 
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
@@ -18,7 +21,8 @@ import (
 // calibrated interconnect model at processor counts up to 1024. The
 // skeleton is pure simnet: no solver state, so the virtual-time tables
 // measure the network model, and the host cost stays low enough for
-// P=1024 sweeps under the relaxed scheduler.
+// P=1024 sweeps. Every cell is virtual time under the default (serial)
+// scheduler, so the sweep is exact and repeats byte for byte.
 //
 // Weak scaling holds the per-rank work and halo fixed (the paper's
 // two-planes-per-processor Nektar-F setup); strong scaling divides a
@@ -54,23 +58,20 @@ type ScalebenchConfig struct {
 	// ComputeS is the per-rank compute time per step at the baseline
 	// rank count, in virtual seconds (weak: constant; strong: 1/P).
 	ComputeS float64
-
-	// Scheduler runs the sweep's simulations; the capacity sweep uses
-	// SchedRelaxed (a P=1024 conservative run admits every event through
-	// one election and is prohibitively slow on a small host).
-	Scheduler simnet.Scheduler
 }
+
+// scaleWorkloads is the menu of cell bodies Workloads selects from.
+var scaleWorkloads = []string{"skeleton", "turb2d", "turbforce"}
 
 // PaperScalebench is the committed capacity sweep: the PMS Fast
 // Ethernet and the Tanaka kernel-bypass GbE models from P=64 to
-// P=1024, relaxed scheduler.
+// P=1024.
 var PaperScalebench = ScalebenchConfig{
 	Machines:  []string{"PMS", "Tanaka"},
 	Procs:     []int{64, 256, 1024},
 	Steps:     2,
 	HaloElems: 4096, // 32 KB: rendezvous on both fabrics
 	ComputeS:  2e-4,
-	Scheduler: simnet.SchedRelaxed,
 	Workloads: []string{"skeleton", "turb2d", "turbforce"},
 	// 1024 live solver ranks is a host-memory wall (ROADMAP); the real
 	// solvers sweep to 256 and the skeleton carries the 1024 column.
@@ -84,7 +85,6 @@ var QuickScalebench = ScalebenchConfig{
 	Steps:     2,
 	HaloElems: 512,
 	ComputeS:  1e-4,
-	Scheduler: simnet.SchedRelaxed,
 }
 
 // ScaleCellResult is one machine x workload x P x mode measurement.
@@ -102,11 +102,11 @@ type ScaleCellResult struct {
 	Efficiency float64
 }
 
-// ScalebenchResult is the recorded sweep.
+// ScalebenchResult is the recorded sweep, the schema of
+// BENCH_simnet.json.
 type ScalebenchResult struct {
-	Steps     int
-	Scheduler string
-	Cells     []ScaleCellResult
+	Steps int
+	Cells []ScaleCellResult
 }
 
 // scaleBody returns the communication skeleton for one cell.
@@ -183,11 +183,12 @@ func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, workload string,
 		gridN = solverGridN(cfg.SolverProcs, p, weak)
 		body = solverBody(workload, gridN, cfg.Steps, &mach.CPU)
 	}
-	wall, _, hostS, err := timedRun(mach, cfg.Scheduler, p, body)
+	t0 := time.Now()
+	wall, _, err := simnet.Run(p, mach.Net, body)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	return slices.Max(wall) / float64(cfg.Steps), hostS, gridN, nil
+	return slices.Max(wall) / float64(cfg.Steps), time.Since(t0).Seconds(), gridN, nil
 }
 
 // RunScalebench executes the sweep and renders the weak/strong tables.
@@ -195,14 +196,20 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 	if len(cfg.Procs) == 0 {
 		return nil, nil, fmt.Errorf("bench: scalebench: empty processor list")
 	}
+	if cfg.Steps < 1 {
+		return nil, nil, fmt.Errorf("bench: scalebench: Steps = %d, need at least one step per cell", cfg.Steps)
+	}
 	workloads := cfg.Workloads
 	if len(workloads) == 0 {
 		workloads = []string{"skeleton"}
 	}
-	res := &ScalebenchResult{
-		Steps:     cfg.Steps,
-		Scheduler: cfg.Scheduler.String(),
+	for _, workload := range workloads {
+		if !slices.Contains(scaleWorkloads, workload) {
+			return nil, nil, fmt.Errorf("bench: scalebench: unknown workload %q: valid workloads are %s",
+				workload, strings.Join(scaleWorkloads, ", "))
+		}
 	}
+	res := &ScalebenchResult{Steps: cfg.Steps}
 	for _, name := range cfg.Machines {
 		mach, err := machine.ByName(name)
 		if err != nil {
@@ -239,17 +246,24 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 		}
 	}
 	tbl := report.NewTable(
-		fmt.Sprintf("Scalebench: capacity sweep, virtual s/step (%s scheduler, %d steps)",
-			res.Scheduler, res.Steps),
-		"machine", "workload", "mode", "P", "grid N", "virtual s/step", "efficiency", "host s")
+		fmt.Sprintf("Scalebench: capacity sweep, virtual s/step (%d steps)", res.Steps),
+		"machine", "workload", "mode", "P", "grid N", "virtual s/step", "efficiency")
 	for _, c := range res.Cells {
 		grid := "-"
 		if c.GridN > 0 {
 			grid = fmt.Sprintf("%d", c.GridN)
 		}
 		tbl.AddRow(c.Machine, c.Workload, c.Mode, fmt.Sprintf("%d", c.Procs), grid,
-			fmt.Sprintf("%.6f", c.StepVirtualS), fmt.Sprintf("%.2f", c.Efficiency),
-			fmt.Sprintf("%.3f", c.HostS))
+			fmt.Sprintf("%.6f", c.StepVirtualS), fmt.Sprintf("%.2f", c.Efficiency))
 	}
 	return res, tbl, nil
+}
+
+func runScalebench(cfg ScalebenchConfig, w io.Writer) (any, error) {
+	res, tbl, err := RunScalebench(cfg)
+	if err != nil {
+		return nil, err
+	}
+	tbl.Write(w)
+	return res, nil
 }

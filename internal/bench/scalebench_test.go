@@ -2,13 +2,14 @@ package bench
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nektar/internal/simnet"
 )
 
 // TestScalebenchQuick runs the test-sized weak/strong sweep on both
-// capacity-sweep interconnect models under the relaxed scheduler.
+// capacity-sweep interconnect models.
 func TestScalebenchQuick(t *testing.T) {
 	t.Setenv(simnet.SchedulerEnv, "")
 	res, tbl, err := RunScalebench(QuickScalebench)
@@ -61,7 +62,6 @@ func TestScalebenchSolverWorkloads(t *testing.T) {
 		Steps:       2,
 		HaloElems:   512,
 		ComputeS:    1e-4,
-		Scheduler:   simnet.SchedRelaxed,
 		Workloads:   []string{"skeleton", "turb2d", "turbforce"},
 		SolverProcs: []int{4, 8},
 	}
@@ -109,12 +109,23 @@ func TestScalebenchSolverWorkloads(t *testing.T) {
 }
 
 // TestScalebenchSolverNeedsProcs: a solver workload without SolverProcs
-// is a config error, not a silent skeleton fallback.
+// is a config error, not a silent skeleton fallback — and a workload
+// name off the menu is rejected with the menu, not run as turb2d.
 func TestScalebenchSolverNeedsProcs(t *testing.T) {
 	cfg := QuickScalebench
 	cfg.Workloads = []string{"turb2d"}
 	if _, _, err := RunScalebench(cfg); err == nil {
 		t.Fatal("expected SolverProcs rejection")
+	}
+	cfg.Workloads, cfg.SolverProcs = []string{"turb3d"}, []int{4, 8}
+	_, _, err := RunScalebench(cfg)
+	if err == nil {
+		t.Fatal("expected unknown-workload rejection for turb3d")
+	}
+	for _, name := range scaleWorkloads {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-workload error does not list %q: %v", name, err)
+		}
 	}
 }
 
@@ -125,5 +136,12 @@ func TestScalebenchRejectsOverMaxProcs(t *testing.T) {
 	cfg.Machines = []string{"Muses"} // MaxProcs 4
 	if _, _, err := RunScalebench(cfg); err == nil {
 		t.Fatal("expected MaxProcs rejection for Muses at P=8")
+	}
+	// Steps is the divisor of every cell's virtual wall: zero must be
+	// refused, not reported as +Inf s/step.
+	cfg = QuickScalebench
+	cfg.Steps = 0
+	if _, _, err := RunScalebench(cfg); err == nil || !strings.Contains(err.Error(), "Steps") {
+		t.Fatalf("expected Steps rejection, got %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"slices"
 	"time"
 
@@ -22,12 +21,11 @@ import (
 )
 
 // Spectral bench: the slab-decomposed pseudospectral solvers against
-// their serial selves. Each cell runs one variant three ways — a plain
-// one-rank host run (no simnet), the P-rank slab run under the serial
-// scheduler, and the same slab run under the host-parallel scheduler —
-// and requires the three trajectories to be bit-identical before any
-// number is recorded: the serial host run is the physics reference,
-// and the two scheduler runs are the clock contract.
+// their serial selves. Each cell runs one variant two ways — a plain
+// one-rank host run (no simnet) and the P-rank slab run on the
+// simulated cluster — and requires the two trajectories to be
+// bit-identical before any number is recorded: the one-rank host run
+// is the physics reference.
 
 // SpectralBenchConfig parametrizes the sweep.
 type SpectralBenchConfig struct {
@@ -47,13 +45,11 @@ type SpectralCellResult struct {
 	Workload string
 	Procs    int
 
-	SerialHostS       float64 // one-rank reference run, real host seconds
-	SlabSerialHostS   float64 // P-rank slab run, serial scheduler
-	SlabParallelHostS float64 // P-rank slab run, parallel scheduler
-	Speedup           float64 // SlabSerialHostS / SlabParallelHostS
+	SerialHostS     float64 // one-rank reference run, real host seconds
+	SlabSerialHostS float64 // P-rank slab run, real host seconds
 
 	// VirtualWallS is the max per-rank virtual wall clock of the slab
-	// run — identical between the two schedulers by construction.
+	// run.
 	VirtualWallS float64
 
 	// TransformFlopsPerStep is the modeled transform work of one step
@@ -66,9 +62,7 @@ type SpectralCellResult struct {
 
 // SpectralBenchResult is the schema of BENCH_spectral.json.
 type SpectralBenchResult struct {
-	GoMaxProcs int
-	NumCPU     int
-	N          int
+	N int
 	// PadM stamps the de-aliasing grid the decaying pipeline ran on.
 	PadM  int
 	Steps int
@@ -120,13 +114,14 @@ func hashField(w []complex128) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runSpectralSlab runs one variant at p ranks under one scheduler and
-// returns per-rank slab hashes, the max virtual wall, and host seconds.
+// runSpectralSlab runs one variant at p ranks and returns per-rank
+// slab hashes, the max virtual wall, and host seconds.
 func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *machine.CPU) (*spectral.Turb2D, error),
-	p, steps int, sched simnet.Scheduler) ([]string, float64, float64, error) {
+	p, steps int) ([]string, float64, float64, error) {
 	mach := machine.Muses()
 	hashes := make([]string, p)
-	wall, _, hostS, err := timedRun(mach, sched, p, func(n *simnet.Node) {
+	t0 := time.Now()
+	wall, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
 		s, err := mk(cfg, mpi.World(n), &mach.CPU)
 		if err != nil {
 			panic(err)
@@ -139,18 +134,12 @@ func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *m
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return hashes, slices.Max(wall), hostS, nil
+	return hashes, slices.Max(wall), time.Since(t0).Seconds(), nil
 }
 
 // RunSpectralBench executes the sweep and renders the comparison table.
 func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Table, error) {
-	res := &SpectralBenchResult{
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		N:          cfg.N,
-		PadM:       3 * cfg.N / 2,
-		Steps:      cfg.Steps,
-	}
+	res := &SpectralBenchResult{N: cfg.N, PadM: 3 * cfg.N / 2, Steps: cfg.Steps}
 	for _, v := range spectralVariants {
 		scfg := spectral.Config{N: cfg.N, Re: 500, Dt: 2e-3, Seed: 33}
 
@@ -176,36 +165,22 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 			for r := 0; r < p; r++ {
 				want[r] = hashField(field[r*nloc*cfg.N : (r+1)*nloc*cfg.N])
 			}
-			hs, wallS, slabSerialS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps, simnet.SchedSerial)
+			hs, wallS, slabS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bench: spectral %s P=%d serial: %w", v.name, p, err)
-			}
-			hp, wallP, slabParS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps, simnet.SchedParallel)
-			if err != nil {
-				return nil, nil, fmt.Errorf("bench: spectral %s P=%d parallel: %w", v.name, p, err)
+				return nil, nil, fmt.Errorf("bench: spectral %s P=%d: %w", v.name, p, err)
 			}
 			for r := 0; r < p; r++ {
 				if hs[r] != want[r] {
 					return nil, nil, fmt.Errorf(
 						"bench: spectral %s P=%d: slab trajectory diverged from the serial reference at rank %d", v.name, p, r)
 				}
-				if hs[r] != hp[r] {
-					return nil, nil, fmt.Errorf(
-						"bench: spectral %s P=%d: trajectories diverged between schedulers at rank %d", v.name, p, r)
-				}
-			}
-			if math.Float64bits(wallS) != math.Float64bits(wallP) {
-				return nil, nil, fmt.Errorf(
-					"bench: spectral %s P=%d: virtual wall diverged between schedulers (%v vs %v)", v.name, p, wallS, wallP)
 			}
 			flops, bytes := stepCosts(v.name, cfg.N)
 			res.Cells = append(res.Cells, SpectralCellResult{
 				Workload:              v.name,
 				Procs:                 p,
 				SerialHostS:           serialS,
-				SlabSerialHostS:       slabSerialS,
-				SlabParallelHostS:     slabParS,
-				Speedup:               slabSerialS / slabParS,
+				SlabSerialHostS:       slabS,
 				VirtualWallS:          wallS,
 				TransformFlopsPerStep: flops,
 				TransposeBytesPerStep: bytes,
@@ -214,13 +189,12 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 	}
 
 	tbl := report.NewTable(
-		fmt.Sprintf("Spectral bench: serial vs slab-parallel pseudospectral solvers, bit-identity enforced (GOMAXPROCS=%d, host cores=%d, N=%d, M=%d, %d steps)",
-			res.GoMaxProcs, res.NumCPU, res.N, res.PadM, res.Steps),
-		"workload", "P", "1-rank host s", "slab serial s", "slab parallel s", "speedup", "virtual wall s", "Mflop/step", "xpose B/step")
+		fmt.Sprintf("Spectral bench: serial vs slab-parallel pseudospectral solvers, bit-identity enforced (N=%d, M=%d, %d steps)",
+			res.N, res.PadM, res.Steps),
+		"workload", "P", "1-rank host s", "slab serial s", "virtual wall s", "Mflop/step", "xpose B/step")
 	for _, c := range res.Cells {
 		tbl.AddRow(c.Workload, fmt.Sprintf("%d", c.Procs),
 			fmt.Sprintf("%.3f", c.SerialHostS), fmt.Sprintf("%.3f", c.SlabSerialHostS),
-			fmt.Sprintf("%.3f", c.SlabParallelHostS), fmt.Sprintf("%.2fx", c.Speedup),
 			fmt.Sprintf("%.4f", c.VirtualWallS),
 			fmt.Sprintf("%.3f", float64(c.TransformFlopsPerStep)/1e6),
 			fmt.Sprintf("%d", c.TransposeBytesPerStep))

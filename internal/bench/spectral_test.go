@@ -7,9 +7,9 @@ import (
 )
 
 // TestSpectralBenchQuick runs the budget-limited sweep on every test
-// pass: the bit-identity enforcement inside RunSpectralBench (serial
-// reference vs slab, serial vs parallel scheduler) is the assertion;
-// the numbers are incidental here.
+// pass: the bit-identity enforcement inside RunSpectralBench (one-rank
+// reference vs slab) is the assertion; the numbers are incidental
+// here.
 func TestSpectralBenchQuick(t *testing.T) {
 	res, tbl, err := RunSpectralBench(QuickSpectral)
 	if err != nil {

@@ -175,6 +175,15 @@ func (w *AsyncWriter) loop() {
 			job.state, w.cfg.Retention)
 		hidden := time.Since(t0).Seconds()
 
+		// Report the record before announcing it: a Drain that returns
+		// owes no trace event, so the caller may close the trace file.
+		if err == nil && w.cfg.Trace != nil {
+			w.cfg.Trace.Emit(engine.Event{
+				Ev: engine.EvCkptDone, Rank: w.cfg.Rank, Step: job.step,
+				Bytes: stats.Raw, Stored: stats.Stored, Ratio: stats.Ratio(),
+				HiddenS: hidden, ExposedS: job.exposed, Final: job.final,
+			})
+		}
 		w.mu.Lock()
 		w.busy = false
 		w.stats.StoredBytes += int64(stats.Stored)
@@ -184,13 +193,6 @@ func (w *AsyncWriter) loop() {
 		}
 		w.cond.Broadcast()
 		w.mu.Unlock()
-		if err == nil && w.cfg.Trace != nil {
-			w.cfg.Trace.Emit(engine.Event{
-				Ev: engine.EvCkptDone, Rank: w.cfg.Rank, Step: job.step,
-				Bytes: stats.Raw, Stored: stats.Stored, Ratio: stats.Ratio(),
-				HiddenS: hidden, ExposedS: job.exposed, Final: job.final,
-			})
-		}
 	}
 }
 

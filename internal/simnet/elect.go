@@ -1,13 +1,12 @@
 package simnet
 
-// Indexed election for the host-parallel schedulers.
+// Indexed election for the host-parallel scheduler.
 //
 // The conservative scheduler admits shared-state events in global
-// (virtual time, rank) order; the relaxed scheduler needs the global
-// virtual-time floor to place its admission window. Both used to find
-// the minimum with a linear scan over every rank per election — O(P)
-// per event, which dominates once P reaches the hundreds. The scan is
-// replaced by a lazy min-heap of election entries:
+// (virtual time, rank) order. Finding the minimum with a linear scan
+// over every rank per election is O(P) per event, which dominates once
+// P reaches the hundreds, so the election is served by a lazy min-heap
+// of election entries:
 //
 //   - Every transition that makes a rank electable (or moves its key
 //     while electable) pushes a fresh entry. Old entries are not
@@ -112,12 +111,6 @@ func (c *cluster) pushElect(n *Node) {
 		return
 	}
 	c.par.pq.push(e)
-	if c.par.relaxed {
-		// The relaxed scheduler recomputes its window on any new
-		// candidate; the conservative scheduler has its own targeted
-		// broadcasts.
-		c.par.cond.Broadcast()
-	}
 }
 
 // minElect returns the smallest live election entry without removing

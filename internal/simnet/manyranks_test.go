@@ -11,7 +11,7 @@ import (
 
 // TestSimnetManyRanks is the capacity smoke test behind the scheduler
 // rework: P=2048 ranks running a trivial ring workload must complete
-// under every scheduler in seconds, not minutes, and without the O(P²)
+// under both schedulers in seconds, not minutes, and without the O(P²)
 // memory churn the linear election scan and per-event map rebuilds used
 // to cause. The serial and conservative-parallel runs must also stay
 // bit-identical at this scale.
@@ -69,24 +69,17 @@ func TestSimnetManyRanks(t *testing.T) {
 		t.Errorf("serial P=%d run allocated %d bytes, budget %d", p, allocSerial, allocBudget)
 	}
 
-	schedulers := []Scheduler{SchedRelaxed}
-	if blas.ThreadRecordingSupported() {
-		schedulers = append(schedulers, SchedParallel)
+	if !blas.ThreadRecordingSupported() {
+		return
 	}
-	for _, sched := range schedulers {
-		wall, d := run(sched)
-		if d > latencyBudget {
-			t.Errorf("%v P=%d run took %v, budget %v", sched, p, d, latencyBudget)
-		}
-		for r := 0; r < p; r++ {
-			if sched == SchedParallel {
-				// Conservative: bit-identical to serial, even at P=2048.
-				if math.Float64bits(wall[r]) != math.Float64bits(wallSerial[r]) {
-					t.Fatalf("parallel rank %d wall %v != serial %v", r, wall[r], wallSerial[r])
-				}
-			} else if !(wall[r] > 0) || math.IsNaN(wall[r]) || math.IsInf(wall[r], 0) {
-				t.Fatalf("%v rank %d wall clock not finite-positive: %v", sched, r, wall[r])
-			}
+	wall, d := run(SchedParallel)
+	if d > latencyBudget {
+		t.Errorf("parallel P=%d run took %v, budget %v", p, d, latencyBudget)
+	}
+	for r := 0; r < p; r++ {
+		// Conservative: bit-identical to serial, even at P=2048.
+		if math.Float64bits(wall[r]) != math.Float64bits(wallSerial[r]) {
+			t.Fatalf("parallel rank %d wall %v != serial %v", r, wall[r], wallSerial[r])
 		}
 	}
 }

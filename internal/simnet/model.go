@@ -74,18 +74,9 @@ type Model struct {
 	// Scheduler selects the simulator's execution strategy. The zero
 	// value (SchedAuto) runs the serial reference scheduler. Serial and
 	// the host-parallel conservative scheduler (SchedParallel) produce
-	// bit-identical virtual-time results; SchedRelaxed trades
-	// bit-identity for concurrency (see RelaxWindowUS). The
-	// NEKTAR_SIMNET_SCHED environment variable overrides it.
+	// bit-identical virtual-time results. The NEKTAR_SIMNET_SCHED
+	// environment variable overrides it.
 	Scheduler Scheduler
-	// RelaxWindowUS is the relaxed scheduler's admission window in
-	// virtual microseconds: ranks whose next event lies within this
-	// window of the globally earliest pending event run their
-	// shared-state slices concurrently, in whatever order the host
-	// provides. 0 selects the default window; the value is ignored
-	// unless the relaxed scheduler is selected. Must be finite and
-	// >= 0.
-	RelaxWindowUS float64
 }
 
 // Scheduler selects how simnet executes the rank goroutines.
@@ -100,12 +91,6 @@ const (
 	SchedSerial
 	// SchedParallel forces the host-parallel conservative scheduler.
 	SchedParallel
-	// SchedRelaxed selects the windowed relaxed scheduler: shared-state
-	// events within RelaxWindowUS of the global virtual-time floor are
-	// admitted concurrently. Runs are NOT bit-identical to serial (the
-	// event interleaving inside a window is host-dependent); use it for
-	// capacity sweeps where statistical equivalence suffices.
-	SchedRelaxed
 )
 
 // String names the scheduler mode for error messages and reports.
@@ -117,8 +102,6 @@ func (s Scheduler) String() string {
 		return "serial"
 	case SchedParallel:
 		return "parallel"
-	case SchedRelaxed:
-		return "relaxed"
 	}
 	return fmt.Sprintf("Scheduler(%d)", int(s))
 }

@@ -51,7 +51,6 @@ package simnet
 
 import (
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"sync"
@@ -60,17 +59,10 @@ import (
 )
 
 // SchedulerEnv is the environment variable that overrides
-// Model.Scheduler for a whole process: "auto", "serial", "parallel" or
-// "relaxed". The Makefile's race-simnet target and the differential
-// tests use it. Any other non-empty value rejects the run.
+// Model.Scheduler for a whole process: "auto", "serial" or "parallel".
+// The Makefile's race-simnet target and the differential tests use it.
+// Any other non-empty value rejects the run.
 const SchedulerEnv = "NEKTAR_SIMNET_SCHED"
-
-// defaultRelaxWindowUS is the relaxed admission window used when
-// Model.RelaxWindowUS is 0: wide enough to cover a typical
-// Ethernet-era latency (tens to ~200us) so neighbor exchanges overlap,
-// narrow enough that the virtual-time divergence stays small against
-// millisecond-scale compute steps.
-const defaultRelaxWindowUS = 250.0
 
 // schedKind is the resolved execution strategy for one run.
 type schedKind int
@@ -78,30 +70,29 @@ type schedKind int
 const (
 	kindSerial schedKind = iota
 	kindParallel
-	kindRelaxed
 )
 
 // resolveScheduler validates the scheduler selection and decides which
 // execution strategy a run uses. Selection errors (an unknown
-// Model.Scheduler value, a bogus NEKTAR_SIMNET_SCHED override, an
-// invalid relaxed window) are reported up front with the valid menu.
-// Single-rank runs and platforms without thread-keyed BLAS recording
-// (which per-rank operation counting needs once ranks overlap) fall
-// back to serial. SchedAuto resolves to the serial reference on every
-// host: measured on 2 cores the conservative scheduler's per-event
-// admission handoff costs more than the overlapped host work buys on
-// every committed cell (BENCH_simnet.json: nsf 0.60-0.88x of serial,
-// nsale 0.04x; EXPERIMENTS.md, Simbench), so it runs only where a
-// caller or the environment variable asks for it by name. Forcing
-// SchedParallel or SchedRelaxed works on any core count — the
-// differential and race suites depend on that.
+// Model.Scheduler value, a bogus NEKTAR_SIMNET_SCHED override) are
+// reported up front with the valid menu. Single-rank runs and
+// platforms without thread-keyed BLAS recording (which per-rank
+// operation counting needs once ranks overlap) fall back to serial.
+// SchedAuto resolves to the serial reference on every host: measured
+// on 2 cores the conservative scheduler's per-event admission handoff
+// costs more than the overlapped host work buys on every recorded cell
+// (nsf 0.60-0.88x of serial, nsale 0.04x; EXPERIMENTS.md, Simbench
+// record of 2026-09-28), so it runs only where a caller or the
+// environment variable asks for it by name. Forcing SchedParallel
+// works on any core count — the differential and race suites depend
+// on that.
 func resolveScheduler(m *Model, p int) (schedKind, error) {
 	mode := m.Scheduler
 	switch mode {
-	case SchedAuto, SchedSerial, SchedParallel, SchedRelaxed:
+	case SchedAuto, SchedSerial, SchedParallel:
 	default:
 		return kindSerial, fmt.Errorf(
-			"simnet: unknown Model.Scheduler %d (valid: SchedAuto, SchedSerial, SchedParallel, SchedRelaxed)", int(mode))
+			"simnet: unknown Model.Scheduler %d (valid: SchedAuto, SchedSerial, SchedParallel)", int(mode))
 	}
 	if env := os.Getenv(SchedulerEnv); env != "" {
 		switch env {
@@ -111,28 +102,13 @@ func resolveScheduler(m *Model, p int) (schedKind, error) {
 			mode = SchedSerial
 		case "parallel":
 			mode = SchedParallel
-		case "relaxed":
-			mode = SchedRelaxed
 		default:
 			return kindSerial, fmt.Errorf(
-				"simnet: %s=%q is not a scheduler mode (valid: auto, serial, parallel, relaxed)", SchedulerEnv, env)
+				"simnet: %s=%q is not a scheduler mode (valid: auto, serial, parallel)", SchedulerEnv, env)
 		}
 	}
-	if mode == SchedRelaxed {
-		if w := m.RelaxWindowUS; w < 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return kindSerial, fmt.Errorf(
-				"simnet: Model.RelaxWindowUS = %g: the relaxed admission window must be a finite number of microseconds >= 0 (0 selects the default %gus)",
-				w, defaultRelaxWindowUS)
-		}
-	}
-	if p < 2 || !blas.ThreadRecordingSupported() {
-		return kindSerial, nil
-	}
-	switch mode {
-	case SchedParallel:
+	if mode == SchedParallel && p >= 2 && blas.ThreadRecordingSupported() {
 		return kindParallel, nil
-	case SchedRelaxed:
-		return kindRelaxed, nil
 	}
 	return kindSerial, nil
 }
@@ -146,11 +122,10 @@ type rankState int
 const (
 	// stInFlight: running host code (or about to); its key is frozen.
 	stInFlight rankState = iota
-	// stArrived: parked at the top of a Node call, awaiting admission
-	// (conservative), or parked at the window gate (relaxed).
+	// stArrived: parked at the top of a Node call, awaiting admission.
 	stArrived
 	// stAdmitted: executing a Node call's shared-state mutations; the
-	// scheduler waits for its release. Conservative only.
+	// scheduler waits for its release.
 	stAdmitted
 	// stParked: parked at a blocked yield. blockKind distinguishes a
 	// true block (not electable, except RecvDeadline at its deadline)
@@ -158,15 +133,12 @@ const (
 	stParked
 	// stDoomed: parked at release because the rank's clock passed its
 	// injected crash time; electable at its key, dies on admission.
-	// Conservative only — the relaxed scheduler fires crashes at the
-	// release itself.
 	stDoomed
 	// stDone: goroutine finished (completed, crashed, or poisoned).
 	stDone
 )
 
-// parSched is the shared state of the host-parallel schedulers
-// (conservative and relaxed).
+// parSched is the shared state of the host-parallel scheduler.
 type parSched struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -174,15 +146,6 @@ type parSched struct {
 
 	// pq is the lazy election heap (elect.go); guarded by mu.
 	pq electPQ
-
-	// Relaxed mode (relaxed.go). window is the admission window in
-	// seconds; winEnd the current admission horizon (ratcheted floor +
-	// window), guarded by mu. big serializes relaxed shared-state
-	// slices; lock order is always big before mu.
-	relaxed bool
-	window  float64
-	winEnd  float64
-	big     sync.Mutex
 }
 
 // lockPar/unlockPar guard state that an admitted rank shares with
@@ -208,7 +171,7 @@ func (c *cluster) unlockPar() {
 // equivalents of that instant are a rank's transition back to in-flight
 // or doomed (release), its wake from a blocked park, and launch.
 // Callers push a fresh election entry after the bump. Caller holds
-// par.mu (and, in relaxed mode, par.big — the bump writes the clock).
+// par.mu.
 func (c *cluster) applyStallLocked(n *Node) {
 	if c.stallAt == nil || c.stallFired[n.Rank] || n.clock < c.stallAt[n.Rank] {
 		return
@@ -229,10 +192,6 @@ func (c *cluster) applyStallLocked(n *Node) {
 func (n *Node) begin() {
 	c := n.net
 	if c.par == nil {
-		return
-	}
-	if c.par.relaxed {
-		c.relaxedBegin(n)
 		return
 	}
 	if n.status == stAdmitted {
@@ -317,10 +276,6 @@ func (c *cluster) stillFirstLocked(n *Node) bool {
 // so stall and crash checks wait for the slice's real end (the next
 // yield), matching the serial scheduler.
 func (c *cluster) parReleaseEarly(n *Node) {
-	if c.par.relaxed {
-		c.relaxedReleaseEarly(n)
-		return
-	}
 	ps := c.par
 	ps.mu.Lock()
 	n.key = n.clock
@@ -366,7 +321,7 @@ func (n *Node) parWait(r *Request) {
 }
 
 // parRank is the goroutine wrapper for one rank under the parallel
-// schedulers. The goroutine is locked to its OS thread so package blas
+// scheduler. The goroutine is locked to its OS thread so package blas
 // can key the rank's operation-count recording by thread id — the
 // process-global recorder cannot span ranks once they run concurrently.
 func (c *cluster) parRank(n *Node, body func(*Node), wg *sync.WaitGroup) {
@@ -398,21 +353,13 @@ func (c *cluster) parRank(n *Node, body func(*Node), wg *sync.WaitGroup) {
 	}()
 	// The serial scheduler applies a stall due at t=0 before the rank's
 	// first election; the parallel rank starts in flight, so apply it
-	// before any body code can observe the clock. In relaxed mode the
-	// clock write needs the slice lock (other ranks read clocks under
-	// it).
+	// before any body code can observe the clock.
 	ps := c.par
-	if ps.relaxed {
-		ps.big.Lock()
-	}
 	ps.mu.Lock()
 	c.applyStallLocked(n)
 	c.pushElect(n)
 	ps.cond.Broadcast()
 	ps.mu.Unlock()
-	if ps.relaxed {
-		ps.big.Unlock()
-	}
 	body(n)
 }
 

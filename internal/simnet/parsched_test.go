@@ -3,6 +3,7 @@ package simnet
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"nektar/internal/blas"
@@ -192,7 +193,7 @@ func TestResolveScheduler(t *testing.T) {
 		t.Skip("platform cannot key BLAS recording by thread")
 	}
 	// SchedAuto is the serial reference on every core count; the
-	// parallel schedulers run only when named.
+	// parallel scheduler runs only when named.
 	cases := []struct {
 		env  string
 		mode Scheduler
@@ -203,12 +204,10 @@ func TestResolveScheduler(t *testing.T) {
 		{"", SchedAuto, 1, kindSerial},
 		{"", SchedSerial, 8, kindSerial},
 		{"", SchedParallel, 8, kindParallel},
-		{"", SchedRelaxed, 8, kindRelaxed},
-		{"", SchedRelaxed, 1, kindSerial},
+		{"", SchedParallel, 1, kindSerial},
 		{"serial", SchedParallel, 8, kindSerial},
 		{"serial", SchedAuto, 8, kindSerial},
 		{"parallel", SchedSerial, 8, kindParallel},
-		{"relaxed", SchedSerial, 8, kindRelaxed},
 		{"auto", SchedParallel, 8, kindSerial},
 	}
 	for _, c := range cases {
@@ -236,17 +235,25 @@ func TestResolveSchedulerErrors(t *testing.T) {
 		{"bogus-env", "concurrent", Model{}},
 		{"bogus-env-spaces", " parallel", Model{}},
 		{"bogus-mode", "", Model{Scheduler: Scheduler(99)}},
-		{"negative-window", "", Model{Scheduler: SchedRelaxed, RelaxWindowUS: -1}},
-		{"nan-window", "", Model{Scheduler: SchedRelaxed, RelaxWindowUS: math.NaN()}},
-		{"inf-window", "", Model{Scheduler: SchedRelaxed, RelaxWindowUS: math.Inf(1)}},
+		{"relaxed-env", "relaxed", Model{}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Setenv(SchedulerEnv, c.env)
 			m := c.m
-			if _, err := resolveScheduler(&m, 8); err == nil {
-				t.Errorf("resolveScheduler(env=%q, mode=%v) = nil error, want error",
+			_, err := resolveScheduler(&m, 8)
+			if err == nil {
+				t.Fatalf("resolveScheduler(env=%q, mode=%v) = nil error, want error",
 					c.env, m.Scheduler)
+			}
+			// The rejection names the whole menu: exactly three modes.
+			menu := "(valid: auto, serial, parallel)"
+			if c.env == "" {
+				menu = "(valid: SchedAuto, SchedSerial, SchedParallel)"
+			}
+			if !strings.Contains(err.Error(), menu) {
+				t.Errorf("resolveScheduler(env=%q, mode=%v) error lacks the menu %q: %v",
+					c.env, m.Scheduler, menu, err)
 			}
 			// The validation error must also surface from the public
 			// entry point, before any goroutine is launched.

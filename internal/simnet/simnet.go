@@ -392,22 +392,12 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 		return nil, nil, err
 	}
 	var wg sync.WaitGroup
-	if kind != kindSerial {
-		// Host-parallel schedulers: rank host code overlaps on real
-		// cores. The conservative scheduler admits shared-state events
-		// in serial order (bit-identical); the relaxed one admits
-		// within a bounded virtual-time window (relaxed.go).
+	if kind == kindParallel {
+		// Host-parallel conservative scheduler: rank host code overlaps
+		// on real cores, shared-state events are admitted in serial
+		// order (bit-identical).
 		c.par = &parSched{live: p}
 		c.par.cond = sync.NewCond(&c.par.mu)
-		if kind == kindRelaxed {
-			c.par.relaxed = true
-			w := model.RelaxWindowUS
-			if w == 0 {
-				w = defaultRelaxWindowUS
-			}
-			c.par.window = w * us
-			c.par.winEnd = c.par.window
-		}
 		// Seed the election heap before any rank can run: the first
 		// election must see every rank at key 0.
 		for i := 0; i < p; i++ {
@@ -417,11 +407,7 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 			wg.Add(1)
 			go c.parRank(c.nodes[i], body, &wg)
 		}
-		if kind == kindRelaxed {
-			c.relaxedRun()
-		} else {
-			c.parRun()
-		}
+		c.parRun()
 		wg.Wait()
 		return c.collect(p)
 	}
@@ -461,8 +447,8 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 	// elected minimum does not depend on visit order, and maybeStall
 	// only ever moves the visited rank's own clock. The serial
 	// scheduler stays O(P) per event by design — it is the bit-exact
-	// reference the parallel schedulers are differentially tested
-	// against; the O(log P) election lives in parsched.go.
+	// reference the parallel scheduler is differentially tested
+	// against; the O(log P) election lives in elect.go.
 	schedDone := make(chan struct{})
 	go func() {
 		defer close(schedDone)
@@ -600,12 +586,8 @@ func (c *cluster) deadlockError(running int) error {
 
 // yield hands control back to the scheduler and waits to be resumed.
 func (n *Node) yield() {
-	if par := n.net.par; par != nil {
-		if par.relaxed {
-			n.net.relaxedYield(n)
-		} else {
-			n.net.parYield(n)
-		}
+	if n.net.par != nil {
+		n.net.parYield(n)
 		return
 	}
 	n.net.schedCh <- n.Rank
@@ -614,17 +596,6 @@ func (n *Node) yield() {
 		panic(poisonSignal{})
 	}
 	n.maybeCrash()
-}
-
-// sliceLock/sliceUnlock bracket a relaxed-mode shared-state slice that
-// does not start with begin() — Compute and Sleep mutate the rank's
-// clock, which other ranks read under the slice lock. No-ops under the
-// serial and conservative schedulers (exclusive admission covers
-// them). sliceLock's lock is consumed by the yield() ending the slice.
-func (c *cluster) sliceLock() {
-	if c.par != nil && c.par.relaxed {
-		c.par.big.Lock()
-	}
 }
 
 // maybeStall applies a pending rank-stall fault: the first time the
@@ -705,7 +676,6 @@ func (n *Node) Compute(dt float64) {
 		n.net.failOnce(fmt.Errorf("simnet: rank %d: negative compute time %g", n.Rank, dt))
 		panic(poisonSignal{})
 	}
-	n.net.sliceLock()
 	n.clock += dt
 	n.cpu += dt
 	n.yield()
@@ -719,7 +689,6 @@ func (n *Node) Sleep(dt float64) {
 		n.net.failOnce(fmt.Errorf("simnet: rank %d: negative sleep time %g", n.Rank, dt))
 		panic(poisonSignal{})
 	}
-	n.net.sliceLock()
 	n.clock += dt
 	n.yield()
 }
@@ -879,12 +848,8 @@ func (n *Node) Wait(r *Request) {
 	if r.m == nil {
 		return
 	}
-	if par := n.net.par; par != nil {
-		if par.relaxed {
-			n.relaxedWait(r)
-		} else {
-			n.parWait(r)
-		}
+	if n.net.par != nil {
+		n.parWait(r)
 		return
 	}
 	for !r.m.xferDone {
