@@ -29,10 +29,7 @@ race:
 # a baseline, or just NAMES="ckptbench engine". Each file is stamped
 # with commit, date, Go version, NumCPU and GOMAXPROCS. Run after an
 # intentional cost change and commit the diff; the whole set takes
-# about three and a half minutes on a 2-vCPU host. Record
-# adaptbench by itself (NAMES=adaptbench) to reproduce the committed
-# digits: its checkpoint sizes shift in the fourth digit with what the
-# process gob-encoded before it (DESIGN.md §8, checkpoint codec).
+# about three and a half minutes on a 2-vCPU host.
 bench-all:
 	$(GO) run ./cmd/repro -record $(NAMES)
 
@@ -85,11 +82,13 @@ race-spectral:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
 		./internal/spectral ./internal/fft
 
-# The checkpoint-record parser reads bytes from outside the program
-# (restart files, farm journal entries); ten seconds of native fuzzing
-# on top of the seed corpus plain `go test` already runs.
+# The checkpoint-record parser and the state codec inside it read bytes
+# from outside the program (restart files, farm journal entries); ten
+# seconds of native fuzzing each on top of the seed corpus plain
+# `go test` already runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 10s ./internal/engine
 
 # Everything CI runs, in CI's order.
 check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke

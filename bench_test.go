@@ -344,7 +344,7 @@ func BenchmarkAblationTensorVsMatrix(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationAlltoallAlgorithms compares the pairwise and basic
+// BenchmarkAblationAlltoallAlgorithms compares the pairwise and Bruck
 // Alltoall algorithms on the Ethernet model, the contrast behind the
 // paper's MPI_Alltoall bottleneck analysis.
 func BenchmarkAblationAlltoallAlgorithms(b *testing.B) {
@@ -355,7 +355,7 @@ func BenchmarkAblationAlltoallAlgorithms(b *testing.B) {
 	for _, alg := range []struct {
 		name string
 		a    mpi.AlltoallAlg
-	}{{"pairwise", mpi.AlgPairwise}, {"basic", mpi.AlgBasic}} {
+	}{{"pairwise", mpi.AlgPairwise}, {"bruck", mpi.AlgBruck}} {
 		b.Run(alg.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, _, err := simnet.Run(4, mach.Net, func(n *simnet.Node) {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -176,12 +177,16 @@ func Figs1516(res []SweepCell) string {
 		sweepPies("Figures 15-16: Nektar-ALE", core.ALEStageNames, res, 64, "NCSA", "RoadRunner-myr")
 }
 
+func aleFlags(fs *flag.FlagSet, c *ALEConfig) { c.Sweep.flags(fs) }
+
 func runTable3(cfg ALEConfig, w io.Writer) (any, error) {
-	res, err := RunALE(cfg)
-	if err != nil {
-		return nil, err
-	}
-	Table3(res, cfg.Procs, cfg.Machines).Write(w)
-	fmt.Fprint(w, Figs1516(res))
-	return nil, nil
+	return nil, cfg.instrumented(func() error {
+		res, err := RunALE(cfg)
+		if err != nil {
+			return err
+		}
+		Table3(res, cfg.Procs, cfg.Machines).Write(w)
+		fmt.Fprint(w, Figs1516(res))
+		return nil
+	})
 }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"io"
 
@@ -156,12 +157,19 @@ func Figs1314(res []SweepCell) string {
 		"NCSA", "SP2-Silver", "RoadRunner-eth", "RoadRunner-myr")
 }
 
+func fourierFlags(fs *flag.FlagSet, c *FourierConfig) {
+	fs.IntVar(&c.Steps, "steps", c.Steps, "measured steps")
+	c.Sweep.flags(fs)
+}
+
 func runTable2(cfg FourierConfig, w io.Writer) (any, error) {
-	res, err := RunFourier(cfg)
-	if err != nil {
-		return nil, err
-	}
-	Table2(res, cfg.Procs, cfg.Machines).Write(w)
-	fmt.Fprint(w, Figs1314(res))
-	return nil, nil
+	return nil, cfg.instrumented(func() error {
+		res, err := RunFourier(cfg)
+		if err != nil {
+			return err
+		}
+		Table2(res, cfg.Procs, cfg.Machines).Write(w)
+		fmt.Fprint(w, Figs1314(res))
+		return nil
+	})
 }

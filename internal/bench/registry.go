@@ -66,10 +66,10 @@ var experiments = []Experiment{
 	entry(Experiment{Name: "fig8_alltoall", Desc: "MPI all-to-all exchange"},
 		[]int{4, 8}, []int{4, 8}, nil, runAlltoall),
 	entry(Experiment{Name: "table1_fig12_serial", Desc: "serial DNS: Table 1 + Figure 12"},
-		PaperSerial, SerialConfig{Nt: 24, Nr: 6, Order: 6, Steps: 1}, nil, runSerial),
+		PaperSerial, SerialConfig{Nt: 24, Nr: 6, Order: 6, Steps: 1}, serialFlags, runSerial),
 	entry(Experiment{Name: "table2_fig13-14_nektarf", Desc: "Nektar-F weak scaling: Table 2 + Figures 13-14"},
 		PaperFourier, with(PaperFourier, func(c *FourierConfig) { c.Procs, c.Steps = []int{2, 4, 8, 16}, 1 }),
-		nil, runTable2),
+		fourierFlags, runTable2),
 	entry(Experiment{Name: "faultbench", Desc: "checkpoint-interval sweep + measured crash recovery"},
 		PaperFaultbench, with(PaperFaultbench, func(c *FaultbenchConfig) {
 			c.Procs, c.ProbeNt, c.ProbeNr, c.Order, c.Steps = 2, 6, 2, 3, 1
@@ -88,8 +88,7 @@ var experiments = []Experiment{
 		nil, runTrace),
 	entry(Experiment{Name: "farmbench", Desc: "job-farm chaos campaign: SIGKILL the daemon, audit the ledger", Baseline: "farm"},
 		PaperFarmbench, QuickFarmbench, nil, runFarmbench),
-	entry(Experiment{Name: "scalebench", Desc: "simnet capacity sweep: weak/strong scaling on the PMS and Tanaka models to P=1024",
-		Baseline: "simnet"},
+	entry(Experiment{Name: "scalebench", Desc: "simnet capacity sweep: weak/strong scaling on the PMS and Tanaka models to P=1024"},
 		PaperScalebench, QuickScalebench, nil, runScalebench),
 	entry(Experiment{Name: "spectral", Desc: "pseudospectral turbulence: serial vs slab bit-identity + online spectra",
 		Baseline: "spectral"},
@@ -99,7 +98,7 @@ var experiments = []Experiment{
 	entry(Experiment{Name: "engine", Desc: "engine loop overhead: step, checkpoint marshal, traced step", Baseline: "engine"},
 		2000, 200, nil, runEngine),
 	entry(Experiment{Name: "table3_fig15-16_nektarale", Desc: "Nektar-ALE flapping wing: Table 3 + Figures 15-16"},
-		PaperALE, with(PaperALE, func(c *ALEConfig) { c.Procs = []int{16, 32} }), nil, runTable3),
+		PaperALE, with(PaperALE, func(c *ALEConfig) { c.Procs = []int{16, 32} }), aleFlags, runTable3),
 }
 
 // Experiments returns the registry, in run order.

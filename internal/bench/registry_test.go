@@ -122,11 +122,15 @@ func TestRecordEnvelope(t *testing.T) {
 // tables and the capacity sweep run at paper scale (minutes), so
 // -short, the race detector and a forced scheduler (all virtual-time,
 // so the bytes would not differ — only the wait) check the figures
-// alone.
+// alone. faultbench prices checkpoints by their encoded size and
+// supervise commits through the same records; they run last, after
+// every other experiment has encoded state in this process, because
+// their tables must not depend on that.
 func TestExperimentsRegenerate(t *testing.T) {
 	files := []string{"fig1-6_kernels", "fig7_pingpong", "fig8_alltoall"}
 	if !testing.Short() && !raceDetector && os.Getenv(simnet.SchedulerEnv) == "" {
-		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale", "scalebench")
+		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale", "scalebench",
+			"faultbench", "supervise")
 	}
 	for _, name := range files {
 		e, err := ExperimentByName(name)

@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"time"
 
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
@@ -96,14 +95,12 @@ type ScaleCellResult struct {
 	GridN    int    // solver grid size (0 for the skeleton)
 
 	StepVirtualS float64 // max per-rank virtual wall seconds per step
-	HostS        float64 // real host seconds for the whole run
 	// Efficiency is T_base/T for weak scaling and T_base*(P_base/P)/T
 	// for strong scaling, both against the sweep's smallest P.
 	Efficiency float64
 }
 
-// ScalebenchResult is the recorded sweep, the schema of
-// BENCH_simnet.json.
+// ScalebenchResult is the sweep behind experiments/scalebench.txt.
 type ScalebenchResult struct {
 	Steps int
 	Cells []ScaleCellResult
@@ -172,23 +169,21 @@ func solverBody(variant string, n, steps int, cpu *machine.CPU) func(*simnet.Nod
 }
 
 // runScaleCell runs one machine x workload x P x mode cell and returns
-// the virtual step time, host seconds, and the solver grid (0 for the
-// skeleton).
-func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, workload string, p int, weak bool) (stepVirtualS, hostS float64, gridN int, err error) {
+// the virtual step time and the solver grid (0 for the skeleton).
+func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, workload string, p int, weak bool) (stepVirtualS float64, gridN int, err error) {
 	if p > mach.MaxProcs {
-		return 0, 0, 0, fmt.Errorf("bench: scalebench %s: P=%d exceeds MaxProcs=%d", mach.Name, p, mach.MaxProcs)
+		return 0, 0, fmt.Errorf("bench: scalebench %s: P=%d exceeds MaxProcs=%d", mach.Name, p, mach.MaxProcs)
 	}
 	body := scaleBody(cfg, p, weak)
 	if workload != "skeleton" {
 		gridN = solverGridN(cfg.SolverProcs, p, weak)
 		body = solverBody(workload, gridN, cfg.Steps, &mach.CPU)
 	}
-	t0 := time.Now()
 	wall, _, err := simnet.Run(p, mach.Net, body)
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, 0, err
 	}
-	return slices.Max(wall) / float64(cfg.Steps), time.Since(t0).Seconds(), gridN, nil
+	return slices.Max(wall) / float64(cfg.Steps), gridN, nil
 }
 
 // RunScalebench executes the sweep and renders the weak/strong tables.
@@ -226,7 +221,7 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 				weak := mode == "weak"
 				var baseStep float64
 				for i, p := range procs {
-					stepS, hostS, gridN, err := runScaleCell(&cfg, mach, workload, p, weak)
+					stepS, gridN, err := runScaleCell(&cfg, mach, workload, p, weak)
 					if err != nil {
 						return nil, nil, fmt.Errorf("bench: scalebench %s %s %s P=%d: %w", name, workload, mode, p, err)
 					}
@@ -239,7 +234,7 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 					}
 					res.Cells = append(res.Cells, ScaleCellResult{
 						Machine: name, Workload: workload, Procs: p, Mode: mode,
-						GridN: gridN, StepVirtualS: stepS, HostS: hostS, Efficiency: eff,
+						GridN: gridN, StepVirtualS: stepS, Efficiency: eff,
 					})
 				}
 			}
@@ -260,10 +255,10 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 }
 
 func runScalebench(cfg ScalebenchConfig, w io.Writer) (any, error) {
-	res, tbl, err := RunScalebench(cfg)
+	_, tbl, err := RunScalebench(cfg)
 	if err != nil {
 		return nil, err
 	}
 	tbl.Write(w)
-	return res, nil
+	return nil, nil
 }

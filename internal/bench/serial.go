@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"flag"
 	"fmt"
 	"io"
 
@@ -160,16 +161,26 @@ func Fig12(res []SerialResult, machines ...string) (string, error) {
 	return out, nil
 }
 
+func serialFlags(fs *flag.FlagSet, c *SerialConfig) {
+	fs.IntVar(&c.Nt, "nt", c.Nt, "O-grid sectors")
+	fs.IntVar(&c.Nr, "nr", c.Nr, "O-grid rings")
+	fs.IntVar(&c.Order, "order", c.Order, "polynomial order")
+	fs.IntVar(&c.Steps, "steps", c.Steps, "measured steps")
+	c.Instrument.flags(fs)
+}
+
 func runSerial(cfg SerialConfig, w io.Writer) (any, error) {
-	res, _, err := RunSerial(cfg)
-	if err != nil {
-		return nil, err
-	}
-	Table1(res).Write(w)
-	txt, err := Fig12(res, "Onyx2", "Muses")
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprintf(w, "\n%s", txt)
-	return nil, nil
+	return nil, cfg.instrumented(func() error {
+		res, _, err := RunSerial(cfg)
+		if err != nil {
+			return err
+		}
+		Table1(res).Write(w)
+		txt, err := Fig12(res, "Onyx2", "Muses")
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "\n%s", txt)
+		return nil
+	})
 }

@@ -200,8 +200,7 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 		return nil, fmt.Errorf("bench: supervised faulted run: %w", err)
 	}
 
-	// gob is deterministic within a process, so equal trajectories
-	// give equal per-rank state bytes.
+	// Equal trajectories give equal per-rank state bytes.
 	identical := slices.EqualFunc(ref.FinalStates, got.FinalStates, bytes.Equal)
 
 	tbl := report.NewTable(

@@ -27,23 +27,33 @@ type Instrument struct {
 	// steps (plus the final state) into an on-disk store there.
 	CkptDir   string
 	CkptEvery int
+
+	tracePath string // -trace: the file instrumented opens Trace on
 }
 
-// Flags registers -trace, -ckptdir and -ckpt-every on fs. The returned
-// function, called after parsing, validates the checkpoint pair, opens
-// the trace file, and returns that file's closer.
-func (in *Instrument) Flags(fs *flag.FlagSet) func() (func() error, error) {
-	trace := fs.String("trace", "", "write the engine's per-step JSONL event stream to this file")
+// flags registers -trace, -ckptdir and -ckpt-every on fs.
+func (in *Instrument) flags(fs *flag.FlagSet) {
+	fs.StringVar(&in.tracePath, "trace", "", "write the engine's per-step JSONL event stream to this file")
 	fs.StringVar(&in.CkptDir, "ckptdir", in.CkptDir, "write durable checkpoints under this directory")
 	fs.IntVar(&in.CkptEvery, "ckpt-every", in.CkptEvery, "checkpoint cadence in steps (requires -ckptdir)")
-	return func() (func() error, error) {
-		if err := cliutil.CheckpointFlags(in.CkptDir, in.CkptEvery); err != nil {
-			return nil, err
-		}
-		tracer, closeTrace, err := cliutil.Tracer(*trace)
-		in.Trace = tracer
-		return closeTrace, err
+}
+
+// instrumented validates the checkpoint pair, opens the -trace file,
+// calls run and closes the file.
+func (in *Instrument) instrumented(run func() error) error {
+	if err := cliutil.CheckpointFlags(in.CkptDir, in.CkptEvery); err != nil {
+		return err
 	}
+	tracer, closeTrace, err := cliutil.Tracer(in.tracePath)
+	if err != nil {
+		return err
+	}
+	in.Trace = tracer
+	err = run()
+	if cerr := closeTrace(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Sweep is the machine x P grid Tables 2 and 3 share. With CkptDir set
@@ -59,8 +69,8 @@ type Sweep struct {
 	CkptDiskMBs float64
 }
 
-// Flags registers -machines and -procs next to the Instrument flags.
-func (sw *Sweep) Flags(fs *flag.FlagSet) func() (func() error, error) {
+// flags registers -machines and -procs next to the Instrument flags.
+func (sw *Sweep) flags(fs *flag.FlagSet) {
 	fs.Func("machines", "comma-separated machine list (default "+strings.Join(sw.Machines, ",")+")", func(s string) error {
 		sw.Machines = strings.Split(s, ",")
 		return nil
@@ -76,7 +86,7 @@ func (sw *Sweep) Flags(fs *flag.FlagSet) func() (func() error, error) {
 		}
 		return nil
 	})
-	return sw.Instrument.Flags(fs)
+	sw.Instrument.flags(fs)
 }
 
 // SweepCell is one (machine, P) cell: CPU and wall-clock seconds per

@@ -138,7 +138,7 @@ func EncodeRecord(m Meta, state []byte) ([]byte, error) {
 	binary.BigEndian.PutUint64(hdr[12:], uint64(len(state)))
 	buf.Write(hdr[:])
 	// flate.BestSpeed: checkpoints sit on the step loop's shadow; the
-	// gob payloads are float-heavy and compress only modestly, so a
+	// state payloads are float-heavy and compress only modestly, so a
 	// deeper search buys little and costs a lot.
 	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 // Checkpointing: the paper's production runs took 250 hours of CPU
 // time per processor, which is only survivable with restart files.
 // The serial solver's complete time-stepping state (fields, pressure,
-// multistep histories) round-trips through the engine's gob codec; the mesh and
+// multistep histories) round-trips through the engine's codec; the mesh and
 // operators are rebuilt from the same configuration on restart.
 
 // ns2dState is the serialized form of the solver state.

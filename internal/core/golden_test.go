@@ -16,10 +16,7 @@ import (
 // solver's complete time-stepping state after a fixed short run,
 // captured from the pre-engine-refactor code. The engine refactor must
 // not change a single bit of any trajectory. The hash reads the solver
-// fields directly rather than the gob checkpoint stream, because gob
-// assigns wire type IDs from a process-global counter — the same state
-// encodes to different bytes depending on what was gob-encoded earlier
-// in the process, while the state itself is identical.
+// fields directly, so the pins outlive a change of checkpoint format.
 const (
 	goldenNS2D = "62075ca6409de6d14a2873473020a4ac212e6c9fce740480c71ca4d255c6d212"
 	goldenNSF0 = "19bcd5cea2b6eea26da542bfe0427f0d8fd7afd03c62d90624bb45d428c30e10"

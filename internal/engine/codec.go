@@ -2,31 +2,230 @@ package engine
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"io"
+	"math"
+	"reflect"
 )
 
 // The one checkpoint codec. Every solver serializes its state struct
-// through these helpers, so the wire format (deterministic gob: equal
-// trajectories give byte-identical checkpoints within one process) is
-// decided in exactly one place. Across processes the raw bytes are
-// NOT stable — gob assigns wire type IDs from a process-global
-// counter in first-encounter order — so cross-process identity checks
-// must compare canonical content (see farm.HashState), not streams.
+// through these helpers, so the wire format is decided in exactly one
+// place. It is positional and canonical — equal states give equal
+// bytes in any process, so streams may be compared and hashed:
+//
+//	"NKST" | version byte | 8-byte layout fingerprint | value
+//
+// The fingerprint is the FNV-1a hash of the state type's layout (field
+// names and kinds, in declaration order). int, int64, uint64, bool and
+// float64 are one little-endian 8-byte word, complex128 is two, a
+// slice is its length word then its elements, arrays and structs are
+// their elements in order; any other kind is an encode-time error.
 
-// EncodeState writes st as a gob stream.
+const (
+	stateMagic   = "NKST"
+	stateVersion = 1
+)
+
+var le = binary.LittleEndian
+
+// layout writes t's description to w; a kind the format does not carry
+// is an error.
+func layout(w io.Writer, t reflect.Type) error {
+	switch t.Kind() {
+	case reflect.Int, reflect.Int64, reflect.Uint64, reflect.Bool, reflect.Float64, reflect.Complex128:
+		io.WriteString(w, t.Kind().String())
+		return nil
+	case reflect.Slice:
+		if t.Elem().Size() == 0 {
+			// No bytes would back a declared length.
+			return fmt.Errorf("slice of zero-size %v", t.Elem())
+		}
+		io.WriteString(w, "[]")
+		return layout(w, t.Elem())
+	case reflect.Array:
+		fmt.Fprintf(w, "[%d]", t.Len())
+		return layout(w, t.Elem())
+	case reflect.Struct:
+		io.WriteString(w, "{")
+		for i := 0; i < t.NumField(); i++ {
+			f := t.Field(i)
+			if !f.IsExported() {
+				return fmt.Errorf("unexported field %s", f.Name)
+			}
+			io.WriteString(w, f.Name+" ")
+			if err := layout(w, f.Type); err != nil {
+				return fmt.Errorf("field %s: %w", f.Name, err)
+			}
+			io.WriteString(w, ";")
+		}
+		io.WriteString(w, "}")
+		return nil
+	}
+	return fmt.Errorf("unsupported kind %v", t.Kind())
+}
+
+// header returns the stream header for state type t.
+func header(t reflect.Type) ([]byte, error) {
+	h := fnv.New64a()
+	if err := layout(h, t); err != nil {
+		return nil, err
+	}
+	return le.AppendUint64(append([]byte(stateMagic), stateVersion), h.Sum64()), nil
+}
+
+func appendValue(b []byte, v reflect.Value) []byte {
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		return le.AppendUint64(b, uint64(v.Int()))
+	case reflect.Uint64:
+		return le.AppendUint64(b, v.Uint())
+	case reflect.Bool:
+		if v.Bool() {
+			return le.AppendUint64(b, 1)
+		}
+		return le.AppendUint64(b, 0)
+	case reflect.Float64:
+		return le.AppendUint64(b, math.Float64bits(v.Float()))
+	case reflect.Complex128:
+		c := v.Complex()
+		return le.AppendUint64(le.AppendUint64(b, math.Float64bits(real(c))), math.Float64bits(imag(c)))
+	case reflect.Slice:
+		b = le.AppendUint64(b, uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i, n := 0, v.Len(); i < n; i++ {
+			b = appendValue(b, v.Index(i))
+		}
+	case reflect.Struct:
+		for i, n := 0, v.NumField(); i < n; i++ {
+			b = appendValue(b, v.Field(i))
+		}
+	}
+	return b
+}
+
+// EncodeState writes st, a state or a pointer to one, as one stream.
 func EncodeState(w io.Writer, st any) error {
-	if err := gob.NewEncoder(w).Encode(st); err != nil {
+	v := reflect.Indirect(reflect.ValueOf(st))
+	b, err := header(v.Type())
+	if err != nil {
+		return fmt.Errorf("engine: encoding checkpoint: %w", err)
+	}
+	if _, err := w.Write(appendValue(b, v)); err != nil {
 		return fmt.Errorf("engine: encoding checkpoint: %w", err)
 	}
 	return nil
 }
 
-// DecodeState reads a gob stream produced by EncodeState into st.
+// decoder consumes the bytes that remain of a stream.
+type decoder struct{ b []byte }
+
+func (d *decoder) word() (uint64, error) {
+	if len(d.b) < 8 {
+		return 0, io.ErrUnexpectedEOF
+	}
+	x := le.Uint64(d.b)
+	d.b = d.b[8:]
+	return x, nil
+}
+
+func (d *decoder) value(v reflect.Value) error {
+	switch v.Kind() {
+	case reflect.Slice:
+		n, err := d.word()
+		if err != nil {
+			return err
+		}
+		// Bound the allocation by the bytes left: an element encodes to
+		// at least a third of its size in memory (a 24-byte slice header
+		// to one word).
+		if n > 3*uint64(len(d.b))/uint64(v.Type().Elem().Size()) {
+			return fmt.Errorf("slice of %d %v declared with %d bytes left", n, v.Type().Elem(), len(d.b))
+		}
+		v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
+		fallthrough
+	case reflect.Array:
+		for i, n := 0, v.Len(); i < n; i++ {
+			if err := d.value(v.Index(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	case reflect.Struct:
+		for i, n := 0, v.NumField(); i < n; i++ {
+			if err := d.value(v.Field(i)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	x, err := d.word()
+	if err != nil {
+		return err
+	}
+	switch v.Kind() {
+	case reflect.Int, reflect.Int64:
+		if v.OverflowInt(int64(x)) {
+			return fmt.Errorf("%d overflows %v", int64(x), v.Type())
+		}
+		v.SetInt(int64(x))
+	case reflect.Uint64:
+		v.SetUint(x)
+	case reflect.Bool:
+		if x > 1 {
+			return fmt.Errorf("bool word %#x", x)
+		}
+		v.SetBool(x == 1)
+	case reflect.Float64:
+		v.SetFloat(math.Float64frombits(x))
+	case reflect.Complex128:
+		y, err := d.word()
+		if err != nil {
+			return err
+		}
+		v.SetComplex(complex(math.Float64frombits(x), math.Float64frombits(y)))
+	}
+	return nil
+}
+
+// DecodeState reads a stream produced by EncodeState into st, a
+// pointer to the same state type. Anything else — truncation, trailing
+// bytes, another version, another layout — is an error; on error *st
+// may be partly written.
 func DecodeState(r io.Reader, st any) error {
-	if err := gob.NewDecoder(r).Decode(st); err != nil {
-		return fmt.Errorf("engine: decoding checkpoint: %w", err)
+	fail := func(err error) error { return fmt.Errorf("engine: decoding checkpoint: %w", err) }
+	v := reflect.ValueOf(st)
+	if v.Kind() != reflect.Pointer || v.IsNil() {
+		return fail(fmt.Errorf("state is a %T, not a pointer", st))
+	}
+	v = v.Elem()
+	want, err := header(v.Type())
+	if err != nil {
+		return fail(err)
+	}
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return fail(err)
+	}
+	nm := len(stateMagic)
+	switch {
+	case len(b) < len(want):
+		return fail(io.ErrUnexpectedEOF)
+	case string(b[:nm]) != stateMagic:
+		return fail(fmt.Errorf("not a state stream (magic %q)", b[:nm]))
+	case b[nm] != stateVersion:
+		return fail(fmt.Errorf("stream version %d, this build reads version %d", b[nm], stateVersion))
+	case !bytes.Equal(b[:len(want)], want):
+		return fail(fmt.Errorf("stream was written from a different state layout than %v", v.Type()))
+	}
+	d := decoder{b[len(want):]}
+	if err := d.value(v); err != nil {
+		return fail(err)
+	}
+	if len(d.b) != 0 {
+		return fail(fmt.Errorf("%d trailing bytes", len(d.b)))
 	}
 	return nil
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // fakeSolver is a minimal Solver: its state is one float advanced by a
-// caller-controlled rule, its checkpoint the gob of (step, value).
+// caller-controlled rule, its checkpoint the encoded (step, value).
 type fakeSolver struct {
 	step    int
 	value   float64

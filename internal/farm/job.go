@@ -99,8 +99,8 @@ func (s JobSpec) Key() string {
 }
 
 // Result is one job's computed outcome: the step it finished at and
-// the digest of its final marshalled solver state (canonicalized, so
-// bit-identical trajectories give equal hashes in any process).
+// the digest of its final marshalled solver state (bit-identical
+// trajectories give equal hashes in any process).
 type Result struct {
 	Hash  string `json:"hash"`
 	Steps int    `json:"steps"`
@@ -108,88 +108,12 @@ type Result struct {
 }
 
 // HashState digests a marshalled solver state the way Result.Hash is
-// produced, for callers comparing farm results against reference runs.
-//
-// The digest covers the canonical content of the gob stream, not its
-// raw bytes: encoding/gob assigns wire type IDs from a process-global
-// counter in first-encounter order, so two processes (or one process
-// before/after encoding unrelated types) emit byte-different streams
-// for the same value. The farm's bit-identity audit compares daemon
-// results against reference runs computed in another process, so the
-// hash must skip the type-descriptor messages and the value message's
-// type-ID prefix — everything history-dependent — and digest only the
-// payload. A state that does not parse as gob is hashed raw.
+// produced, for callers comparing farm results against reference runs
+// from any process: the SHA-256 of the stream, which is canonical
+// (engine.EncodeState).
 func HashState(state []byte) string {
-	sum := sha256.Sum256(canonicalGob(state))
+	sum := sha256.Sum256(state)
 	return hex.EncodeToString(sum[:])
-}
-
-// canonicalGob extracts the type-ID-independent payload of a gob
-// stream: the body of each value message with its leading type ID
-// stripped, delimited by the message lengths. Descriptor messages
-// (negative type ID) are dropped entirely. The wire format is
-// documented and frozen ("may only be appended to"), so this parse is
-// stable. On any framing it does not understand it returns the input
-// unchanged — the hash is then raw-byte, exactly the old behavior.
-func canonicalGob(stream []byte) []byte {
-	out := make([]byte, 0, len(stream))
-	rest := stream
-	for len(rest) > 0 {
-		// Message framing: unsigned byte count, then that many bytes.
-		n, sz, ok := gobUint(rest)
-		if !ok || n > uint64(len(rest)-sz) {
-			return stream
-		}
-		body := rest[sz : sz+int(n)]
-		rest = rest[sz+int(n):]
-		// The body leads with the signed type ID: negative introduces a
-		// type descriptor, positive a value of that type.
-		id, idSz, ok := gobInt(body)
-		if !ok {
-			return stream
-		}
-		if id < 0 {
-			continue // descriptor: pure type-table bookkeeping, drop
-		}
-		// Keep the payload and its length so message boundaries still
-		// separate, but not the history-dependent ID.
-		payload := body[idSz:]
-		out = append(out, byte(len(payload)>>16), byte(len(payload)>>8), byte(len(payload)))
-		out = append(out, payload...)
-	}
-	return out
-}
-
-// gobUint decodes gob's unsigned-integer wire form: one byte if
-// < 128, else 256-b big-endian bytes follow.
-func gobUint(b []byte) (v uint64, size int, ok bool) {
-	if len(b) == 0 {
-		return 0, 0, false
-	}
-	if b[0] < 0x80 {
-		return uint64(b[0]), 1, true
-	}
-	n := int(-int8(b[0]))
-	if n < 1 || n > 8 || len(b) < 1+n {
-		return 0, 0, false
-	}
-	for _, c := range b[1 : 1+n] {
-		v = v<<8 | uint64(c)
-	}
-	return v, 1 + n, true
-}
-
-// gobInt decodes gob's signed-integer wire form: an unsigned value
-// whose low bit says "complement the rest".
-func gobInt(b []byte) (v int64, size int, ok bool) {
-	u, size, ok := gobUint(b)
-	if !ok {
-		return 0, 0, false
-	}
-	if u&1 != 0 {
-		return ^int64(u >> 1), size, true
-	}
-	return int64(u >> 1), size, true
 }
 
 // Job is the farm's record of one submission. All fields are guarded

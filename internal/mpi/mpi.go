@@ -333,9 +333,6 @@ const (
 	AlgAuto AlltoallAlg = iota
 	// AlgPairwise runs P-1 sendrecv steps with disjoint partners.
 	AlgPairwise
-	// AlgBasic posts all sends then all receives (LAM's basic
-	// algorithm); fine on full crossbars, disastrous on shared media.
-	AlgBasic
 	// AlgBruck is the log2(P)-round store-and-forward algorithm:
 	// fewer, larger messages, trading bandwidth for latency.
 	AlgBruck
@@ -372,37 +369,20 @@ func (c *Comm) Alltoall(send [][]float64, alg AlltoallAlg) [][]float64 {
 			}
 		}
 	}
-	switch alg {
-	case AlgBruck:
+	if alg == AlgBruck {
 		return c.alltoallBruck(send, tag)
-	case AlgBasic:
-		// Raw nonblocking sends: the basic algorithm bypasses reliable
-		// mode by construction (see the bypass notes in reliable.go).
-		reqs := make([]*simnet.Request, 0, p-1)
-		for i := 1; i < p; i++ {
-			dst := (r + i) % p
-			reqs = append(reqs, c.node.Isend(dst, tag, send[dst]))
+	}
+	pow2 := p&(p-1) == 0
+	for step := 1; step < p; step++ {
+		var dst, src int
+		if pow2 {
+			dst = r ^ step
+			src = dst
+		} else {
+			dst = (r + step) % p
+			src = (r - step + p) % p
 		}
-		for i := 1; i < p; i++ {
-			src := (r - i + p) % p
-			recv[src] = c.node.Recv(src, tag)
-		}
-		for _, rq := range reqs {
-			c.node.Wait(rq)
-		}
-	default: // AlgPairwise
-		pow2 := p&(p-1) == 0
-		for step := 1; step < p; step++ {
-			var dst, src int
-			if pow2 {
-				dst = r ^ step
-				src = dst
-			} else {
-				dst = (r + step) % p
-				src = (r - step + p) % p
-			}
-			recv[src] = c.Sendrecv(dst, tag, send[dst], src, tag)
-		}
+		recv[src] = c.Sendrecv(dst, tag, send[dst], src, tag)
 	}
 	return recv
 }

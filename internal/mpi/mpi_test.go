@@ -181,7 +181,6 @@ func alltoallBody(t *testing.T, p int, alg AlltoallAlg) {
 
 func TestAlltoallPairwisePow2(t *testing.T) { alltoallBody(t, 8, AlgPairwise) }
 func TestAlltoallPairwiseOdd(t *testing.T)  { alltoallBody(t, 5, AlgPairwise) }
-func TestAlltoallBasic(t *testing.T)        { alltoallBody(t, 6, AlgBasic) }
 func TestAlltoallAuto(t *testing.T)         { alltoallBody(t, 4, AlgAuto) }
 func TestAlltoallSingleRank(t *testing.T)   { alltoallBody(t, 1, AlgAuto) }
 func TestAlltoallTwoRanksBig(t *testing.T)  { alltoallBody(t, 2, AlgPairwise) }
@@ -189,7 +188,7 @@ func TestAlltoallTwoRanksBig(t *testing.T)  { alltoallBody(t, 2, AlgPairwise) }
 func TestAlltoallLargeRendezvousMessages(t *testing.T) {
 	// 1 MB per pair exceeds the eager limit: exercises rendezvous in
 	// both algorithms.
-	for _, alg := range []AlltoallAlg{AlgPairwise, AlgBasic} {
+	for _, alg := range []AlltoallAlg{AlgPairwise, AlgBruck} {
 		p := 4
 		sums := make([]float64, p)
 		runWorld(t, p, func(c *Comm) {

@@ -20,9 +20,8 @@ import (
 // Bypasses (documented, deliberate): self-sends cannot be lost and use
 // the direct path; wildcard (AnySource) receives skip sequencing, so
 // reliable-mode programs must not mix them with reliable traffic on
-// the same tag; the nonblocking Isend/Wait pair — and therefore the
-// AlgBasic alltoall built on it — stays raw, because stop-and-wait
-// acknowledgment is inherently blocking.
+// the same tag; the nonblocking Isend/Wait pair stays raw, because
+// stop-and-wait acknowledgment is inherently blocking.
 
 // ErrDeliveryFailed reports that a reliable send exhausted its retry
 // budget without an acknowledgment (the peer crashed, or the link is

@@ -7,33 +7,17 @@ import (
 	"nektar/internal/engine"
 )
 
-// turbState is the serialized per-rank form of the solver state. The
-// complex slabs travel as interleaved re/im float64 pairs because
-// encoding/gob has no complex codec; the layout guards (rank, size,
-// grid, variant) reject a stream restored into the wrong slab.
+// turbState is the serialized per-rank form of the solver state; the
+// layout guards (rank, size, grid, variant) reject a stream restored
+// into the wrong slab.
 type turbState struct {
 	Step   int
 	Rank   int
 	Size   int
 	N      int
 	Forced bool
-	W      []float64
-	PrevN  []float64
-}
-
-func flatten(src []complex128) []float64 {
-	out := make([]float64, 2*len(src))
-	for i, v := range src {
-		out[2*i] = real(v)
-		out[2*i+1] = imag(v)
-	}
-	return out
-}
-
-func unflatten(src []float64, dst []complex128) {
-	for i := range dst {
-		dst[i] = complex(src[2*i], src[2*i+1])
-	}
+	W      []complex128
+	PrevN  []complex128
 }
 
 // Checkpoint implements engine.Solver: the complete time-stepping state
@@ -43,8 +27,7 @@ func (s *Turb2D) Checkpoint(w io.Writer) error {
 	st := turbState{
 		Step: s.step, Rank: s.rank, Size: s.p,
 		N: s.Cfg.N, Forced: s.Cfg.Forced,
-		W:     flatten(s.w),
-		PrevN: flatten(s.prevN),
+		W: s.w, PrevN: s.prevN,
 	}
 	return engine.EncodeState(w, &st)
 }
@@ -66,12 +49,12 @@ func (s *Turb2D) Restore(r io.Reader) error {
 		return fmt.Errorf("spectral: checkpoint is a %d-grid forced=%v run, this solver is %d-grid forced=%v",
 			st.N, st.Forced, s.Cfg.N, s.Cfg.Forced)
 	}
-	if len(st.W) != 2*len(s.w) || len(st.PrevN) != 2*len(s.prevN) {
+	if len(st.W) != len(s.w) || len(st.PrevN) != len(s.prevN) {
 		return fmt.Errorf("spectral: checkpoint slab sizes (%d, %d) do not match solver (%d, %d)",
-			len(st.W), len(st.PrevN), 2*len(s.w), 2*len(s.prevN))
+			len(st.W), len(st.PrevN), len(s.w), len(s.prevN))
 	}
 	s.step = st.Step
-	unflatten(st.W, s.w)
-	unflatten(st.PrevN, s.prevN)
+	copy(s.w, st.W)
+	copy(s.prevN, st.PrevN)
 	return nil
 }

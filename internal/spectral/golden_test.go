@@ -38,12 +38,16 @@ func hashInt(h hash.Hash, v int) {
 	h.Write(b[:])
 }
 
-func hashFloats(h hash.Hash, xs ...[]float64) {
+// hashSlabs digests each slab as the interleaved re/im float64 bits
+// the goldens were pinned over (length counted in floats).
+func hashSlabs(h hash.Hash, xs ...[]complex128) {
 	var b [8]byte
 	for _, s := range xs {
-		hashInt(h, len(s))
+		hashInt(h, 2*len(s))
 		for _, v := range s {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(real(v)))
+			h.Write(b[:])
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(imag(v)))
 			h.Write(b[:])
 		}
 	}
@@ -52,7 +56,7 @@ func hashFloats(h hash.Hash, xs ...[]float64) {
 func turbStateHash(s *Turb2D) string {
 	h := sha256.New()
 	hashInt(h, s.step)
-	hashFloats(h, flatten(s.w), flatten(s.prevN))
+	hashSlabs(h, s.w, s.prevN)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -252,9 +252,8 @@ type Result struct {
 	// attempt, the time to completion or to the monitor's failure
 	// verdict (at which point a real supervisor kills the job).
 	VirtualWall float64
-	// FinalStates holds each rank's final serialized solver state; gob
-	// encoding is deterministic, so bit-identical trajectories give
-	// byte-identical states.
+	// FinalStates holds each rank's final serialized solver state;
+	// bit-identical trajectories give byte-identical states.
 	FinalStates [][]byte
 	// Replacements is the spare-pool history of the campaign.
 	Replacements []simnet.Replacement
