@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet fmt test race bench-all race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke
+.PHONY: check build vet fmt test race bench-all bench-smoke race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -90,5 +90,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 10s ./internal/engine
 
+# The gated benchmark at smoke sizes (under a second of measurement):
+# every workload runs, and the exit code is non-zero if an op fails or a
+# cycles-bit-identical / slab-equals-serial / one-rank-energy / farm
+# audit check does. The numbers it prints mean nothing at this size.
+bench-smoke:
+	bash benchmark/run.sh -quick
+
 # Everything CI runs, in CI's order.
-check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke
+check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke bench-smoke

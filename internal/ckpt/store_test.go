@@ -2,12 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 )
 
@@ -314,4 +316,67 @@ func TestRetentionGC(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEncodeRecordStreamIsFreshBestSpeed: whatever was encoded before,
+// the deflate stream of a record is exactly what a fresh
+// flate.NewWriter(BestSpeed) produces — frames, stored sizes and every
+// priced write cost derived from them depend on it. It is the pin a
+// recycled compressor (ROADMAP item 4(a)) has to keep.
+func TestEncodeRecordStreamIsFreshBestSpeed(t *testing.T) {
+	mixed := func(n int) []byte {
+		b := make([]byte, n)
+		x := uint32(n)*2654435761 + 1
+		for i := range b {
+			x = x*1664525 + 1013904223
+			b[i] = byte(x>>24) & byte(0x0f<<(uint(i/64)%5)) // runs of compressible and noisy bytes
+		}
+		return b
+	}
+	m := Meta{Kind: "turb2d", Rank: 3, Step: 40}
+	// Large to small and back, so a compressor that outlived one record
+	// would meet the next in the state a very different payload left it in.
+	for _, n := range []int{270_000, 0, 4096, 1, 136, 270_000, 136} {
+		state := mixed(n)
+		frame, err := EncodeRecord(m, state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh bytes.Buffer
+		zw, err := flate.NewWriter(&fresh, flate.BestSpeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zw.Write(state)
+		zw.Close()
+		hdr := len(magic) + 2 + len(m.Kind) + 20
+		if got := frame[hdr : len(frame)-trailerLen]; !bytes.Equal(got, fresh.Bytes()) {
+			t.Errorf("%d-byte payload: the record's stream is %d bytes, a fresh writer's %d, and they differ", n, len(got), fresh.Len())
+		}
+	}
+
+	// Concurrent encoders (AsyncWriter, the farm's workers); run under
+	// -race by `make race` and `race-ckpt`.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				state := mixed(1 + 997*g + 4001*i)
+				want := Meta{Kind: "k", Rank: g, Step: i}
+				frame, err := EncodeRecord(want, state)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, back, err := DecodeRecord(frame)
+				if err != nil || got != want || !bytes.Equal(back, state) {
+					t.Errorf("goroutine %d record %d did not round-trip: meta %+v, err %v", g, i, got, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -118,6 +118,11 @@ type localSys struct {
 	mats [][]float64 // per owned element: current Helmholtz matrix
 	diag []float64   // inverse diagonal over unknowns
 
+	// Work vectors kept across calls: apply's element-local input and
+	// output (sized for the largest element) and pcg's r, z, p, Hp.
+	xl, yl      []float64
+	r, z, p, hp []float64
+
 	// price, when set, is called with the BLAS counts of every local
 	// computation section (between communications) so the simulated
 	// clock advances; nil in validation mode, where the caller owns
@@ -169,7 +174,12 @@ func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm) *localSys {
 		}
 		s.l2l[oi] = loc
 		s.sgn[oi] = a.Sign[ei]
+		if len(loc) > len(s.xl) {
+			s.xl, s.yl = make([]float64, len(loc)), make([]float64, len(loc))
+		}
 	}
+	nl := len(s.gdof)
+	s.r, s.z, s.p, s.hp = make([]float64, nl), make([]float64, nl), make([]float64, nl), make([]float64, nl)
 	s.unk = make([]bool, len(s.gdof))
 	for l, g := range s.gdof {
 		s.unk[l] = g < a.NSolve
@@ -222,8 +232,7 @@ func (s *localSys) apply(m *mesh.Mesh, x, y []float64) {
 		for oi, ei := range s.own {
 			el := m.Elems[ei]
 			n := el.Ref.NModes
-			xl := make([]float64, n)
-			yl := make([]float64, n)
+			xl, yl := s.xl[:n], s.yl[:n]
 			loc, sg := s.l2l[oi], s.sgn[oi]
 			for mi := 0; mi < n; mi++ {
 				xl[mi] = sg[mi] * x[loc[mi]]
@@ -244,7 +253,7 @@ func (s *localSys) apply(m *mesh.Mesh, x, y []float64) {
 // iterations apply the operator for timing but freeze the solution).
 func (s *localSys) pcg(m *mesh.Mesh, x, b []float64, tol float64, minIter, maxIter int) (int, error) {
 	n := len(s.gdof)
-	r := make([]float64, n)
+	r, z, p, hp := s.r, s.z, s.p, s.hp
 	s.apply(m, x, r) // includes Dirichlet columns
 	for i := 0; i < n; i++ {
 		if s.unk[i] {
@@ -253,9 +262,6 @@ func (s *localSys) pcg(m *mesh.Mesh, x, b []float64, tol float64, minIter, maxIt
 			r[i] = 0
 		}
 	}
-	z := make([]float64, n)
-	p := make([]float64, n)
-	hp := make([]float64, n)
 	for i := range z {
 		z[i] = r[i] * s.diag[i]
 	}

@@ -2,8 +2,13 @@ package core
 
 import (
 	"math"
+	"os"
+	"runtime"
+	"sort"
 	"testing"
+	"time"
 
+	"nektar/internal/machine"
 	"nektar/internal/mesh"
 	"nektar/internal/mpi"
 	"nektar/internal/simnet"
@@ -250,5 +255,73 @@ func TestALEForcesOnWing(t *testing.T) {
 		if math.Abs(f1[c]-f2[c]) > 1e-8*(1+math.Abs(f1[c])) {
 			t.Fatalf("component %d: serial %v vs parallel %v", c, f1[c], f2[c])
 		}
+	}
+}
+
+// TestALELongRunIsStationary pins what the benchmark's rebuild-per-cycle
+// workaround used to hide: a long ALE run must cost at step 40 what it
+// cost at step 10, in live heap and in time. Every collective draws a
+// fresh tag, and the simulator used to keep one inbox queue per tag
+// forever — 3.7 MB live at step 10 and 12.7 MB at step 40 at this shape
+// (flat at 0.8 MB now), and a step time that grew with it.
+func TestALELongRunIsStationary(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: 40-step run skipped")
+	}
+	const p, steps = 4, 40
+	mach := machine.Muses()
+	stepMS := make([]float64, steps)
+	var heap10, heap40 uint64
+	_, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
+		comm := mpi.World(n)
+		ns, err := NewNSALE(wingMesh(t, 2, 6, 1, 1), ALEConfig{
+			Nu: 0.05, Dt: 2e-3, Order: 2, FarfieldVel: [3]float64{1, 0, 0},
+		}, comm, &mach.CPU)
+		if err != nil {
+			panic(err)
+		}
+		ns.SetUniformInitial(1, 0, 0)
+		// liveHeap: every rank is at the same step, and the others wait
+		// at the second barrier while rank 0 collects and reads.
+		liveHeap := func(out *uint64) {
+			comm.Barrier()
+			if n.Rank == 0 {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				*out = ms.HeapAlloc
+			}
+			comm.Barrier()
+		}
+		for i := 0; i < steps; i++ {
+			t0 := time.Now()
+			ns.Step()
+			if n.Rank == 0 {
+				stepMS[i] = float64(time.Since(t0)) / 1e6
+			}
+			switch i + 1 {
+			case 10:
+				liveHeap(&heap10)
+			case steps:
+				liveHeap(&heap40)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if limit := heap10 + heap10/10 + 1<<20; heap40 > limit {
+		t.Errorf("live heap grew from %d bytes at step 10 to %d at step %d (limit %d)", heap10, heap40, steps, limit)
+	}
+	median := func(v []float64) float64 {
+		s := append([]float64(nil), v...)
+		sort.Float64s(s)
+		return s[len(s)/2]
+	}
+	early, late := median(stepMS[5:10]), median(stepMS[steps-5:])
+	t.Logf("live heap %d -> %d bytes; step time median %.2f ms (steps 6-10) -> %.2f ms (last five)", heap10, heap40, early, late)
+	// Under the forced parallel scheduler host time is ±3x run to run.
+	if os.Getenv(simnet.SchedulerEnv) == "" && late > 1.25*early {
+		t.Errorf("steps slowed down: median %.2f ms over steps 6-10, %.2f ms over the last five", early, late)
 	}
 }

@@ -57,16 +57,33 @@ type GS struct {
 	// it to emulate paper-scale interface sizes from validation-scale
 	// runs; 0 or 1 means no padding.
 	PadFactor float64
+
+	// Work space kept across calls so Combine and Dot allocate nothing:
+	// the pairwise pack buffer (reused for every neighbour's send, then
+	// for the receives), the pending sends, the packed tree vector, and
+	// the one-float cell Dot reduces in.
+	buf  []float64
+	reqs []*simnet.Request
+	tree []float64
+	cell [1]float64
 }
 
-// pad extends buf to PadFactor times its length with zeros.
-func (g *GS) pad(buf []float64) []float64 {
+// padded returns the exchanged length of an n-value message under
+// PadFactor.
+func (g *GS) padded(n int) int {
 	if g.PadFactor <= 1 {
-		return buf
+		return n
 	}
-	out := make([]float64, int(float64(len(buf))*g.PadFactor))
-	copy(out, buf)
-	return out
+	return int(float64(n) * g.PadFactor)
+}
+
+// grown returns buf cut to n elements, reallocating only when it is too
+// small.
+func grown(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	return buf[:n]
 }
 
 // New builds a gather-scatter plan for the given global ids (one per
@@ -187,18 +204,20 @@ func (g *GS) Combine(vals []float64, op Op) {
 	// sharer (nonblocking, so multi-neighbor cycles cannot deadlock),
 	// then fold in each neighbor's original contribution.
 	const tag = 1 << 22
-	var reqs []*simnet.Request
+	g.reqs = g.reqs[:0]
 	for ni, r := range g.nbr {
 		idx := g.nbrIdx[ni]
-		buf := make([]float64, len(idx))
+		g.buf = grown(g.buf, g.padded(len(idx)))
 		for j, li := range idx {
-			buf[j] = vals[li]
+			g.buf[j] = vals[li]
 		}
-		reqs = append(reqs, g.comm.Isend(r, tag, g.pad(buf)))
+		clear(g.buf[len(idx):]) // the padding travels as zeros
+		g.reqs = append(g.reqs, g.comm.Isend(r, tag, g.buf))
 	}
 	for ni, r := range g.nbr {
 		idx := g.nbrIdx[ni]
-		got := g.comm.Recv(r, tag)
+		g.buf = grown(g.buf, g.padded(len(idx)))
+		got := g.buf[:g.comm.RecvInto(r, tag, g.buf)]
 		switch op {
 		case Sum:
 			for j, li := range idx {
@@ -218,25 +237,27 @@ func (g *GS) Combine(vals []float64, op Op) {
 			}
 		}
 	}
-	for _, rq := range reqs {
+	for _, rq := range g.reqs {
 		g.comm.Wait(rq)
 	}
 	// Tree stage: packed reduction over the many-shared ids.
 	if g.treeLen > 0 {
-		packed := make([]float64, g.treeLen)
+		g.tree = grown(g.tree, g.padded(g.treeLen))
+		packed := g.tree
+		clear(packed)
 		if op == Min || op == Max {
 			inf := 1e308
 			if op == Max {
 				inf = -1e308
 			}
-			for i := range packed {
+			for i := range packed[:g.treeLen] {
 				packed[i] = inf
 			}
 		}
 		for j, li := range g.treeIdx {
 			packed[g.treePos[j]] = vals[li]
 		}
-		packed = g.comm.Allreduce(g.pad(packed), op)
+		g.comm.AllreduceInto(packed, packed, op)
 		for j, li := range g.treeIdx {
 			vals[li] = packed[g.treePos[j]]
 		}
@@ -269,5 +290,7 @@ func (g *GS) Dot(a, b []float64) float64 {
 	if g.comm.Size() == 1 {
 		return local
 	}
-	return g.comm.Allreduce([]float64{local}, Sum)[0]
+	g.cell[0] = local
+	g.comm.AllreduceInto(g.cell[:], g.cell[:], Sum)
+	return g.cell[0]
 }

@@ -10,6 +10,12 @@
 // relies heavily on Global Exchange MPI_Alltoall"); the Nektar-ALE code
 // instead uses global reductions and pairwise exchanges via the
 // gather-scatter library (package gs).
+//
+// Buffer ownership: the Into forms (RecvInto, SendrecvInto,
+// AllreduceInto, AlltoallInto) read and write only buffers the caller
+// owns and retain none of them; the allocating forms (Recv, Sendrecv,
+// Allreduce, Alltoall) are thin wrappers that return fresh memory the
+// caller owns. Send buffers are free for reuse as soon as a call returns.
 package mpi
 
 import (
@@ -24,6 +30,11 @@ type Comm struct {
 	node *simnet.Node
 	size int // sub-world size override; 0 = full world
 	seq  int // collective sequence number for tag isolation
+
+	// work is the collectives' scratch space (AllreduceInto's partner
+	// vector, Bruck's staging blocks); collectives never nest, so one
+	// buffer serves them all.
+	work []float64
 
 	// Reliable-delivery state (see reliable.go); nil rel = raw mode.
 	rel         *Reliability
@@ -112,6 +123,28 @@ func (c *Comm) Recv(src, tag int) []float64 {
 	return data
 }
 
+// RecvInto is Recv into a buffer the caller owns, returning the payload
+// length; dst must be at least that long.
+func (c *Comm) RecvInto(src, tag int, dst []float64) int {
+	if c.rel == nil || src == c.Rank() || src == AnySource {
+		k, err := c.node.RecvIntoErr(src, tag, dst)
+		if err != nil {
+			panic(err)
+		}
+		return k
+	}
+	return copyInto(dst, c.Recv(src, tag))
+}
+
+// copyInto is the reliable-mode fallback of the Into forms: the framed
+// protocol hands over a slice, which is copied to the caller's buffer.
+func copyInto(dst, got []float64) int {
+	if len(got) > len(dst) {
+		panic(fmt.Sprintf("mpi: %d-float payload does not fit the %d-float receive buffer", len(got), len(dst)))
+	}
+	return copy(dst, got)
+}
+
 // Isend starts a nonblocking send; pass the request to Wait.
 func (c *Comm) Isend(dst, tag int, data []float64) *simnet.Request {
 	return c.node.Isend(dst, tag, data)
@@ -124,23 +157,47 @@ func (c *Comm) Wait(r *simnet.Request) { c.node.Wait(r) }
 // messages (paper-scale extrapolation; see simnet.Node).
 func (c *Comm) SetPhantomFactor(f float64) { c.node.SetPhantomFactor(f) }
 
-// Sendrecv exchanges messages with two (possibly different) partners.
-// The send is posted nonblocking before the receive, so symmetric
-// exchanges overlap both directions (as MPI_Sendrecv does) and
-// rendezvous transfers cannot deadlock. In reliable mode both
-// directions are acknowledged (see sendrecvReliable).
+// Sendrecv exchanges messages with two (possibly different) partners
+// and returns the received payload as fresh memory. The send is posted
+// nonblocking before the receive, so symmetric exchanges overlap both
+// directions (as MPI_Sendrecv does) and rendezvous transfers cannot
+// deadlock. In reliable mode both directions are acknowledged (see
+// sendrecvReliable).
 func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
+	return c.sendrecv(dst, sendTag, data, src, recvTag, nil)
+}
+
+// SendrecvInto is Sendrecv receiving into recv, which the caller owns
+// and which must be at least as long as the incoming payload; it
+// returns the payload length. data and recv must not overlap.
+func (c *Comm) SendrecvInto(dst, sendTag int, data []float64, src, recvTag int, recv []float64) int {
+	if recv == nil {
+		recv = []float64{}
+	}
+	return len(c.sendrecv(dst, sendTag, data, src, recvTag, recv))
+}
+
+// sendrecv is the one exchange: a nil recv asks for the payload as
+// fresh memory, anything else is filled and returned cut to length.
+func (c *Comm) sendrecv(dst, sendTag int, data []float64, src, recvTag int, recv []float64) []float64 {
 	if c.rel != nil && dst != c.Rank() && src != c.Rank() && src != AnySource {
 		out, err := c.sendrecvReliable(dst, sendTag, data, src, recvTag)
 		if err != nil {
 			panic(err)
 		}
-		return out
+		if recv == nil {
+			return out
+		}
+		return recv[:copyInto(recv, out)]
 	}
 	req := c.node.Isend(dst, sendTag, data)
-	out := c.node.Recv(src, recvTag)
+	if recv == nil {
+		recv = c.node.Recv(src, recvTag)
+	} else {
+		recv = recv[:c.node.RecvInto(src, recvTag, recv)]
+	}
 	c.node.Wait(req)
-	return out
+	return recv
 }
 
 // nextTag returns a fresh collective tag in [collTagBase, collTagMax).
@@ -254,25 +311,46 @@ func (op Op) apply(dst, src []float64) {
 }
 
 // Allreduce combines data across all ranks and returns the result on
-// every rank. Power-of-two sizes use recursive doubling; others fall
-// back to Reduce + Bcast, like MPICH.
+// every rank as fresh memory.
 func (c *Comm) Allreduce(data []float64, op Op) []float64 {
+	out := make([]float64, len(data))
+	c.AllreduceInto(out, data, op)
+	return out
+}
+
+// AllreduceInto combines src across all ranks into dst on every rank;
+// the two must have equal length and may be the same slice. Power-of-two
+// sizes use recursive doubling; others fall back to Reduce + Bcast,
+// like MPICH.
+func (c *Comm) AllreduceInto(dst, src []float64, op Op) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("mpi: AllreduceInto needs equal lengths, got dst %d and src %d", len(dst), len(src)))
+	}
 	p, r := c.Size(), c.Rank()
-	acc := append([]float64(nil), data...)
+	copy(dst, src)
 	if p == 1 {
-		return acc
+		return
 	}
 	if p&(p-1) == 0 {
 		tag := c.nextTag()
+		got := c.scratch(len(dst))
 		for k := 1; k < p; k <<= 1 {
 			partner := r ^ k
-			got := c.Sendrecv(partner, tag, acc, partner, tag)
-			op.apply(acc, got)
+			c.SendrecvInto(partner, tag, dst, partner, tag, got)
+			op.apply(dst, got)
 		}
-		return acc
+		return
 	}
-	acc = c.Reduce(0, acc, op)
-	return c.Bcast(0, acc)
+	copy(dst, c.Bcast(0, c.Reduce(0, dst, op)))
+}
+
+// scratch returns the communicator's work buffer cut to n floats;
+// contents are unspecified.
+func (c *Comm) scratch(n int) []float64 {
+	if cap(c.work) < n {
+		c.work = make([]float64, n)
+	}
+	return c.work[:n]
 }
 
 // Reduce combines data onto root (binomial tree); non-root ranks
@@ -339,17 +417,28 @@ const (
 )
 
 // Alltoall exchanges send[i] to rank i, returning the per-source
-// payloads. len(send) must equal Size().
+// payloads as fresh memory. len(send) must equal Size().
 func (c *Comm) Alltoall(send [][]float64, alg AlltoallAlg) [][]float64 {
+	recv := make([][]float64, len(send))
+	c.AlltoallInto(send, recv, alg)
+	return recv
+}
+
+// AlltoallInto exchanges send[i] to rank i and leaves rank i's block in
+// recv[i]. len(send) and len(recv) must equal Size(). Each recv[i] the
+// caller provides must be at least as long as the block rank i sends
+// and has its leading elements overwritten; a nil recv[i] is replaced by
+// a fresh slice of exactly the block (that is all Alltoall is). No send
+// block may overlap a recv block.
+func (c *Comm) AlltoallInto(send, recv [][]float64, alg AlltoallAlg) {
 	p, r := c.Size(), c.Rank()
-	if len(send) != p {
-		panic(fmt.Sprintf("mpi: Alltoall needs %d buffers, got %d", p, len(send)))
+	if len(send) != p || len(recv) != p {
+		panic(fmt.Sprintf("mpi: Alltoall needs %d send and receive buffers, got %d and %d", p, len(send), len(recv)))
 	}
 	tag := c.nextTag()
-	recv := make([][]float64, p)
-	recv[r] = append([]float64(nil), send[r]...)
+	fill(recv, r, send[r])
 	if p == 1 {
-		return recv
+		return
 	}
 	if alg == AlgAuto {
 		// Tiny per-pair messages on many ranks are latency bound:
@@ -370,7 +459,8 @@ func (c *Comm) Alltoall(send [][]float64, alg AlltoallAlg) [][]float64 {
 		}
 	}
 	if alg == AlgBruck {
-		return c.alltoallBruck(send, tag)
+		c.alltoallBruck(send, recv, tag)
+		return
 	}
 	pow2 := p&(p-1) == 0
 	for step := 1; step < p; step++ {
@@ -382,55 +472,66 @@ func (c *Comm) Alltoall(send [][]float64, alg AlltoallAlg) [][]float64 {
 			dst = (r + step) % p
 			src = (r - step + p) % p
 		}
-		recv[src] = c.Sendrecv(dst, tag, send[dst], src, tag)
+		if got := c.sendrecv(dst, tag, send[dst], src, tag, recv[src]); recv[src] == nil {
+			recv[src] = got
+		}
 	}
-	return recv
+}
+
+// fill stores block as recv[i]: copied into the caller's buffer when
+// there is one, as a fresh slice otherwise.
+func fill(recv [][]float64, i int, block []float64) {
+	if recv[i] == nil {
+		recv[i] = append([]float64(nil), block...)
+		return
+	}
+	copyInto(recv[i], block)
 }
 
 // alltoallBruck implements the Bruck (1997) store-and-forward
 // alltoall: ceil(log2 P) rounds of combined messages. All blocks must
-// have equal length (the solvers' transposes do).
-func (c *Comm) alltoallBruck(send [][]float64, tag int) [][]float64 {
+// have equal length (the solvers' transposes do). The staging blocks
+// and both round buffers live in the communicator's scratch space.
+func (c *Comm) alltoallBruck(send, recv [][]float64, tag int) {
 	p, r := c.Size(), c.Rank()
-	blockLen := len(send[0])
+	bl := len(send[0])
 	for i := 1; i < p; i++ {
-		if len(send[i]) != blockLen {
+		if len(send[i]) != bl {
 			panic("mpi: Bruck alltoall requires equal block sizes")
 		}
 	}
+	half := (p + 1) / 2 // most blocks any one round ships
+	work := c.scratch((p + 2*half) * bl)
+	tmp, out, in := work[:p*bl], work[p*bl:(p+half)*bl], work[(p+half)*bl:]
 	// Phase 1: local rotation so block i holds the payload for rank
 	// (r + i) mod p.
-	tmp := make([][]float64, p)
 	for i := 0; i < p; i++ {
-		tmp[i] = append([]float64(nil), send[(r+i)%p]...)
+		copy(tmp[i*bl:(i+1)*bl], send[(r+i)%p])
 	}
 	// Phase 2: log rounds; round k ships every block whose index has
 	// bit k set, packed into one message.
 	for k := 1; k < p; k <<= 1 {
 		dst := (r + k) % p
 		src := (r - k + p) % p
-		var idx []int
+		n := 0
 		for i := 0; i < p; i++ {
 			if i&k != 0 {
-				idx = append(idx, i)
+				n += copy(out[n:n+bl], tmp[i*bl:(i+1)*bl])
 			}
 		}
-		buf := make([]float64, 0, len(idx)*blockLen)
-		for _, i := range idx {
-			buf = append(buf, tmp[i]...)
-		}
-		got := c.Sendrecv(dst, tag+k, buf, src, tag+k)
-		for j, i := range idx {
-			copy(tmp[i], got[j*blockLen:(j+1)*blockLen])
+		c.SendrecvInto(dst, tag+k, out[:n], src, tag+k, in[:n])
+		n = 0
+		for i := 0; i < p; i++ {
+			if i&k != 0 {
+				n += copy(tmp[i*bl:(i+1)*bl], in[n:n+bl])
+			}
 		}
 	}
 	// Phase 3: inverse rotation — block i arrived from rank
-	// (r - i + p) mod p.
-	recv := make([][]float64, p)
-	for i := 0; i < p; i++ {
-		recv[(r-i+p)%p] = tmp[i]
+	// (r - i + p) mod p. Block 0 is the rank's own, already in place.
+	for i := 1; i < p; i++ {
+		fill(recv, (r-i+p)%p, tmp[i*bl:(i+1)*bl])
 	}
-	return recv
 }
 
 // PowerOfTwo reports whether n is a power of two (exported for the

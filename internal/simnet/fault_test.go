@@ -205,25 +205,75 @@ func TestNICStallDelaysTransfer(t *testing.T) {
 	}
 }
 
+// TestDeadlockErrorNamesBlockedRanks pins the deadlock diagnosis byte
+// for byte with one, two and all ranks blocked: whichever rank's
+// election finds no candidate — a blocked rank in its yield, or the
+// last runnable rank on its way out — must report the same text, and
+// Run must come back, which it does only once every rank goroutine has
+// unwound.
 func TestDeadlockErrorNamesBlockedRanks(t *testing.T) {
-	_, _, err := Run(2, fastModel(), func(n *Node) {
-		if n.Rank == 0 {
-			n.Recv(1, 9)
-		} else {
-			n.Recv(0, 4)
-		}
-	})
-	if err == nil {
-		t.Fatal("want deadlock error")
-	}
-	msg := err.Error()
-	for _, want := range []string{
-		"rank 0 in Recv(src=1, tag=9)",
-		"rank 1 in Recv(src=0, tag=4)",
+	for _, tc := range []struct {
+		name string
+		p    int
+		body func(n *Node)
+		want string
+	}{
+		{"one blocked, found by a finishing rank", 3, func(n *Node) {
+			if n.Rank == 0 {
+				n.Compute(1e-3)
+				n.Recv(2, 7)
+			}
+		}, "simnet: deadlock — all 1 remaining rank(s) blocked: rank 0 in Recv(src=2, tag=7) since t=0.001s"},
+		{"two blocked, found by the second to block", 3, func(n *Node) {
+			switch n.Rank {
+			case 0:
+				n.Recv(1, 9)
+			case 1:
+				n.Compute(2e-3)
+				n.Recv(0, 4)
+			}
+		}, "simnet: deadlock — all 2 remaining rank(s) blocked: rank 0 in Recv(src=1, tag=9) since t=0s; rank 1 in Recv(src=0, tag=4) since t=0.002s"},
+		{"all blocked", 4, func(n *Node) {
+			n.Compute(1e-4 * float64(n.Rank))
+			n.Recv((n.Rank+1)%n.P, n.Rank)
+		}, "simnet: deadlock — all 4 remaining rank(s) blocked: rank 0 in Recv(src=1, tag=0) since t=0s; rank 1 in Recv(src=2, tag=1) since t=0.0001s; rank 2 in Recv(src=3, tag=2) since t=0.0002s; rank 3 in Recv(src=0, tag=3) since t=0.0003s"},
 	} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("deadlock error %q missing %q", msg, want)
+		_, _, err := Run(tc.p, fastModel(), tc.body)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s:\n got %v\nwant %s", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestPanicMidSliceReportsFirstCause: a rank that panics while it holds
+// the baton must still pass it on — the others run to completion — and
+// the first panic in virtual time, not a later one, is the run's error.
+// (Serial scheduler by name: under the parallel one two independent
+// panics race in host time.)
+func TestPanicMidSliceReportsFirstCause(t *testing.T) {
+	t.Setenv(SchedulerEnv, "")
+	model := *fastModel()
+	model.Scheduler = SchedSerial
+	wall, _, err := Run(4, &model, func(n *Node) {
+		n.Compute(1e-3)
+		switch n.Rank {
+		case 1:
+			n.Send(0, 1, []float64{1})
+			panic("boom")
+		case 3:
+			n.Compute(1e-3)
+			panic("later")
+		}
+		if n.Rank == 0 {
+			n.Recv(1, 1)
+		}
+		n.Compute(5e-3)
+	})
+	if err == nil || err.Error() != "simnet: rank 1 panicked: boom" {
+		t.Fatalf("err = %v, want rank 1's panic", err)
+	}
+	if wall[0] < 6e-3 || wall[2] != 6e-3 {
+		t.Errorf("survivors stopped early: wall = %v", wall)
 	}
 }
 

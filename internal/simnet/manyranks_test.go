@@ -11,9 +11,8 @@ import (
 
 // TestSimnetManyRanks is the capacity smoke test behind the scheduler
 // rework: P=2048 ranks running a trivial ring workload must complete
-// under both schedulers in seconds, not minutes, and without the O(P²)
-// memory churn the linear election scan and per-event map rebuilds used
-// to cause. The serial and conservative-parallel runs must also stay
+// under both schedulers in seconds, not minutes, and without O(P²)
+// memory churn (per-event map rebuilds, per-message allocations). The serial and conservative-parallel runs must also stay
 // bit-identical at this scale.
 func TestSimnetManyRanks(t *testing.T) {
 	if testing.Short() {
@@ -55,9 +54,11 @@ func TestSimnetManyRanks(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	allocSerial := after.TotalAlloc - before.TotalAlloc
 
-	// Latency smoke: a trivial 3-step ring at P=2048 has ~18k events;
-	// anything beyond a minute means a superlinear scan came back.
-	const latencyBudget = time.Minute
+	// Latency smoke: a trivial 3-step ring at P=2048 has ~18k events,
+	// each one O(P) election scan under the serial scheduler — well under
+	// a second of host time. Ten seconds means something per event went
+	// quadratic, or the handoff grew a second goroutine switch.
+	const latencyBudget = 10 * time.Second
 	if dSerial > latencyBudget {
 		t.Errorf("serial P=%d run took %v, budget %v", p, dSerial, latencyBudget)
 	}

@@ -294,3 +294,104 @@ func TestSchedulerDifferentialBatchBurst(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerDifferentialHandoffEdges covers the instants the serial
+// scheduler's baton passing has to get right on its own now that no
+// central loop sits between two slices. The heap-elected parallel
+// scheduler is the reference: clocks and errors must agree bit for bit.
+func TestSchedulerDifferentialHandoffEdges(t *testing.T) {
+	never := math.Inf(1)
+	ring := func(steps int, dt func(rank, step int) float64) func(*Node) {
+		return func(n *Node) {
+			next, prev := (n.Rank+1)%n.P, (n.Rank+n.P-1)%n.P
+			for s := 0; s < steps; s++ {
+				n.Compute(dt(n.Rank, s))
+				n.Send(next, s, []float64{n.Clock()})
+				n.Recv(prev, s)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		p    int
+		inj  Injector
+		body func(*Node)
+	}{
+		{
+			// Rank 1's crash time is exactly the clock it parked at, so it
+			// dies at the very resume with which rank 0's yield hands it
+			// the baton — before its send — and rank 2, waiting on it,
+			// deadlocks identically.
+			name: "crash at the instant of a handoff", p: 3,
+			inj: &testInjector{crash: func(rank int) float64 {
+				if rank == 1 {
+					return 2e-3
+				}
+				return never
+			}},
+			body: func(n *Node) {
+				switch n.Rank {
+				case 0:
+					n.Compute(1e-3)
+					n.Send(1, 1, []float64{1})
+					n.Compute(5e-3)
+				case 1:
+					n.Compute(2e-3)
+					n.Send(2, 2, n.Recv(0, 1))
+				case 2:
+					n.Recv(1, 2)
+				}
+			},
+		},
+		{
+			// Rank 0 would lead every step; its freeze at t=1e-4 lasts past
+			// rank 1's next two events, so the election order of the two
+			// ranks flips and the NIC bookings flip with it.
+			name: "rank stall reorders two ranks", p: 2,
+			inj:  &testStaller{rank: 0, start: 1e-4, dur: 2.5e-3},
+			body: ring(4, func(rank, step int) float64 { return 1e-3 + 1e-4*float64(rank) }),
+		},
+		{
+			// Rank 0 finishes while ranks 1 and 2 wait under deadlines and
+			// nothing else is runnable: its exit must wake rank 2 (earlier
+			// deadline, higher rank), whose message then reaches rank 1
+			// before rank 1's own deadline.
+			name: "finishing rank wakes the earliest deadline", p: 3,
+			body: func(n *Node) {
+				switch n.Rank {
+				case 0:
+					n.Compute(1e-3)
+				case 1:
+					if _, ok := n.RecvDeadline(2, 5, 9e-3); !ok {
+						panic("rank 1 timed out: the later deadline was woken first")
+					}
+				case 2:
+					if _, ok := n.RecvDeadline(0, 5, 4e-3); ok {
+						panic("rank 2 received a message nobody sent")
+					}
+					n.Send(1, 5, []float64{n.Clock()})
+				}
+			},
+		},
+		{
+			// The first panic is the run's error under either scheduler and
+			// the ranks that do not depend on the dead one finish.
+			name: "panic mid-slice", p: 3,
+			body: func(n *Node) {
+				n.Compute(1e-3 * float64(n.Rank+1))
+				if n.Rank == 1 {
+					n.Send(2, 1, []float64{1})
+					panic("boom")
+				}
+				if n.Rank == 2 {
+					n.Recv(1, 1)
+				}
+				n.Compute(1e-3)
+			},
+		},
+	} {
+		for name, model := range diffModels() {
+			runBoth(t, tc.name+"/"+name, tc.p, model, tc.inj, tc.body)
+		}
+	}
+}

@@ -103,13 +103,25 @@ type Node struct {
 
 	resume chan struct{}
 	done   bool
-	poison bool // set by the scheduler on deadlock; yield panics
+	poison bool // set by the election that finds a deadlock; yield panics
 
 	// Pending received messages keyed by (source, tag); each entry is
-	// FIFO per key, matching MPI's non-overtaking guarantee.
-	inbox map[msgKey]*msgQueue
-	// If blocked in Recv, the key being waited for.
-	waitKey *msgKey
+	// FIFO per key, matching MPI's non-overtaking guarantee. Only keys
+	// with a message pending are present: a queue that drains leaves the
+	// map for freeQueues, so a program that draws a fresh tag per
+	// collective retains nothing and a wildcard receive scans only what
+	// is actually waiting. Touched only by the rank holding the baton
+	// (serial) or the admission (parallel), sender or receiver alike.
+	inbox      map[msgKey]*msgQueue
+	freeQueues []*msgQueue
+	// freePayloads recycles payload copies by length: isend takes its
+	// copy from here and RecvInto returns the one it has copied out of.
+	// Only this rank's own goroutine touches it, so it needs no lock
+	// under either scheduler.
+	freePayloads     map[int][][]float64
+	freePayloadCount int
+	// The key being waited for while blockKind is a receive kind.
+	waitKey msgKey
 	// If blocked in Wait for a rendezvous send, the message involved.
 	waitSend  *message
 	blockKind blockKind
@@ -187,7 +199,8 @@ type message struct {
 	// Pool bookkeeping: the struct (with its embedded Request) is
 	// recycled through msgPool once both owners — the sender-side
 	// Request and the receiver-side delivery — have released it. The
-	// payload slice is NOT pooled: Recv hands it to the application.
+	// payload slice never travels with it: Recv hands it to the
+	// application, RecvInto to the receiving rank's freePayloads.
 	refs int32
 	req  Request
 }
@@ -257,17 +270,22 @@ func (q *msgQueue) pop() *message {
 }
 
 // cluster is the shared simulator state. Node methods synchronize
-// through the scheduler: under the serial scheduler only one rank
-// goroutine runs at a time; under the parallel scheduler (parsched.go)
-// rank host code runs concurrently but shared-state mutations are
-// admitted one at a time in the same (virtual time, rank) order.
+// through the scheduler: under the serial scheduler only the rank
+// holding the baton runs, and it passes the baton itself (yield, elect);
+// under the parallel scheduler (parsched.go) rank host code runs
+// concurrently but shared-state mutations are admitted one at a time in
+// the same (virtual time, rank) order.
 type cluster struct {
 	model *Model
 	nodes []*Node
 
-	mu       sync.Mutex
-	schedCh  chan int // rank yields by sending its id
-	finished int
+	mu sync.Mutex // guards fail
+
+	// Serial scheduler state, owned by the baton holder: rank
+	// goroutines not yet done, and whether an election found a deadlock
+	// (after which the poisoned ranks are resumed in rank order).
+	running    int
+	deadlocked bool
 
 	// Shared resources: per-SMP-node NIC free times and the switch
 	// backplane free time.
@@ -356,7 +374,7 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 	}
 	c := &cluster{
 		model:       model,
-		schedCh:     make(chan int),
+		running:     p,
 		egressFree:  make([]float64, nNodes),
 		ingressFree: make([]float64, nNodes),
 	}
@@ -426,90 +444,96 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 						c.failOnce(fmt.Errorf("simnet: rank %d panicked: %v", n.Rank, r))
 					}
 				}
-				c.mu.Lock()
+				// A finishing rank still holds the baton: it elects its
+				// successor before it goes.
 				n.done = true
-				c.finished++
-				c.mu.Unlock()
-				c.schedCh <- -1
+				c.running--
+				if next := c.elect(); next != nil {
+					next.resume <- struct{}{}
+				}
 			}()
-			// Wait for the scheduler to start us.
+			// Wait for the first baton.
 			<-n.resume
 			body(n)
 		}()
 	}
+	// Every rank is parked at its launch; the first election starts the
+	// run and the baton then moves from rank to rank (yield) until the
+	// last one finishes.
+	c.elect().resume <- struct{}{}
+	wg.Wait()
+	return c.collect(p)
+}
 
-	// Scheduler loop. One pass per election over the rank states
-	// directly: a rank is a candidate when it is runnable (blockKind ==
-	// blockNone — parked at <-resume, woken, or freshly launched) at
-	// its clock, or blocked in RecvDeadline at its deadline. Scanning
-	// states in place replaces the old runnable-map bookkeeping (and
-	// its per-event map churn) with the identical candidate set: the
-	// elected minimum does not depend on visit order, and maybeStall
-	// only ever moves the visited rank's own clock. The serial
-	// scheduler stays O(P) per event by design — it is the bit-exact
-	// reference the parallel scheduler is differentially tested
-	// against; the O(log P) election lives in elect.go.
-	schedDone := make(chan struct{})
-	go func() {
-		defer close(schedDone)
-		running := p // rank goroutines not yet done
-		for running > 0 {
-			pick := -1
-			pickTimeout := false
-			var pickClock float64
-			for _, n := range c.nodes {
-				if n.done {
-					continue
-				}
-				switch n.blockKind {
-				case blockNone:
-					// Apply a pending rank-stall fault before electing a
-					// candidate: the freeze must reorder this rank against
-					// other ranks' deadlines, not fire after the rank has
-					// already been resumed at its pre-stall clock.
-					n.maybeStall()
-					if pick < 0 || n.clock < pickClock || (n.clock == pickClock && n.Rank < pick) {
-						pick, pickClock, pickTimeout = n.Rank, n.clock, false
-					}
-				case blockRecvDeadline:
-					if pick < 0 || n.deadline < pickClock || (n.deadline == pickClock && n.Rank < pick) {
-						pick, pickClock, pickTimeout = n.Rank, n.deadline, true
-					}
-				}
+// elect is the serial scheduler: one pass over the rank states picks
+// who runs next. A rank is a candidate when it is runnable (blockKind
+// == blockNone — parked at <-resume, woken, freshly launched, or the
+// caller itself in the middle of yield) at its clock, or blocked in
+// RecvDeadline at its deadline; the minimum (time, rank) wins, which
+// does not depend on visit order, and maybeStall only ever moves the
+// visited rank's own clock. There is no scheduler goroutine: the rank
+// that holds the baton calls elect from yield or from its exit path
+// and hands the baton straight to the winner, so the election order —
+// and with it every clock, trajectory and error — is what a central
+// loop over the same scan would produce. The scan is O(P) per event;
+// parsched.go elects the same order from elect.go's O(log P) heap and
+// is the independent implementation the differential tests compare
+// this one against. elect returns nil when every rank is done.
+func (c *cluster) elect() *Node {
+	if c.deadlocked {
+		return c.firstLive()
+	}
+	var pick *Node
+	pickTimeout := false
+	var pickClock float64
+	for _, n := range c.nodes {
+		if n.done {
+			continue
+		}
+		switch n.blockKind {
+		case blockNone:
+			// Apply a pending rank-stall fault before electing a
+			// candidate: the freeze must reorder this rank against
+			// other ranks' deadlines, not fire after the rank has
+			// already been resumed at its pre-stall clock.
+			n.maybeStall()
+			if pick == nil || n.clock < pickClock || (n.clock == pickClock && n.Rank < pick.Rank) {
+				pick, pickClock, pickTimeout = n, n.clock, false
 			}
-			if pick < 0 {
-				// Deadlock: every live rank is blocked with no wake-up
-				// time. Diagnose, then poison them so their goroutines
-				// unwind through the recover handler.
-				c.failOnce(c.deadlockError(running))
-				for _, n := range c.nodes {
-					if !n.done {
-						n.poison = true
-						n.resume <- struct{}{}
-						<-c.schedCh // the -1 from its recover path
-						running--
-					}
-				}
-				continue
-			}
-			if pickTimeout {
-				// A RecvDeadline wait expired: wake the rank with its
-				// timeout flag set; it advances its own clock.
-				n := c.nodes[pick]
-				n.blockKind = blockNone
-				n.timedOut = true
-			}
-			c.nodes[pick].resume <- struct{}{}
-			// Wait for that rank to yield back (or finish).
-			if id := <-c.schedCh; id == -1 {
-				running--
+		case blockRecvDeadline:
+			if pick == nil || n.deadline < pickClock || (n.deadline == pickClock && n.Rank < pick.Rank) {
+				pick, pickClock, pickTimeout = n, n.deadline, true
 			}
 		}
-	}()
+	}
+	if pick == nil && c.running > 0 {
+		// Deadlock: every live rank is blocked with no wake-up time.
+		// Diagnose, then poison them so their goroutines unwind through
+		// the recover handler, one after another in rank order.
+		c.failOnce(c.deadlockError(c.running))
+		c.deadlocked = true
+		for _, n := range c.nodes {
+			n.poison = !n.done
+		}
+		return c.firstLive()
+	}
+	if pickTimeout {
+		// A RecvDeadline wait expired: wake the rank with its timeout
+		// flag set; it advances its own clock.
+		pick.blockKind = blockNone
+		pick.timedOut = true
+	}
+	return pick
+}
 
-	wg.Wait()
-	<-schedDone
-	return c.collect(p)
+// firstLive returns the lowest rank whose goroutine has not finished.
+func (c *cluster) firstLive() *Node {
+	for _, n := range c.nodes {
+		if !n.done {
+			return n
+		}
+	}
+	return nil
 }
 
 // collect gathers the per-rank virtual clocks and the run's error after
@@ -584,14 +608,20 @@ func (c *cluster) deadlockError(running int) error {
 		running, crashNote, strings.Join(parts, "; "))
 }
 
-// yield hands control back to the scheduler and waits to be resumed.
+// yield ends the rank's slice. Under the serial scheduler the rank
+// runs the election itself: still first, it keeps the baton and returns
+// at once (no goroutine switch — the common case inside a burst of
+// eager sends or Compute calls); otherwise it resumes the winner and
+// parks until the baton comes back (one switch).
 func (n *Node) yield() {
 	if n.net.par != nil {
 		n.net.parYield(n)
 		return
 	}
-	n.net.schedCh <- n.Rank
-	<-n.resume
+	if next := n.net.elect(); next != n {
+		next.resume <- struct{}{}
+		<-n.resume
+	}
 	if n.poison {
 		panic(poisonSignal{})
 	}
@@ -601,9 +631,9 @@ func (n *Node) yield() {
 // maybeStall applies a pending rank-stall fault: the first time the
 // rank's clock passes the scheduled freeze instant, its wall clock
 // jumps forward by the freeze duration (no CPU is consumed, nothing is
-// sent) and the rank carries on. The scheduler calls this while the
-// rank is parked, before electing the next candidate, so the freeze
-// correctly reorders the rank against other ranks' receive deadlines.
+// sent) and the rank carries on. The election applies it to every
+// runnable rank before comparing candidates, so the freeze correctly
+// reorders the rank against other ranks' receive deadlines.
 // A stall scheduled before a crash on the same rank can push the clock
 // past the crash time, in which case the crash wins — checked by
 // maybeCrash at the rank's next resume. Serial scheduler only; the
@@ -646,7 +676,7 @@ func (n *Node) maybeCrash() {
 			continue
 		}
 		if (peer.blockKind == blockRecv || peer.blockKind == blockRecvDeadline) &&
-			peer.waitKey != nil && peer.waitKey.src == n.Rank {
+			peer.waitKey.src == n.Rank {
 			peer.blockKind = blockNone
 			if c.par != nil {
 				c.applyStallLocked(peer)
@@ -741,7 +771,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 	n.begin()
 	if dst == n.Rank {
 		// Self-send: buffer locally with no network cost.
-		cp := append([]float64(nil), data...)
+		cp := n.newPayload(data)
 		key := msgKey{n.Rank, tag}
 		m := getMsg(2) // sender Request + receiver delivery
 		m.key = key
@@ -759,7 +789,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 	c := n.net
 	link := c.model.link(n.Rank, dst)
 	size := n.timedSize(len(data))
-	cp := append([]float64(nil), data...)
+	cp := n.newPayload(data)
 	rendezv := !forceEager && link.EagerLimit > 0 && size > link.EagerLimit
 
 	// Sender CPU overhead: fixed protocol cost plus per-byte stack
@@ -811,7 +841,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 	// only inside Wait, which takes the same lock.
 	c.lockPar()
 	if (dstNode.blockKind == blockRecv || dstNode.blockKind == blockRecvDeadline) &&
-		dstNode.waitKey != nil && matches(*dstNode.waitKey, m.key) {
+		matches(dstNode.waitKey, m.key) {
 		start := max(n.clock, dstNode.clock) + n.linkLatency(link, dst, max(n.clock, dstNode.clock)) // handshake
 		m.arrive = n.reserveTransfer(dst, size, start, link)
 		m.ready = m.arrive - link.LatencyUS*us // payload has left the NIC
@@ -944,11 +974,16 @@ func (n *Node) deliver(dst *Node, m *message) {
 	n.net.unlockPar()
 }
 
-// queueFor returns (creating if needed) the inbox FIFO for a key.
+// queueFor returns the inbox FIFO for a key, entering one (from the
+// free list when it has any) if nothing is pending under that key.
 func (n *Node) queueFor(k msgKey) *msgQueue {
 	q := n.inbox[k]
 	if q == nil {
-		q = &msgQueue{}
+		if last := len(n.freeQueues) - 1; last >= 0 {
+			q, n.freeQueues = n.freeQueues[last], n.freeQueues[:last]
+		} else {
+			q = &msgQueue{}
+		}
 		n.inbox[k] = q
 	}
 	return q
@@ -960,9 +995,8 @@ func (n *Node) deliverLocked(dst *Node, m *message) {
 	c := n.net
 	dst.queueFor(m.key).push(m)
 	if (dst.blockKind == blockRecv || dst.blockKind == blockRecvDeadline) &&
-		dst.waitKey != nil && matches(*dst.waitKey, m.key) {
+		matches(dst.waitKey, m.key) {
 		dst.blockKind = blockNone
-		dst.waitKey = nil
 		if c.par != nil {
 			// Woken: electable again at its parked key. The serial
 			// scheduler's election scan would apply a due stall before
@@ -981,20 +1015,22 @@ const (
 )
 
 // Recv blocks until a message from src with the given tag arrives and
-// returns its payload. The rank's clock advances to the later of its
-// own time and the message's arrival time.
+// returns its payload, which belongs to the caller from then on. The
+// rank's clock advances to the later of its own time and the message's
+// arrival time.
 func (n *Node) Recv(src, tag int) []float64 {
-	n.begin()
-	key := msgKey{src, tag}
-	for {
-		if m := n.takeMatch(key); m != nil {
-			return n.consume(m)
-		}
-		n.blockKind = blockRecv
-		n.waitKey = &key
-		n.yield()
-		n.waitKey = nil
-	}
+	m, _ := n.recv(src, tag, false)
+	return m.take()
+}
+
+// RecvInto is Recv into a buffer the caller owns: the payload is copied
+// to dst[:k], k is returned, and the simulator's copy goes back to this
+// rank's free list for a later send of the same length. Timing is
+// identical to Recv. A dst shorter than the payload is a programming
+// error and panics.
+func (n *Node) RecvInto(src, tag int, dst []float64) int {
+	m, _ := n.recv(src, tag, false)
+	return n.takeInto(m, dst)
 }
 
 // RecvErr is Recv returning an error instead of waiting forever when
@@ -1002,13 +1038,35 @@ func (n *Node) Recv(src, tag int) []float64 {
 // src == AnySource the crash check is skipped (any live rank could
 // still satisfy the receive) and the call behaves like Recv.
 func (n *Node) RecvErr(src, tag int) ([]float64, error) {
+	m, err := n.recv(src, tag, true)
+	if err != nil {
+		return nil, err
+	}
+	return m.take(), nil
+}
+
+// RecvIntoErr is RecvInto with RecvErr's crashed-peer error.
+func (n *Node) RecvIntoErr(src, tag int, dst []float64) (int, error) {
+	m, err := n.recv(src, tag, true)
+	if err != nil {
+		return 0, err
+	}
+	return n.takeInto(m, dst), nil
+}
+
+// recv is the blocking receive behind Recv, RecvInto and their Err
+// forms: it waits for a match, consumes it and returns the message with
+// the receiver's share still held. With crashErr set, a crashed src
+// with nothing pending is an error instead of an endless wait.
+func (n *Node) recv(src, tag int, crashErr bool) (*message, error) {
 	n.begin()
 	key := msgKey{src, tag}
 	for {
 		if m := n.takeMatch(key); m != nil {
-			return n.consume(m), nil
+			n.consume(m)
+			return m, nil
 		}
-		if src != AnySource && n.net.isCrashed(src) {
+		if crashErr && src != AnySource && n.net.isCrashed(src) {
 			if n.net.par != nil {
 				// Returning mid-slice: release admission like the
 				// serial scheduler's yield-free error return.
@@ -1017,11 +1075,65 @@ func (n *Node) RecvErr(src, tag int) ([]float64, error) {
 			return nil, fmt.Errorf("simnet: rank %d: peer rank %d crashed at t=%.6gs with no message for tag %d pending",
 				n.Rank, src, n.net.crashAt[src], tag)
 		}
+		n.waitKey = key
 		n.blockKind = blockRecv
-		n.waitKey = &key
 		n.yield()
-		n.waitKey = nil
 	}
+}
+
+// take ends a receipt the allocating way: the payload is handed to the
+// application and the receiver's share of the message is released.
+func (m *message) take() []float64 {
+	data := m.data
+	m.release()
+	return data
+}
+
+// takeInto ends a receipt the caller-owned way: copy out, recycle the
+// simulator's payload copy, release the receiver's share.
+func (n *Node) takeInto(m *message, dst []float64) int {
+	if len(m.data) > len(dst) {
+		panic(fmt.Sprintf("simnet: rank %d: RecvInto(src=%d, tag=%d): %d-float payload does not fit the %d-float buffer",
+			n.Rank, m.key.src, m.key.tag, len(m.data), len(dst)))
+	}
+	k := copy(dst, m.data)
+	n.freePayload(m.data)
+	m.release()
+	return k
+}
+
+// maxFreePayloads bounds the payload copies one rank keeps for reuse.
+// A rank needs about as many as it has sends in flight (a gather-scatter
+// round posts one per neighbour); beyond the cap a returned payload is
+// simply dropped for the collector.
+const maxFreePayloads = 64
+
+// newPayload returns a copy of data for the wire, reusing a recycled
+// payload of the same length when this rank has one.
+func (n *Node) newPayload(data []float64) []float64 {
+	if len(data) == 0 {
+		return nil
+	}
+	if l := n.freePayloads[len(data)]; len(l) > 0 {
+		cp := l[len(l)-1]
+		n.freePayloads[len(data)] = l[:len(l)-1]
+		n.freePayloadCount--
+		copy(cp, data)
+		return cp
+	}
+	return append([]float64(nil), data...)
+}
+
+// freePayload keeps a payload this rank has finished copying out of.
+func (n *Node) freePayload(buf []float64) {
+	if len(buf) == 0 || n.freePayloadCount >= maxFreePayloads {
+		return
+	}
+	if n.freePayloads == nil {
+		n.freePayloads = map[int][][]float64{}
+	}
+	n.freePayloads[len(buf)] = append(n.freePayloads[len(buf)], buf)
+	n.freePayloadCount++
 }
 
 // RecvDeadline blocks like Recv but gives up at the given absolute
@@ -1033,7 +1145,8 @@ func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
 	key := msgKey{src, tag}
 	for {
 		if m := n.takeMatch(key); m != nil {
-			return n.consume(m), true
+			n.consume(m)
+			return m.take(), true
 		}
 		if n.clock >= deadline {
 			if n.net.par != nil {
@@ -1041,11 +1154,10 @@ func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
 			}
 			return nil, false
 		}
-		n.blockKind = blockRecvDeadline
-		n.waitKey = &key
+		n.waitKey = key
 		n.deadline = deadline
+		n.blockKind = blockRecvDeadline
 		n.yield()
-		n.waitKey = nil
 		if n.timedOut {
 			n.timedOut = false
 			if n.clock < deadline {
@@ -1061,8 +1173,9 @@ func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
 
 // consume finishes the receipt of a matched message: runs a pending
 // rendezvous, advances the clock to the arrival time and charges the
-// receive-side protocol copies.
-func (n *Node) consume(m *message) []float64 {
+// receive-side protocol copies. The caller still holds the receiver's
+// share of m (take or takeInto releases it).
+func (n *Node) consume(m *message) {
 	if m.rendezv && !m.xferDone {
 		// Transfer has not started: run the rendezvous now. Under the
 		// parallel scheduler the sender may be concurrently entering
@@ -1099,25 +1212,22 @@ func (n *Node) consume(m *message) []float64 {
 		}
 	}
 	n.yield()
-	data := m.data
-	m.release() // receiver share: the payload has been handed over
-	return data
 }
 
 // takeMatch removes and returns the earliest matching message, or nil.
 func (n *Node) takeMatch(want msgKey) *message {
 	if want.src != AnySource && want.tag != AnyTag {
-		q := n.inbox[want]
-		if q == nil || q.empty() {
-			return nil
+		if q := n.inbox[want]; q != nil {
+			return n.popQueue(want, q)
 		}
-		return q.pop()
+		return nil
 	}
-	// Wildcard: scan all queues, earliest posted first for fairness.
+	// Wildcard: scan the pending queues, earliest posted first for
+	// fairness.
 	var best *msgQueue
 	var bestKey msgKey
 	for k, q := range n.inbox {
-		if q.empty() || !matches(want, k) {
+		if !matches(want, k) {
 			continue
 		}
 		if best == nil || q.peek().posted < best.peek().posted ||
@@ -1129,7 +1239,18 @@ func (n *Node) takeMatch(want msgKey) *message {
 	if best == nil {
 		return nil
 	}
-	return best.pop()
+	return n.popQueue(bestKey, best)
+}
+
+// popQueue pops the head of inbox queue k; a queue that drains leaves
+// the inbox for the free list (the inbox holds pending messages only).
+func (n *Node) popQueue(k msgKey, q *msgQueue) *message {
+	m := q.pop()
+	if q.empty() {
+		delete(n.inbox, k)
+		n.freeQueues = append(n.freeQueues, q)
+	}
+	return m
 }
 
 // lessKey orders message keys deterministically (tie-break for

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"fmt"
 	"math"
 	"testing"
+	"time"
 )
 
 // fastModel is a simple full-crossbar network: 10 us latency, 100 MB/s.
@@ -440,3 +442,123 @@ func TestCPUCopyCostChargesBothSides(t *testing.T) {
 	}
 	_ = wall
 }
+
+// TestInboxHoldsOnlyPendingMessages is the retention pin: a program
+// that draws a fresh tag for every exchange (every mpi collective does)
+// must not leave one inbox entry per tag behind, whether the receives
+// name the key or use wildcards. Three messages are left unreceived on
+// purpose; they are all the inbox may still hold.
+func TestInboxHoldsOnlyPendingMessages(t *testing.T) {
+	const exchanges, pending = 20000, 3
+	nodes := make([]*Node, 2)
+	_, _, err := Run(2, fastModel(), func(n *Node) {
+		nodes[n.Rank] = n
+		peer := 1 - n.Rank
+		buf := make([]float64, 1)
+		for tag := 0; tag < exchanges; tag++ {
+			n.Send(peer, tag, []float64{float64(tag)})
+			n.RecvInto(peer, tag, buf)
+		}
+		for i := 0; i < exchanges; i++ {
+			tag := exchanges + i
+			n.Send(peer, tag, []float64{float64(tag)})
+			src, any := AnySource, tag
+			if i%2 == 1 {
+				src, any = peer, AnyTag
+			}
+			if got := n.Recv(src, any); got[0] != float64(tag) {
+				panic(fmt.Sprintf("wildcard receive %d got tag %v", tag, got[0]))
+			}
+		}
+		for i := 0; i < pending; i++ {
+			n.Send(peer, 3*exchanges+i, buf)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		if len(n.inbox) > pending {
+			t.Errorf("rank %d: %d inbox entries after %d exchanges with %d messages pending",
+				n.Rank, len(n.inbox), 2*exchanges, pending)
+		}
+		if len(n.freeQueues) > pending {
+			t.Errorf("rank %d: %d queues on the free list, never more than %d were pending at once",
+				n.Rank, len(n.freeQueues), pending)
+		}
+	}
+}
+
+// TestRecvIntoOwnership: RecvInto fills the caller's buffer and may
+// recycle the simulator's copy; a payload that plain Recv handed to the
+// application is the application's for good and is never reused, however
+// many same-length sends follow.
+func TestRecvIntoOwnership(t *testing.T) {
+	_, _, err := Run(2, fastModel(), func(n *Node) {
+		peer := 1 - n.Rank
+		dst := make([]float64, 4)
+		for round := 0; round < 3; round++ {
+			n.Send(peer, 1, []float64{1, 2, 3})
+			if k := n.RecvInto(peer, 1, dst); k != 3 || dst[0] != 1 || dst[2] != 3 {
+				panic(fmt.Sprintf("RecvInto returned %d floats %v", k, dst))
+			}
+		}
+		n.Send(peer, 2, []float64{4, 5, 6})
+		kept := n.Recv(peer, 2)
+		kept[0] = -1 // the application mutates what it was given
+		for round := 0; round < 2*maxFreePayloads; round++ {
+			n.Send(peer, 3, []float64{7, 8, 9})
+			n.RecvInto(peer, 3, dst)
+			if kept[0] != -1 || kept[1] != 5 || kept[2] != 6 {
+				panic(fmt.Sprintf("round %d: a later send reused the slice Recv returned: %v", round, kept))
+			}
+		}
+		if n.freePayloadCount > maxFreePayloads {
+			panic(fmt.Sprintf("free list holds %d payloads, cap %d", n.freePayloadCount, maxFreePayloads))
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestRecvIntoShortBufferPanicsByName(t *testing.T) {
+	_, _, err := Run(2, fastModel(), func(n *Node) {
+		if n.Rank == 0 {
+			n.Send(1, 6, make([]float64, 5))
+			return
+		}
+		n.RecvInto(0, 6, make([]float64, 4))
+	})
+	want := "simnet: rank 1 panicked: simnet: rank 1: RecvInto(src=0, tag=6): 5-float payload does not fit the 4-float buffer"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant %s", err, want)
+	}
+}
+
+// TestComputeKeepsTheBaton: a rank that is still first after its own
+// event must not switch goroutines. With one rank that is every call,
+// so a million of them fit in a tenth of a second with room to spare —
+// one goroutine switch apiece would not.
+func TestComputeKeepsTheBaton(t *testing.T) {
+	const calls = 1000000
+	start := time.Now()
+	wall, _, err := Run(1, fastModel(), func(n *Node) {
+		for i := 0; i < calls; i++ {
+			n.Compute(1e-9)
+		}
+	})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(wall[0]-calls*1e-9) > 1e-12 {
+		t.Errorf("wall = %v, want %v", wall[0], calls*1e-9)
+	}
+	if budget := 100 * time.Millisecond; !raceDetector && elapsed > budget {
+		t.Errorf("%d Compute calls took %v, budget %v", calls, elapsed, budget)
+	}
+}
+
+// raceDetector is set by race_test.go under -race.
+var raceDetector bool

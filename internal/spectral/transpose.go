@@ -32,8 +32,10 @@ import (
 // The exchange is one MPI_Alltoall of equal blocks: rank r sends rank j
 // the sub-block (r's rows) x (j's output rows), packed column-major so
 // the receiver scatters incoming blocks straight into its output rows.
-// Send buffers are retained across calls, so a steady-state transpose
-// allocates only what the MPI layer itself allocates for receives.
+// The transposer owns both sides of the exchange — the per-destination
+// pack blocks and the per-source receive blocks it scatters from — and
+// hands them to mpi.AlltoallInto, so a steady-state transpose allocates
+// nothing.
 type Transposer struct {
 	Rows, Cols int // global matrix shape (input rows are distributed)
 
@@ -41,7 +43,7 @@ type Transposer struct {
 	p, rank    int
 	rloc, cloc int // Rows/p and Cols/p
 
-	send [][]float64 // reused per-destination pack buffers
+	send, recv [][]float64 // per-destination pack and per-source receive blocks
 }
 
 // NewTransposer validates the decomposition and builds a transposer.
@@ -61,9 +63,10 @@ func NewTransposer(rows, cols int, comm *mpi.Comm) (*Transposer, error) {
 	}
 	t.rloc, t.cloc = rows/t.p, cols/t.p
 	if t.p > 1 {
-		t.send = make([][]float64, t.p)
+		t.send, t.recv = make([][]float64, t.p), make([][]float64, t.p)
 		for j := range t.send {
 			t.send[j] = make([]float64, 2*t.rloc*t.cloc)
+			t.recv[j] = make([]float64, 2*t.rloc*t.cloc)
 		}
 	}
 	return t, nil
@@ -100,11 +103,11 @@ func (t *Transposer) Transpose(in, out []complex128) {
 			}
 		}
 	}
-	recv := t.comm.Alltoall(t.send, mpi.AlgAuto)
+	t.comm.AlltoallInto(t.send, t.recv, mpi.AlgAuto)
 	// Scatter: the block from rank src covers output columns
 	// src*rloc..(src+1)*rloc of every one of my cloc output rows.
 	for src := 0; src < t.p; src++ {
-		buf := recv[src]
+		buf := t.recv[src]
 		for cl := 0; cl < t.cloc; cl++ {
 			dst := out[cl*t.Rows+src*t.rloc:]
 			for i := 0; i < t.rloc; i++ {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -163,6 +164,62 @@ func TestTransposerP64Models(t *testing.T) {
 				if hashes[r] != ref[r] {
 					t.Fatalf("%s: rank %d slab hash differs between schedulers", mc.name, r)
 				}
+			}
+		}
+	}
+}
+
+// TestTransposerRoundTripEveryDivisor: for every rank count that slab-
+// decomposes the matrix — powers of two, odd counts, the pairwise and
+// the Bruck side of AlgAuto — T followed by the inverse T returns each
+// rank's slab bit for bit, and the forward slab is the serial
+// transpose's. Each pair of transposers runs twice, the second time on
+// its own recycled blocks.
+func TestTransposerRoundTripEveryDivisor(t *testing.T) {
+	for _, shape := range [][2]int{{24, 36}, {32, 48}} {
+		rows, cols := shape[0], shape[1]
+		in := fillMatrix(rows, cols)
+		ser, err := NewTransposer(rows, cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]complex128, cols*rows)
+		ser.Transpose(in, want)
+		for p := 2; p <= rows; p++ {
+			if rows%p != 0 || cols%p != 0 {
+				continue
+			}
+			rloc, cloc := rows/p, cols/p
+			_, _, err := simnet.Run(p, machine.Muses().Net, func(n *simnet.Node) {
+				comm := mpi.World(n)
+				fwd, err := NewTransposer(rows, cols, comm)
+				if err != nil {
+					panic(err)
+				}
+				inv, err := NewTransposer(cols, rows, comm)
+				if err != nil {
+					panic(err)
+				}
+				mine := in[n.Rank*rloc*cols : (n.Rank+1)*rloc*cols]
+				out := make([]complex128, cloc*rows)
+				back := make([]complex128, rloc*cols)
+				for round := 0; round < 2; round++ {
+					fwd.Transpose(mine, out)
+					inv.Transpose(out, back)
+					for i, v := range out {
+						if v != want[n.Rank*cloc*rows+i] {
+							panic(fmt.Sprintf("%dx%d p=%d rank %d round %d: forward slab differs from the serial transpose at %d", rows, cols, p, n.Rank, round, i))
+						}
+					}
+					for i, v := range back {
+						if v != mine[i] {
+							panic(fmt.Sprintf("%dx%d p=%d rank %d round %d: round trip differs at %d", rows, cols, p, n.Rank, round, i))
+						}
+					}
+				}
+			})
+			if err != nil {
+				t.Error(err)
 			}
 		}
 	}
