@@ -11,7 +11,6 @@ import (
 	"nektar/internal/ckpt"
 	"nektar/internal/engine"
 	"nektar/internal/fault"
-	"nektar/internal/mpi"
 	"nektar/internal/policy"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
@@ -249,7 +248,7 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 		"final interval", "write mode", "campaign")
 
 	for mi, name := range cfg.Machines {
-		mach, wl, err := clusterFor(name, cfg.Solver, cfg.Procs, cfg.Spares)
+		mach, newSolver, err := clusterFor(name, cfg.Solver, cfg.Procs, cfg.Spares)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -259,15 +258,14 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 		// SimWriter pricing the adaptive runs use — so the static runs'
 		// flat per-checkpoint charge and the adaptive runs' modeled
 		// writes price the same event identically.
-		stepWallS, _, deltaS, err := probeCheckpointCost(mach, cfg.Procs, 3, cfg.Solver, cfg.DiskMBs, ckpt.WriteLocal,
-			func(comm *mpi.Comm) (engine.Solver, error) { return wl.New(comm, &mach.CPU) })
+		stepWallS, _, deltaS, err := probeCheckpointCost(mach, cfg.Procs, 3, cfg.Solver, cfg.DiskMBs, ckpt.WriteLocal, newSolver)
 		if err != nil {
 			return nil, nil, fmt.Errorf("bench: probe on %s: %w", name, err)
 		}
 		out.StepWallS[name] = stepWallS
 		out.DeltaS[name] = deltaS
 
-		base := supervisedConfig(mach, wl, cfg.Procs, cfg.Spares, cfg.Steps)
+		base := supervisedConfig(mach, newSolver, cfg.Procs, cfg.Spares, cfg.Steps)
 		base.CheckpointEvery = cfg.SeedInterval
 		base.CheckpointCostS = deltaS
 		base.Kind = cfg.Solver

@@ -75,6 +75,11 @@ func quickALEMesh() (*mesh.Mesh, error) {
 	return mesh.ExtrudeQuads(m2, 2, 1, 0, 1)
 }
 
+// aleBCs is the solver configuration on the quick mesh.
+func aleBCs() core.ALEConfig {
+	return core.ALEConfig{Nu: 0.05, Dt: 2e-3, Order: 2, FarfieldVel: [3]float64{1, 0, 0}}
+}
+
 func TestSlabStepAllocatesNothing(t *testing.T) {
 	for _, sh := range []struct{ n, p int }{
 		{64, 4}, // pairwise Alltoall

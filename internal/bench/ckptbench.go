@@ -132,7 +132,7 @@ func stripedCostCell(name string, procs int, diskMBs float64, order int) (Stripe
 	sc := StripedCost{Machine: name, Procs: procs}
 	_, _, err = simnet.Run(procs, mach.Net, func(n *simnet.Node) {
 		comm := mpi.World(n)
-		ns, nerr := fourierProbe(order, 8, 2, comm, &mach.CPU)
+		ns, nerr := nsfProbe(mach, order, 8, 2)(comm)
 		if nerr != nil {
 			panic(nerr)
 		}

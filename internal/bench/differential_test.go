@@ -12,6 +12,7 @@ import (
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/simnet"
+	"nektar/internal/workload"
 )
 
 // Scheduler equivalence over the real solvers: every registered
@@ -29,10 +30,7 @@ type diffRun struct {
 
 func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Scheduler, plan *fault.Plan) diffRun {
 	t.Helper()
-	wl, err := WorkloadByName(wlName)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wl := tableEntry(wlName)
 	mach := machine.Muses()
 	model := *mach.Net
 	model.Scheduler = sched
@@ -43,7 +41,7 @@ func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Sch
 	hashes := make([]string, p)
 	wall, cpu, runErr := simnet.RunWithFaults(p, &model, inj, func(n *simnet.Node) {
 		comm := mpi.World(n)
-		s, err := wl.New(comm, &mach.CPU)
+		s, err := wl.New(wl.Default, comm, &mach.CPU)
 		if err != nil {
 			panic(err)
 		}
@@ -77,10 +75,13 @@ func diffPlan(p int) *fault.Plan {
 
 func TestSchedulerDifferentialWorkloads(t *testing.T) {
 	ranks := map[string]int{"nsf": 4, "nsale": 3}
-	for _, name := range WorkloadNames() {
+	for _, name := range workload.Names() {
 		p, ok := ranks[name]
 		if !ok {
 			p = 4 // power-of-two default for workloads registered later
+		}
+		if wl := tableEntry(name); wl.Check(wl.Default, p) != nil {
+			continue // ns2d: one rank, nothing for two schedulers to order
 		}
 		for _, faulty := range []bool{false, true} {
 			label := fmt.Sprintf("%s/p=%d/faults=%v", name, p, faulty)

@@ -140,9 +140,7 @@ func RunFaultbench(cfg FaultbenchConfig) (*FaultbenchResult, *report.Table, erro
 	res := &FaultbenchResult{Machine: cfg.Machine, Procs: cfg.Procs, WriteMode: mode.String()}
 
 	wallPerStep, ckptBytes, deltaS, err := probeCheckpointCost(mach, cfg.Procs, cfg.Steps, "nsf", cfg.DiskMBs, mode,
-		func(comm *mpi.Comm) (engine.Solver, error) {
-			return fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, &mach.CPU)
-		})
+		nsfProbe(mach, cfg.Order, cfg.ProbeNt, cfg.ProbeNr))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -190,7 +188,7 @@ func RunFaultbench(cfg FaultbenchConfig) (*FaultbenchResult, *report.Table, erro
 // all priced. It returns, max over ranks, the per-step virtual wall,
 // the raw state size in bytes, and one checkpoint's write cost.
 func probeCheckpointCost(mach *machine.Machine, procs, steps int, kind string, diskMBs float64, mode ckpt.WriteMode,
-	newSolver func(comm *mpi.Comm) (engine.Solver, error)) (stepWallS, stateBytes, deltaS float64, err error) {
+	newSolver rankSolver) (stepWallS, stateBytes, deltaS float64, err error) {
 	_, _, err = simnet.Run(procs, mach.Net, func(n *simnet.Node) {
 		comm := mpi.World(n)
 		s, serr := newSolver(comm)
@@ -243,10 +241,7 @@ func RunFaultbenchRecovery(cfg FaultbenchConfig, seed int64) (*report.Table, err
 		procs = 4 // the measured demo stays small
 	}
 	const steps, every = 12, 3
-	probe := Workload{New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-		return fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, cpu)
-	}}
-	sup := supervisedConfig(mach, probe, procs, 1, steps)
+	sup := supervisedConfig(mach, nsfProbe(mach, cfg.Order, cfg.ProbeNt, cfg.ProbeNr), procs, 1, steps)
 	sup.CheckpointEvery = every
 	ref, err := supervisor.Run(sup)
 	if err != nil {

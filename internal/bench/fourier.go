@@ -13,6 +13,7 @@ import (
 	"nektar/internal/mpi"
 	"nektar/internal/report"
 	"nektar/internal/solver"
+	"nektar/internal/workload"
 )
 
 // FourierConfig parametrizes the Table 2 / Figures 13-14 experiment:
@@ -47,34 +48,6 @@ var PaperFourier = FourierConfig{
 	},
 }
 
-// fourierBCs are the bluff-body boundary conditions shared by probe
-// and paper scales.
-func fourierBCs() core.NSFConfig {
-	return core.NSFConfig{
-		Nu: 1.0 / 500, Dt: 2e-3, Order: 2, Lz: 2 * 3.141592653589793,
-		VelDirichlet: map[string]core.VelBC{
-			"wall":   core.ConstantVel(0, 0),
-			"inflow": core.ConstantVel(1, 0),
-		},
-		PresDirichlet: map[string]bool{"outflow": true},
-	}
-}
-
-// fourierProbe builds one rank's bluff-body Nektar-F solver on an
-// nt x nr O-grid, impulsively started.
-func fourierProbe(order, nt, nr int, comm *mpi.Comm, cpu *machine.CPU) (*core.NSF, error) {
-	m, err := mesh.BluffBody(order, nt, nr)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := core.NewNSF(m, fourierBCs(), comm, cpu)
-	if err != nil {
-		return nil, err
-	}
-	ns.SetUniformInitial(1, 0)
-	return ns, nil
-}
-
 // solveStats captures the condensed-solver cost parameters of a mesh.
 type solveStats struct {
 	elems       int
@@ -91,9 +64,9 @@ func gatherSolveStats(nt, nr, order int) (*solveStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := fourierBCs()
-	isVelD := func(tag string) bool { _, ok := cfg.VelDirichlet[tag]; return ok }
-	isPresD := func(tag string) bool { return cfg.PresDirichlet[tag] }
+	vel, pres := workload.BluffBCs()
+	isVelD := func(tag string) bool { _, ok := vel[tag]; return ok }
+	isPresD := func(tag string) bool { return pres[tag] }
 	av := mesh.NewAssembly(m, isVelD)
 	ap := mesh.NewAssembly(m, isPresD)
 	st := &solveStats{elems: len(m.Elems), nElemsF: float64(len(m.Elems))}
@@ -134,11 +107,11 @@ func RunFourier(cfg FourierConfig) ([]SweepCell, error) {
 		return nil, err
 	}
 	return cfg.Sweep.run("nsf", 0, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
-		ns, err := fourierProbe(cfg.Order, cfg.ProbeNt, cfg.ProbeNr, comm, &mach.CPU)
+		ns, err := nsfProbe(mach, cfg.Order, cfg.ProbeNt, cfg.ProbeNr)(comm)
 		if err != nil {
 			return nil, err
 		}
-		ns.SetScale(fourierScale(&mach.CPU, probe, paper))
+		ns.(*core.NSF).SetScale(fourierScale(&mach.CPU, probe, paper))
 		return ns, nil
 	})
 }

@@ -60,6 +60,9 @@ func Record(dir string, e *Experiment, h Host, quick bool, result any) (string, 
 	if err := e.Recordable(); err != nil {
 		return "", err
 	}
+	if result == nil {
+		return "", fmt.Errorf("bench: this run of %s returned no baseline payload (its flags selected a mode that records nothing)", e.Name)
+	}
 	env := Envelope{Experiment: e.Name, Host: h, Config: "paper"}
 	if quick {
 		env.Config = "quick"

@@ -65,6 +65,8 @@ var experiments = []Experiment{
 		struct{}{}, struct{}{}, nil, runPingPong),
 	entry(Experiment{Name: "fig8_alltoall", Desc: "MPI all-to-all exchange"},
 		[]int{4, 8}, []int{4, 8}, nil, runAlltoall),
+	entry(Experiment{Name: "fig9-10_basis", Desc: "modal ordering and Laplacian sparsity of the tri/quad expansions (-sparsity=false: Figure 9 alone)"},
+		BasisConfig{Sparsity: true}, BasisConfig{Sparsity: true}, basisFlags, runBasis),
 	entry(Experiment{Name: "table1_fig12_serial", Desc: "serial DNS: Table 1 + Figure 12"},
 		PaperSerial, SerialConfig{Nt: 24, Nr: 6, Order: 6, Steps: 1}, serialFlags, runSerial),
 	entry(Experiment{Name: "table2_fig13-14_nektarf", Desc: "Nektar-F weak scaling: Table 2 + Figures 13-14"},
@@ -92,7 +94,7 @@ var experiments = []Experiment{
 		PaperScalebench, QuickScalebench, nil, runScalebench),
 	entry(Experiment{Name: "spectral", Desc: "pseudospectral turbulence: serial vs slab bit-identity + online spectra",
 		Baseline: "spectral"},
-		PaperSpectral, QuickSpectral, nil, runSpectral),
+		PaperSpectral, QuickSpectral, spectralFlags, runSpectral),
 	entry(Experiment{Name: "fftbench", Desc: "FFT kernel rows at N and 3N/2 on this host"},
 		PaperFftbench, QuickFftbench, nil, runFftbench),
 	entry(Experiment{Name: "engine", Desc: "engine loop overhead: step, checkpoint marshal, traced step", Baseline: "engine"},

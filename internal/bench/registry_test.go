@@ -95,6 +95,9 @@ func TestRecordEnvelope(t *testing.T) {
 			t.Errorf("%s: has a baseline, yet a 1-core host was refused: %v", e.Name, err)
 			continue
 		}
+		if _, err := Record(t.TempDir(), &e, host, true, nil); err == nil {
+			t.Errorf("%s: a run without a payload (spectral -procs) was recorded", e.Name)
+		}
 		if path != filepath.Join(dir, "BENCH_"+e.Baseline+".json") {
 			t.Errorf("%s recorded to %s", e.Name, path)
 		}
@@ -118,7 +121,9 @@ func TestRecordEnvelope(t *testing.T) {
 }
 
 // TestExperimentsRegenerate: the committed experiments/*.txt are
-// byte-for-byte what the registry produces. The three application
+// byte-for-byte what the registry produces, one subtest per file (so
+// `-run 'TestExperimentsRegenerate/supervise'` re-checks one table and
+// -v attributes the time). The three application
 // tables and the capacity sweep run at paper scale (minutes), so
 // -short, the race detector and a forced scheduler (all virtual-time,
 // so the bytes would not differ — only the wait) check the figures
@@ -127,27 +132,29 @@ func TestRecordEnvelope(t *testing.T) {
 // every other experiment has encoded state in this process, because
 // their tables must not depend on that.
 func TestExperimentsRegenerate(t *testing.T) {
-	files := []string{"fig1-6_kernels", "fig7_pingpong", "fig8_alltoall"}
+	files := []string{"fig1-6_kernels", "fig7_pingpong", "fig8_alltoall", "fig9-10_basis"}
 	if !testing.Short() && !raceDetector && os.Getenv(simnet.SchedulerEnv) == "" {
 		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale", "scalebench",
 			"faultbench", "supervise")
 	}
 	for _, name := range files {
-		e, err := ExperimentByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(filepath.Join("..", "..", "experiments", name+".txt"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		_, run := e.Bind(flag.NewFlagSet(name, flag.ContinueOnError), false)
-		if _, err := run(&got); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("experiments/%s.txt is stale: regenerate with `go run ./cmd/repro -outdir experiments %s`", name, name)
-		}
+		t.Run(name, func(t *testing.T) {
+			e, err := ExperimentByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join("..", "..", "experiments", name+".txt"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			_, run := e.Bind(flag.NewFlagSet(name, flag.ContinueOnError), false)
+			if _, err := run(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("experiments/%s.txt is stale: regenerate with `go run ./cmd/repro -outdir experiments %s`", name, name)
+			}
+		})
 	}
 }

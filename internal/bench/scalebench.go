@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strings"
 
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
-	"nektar/internal/spectral"
+	"nektar/internal/workload"
 )
 
 // Scalebench: project the paper's weak/strong scaling tables past the
@@ -35,9 +34,10 @@ type ScalebenchConfig struct {
 	Steps    int
 
 	// Workloads selects the cell bodies. "skeleton" is the synthetic
-	// halo+allreduce shape above; "turb2d" and "turbforce" run the real
-	// slab-decomposed pseudospectral solvers under the swept machine's
-	// CPU and network models. Empty means skeleton only.
+	// halo+allreduce shape above; an internal/workload table name
+	// ("turb2d", "turbforce": the slab-decomposed pseudospectral
+	// solvers) runs that solver live under the swept machine's CPU and
+	// network models. Empty means skeleton only.
 	Workloads []string
 	// SolverProcs is the rank-count list for the solver workloads; the
 	// skeleton keeps Procs. Solver cells size their grid from the rank
@@ -58,9 +58,6 @@ type ScalebenchConfig struct {
 	// rank count, in virtual seconds (weak: constant; strong: 1/P).
 	ComputeS float64
 }
-
-// scaleWorkloads is the menu of cell bodies Workloads selects from.
-var scaleWorkloads = []string{"skeleton", "turb2d", "turbforce"}
 
 // PaperScalebench is the committed capacity sweep: the PMS Fast
 // Ethernet and the Tanaka kernel-bypass GbE models from P=64 to
@@ -142,42 +139,46 @@ func solverGridN(solverProcs []int, p int, weak bool) int {
 	return 2 * slices.Max(solverProcs)
 }
 
-// solverBody returns a live pseudospectral solver run for one cell:
-// the full slab pipeline — transforms, distributed transposes, priced
-// local compute — under the swept machine's CPU model.
-func solverBody(variant string, n, steps int, cpu *machine.CPU) func(*simnet.Node) {
-	mk := spectral.NewTurb2D
-	if variant == "turbforce" {
-		mk = spectral.NewForced
-	}
-	return func(nd *simnet.Node) {
-		cfg := spectral.Config{N: n, Re: 500, Dt: 1e-3, Seed: 11}
-		if variant == "turbforce" {
-			// The smallest weak-scaling grids cannot hold the default
-			// [3, 5] forcing band (hi must stay <= N/3), so force the
-			// largest band every swept grid admits.
-			cfg.ForceLo, cfg.ForceHi = 1, min(5, n/3)
-		}
-		s, err := mk(cfg, mpi.World(nd), cpu)
-		if err != nil {
-			panic(err)
-		}
-		for i := 0; i < steps; i++ {
-			s.Step()
-		}
-	}
+// solverParams is the problem one solver cell runs: the entry's
+// default at grid n, with the largest forcing band every swept grid
+// admits (the smallest weak-scaling grids cannot hold turbforce's
+// default [3, 5]: hi must stay <= N/3).
+func solverParams(wl workload.Entry, n int) workload.Params {
+	p := wl.Default
+	p.Seed, p.N = 11, n
+	p.ForceLo, p.ForceHi = 1, min(5, n/3)
+	return p
 }
 
 // runScaleCell runs one machine x workload x P x mode cell and returns
-// the virtual step time and the solver grid (0 for the skeleton).
-func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, workload string, p int, weak bool) (stepVirtualS float64, gridN int, err error) {
+// the virtual step time and the solver grid (0 for the skeleton). A
+// solver cell is the live solver — for the spectral entries the full
+// slab pipeline: transforms, distributed transposes, priced local
+// compute — under the swept machine's CPU model.
+func runScaleCell(cfg *ScalebenchConfig, mach *machine.Machine, name string, p int, weak bool) (stepVirtualS float64, gridN int, err error) {
 	if p > mach.MaxProcs {
 		return 0, 0, fmt.Errorf("bench: scalebench %s: P=%d exceeds MaxProcs=%d", mach.Name, p, mach.MaxProcs)
 	}
 	body := scaleBody(cfg, p, weak)
-	if workload != "skeleton" {
+	if name != "skeleton" {
 		gridN = solverGridN(cfg.SolverProcs, p, weak)
-		body = solverBody(workload, gridN, cfg.Steps, &mach.CPU)
+		wl, err := workload.ByName(name, "skeleton")
+		if err != nil {
+			return 0, 0, err
+		}
+		params := solverParams(wl, gridN)
+		if err := wl.Check(params, p); err != nil {
+			return 0, 0, err
+		}
+		body = func(nd *simnet.Node) {
+			s, err := wl.New(params, mpi.World(nd), &mach.CPU)
+			if err != nil {
+				panic(err)
+			}
+			for i := 0; i < cfg.Steps; i++ {
+				s.Step()
+			}
+		}
 	}
 	wall, _, err := simnet.Run(p, mach.Net, body)
 	if err != nil {
@@ -198,10 +199,9 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 	if len(workloads) == 0 {
 		workloads = []string{"skeleton"}
 	}
-	for _, workload := range workloads {
-		if !slices.Contains(scaleWorkloads, workload) {
-			return nil, nil, fmt.Errorf("bench: scalebench: unknown workload %q: valid workloads are %s",
-				workload, strings.Join(scaleWorkloads, ", "))
+	for _, name := range workloads {
+		if _, err := workload.ByName(name, "skeleton"); name != "skeleton" && err != nil {
+			return nil, nil, fmt.Errorf("bench: scalebench: %w", err)
 		}
 	}
 	res := &ScalebenchResult{Steps: cfg.Steps}
@@ -210,20 +210,20 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		for _, workload := range workloads {
+		for _, wlName := range workloads {
 			procs := cfg.Procs
-			if workload != "skeleton" {
+			if wlName != "skeleton" {
 				if procs = cfg.SolverProcs; len(procs) == 0 {
-					return nil, nil, fmt.Errorf("bench: scalebench: workload %q needs SolverProcs", workload)
+					return nil, nil, fmt.Errorf("bench: scalebench: workload %q needs SolverProcs", wlName)
 				}
 			}
 			for _, mode := range []string{"weak", "strong"} {
 				weak := mode == "weak"
 				var baseStep float64
 				for i, p := range procs {
-					stepS, gridN, err := runScaleCell(&cfg, mach, workload, p, weak)
+					stepS, gridN, err := runScaleCell(&cfg, mach, wlName, p, weak)
 					if err != nil {
-						return nil, nil, fmt.Errorf("bench: scalebench %s %s %s P=%d: %w", name, workload, mode, p, err)
+						return nil, nil, fmt.Errorf("bench: scalebench %s %s %s P=%d: %w", name, wlName, mode, p, err)
 					}
 					if i == 0 {
 						baseStep = stepS
@@ -233,7 +233,7 @@ func RunScalebench(cfg ScalebenchConfig) (*ScalebenchResult, *report.Table, erro
 						eff *= float64(procs[0]) / float64(p)
 					}
 					res.Cells = append(res.Cells, ScaleCellResult{
-						Machine: name, Workload: workload, Procs: p, Mode: mode,
+						Machine: name, Workload: wlName, Procs: p, Mode: mode,
 						GridN: gridN, StepVirtualS: stepS, Efficiency: eff,
 					})
 				}

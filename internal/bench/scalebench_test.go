@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nektar/internal/simnet"
+	"nektar/internal/workload"
 )
 
 // TestScalebenchQuick runs the test-sized weak/strong sweep on both
@@ -122,7 +123,7 @@ func TestScalebenchSolverNeedsProcs(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected unknown-workload rejection for turb3d")
 	}
-	for _, name := range scaleWorkloads {
+	for _, name := range workload.Names("skeleton") {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("unknown-workload error does not list %q: %v", name, err)
 		}

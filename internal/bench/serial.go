@@ -9,7 +9,6 @@ import (
 	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
-	"nektar/internal/mesh"
 	"nektar/internal/report"
 	"nektar/internal/timing"
 )
@@ -50,31 +49,6 @@ type SerialResult struct {
 	CPU      float64 // seconds per step
 	StageSec [7]float64
 	StagePct [7]float64
-}
-
-// bluffNS2D builds the serial bluff-body solver on an nt x nr O-grid,
-// impulsively started and stepped twice so the multistep scheme is on
-// its final order-2 path.
-func bluffNS2D(order, nt, nr int) (*core.NS2D, error) {
-	m, err := mesh.BluffBody(order, nt, nr)
-	if err != nil {
-		return nil, err
-	}
-	ns, err := core.NewNS2D(m, core.NS2DConfig{
-		Nu: 1.0 / 500, Dt: 2e-3, Order: 2,
-		VelDirichlet: map[string]core.VelBC{
-			"wall":   core.ConstantVel(0, 0),
-			"inflow": core.ConstantVel(1, 0),
-		},
-		PresDirichlet: map[string]bool{"outflow": true},
-	})
-	if err != nil {
-		return nil, err
-	}
-	ns.SetUniformInitial(1, 0)
-	ns.Step()
-	ns.Step()
-	return ns, nil
 }
 
 // RunSerial executes the serial DNS for real at the configured scale,

@@ -5,19 +5,20 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"flag"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"time"
 
-	"nektar/internal/cliutil"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
 	"nektar/internal/spectral"
+	"nektar/internal/workload"
 )
 
 // Spectral bench: the slab-decomposed pseudospectral solvers against
@@ -32,13 +33,23 @@ type SpectralBenchConfig struct {
 	N     int   // grid size (>= 8, divisible by 4, 5-smooth)
 	Steps int   // steps per run
 	Procs []int // slab rank counts (each must divide N and 3N/2)
+
+	one spectralRun // the CLI's single run; replaces the sweep when one.procs >= 1
+}
+
+// spectralRun is one solver run from the command line, at grid N:
+// decaying unless forced, on procs slab ranks of the simulated Muses
+// cluster, seed 1, spectrum/dissipation diagnostics every 10 steps.
+type spectralRun struct {
+	procs, steps int
+	forced       bool
 }
 
 // PaperSpectral is the committed-baseline configuration.
-var PaperSpectral = SpectralBenchConfig{N: 32, Steps: 4, Procs: []int{4, 8}}
+var PaperSpectral = SpectralBenchConfig{N: 32, Steps: 4, Procs: []int{4, 8}, one: spectralRun{steps: 50}}
 
 // QuickSpectral is the budget-limited variant.
-var QuickSpectral = SpectralBenchConfig{N: 16, Steps: 2, Procs: []int{4}}
+var QuickSpectral = SpectralBenchConfig{N: 16, Steps: 2, Procs: []int{4}, one: spectralRun{steps: 50}}
 
 // SpectralCellResult is one variant x rank-count measurement.
 type SpectralCellResult struct {
@@ -93,13 +104,32 @@ func stepCosts(variant string, n int) (flops, bytes int64) {
 	return 4 * perTransform, 4 * 16 * int64(n) * int64(n)
 }
 
-// spectralVariants names the two solver builds the bench sweeps.
-var spectralVariants = []struct {
-	name string
-	mk   func(cfg spectral.Config, comm *mpi.Comm, cpu *machine.CPU) (*spectral.Turb2D, error)
-}{
-	{"turb2d", spectral.NewTurb2D},
-	{"turbforce", spectral.NewForced},
+// spectralCase is the problem of one spectral table entry as this
+// experiment runs it: grid n, and spectrum/dissipation diagnostics
+// every diagEvery steps (0: none) into the tracer build is given.
+type spectralCase struct {
+	name         string
+	seed         uint64
+	n, diagEvery int
+}
+
+func (c spectralCase) params() (workload.Entry, workload.Params) {
+	wl := tableEntry(c.name)
+	p := wl.Default
+	p.Seed, p.N = c.seed, c.n
+	return wl, p
+}
+
+// build makes one rank's solver (comm nil: serial on the host).
+func (c spectralCase) build(comm *mpi.Comm, cpu *machine.CPU, tracer *engine.Tracer) (*spectral.Turb2D, error) {
+	wl, p := c.params()
+	s, err := wl.New(p, comm, cpu)
+	if err != nil {
+		return nil, err
+	}
+	t := s.(*spectral.Turb2D)
+	t.Trace, t.Cfg.DiagEvery = tracer, c.diagEvery
+	return t, nil
 }
 
 // hashField canonicalizes a spectral state slab to its float bits.
@@ -114,22 +144,34 @@ func hashField(w []complex128) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runSpectralSlab runs one variant at p ranks and returns per-rank
-// slab hashes, the max virtual wall, and host seconds.
-func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *machine.CPU) (*spectral.Turb2D, error),
-	p, steps int) ([]string, float64, float64, error) {
+// runSlab runs the case on p ranks of the simulated Muses cluster,
+// rank 0's diagnostics into tracer, and returns per-rank slab hashes,
+// the max virtual wall, and host seconds. A (grid, p) the table's
+// Check refuses is an error before any rank starts.
+func (c spectralCase) runSlab(p, steps int, tracer *engine.Tracer) ([]string, float64, float64, error) {
+	wl, params := c.params()
+	if p < 1 {
+		return nil, 0, 0, fmt.Errorf("bench: spectral: need at least one rank, got %d", p)
+	}
+	if err := wl.Check(params, p); err != nil {
+		return nil, 0, 0, err
+	}
 	mach := machine.Muses()
 	hashes := make([]string, p)
 	t0 := time.Now()
-	wall, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
-		s, err := mk(cfg, mpi.World(n), &mach.CPU)
+	wall, _, err := simnet.Run(p, mach.Net, func(nd *simnet.Node) {
+		rankTracer := tracer
+		if nd.Rank != 0 {
+			rankTracer = nil
+		}
+		s, err := c.build(mpi.World(nd), &mach.CPU, rankTracer)
 		if err != nil {
 			panic(err)
 		}
 		for i := 0; i < steps; i++ {
 			s.Step()
 		}
-		hashes[n.Rank] = hashField(s.Field())
+		hashes[nd.Rank] = hashField(s.Field())
 	})
 	if err != nil {
 		return nil, 0, 0, err
@@ -137,17 +179,19 @@ func runSpectralSlab(cfg spectral.Config, mk func(spectral.Config, *mpi.Comm, *m
 	return hashes, slices.Max(wall), time.Since(t0).Seconds(), nil
 }
 
+// benchSeed seeds every run of the sweep and its trace demo.
+const benchSeed = 33
+
 // RunSpectralBench executes the sweep and renders the comparison table.
 func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Table, error) {
 	res := &SpectralBenchResult{N: cfg.N, PadM: 3 * cfg.N / 2, Steps: cfg.Steps}
-	for _, v := range spectralVariants {
-		scfg := spectral.Config{N: cfg.N, Re: 500, Dt: 2e-3, Seed: 33}
-
+	for _, name := range []string{"turb2d", "turbforce"} {
+		c := spectralCase{name: name, seed: benchSeed, n: cfg.N}
 		// One-rank physics reference: per-slab hashes of the serial field,
 		// so the slab runs compare slab-for-slab.
-		ser, err := v.mk(scfg, nil, nil)
+		ser, err := c.build(nil, nil, nil)
 		if err != nil {
-			return nil, nil, fmt.Errorf("bench: spectral %s: %w", v.name, err)
+			return nil, nil, fmt.Errorf("bench: spectral: %w", err)
 		}
 		t0 := time.Now()
 		for i := 0; i < cfg.Steps; i++ {
@@ -157,27 +201,24 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 		field := ser.Field()
 
 		for _, p := range cfg.Procs {
-			if p < 1 || cfg.N%p != 0 {
-				return nil, nil, fmt.Errorf("bench: spectral: P=%d does not divide N=%d", p, cfg.N)
-			}
 			nloc := cfg.N / p
 			want := make([]string, p)
 			for r := 0; r < p; r++ {
 				want[r] = hashField(field[r*nloc*cfg.N : (r+1)*nloc*cfg.N])
 			}
-			hs, wallS, slabS, err := runSpectralSlab(scfg, v.mk, p, cfg.Steps)
+			hs, wallS, slabS, err := c.runSlab(p, cfg.Steps, nil)
 			if err != nil {
-				return nil, nil, fmt.Errorf("bench: spectral %s P=%d: %w", v.name, p, err)
+				return nil, nil, fmt.Errorf("bench: spectral %s P=%d: %w", name, p, err)
 			}
 			for r := 0; r < p; r++ {
 				if hs[r] != want[r] {
 					return nil, nil, fmt.Errorf(
-						"bench: spectral %s P=%d: slab trajectory diverged from the serial reference at rank %d", v.name, p, r)
+						"bench: spectral %s P=%d: slab trajectory diverged from the serial reference at rank %d", name, p, r)
 				}
 			}
-			flops, bytes := stepCosts(v.name, cfg.N)
+			flops, bytes := stepCosts(name, cfg.N)
 			res.Cells = append(res.Cells, SpectralCellResult{
-				Workload:              v.name,
+				Workload:              name,
 				Procs:                 p,
 				SerialHostS:           serialS,
 				SlabSerialHostS:       slabS,
@@ -204,10 +245,11 @@ func RunSpectralBench(cfg SpectralBenchConfig) (*SpectralBenchResult, *report.Ta
 
 // runSpectral is the registry's spectral experiment: the bench sweep,
 // then a short forced run with the tracer on, to show the online
-// spectrum/dissipation stream and its offline aggregation.
+// spectrum/dissipation stream and its offline aggregation. With -procs
+// it is the single run of spectralRun instead.
 func runSpectral(cfg SpectralBenchConfig, w io.Writer) (any, error) {
-	if err := cliutil.SpectralFlags(cfg.N, 500, true, 3, 5); err != nil {
-		return nil, err
+	if cfg.one.procs >= 1 {
+		return nil, runSpectralOne(cfg.N, cfg.one, w)
 	}
 	res, tbl, err := RunSpectralBench(cfg)
 	if err != nil {
@@ -215,14 +257,12 @@ func runSpectral(cfg SpectralBenchConfig, w io.Writer) (any, error) {
 	}
 	tbl.Write(w)
 	var buf bytes.Buffer
-	s, err := spectral.NewForced(spectral.Config{
-		N: cfg.N, Re: 500, Dt: 2e-3, Seed: 33, DiagEvery: 2,
-	}, nil, nil)
+	tracer := engine.NewTracer(&buf)
+	s, err := spectralCase{name: "turbforce", seed: benchSeed, n: cfg.N, diagEvery: 2}.build(nil, nil, tracer)
 	if err != nil {
 		return nil, err
 	}
-	s.Trace = engine.NewTracer(&buf)
-	loop := engine.Loop{Solver: s, Steps: 8, Trace: s.Trace}
+	loop := engine.Loop{Solver: s, Steps: 8, Trace: tracer}
 	if _, err := loop.Run(); err != nil {
 		return nil, err
 	}
@@ -230,4 +270,32 @@ func runSpectral(cfg SpectralBenchConfig, w io.Writer) (any, error) {
 		return fmt.Sprintf("Spectral trace: forced 2D turbulence event stream — N=%d, 8 steps, diag every 2 (%d events)",
 			cfg.N, events)
 	})
+}
+
+func spectralFlags(fs *flag.FlagSet, c *SpectralBenchConfig) {
+	fs.IntVar(&c.N, "n", c.N, "grid size per dimension (>= 8, divisible by 4, only prime factors 2/3/5: 8, 12, 16, 20, 24, 32, 36, ...)")
+	fs.IntVar(&c.one.procs, "procs", c.one.procs, "run one solver on this many slab ranks instead of the sweep; must divide -n, and 3n/2 unless -forced")
+	fs.IntVar(&c.one.steps, "steps", c.one.steps, "steps to run (with -procs)")
+	fs.BoolVar(&c.one.forced, "forced", c.one.forced, "run the white-noise-forced variant instead of decay (with -procs)")
+}
+
+// runSpectralOne runs one solver on the simulated cluster and prints
+// the offline breakdown of its buffered diagnostics stream.
+func runSpectralOne(n int, run spectralRun, w io.Writer) error {
+	c, variant := spectralCase{name: "turb2d", seed: 1, n: n, diagEvery: 10}, "decaying"
+	if run.forced {
+		c.name, variant = "turbforce", "forced"
+	}
+	var buf bytes.Buffer
+	if _, _, _, err := c.runSlab(run.procs, run.steps, engine.NewTracer(&buf)); err != nil {
+		return err
+	}
+	evs, err := engine.ReadEvents(&buf)
+	if err != nil {
+		return err
+	}
+	report.TraceBreakdown(evs, fmt.Sprintf(
+		"Spectral: %s 2D turbulence — N=%d, Re=500, P=%d, %d steps, diag every %d (%d events)",
+		variant, n, run.procs, run.steps, c.diagEvery, len(evs))).Write(w)
+	return nil
 }

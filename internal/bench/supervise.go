@@ -10,13 +10,12 @@ import (
 	"strings"
 
 	"nektar/internal/ckpt"
-	"nektar/internal/core"
 	"nektar/internal/fault"
 	"nektar/internal/machine"
-	"nektar/internal/mpi"
 	"nektar/internal/policy"
 	"nektar/internal/report"
 	"nektar/internal/supervisor"
+	"nektar/internal/workload"
 )
 
 // Supervise: the self-healing runtime demonstration. The paper's
@@ -31,7 +30,7 @@ import (
 // SuperviseConfig parametrizes the demonstration.
 type SuperviseConfig struct {
 	Machine string
-	Solver  string // "nsf" (Fourier) or "nsale" (moving mesh)
+	Solver  string // internal/workload table name
 	Procs   int
 	Spares  int
 
@@ -111,23 +110,16 @@ func ValidateSupervise(cfg SuperviseConfig) error {
 	return nil
 }
 
-func aleBCs() core.ALEConfig {
-	return core.ALEConfig{
-		Nu: 0.05, Dt: 2e-3, Order: 2,
-		FarfieldVel: [3]float64{1, 0, 0},
-	}
-}
-
 // supervisedConfig is the supervisor configuration both resilience
 // experiments start from. The supervised runtime owns rank placement:
 // one rank per physical node plus the hot spares and the monitor's
 // head node, so the machine's SMP packing is cleared.
-func supervisedConfig(mach *machine.Machine, wl Workload, procs, spares, steps int) supervisor.Config {
+func supervisedConfig(mach *machine.Machine, newSolver rankSolver, procs, spares, steps int) supervisor.Config {
 	model := *mach.Net
 	model.RanksPerNode = 0
 	return supervisor.Config{
 		Procs: procs, Spares: spares, Steps: steps, Model: &model,
-		NewSolver: func(comm *mpi.Comm) (supervisor.Solver, error) { return wl.New(comm, &mach.CPU) },
+		NewSolver: newSolver,
 	}
 }
 
@@ -145,11 +137,11 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 	if err := ValidateSupervise(cfg); err != nil {
 		return nil, err
 	}
-	mach, wl, err := clusterFor(cfg.Machine, cfg.Solver, cfg.Procs, cfg.Spares)
+	mach, newSolver, err := clusterFor(cfg.Machine, cfg.Solver, cfg.Procs, cfg.Spares)
 	if err != nil {
 		return nil, err
 	}
-	sup := supervisedConfig(mach, wl, cfg.Procs, cfg.Spares, cfg.Steps)
+	sup := supervisedConfig(mach, newSolver, cfg.Procs, cfg.Spares, cfg.Steps)
 	sup.CheckpointEvery = cfg.CheckpointEvery
 	sup.CheckpointCostS = 1e-4
 	ref, err := supervisor.Run(sup)
@@ -237,8 +229,8 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 }
 
 func superviseFlags(fs *flag.FlagSet, c *SuperviseConfig) {
-	fs.StringVar(&c.Solver, "solver", c.Solver, "solver to supervise: nsf or nsale")
-	fs.IntVar(&c.Procs, "procs", c.Procs, "solver rank count (power of two for nsf)")
+	fs.StringVar(&c.Solver, "solver", c.Solver, "solver to supervise: "+strings.Join(workload.Names(), ", "))
+	fs.IntVar(&c.Procs, "procs", c.Procs, "solver rank count (the solver's table entry says which counts decompose it)")
 	fs.IntVar(&c.Spares, "spares", c.Spares, "hot-spare node count")
 	fs.IntVar(&c.Steps, "steps", c.Steps, "solver steps")
 	fs.StringVar(&c.CkptDir, "ckptdir", c.CkptDir, "back the faulted campaign's checkpoints with a durable on-disk store here (directory must start empty)")

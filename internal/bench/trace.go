@@ -24,7 +24,7 @@ import (
 // TraceConfig parametrizes a traced run.
 type TraceConfig struct {
 	Machine  string
-	Workload string // registry name, see WorkloadNames
+	Workload string // internal/workload table name
 	Procs    int
 
 	Steps           int
@@ -77,11 +77,11 @@ func RunTrace(cfg TraceConfig, w io.Writer) (*supervisor.Result, error) {
 	if err := ValidateTrace(cfg); err != nil {
 		return nil, err
 	}
-	mach, wl, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, traceSpares)
+	mach, newSolver, err := clusterFor(cfg.Machine, cfg.Workload, cfg.Procs, traceSpares)
 	if err != nil {
 		return nil, err
 	}
-	sup := supervisedConfig(mach, wl, cfg.Procs, traceSpares, cfg.Steps)
+	sup := supervisedConfig(mach, newSolver, cfg.Procs, traceSpares, cfg.Steps)
 	sup.CheckpointEvery = cfg.CheckpointEvery
 	var ref *supervisor.Result
 	if cfg.CrashNode >= 0 {

@@ -2,135 +2,78 @@ package bench
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
-	"nektar/internal/mesh"
 	"nektar/internal/mpi"
-	"nektar/internal/spectral"
+	"nektar/internal/workload"
 )
 
-// Workload is a named, demonstration-scale solver setup the engine can
-// drive without knowing which solver it is. The supervise and trace
-// experiments pick one by name; everything downstream — the driver
-// loop, checkpointing, recovery, the supervisor — goes through
-// engine.Solver, so adding a workload here is the only step needed to
-// put a new solver under the self-healing runtime.
-type Workload struct {
-	Name        string
-	Description string
+// The experiments build every solver by name from the table in
+// internal/workload; everything downstream — the driver loop,
+// checkpointing, recovery, the supervisor — goes through engine.Solver,
+// so a table entry is the only step needed to put a new solver under
+// the self-healing runtime.
 
-	// PowerOfTwoRanks marks workloads whose parallel decomposition
-	// (Fourier transpose) needs 2^k ranks.
-	PowerOfTwoRanks bool
+// rankSolver is one rank's solver factory, the shape the supervisor
+// and the checkpoint probes take.
+type rankSolver = func(comm *mpi.Comm) (engine.Solver, error)
 
-	// New builds one rank's solver at demonstration scale. cpu may be
-	// nil (unpriced compute).
-	New func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error)
-}
-
-// workloads is the registry. Keyed by the names the CLI flags accept.
-var workloads = map[string]Workload{
-	"nsf": {
-		Name:            "nsf",
-		Description:     "Nektar-F bluff body (Fourier-parallel, 2D x Fourier)",
-		PowerOfTwoRanks: true,
-		New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			return fourierProbe(4, 6, 2, comm, cpu)
-		},
-	},
-	"nsale": {
-		Name:        "nsale",
-		Description: "Nektar-ALE wing section (3D moving mesh, domain-decomposed)",
-		New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			m2, err := mesh.WingSection(2, 12, 2)
-			if err != nil {
-				return nil, err
-			}
-			// Three extruded layers give 72 elements, enough for the
-			// demonstration sweeps to decompose across 64 ranks.
-			m, err := mesh.ExtrudeQuads(m2, 2, 3, 0, 1)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := core.NewNSALE(m, aleBCs(), comm, cpu)
-			if err != nil {
-				return nil, err
-			}
-			ns.SetUniformInitial(1, 0, 0)
-			return ns, nil
-		},
-	},
-	"turb2d": spectralWorkload("turb2d", spectral.NewTurb2D, 20,
-		"decaying 2D pseudospectral turbulence (slab-parallel, de-aliased)"),
-	"turbforce": spectralWorkload("turbforce", spectral.NewForced, 21,
-		"forced 2D pseudospectral turbulence (Basdevant form, banded white noise)"),
-}
-
-// spectralWorkload registers a pseudospectral solver build on a 16^2
-// grid.
-func spectralWorkload(name string, mk func(spectral.Config, *mpi.Comm, *machine.CPU) (*spectral.Turb2D, error),
-	seed uint64, desc string) Workload {
-	return Workload{Name: name, Description: desc, PowerOfTwoRanks: true,
-		New: func(comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			return mk(spectral.Config{N: 16, Re: 500, Dt: 2e-3, Seed: seed}, comm, cpu)
-		}}
-}
-
-// WorkloadNames lists the registered workloads, sorted.
-func WorkloadNames() []string {
-	names := make([]string, 0, len(workloads))
-	for n := range workloads {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// WorkloadByName resolves a workload; the error for an unknown name
-// lists what is registered.
-func WorkloadByName(name string) (Workload, error) {
-	wl, ok := workloads[name]
-	if !ok {
-		return Workload{}, fmt.Errorf("bench: unknown workload %q: registered workloads are %s",
-			name, strings.Join(WorkloadNames(), ", "))
-	}
-	return wl, nil
-}
-
-// clusterFor resolves the machine and the workload of a run of procs
-// ranks plus spares hot-spare nodes, with an actionable error for each
-// way the pairing cannot run.
-func clusterFor(machineName, workload string, procs, spares int) (*machine.Machine, Workload, error) {
+// clusterFor resolves the machine of a run of procs ranks plus spares
+// hot-spare nodes and the factory of the named workload's default
+// problem priced on it, with an actionable error — before any rank
+// starts — for each way the pairing cannot run.
+func clusterFor(machineName, name string, procs, spares int) (*machine.Machine, rankSolver, error) {
 	mach, err := machine.ByName(machineName)
 	if err != nil {
-		return nil, Workload{}, fmt.Errorf("%w (see internal/machine for the catalogue)", err)
+		return nil, nil, fmt.Errorf("%w (see internal/machine for the catalogue)", err)
 	}
-	wl, err := WorkloadByName(workload)
+	wl, err := workload.ByName(name)
 	if err != nil {
-		return nil, Workload{}, err
+		return nil, nil, fmt.Errorf("bench: %w", err)
 	}
-	if err := ValidateWorkloadRanks(wl, procs); err != nil {
-		return nil, Workload{}, err
+	if procs < 1 {
+		return nil, nil, fmt.Errorf("bench: need at least one rank, got %d", procs)
+	}
+	if err := wl.Check(wl.Default, procs); err != nil {
+		return nil, nil, fmt.Errorf("bench: %w", err)
 	}
 	if procs+spares > mach.MaxProcs {
-		return nil, Workload{}, fmt.Errorf("bench: %d ranks + %d spares exceed the %d nodes of %s",
+		return nil, nil, fmt.Errorf("bench: %d ranks + %d spares exceed the %d nodes of %s",
 			procs, spares, mach.MaxProcs, machineName)
 	}
-	return mach, wl, nil
+	return mach, func(comm *mpi.Comm) (engine.Solver, error) { return wl.New(wl.Default, comm, &mach.CPU) }, nil
 }
 
-// ValidateWorkloadRanks checks a rank count against a workload's
-// decomposition constraints.
-func ValidateWorkloadRanks(wl Workload, procs int) error {
-	if procs < 1 {
-		return fmt.Errorf("bench: need at least one rank, got %d", procs)
+// tableEntry resolves a workload the code names literally; a miss is a
+// bug, not an input error.
+func tableEntry(name string) workload.Entry {
+	wl, err := workload.ByName(name)
+	if err != nil {
+		panic(err)
 	}
-	if wl.PowerOfTwoRanks && procs&(procs-1) != 0 {
-		return fmt.Errorf("bench: workload %s needs a power-of-two rank count, got %d", wl.Name, procs)
+	return wl
+}
+
+// bluffNS2D builds the serial bluff-body solver on an nt x nr O-grid,
+// impulsively started and stepped twice so the multistep scheme is on
+// its final order-2 path.
+func bluffNS2D(order, nt, nr int) (*core.NS2D, error) {
+	s, err := tableEntry("ns2d").New(workload.Params{N: nt, Nr: nr, Order: order}, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	ns := s.(*core.NS2D)
+	ns.SetUniformInitial(1, 0)
+	ns.Step()
+	ns.Step()
+	return ns, nil
+}
+
+// nsfProbe is the factory of the bluff-body Nektar-F solver on an
+// nt x nr O-grid, impulsively started.
+func nsfProbe(mach *machine.Machine, order, nt, nr int) rankSolver {
+	wl, p := tableEntry("nsf"), workload.Params{N: nt, Nr: nr, Order: order}
+	return func(comm *mpi.Comm) (engine.Solver, error) { return wl.New(p, comm, &mach.CPU) }
 }

@@ -72,10 +72,9 @@ func (sc *ALEScale) region(i int) float64 {
 // decomposition (METIS-style partition), gather-scatter communication
 // and diagonally preconditioned conjugate gradient solves.
 type NSALE struct {
-	M        *mesh.Mesh
-	Cfg      ALEConfig
-	Comm     *mpi.Comm
-	CPUModel *machine.CPU
+	M    *mesh.Mesh
+	Cfg  ALEConfig
+	Comm *mpi.Comm
 
 	AV, AP *mesh.Assembly
 	Part   []int // element -> rank
@@ -92,7 +91,6 @@ type NSALE struct {
 	time   float64
 	step   int
 	stages *timing.Stages
-	rec    blas.Counts
 
 	// clk charges simulated wall-clock seconds per region (the basis
 	// of Figures 15-16 wall-clock breakdowns; stages.Wall).
@@ -123,11 +121,11 @@ type localSys struct {
 	xl, yl      []float64
 	r, z, p, hp []float64
 
-	// price, when set, is called with the BLAS counts of every local
-	// computation section (between communications) so the simulated
-	// clock advances; nil in validation mode, where the caller owns
-	// the global recorder instead.
-	price func(*blas.Counts)
+	// clk is the solver's stage clock: its BeginCompute/EndCompute
+	// bracket every local computation section (between communications),
+	// pricing it in a cluster-simulated run; no-ops in validation mode,
+	// where the caller owns the global recorder instead.
+	clk *timing.Clock
 	// priceBuilds controls whether operator (re)builds are priced: the
 	// paper's production code applies operators matrix-free and never
 	// assembles elemental matrices, so the extrapolation mode treats
@@ -135,22 +133,8 @@ type localSys struct {
 	priceBuilds bool
 }
 
-// recorded runs f, and in priced mode records its BLAS work and feeds
-// it to the price hook. Sections passed here must not communicate.
-func (s *localSys) recorded(f func()) {
-	if s.price == nil {
-		f()
-		return
-	}
-	var c blas.Counts
-	blas.StartRecording(&c)
-	f()
-	blas.StopRecording()
-	s.price(&c)
-}
-
-func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm) *localSys {
-	s := &localSys{a: a, own: own, g2l: map[int]int{}}
+func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm, clk *timing.Clock) *localSys {
+	s := &localSys{a: a, own: own, g2l: map[int]int{}, clk: clk}
 	set := map[int]bool{}
 	for _, ei := range own {
 		for _, g := range a.L2G[ei] {
@@ -199,21 +183,21 @@ func (s *localSys) buildOperators(m *mesh.Mesh, lambda float64) {
 		s.mats = make([][]float64, len(s.own))
 	}
 	diag := make([]float64, len(s.gdof))
-	rec := s.recorded
-	if !s.priceBuilds {
-		rec = func(f func()) { f() }
+	if s.priceBuilds {
+		s.clk.BeginCompute()
 	}
-	rec(func() {
-		for oi, ei := range s.own {
-			el := m.Elems[ei]
-			h := el.Helmholtz(lambda)
-			s.mats[oi] = h
-			n := el.Ref.NModes
-			for mi := 0; mi < n; mi++ {
-				diag[s.l2l[oi][mi]] += h[mi*n+mi]
-			}
+	for oi, ei := range s.own {
+		el := m.Elems[ei]
+		h := el.Helmholtz(lambda)
+		s.mats[oi] = h
+		n := el.Ref.NModes
+		for mi := 0; mi < n; mi++ {
+			diag[s.l2l[oi][mi]] += h[mi*n+mi]
 		}
-	})
+	}
+	if s.priceBuilds {
+		s.clk.EndCompute()
+	}
 	s.gs.Combine(diag, gs.Sum)
 	s.diag = make([]float64, len(diag))
 	for i, d := range diag {
@@ -228,21 +212,21 @@ func (s *localSys) apply(m *mesh.Mesh, x, y []float64) {
 	for i := range y {
 		y[i] = 0
 	}
-	s.recorded(func() {
-		for oi, ei := range s.own {
-			el := m.Elems[ei]
-			n := el.Ref.NModes
-			xl, yl := s.xl[:n], s.yl[:n]
-			loc, sg := s.l2l[oi], s.sgn[oi]
-			for mi := 0; mi < n; mi++ {
-				xl[mi] = sg[mi] * x[loc[mi]]
-			}
-			blas.Dgemv(blas.NoTrans, n, n, 1, s.mats[oi], n, xl, 1, 0, yl, 1)
-			for mi := 0; mi < n; mi++ {
-				y[loc[mi]] += sg[mi] * yl[mi]
-			}
+	s.clk.BeginCompute()
+	for oi, ei := range s.own {
+		el := m.Elems[ei]
+		n := el.Ref.NModes
+		xl, yl := s.xl[:n], s.yl[:n]
+		loc, sg := s.l2l[oi], s.sgn[oi]
+		for mi := 0; mi < n; mi++ {
+			xl[mi] = sg[mi] * x[loc[mi]]
 		}
-	})
+		blas.Dgemv(blas.NoTrans, n, n, 1, s.mats[oi], n, xl, 1, 0, yl, 1)
+		for mi := 0; mi < n; mi++ {
+			y[loc[mi]] += sg[mi] * yl[mi]
+		}
+	}
+	s.clk.EndCompute()
 	s.gs.Combine(y, gs.Sum)
 }
 
@@ -332,7 +316,7 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 		cfg.Tol = 1e-8
 	}
 	ns := &NSALE{
-		M: m, Cfg: cfg, Comm: comm, CPUModel: cpu,
+		M: m, Cfg: cfg, Comm: comm,
 		stages: timing.NewStages(ALEStageNames...),
 	}
 	ns.clk = timing.NewClock(ns.stages, comm.Wtime)
@@ -352,19 +336,15 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 			ns.Own = append(ns.Own, ei)
 		}
 	}
-	ns.sysV = newLocalSys(ns.AV, ns.Own, comm)
-	ns.sysP = newLocalSys(ns.AP, ns.Own, comm)
+	ns.sysV = newLocalSys(ns.AV, ns.Own, comm, &ns.clk)
+	ns.sysP = newLocalSys(ns.AP, ns.Own, comm, &ns.clk)
 	if cfg.Scale != nil && cfg.Scale.Comm > 1 {
 		comm.SetPhantomFactor(cfg.Scale.Comm)
 	}
 	if cpu != nil {
-		price := func(c *blas.Counts) {
-			dt := cpu.ApplicationSeconds(c) * ns.Cfg.Scale.region(ns.stages.Current())
-			comm.Compute(dt)
-			ns.stages.AddPriced(c, dt)
-		}
-		ns.sysV.price = price
-		ns.sysP.price = price
+		ns.clk.Price(func(c *blas.Counts, stage int) float64 {
+			return cpu.ApplicationSeconds(c) * ns.Cfg.Scale.region(stage)
+		}, comm.Compute)
 		ns.sysV.priceBuilds = cfg.Scale == nil
 		ns.sysP.priceBuilds = cfg.Scale == nil
 	}
@@ -456,35 +436,8 @@ func (ns *NSALE) SetUniformInitial(u, v, w float64) {
 	ns.step = 0
 }
 
-// beginCompute/endCompute bracket a communication-free computation
-// section. In priced (cluster-simulated) mode the section's BLAS work
-// is recorded and converted to simulated CPU time; in validation mode
-// they are no-ops so that a caller-attached timing.Stages recorder
-// sees everything.
-func (ns *NSALE) beginCompute() {
-	if ns.CPUModel == nil {
-		return
-	}
-	ns.rec = blas.Counts{}
-	blas.StartRecording(&ns.rec)
-}
-
-func (ns *NSALE) endCompute() {
-	if ns.CPUModel == nil {
-		return
-	}
-	blas.StopRecording()
-	dt := ns.CPUModel.ApplicationSeconds(&ns.rec) * ns.Cfg.Scale.region(ns.stages.Current())
-	ns.Comm.Compute(dt)
-	ns.stages.AddPriced(&ns.rec, dt)
-}
-
 // Stages exposes the per-region instrumentation (engine.Solver).
 func (ns *NSALE) Stages() *timing.Stages { return ns.stages }
-
-// markStage transitions region accounting, charging elapsed simulated
-// wall time to the previous region (-1 closes the step).
-func (ns *NSALE) markStage(i int) { ns.clk.Mark(i) }
 
 func (ns *NSALE) order() int {
 	o := ns.step + 1
@@ -506,12 +459,12 @@ func (ns *NSALE) Step() {
 
 	// ---- Region c (part 1): mesh velocity Helmholtz solve (the ALE
 	// extra solve). Solved for the *current* wall motion.
-	ns.markStage(2)
+	ns.clk.Mark(2)
 	meshVel := ns.solveMeshVelocity()
 
 	// ---- Region a: transforms, nonlinear terms, averaging, RHS setup
 	// and (if enabled) the mesh update.
-	ns.markStage(0)
+	ns.clk.Mark(0)
 	// Build the operators for the current geometry (communicates in
 	// the diagonal assembly, so it stays outside the priced sections;
 	// its local work is priced through the localSys hook).
@@ -519,7 +472,7 @@ func (ns *NSALE) Step() {
 	ns.sysV.buildOperators(m, lambdaV)
 	ns.sysP.buildOperators(m, 0)
 
-	ns.beginCompute()
+	ns.clk.BeginCompute()
 	// Stage 1+2: transforms and ALE nonlinear terms
 	// N = -((V - w_mesh) . grad) V at quadrature points of owned
 	// elements.
@@ -596,11 +549,11 @@ func (ns *NSALE) Step() {
 		}
 		ns.gatherLocal(ns.sysP, oi, out, prhs)
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 	ns.sysP.gs.Combine(prhs, gs.Sum)
 
 	// ---- Region b: pressure PCG solve.
-	ns.markStage(1)
+	ns.clk.Mark(1)
 	for i := range ns.Pr {
 		if !ns.sysP.unk[i] {
 			ns.Pr[i] = 0
@@ -614,8 +567,8 @@ func (ns *NSALE) Step() {
 	ns.ItersPressure = it
 
 	// ---- Region a (continued): viscous RHS.
-	ns.markStage(0)
-	ns.beginCompute()
+	ns.clk.Mark(0)
+	ns.clk.BeginCompute()
 	vrhs := [3][]float64{}
 	for c := 0; c < 3; c++ {
 		vrhs[c] = make([]float64, len(ns.sysV.gdof))
@@ -637,7 +590,7 @@ func (ns *NSALE) Step() {
 			ns.gatherLocal(ns.sysV, oi, out, vrhs[c])
 		}
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 	for c := 0; c < 3; c++ {
 		ns.sysV.gs.Combine(vrhs[c], gs.Sum)
 	}
@@ -653,7 +606,7 @@ func (ns *NSALE) Step() {
 	}
 
 	// ---- Region c: viscous Helmholtz PCG solves.
-	ns.markStage(2)
+	ns.clk.Mark(2)
 	ns.time += dt
 	ns.refreshDirichlet()
 	if ns.Cfg.MoveMesh {
@@ -675,7 +628,7 @@ func (ns *NSALE) Step() {
 		}
 		ns.ItersViscous += it
 	}
-	ns.markStage(-1)
+	ns.clk.Mark(-1)
 	ns.step++
 }
 

@@ -62,11 +62,6 @@ type NSF struct {
 	Cfg  NSFConfig
 	Comm *mpi.Comm
 
-	// CPUModel, when set, prices every computation section on that
-	// machine and advances the simulated clock accordingly; when nil
-	// the run is purely logical (validation mode).
-	CPUModel *machine.CPU
-
 	K    int     // this rank's Fourier mode
 	Beta float64 // wavenumber 2*pi*K/Lz
 
@@ -98,8 +93,6 @@ type NSF struct {
 	// including communication and idle time — the basis of the paper's
 	// Figures 13-14 wall-clock breakdowns (stages.Wall).
 	clk timing.Clock
-
-	rec blas.Counts // per-section recording buffer
 }
 
 // Stages exposes the per-stage instrumentation (engine.Solver).
@@ -117,11 +110,16 @@ func NewNSF(m *mesh.Mesh, cfg NSFConfig, comm *mpi.Comm, cpu *machine.CPU) (*NSF
 		return nil, fmt.Errorf("core: Nektar-F needs a power-of-two plane count, got %d ranks", p)
 	}
 	ns := &NSF{
-		M: m, Cfg: cfg, Comm: comm, CPUModel: cpu,
+		M: m, Cfg: cfg, Comm: comm,
 		K:      comm.Rank(),
 		stages: timing.NewStages(StageNames...),
 	}
 	ns.clk = timing.NewClock(ns.stages, comm.Wtime)
+	if cpu != nil {
+		ns.clk.Price(func(c *blas.Counts, stage int) float64 {
+			return cpu.ApplicationSeconds(c) * ns.Scale.stage(stage)
+		}, comm.Compute)
+	}
 	ns.Beta = 2 * 3.141592653589793 * float64(ns.K) / cfg.Lz
 
 	isVelD := func(tag string) bool { _, ok := cfg.VelDirichlet[tag]; return ok }
@@ -234,34 +232,6 @@ func (ns *NSF) PerturbMode(amp float64) {
 	}
 }
 
-// beginCompute starts pricing a communication-free computation
-// section; a no-op in validation mode (CPUModel nil) so that a
-// caller-attached timing.Stages recorder sees everything.
-func (ns *NSF) beginCompute() {
-	if ns.CPUModel == nil {
-		return
-	}
-	ns.rec = blas.Counts{}
-	blas.StartRecording(&ns.rec)
-}
-
-// endCompute stops recording, advances the simulated clock by the
-// priced duration of the section and charges the active stage.
-func (ns *NSF) endCompute() {
-	if ns.CPUModel == nil {
-		return
-	}
-	blas.StopRecording()
-	dt := ns.CPUModel.ApplicationSeconds(&ns.rec) * ns.Scale.stage(ns.stages.Current())
-	ns.Comm.Compute(dt)
-	ns.stages.AddPriced(&ns.rec, dt)
-}
-
-// markStage transitions stage accounting: it charges the simulated
-// wall-clock elapsed since the previous mark to the previous stage and
-// begins the new one (-1 closes the step).
-func (ns *NSF) markStage(i int) { ns.clk.Mark(i) }
-
 func (ns *NSF) order() int {
 	o := ns.step + 1
 	if o > ns.Cfg.Order {
@@ -279,8 +249,8 @@ func (ns *NSF) Step() {
 	dt, nu := ns.Cfg.Dt, ns.Cfg.Nu
 
 	// --- Stage 1: modal -> quadrature transforms.
-	ns.markStage(0)
-	ns.beginCompute()
+	ns.clk.Mark(0)
+	ns.clk.BeginCompute()
 	coefs := make([][3][2][]float64, nel)
 	uq := make([][3][2][]float64, nel)
 	for ei, el := range m.Elems {
@@ -295,15 +265,15 @@ func (ns *NSF) Step() {
 			}
 		}
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// --- Stage 2: nonlinear terms, pseudo-spectrally in z.
-	ns.markStage(1)
+	ns.clk.Mark(1)
 	nq2 := ns.nonlinear(coefs, uq)
 
 	// --- Stage 3: weight-averaging.
-	ns.markStage(2)
-	ns.beginCompute()
+	ns.clk.Mark(2)
+	ns.clk.BeginCompute()
 	ns.histN = pushHistory3(ns.histN, nq2, ord)
 	ns.histU = pushHistory3(ns.histU, uq, ord)
 	uhat := make([][3][2][]float64, nel)
@@ -321,12 +291,12 @@ func (ns *NSF) Step() {
 		}
 		_ = el
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// --- Stage 4: pressure RHS (both parts). The z-divergence term
 	// ik w_hat couples the real and imaginary parts.
-	ns.markStage(3)
-	ns.beginCompute()
+	ns.clk.Mark(3)
+	ns.clk.BeginCompute()
 	prhs := [2][]float64{make([]float64, ns.AP.NGlobal), make([]float64, ns.AP.NGlobal)}
 	for ei, el := range m.Elems {
 		n, nq := el.Ref.NModes, el.Ref.NQuad
@@ -380,20 +350,20 @@ func (ns *NSF) Step() {
 			ns.AP.Gather(el.ID, out, prhs[part])
 		}
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// --- Stage 5: pressure solves (real and imaginary share the same
 	// factored matrix, the memory saving the paper highlights).
-	ns.markStage(4)
-	ns.beginCompute()
+	ns.clk.Mark(4)
+	ns.clk.BeginCompute()
 	for part := 0; part < 2; part++ {
 		ns.P[part] = ns.pois.Solve(prhs[part], nil)
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// --- Stage 6: viscous RHS.
-	ns.markStage(5)
-	ns.beginCompute()
+	ns.clk.Mark(5)
+	ns.clk.BeginCompute()
 	var vrhs [3][2][]float64
 	for c := 0; c < 3; c++ {
 		for part := 0; part < 2; part++ {
@@ -440,18 +410,18 @@ func (ns *NSF) Step() {
 			}
 		}
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// --- Stage 7: viscous Helmholtz solves (6 per step).
-	ns.markStage(6)
-	ns.beginCompute()
+	ns.clk.Mark(6)
+	ns.clk.BeginCompute()
 	for c := 0; c < 3; c++ {
 		for part := 0; part < 2; part++ {
 			ns.U[c][part] = ns.helm[ord-1].Solve(vrhs[c][part], ns.dirU[c][part])
 		}
 	}
-	ns.endCompute()
-	ns.markStage(-1)
+	ns.clk.EndCompute()
+	ns.clk.Mark(-1)
 	ns.step++
 }
 
@@ -471,7 +441,7 @@ func (ns *NSF) nonlinear(coefs, uq [][3][2][]float64) [][3][2][]float64 {
 	// 12 complex fields: u, v, w, then the 9 gradient components in
 	// order d(u,v,w)/dx, /dy, /dz.
 	const nf = 12
-	ns.beginCompute()
+	ns.clk.BeginCompute()
 	flat := make([][2][]float64, nf)
 	for f := 0; f < nf; f++ {
 		flat[f][0] = make([]float64, ns.chunk*p)
@@ -510,14 +480,14 @@ func (ns *NSF) nonlinear(coefs, uq [][3][2][]float64) [][3][2][]float64 {
 		}
 		send[j] = buf
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// Global exchange: spectral (mode-distributed) -> physical
 	// (point-distributed).
 	recv := ns.Comm.Alltoall(send, mpi.AlgAuto)
 
 	// Inverse FFTs, products, forward FFTs.
-	ns.beginCompute()
+	ns.clk.BeginCompute()
 	myPts := ns.chunkLen()
 	phys := make([][][]float64, nf) // [field][point][z]
 	spec := make([]complex128, p+1)
@@ -574,12 +544,12 @@ func (ns *NSF) nonlinear(coefs, uq [][3][2][]float64) [][3][2][]float64 {
 			}
 		}
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 
 	// Global exchange back: physical -> spectral.
 	got := ns.Comm.Alltoall(back, mpi.AlgAuto)
 
-	ns.beginCompute()
+	ns.clk.BeginCompute()
 	nq2 := make([][3][2][]float64, nel)
 	for ei, el := range m.Elems {
 		nq := el.Ref.NQuad
@@ -597,7 +567,7 @@ func (ns *NSF) nonlinear(coefs, uq [][3][2][]float64) [][3][2][]float64 {
 			}
 		}
 	}
-	ns.endCompute()
+	ns.clk.EndCompute()
 	return nq2
 }
 

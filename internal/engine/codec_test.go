@@ -237,13 +237,20 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(greedy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, st := range mirrors() {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			err := decode(data, st)
-			runtime.ReadMemStats(&after)
 			// ReadAll's doubling plus three times the input for the
-			// decoded value stay under 16x.
-			if got := after.TotalAlloc - before.TotalAlloc; got > uint64(16*len(data)+1<<12) {
+			// decoded value stay under 16x. TotalAlloc is process-wide and
+			// a `-fuzz` worker's harness allocates beside the decode, so an
+			// overshoot must repeat to count.
+			var err error
+			got, limit := uint64(math.MaxUint64), uint64(16*len(data)+1<<12)
+			for try := 0; try < 3 && got > limit; try++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				err = decode(data, st)
+				runtime.ReadMemStats(&after)
+				got = min(got, after.TotalAlloc-before.TotalAlloc)
+			}
+			if got > limit {
 				t.Fatalf("%s: decoding %d bytes allocated %d", name, len(data), got)
 			}
 			if err != nil {

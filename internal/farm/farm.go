@@ -62,6 +62,7 @@ func (e *BusyError) Error() string {
 var (
 	errWorkerKilled   = errors.New("worker killed")
 	errAttemptTimeout = errors.New("attempt timed out")
+	errInvalidSpec    = errors.New("spec cannot be built")
 )
 
 type abortAttempt struct{ err error }
@@ -216,6 +217,14 @@ func (f *Farm) replay(entries []Entry) {
 	for _, j := range ordered {
 		if n := idNum(j.ID); n > f.nextID {
 			f.nextID = n
+		}
+		if !j.State.Terminal() {
+			// A spec an earlier daemon accepted and this one refuses fails
+			// here, once, instead of being rebuilt by every restart.
+			if err := j.Spec.Validate(); err != nil {
+				j.State, j.Cause, j.Err = StateFailed, "invalid", err.Error()
+				f.appendDurable(&Entry{Job: j.ID, Ev: EvFailed, Attempt: j.Attempt, Cause: j.Cause, Err: j.Err})
+			}
 		}
 		key := j.Spec.Key()
 		// The cache prefers a finished result, then any live job, over a
@@ -645,6 +654,8 @@ func (f *Farm) runJob(w int, j *Job) {
 			cause = "crash"
 		case errors.Is(runErr, errAttemptTimeout):
 			cause = "timeout"
+		case errors.Is(runErr, errInvalidSpec):
+			cause = "invalid"
 		}
 		f.failLocked(j, w, cause, runErr.Error())
 	case res.Outcome == engine.Completed:
@@ -686,7 +697,7 @@ func (f *Farm) attemptLoop(j *Job) (res engine.Result, lastStep int, err error) 
 	spec := j.Spec
 	solver, err := NewSolver(spec)
 	if err != nil {
-		return res, 0, err
+		return res, 0, fmt.Errorf("%w: %w", errInvalidSpec, err)
 	}
 	store, err := ckpt.NewDirStore(f.jobDir(j.ID))
 	if err != nil {
@@ -772,7 +783,7 @@ func (f *Farm) failLocked(j *Job, w int, cause, msg string) {
 	} else if budget < 0 {
 		budget = 0
 	}
-	if j.Attempt > budget {
+	if cause == "invalid" || j.Attempt > budget { // the same spec fails the same way every time
 		j.State = StateFailed
 		f.appendDurable(&Entry{Job: j.ID, Ev: EvFailed, Attempt: j.Attempt, Cause: cause, Err: msg})
 		return

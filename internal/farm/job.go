@@ -58,7 +58,8 @@ const MaxTenantLen = 256
 // the mesh knobs define *what* is computed (the result-cache key);
 // Priority/Tenant/TimeoutS/Retries define how the farm schedules it.
 type JobSpec struct {
-	// Workload names a registered farm workload ("spin", "ns2d").
+	// Workload names "spin" or an internal/workload table entry that
+	// runs on the host ("ns2d", "turb2d", "turbforce").
 	Workload string `json:"workload"`
 	// Steps is the target step count.
 	Steps int `json:"steps"`
@@ -68,7 +69,8 @@ type JobSpec struct {
 	Seed int64 `json:"seed"`
 	// Work scales the spin workload's per-step arithmetic (0 = default).
 	Work int `json:"work,omitempty"`
-	// Nt, Nr, Order size the ns2d probe mesh (0 = defaults).
+	// Nt, Nr, Order size the probe mesh; Nt doubles as the spectral
+	// grid size (0 = the table entry's defaults).
 	Nt    int `json:"nt,omitempty"`
 	Nr    int `json:"nr,omitempty"`
 	Order int `json:"order,omitempty"`
@@ -127,7 +129,8 @@ type Job struct {
 	CkptStep int     `json:"ckpt_step"`
 	Result   *Result `json:"result,omitempty"`
 	// Cause classifies the most recent failure (crash, timeout,
-	// watchdog, error); empty for jobs that never failed.
+	// watchdog, error, or invalid: the spec cannot be built, which no
+	// retry cures); empty for jobs that never failed.
 	Cause string `json:"cause,omitempty"`
 	Err   string `json:"err,omitempty"`
 

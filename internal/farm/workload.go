@@ -3,129 +3,88 @@ package farm
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 
-	"nektar/internal/core"
 	"nektar/internal/engine"
-	"nektar/internal/mesh"
-	"nektar/internal/spectral"
 	"nektar/internal/timing"
+	"nektar/internal/workload"
 )
 
-// Farm workloads are serial, host-run engine.Solver factories — the
-// unit of work a single farm worker executes. "spin" is a synthetic
-// deterministic kernel cheap enough to submit by the thousand (the
-// chaos harness's ammunition); "ns2d" is the real spectral/hp
-// Navier-Stokes probe, so the farm's bit-identity claims are proven on
-// actual solver state, not just a toy.
+// Farm workloads are serial, host-run solvers — the unit of work a
+// single farm worker executes: every entry of the internal/workload
+// table that runs without a communicator (ns2d, the real spectral/hp
+// Navier-Stokes probe, and the pseudospectral turb2d/turbforce, so the
+// farm's bit-identity claims are proven on actual solver state), plus
+// the one workload the farm adds: "spin", a synthetic deterministic
+// mixing kernel cheap enough to submit by the thousand (the chaos
+// harness's ammunition).
+const spinWorkload = "spin"
 
-// farmWorkload is one registered factory.
-type farmWorkload struct {
-	Description string
-	New         func(spec JobSpec) (engine.Solver, error)
-}
+// maxGridN and maxMeshWork bound the problem a spec from the wire may
+// make a worker allocate: the spectral grid size (and O-grid sector
+// count), and sectors x rings x order^2 of a mesh solver — the paper's
+// 82 x 11 order-8 discretization is 57,728.
+const (
+	maxGridN    = 2048
+	maxMeshWork = 1 << 16
+)
 
-var farmWorkloads = map[string]farmWorkload{
-	"spin": {
-		Description: "synthetic deterministic mixing kernel (fast, for load/chaos tests)",
-		New: func(spec JobSpec) (engine.Solver, error) {
-			work := spec.Work
-			if work <= 0 {
-				work = 256
-			}
-			return NewSpinSolver(spec.Seed, work), nil
-		},
-	},
-	"ns2d": {
-		Description: "serial 2D spectral/hp Navier-Stokes bluff-body probe",
-		New: func(spec JobSpec) (engine.Solver, error) {
-			nt, nr, order := spec.Nt, spec.Nr, spec.Order
-			if nt == 0 {
-				nt = 12
-			}
-			if nr == 0 {
-				nr = 3
-			}
-			if order == 0 {
-				order = 4
-			}
-			m, err := mesh.BluffBody(order, nt, nr)
-			if err != nil {
-				return nil, err
-			}
-			ns, err := core.NewNS2D(m, core.NS2DConfig{
-				Nu: 1.0 / 500, Dt: 2e-3, Order: 2,
-				VelDirichlet: map[string]core.VelBC{
-					"wall":   core.ConstantVel(0, 0),
-					"inflow": core.ConstantVel(1, 0),
-				},
-				PresDirichlet: map[string]bool{"outflow": true},
-			})
-			if err != nil {
-				return nil, err
-			}
-			// The seed perturbs the uniform inflow deterministically, so
-			// distinct seeds are distinct trajectories and equal seeds are
-			// bit-identical ones.
-			u := 1 + 1e-3*float64(mix64(uint64(spec.Seed))%1000)/1000
-			v := 1e-4 * float64(mix64(uint64(spec.Seed)+1)%1000) / 1000
-			ns.SetUniformInitial(u, v)
-			return ns, nil
-		},
-	},
-	"turb2d": {
-		Description: "serial decaying 2D pseudospectral turbulence (Nt = grid size)",
-		New: func(spec JobSpec) (engine.Solver, error) {
-			return spectral.NewTurb2D(spectralCfg(spec), nil, nil)
-		},
-	},
-	"turbforce": {
-		Description: "serial forced 2D pseudospectral turbulence (Nt = grid size)",
-		New: func(spec JobSpec) (engine.Solver, error) {
-			return spectral.NewForced(spectralCfg(spec), nil, nil)
-		},
-	},
-}
-
-// spectralCfg maps a farm spec onto a spectral config: Nt doubles as
-// the grid size (0 = a 16^2 demonstration grid) and the seed picks the
-// PAO phases and the forcing noise, so equal specs are bit-identical
-// trajectories — the property the result cache keys on.
-func spectralCfg(spec JobSpec) spectral.Config {
-	n := spec.Nt
-	if n == 0 {
-		n = 16
+// problem resolves a table spec's entry and parameters: the entry's
+// default problem with the spec's seed, and Nt (sectors, or the
+// spectral grid size), Nr and Order where the spec sets them. Equal
+// specs are bit-identical trajectories — the property the result cache
+// keys on. It fails, before anything is built, on a problem the farm
+// cannot run: an unknown name, one beyond the size bound, or one the
+// entry's Check refuses on the host.
+func (s JobSpec) problem() (workload.Entry, workload.Params, error) {
+	e, err := workload.ByName(s.Workload, spinWorkload)
+	if err != nil {
+		return e, workload.Params{}, fmt.Errorf("farm: %w", err)
 	}
-	return spectral.Config{N: n, Re: 500, Dt: 2e-3, Seed: uint64(spec.Seed)}
-}
-
-// FarmWorkloadNames lists the registered workloads, sorted.
-func FarmWorkloadNames() []string {
-	names := make([]string, 0, len(farmWorkloads))
-	for n := range farmWorkloads {
-		names = append(names, n)
+	p := e.Default
+	p.Seed = uint64(s.Seed)
+	if s.Nt != 0 {
+		p.N = s.Nt
 	}
-	sort.Strings(names)
-	return names
+	if s.Nr != 0 {
+		p.Nr = s.Nr
+	}
+	if s.Order != 0 {
+		p.Order = s.Order
+	}
+	if work := float64(p.N) * float64(p.Nr) * float64(p.Order) * float64(p.Order); p.N > maxGridN || work > maxMeshWork {
+		return e, p, fmt.Errorf("farm: workload %s at nt=%d nr=%d order=%d is beyond the farm's size bound (valid: nt <= %d and nt*nr*order^2 <= %d)",
+			e.Name, p.N, p.Nr, p.Order, maxGridN, maxMeshWork)
+	}
+	if err := e.Check(p, workload.Host); err != nil {
+		return e, p, fmt.Errorf("farm: %w", err)
+	}
+	return e, p, nil
 }
 
 // NewSolver builds the solver a spec describes.
 func NewSolver(spec JobSpec) (engine.Solver, error) {
-	wl, ok := farmWorkloads[spec.Workload]
-	if !ok {
-		return nil, fmt.Errorf("farm: unknown workload %q: registered workloads are %s",
-			spec.Workload, strings.Join(FarmWorkloadNames(), ", "))
+	if spec.Workload == spinWorkload {
+		work := spec.Work
+		if work <= 0 {
+			work = 256
+		}
+		return NewSpinSolver(spec.Seed, work), nil
 	}
-	return wl.New(spec)
+	e, p, err := spec.problem()
+	if err != nil {
+		return nil, err
+	}
+	return e.New(p, nil, nil)
 }
 
-// Validate rejects specs the farm cannot run, before anything is
-// journaled or queued.
+// Validate rejects specs the farm cannot run — an unknown workload, a
+// problem its table entry cannot build or one beyond the size bound —
+// before anything is journaled, queued or allocated.
 func (s JobSpec) Validate() error {
-	if _, ok := farmWorkloads[s.Workload]; !ok {
-		return fmt.Errorf("farm: unknown workload %q: registered workloads are %s",
-			s.Workload, strings.Join(FarmWorkloadNames(), ", "))
+	if s.Workload != spinWorkload {
+		if _, _, err := s.problem(); err != nil {
+			return err
+		}
 	}
 	if s.Steps < 1 {
 		return fmt.Errorf("farm: job needs a positive step count, got %d", s.Steps)
@@ -185,20 +144,10 @@ func NewSpinSolver(seed int64, work int) *SpinSolver {
 	s := &SpinSolver{work: work, stages: timing.NewStages("mix")}
 	x := uint64(seed)
 	for i := range s.st.Lanes {
-		x = mix64(x + 0x9e3779b97f4a7c15)
+		x = workload.Mix64(x + 0x9e3779b97f4a7c15)
 		s.st.Lanes[i] = x
 	}
 	return s
-}
-
-// mix64 is splitmix64's finalizer: a cheap, well-distributed bijection.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // Step implements engine.Solver.
@@ -206,7 +155,7 @@ func (s *SpinSolver) Step() {
 	l := &s.st.Lanes
 	for w := 0; w < s.work; w++ {
 		for i := range l {
-			l[i] = mix64(l[i] + l[(i+1)%len(l)] + uint64(w))
+			l[i] = workload.Mix64(l[i] + l[(i+1)%len(l)] + uint64(w))
 		}
 	}
 	s.st.Step++

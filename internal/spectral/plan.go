@@ -5,6 +5,7 @@ import (
 
 	"nektar/internal/fft"
 	"nektar/internal/mpi"
+	"nektar/internal/timing"
 )
 
 // Plan2D is a slab-decomposed 2D FFT on an N x N periodic grid. The
@@ -30,13 +31,11 @@ type Plan2D struct {
 	N int // spectral grid size (even; slab constraints below)
 	M int // de-aliasing grid size (0 when the padded pipeline is off)
 
-	// Begin/End bracket the local-computation phases of each transform
-	// for cost accounting (the solver wires its pricing hooks here).
-	// The distributed transposes run outside the brackets, so
-	// communication time is never charged as compute. Nil hooks are
-	// skipped.
-	Begin func()
-	End   func()
+	// Clock, when set (the solver wires its own), prices the
+	// local-computation phases of each transform. The distributed
+	// transposes run outside its brackets, so communication time is
+	// never charged as compute.
+	Clock *timing.Clock
 
 	comm *mpi.Comm
 	p    int
@@ -56,20 +55,15 @@ type Plan2D struct {
 }
 
 // NewPlan2D builds the plan for an n x n grid over comm (nil = serial).
-// padded adds the exact-3/2 de-aliasing pipeline on M = 3N/2. n must be
-// even (the Nyquist pinning needs N/2 integral) and, when padded,
-// divisible by 4 so M stays even. Both n and M must slab-decompose over
-// the rank count.
+// padded adds the exact-3/2 de-aliasing pipeline on M = 3N/2. The grid
+// and the rank count must pass the solvers' rule (see Config.Check).
 func NewPlan2D(n int, padded bool, comm *mpi.Comm) (*Plan2D, error) {
-	if n < 2 || n%2 != 0 {
-		return nil, fmt.Errorf("spectral: grid size %d must be even and >= 2", n)
-	}
 	pl := &Plan2D{N: n, comm: comm, p: 1}
 	if comm != nil {
 		pl.p = comm.Size()
 	}
-	if n%pl.p != 0 {
-		return nil, fmt.Errorf("spectral: grid size %d does not slab-decompose over %d ranks", n, pl.p)
+	if p := gridProblem(n, padded, pl.p); p != "" {
+		return nil, fmt.Errorf("spectral: %s", p)
 	}
 	pl.nloc = n / pl.p
 	var err error
@@ -84,14 +78,7 @@ func NewPlan2D(n int, padded bool, comm *mpi.Comm) (*Plan2D, error) {
 		pl.sb = make([]complex128, pl.nloc*n)
 		return pl, nil
 	}
-	if n%4 != 0 {
-		return nil, fmt.Errorf("spectral: exact-3/2 padding needs a grid size divisible by 4, got %d", n)
-	}
 	pl.M = 3 * n / 2
-	if pl.M%pl.p != 0 {
-		return nil, fmt.Errorf("spectral: padded grid %d (from N=%d) does not slab-decompose over %d ranks (the rank count must divide both N and M)",
-			pl.M, n, pl.p)
-	}
 	pl.mloc = pl.M / pl.p
 	if pl.planM, err = fft.NewPlan(pl.M); err != nil {
 		return nil, err
@@ -125,18 +112,6 @@ func (pl *Plan2D) TransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.N)
 // N x M complex matrix.
 func (pl *Plan2D) PadTransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.M) }
 
-func (pl *Plan2D) begin() {
-	if pl.Begin != nil {
-		pl.Begin()
-	}
-}
-
-func (pl *Plan2D) end() {
-	if pl.End != nil {
-		pl.End()
-	}
-}
-
 // padRow zero-extends a length-N spectral line to length M, preserving
 // wavenumber identity: modes k in [0, N/2) keep their index, negative
 // modes k in (-N/2, 0) move to the tail slots M+k, and the Nyquist
@@ -169,17 +144,17 @@ func truncRow(in, out []complex128, n, m int) {
 func (pl *Plan2D) Inverse(spec []complex128, phys []float64) {
 	n, nloc := pl.N, pl.nloc
 	sb := pl.sb[:nloc*n]
-	pl.begin()
+	pl.Clock.BeginCompute()
 	copy(pl.sa, spec)
 	pl.planN.Many(pl.sa, nloc, true)
-	pl.end()
+	pl.Clock.EndCompute()
 	pl.tNN.Transpose(pl.sa, sb)
-	pl.begin()
+	pl.Clock.BeginCompute()
 	pl.planN.Many(sb, nloc, true)
 	for i, v := range sb {
 		phys[i] = real(v)
 	}
-	pl.end()
+	pl.Clock.EndCompute()
 }
 
 // Forward transforms a physical slab (nloc x N, x rows) to spectral
@@ -188,17 +163,17 @@ func (pl *Plan2D) Inverse(spec []complex128, phys []float64) {
 func (pl *Plan2D) Forward(phys []float64, spec []complex128) {
 	n, nloc := pl.N, pl.nloc
 	sb := pl.sb[:nloc*n]
-	pl.begin()
+	pl.Clock.BeginCompute()
 	for i, v := range phys {
 		sb[i] = complex(v, 0)
 	}
 	pl.planN.Many(sb, nloc, false)
-	pl.end()
+	pl.Clock.EndCompute()
 	pl.tNN.Transpose(sb, pl.sa)
-	pl.begin()
+	pl.Clock.BeginCompute()
 	pl.planN.Many(pl.sa, nloc, false)
 	copy(spec, pl.sa)
-	pl.end()
+	pl.Clock.EndCompute()
 }
 
 // InversePad is the de-aliasing half-transform: an nloc x N spectral
@@ -207,15 +182,15 @@ func (pl *Plan2D) Forward(phys []float64, spec []complex128) {
 // to the M-grid one, so phys holds true field values.
 func (pl *Plan2D) InversePad(spec []complex128, phys []float64) {
 	n, m, nloc, mloc := pl.N, pl.M, pl.nloc, pl.mloc
-	pl.begin()
+	pl.Clock.BeginCompute()
 	for i := 0; i < nloc; i++ {
 		padRow(spec[i*n:(i+1)*n], pl.sb[i*m:(i+1)*m], n, m)
 	}
 	pl.planM.Many(pl.sb, nloc, true)
-	pl.end()
+	pl.Clock.EndCompute()
 	pl.tNM.Transpose(pl.sb, pl.sc)
 	scale := float64(m*m) / float64(n*n)
-	pl.begin()
+	pl.Clock.BeginCompute()
 	for i := 0; i < mloc; i++ {
 		padRow(pl.sc[i*n:(i+1)*n], pl.sd[i*m:(i+1)*m], n, m)
 	}
@@ -223,7 +198,7 @@ func (pl *Plan2D) InversePad(spec []complex128, phys []float64) {
 	for i, v := range pl.sd {
 		phys[i] = real(v) * scale
 	}
-	pl.end()
+	pl.Clock.EndCompute()
 }
 
 // ForwardPad closes the de-aliased product path: mloc x M physical
@@ -232,7 +207,7 @@ func (pl *Plan2D) InversePad(spec []complex128, phys []float64) {
 // band truncated away and the normalization converted back by (N/M)^2.
 func (pl *Plan2D) ForwardPad(phys []float64, spec []complex128) {
 	n, m, nloc, mloc := pl.N, pl.M, pl.nloc, pl.mloc
-	pl.begin()
+	pl.Clock.BeginCompute()
 	for i, v := range phys {
 		pl.sd[i] = complex(v, 0)
 	}
@@ -240,10 +215,10 @@ func (pl *Plan2D) ForwardPad(phys []float64, spec []complex128) {
 	for i := 0; i < mloc; i++ {
 		truncRow(pl.sd[i*m:(i+1)*m], pl.sc[i*n:(i+1)*n], n, m)
 	}
-	pl.end()
+	pl.Clock.EndCompute()
 	pl.tMN.Transpose(pl.sc, pl.sb)
 	scale := complex(float64(n*n)/float64(m*m), 0)
-	pl.begin()
+	pl.Clock.BeginCompute()
 	pl.planM.Many(pl.sb, nloc, false)
 	for i := 0; i < nloc; i++ {
 		row := pl.sb[i*m : (i+1)*m]
@@ -253,5 +228,5 @@ func (pl *Plan2D) ForwardPad(phys []float64, spec []complex128) {
 			out[j] *= scale
 		}
 	}
-	pl.end()
+	pl.Clock.EndCompute()
 }

@@ -3,6 +3,8 @@ package spectral
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"nektar/internal/blas"
 	"nektar/internal/engine"
@@ -58,9 +60,8 @@ var StageNames = []string{"to-phys", "convolve", "to-spec", "update", "diag"}
 // its global index, and all arithmetic is either local to a mode or a
 // pure data-movement transpose.
 type Turb2D struct {
-	Cfg      Config
-	Comm     *mpi.Comm
-	CPUModel *machine.CPU
+	Cfg  Config
+	Comm *mpi.Comm
 
 	// Trace receives the spectrum/dissipation diagnostic events (rank 0
 	// only); the step loop's own tracer is wired separately by the
@@ -80,7 +81,6 @@ type Turb2D struct {
 	plan   *Plan2D
 	stages *timing.Stages
 	clk    timing.Clock
-	rec    blas.Counts
 
 	specA, specB               []complex128
 	physU, physV, physA, physB []float64
@@ -89,6 +89,102 @@ type Turb2D struct {
 }
 
 var _ engine.Solver = (*Turb2D)(nil)
+
+// withDefaults fills the zero fields that have a default: the PAO
+// spectrum (K0 6, E0 1) and, for the forced variant, shell band 3..5 at
+// amplitude 0.1.
+func (c Config) withDefaults() Config {
+	if c.K0 == 0 {
+		c.K0 = 6
+	}
+	if c.E0 == 0 {
+		c.E0 = 1
+	}
+	if c.Forced && c.ForceLo == 0 && c.ForceHi == 0 {
+		c.ForceLo, c.ForceHi = 3, 5
+	}
+	if c.Forced && c.ForceAmp == 0 {
+		c.ForceAmp = 0.1
+	}
+	return c
+}
+
+// validN reports whether n is a grid size the solvers accept: at least
+// 8, divisible by 4 (so the exact-3/2 de-aliasing grid M = 3N/2 stays
+// even), and 5-smooth (so every transform in the padded pipeline hits
+// the planner's radix-2/3/4/5 butterflies, never the generic-prime
+// fallback).
+func validN(n int) bool { return n >= 8 && n%4 == 0 && fft.Smooth5(n) }
+
+// gridProblem is the one statement of which (N, P) the slab pipelines
+// accept — a valid N that the rank count divides, together with the
+// padded grid M = 3N/2 when the exact-3/2 pipeline is on — as the
+// empty string or the problem with the values that would have worked.
+func gridProblem(n int, padded bool, procs int) string {
+	if !validN(n) {
+		menu := "8, 12, 16, 20, 24, 32, 36, ..."
+		if n < 1<<20 { // the search below is linear in the distance to the next valid size
+			down, up := n-1, max(n+1, 8)
+			for down >= 8 && !validN(down) {
+				down--
+			}
+			for !validN(up) {
+				up++
+			}
+			if down >= 8 {
+				menu += fmt.Sprintf("; nearest to %d: %d and %d", n, down, up)
+			} else {
+				menu += fmt.Sprintf("; nearest to %d: %d", n, up)
+			}
+		}
+		return fmt.Sprintf("grid size N=%d is not valid: need >= 8, divisible by 4, with no prime factors beyond 2, 3, 5 (valid: %s)", n, menu)
+	}
+	both, div := "", n
+	if padded {
+		both, div = fmt.Sprintf(" and its de-aliasing grid M=%d", 3*n/2), n/2 // gcd(N, 3N/2)
+	}
+	if procs >= 1 && div%procs == 0 {
+		return ""
+	}
+	var valid []string
+	for d := 1; d <= div; d++ {
+		if div%d == 0 {
+			valid = append(valid, strconv.Itoa(d))
+		}
+	}
+	return fmt.Sprintf("%d ranks do not slab-decompose N=%d%s (valid rank counts: %s)", procs, n, both, strings.Join(valid, ", "))
+}
+
+// Check reports, before anything is allocated, whether a solver of this
+// configuration can be built over procs ranks; NewTurb2D and NewForced
+// call it first, so its nil means they succeed. Every problem with the
+// configuration is reported in one error.
+func (c Config) Check(procs int) error {
+	c = c.withDefaults()
+	var problems []string
+	add := func(format string, a ...any) { problems = append(problems, fmt.Sprintf(format, a...)) }
+	if p := gridProblem(c.N, !c.Forced, procs); p != "" {
+		add("%s", p)
+	}
+	if !(c.Re > 0) || math.IsInf(c.Re, 0) {
+		add("Reynolds number %g is not valid (valid: any positive finite value, e.g. 100)", c.Re)
+	}
+	if !(c.Dt > 0) || math.IsInf(c.Dt, 0) {
+		add("time step %g is not valid (valid: any positive finite value, e.g. 2e-3)", c.Dt)
+	}
+	// The de-aliased band keeps shells 1..N/3; forcing outside it would
+	// inject energy straight into truncated modes.
+	if kmax := c.N / 3; c.Forced && (c.ForceLo < 1 || c.ForceHi <= c.ForceLo || c.ForceHi > kmax) {
+		add("forcing band [%d, %d] is not a valid shell band (valid: 1 <= lo < hi <= %d for N=%d)", c.ForceLo, c.ForceHi, kmax, c.N)
+	}
+	if c.Forced && !(c.ForceAmp > 0) {
+		add("forcing amplitude %g must be positive", c.ForceAmp)
+	}
+	if problems == nil {
+		return nil
+	}
+	return fmt.Errorf("spectral: %s", strings.Join(problems, "; "))
+}
 
 // NewTurb2D builds one rank of the decaying solver: PAO random-field
 // initialization, convective-form nonlinear term de-aliased by 3/2-rule
@@ -104,58 +200,26 @@ func NewTurb2D(cfg Config, comm *mpi.Comm, cpu *machine.CPU) (*Turb2D, error) {
 // at amplitude 0.1).
 func NewForced(cfg Config, comm *mpi.Comm, cpu *machine.CPU) (*Turb2D, error) {
 	cfg.Forced = true
-	if cfg.ForceLo == 0 && cfg.ForceHi == 0 {
-		cfg.ForceLo, cfg.ForceHi = 3, 5
-	}
-	if cfg.ForceAmp == 0 {
-		cfg.ForceAmp = 0.1
-	}
 	return newSolver(cfg, comm, cpu)
 }
 
 func newSolver(cfg Config, comm *mpi.Comm, cpu *machine.CPU) (*Turb2D, error) {
-	// The planner accepts any length, but the hot path should never hit
-	// its generic-prime fallback, and the exact-3/2 padded grid M = 3N/2
-	// must stay even — hence: divisible by 4 with only {2,3,5} factors.
-	if cfg.N < 8 || cfg.N%4 != 0 || !fft.Smooth5(cfg.N) {
-		return nil, fmt.Errorf("spectral: grid size %d must be >= 8, divisible by 4, and factor into powers of 2, 3, and 5 (e.g. 8, 12, 16, 20, 24, 32, 36, 40, 48, 60, 64)", cfg.N)
-	}
-	if cfg.Re <= 0 {
-		return nil, fmt.Errorf("spectral: Reynolds number %g must be positive", cfg.Re)
-	}
-	if cfg.Dt <= 0 {
-		return nil, fmt.Errorf("spectral: time step %g must be positive", cfg.Dt)
-	}
-	if cfg.K0 == 0 {
-		cfg.K0 = 6
-	}
-	if cfg.E0 == 0 {
-		cfg.E0 = 1
-	}
-	s := &Turb2D{Cfg: cfg, Comm: comm, CPUModel: cpu, nu: 1 / cfg.Re, p: 1}
+	cfg = cfg.withDefaults()
+	s := &Turb2D{Cfg: cfg, Comm: comm, nu: 1 / cfg.Re, p: 1}
 	if comm != nil {
 		s.p, s.rank = comm.Size(), comm.Rank()
 	}
-	if cfg.N%s.p != 0 {
-		return nil, fmt.Errorf("spectral: grid size %d does not slab-decompose over %d ranks", cfg.N, s.p)
+	if err := cfg.Check(s.p); err != nil {
+		return nil, err
 	}
 	s.nloc = cfg.N / s.p
 	if cfg.Forced {
 		s.kmax = cfg.N / 3
-		if cfg.ForceLo < 1 || cfg.ForceLo >= cfg.ForceHi || cfg.ForceHi > s.kmax {
-			return nil, fmt.Errorf("spectral: forcing band [%d, %d] must satisfy 1 <= lo < hi <= N/3 = %d",
-				cfg.ForceLo, cfg.ForceHi, s.kmax)
-		}
-		if cfg.ForceAmp <= 0 {
-			return nil, fmt.Errorf("spectral: forcing amplitude %g must be positive", cfg.ForceAmp)
-		}
 	}
 	var err error
 	if s.plan, err = NewPlan2D(cfg.N, !cfg.Forced, comm); err != nil {
 		return nil, err
 	}
-	s.plan.Begin = s.beginCompute
-	s.plan.End = s.endCompute
 	n := cfg.N
 	s.w = make([]complex128, s.nloc*n)
 	s.prevN = make([]complex128, s.nloc*n)
@@ -177,6 +241,10 @@ func newSolver(cfg Config, comm *mpi.Comm, cpu *machine.CPU) (*Turb2D, error) {
 		now = comm.Wtime
 	}
 	s.clk = timing.NewClock(s.stages, now)
+	if cpu != nil {
+		s.clk.Price(func(c *blas.Counts, _ int) float64 { return cpu.ApplicationSeconds(c) }, comm.Compute)
+	}
+	s.plan.Clock = &s.clk
 	s.initPAO()
 	return s, nil
 }
@@ -308,28 +376,6 @@ func (s *Turb2D) initPAO() {
 	}
 }
 
-// beginCompute starts pricing a communication-free computation section;
-// a no-op in validation mode (CPUModel nil).
-func (s *Turb2D) beginCompute() {
-	if s.CPUModel == nil {
-		return
-	}
-	s.rec = blas.Counts{}
-	blas.StartRecording(&s.rec)
-}
-
-// endCompute stops recording, advances the simulated clock by the
-// priced duration of the section, and charges the active stage.
-func (s *Turb2D) endCompute() {
-	if s.CPUModel == nil {
-		return
-	}
-	blas.StopRecording()
-	dt := s.CPUModel.ApplicationSeconds(&s.rec)
-	s.Comm.Compute(dt)
-	s.stages.AddPriced(&s.rec, dt)
-}
-
 // recordPointwise accounts n complex-pointwise spectral operations
 // (roughly 6 flops and 32 bytes each) as daxpy-class streaming work, so
 // the mode loops the BLAS layer never sees still reach the cost model.
@@ -370,9 +416,9 @@ func (s *Turb2D) Step() {
 		s.stepConvective()
 	}
 	s.clk.Mark(3)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	s.update()
-	s.endCompute()
+	s.clk.EndCompute()
 	s.step++
 	s.clk.Mark(4)
 	s.diagnose()
@@ -387,12 +433,12 @@ func (s *Turb2D) Step() {
 func (s *Turb2D) stepConvective() {
 	n := s.Cfg.N
 	s.clk.Mark(0)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	s.velocities()
-	s.endCompute()
+	s.clk.EndCompute()
 	s.plan.InversePad(s.specA, s.physU)
 	s.plan.InversePad(s.specB, s.physV)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	for i := 0; i < s.nloc; i++ {
 		ky := kAt(s.rank*s.nloc+i, n)
 		for j := 0; j < n; j++ {
@@ -405,17 +451,17 @@ func (s *Turb2D) stepConvective() {
 		}
 	}
 	recordPointwise(s.nloc * n)
-	s.endCompute()
+	s.clk.EndCompute()
 	s.plan.InversePad(s.specA, s.physA)
 	s.plan.InversePad(s.specB, s.physB)
 
 	s.clk.Mark(1)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	np := len(s.physU)
 	blas.Dvmul(np, s.physU, 1, s.physA, 1, s.physC, 1)
 	blas.Dvmul(np, s.physV, 1, s.physB, 1, s.physA, 1)
 	blas.Daxpy(np, 1, s.physA, 1, s.physC, 1)
-	s.endCompute()
+	s.clk.EndCompute()
 
 	s.clk.Mark(2)
 	s.plan.ForwardPad(s.physC, s.specB)
@@ -432,25 +478,25 @@ func (s *Turb2D) stepConvective() {
 func (s *Turb2D) stepBasdevant() {
 	n := s.Cfg.N
 	s.clk.Mark(0)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	s.velocities()
-	s.endCompute()
+	s.clk.EndCompute()
 	s.plan.Inverse(s.specA, s.physU)
 	s.plan.Inverse(s.specB, s.physV)
 
 	s.clk.Mark(1)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	np := len(s.physU)
 	blas.Dvmul(np, s.physV, 1, s.physV, 1, s.physA, 1)
 	blas.Dvmul(np, s.physU, 1, s.physU, 1, s.physC, 1)
 	blas.Daxpy(np, -1, s.physC, 1, s.physA, 1) // v^2 - u^2
 	blas.Dvmul(np, s.physU, 1, s.physV, 1, s.physB, 1)
-	s.endCompute()
+	s.clk.EndCompute()
 
 	s.clk.Mark(2)
 	s.plan.Forward(s.physA, s.specA)
 	s.plan.Forward(s.physB, s.specB)
-	s.beginCompute()
+	s.clk.BeginCompute()
 	for i := 0; i < s.nloc; i++ {
 		ky := kAt(s.rank*s.nloc+i, n)
 		for j := 0; j < n; j++ {
@@ -466,7 +512,7 @@ func (s *Turb2D) stepBasdevant() {
 		}
 	}
 	recordPointwise(s.nloc * n)
-	s.endCompute()
+	s.clk.EndCompute()
 }
 
 // update applies the Crank-Nicolson / Adams-Bashforth step to the

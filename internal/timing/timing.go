@@ -171,22 +171,60 @@ func Percent(vals []float64) []float64 {
 	return out
 }
 
-// Clock is the stage-transition accounting shared by the
-// cluster-simulated solvers: each Mark charges the simulated wall
-// clock elapsed since the previous mark (communication and idle time
-// included) to the previous stage's Wall accumulator, and brackets the
-// new stage for CPU pricing. Marking -1 closes the step. Serial runs
-// pass a zero clock, so only the host/priced accumulators move.
+// Clock is the stage accounting shared by the cluster-simulated
+// solvers. Each Mark charges the simulated wall clock elapsed since the
+// previous mark (communication and idle time included) to the previous
+// stage's Wall accumulator and brackets the new stage; marking -1
+// closes the step. Between marks, BeginCompute/EndCompute bracket the
+// communication-free sections whose BLAS work is priced.
+// Serial runs pass a zero clock and no pricing, so only the host
+// accumulators move.
 type Clock struct {
 	st   *Stages
 	now  func() float64 // the rank's simulated wall clock (Comm.Wtime)
 	last int
 	t    float64
+
+	price   func(c *blas.Counts, stage int) float64
+	advance func(dt float64)
+	rec     blas.Counts
 }
 
 // NewClock creates a stage clock over st reading now.
 func NewClock(st *Stages, now func() float64) Clock {
 	return Clock{st: st, now: now, last: -1}
+}
+
+// Price turns the clock's compute sections into priced ones: price
+// converts a section's BLAS counts, recorded in the given stage, to
+// machine seconds (the CPU model times the solver's extrapolation
+// factor) and advance moves the rank's clock by them (Comm.Compute).
+func (c *Clock) Price(price func(c *blas.Counts, stage int) float64, advance func(dt float64)) {
+	c.price, c.advance = price, advance
+}
+
+// BeginCompute opens a communication-free computation section. It is
+// a no-op without pricing (validation mode; a nil clock too), so that
+// a caller-attached Stages recorder sees everything.
+func (c *Clock) BeginCompute() {
+	if c == nil || c.price == nil {
+		return
+	}
+	c.rec = blas.Counts{}
+	blas.StartRecording(&c.rec)
+}
+
+// EndCompute closes the section: it stops recording, advances the
+// rank's clock by the section's priced duration and charges the active
+// stage.
+func (c *Clock) EndCompute() {
+	if c == nil || c.price == nil {
+		return
+	}
+	blas.StopRecording()
+	dt := c.price(&c.rec, c.st.Current())
+	c.advance(dt)
+	c.st.AddPriced(&c.rec, dt)
 }
 
 // Mark enters stage i (-1 closes the step).

@@ -155,3 +155,52 @@ func TestAddWallAndSnapshot(t *testing.T) {
 		t.Fatal("Reset must zero Wall")
 	}
 }
+
+// TestClockPricesComputeSections: a priced clock records each bracketed
+// section, prices it in the active stage, advances the rank's clock by
+// that and charges the stage; without pricing (or on a nil clock) the
+// brackets do nothing and leave an attached recorder undisturbed.
+func TestClockPricesComputeSections(t *testing.T) {
+	st := NewStages("a", "b")
+	now := 0.0
+	clk := NewClock(st, func() float64 { return now })
+	buf := make([]float64, 10)
+
+	st.Attach()
+	clk.Mark(0)
+	clk.BeginCompute()
+	blas.Dcopy(10, buf, 1, buf, 1)
+	clk.EndCompute()
+	clk.Mark(-1)
+	st.Detach()
+	if st.Priced[0] != 0 || st.Counts[0].Ops[blas.KernelDcopy].Calls != 1 {
+		t.Fatalf("unpriced section: priced %g, %d dcopy calls through the attached recorder",
+			st.Priced[0], st.Counts[0].Ops[blas.KernelDcopy].Calls)
+	}
+	var none *Clock
+	none.BeginCompute()
+	none.EndCompute()
+
+	st.Reset()
+	var stages []int
+	clk.Price(func(c *blas.Counts, stage int) float64 {
+		stages = append(stages, stage)
+		return 0.25 * float64(c.Ops[blas.KernelDcopy].Calls)
+	}, func(dt float64) { now += dt })
+	clk.Mark(1)
+	clk.BeginCompute()
+	blas.Dcopy(10, buf, 1, buf, 1)
+	blas.Dcopy(10, buf, 1, buf, 1)
+	clk.EndCompute()
+	clk.BeginCompute()
+	blas.Dcopy(10, buf, 1, buf, 1)
+	clk.EndCompute()
+	clk.Mark(-1)
+	if len(stages) != 2 || stages[0] != 1 || stages[1] != 1 {
+		t.Fatalf("price saw stages %v, want two sections in stage 1", stages)
+	}
+	if now != 0.75 || st.Priced[1] != 0.75 || st.Wall[1] != 0.75 || st.Counts[1].Ops[blas.KernelDcopy].Calls != 3 {
+		t.Fatalf("clock %g, stage priced %g wall %g with %d dcopy calls; want 0.75 s and 3 calls",
+			now, st.Priced[1], st.Wall[1], st.Counts[1].Ops[blas.KernelDcopy].Calls)
+	}
+}
