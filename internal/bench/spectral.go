@@ -89,19 +89,25 @@ func fftModelFlops(l int) int64 {
 	return int64(5 * float64(l) * math.Log2(float64(l)))
 }
 
-// stepCosts returns the modeled transform flops and global transpose
-// bytes of one solver step. The decaying variant runs 4 InversePad + 1
-// ForwardPad per step, each moving an N x M matrix through Alltoall
-// and transforming N rows + M rows of length M; the forced variant
-// runs 2 Inverse + 2 Forward on the unpadded N x N pipeline.
+// stepCosts returns the modeled FFT flops and global transpose bytes of
+// one solver step: three 2-D transforms and three transposes either
+// way. The decaying variant runs 2 InversePadPair + 1 ForwardPad, each
+// moving an N x M matrix through Alltoall; a paired inverse transforms
+// N + M complex rows of length M, the forward M real rows of length M
+// (half-length complex transforms) and then N complex ones. The forced
+// variant runs 1 InversePair + 2 Forward on the unpadded N x N
+// pipeline. TestStepCostsMatchARecordedStep holds both numbers to what
+// a step records.
 func stepCosts(variant string, n int) (flops, bytes int64) {
+	l := n
+	inverses, forwards := int64(1), int64(2)
 	if variant == "turb2d" {
-		m := 3 * n / 2
-		perHalf := int64(n+m) * fftModelFlops(m)
-		return 5 * perHalf, 5 * 16 * int64(n) * int64(m)
+		l = 3 * n / 2
+		inverses, forwards = 2, 1
 	}
-	perTransform := int64(2*n) * fftModelFlops(n)
-	return 4 * perTransform, 4 * 16 * int64(n) * int64(n)
+	inverse := int64(n+l) * fftModelFlops(l)
+	forward := int64(l)*fftModelFlops(l/2) + int64(n)*fftModelFlops(l)
+	return inverses*inverse + forwards*forward, 3 * 16 * int64(n) * int64(l)
 }
 
 // spectralCase is the problem of one spectral table entry as this

@@ -3,6 +3,8 @@ package fft
 import (
 	"math"
 	"testing"
+
+	"nektar/internal/blas"
 )
 
 // TestRealRoundTripEverySize pins the Forward/Inverse identity on every
@@ -119,5 +121,28 @@ func TestBatchedTransformsAreAllocationFree(t *testing.T) {
 		rp.ManyReal(xr, spec, rows, true)
 	}); avg != 0 {
 		t.Errorf("RealPlan.ManyReal allocates %.1f objects per batched round trip, want 0", avg)
+	}
+
+	// The real-input stage of a 256^2 de-aliased step — rows of the
+	// M = 384 padded grid — with a cost-model session open, as inside a
+	// priced solver: the batch's one record must not allocate either.
+	const m, mrows = 384, 8
+	rm, err := NewRealPlan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xm := make([]float64, mrows*m)
+	for i := range xm {
+		xm[i] = float64(i % 17)
+	}
+	specM := make([]complex128, mrows*(m/2+1))
+	var counts blas.Counts
+	blas.StartRecording(&counts)
+	defer blas.StopRecording()
+	if avg := testing.AllocsPerRun(20, func() {
+		rm.ManyReal(xm, specM, mrows, false)
+		rm.ManyReal(xm, specM, mrows, true)
+	}); avg != 0 {
+		t.Errorf("RealPlan.ManyReal at N=%d allocates %.1f objects per recorded round trip, want 0", m, avg)
 	}
 }

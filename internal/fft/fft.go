@@ -349,6 +349,7 @@ type RealPlan struct {
 	N    int
 	half *Plan
 	z    []complex128 // packed even/odd staging, length N/2
+	tw   []complex128 // untangling twiddles exp(-2*pi*i*k/N), k = 0..N/2
 }
 
 // NewRealPlan creates a real-transform plan for even n >= 2 (the
@@ -362,53 +363,63 @@ func NewRealPlan(n int) (*RealPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RealPlan{N: n, half: hp, z: make([]complex128, n/2)}, nil
+	rp := &RealPlan{N: n, half: hp, z: make([]complex128, n/2), tw: make([]complex128, n/2+1)}
+	for k := range rp.tw {
+		ang := -2 * math.Pi * float64(k) / float64(n)
+		rp.tw[k] = complex(math.Cos(ang), math.Sin(ang))
+	}
+	return rp, nil
 }
 
 // Forward computes the spectrum of the real sequence x (length N)
 // into out (length N/2+1): out[k] = sum_j x[j] exp(-2*pi*i*j*k/N).
 // out[0] and out[N/2] have zero imaginary parts.
 func (rp *RealPlan) Forward(x []float64, out []complex128) {
-	n, h := rp.N, rp.N/2
-	if len(x) != n || len(out) != h+1 {
+	if len(x) != rp.N || len(out) != rp.N/2+1 {
 		panic("fft: RealPlan.Forward length mismatch")
 	}
+	recordFFT(rp.half.N, 1, rp.half.flops)
+	rp.forward(x, out)
+}
+
+// forward is the unrecorded body of Forward.
+func (rp *RealPlan) forward(x []float64, out []complex128) {
+	h := rp.N / 2
 	z := rp.z
-	for i := 0; i < h; i++ {
+	for i := range z {
 		z[i] = complex(x[2*i], x[2*i+1])
 	}
-	rp.half.Transform(z, false)
-	// Untangle even/odd spectra.
-	for k := 0; k <= h; k++ {
-		var zk, zNk complex128
-		if k == h {
-			zk = z[0]
-			zNk = z[0]
-		} else {
-			zk = z[k]
-			if k == 0 {
-				zNk = z[0]
-			} else {
-				zNk = z[h-k]
-			}
-		}
-		even := complex(0.5*(real(zk)+real(zNk)), 0.5*(imag(zk)-imag(zNk)))
-		odd := complex(0.5*(imag(zk)+imag(zNk)), 0.5*(real(zNk)-real(zk)))
-		ang := -2 * math.Pi * float64(k) / float64(n)
-		w := complex(math.Cos(ang), math.Sin(ang))
-		out[k] = even + w*odd
+	rp.half.transform(z, false)
+	// Untangle even/odd spectra. The half spectrum is h-periodic, so
+	// both real-valued end bins pair z[0] with itself.
+	out[0] = complex(real(rp.untangle(0, z[0], z[0])), 0)
+	out[h] = complex(real(rp.untangle(h, z[0], z[0])), 0)
+	for k := 1; k < h; k++ {
+		out[k] = rp.untangle(k, z[k], z[h-k])
 	}
-	out[0] = complex(real(out[0]), 0)
-	out[h] = complex(real(out[h]), 0)
+}
+
+// untangle recovers X_k from Z_k and Z_{h-k}, the half-length spectrum
+// of the even samples plus i times the odd ones.
+func (rp *RealPlan) untangle(k int, zk, zNk complex128) complex128 {
+	even := complex(0.5*(real(zk)+real(zNk)), 0.5*(imag(zk)-imag(zNk)))
+	odd := complex(0.5*(imag(zk)+imag(zNk)), 0.5*(real(zNk)-real(zk)))
+	return even + rp.tw[k]*odd
 }
 
 // Inverse reconstructs the real sequence from a half-complex spectrum,
 // including the 1/N normalization (Inverse(Forward(x)) == x).
 func (rp *RealPlan) Inverse(spec []complex128, x []float64) {
-	n, h := rp.N, rp.N/2
-	if len(spec) != h+1 || len(x) != n {
+	if len(spec) != rp.N/2+1 || len(x) != rp.N {
 		panic("fft: RealPlan.Inverse length mismatch")
 	}
+	recordFFT(rp.half.N, 1, rp.half.flops)
+	rp.inverse(spec, x)
+}
+
+// inverse is the unrecorded body of Inverse.
+func (rp *RealPlan) inverse(spec []complex128, x []float64) {
+	h := rp.N / 2
 	z := rp.z
 	// Repack the half-complex spectrum into the length-h complex
 	// spectrum of the interleaved sequence.
@@ -424,34 +435,35 @@ func (rp *RealPlan) Inverse(spec []complex128, x []float64) {
 			xkh = complex(real(spec[h-k]), -imag(spec[h-k]))
 		}
 		even := (sk + xkh) * 0.5
-		ang := 2 * math.Pi * float64(k) / float64(n)
-		w := complex(math.Cos(ang), math.Sin(ang))
+		w := complex(real(rp.tw[k]), -imag(rp.tw[k]))
 		odd := w * (sk - xkh) * 0.5
 		z[k] = complex(real(even)-imag(odd), imag(even)+real(odd))
 	}
-	rp.half.Transform(z, true)
-	for i := 0; i < h; i++ {
-		x[2*i] = real(z[i])
-		x[2*i+1] = imag(z[i])
+	rp.half.transform(z, true)
+	for i, v := range z {
+		x[2*i] = real(v)
+		x[2*i+1] = imag(v)
 	}
 }
 
 // ManyReal batch-transforms rows rows in one call with zero
-// steady-state allocations: forward takes rows*N reals in x to
-// rows*(N/2+1) half-complex rows in spec; inverse goes the other way.
+// steady-state allocations and one cost-model record for the batch:
+// forward takes rows*N reals in x to rows*(N/2+1) half-complex rows in
+// spec; inverse goes the other way.
 func (rp *RealPlan) ManyReal(x []float64, spec []complex128, rows int, inverse bool) {
 	n, h := rp.N, rp.N/2
 	if len(x) != rows*n || len(spec) != rows*(h+1) {
 		panic(fmt.Sprintf("fft: ManyReal got %d reals / %d coeffs, plan wants %d rows of %d / %d",
 			len(x), len(spec), rows, n, h+1))
 	}
+	recordFFT(h, rows, rp.half.flops)
 	for i := 0; i < rows; i++ {
 		xr := x[i*n : (i+1)*n]
 		sr := spec[i*(h+1) : (i+1)*(h+1)]
 		if inverse {
-			rp.Inverse(sr, xr)
+			rp.inverse(sr, xr)
 		} else {
-			rp.Forward(xr, sr)
+			rp.forward(xr, sr)
 		}
 	}
 }

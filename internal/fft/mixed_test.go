@@ -5,6 +5,8 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"testing"
+
+	"nektar/internal/blas"
 )
 
 // smooth5Sizes enumerates every n = 2^a * 3^b * 5^c <= limit, sorted.
@@ -160,6 +162,76 @@ func TestManyRealMatchesPerRow(t *testing.T) {
 	for i := range x {
 		if math.Abs(back[i]-x[i]) > 1e-12 {
 			t.Fatalf("ManyReal round trip error %g at %d", back[i]-x[i], i)
+		}
+	}
+}
+
+// TestManyRealRecordsTheBatch: ManyReal's one cost-model record carries
+// exactly what its rows would have recorded one Forward at a time, so a
+// caller that switches to the batch is priced the same.
+func TestManyRealRecordsTheBatch(t *testing.T) {
+	const n, rows = 48, 4
+	rp, err := NewRealPlan(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, rows*n)
+	spec := make([]complex128, rows*(n/2+1))
+	var batch, single blas.Counts
+	blas.StartRecording(&batch)
+	rp.ManyReal(x, spec, rows, false)
+	blas.StartRecording(&single)
+	for r := 0; r < rows; r++ {
+		rp.Forward(x[r*n:(r+1)*n], spec[:n/2+1])
+	}
+	blas.StopRecording()
+	if batch != single || batch.TotalFlops() == 0 {
+		t.Fatalf("ManyReal recorded %+v, %d single Forward calls recorded %+v", batch, rows, single)
+	}
+}
+
+// TestRealMatchesComplexSmoothLengths: at every even 5-smooth length up
+// to 96, and at the 384 of the 256^2 padded grid, the real-input
+// transform is the leading half of the complex transform of the
+// widened sequence, and its inverse undoes it.
+func TestRealMatchesComplexSmoothLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for _, n := range append(smooth5Sizes(96), 384) {
+		if n%2 != 0 {
+			continue
+		}
+		rp, err := NewRealPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := NewPlan(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, n)
+		want := make([]complex128, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			want[i] = complex(x[i], 0)
+		}
+		cp.Transform(want, false)
+		scale := 0.0
+		for _, v := range want {
+			scale = math.Max(scale, cmplx.Abs(v))
+		}
+		got := make([]complex128, n/2+1)
+		rp.Forward(x, got)
+		for k := range got {
+			if cmplx.Abs(got[k]-want[k]) > 1e-12*scale {
+				t.Fatalf("n=%d: X[%d] = %v, complex transform gives %v", n, k, got[k], want[k])
+			}
+		}
+		back := make([]float64, n)
+		rp.Inverse(got, back)
+		for i := range x {
+			if math.Abs(back[i]-x[i]) > 1e-12 {
+				t.Fatalf("n=%d: Inverse(Forward(x))[%d] = %g, want %g", n, i, back[i], x[i])
+			}
 		}
 	}
 }

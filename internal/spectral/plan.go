@@ -15,6 +15,19 @@ import (
 // rows. A round trip Forward(Inverse(spec)) reproduces spec because the
 // inverse row transforms carry the 1/N normalization.
 //
+// Physical fields are real, and the plan does only the work real
+// fields need. Going physical, two Hermitian spectra share one complex
+// transform (InversePair/InversePadPair): z = a + i*b transforms to
+// A + i*B with A and B both real, so the real part is one field and
+// the imaginary part the other. Coming back, the first stage
+// transforms real rows with a half-length real-input plan and fills
+// the other half of each row by conjugate symmetry. A solver step is
+// three 2-D transforms — two paired inverses and one forward for the
+// convective form, one paired inverse and two forwards for Basdevant's
+// — and three distributed transposes. The forward direction is not
+// paired: untangling two packed fields needs row -ky beside row ky,
+// and in the slab layout that row lives on another rank.
+//
 // The padded pipeline (InversePad/ForwardPad) implements 3/2-rule
 // de-aliasing by zero-extension: spectra are padded to an M x M grid
 // before going physical, so quadratic products formed there alias only
@@ -43,11 +56,14 @@ type Plan2D struct {
 	mloc int // M/p: padded physical rows per rank
 
 	planN, planM *fft.Plan
-	tNN          *Transposer // N x N, both directions of the unpadded path
-	tNM          *Transposer // N ky-rows -> M padded-x rows
-	tMN          *Transposer // M padded-x rows -> N ky-rows
+	realN, realM *fft.RealPlan // first stage of Forward/ForwardPad: real rows
+	tNN          *Transposer   // N x N, both directions of the unpadded path
+	tNM          *Transposer   // N ky-rows -> M padded-x rows
+	tMN          *Transposer   // M padded-x rows -> N ky-rows
 
-	// Reused pipeline slabs (see Inverse/InversePad for the stations).
+	// Reused pipeline slabs (see InversePair/InversePadPair for the
+	// stations). The forward pipelines stage their half-complex rows in
+	// the head of the slab the transpose overwrites next (sa, resp. sd).
 	sa []complex128 // nloc x N
 	sb []complex128 // nloc x N / nloc x M (padded)
 	sc []complex128 // mloc x N
@@ -70,6 +86,9 @@ func NewPlan2D(n int, padded bool, comm *mpi.Comm) (*Plan2D, error) {
 	if pl.planN, err = fft.NewPlan(n); err != nil {
 		return nil, err
 	}
+	if pl.realN, err = fft.NewRealPlan(n); err != nil {
+		return nil, err
+	}
 	if pl.tNN, err = NewTransposer(n, n, comm); err != nil {
 		return nil, err
 	}
@@ -81,6 +100,9 @@ func NewPlan2D(n int, padded bool, comm *mpi.Comm) (*Plan2D, error) {
 	pl.M = 3 * n / 2
 	pl.mloc = pl.M / pl.p
 	if pl.planM, err = fft.NewPlan(pl.M); err != nil {
+		return nil, err
+	}
+	if pl.realM, err = fft.NewRealPlan(pl.M); err != nil {
 		return nil, err
 	}
 	if pl.tNM, err = NewTransposer(n, pl.M, comm); err != nil {
@@ -103,27 +125,65 @@ func (pl *Plan2D) SlabRows() int { return pl.nloc }
 func (pl *Plan2D) PadRows() int { return pl.mloc }
 
 // TransposeBytes returns the global Alltoall payload, in bytes, moved
-// by one unpadded transform (Inverse or Forward): the N x N complex
-// matrix crosses the wire once.
+// by one unpadded transform (Inverse, InversePair or Forward): the
+// N x N complex matrix crosses the wire once.
 func (pl *Plan2D) TransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.N) }
 
 // PadTransposeBytes returns the global Alltoall payload, in bytes,
-// moved by one padded half-transform (InversePad or ForwardPad): an
-// N x M complex matrix.
+// moved by one padded half-transform (InversePad, InversePadPair or
+// ForwardPad): an N x M complex matrix.
 func (pl *Plan2D) PadTransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.M) }
 
-// padRow zero-extends a length-N spectral line to length M, preserving
-// wavenumber identity: modes k in [0, N/2) keep their index, negative
-// modes k in (-N/2, 0) move to the tail slots M+k, and the Nyquist
-// line N/2 is dropped. The map needs only M >= N: out[h] through
-// out[M-h] (the fine grid's own high modes) stay zero.
-func padRow(in, out []complex128, n, m int) {
-	for j := range out {
-		out[j] = 0
+// pack writes z = a + i*b into dst: the one complex sequence whose
+// inverse transform carries the field of a in its real part and the
+// field of b in its imaginary part. A nil b leaves z = a.
+func pack(dst, a, b []complex128) {
+	if b == nil {
+		copy(dst, a)
+		return
 	}
+	b = b[:len(a)]
+	for j, av := range a {
+		dst[j] = complex(real(av)-imag(b[j]), imag(av)+real(b[j]))
+	}
+}
+
+// unpack reads the physical fields out of a transformed slab: the real
+// part times scale into physA and, for a packed pair, the imaginary
+// part times scale into physB.
+func unpack(z []complex128, scale float64, physA, physB []float64) {
+	if physB == nil {
+		for i, v := range z {
+			physA[i] = real(v) * scale
+		}
+		return
+	}
+	physA, physB = physA[:len(z)], physB[:len(z)]
+	for i, v := range z {
+		physA[i] = real(v) * scale
+		physB[i] = imag(v) * scale
+	}
+}
+
+// padRow zero-extends the length-N spectral line a + i*b (nil b: a
+// alone) to length M, preserving wavenumber identity: modes k in
+// [0, N/2) keep their index, negative modes k in (-N/2, 0) move to the
+// tail slots M+k, and the Nyquist line N/2 is dropped. The map needs
+// only M >= N: out[h] through out[M-h] (the fine grid's own high modes)
+// stay zero.
+func padRow(a, b, out []complex128, n, m int) {
 	h := n / 2
-	copy(out[:h], in[:h])
-	copy(out[m-h+1:], in[h+1:])
+	pack(out[:h], a[:h], sub(b, 0, h))
+	clear(out[h : m-h+1])
+	pack(out[m-h+1:], a[h+1:], sub(b, h+1, n))
+}
+
+// sub is x[lo:hi] of an optional slab: nil stays nil.
+func sub(x []complex128, lo, hi int) []complex128 {
+	if x == nil {
+		return nil
+	}
+	return x[lo:hi]
 }
 
 // truncRow inverts padRow: it keeps the modes the N grid resolves —
@@ -136,38 +196,67 @@ func truncRow(in, out []complex128, n, m int) {
 	copy(out[h+1:], in[m-h+1:])
 }
 
+// hermRow expands r, the half-complex spectrum of a real row, to the
+// n = len(out) lowest modes of its full spectrum: out[:h+1] = r[:h+1]
+// and the negative modes by conjugate symmetry, out[j] = conj(r[n-j]).
+// r may be the half spectrum of a longer row (the padded grid's), in
+// which case this is also the truncation to the N-grid band.
+func hermRow(r, out []complex128) {
+	n := len(out)
+	h := n / 2
+	copy(out[:h+1], r)
+	for j := h + 1; j < n; j++ {
+		v := r[n-j]
+		out[j] = complex(real(v), -imag(v))
+	}
+}
+
 // Inverse transforms a spectral slab (nloc x N, ky rows) to physical
-// samples (nloc x N, x rows): inverse row FFTs along kx, a distributed
-// transpose, inverse row FFTs along ky, then the real part. Solvers
-// evolve Hermitian-symmetric spectra, so the imaginary residue is
-// roundoff; discarding it is what keeps quadratic terms real.
+// samples (nloc x N, x rows). Solvers evolve Hermitian-symmetric
+// spectra, so the imaginary residue is roundoff; discarding it is what
+// keeps quadratic terms real.
 func (pl *Plan2D) Inverse(spec []complex128, phys []float64) {
+	pl.InversePair(spec, nil, phys, nil)
+}
+
+// InversePair takes two spectral slabs physical in one transform:
+// pack z = a + i*b, inverse row FFTs along kx, a distributed transpose,
+// inverse row FFTs along ky, then physA from the real part and physB
+// from the imaginary part. Hermitian spectra only: the anti-Hermitian
+// part of a transforms to an imaginary field, which Inverse discards
+// and the pair form delivers into physB (and b's into physA, negated).
+// With specB and physB nil it is Inverse.
+func (pl *Plan2D) InversePair(specA, specB []complex128, physA, physB []float64) {
 	n, nloc := pl.N, pl.nloc
 	sb := pl.sb[:nloc*n]
 	pl.Clock.BeginCompute()
-	copy(pl.sa, spec)
+	pack(pl.sa, specA, specB)
+	if specB != nil {
+		recordPointwise(nloc * n)
+	}
 	pl.planN.Many(pl.sa, nloc, true)
 	pl.Clock.EndCompute()
 	pl.tNN.Transpose(pl.sa, sb)
 	pl.Clock.BeginCompute()
 	pl.planN.Many(sb, nloc, true)
-	for i, v := range sb {
-		phys[i] = real(v)
-	}
+	unpack(sb, 1, physA, physB)
 	pl.Clock.EndCompute()
 }
 
 // Forward transforms a physical slab (nloc x N, x rows) to spectral
-// coefficients (nloc x N, ky rows): forward row FFTs along y, a
-// distributed transpose, forward row FFTs along x.
+// coefficients (nloc x N, ky rows): real-input row FFTs along y, each
+// row completed by conjugate symmetry, a distributed transpose, forward
+// row FFTs along x.
 func (pl *Plan2D) Forward(phys []float64, spec []complex128) {
 	n, nloc := pl.N, pl.nloc
+	hc := n/2 + 1
 	sb := pl.sb[:nloc*n]
+	half := pl.sa[:nloc*hc]
 	pl.Clock.BeginCompute()
-	for i, v := range phys {
-		sb[i] = complex(v, 0)
+	pl.realN.ManyReal(phys, half, nloc, false)
+	for i := 0; i < nloc; i++ {
+		hermRow(half[i*hc:(i+1)*hc], sb[i*n:(i+1)*n])
 	}
-	pl.planN.Many(sb, nloc, false)
 	pl.Clock.EndCompute()
 	pl.tNN.Transpose(sb, pl.sa)
 	pl.Clock.BeginCompute()
@@ -178,42 +267,55 @@ func (pl *Plan2D) Forward(phys []float64, spec []complex128) {
 
 // InversePad is the de-aliasing half-transform: an nloc x N spectral
 // slab comes out as mloc x M physical samples of the same field on the
-// fine grid. The (M/N)^2 factor converts the N-grid DFT normalization
-// to the M-grid one, so phys holds true field values.
+// fine grid.
 func (pl *Plan2D) InversePad(spec []complex128, phys []float64) {
+	pl.InversePadPair(spec, nil, phys, nil)
+}
+
+// InversePadPair is InversePair on the de-aliasing grid: the packed
+// rows are zero-extended to M before each stage's transforms, and two
+// nloc x N spectral slabs come out as mloc x M physical samples each.
+// The (M/N)^2 factor converts the N-grid DFT normalization to the
+// M-grid one, so the outputs hold true field values. Hermitian spectra
+// only, as for InversePair; with specB and physB nil it is InversePad.
+func (pl *Plan2D) InversePadPair(specA, specB []complex128, physA, physB []float64) {
 	n, m, nloc, mloc := pl.N, pl.M, pl.nloc, pl.mloc
 	pl.Clock.BeginCompute()
 	for i := 0; i < nloc; i++ {
-		padRow(spec[i*n:(i+1)*n], pl.sb[i*m:(i+1)*m], n, m)
+		padRow(specA[i*n:(i+1)*n], sub(specB, i*n, (i+1)*n), pl.sb[i*m:(i+1)*m], n, m)
+	}
+	if specB != nil {
+		recordPointwise(nloc * n)
 	}
 	pl.planM.Many(pl.sb, nloc, true)
 	pl.Clock.EndCompute()
 	pl.tNM.Transpose(pl.sb, pl.sc)
-	scale := float64(m*m) / float64(n*n)
 	pl.Clock.BeginCompute()
 	for i := 0; i < mloc; i++ {
-		padRow(pl.sc[i*n:(i+1)*n], pl.sd[i*m:(i+1)*m], n, m)
+		padRow(pl.sc[i*n:(i+1)*n], nil, pl.sd[i*m:(i+1)*m], n, m)
 	}
 	pl.planM.Many(pl.sd, mloc, true)
-	for i, v := range pl.sd {
-		phys[i] = real(v) * scale
-	}
+	unpack(pl.sd, float64(m*m)/float64(n*n), physA, physB)
 	pl.Clock.EndCompute()
 }
 
 // ForwardPad closes the de-aliased product path: mloc x M physical
-// samples (typically a pointwise product of InversePad outputs) come
-// back as an nloc x N spectral slab, with everything beyond the N-grid
-// band truncated away and the normalization converted back by (N/M)^2.
+// samples (typically a pointwise product of InversePadPair outputs)
+// come back as an nloc x N spectral slab, with everything beyond the
+// N-grid band truncated away and the normalization converted back by
+// (N/M)^2. The first stage is real-input: each row's half spectrum is
+// truncated and completed by conjugate symmetry in one fill, so the
+// slab is exactly conjugate-symmetric in ky before it is transposed.
 func (pl *Plan2D) ForwardPad(phys []float64, spec []complex128) {
 	n, m, nloc, mloc := pl.N, pl.M, pl.nloc, pl.mloc
+	hc := m/2 + 1
+	half := pl.sd[:mloc*hc]
 	pl.Clock.BeginCompute()
-	for i, v := range phys {
-		pl.sd[i] = complex(v, 0)
-	}
-	pl.planM.Many(pl.sd, mloc, false)
+	pl.realM.ManyReal(phys, half, mloc, false)
 	for i := 0; i < mloc; i++ {
-		truncRow(pl.sd[i*m:(i+1)*m], pl.sc[i*n:(i+1)*n], n, m)
+		out := pl.sc[i*n : (i+1)*n]
+		hermRow(half[i*hc:(i+1)*hc], out)
+		out[n/2] = 0
 	}
 	pl.Clock.EndCompute()
 	pl.tMN.Transpose(pl.sc, pl.sb)

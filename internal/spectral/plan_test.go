@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nektar/internal/fft"
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/simnet"
@@ -37,16 +38,245 @@ func TestPlan2DRoundTrip(t *testing.T) {
 	}
 }
 
-// bandLimitedSpec builds a Hermitian-symmetric spectrum with zero
-// Nyquist lines (the invariant the solvers maintain), via the PAO
+// hermitianSpec builds a random-phase Hermitian-symmetric spectrum with
+// zero Nyquist lines (the invariant the solvers maintain), via the PAO
 // initializer of a throwaway solver.
-func bandLimitedSpec(t *testing.T, n int) []complex128 {
+func hermitianSpec(t *testing.T, n int, seed uint64) []complex128 {
 	t.Helper()
-	s, err := NewTurb2D(Config{N: n, Re: 100, Dt: 1e-3, Seed: 7}, nil, nil)
+	s, err := NewTurb2D(Config{N: n, Re: 100, Dt: 1e-3, Seed: seed}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return s.Field()
+}
+
+// maxAbs is the max-norm of a real field.
+func maxAbs(x []float64) float64 {
+	m := 0.0
+	for _, v := range x {
+		m = math.Max(m, math.Abs(v))
+	}
+	return m
+}
+
+// maxDiff is the max-norm of a - b.
+func maxDiff(a, b []float64) float64 {
+	m := 0.0
+	for i := range a {
+		m = math.Max(m, math.Abs(a[i]-b[i]))
+	}
+	return m
+}
+
+// inversePipeline is one of the plan's two spectral-to-physical
+// pipelines, so the pair tests run the same body over both.
+type inversePipeline struct {
+	name   string
+	padded bool
+	single func(pl *Plan2D, spec []complex128, phys []float64)
+	pair   func(pl *Plan2D, a, b []complex128, pa, pb []float64)
+	side   func(pl *Plan2D) (rows, cols int) // this rank's physical slab
+}
+
+var inversePipelines = []inversePipeline{
+	{"Inverse", false, (*Plan2D).Inverse, (*Plan2D).InversePair,
+		func(pl *Plan2D) (int, int) { return pl.SlabRows(), pl.N }},
+	{"InversePad", true, (*Plan2D).InversePad, (*Plan2D).InversePadPair,
+		func(pl *Plan2D) (int, int) { return pl.PadRows(), pl.M }},
+}
+
+// TestInversePairMatchesSingles: for Hermitian spectra the paired
+// inverse is the two single inverses to roundoff, on both pipelines,
+// and on every rank count the grid rule allows the slab run reproduces
+// the serial pair bit for bit.
+func TestInversePairMatchesSingles(t *testing.T) {
+	for _, n := range []int{8, 12, 20, 32} {
+		a, b := hermitianSpec(t, n, 7), hermitianSpec(t, n, 8)
+		for _, ip := range inversePipelines {
+			ser, err := NewPlan2D(n, ip.padded, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, cols := ip.side(ser)
+			oneA, oneB := make([]float64, rows*cols), make([]float64, rows*cols)
+			ip.single(ser, a, oneA)
+			ip.single(ser, b, oneB)
+			pairA, pairB := make([]float64, rows*cols), make([]float64, rows*cols)
+			ip.pair(ser, a, b, pairA, pairB)
+			if d, tol := maxDiff(pairA, oneA), 1e-12*maxAbs(oneA); d > tol {
+				t.Fatalf("%s n=%d: paired field A off the single form by %g (tol %g)", ip.name, n, d, tol)
+			}
+			if d, tol := maxDiff(pairB, oneB), 1e-12*maxAbs(oneB); d > tol {
+				t.Fatalf("%s n=%d: paired field B off the single form by %g (tol %g)", ip.name, n, d, tol)
+			}
+
+			for p := 2; p <= 8; p++ {
+				if gridProblem(n, ip.padded, p) != "" {
+					continue
+				}
+				nloc := n / p
+				gotA, gotB := make([][]float64, p), make([][]float64, p)
+				_, _, err := simnet.Run(p, machine.Muses().Net, func(nd *simnet.Node) {
+					pl, err := NewPlan2D(n, ip.padded, mpi.World(nd))
+					if err != nil {
+						panic(err)
+					}
+					r, c := ip.side(pl)
+					pa, pb := make([]float64, r*c), make([]float64, r*c)
+					lo, hi := nd.Rank*nloc*n, (nd.Rank+1)*nloc*n
+					ip.pair(pl, a[lo:hi], b[lo:hi], pa, pb)
+					gotA[nd.Rank], gotB[nd.Rank] = pa, pb
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for r := 0; r < p; r++ {
+					off := r * len(gotA[r])
+					for i := range gotA[r] {
+						if gotA[r][i] != pairA[off+i] || gotB[r][i] != pairB[off+i] {
+							t.Fatalf("%s n=%d P=%d: rank %d differs from the serial pair at %d", ip.name, n, p, r, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInversePairCrossTalk: the pair form is for Hermitian spectra
+// only. The anti-Hermitian part of the first spectrum transforms to an
+// imaginary field; the single form discards it, the pair form adds it
+// to the second output — exactly it, and nothing to the first.
+func TestInversePairCrossTalk(t *testing.T) {
+	const n = 16
+	b := hermitianSpec(t, n, 8)
+	a := hermitianSpec(t, n, 7)
+	for i := range a { // break the symmetry: scale the kx > 0 half only
+		if kx := kAt(i%n, n); kx > 0 {
+			a[i] *= 3
+		}
+	}
+	minusIA := make([]complex128, len(a))
+	for i, v := range a {
+		minusIA[i] = complex(imag(v), -real(v))
+	}
+	for _, ip := range inversePipelines {
+		pl, err := NewPlan2D(n, ip.padded, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, cols := ip.side(pl)
+		np := rows * cols
+		oneA, oneB, leak := make([]float64, np), make([]float64, np), make([]float64, np)
+		ip.single(pl, a, oneA)
+		ip.single(pl, b, oneB)
+		// Re F^-1(-i a) = Im F^-1(a): what the single form threw away.
+		ip.single(pl, minusIA, leak)
+		if maxAbs(leak) < 0.1*maxAbs(oneA) {
+			t.Fatalf("%s: test spectrum is too nearly Hermitian to show a leak", ip.name)
+		}
+		pairA, pairB := make([]float64, np), make([]float64, np)
+		ip.pair(pl, a, b, pairA, pairB)
+		if d, tol := maxDiff(pairA, oneA), 1e-12*maxAbs(oneA); d > tol {
+			t.Fatalf("%s: field A moved by %g (tol %g)", ip.name, d, tol)
+		}
+		for i := range oneB {
+			oneB[i] += leak[i]
+		}
+		if d, tol := maxDiff(pairB, oneB), 1e-12*maxAbs(oneB); d > tol {
+			t.Fatalf("%s: field B is not the single form plus A's discarded imaginary part: off by %g (tol %g)", ip.name, d, tol)
+		}
+	}
+}
+
+// refForward is the complex-to-complex forward pipeline the real-input
+// one replaced, built from fft.Plan.Many on widened data: m x m real
+// samples phys[x][y] to the n x n spectrum spec[ky][kx] (m = n: no
+// truncation), scaled by (n/m)^2.
+func refForward(t *testing.T, phys []float64, n, m int) []complex128 {
+	t.Helper()
+	plan, err := fft.NewPlan(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := func(in, out []complex128) {
+		if m == n {
+			copy(out, in)
+		} else {
+			truncRow(in, out, n, m)
+		}
+	}
+	wide := make([]complex128, m*m)
+	for i, v := range phys {
+		wide[i] = complex(v, 0)
+	}
+	plan.Many(wide, m, false)
+	kyx := make([]complex128, n*m) // [ky][x]
+	row := make([]complex128, n)
+	for x := 0; x < m; x++ {
+		keep(wide[x*m:(x+1)*m], row)
+		for ky, v := range row {
+			kyx[ky*m+x] = v
+		}
+	}
+	plan.Many(kyx, n, false)
+	spec := make([]complex128, n*n)
+	scale := complex(float64(n*n)/float64(m*m), 0)
+	for ky := 0; ky < n; ky++ {
+		keep(kyx[ky*m:(ky+1)*m], spec[ky*n:(ky+1)*n])
+	}
+	for i := range spec {
+		spec[i] *= scale
+	}
+	return spec
+}
+
+// TestForwardRealInput: the real-input forward pipelines agree with the
+// complex-to-complex reference to roundoff, and their first stage hands
+// the transpose a slab that is conjugate-symmetric in ky exactly, not
+// to roundoff — every negative-ky column is written as the conjugate of
+// its partner.
+func TestForwardRealInput(t *testing.T) {
+	for _, n := range []int{8, 12, 20, 32} {
+		pl, err := NewPlan2D(n, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name   string
+			m      int
+			run    func(phys []float64, spec []complex128)
+			stage1 []complex128 // m rows of n ky-columns, as the transpose reads it
+		}{
+			{"Forward", n, pl.Forward, pl.sb[:n*n]},
+			{"ForwardPad", pl.M, pl.ForwardPad, pl.sc},
+		} {
+			phys := randPhys(tc.m)
+			got := make([]complex128, n*n)
+			tc.run(phys, got)
+			want := refForward(t, phys, n, tc.m)
+			scale := 0.0
+			for _, v := range want {
+				scale = math.Max(scale, math.Hypot(real(v), imag(v)))
+			}
+			for i := range want {
+				if d := got[i] - want[i]; math.Hypot(real(d), imag(d)) > 1e-12*scale {
+					t.Fatalf("%s n=%d: coefficient %d is %v, reference %v", tc.name, n, i, got[i], want[i])
+				}
+			}
+			for x := 0; x < tc.m; x++ {
+				row := tc.stage1[x*n : (x+1)*n]
+				for ky := 1; ky < n/2; ky++ {
+					if v := row[ky]; row[n-ky] != complex(real(v), -imag(v)) {
+						t.Fatalf("%s n=%d: stage-1 row %d is not conjugate-symmetric at ky=%d: %v vs %v", tc.name, n, x, ky, v, row[n-ky])
+					}
+				}
+				if imag(row[0]) != 0 || imag(row[n/2]) != 0 {
+					t.Fatalf("%s n=%d: stage-1 row %d has complex self-conjugate modes %v, %v", tc.name, n, x, row[0], row[n/2])
+				}
+			}
+		}
+	}
 }
 
 // TestPlan2DPadRoundTrip: padding to the fine grid and truncating back
@@ -58,7 +288,7 @@ func TestPlan2DPadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := bandLimitedSpec(t, n)
+	spec := hermitianSpec(t, n, 7)
 	phys := make([]float64, pl.PadRows()*pl.M)
 	back := make([]complex128, n*n)
 	pl.InversePad(spec, phys)
@@ -134,7 +364,7 @@ func TestPlan2DRejectsBadShapes(t *testing.T) {
 // pure data movement.
 func TestPlan2DParallelMatchesSerial(t *testing.T) {
 	const n, p = 16, 4
-	spec := bandLimitedSpec(t, n)
+	spec := hermitianSpec(t, n, 7)
 
 	serU, err := NewPlan2D(n, true, nil)
 	if err != nil {

@@ -23,31 +23,36 @@ func fillMatrix(rows, cols int) []complex128 {
 	return m
 }
 
+// TestTransposerSerial covers the tiled local transpose on shapes that
+// are a multiple of the 16 x 16 tile, smaller than one tile, and ragged
+// in either or both directions.
 func TestTransposerSerial(t *testing.T) {
-	const rows, cols = 8, 16
-	tr, err := NewTransposer(rows, cols, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := NewTransposer(cols, rows, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := fillMatrix(rows, cols)
-	out := make([]complex128, cols*rows)
-	tr.Transpose(in, out)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if out[j*rows+i] != in[i*cols+j] {
-				t.Fatalf("transpose mismatch at (%d,%d)", i, j)
+	for _, sh := range [][2]int{{8, 16}, {32, 48}, {12, 20}, {36, 24}} {
+		rows, cols := sh[0], sh[1]
+		tr, err := NewTransposer(rows, cols, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := NewTransposer(cols, rows, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := fillMatrix(rows, cols)
+		out := make([]complex128, cols*rows)
+		tr.Transpose(in, out)
+		for i := 0; i < rows; i++ {
+			for j := 0; j < cols; j++ {
+				if out[j*rows+i] != in[i*cols+j] {
+					t.Fatalf("%dx%d: transpose mismatch at (%d,%d)", rows, cols, i, j)
+				}
 			}
 		}
-	}
-	rt := make([]complex128, rows*cols)
-	back.Transpose(out, rt)
-	for i := range in {
-		if rt[i] != in[i] {
-			t.Fatalf("round trip mismatch at %d", i)
+		rt := make([]complex128, rows*cols)
+		back.Transpose(out, rt)
+		for i := range in {
+			if rt[i] != in[i] {
+				t.Fatalf("%dx%d: round trip mismatch at %d", rows, cols, i)
+			}
 		}
 	}
 }
