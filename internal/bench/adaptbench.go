@@ -53,8 +53,9 @@ type AdaptbenchConfig struct {
 	// DiskMBs prices checkpoint writes for both sides of the
 	// comparison: the probe measures delta (one checkpoint's virtual
 	// write cost) through ckpt.SimWriter at this bandwidth, the static
-	// runs charge exactly delta per checkpoint, and the adaptive runs
-	// write through the same SimWriter via the runtime selector.
+	// runs charge exactly delta per checkpoint, and the adaptive runs'
+	// supervised writers price each write through the same model, in
+	// the mode the runtime selector picks.
 	//
 	// The quantity Young's formula actually trades off is the
 	// dimensionless ratio delta/stepwall, and a demonstration-scale
@@ -338,9 +339,11 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 				var tbuf bytes.Buffer
 				run := base
 				run.Faults = planFor(seed)
+				// The adaptive run's writer prices each checkpoint itself,
+				// in place of the static runs' flat charge.
+				run.CheckpointCostS = 0
 				run.SimDiskMBs = cfg.DiskMBs
 				run.Adapt = &policy.Config{
-					Mode: policy.Adaptive,
 					// The controller gets only an order-of-magnitude
 					// prior (the regime's cluster MTBF); the live
 					// estimate comes from the campaign's own failures.

@@ -13,6 +13,7 @@ import (
 	"nektar/internal/fault"
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
+	"nektar/internal/policy"
 	"nektar/internal/report"
 	"nektar/internal/simnet"
 	"nektar/internal/supervisor"
@@ -163,19 +164,19 @@ func RunFaultbench(cfg FaultbenchConfig) (*FaultbenchResult, *report.Table, erro
 		tau := float64(steps) * res.StepWallS
 		row := []string{fmt.Sprintf("%d / %.3g", steps, tau)}
 		for _, theta := range res.ClusterMTBFS {
-			row = append(row, fmt.Sprintf("%.3f%%", 100*youngOverhead(res.DeltaS, tau, theta)))
+			row = append(row, fmt.Sprintf("%.3f%%", 100*policy.YoungOverhead(res.DeltaS, tau, theta)))
 		}
 		tbl.AddRow(row...)
 	}
 	// Final row: the analytic optimum per column.
 	optRow := []string{"tau_opt = sqrt(2*delta*theta)"}
 	for _, theta := range res.ClusterMTBFS {
-		tauOpt := math.Sqrt(2 * res.DeltaS * theta)
+		tauOpt := policy.YoungInterval(res.DeltaS, theta)
 		stepsOpt := int(tauOpt/res.StepWallS + 0.5)
 		res.OptimalTauS = append(res.OptimalTauS, tauOpt)
 		res.OptimalTauStep = append(res.OptimalTauStep, stepsOpt)
 		optRow = append(optRow, fmt.Sprintf("%d steps (%.3f%%)",
-			stepsOpt, 100*youngOverhead(res.DeltaS, tauOpt, theta)))
+			stepsOpt, 100*policy.YoungOverhead(res.DeltaS, tauOpt, theta)))
 	}
 	tbl.AddRow(optRow...)
 	return res, tbl, nil
@@ -216,13 +217,6 @@ func probeCheckpointCost(mach *machine.Machine, procs, steps int, kind string, d
 		}
 	})
 	return stepWallS, stateBytes, deltaS, err
-}
-
-// youngOverhead is the expected fractional runtime overhead of
-// checkpointing every tau seconds on a cluster with MTBF theta:
-// delta/tau of pure I/O plus tau/(2 theta) of expected recomputation.
-func youngOverhead(delta, tau, theta float64) float64 {
-	return delta/tau + tau/(2*theta)
 }
 
 // RunFaultbenchRecovery runs the measured counterpart on a small

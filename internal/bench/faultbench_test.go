@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"nektar/internal/policy"
 )
 
 func quickFaultbench() FaultbenchConfig {
@@ -32,10 +34,10 @@ func TestFaultbenchYoungSweep(t *testing.T) {
 		t.Fatalf("got %d optima, want %d", len(res.OptimalTauS), len(cfg.MTBFHours))
 	}
 	for i, theta := range res.ClusterMTBFS {
-		opt := youngOverhead(res.DeltaS, res.OptimalTauS[i], theta)
+		opt := policy.YoungOverhead(res.DeltaS, res.OptimalTauS[i], theta)
 		for _, steps := range cfg.IntervalSteps {
 			tau := float64(steps) * res.StepWallS
-			if got := youngOverhead(res.DeltaS, tau, theta); got < opt-1e-12 {
+			if got := policy.YoungOverhead(res.DeltaS, tau, theta); got < opt-1e-12 {
 				t.Errorf("interval %d beats the analytic optimum at theta=%v: %v < %v", steps, theta, got, opt)
 			}
 		}

@@ -55,10 +55,10 @@ type SuperviseConfig struct {
 	CkptDir string
 
 	// Policy selects the resilience policy for the faulted campaign:
-	// "static" (the default, empty means static), "pinned", or
-	// "adaptive" (see internal/policy). Under "adaptive" the campaign
-	// retunes its checkpoint cadence from the observed failures and the
-	// report gains a policy end-state row.
+	// "static" (the default, empty means static) or "adaptive" (see
+	// internal/policy). Under "adaptive" the campaign retunes its
+	// checkpoint cadence from the observed failures and the report
+	// gains a policy end-state row.
 	Policy string
 	// MTBFHours seeds the adaptive policy's per-node MTBF prior, in
 	// hours of virtual time. Required (positive) when Policy is
@@ -98,14 +98,14 @@ func ValidateSupervise(cfg SuperviseConfig) error {
 	if cfg.StallFrac > 0 && cfg.StallDurS <= 0 {
 		return fmt.Errorf("bench: a stall needs a positive duration, got %g", cfg.StallDurS)
 	}
-	if cfg.Policy != "" {
-		mode, err := policy.ModeByName(cfg.Policy)
-		if err != nil {
-			return err
-		}
-		if mode == policy.Adaptive && (!(cfg.MTBFHours > 0) || math.IsInf(cfg.MTBFHours, 0)) {
+	switch cfg.Policy {
+	case "", "static":
+	case "adaptive":
+		if !(cfg.MTBFHours > 0) || math.IsInf(cfg.MTBFHours, 0) {
 			return fmt.Errorf("bench: the adaptive policy needs a positive finite per-node MTBF prior in hours (-mtbf), got %g", cfg.MTBFHours)
 		}
+	default:
+		return fmt.Errorf("bench: unknown policy %q: the policies are static, adaptive", cfg.Policy)
 	}
 	return nil
 }
@@ -166,19 +166,11 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 	faulted := sup
 	faulted.Faults = plan
 	faulted.Heartbeat.InitialInterval = ref.VirtualWall / float64(cfg.Steps)
-	mode := policy.Static
-	if cfg.Policy != "" {
-		if mode, err = policy.ModeByName(cfg.Policy); err != nil {
-			return nil, err
-		}
-	}
-	if mode != policy.Static {
-		faulted.Adapt = &policy.Config{Mode: mode}
-		if mode == policy.Adaptive {
-			// The flag gives a per-node MTBF; the controller's prior is
-			// the cluster-level rate (any of the Procs workers failing).
-			faulted.Adapt.PriorMTBFS = cfg.MTBFHours * 3600 / float64(cfg.Procs)
-		}
+	adaptive := cfg.Policy == "adaptive"
+	if adaptive {
+		// The flag gives a per-node MTBF; the controller's prior is the
+		// cluster-level rate (any of the Procs workers failing).
+		faulted.Adapt = &policy.Config{PriorMTBFS: cfg.MTBFHours * 3600 / float64(cfg.Procs)}
 	}
 	if cfg.CkptDir != "" {
 		store, serr := ckpt.NewDirStore(cfg.CkptDir)
@@ -213,10 +205,10 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 	tbl.AddRow("crash+freeze campaign", fmt.Sprintf("%d", got.Attempts),
 		fmt.Sprintf("%d (%s)", len(got.Failures), strings.Join(handled, "; ")),
 		fmt.Sprintf("%d", got.StepsComputed), fmt.Sprintf("%.4g", got.VirtualWall), yesNO(identical))
-	if mode != policy.Static {
+	if adaptive {
 		// The policy end state, in the campaign row's shape: what the
 		// controllers converged to and how often the ladder fired.
-		tbl.AddRow(fmt.Sprintf("policy end state (%s)", mode), "—",
+		tbl.AddRow("policy end state (adaptive)", "—",
 			fmt.Sprintf("%d escalation(s)", len(got.Escalations)),
 			fmt.Sprintf("ckpt every %d", got.FinalInterval),
 			fmt.Sprintf("MTBF est %.3g", got.MTBFEstimateS),
@@ -234,7 +226,7 @@ func superviseFlags(fs *flag.FlagSet, c *SuperviseConfig) {
 	fs.IntVar(&c.Spares, "spares", c.Spares, "hot-spare node count")
 	fs.IntVar(&c.Steps, "steps", c.Steps, "solver steps")
 	fs.StringVar(&c.CkptDir, "ckptdir", c.CkptDir, "back the faulted campaign's checkpoints with a durable on-disk store here (directory must start empty)")
-	fs.StringVar(&c.Policy, "adapt", c.Policy, "resilience policy for the campaign: static (the default), pinned, or adaptive")
+	fs.StringVar(&c.Policy, "adapt", c.Policy, "resilience policy for the campaign: static (the default) or adaptive")
 	fs.Float64Var(&c.MTBFHours, "mtbf", c.MTBFHours, "per-node MTBF prior in hours of virtual time (required by -adapt adaptive)")
 }
 

@@ -64,11 +64,13 @@ type SimWriter struct {
 	// Trace, when set, receives one ckpt_done event per record.
 	Trace *engine.Tracer
 
-	stats WriterStats
-	last  float64
+	stats  WriterStats
+	last   float64
+	stored int // framed size of the most recent record
 }
 
-// Submit implements engine.CheckpointSink.
+// Submit implements engine.CheckpointSink. The write is priced from the
+// framed size the store reports keeping.
 func (w *SimWriter) Submit(step int, state []byte, final bool) error {
 	m := Meta{Kind: w.Kind, Rank: w.Comm.Rank(), Step: step}
 	var stats Stats
@@ -91,9 +93,32 @@ func (w *SimWriter) Submit(step int, state []byte, final bool) error {
 		stats = Stats{Raw: len(state), Stored: len(frame)}
 	}
 
+	w.stored = stats.Stored
+	cost := w.Price(w.Mode)
+	w.last = cost
+	w.stats.Snapshots++
+	w.stats.RawBytes += int64(stats.Raw)
+	w.stats.StoredBytes += int64(stats.Stored)
+	w.stats.ExposedS += cost
+	if w.Trace != nil {
+		w.Trace.Emit(engine.Event{
+			Ev: engine.EvCkptDone, Rank: w.Comm.Rank(), Step: step,
+			Bytes: stats.Raw, Stored: stats.Stored, Ratio: stats.Ratio(),
+			ExposedS: cost, Final: final,
+		})
+	}
+	return nil
+}
+
+// Price charges this rank's virtual clock for writing the most recent
+// record in mode and returns the cost, without persisting anything and
+// without touching the writer's counters: the pure cost model, which a
+// write-mode probe uses to price the mode it is not in. Collective in
+// striped mode, like Submit.
+func (w *SimWriter) Price(mode WriteMode) float64 {
 	t0 := w.Comm.Wtime()
-	diskBytes := float64(stats.Stored)
-	if w.Mode == WriteStriped && w.Comm.Size() > 1 {
+	diskBytes := float64(w.stored)
+	if mode == WriteStriped && w.Comm.Size() > 1 {
 		p := w.Comm.Size()
 		// Everyone must stripe the same block size or the exchange
 		// deadlocks on shape; take the collective max of the framed
@@ -112,21 +137,7 @@ func (w *SimWriter) Submit(step int, state []byte, final bool) error {
 	if w.DiskMBs > 0 {
 		w.Comm.Sleep(diskBytes / (w.DiskMBs * 1e6))
 	}
-	cost := w.Comm.Wtime() - t0
-
-	w.last = cost
-	w.stats.Snapshots++
-	w.stats.RawBytes += int64(stats.Raw)
-	w.stats.StoredBytes += int64(stats.Stored)
-	w.stats.ExposedS += cost
-	if w.Trace != nil {
-		w.Trace.Emit(engine.Event{
-			Ev: engine.EvCkptDone, Rank: w.Comm.Rank(), Step: step,
-			Bytes: stats.Raw, Stored: stats.Stored, Ratio: stats.Ratio(),
-			ExposedS: cost, Final: final,
-		})
-	}
-	return nil
+	return w.Comm.Wtime() - t0
 }
 
 // Drain implements engine.CheckpointSink (writes are synchronous).

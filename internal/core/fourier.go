@@ -621,17 +621,3 @@ func (ns *NSF) ModeEnergy() float64 {
 	}
 	return e
 }
-
-// MeanVelocity returns the k=0 velocity at the quadrature points of
-// element ei (only valid on rank 0).
-func (ns *NSF) MeanVelocity(ei int) (u, v []float64) {
-	el := ns.M.Elems[ei]
-	coef := make([]float64, el.Ref.NModes)
-	u = make([]float64, el.Ref.NQuad)
-	v = make([]float64, el.Ref.NQuad)
-	ns.AV.Scatter(ei, ns.U[0][0], coef)
-	el.BwdTrans(coef, u)
-	ns.AV.Scatter(ei, ns.U[1][0], coef)
-	el.BwdTrans(coef, v)
-	return u, v
-}

@@ -657,7 +657,7 @@ func (f *Farm) runJob(w int, j *Job) {
 		case errors.Is(runErr, errInvalidSpec):
 			cause = "invalid"
 		}
-		f.failLocked(j, w, cause, runErr.Error())
+		f.failLocked(j, cause, runErr.Error())
 	case res.Outcome == engine.Completed:
 		r := &Result{Hash: HashState(res.Final), Steps: j.Spec.Steps, Bytes: len(res.Final)}
 		j.State, j.Result = StateDone, r
@@ -677,7 +677,7 @@ func (f *Farm) runJob(w int, j *Job) {
 		j.State, j.CkptStep = StateParked, lastStep
 		f.appendDurable(&Entry{Job: j.ID, Ev: EvParked, Step: lastStep})
 	case res.Outcome == engine.Tripped:
-		f.failLocked(j, w, "watchdog", "numerical-health watchdog tripped")
+		f.failLocked(j, "watchdog", "numerical-health watchdog tripped")
 	}
 	if j.State.Terminal() {
 		// Terminal transitions shrink the minimal replay set's distance to
@@ -770,12 +770,12 @@ func (f *Farm) attemptLoop(j *Job) (res engine.Result, lastStep int, err error) 
 // supervisor's convention that watchdog trips don't consume hardware),
 // and either schedules a jittered exponential-backoff retry or marks
 // the job failed when its budget is spent.
-func (f *Farm) failLocked(j *Job, w int, cause, msg string) {
+func (f *Farm) failLocked(j *Job, cause, msg string) {
 	j.Cause, j.Err = cause, msg
 	j.abort.Store(false)
 	f.failures[cause]++
 	if cause == "crash" || cause == "timeout" {
-		f.est.ObserveFailure(w, time.Since(f.t0).Seconds())
+		f.est.ObserveFailure(time.Since(f.t0).Seconds())
 	}
 	budget := j.Spec.Retries
 	if budget == 0 {

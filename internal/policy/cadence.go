@@ -63,27 +63,15 @@ func YoungOverhead(deltaS, tauS, thetaS float64) float64 {
 	return deltaS/tauS + tauS/(2*thetaS)
 }
 
-// NewCadence builds a controller at cfg.InitialInterval anchored at
-// step 0, so the firing grid {k*interval} matches the static
-// CheckpointEvery rule — a pinned controller reproduces a static run
-// exactly, including across restarts. rank labels trace events; pass
-// the Config's Trace only to rank 0's instance so a parallel run
-// emits each switch once.
-func NewCadence(cfg Config, rank int) *CadenceController {
-	cfg = cfg.WithDefaults()
-	return &CadenceController{cfg: cfg, interval: cfg.InitialInterval, rank: rank}
-}
-
-// Adopt restores persisted cadence state — a previous attempt's
-// (interval, anchor) — so a retuned cadence survives rollback. Every
-// rank's controller must adopt the same state.
-func (c *CadenceController) Adopt(interval, anchor int) {
-	if interval >= 1 {
-		c.interval = interval
-	}
-	if anchor >= 0 {
-		c.anchor = anchor
-	}
+// NewCadence builds a controller firing at anchor + k*interval: a
+// campaign's (interval >= 1, anchor) state, so a retuned cadence
+// survives rollback (every rank's controller must be built from the
+// same state). A campaign starts at (CheckpointEvery, 0), whose grid
+// {k*interval} is the static CheckpointEvery rule. rank labels trace
+// events; only rank 0's instance emits them, so a parallel run emits
+// each switch once.
+func NewCadence(cfg Config, rank, interval, anchor int) *CadenceController {
+	return &CadenceController{cfg: cfg.WithDefaults(), interval: interval, anchor: anchor, rank: rank}
 }
 
 // Interval returns the current cadence in steps; Anchor the step it
@@ -101,8 +89,7 @@ func (c *CadenceController) ShouldCheckpoint(step int) bool {
 // seconds, the mean per-step duration since the previous checkpoint,
 // and the current MTBF estimate. All three must be rank-identical
 // (Allreduce them first). Called at the checkpoint step the
-// measurements belong to. In Pinned mode (Hold) the supervisor never
-// calls Observe, so a pinned run adds no measurement traffic.
+// measurements belong to.
 func (c *CadenceController) Observe(step int, costS, stepWallS, mtbfS float64) {
 	a := c.cfg.Alpha
 	if c.nobs == 0 {
@@ -112,7 +99,7 @@ func (c *CadenceController) Observe(step int, costS, stepWallS, mtbfS float64) {
 		c.stepS = (1-a)*c.stepS + a*stepWallS
 	}
 	c.nobs++
-	if c.cfg.Mode != Adaptive || c.stepS <= 0 {
+	if c.stepS <= 0 {
 		return
 	}
 
@@ -149,9 +136,3 @@ func (c *CadenceController) Observe(step int, costS, stepWallS, mtbfS float64) {
 	// one new interval out (every rank re-anchors at the same step).
 	c.anchor = step
 }
-
-// DeltaS returns the EW per-checkpoint cost estimate (seconds).
-func (c *CadenceController) DeltaS() float64 { return c.deltaS }
-
-// StepS returns the EW per-step duration estimate (seconds).
-func (c *CadenceController) StepS() float64 { return c.stepS }

@@ -81,6 +81,3 @@ func (l *Ladder) Decide(attempt, rank, step int) Decision {
 	}
 	return d
 }
-
-// DtScale returns the time-step reduction currently in force.
-func (l *Ladder) DtScale() float64 { return l.dtScale }

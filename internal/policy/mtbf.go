@@ -11,9 +11,7 @@ package policy
 //	mean <- (1-alpha)*mean + alpha*dt
 //
 // where dt is the virtual time since the previous failure anywhere in
-// the cluster. A per-rank breakdown rides along for diagnostics (a
-// single flaky node shows up as one rank's estimate collapsing while
-// the cluster mean barely moves).
+// the cluster.
 //
 // The estimator observes failures only between attempts — on the
 // supervisor's serial control path — so it needs no locking, and the
@@ -24,16 +22,6 @@ type MTBFEstimator struct {
 	alpha float64
 	mean  float64 // EW mean inter-failure interval, cluster level
 	lastT float64 // virtual time of the newest failure
-	n     int     // failures observed
-
-	perRank map[int]*rankMTBF
-	prior   float64
-}
-
-type rankMTBF struct {
-	mean  float64
-	lastT float64
-	n     int
 }
 
 // minMTBFS floors the estimate: a burst of simultaneous failures must
@@ -49,44 +37,18 @@ func NewMTBFEstimator(priorS, alpha float64) *MTBFEstimator {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.3
 	}
-	return &MTBFEstimator{
-		alpha:   alpha,
-		mean:    priorS,
-		prior:   priorS,
-		perRank: map[int]*rankMTBF{},
-	}
+	return &MTBFEstimator{alpha: alpha, mean: priorS}
 }
 
-// ObserveFailure records a hardware failure of rank at cumulative
-// campaign virtual time t.
-func (e *MTBFEstimator) ObserveFailure(rank int, t float64) {
+// ObserveFailure records a hardware failure at cumulative campaign
+// virtual time t.
+func (e *MTBFEstimator) ObserveFailure(t float64) {
 	dt := t - e.lastT
 	if dt < minMTBFS {
 		dt = minMTBFS
 	}
 	e.mean = (1-e.alpha)*e.mean + e.alpha*dt
 	e.lastT = t
-	e.n++
-
-	r := e.perRank[rank]
-	if r == nil {
-		// A rank's own failures are ~procs times rarer than the
-		// cluster's; absent better information seed its mean with its
-		// own first interval.
-		r = &rankMTBF{mean: t}
-		if r.mean < minMTBFS {
-			r.mean = minMTBFS
-		}
-		e.perRank[rank] = r
-	} else {
-		rdt := t - r.lastT
-		if rdt < minMTBFS {
-			rdt = minMTBFS
-		}
-		r.mean = (1-e.alpha)*r.mean + e.alpha*rdt
-	}
-	r.lastT = t
-	r.n++
 }
 
 // MTBFS returns the current cluster-level MTBF estimate in virtual
@@ -97,15 +59,3 @@ func (e *MTBFEstimator) MTBFS() float64 {
 	}
 	return e.mean
 }
-
-// RankMTBFS returns rank's own MTBF estimate, or 0 if it has never
-// failed.
-func (e *MTBFEstimator) RankMTBFS(rank int) float64 {
-	if r := e.perRank[rank]; r != nil {
-		return r.mean
-	}
-	return 0
-}
-
-// Failures returns the number of failures observed.
-func (e *MTBFEstimator) Failures() int { return e.n }

@@ -17,104 +17,40 @@
 //     per-checkpoint cost, with clamping and hysteresis; implements
 //     engine.CadencePolicy.
 //   - SimSelector (writer.go): runtime write-mode selection on the
-//     simulated cluster — start with node-local files, price one
-//     striped write, promote when the fabric makes it affordable.
+//     simulated cluster — the supervisor's writer starts with
+//     node-local files; the selector prices one striped write and
+//     switches the writer's mode when the fabric makes it affordable.
 //   - Ladder (ladder.go): the watchdog escalation ladder — retry with
 //     reduced dt, roll back deeper, convict and re-home — with
 //     per-rung budgets.
 //
-// Every decision is emitted as a structured policy_switch or escalate
-// trace event carrying its evidence, so a recorded run explains every
-// deviation from the static configuration.
+// The layer is on or off: a supervised run with a Config runs every
+// component live, one without runs none. Every decision is emitted as
+// a structured policy_switch or escalate trace event carrying its
+// evidence, so a recorded run explains every deviation from the static
+// configuration.
 package policy
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"nektar/internal/engine"
 )
 
-// Mode selects how much of the adaptive layer is live.
-type Mode int
-
-const (
-	// Static: the adaptive layer is off; the run uses the operator's
-	// fixed cadence and writer (the pre-policy behavior).
-	Static Mode = iota
-	// Adaptive: all controllers live — cadence retunes at every
-	// checkpoint, writers promote on evidence, the escalation ladder
-	// drives recovery.
-	Adaptive
-	// Pinned: the controllers are installed but held — cadence stays at
-	// its initial interval and no measurement traffic is added, so the
-	// trajectory and the virtual clock are bit-identical to a Static
-	// run at the same interval. This is the determinism-audit mode.
-	Pinned
-)
-
-func (m Mode) String() string {
-	switch m {
-	case Static:
-		return "static"
-	case Adaptive:
-		return "adaptive"
-	case Pinned:
-		return "pinned"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-var modes = map[string]Mode{
-	"static":   Static,
-	"adaptive": Adaptive,
-	"pinned":   Pinned,
-}
-
-// ModeNames lists the registered policy names, sorted.
-func ModeNames() []string {
-	names := make([]string, 0, len(modes))
-	for n := range modes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// ModeByName resolves a policy name; the error for an unknown name
-// lists what is registered (matching the workload-registry UX).
-func ModeByName(name string) (Mode, error) {
-	m, ok := modes[name]
-	if !ok {
-		return Static, fmt.Errorf("policy: unknown policy %q: registered policies are %s",
-			name, strings.Join(ModeNames(), ", "))
-	}
-	return m, nil
-}
-
-// Config parametrizes the adaptive layer: the five values some caller
-// chooses. The zero value of Alpha and InitialInterval means "use the
-// default"; WithDefaults resolves them.
+// Config parametrizes the adaptive layer: the three values some caller
+// chooses. The zero value of Alpha means "use the default";
+// WithDefaults resolves it.
 type Config struct {
-	// Mode selects static/adaptive/pinned (see Mode).
-	Mode Mode
-
 	// PriorMTBFS seeds the MTBF estimator: the expected CLUSTER-level
 	// mean time between failures in virtual seconds (a per-node MTBF
 	// hint divided by the rank count), from the fault plan or the
-	// operator's -mtbf flag. Required for Adaptive mode — with no
-	// failures yet observed, the prior is all the cadence controller
-	// has.
+	// operator's -mtbf flag. Required — with no failures yet observed,
+	// the prior is all the cadence controller has.
 	PriorMTBFS float64
 	// Alpha is the exponential weight given to each new inter-failure
 	// or cost observation (default 0.3: the newest observation carries
 	// 30%, history decays geometrically).
 	Alpha float64
-
-	// InitialInterval is the starting checkpoint cadence in steps
-	// (default 10); Pinned mode holds it forever.
-	InitialInterval int
 
 	// Trace, when set, receives policy_switch and escalate events.
 	Trace *engine.Tracer
@@ -161,19 +97,13 @@ func (c Config) WithDefaults() Config {
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = 0.3
 	}
-	if c.InitialInterval < 1 {
-		c.InitialInterval = 10
-	}
 	return c
 }
 
 // Validate rejects configurations the controllers cannot run under.
 func (c Config) Validate() error {
-	if c.Mode == Adaptive && c.PriorMTBFS <= 0 {
-		return fmt.Errorf("policy: adaptive mode needs a positive PriorMTBFS (seed it from the fault plan or the -mtbf hint)")
-	}
-	if c.PriorMTBFS < 0 {
-		return fmt.Errorf("policy: negative PriorMTBFS %g", c.PriorMTBFS)
+	if !(c.PriorMTBFS > 0) {
+		return fmt.Errorf("policy: the adaptive layer needs a positive PriorMTBFS, got %g (seed it from the fault plan or the -mtbf hint)", c.PriorMTBFS)
 	}
 	return nil
 }

@@ -3,7 +3,6 @@ package policy
 import (
 	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"nektar/internal/ckpt"
@@ -13,28 +12,14 @@ import (
 	"nektar/internal/simnet"
 )
 
-func TestModeByName(t *testing.T) {
-	for name, want := range map[string]Mode{"static": Static, "adaptive": Adaptive, "pinned": Pinned} {
-		got, err := ModeByName(name)
-		if err != nil || got != want {
-			t.Errorf("ModeByName(%q) = %v, %v", name, got, err)
+func TestConfigValidate(t *testing.T) {
+	for _, prior := range []float64{0, -1, math.NaN()} {
+		if err := (Config{PriorMTBFS: prior}).Validate(); err == nil {
+			t.Errorf("prior %v must be rejected", prior)
 		}
 	}
-	_, err := ModeByName("clairvoyant")
-	if err == nil || !strings.Contains(err.Error(), "registered policies are adaptive, pinned, static") {
-		t.Errorf("unknown-name error = %v, must list registered policies", err)
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	if err := (Config{Mode: Adaptive}).Validate(); err == nil {
-		t.Error("adaptive mode without a prior must be rejected")
-	}
-	if err := (Config{Mode: Adaptive, PriorMTBFS: 100}).Validate(); err != nil {
-		t.Errorf("valid adaptive config rejected: %v", err)
-	}
-	if err := (Config{PriorMTBFS: -1}).Validate(); err == nil {
-		t.Error("negative prior must be rejected")
+	if err := (Config{PriorMTBFS: 100}).Validate(); err != nil {
+		t.Errorf("valid config rejected: %v", err)
 	}
 }
 
@@ -44,34 +29,25 @@ func TestMTBFEstimator(t *testing.T) {
 		t.Fatalf("prior MTBF = %v, want 1000", got)
 	}
 	// Failures every 100s pull the EW mean from the prior toward 100.
-	e.ObserveFailure(0, 100)
-	e.ObserveFailure(1, 200)
-	e.ObserveFailure(0, 300)
+	e.ObserveFailure(100)
+	e.ObserveFailure(200)
+	e.ObserveFailure(300)
 	if got := e.MTBFS(); got >= 1000 || got <= 100 {
 		t.Errorf("MTBF = %v after 100s-interval failures, want in (100, 1000)", got)
 	}
 	prev := e.MTBFS()
 	for tt := 400.0; tt <= 1200; tt += 100 {
-		e.ObserveFailure(2, tt)
+		e.ObserveFailure(tt)
 	}
 	if got := e.MTBFS(); got >= prev || math.Abs(got-100) > 50 {
 		t.Errorf("MTBF = %v after many 100s intervals, want converging toward 100", got)
-	}
-	if e.Failures() != 12 {
-		t.Errorf("Failures = %d, want 12", e.Failures())
-	}
-	if e.RankMTBFS(7) != 0 {
-		t.Error("rank 7 never failed, want 0")
-	}
-	if e.RankMTBFS(0) <= 0 {
-		t.Error("rank 0 failed twice, want a positive estimate")
 	}
 }
 
 func TestMTBFEstimatorFloorsBursts(t *testing.T) {
 	e := NewMTBFEstimator(10, 1) // alpha 1: newest observation wins
-	e.ObserveFailure(0, 50)
-	e.ObserveFailure(1, 50) // simultaneous: zero interval
+	e.ObserveFailure(50)
+	e.ObserveFailure(50) // simultaneous: zero interval
 	if got := e.MTBFS(); got < minMTBFS {
 		t.Errorf("MTBF = %v below floor after burst", got)
 	}
@@ -94,7 +70,7 @@ func TestYoungFormulas(t *testing.T) {
 }
 
 func TestCadenceMatchesStaticGrid(t *testing.T) {
-	c := NewCadence(Config{Mode: Pinned, InitialInterval: 7}, 0)
+	c := NewCadence(Config{PriorMTBFS: 1}, 0, 7, 0)
 	for step := 1; step <= 50; step++ {
 		if got, want := c.ShouldCheckpoint(step), step%7 == 0; got != want {
 			t.Fatalf("step %d: ShouldCheckpoint = %v, want static %v", step, got, want)
@@ -104,11 +80,8 @@ func TestCadenceMatchesStaticGrid(t *testing.T) {
 
 func TestCadenceRetunesByYoung(t *testing.T) {
 	var buf bytes.Buffer
-	cfg := Config{
-		Mode: Adaptive, PriorMTBFS: 1, InitialInterval: 10,
-		Alpha: 1, Trace: engine.NewTracer(&buf),
-	}
-	c := NewCadence(cfg, 0)
+	cfg := Config{PriorMTBFS: 1, Alpha: 1, Trace: engine.NewTracer(&buf)}
+	c := NewCadence(cfg, 0, 10, 0)
 	// delta=2s, theta=400s, step=1s -> tau_opt = 40s -> 40 steps.
 	c.Observe(10, 2, 1, 400)
 	if got := c.Interval(); got != 40 {
@@ -132,8 +105,8 @@ func TestCadenceRetunesByYoung(t *testing.T) {
 }
 
 func TestCadenceClampsAndHysteresis(t *testing.T) {
-	cfg := Config{Mode: Adaptive, PriorMTBFS: 1, InitialInterval: 10, Alpha: 1}
-	c := NewCadence(cfg, 0)
+	cfg := Config{PriorMTBFS: 1, Alpha: 1}
+	c := NewCadence(cfg, 0, 10, 0)
 	// Absurdly cheap checkpoints + huge MTBF -> clamp at maxInterval.
 	c.Observe(10, 1e-6, 1, 1e12)
 	if got := c.Interval(); got != maxInterval {
@@ -147,26 +120,19 @@ func TestCadenceClampsAndHysteresis(t *testing.T) {
 	// A retune within the hysteresis band is suppressed: current 10,
 	// band = ceil(0.25*10) = 3, so tau_opt = sqrt(2*2*36) = 12s -> 12
 	// steps is a move of 2 and must be ignored.
-	c2 := NewCadence(cfg, 0)
+	c2 := NewCadence(cfg, 0, 10, 0)
 	c2.Observe(10, 2, 1, 36)
 	if got := c2.Interval(); got != 10 {
 		t.Fatalf("Interval = %d, hysteresis must hold 10", got)
 	}
 }
 
-func TestCadencePinnedNeverRetunes(t *testing.T) {
-	c := NewCadence(Config{Mode: Pinned, InitialInterval: 5, Alpha: 1}, 0)
-	c.Observe(5, 100, 1, 1e9) // evidence screaming for a retune
-	if got := c.Interval(); got != 5 {
-		t.Fatalf("pinned Interval = %d, want held 5", got)
-	}
-}
-
+// A controller built from a previous attempt's (interval, anchor)
+// adopts that grid, so a retune survives rollback.
 func TestCadenceAdopt(t *testing.T) {
-	c := NewCadence(Config{Mode: Adaptive, PriorMTBFS: 1, InitialInterval: 10}, 0)
-	c.Adopt(8, 24)
+	c := NewCadence(Config{PriorMTBFS: 1}, 0, 8, 24)
 	if c.Interval() != 8 || c.Anchor() != 24 {
-		t.Fatalf("Adopt gave interval %d anchor %d", c.Interval(), c.Anchor())
+		t.Fatalf("built at interval %d anchor %d, want 8, 24", c.Interval(), c.Anchor())
 	}
 	if c.ShouldCheckpoint(24) || !c.ShouldCheckpoint(32) {
 		t.Error("adopted grid must fire at anchor + k*interval only")
@@ -199,17 +165,18 @@ func TestLadderEscalates(t *testing.T) {
 	}
 }
 
-// runSelector drives a SimSelector through submits checkpoints on the
-// given fabric and returns rank 0's final write mode and probe
-// penalty.
-func runSelector(t *testing.T, model *simnet.Model, mode Mode, submits int) (string, float64) {
+// runSelector writes submits checkpoints on the given fabric through a
+// SimWriter whose mode a SimSelector (built with the campaign's probed
+// flag) controls, and returns rank 0's final write mode and the
+// striped/local cost ratio of the last record.
+func runSelector(t *testing.T, model *simnet.Model, probed bool, submits int) (string, float64) {
 	t.Helper()
 	var wmode string
 	var penalty float64
 	_, _, err := simnet.Run(4, model, func(n *simnet.Node) {
 		comm := mpi.World(n)
 		w := &ckpt.SimWriter{Kind: "t", Comm: comm, DiskMBs: 20}
-		sel := NewSimSelector(Config{Mode: mode}, w)
+		sel := NewSimSelector(Config{PriorMTBFS: 1}, probed)
 		// Incompressible payload (LCG fill), so the framed record keeps
 		// its size and disk time — not per-message latency — dominates
 		// the write, as with real solver states.
@@ -220,12 +187,14 @@ func runSelector(t *testing.T, model *simnet.Model, mode Mode, submits int) (str
 			state[i] = byte(x >> 24)
 		}
 		for i := 1; i <= submits; i++ {
-			if err := sel.Submit(i*5, state, false); err != nil {
+			if err := w.Submit(i*5, state, false); err != nil {
 				panic(err)
 			}
+			sel.Observe(w, i*5)
 		}
+		costs := comm.Allreduce([]float64{w.Price(ckpt.WriteLocal), w.Price(ckpt.WriteStriped)}, mpi.Max)
 		if comm.Rank() == 0 {
-			wmode, penalty = sel.Mode(), sel.Penalty()
+			wmode, penalty = w.Mode.String(), costs[1]/costs[0]
 		}
 	})
 	if err != nil {
@@ -239,7 +208,7 @@ func TestSimSelectorRejectsStripingOnEthernet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mode, penalty := runSelector(t, mach.Net, Adaptive, 3)
+	mode, penalty := runSelector(t, mach.Net, false, 3)
 	if mode != "local" {
 		t.Fatalf("write mode %q on Ethernet, want local (penalty %.2f)", mode, penalty)
 	}
@@ -255,19 +224,24 @@ func TestSimSelectorPromotesOnFastFabric(t *testing.T) {
 		Name:  "fast-fabric",
 		Inter: simnet.LinkModel{LatencyUS: 2, BandwidthMBs: 10_000},
 	}
-	mode, penalty := runSelector(t, fast, Adaptive, 3)
+	mode, penalty := runSelector(t, fast, false, 3)
 	if mode != "striped" {
 		t.Fatalf("write mode %q on fast fabric (penalty %.2f), want striped", mode, penalty)
 	}
 	if penalty <= 0 || penalty > 2 {
 		t.Errorf("penalty %.2f out of promotion range", penalty)
 	}
+	// Two checkpoints are not enough evidence to probe.
+	if mode, _ := runSelector(t, fast, false, 2); mode != "local" {
+		t.Errorf("write mode %q before the probe, want local", mode)
+	}
 }
 
-func TestSimSelectorStaticNeverProbes(t *testing.T) {
+// The probe runs once per campaign: an attempt whose campaign already
+// probed keeps the writer's mode however cheap striping would be.
+func TestSimSelectorProbesOncePerCampaign(t *testing.T) {
 	fast := &simnet.Model{Name: "fast", Inter: simnet.LinkModel{LatencyUS: 2, BandwidthMBs: 10_000}}
-	mode, _ := runSelector(t, fast, Static, 4)
-	if mode != "local" {
-		t.Fatalf("static-mode selector switched to %q", mode)
+	if mode, _ := runSelector(t, fast, true, 4); mode != "local" {
+		t.Fatalf("an already-probed campaign switched to %q", mode)
 	}
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1260,17 +1259,4 @@ func lessKey(a, b msgKey) bool {
 		return a.src < b.src
 	}
 	return a.tag < b.tag
-}
-
-// BlockedReport returns a human-readable list of currently blocked
-// ranks (for tests and debugging tools); empty when nothing is blocked.
-func (c *cluster) blockedRanks() []int {
-	var out []int
-	for _, n := range c.nodes {
-		if !n.done && n.blockKind != blockNone {
-			out = append(out, n.Rank)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -124,11 +124,6 @@ func (pl *Plan2D) SlabRows() int { return pl.nloc }
 // PadRows returns the per-rank row count of the padded physical slab.
 func (pl *Plan2D) PadRows() int { return pl.mloc }
 
-// TransposeBytes returns the global Alltoall payload, in bytes, moved
-// by one unpadded transform (Inverse, InversePair or Forward): the
-// N x N complex matrix crosses the wire once.
-func (pl *Plan2D) TransposeBytes() int64 { return 16 * int64(pl.N) * int64(pl.N) }
-
 // PadTransposeBytes returns the global Alltoall payload, in bytes,
 // moved by one padded half-transform (InversePad, InversePadPair or
 // ForwardPad): an N x M complex matrix.

@@ -5,6 +5,10 @@ import (
 	"nektar/internal/policy"
 )
 
+// defaultAdaptInterval starts the cadence controller of a campaign
+// that disables static checkpointing (CheckpointEvery 0).
+const defaultAdaptInterval = 10
+
 // adaptRuntime is the adaptive layer's campaign-level state: the
 // pieces that must survive across attempts (the controllers inside an
 // attempt die with its rank goroutines). The supervisor's control
@@ -25,26 +29,24 @@ type adaptRuntime struct {
 	// striping probe runs once per campaign.
 	writeMode ckpt.WriteMode
 	probed    bool
-	penalty   float64
 }
 
-// newAdaptRuntime resolves cfg (CheckpointEvery seeds the initial
-// interval when the policy config leaves it default) and builds the
-// campaign state.
+// newAdaptRuntime validates cfg and builds the campaign state, with
+// checkpointEvery as the controller's starting interval.
 func newAdaptRuntime(ac policy.Config, checkpointEvery int) (*adaptRuntime, error) {
-	if ac.InitialInterval == 0 && checkpointEvery > 0 {
-		ac.InitialInterval = checkpointEvery
-	}
-	ac = ac.WithDefaults()
 	if err := ac.Validate(); err != nil {
 		return nil, err
+	}
+	ac = ac.WithDefaults()
+	if checkpointEvery < 1 {
+		checkpointEvery = defaultAdaptInterval
 	}
 	return &adaptRuntime{
 		cfg:       ac,
 		est:       policy.NewMTBFEstimator(ac.PriorMTBFS, ac.Alpha),
 		ladder:    policy.NewLadder(ac),
 		dtScale:   1,
-		interval:  ac.InitialInterval,
+		interval:  checkpointEvery,
 		writeMode: ckpt.WriteLocal,
 	}, nil
 }
@@ -64,29 +66,25 @@ func (rt *adaptRuntime) attemptState() *attemptAdapt {
 	}
 }
 
-// absorb reads back the state rank 0's controllers reached, so the
-// next attempt resumes the tuning instead of restarting it. On a
-// crashed attempt the controllers still hold their last consistent
-// pre-crash state (policy decisions are collective, so every rank
-// agreed on it).
+// absorb reads back the state rank 0's controllers and writer reached,
+// so the next attempt resumes the tuning instead of restarting it. On
+// a crashed attempt they still hold their last consistent pre-crash
+// state (policy decisions are collective, so every rank agreed on it).
 func (rt *adaptRuntime) absorb(ad *attemptAdapt) {
 	if ad.ctl != nil {
 		rt.interval = ad.ctl.Interval()
 		rt.anchor = ad.ctl.Anchor()
 	}
 	if ad.sel != nil {
-		rt.writeMode = ad.sel.W.Mode
+		rt.writeMode = ad.w.Mode
 		rt.probed = ad.sel.Probed()
-		if p := ad.sel.Penalty(); p > 0 {
-			rt.penalty = p
-		}
 	}
 }
 
 // attemptAdapt is the adaptive layer's per-attempt state handed to the
 // rank bodies: frozen campaign inputs plus rank 0's live controllers
-// for post-run read-back. Rank goroutines are serialized by the
-// simulator and only rank 0 writes the read-back slots.
+// and writer for post-run read-back. Rank goroutines are serialized by
+// the simulator and only rank 0 writes the read-back slots.
 type attemptAdapt struct {
 	cfg       policy.Config
 	mtbfS     float64
@@ -98,4 +96,5 @@ type attemptAdapt struct {
 
 	ctl *policy.CadenceController
 	sel *policy.SimSelector
+	w   *ckpt.SimWriter
 }

@@ -14,31 +14,6 @@ import (
 	"nektar/internal/supervisor"
 )
 
-// TestPinnedBitIdenticalToStatic is the determinism audit the adaptive
-// layer must pass: with faults disabled and the controller pinned at
-// the static cadence, the supervised run matches the static-cadence
-// run bit for bit — same final states AND the same virtual wall time
-// (the pinned controller adds no measurement traffic).
-func TestPinnedBitIdenticalToStatic(t *testing.T) {
-	cfg := baseConfig(2, nsfFactory(t))
-	ref := runReference(t, cfg)
-
-	pinned := cfg
-	pinned.Adapt = &policy.Config{Mode: policy.Pinned}
-	got, err := supervisor.Run(pinned)
-	if err != nil {
-		t.Fatalf("pinned run: %v", err)
-	}
-	assertBitIdentical(t, ref, got)
-	if got.VirtualWall != ref.VirtualWall {
-		t.Fatalf("pinned VirtualWall %.9g != static %.9g — the held controller added traffic or cost",
-			got.VirtualWall, ref.VirtualWall)
-	}
-	if got.FinalInterval != cfg.CheckpointEvery {
-		t.Errorf("pinned FinalInterval %d, want the seeded static cadence %d", got.FinalInterval, cfg.CheckpointEvery)
-	}
-}
-
 // An adaptive campaign under real crashes: the estimator feeds on the
 // failures, the cadence retunes by Young's formula (visible as a
 // policy_switch trace event), and the trajectory still matches the
@@ -55,10 +30,7 @@ func TestAdaptiveCrashCampaignRetunes(t *testing.T) {
 	// cadence of 2 steps: with delta = 1e-4 s and theta = 100 s,
 	// tau_opt = sqrt(2*1e-4*100) ~= 0.14 s, far above the ~ms step
 	// time, so the controller must retune upward.
-	adaptive.Adapt = &policy.Config{
-		Mode: policy.Adaptive, PriorMTBFS: 100,
-		Trace: engine.NewTracer(&trace),
-	}
+	adaptive.Adapt = &policy.Config{PriorMTBFS: 100, Trace: engine.NewTracer(&trace)}
 	tuneDetector(&adaptive, ref)
 	got, err := supervisor.Run(adaptive)
 	if err != nil {
@@ -92,6 +64,11 @@ func TestAdaptiveCrashCampaignRetunes(t *testing.T) {
 		t.Error("no cadence policy_switch event traced")
 	}
 }
+
+// tinyMTBFS is a prior so pessimistic that Young's interval clamps to
+// one step at the first checkpoint; watchdog trips do not feed the
+// estimator, so the ladder tests run at a known cadence.
+const tinyMTBFS = 1e-6
 
 // tunableCorruptingSolver trips the watchdog only while the ladder has
 // not yet reduced dt — the instability a smaller time step cures.
@@ -132,7 +109,7 @@ func TestLadderRetryDtCuresInstability(t *testing.T) {
 		}
 		return s, nil
 	}
-	cfg.Adapt = &policy.Config{Mode: policy.Pinned, Trace: engine.NewTracer(&trace)}
+	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS, Trace: engine.NewTracer(&trace)}
 	tuneDetector(&cfg, ref)
 	got, err := supervisor.Run(cfg)
 	if err != nil {
@@ -187,7 +164,7 @@ func TestLadderEscalatesToConviction(t *testing.T) {
 	}
 	// The ladder's budgets: two dt retries (attempts 0-1), one deeper
 	// rollback (attempt 2), then conviction (attempt 3).
-	cfg.Adapt = &policy.Config{Mode: policy.Pinned}
+	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS}
 	cfg.MaxRestarts = 3
 	var trace bytes.Buffer
 	cfg.Trace = engine.NewTracer(&trace)
@@ -197,15 +174,16 @@ func TestLadderEscalatesToConviction(t *testing.T) {
 	if !errors.As(err, &re) {
 		t.Fatalf("err = %v, want *RetryError after the ladder runs out", err)
 	}
-	// The rollback rung demotes the step-4 commit on the default
-	// in-memory store: attempts 1 and 2 resume from step 4, attempt 3
-	// from the older step-2 checkpoint.
+	// Checkpoints land at steps 2, 3 and 4 (the controller retunes to
+	// every step at step 2). The rollback rung demotes the step-4
+	// commit on the default in-memory store: attempts 1 and 2 resume
+	// from step 4, attempt 3 from the older step-3 checkpoint.
 	resumedFrom := map[int]int{}
 	for _, m := range rollbackMarks(t, &trace) {
 		resumedFrom[m.Attempt] = m.Step
 	}
-	if resumedFrom[1] != 4 || resumedFrom[2] != 4 || resumedFrom[3] != 2 {
-		t.Errorf("attempts resumed from steps %v, want 4, 4, then 2 after the deeper rollback", resumedFrom)
+	if resumedFrom[1] != 4 || resumedFrom[2] != 4 || resumedFrom[3] != 3 {
+		t.Errorf("attempts resumed from steps %v, want 4, 4, then 3 after the deeper rollback", resumedFrom)
 	}
 	// The ladder's decisions are visible in the failure log: the
 	// convicted attempts carry a replacement node where plain watchdog
@@ -221,9 +199,44 @@ func TestLadderEscalatesToConviction(t *testing.T) {
 	}
 }
 
+// An adaptive campaign prices each checkpoint from the record its store
+// kept, not from a second framing of the state: a store reporting
+// twice the framed size is charged twice the disk time, visible as the
+// delta evidence of the first cadence retune.
+func TestAdaptivePricesStoredRecord(t *testing.T) {
+	const diskMBs = 20
+	cfg := baseConfig(2, nsfFactory(t))
+	cfg.CheckpointCostS = 0
+	store := newSizeStore(func(stored int) int { return 2 * stored })
+	cfg.Store, cfg.Kind = store, "nsf"
+	cfg.SimDiskMBs = diskMBs
+	var trace bytes.Buffer
+	// Alpha 1 makes delta the first checkpoint's cost; a huge prior
+	// makes Young retune at that checkpoint.
+	cfg.Adapt = &policy.Config{PriorMTBFS: 1e9, Alpha: 1, Trace: engine.NewTracer(&trace)}
+	if _, err := supervisor.Run(cfg); err != nil {
+		t.Fatalf("adaptive run: %v", err)
+	}
+	evs, err := engine.ReadEvents(&trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range evs {
+		if e.Ev != engine.EvPolicySwitch || e.Policy != "cadence" {
+			continue
+		}
+		want := 2 * float64(store.largest[e.Step]) / (diskMBs * 1e6)
+		if math.Abs(e.DeltaS-want) > 1e-9*want {
+			t.Fatalf("checkpoint at step %d priced %.9g s, want %.9g s: twice the stored record over the disk", e.Step, e.DeltaS, want)
+		}
+		return
+	}
+	t.Fatal("no cadence policy_switch event traced")
+}
+
 func TestAdaptiveNeedsPrior(t *testing.T) {
 	cfg := baseConfig(2, nsfFactory(t))
-	cfg.Adapt = &policy.Config{Mode: policy.Adaptive} // no PriorMTBFS
+	cfg.Adapt = &policy.Config{} // no PriorMTBFS
 	if _, err := supervisor.Run(cfg); err == nil {
 		t.Fatal("adaptive run without an MTBF prior must be rejected")
 	}

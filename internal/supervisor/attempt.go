@@ -215,24 +215,25 @@ func (a *attempt) worker(n *simnet.Node) {
 		}
 	}
 
+	// The rank's one checkpoint writer: it persists each record to the
+	// campaign's store and prices it from the stored size through the
+	// cluster's disk/network model (free when SimDiskMBs is 0).
+	w := &ckpt.SimWriter{Kind: a.cfg.Kind, Store: a.cfg.Store, Comm: comm, DiskMBs: a.cfg.SimDiskMBs}
 	// Adaptive wiring: every rank builds its own cadence controller
 	// (decisions are collective, so all instances hold identical state)
-	// and, when checkpoint writes are priced through the cluster model,
-	// its own writer selector. Rank 0's instances are read back by the
-	// supervisor after the attempt.
+	// and, when checkpoint writes are priced, its own selector of the
+	// writer's mode. Rank 0's instances are read back by the supervisor
+	// after the attempt.
 	var ctl *policy.CadenceController
 	var sel *policy.SimSelector
 	if a.ad != nil {
-		ctl = policy.NewCadence(a.ad.cfg, n.Rank)
-		ctl.Adopt(a.ad.interval, a.ad.anchor)
+		ctl = policy.NewCadence(a.ad.cfg, n.Rank, a.ad.interval, a.ad.anchor)
 		if a.cfg.SimDiskMBs > 0 {
-			w := &ckpt.SimWriter{Kind: a.cfg.Kind, Comm: comm,
-				DiskMBs: a.cfg.SimDiskMBs, Mode: a.ad.writeMode}
-			sel = policy.NewSimSelector(a.ad.cfg, w)
-			sel.Adopt(a.ad.writeMode, a.ad.probed)
+			w.Mode = a.ad.writeMode
+			sel = policy.NewSimSelector(a.ad.cfg, a.ad.probed)
 		}
 		if n.Rank == 0 {
-			a.ad.ctl, a.ad.sel = ctl, sel
+			a.ad.ctl, a.ad.sel, a.ad.w = ctl, sel, w
 		}
 	}
 	// Per-step duration measurement for the cadence controller: virtual
@@ -288,25 +289,21 @@ func (a *attempt) worker(n *simnet.Node) {
 		},
 		CheckpointEvery: a.cfg.CheckpointEvery,
 		OnCheckpoint: func(step int, state []byte) {
-			if _, perr := a.cfg.Store.Put(ckpt.Meta{Kind: a.cfg.Kind, Rank: n.Rank, Step: step}, state); perr != nil {
-				panic(perr)
-			}
 			t0 := n.Clock()
+			if werr := w.Submit(step, state, false); werr != nil {
+				panic(werr)
+			}
 			if sel != nil {
-				// Priced through the cluster's disk/network model, in
-				// the write mode the runtime selector has chosen.
-				if serr := sel.Submit(step, state, false); serr != nil {
-					panic(serr)
-				}
-			} else if a.cfg.CheckpointCostS > 0 {
+				sel.Observe(w, step)
+			}
+			if a.cfg.CheckpointCostS > 0 {
 				n.Sleep(a.cfg.CheckpointCostS)
 			}
-			if a.ad != nil && a.ad.cfg.Mode == policy.Adaptive {
+			if a.ad != nil {
 				// Live retune: agree on the worst-case measured cost and
 				// step duration (the collective keeps every rank's
 				// controller state identical), then apply Young's
-				// formula. Pinned mode skips this entirely — no extra
-				// traffic, so the virtual clock matches a static run.
+				// formula.
 				cost := n.Clock() - t0
 				stepWall := 0.0
 				if stepsSince > 0 {

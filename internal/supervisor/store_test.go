@@ -1,7 +1,9 @@
 package supervisor_test
 
 import (
+	"math"
 	"os"
+	"sync"
 	"testing"
 
 	"nektar/internal/ckpt"
@@ -128,6 +130,63 @@ func TestSupervisedWarmStartFromDamagedStore(t *testing.T) {
 		t.Errorf("resumed campaign computed %d steps, want %d (warm start from step %d)", got.StepsComputed, want, prev)
 	}
 	assertBitIdentical(t, ref, got)
+}
+
+// sizeStore is a MemStore that reports report(framed size) as the size
+// it keeps, and remembers, per step, the largest framed size over
+// ranks.
+type sizeStore struct {
+	*ckpt.MemStore
+	report func(stored int) int
+
+	mu      sync.Mutex
+	largest map[int]int
+}
+
+func newSizeStore(report func(stored int) int) *sizeStore {
+	return &sizeStore{MemStore: ckpt.NewMemStore(), report: report, largest: map[int]int{}}
+}
+
+func (s *sizeStore) Put(m ckpt.Meta, state []byte) (ckpt.Stats, error) {
+	st, err := s.MemStore.Put(m, state)
+	s.mu.Lock()
+	s.largest[m.Step] = max(s.largest[m.Step], st.Stored)
+	s.mu.Unlock()
+	st.Stored = s.report(st.Stored)
+	return st, err
+}
+
+// A static campaign can price its checkpoints through the cluster's
+// disk model: every checkpoint holds the campaign up by the slowest
+// rank's write, the largest stored record over the disk bandwidth.
+// The store allocates whole 64 KiB extents, so every rank stores the
+// same size and the delay is exact (with unequal sizes the next
+// collective absorbs part of the skew between ranks).
+func TestStaticCampaignPricesStoredSize(t *testing.T) {
+	cfg := baseConfig(2, nsfFactory(t))
+	ref := runReference(t, cfg)
+
+	const diskMBs, extent = 20, 1 << 16
+	extents := func(stored int) int { return (stored + extent - 1) / extent * extent }
+	store := newSizeStore(extents)
+	priced := cfg
+	priced.Store, priced.Kind = store, "nsf"
+	priced.SimDiskMBs = diskMBs
+	got, err := supervisor.Run(priced)
+	if err != nil {
+		t.Fatalf("priced static run: %v", err)
+	}
+	assertBitIdentical(t, ref, got)
+	if len(store.largest) != 3 {
+		t.Fatalf("checkpoints at steps %v, want 2, 4, 6", store.largest)
+	}
+	var want float64
+	for _, stored := range store.largest {
+		want += float64(extents(stored)) / (diskMBs * 1e6)
+	}
+	if extra := got.VirtualWall - ref.VirtualWall; math.Abs(extra-want) > 1e-12*want {
+		t.Fatalf("priced run is %.15g s slower than the unpriced one, want %.15g s of disk time", extra, want)
+	}
 }
 
 // An empty store handed in by the caller must behave exactly like the

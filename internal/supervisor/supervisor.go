@@ -109,8 +109,9 @@ type Config struct {
 
 	// Steps is the target step count; CheckpointEvery the checkpoint
 	// interval in steps (0 disables checkpointing: recovery then always
-	// restarts from step 0). CheckpointCostS charges each checkpoint as
-	// blocking I/O on the virtual wall clock.
+	// restarts from step 0). CheckpointCostS charges each checkpoint a
+	// flat blocking-I/O cost on the virtual wall clock, on top of the
+	// SimDiskMBs-priced write.
 	Steps           int
 	CheckpointEvery int
 	CheckpointCostS float64
@@ -132,13 +133,13 @@ type Config struct {
 	Watchdog  WatchdogConfig
 
 	// Store holds every checkpoint of the campaign as a framed,
-	// compressed, CRC-protected record (internal/ckpt), and is the only
-	// commit path: after a failure the supervisor resumes from the
-	// newest step whose records verify on every rank, falling back past
-	// torn or bit-flipped records. A pre-populated store warm-starts
-	// the whole campaign (cross-process resume). Nil means a fresh
-	// in-memory store that lives as long as the Run call. Kind tags the
-	// records.
+	// compressed, CRC-protected record (internal/ckpt), written by one
+	// ckpt.SimWriter per rank, and is the only commit path: after a
+	// failure the supervisor resumes from the newest step whose records
+	// verify on every rank, falling back past torn or bit-flipped
+	// records. A pre-populated store warm-starts the whole campaign
+	// (cross-process resume). Nil means a fresh in-memory store that
+	// lives as long as the Run call. Kind tags the records.
 	Store ckpt.Store
 	Kind  string
 
@@ -150,22 +151,19 @@ type Config struct {
 	// Adapt, when set, turns on the adaptive-resilience layer
 	// (internal/policy): the live Young's-formula cadence replaces
 	// CheckpointEvery (which then seeds the initial interval), the MTBF
-	// estimator feeds on the campaign's failure history, checkpoint
-	// writes go through the runtime writer selector, and watchdog trips
-	// climb the escalation ladder instead of plain rollback-and-retry.
-	// In policy.Pinned mode the controllers are installed but held, and
-	// the run stays bit-identical — in trajectory AND virtual wall
-	// time — to a static run at the same cadence.
+	// estimator feeds on the campaign's crash and stall history, the
+	// runtime selector picks the writer's mode (when SimDiskMBs prices
+	// writes), and watchdog trips climb the escalation ladder instead
+	// of plain rollback-and-retry.
 	Adapt *policy.Config
 	// NewTunedSolver supersedes NewSolver when set: dtScale carries the
 	// escalation ladder's current time-step reduction (1 = nominal).
 	// Required for the ladder's retry-dt rung to have any effect.
 	NewTunedSolver func(comm *mpi.Comm, dtScale float64) (Solver, error)
-	// SimDiskMBs, when > 0, prices each checkpoint through a per-rank
-	// ckpt.SimWriter over the cluster's calibrated disk/network model —
-	// in the write mode the runtime selector chooses — instead of the
-	// flat CheckpointCostS sleep. It needs Adapt: the selector is part
-	// of the adaptive layer.
+	// SimDiskMBs, when > 0, prices each checkpoint from the record's
+	// stored size through the cluster's calibrated disk/network model,
+	// in node-local mode or in the striped mode the adaptive selector
+	// may choose. 0 = free disk.
 	SimDiskMBs float64
 }
 
@@ -191,8 +189,6 @@ func (cfg *Config) validate() error {
 		return fmt.Errorf("supervisor: CheckpointCostS %g must be a finite, non-negative number of seconds", cfg.CheckpointCostS)
 	case !(cfg.SimDiskMBs >= 0) || math.IsInf(cfg.SimDiskMBs, 0):
 		return fmt.Errorf("supervisor: SimDiskMBs %g must be a finite, non-negative bandwidth", cfg.SimDiskMBs)
-	case cfg.SimDiskMBs > 0 && cfg.Adapt == nil:
-		return fmt.Errorf("supervisor: SimDiskMBs %g needs Adapt — without the adaptive layer checkpoints are priced at the flat CheckpointCostS", cfg.SimDiskMBs)
 	}
 	return nil
 }
@@ -431,7 +427,7 @@ func Run(cfg Config) (*Result, error) {
 			// Hardware failures feed the MTBF estimator at the
 			// campaign's cumulative virtual time of detection.
 			if rt != nil {
-				rt.est.ObserveFailure(r, res.VirtualWall)
+				rt.est.ObserveFailure(res.VirtualWall)
 			}
 		}
 		// Watchdog trips roll back without consuming hardware — unless

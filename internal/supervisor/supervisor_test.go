@@ -466,13 +466,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		"placed model": {Procs: 2, Steps: 1, Model: &simnet.Model{RanksPerNode: 2}, NewSolver: factory},
 		"neg interval": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, CheckpointEvery: -2},
 		"neg restarts": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, MaxRestarts: -1},
-		"disk, static": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, SimDiskMBs: 20},
 		"NaN cost":     {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, CheckpointCostS: math.NaN()},
 		"neg cost":     {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, CheckpointCostS: -1e-4},
 		"Inf disk": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, SimDiskMBs: math.Inf(1),
-			Adapt: &policy.Config{Mode: policy.Pinned}},
+			Adapt: &policy.Config{PriorMTBFS: 100}},
 		"neg disk": {Procs: 2, Steps: 1, Model: testNet(), NewSolver: factory, SimDiskMBs: -20,
-			Adapt: &policy.Config{Mode: policy.Pinned}},
+			Adapt: &policy.Config{PriorMTBFS: 100}},
 	} {
 		// A bad configuration is named before any rank starts — not
 		// reported as a rank panic "outside the fault model".
