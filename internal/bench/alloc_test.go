@@ -23,8 +23,9 @@ import (
 // warm-up has sized every kept buffer and filled the pools.
 
 // allocsPerOp runs mk on p ranks of the Muses cluster, calls the op it
-// returns warm times untimed and ops times counted, and returns the
-// heap objects the whole process allocated per counted op.
+// returns ops times in each of warm uncounted rehearsals of the counted
+// window and then ops times counted, and returns the heap objects the
+// whole process allocated per counted op.
 func allocsPerOp(t *testing.T, p, warm, ops int, mk func(comm *mpi.Comm, cpu *machine.CPU) func()) float64 {
 	t.Helper()
 	if raceDetector || os.Getenv(simnet.SchedulerEnv) != "" {
@@ -49,14 +50,20 @@ func allocsPerOp(t *testing.T, p, warm, ops int, mk func(comm *mpi.Comm, cpu *ma
 			comm.Barrier()
 		}
 		op := mk(comm, &mach.CPU)
+		window := func() {
+			for i := 0; i < ops; i++ {
+				op()
+			}
+		}
+		// The rehearsals run the counted window's traffic, fences
+		// included, so the simulator's inbox queues, free lists and
+		// message pool reach its high-water marks before it is counted.
 		for i := 0; i < warm; i++ {
-			op()
+			fence(&before)
+			window()
 		}
-		fence(&before) // once unread: the fence's own messages need their warm-up too
 		fence(&before)
-		for i := 0; i < ops; i++ {
-			op()
-		}
+		window()
 		fence(&after)
 	})
 	if err != nil {
@@ -126,28 +133,49 @@ func TestGatherScatterAllocatesNothing(t *testing.T) {
 	}
 	got := allocsPerOp(t, p, 3, 20, func(comm *mpi.Comm, _ *machine.CPU) func() {
 		g := gs.New(comm, ids[comm.Rank()], 8)
-		a, b := make([]float64, len(g.Mult)), make([]float64, len(g.Mult))
+		a, b, c := make([]float64, len(g.Mult)), make([]float64, len(g.Mult)), make([]float64, len(g.Mult))
 		for i := range a {
-			a[i], b[i] = 1, 0.5
+			a[i], b[i], c[i] = 1, 0.5, 0.25
 		}
+		three, dots := [][]float64{a, b, c}, make([]float64, 3)
 		return func() {
 			g.Combine(a, gs.Max)
 			g.Combine(b, gs.Sum)
 			g.Dot(a, b)
+			g.CombineFields(three, gs.Max)
+			g.DotFields(dots, three, three)
 		}
 	})
 	if got != 0 {
-		t.Errorf("gs.Combine + gs.Combine + gs.Dot on the quick ALE dofs at P=%d: %.1f allocations, want 0", p, got)
+		t.Errorf("gs.Combine x2, gs.Dot and the three-field CombineFields and DotFields on the quick ALE dofs at P=%d: %.1f allocations, want 0", p, got)
+	}
+}
+
+// TestAllreduceIntoAllocatesNothing pins the reduction every k-vector
+// gs.DotFields makes at the rank counts that are not a power of two,
+// where AllreduceInto runs Reduce + Bcast.
+func TestAllreduceIntoAllocatesNothing(t *testing.T) {
+	for _, p := range []int{3, 5, 6, 7} {
+		got := allocsPerOp(t, p, 3, 20, func(comm *mpi.Comm, _ *machine.CPU) func() {
+			v := []float64{1, 2, 3}
+			return func() { comm.AllreduceInto(v, v, mpi.Max) }
+		})
+		if got != 0 {
+			t.Errorf("AllreduceInto of a 3-vector at P=%d: %.2f allocations, want 0", p, got)
+		}
 	}
 }
 
 // TestALEStepAllocations: what is left of an nsale step's allocations is
-// the solver's own per-element work arrays (Step's transforms, history
-// levels and right-hand sides), none of it per message or per PCG
-// iteration. The parent commit made 24,451 allocations on this step.
+// inside the basis and mesh callees (their per-call transform
+// temporaries). Step's own work arrays, its history levels and the
+// operator rebuilds of a stationary mesh allocate nothing, and nothing
+// allocates per message or per PCG iteration. This step made 24,451
+// allocations before the solver owned its message buffers, 955 before
+// it owned its work arrays, and 582 since.
 func TestALEStepAllocations(t *testing.T) {
-	const parent = 24451
-	const limit = parent / 10
+	const measured = 582
+	const limit = measured + measured/10
 	got := allocsPerOp(t, 4, 2, 3, func(comm *mpi.Comm, cpu *machine.CPU) func() {
 		m, err := quickALEMesh()
 		if err != nil {
@@ -160,8 +188,8 @@ func TestALEStepAllocations(t *testing.T) {
 		ns.SetUniformInitial(1, 0, 0)
 		return ns.Step
 	})
-	t.Logf("nsale quick shape, P=4: %.0f allocations a step (parent %d)", got, parent)
+	t.Logf("nsale quick shape, P=4: %.0f allocations a step (measured %d)", got, measured)
 	if got > limit {
-		t.Errorf("nsale quick shape, P=4: %.0f allocations a step, want <= %d (a tenth of the parent's %d)", got, limit, parent)
+		t.Errorf("nsale quick shape, P=4: %.0f allocations a step, want <= %d (the measured %d plus 10%%)", got, limit, measured)
 	}
 }

@@ -98,6 +98,34 @@ type NSALE struct {
 
 	// Iters accumulates PCG iteration counts of the last step.
 	ItersPressure, ItersViscous int
+
+	work aleWork
+}
+
+// aleWork is Step's work space, sized when the solver is built: rows
+// for the largest owned element's modes and quadrature points, the
+// per-element u_hat rows, the right-hand sides and the mesh velocity.
+type aleWork struct {
+	coef         [3][]float64 // modal velocity, kept for the gradients
+	wcoef, pcoef []float64    // modal mesh velocity and pressure
+	wq           [3][]float64 // mesh velocity at quadrature points
+	grad, gradP  [][]float64  // one row per direction
+	out          []float64    // modal right-hand-side contribution
+	tmp, dpar, f []float64    // quadrature-point scratch
+	uhat         [][3][]float64
+	prhs         []float64
+	vrhs         [3][]float64
+	meshW        [3][]float64
+	dir, zero    []float64 // the mesh velocity's Dirichlet values and right-hand side
+}
+
+// rows returns k zeroed rows of n values.
+func rows(k, n int) [][]float64 {
+	v := make([][]float64, k)
+	for i := range v {
+		v[i] = make([]float64, n)
+	}
+	return v
 }
 
 // localSys is the per-rank view of a global assembly: the local dofs
@@ -115,11 +143,17 @@ type localSys struct {
 
 	mats [][]float64 // per owned element: current Helmholtz matrix
 	diag []float64   // inverse diagonal over unknowns
+	// lambda is the Helmholtz constant mats were built for; built is
+	// false until the first build and again once the geometry moves.
+	lambda float64
+	built  bool
 
-	// Work vectors kept across calls: apply's element-local input and
-	// output (sized for the largest element) and pcg's r, z, p, Hp.
-	xl, yl      []float64
-	r, z, p, hp []float64
+	// Work space kept across calls: apply's element-local input and
+	// output (sized for the largest element), buildOperators' diagonal
+	// sum, and pcg's state for up to as many fields as the system was
+	// built for.
+	xl, yl, sum []float64
+	pw          pcgWork
 
 	// clk is the solver's stage clock: its BeginCompute/EndCompute
 	// bracket every local computation section (between communications),
@@ -133,7 +167,30 @@ type localSys struct {
 	priceBuilds bool
 }
 
-func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm, clk *timing.Clock) *localSys {
+// pcgWork is pcg's state for k fields: per-field vectors and scalars,
+// and the lists of the fields one iteration runs.
+type pcgWork struct {
+	r, z, p, hp         [][]float64
+	rz, rz0, php, rzNew []float64
+	iters               []int
+	pad                 []bool // converged, running only to reach minIter
+	act                 []int  // the fields running this iteration
+	ps, hps, rs, zs     [][]float64
+}
+
+func newPCGWork(k, n int) pcgWork {
+	return pcgWork{
+		r: rows(k, n), z: rows(k, n), p: rows(k, n), hp: rows(k, n),
+		rz: make([]float64, k), rz0: make([]float64, k), php: make([]float64, k), rzNew: make([]float64, k),
+		iters: make([]int, k), pad: make([]bool, k), act: make([]int, 0, k),
+		ps: make([][]float64, 0, k), hps: make([][]float64, 0, k),
+		rs: make([][]float64, 0, k), zs: make([][]float64, 0, k),
+	}
+}
+
+// newLocalSys builds the local system for solves of up to k fields at
+// once.
+func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm, clk *timing.Clock, k int) *localSys {
 	s := &localSys{a: a, own: own, g2l: map[int]int{}, clk: clk}
 	set := map[int]bool{}
 	for _, ei := range own {
@@ -163,7 +220,9 @@ func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm, clk *timing.Clock)
 		}
 	}
 	nl := len(s.gdof)
-	s.r, s.z, s.p, s.hp = make([]float64, nl), make([]float64, nl), make([]float64, nl), make([]float64, nl)
+	s.sum, s.diag = make([]float64, nl), make([]float64, nl)
+	s.mats = make([][]float64, len(own))
+	s.pw = newPCGWork(k, nl)
 	s.unk = make([]bool, len(s.gdof))
 	for l, g := range s.gdof {
 		s.unk[l] = g < a.NSolve
@@ -177,12 +236,17 @@ func newLocalSys(a *mesh.Assembly, own []int, comm *mpi.Comm, clk *timing.Clock)
 }
 
 // buildOperators computes the elemental Helmholtz matrices and the
-// diagonal preconditioner for the current geometry.
+// diagonal preconditioner for the current geometry. It does nothing
+// when they are already built for this lambda and the geometry has not
+// moved since (see invalidate); every rank decides alike, so the
+// diagonal's gather-scatter stays collective.
 func (s *localSys) buildOperators(m *mesh.Mesh, lambda float64) {
-	if s.mats == nil {
-		s.mats = make([][]float64, len(s.own))
+	if s.built && s.lambda == lambda {
+		return
 	}
-	diag := make([]float64, len(s.gdof))
+	s.built, s.lambda = true, lambda
+	diag := s.sum
+	clear(diag)
 	if s.priceBuilds {
 		s.clk.BeginCompute()
 	}
@@ -199,18 +263,24 @@ func (s *localSys) buildOperators(m *mesh.Mesh, lambda float64) {
 		s.clk.EndCompute()
 	}
 	s.gs.Combine(diag, gs.Sum)
-	s.diag = make([]float64, len(diag))
 	for i, d := range diag {
+		s.diag[i] = 0
 		if s.unk[i] && d != 0 {
 			s.diag[i] = 1 / d
 		}
 	}
 }
 
-// apply computes y = H x over local dofs (consistent output).
-func (s *localSys) apply(m *mesh.Mesh, x, y []float64) {
-	for i := range y {
-		y[i] = 0
+// invalidate marks the operators stale: the geometry they were built
+// on has moved.
+func (s *localSys) invalidate() { s.built = false }
+
+// apply computes y_f = H x_f over local dofs for every field
+// (consistent output): per element one Dgemv per field, then one
+// k-field gather-scatter.
+func (s *localSys) apply(m *mesh.Mesh, xs, ys [][]float64) {
+	for _, y := range ys {
+		clear(y)
 	}
 	s.clk.BeginCompute()
 	for oi, ei := range s.own {
@@ -218,86 +288,124 @@ func (s *localSys) apply(m *mesh.Mesh, x, y []float64) {
 		n := el.Ref.NModes
 		xl, yl := s.xl[:n], s.yl[:n]
 		loc, sg := s.l2l[oi], s.sgn[oi]
-		for mi := 0; mi < n; mi++ {
-			xl[mi] = sg[mi] * x[loc[mi]]
-		}
-		blas.Dgemv(blas.NoTrans, n, n, 1, s.mats[oi], n, xl, 1, 0, yl, 1)
-		for mi := 0; mi < n; mi++ {
-			y[loc[mi]] += sg[mi] * yl[mi]
+		for f, x := range xs {
+			y := ys[f]
+			for mi := 0; mi < n; mi++ {
+				xl[mi] = sg[mi] * x[loc[mi]]
+			}
+			blas.Dgemv(blas.NoTrans, n, n, 1, s.mats[oi], n, xl, 1, 0, yl, 1)
+			for mi := 0; mi < n; mi++ {
+				y[loc[mi]] += sg[mi] * yl[mi]
+			}
 		}
 	}
 	s.clk.EndCompute()
-	s.gs.Combine(y, gs.Sum)
+	s.gs.CombineFields(ys, gs.Sum)
 }
 
-// pcg solves H x = b over the unknowns with Dirichlet values taken
-// from x's non-unknown entries; returns iterations. minIter forces
-// that many iterations even after convergence (the extrapolation mode
-// uses it to reproduce paper-scale iteration counts; converged extra
-// iterations apply the operator for timing but freeze the solution).
-func (s *localSys) pcg(m *mesh.Mesh, x, b []float64, tol float64, minIter, maxIter int) (int, error) {
-	n := len(s.gdof)
-	r, z, p, hp := s.r, s.z, s.p, s.hp
-	s.apply(m, x, r) // includes Dirichlet columns
-	for i := 0; i < n; i++ {
-		if s.unk[i] {
-			r[i] = b[i] - r[i]
-		} else {
-			r[i] = 0
+// pcg solves H x_f = b_f over the unknowns for k = len(xs) right-hand
+// sides at once, with Dirichlet values taken from each x_f's
+// non-unknown entries, and returns each field's iteration count (valid
+// until the next call). The fields iterate in lockstep: an iteration
+// is one k-field apply and one k-vector reduction per inner product.
+// Each field's iterates are bit-identical to a solve of its own, and a
+// field that has converged stops with its x and r frozen. minIter
+// forces that many iterations even after convergence (the
+// extrapolation mode uses it to reproduce paper-scale iteration
+// counts; converged extra iterations apply the operator for timing but
+// freeze the solution). A field whose initial residual vanishes runs
+// no iteration at all.
+func (s *localSys) pcg(m *mesh.Mesh, xs, bs [][]float64, tol float64, minIter, maxIter int) ([]int, error) {
+	w := &s.pw
+	k := len(xs)
+	r, z, p, hp := w.r[:k], w.z[:k], w.p[:k], w.hp[:k]
+	rz, rz0, iters := w.rz[:k], w.rz0[:k], w.iters[:k]
+	s.apply(m, xs, r) // includes Dirichlet columns
+	for f, rf := range r {
+		b, zf := bs[f], z[f]
+		for i := range rf {
+			if s.unk[i] {
+				rf[i] = b[i] - rf[i]
+			} else {
+				rf[i] = 0
+			}
 		}
+		for i := range zf {
+			zf[i] = rf[i] * s.diag[i]
+		}
+		copy(p[f], zf)
 	}
-	for i := range z {
-		z[i] = r[i] * s.diag[i]
-	}
-	copy(p, z)
-	rz := s.gs.Dot(r, z)
-	rz0 := rz
-	if rz0 <= 0 {
-		return 0, nil
-	}
+	s.gs.DotFields(rz, r, z)
+	copy(rz0, rz)
+	clear(iters)
 	// Convergence is measured in the preconditioned norm sqrt(rz),
 	// saving one global reduction per iteration relative to ||r||.
-	iters := 0
 	for it := 0; it < maxIter; it++ {
-		converged := rz <= tol*tol*rz0
-		if converged && it >= minIter {
+		// A field runs this iteration if it ran every earlier one
+		// (iters[f] == it) and is either unconverged or padding out to
+		// minIter. rz and rz0 are global, so every rank picks alike.
+		act, ps, hps := w.act[:0], w.ps[:0], w.hps[:0]
+		for f := range xs {
+			if rz0[f] <= 0 || iters[f] < it {
+				continue
+			}
+			converged := rz[f] <= tol*tol*rz0[f]
+			if converged && it >= minIter {
+				continue
+			}
+			w.pad[f] = converged
+			iters[f] = it + 1
+			act, ps, hps = append(act, f), append(ps, p[f]), append(hps, hp[f])
+		}
+		if len(act) == 0 {
 			break
 		}
-		if converged {
-			// Paper-scale iteration padding: exercise the operator and
-			// the reductions without perturbing the solution.
-			s.apply(m, p, hp)
-			s.gs.Dot(p, hp)
-			iters = it + 1
+		s.apply(m, ps, hps)
+		for _, hpf := range hps {
+			for i := range hpf {
+				if !s.unk[i] {
+					hpf[i] = 0
+				}
+			}
+		}
+		php := w.php[:len(act)]
+		s.gs.DotFields(php, ps, hps)
+		solving, rs, zs := act[:0], w.rs[:0], w.zs[:0]
+		for j, f := range act {
+			if w.pad[f] {
+				// Paper-scale iteration padding: the operator and the
+				// reduction ran, the solution stays frozen.
+				continue
+			}
+			if php[j] <= 0 {
+				return iters, fmt.Errorf("core: ALE PCG operator not SPD (pHp=%g)", php[j])
+			}
+			alpha := rz[f] / php[j]
+			x, rf, zf, pf, hpf := xs[f], r[f], z[f], p[f], hp[f]
+			for i := range x {
+				if s.unk[i] {
+					x[i] += alpha * pf[i]
+					rf[i] -= alpha * hpf[i]
+				}
+			}
+			for i := range zf {
+				zf[i] = rf[i] * s.diag[i]
+			}
+			solving, rs, zs = append(solving, f), append(rs, rf), append(zs, zf)
+		}
+		if len(solving) == 0 {
 			continue
 		}
-		s.apply(m, p, hp)
-		for i := range hp {
-			if !s.unk[i] {
-				hp[i] = 0
+		rzNew := w.rzNew[:len(solving)]
+		s.gs.DotFields(rzNew, rs, zs)
+		for j, f := range solving {
+			beta := rzNew[j] / rz[f]
+			rz[f] = rzNew[j]
+			pf, zf := p[f], z[f]
+			for i := range pf {
+				pf[i] = zf[i] + beta*pf[i]
 			}
 		}
-		php := s.gs.Dot(p, hp)
-		if php <= 0 {
-			return iters, fmt.Errorf("core: ALE PCG operator not SPD (pHp=%g)", php)
-		}
-		alpha := rz / php
-		for i := range x {
-			if s.unk[i] {
-				x[i] += alpha * p[i]
-				r[i] -= alpha * hp[i]
-			}
-		}
-		for i := range z {
-			z[i] = r[i] * s.diag[i]
-		}
-		rzNew := s.gs.Dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-		iters = it + 1
 	}
 	return iters, nil
 }
@@ -336,8 +444,8 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 			ns.Own = append(ns.Own, ei)
 		}
 	}
-	ns.sysV = newLocalSys(ns.AV, ns.Own, comm, &ns.clk)
-	ns.sysP = newLocalSys(ns.AP, ns.Own, comm, &ns.clk)
+	ns.sysV = newLocalSys(ns.AV, ns.Own, comm, &ns.clk, 3)
+	ns.sysP = newLocalSys(ns.AP, ns.Own, comm, &ns.clk, 1)
 	if cfg.Scale != nil && cfg.Scale.Comm > 1 {
 		comm.SetPhantomFactor(cfg.Scale.Comm)
 	}
@@ -355,8 +463,38 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 		ns.dirU[c] = make([]float64, nl)
 	}
 	ns.Pr = make([]float64, len(ns.sysP.gdof))
+	ns.work = newALEWork(m, ns.Own, nl, len(ns.sysP.gdof))
 	ns.refreshDirichlet()
 	return ns, nil
+}
+
+// newALEWork sizes Step's work space for the owned elements and nl
+// velocity and np pressure local dofs.
+func newALEWork(m *mesh.Mesh, own []int, nl, np int) aleWork {
+	nm, nq := 0, 0
+	for _, ei := range own {
+		nm = max(nm, m.Elems[ei].Ref.NModes)
+		nq = max(nq, m.Elems[ei].Ref.NQuad)
+	}
+	w := aleWork{
+		wcoef: make([]float64, nm), pcoef: make([]float64, nm), out: make([]float64, nm),
+		tmp: make([]float64, nq), dpar: make([]float64, nq), f: make([]float64, nq),
+		grad: rows(3, nq), gradP: rows(3, nq),
+		uhat: make([][3][]float64, len(own)),
+		prhs: make([]float64, np), dir: make([]float64, nl), zero: make([]float64, nl),
+	}
+	for c := 0; c < 3; c++ {
+		w.coef[c] = make([]float64, nm)
+		w.wq[c] = make([]float64, nq)
+		w.vrhs[c] = make([]float64, nl)
+		w.meshW[c] = make([]float64, nl)
+	}
+	for oi, ei := range own {
+		for c := 0; c < 3; c++ {
+			w.uhat[oi][c] = make([]float64, m.Elems[ei].Ref.NQuad)
+		}
+	}
+	return w
 }
 
 // refreshDirichlet recomputes the velocity Dirichlet values for the
@@ -456,6 +594,7 @@ func (ns *NSALE) Step() {
 	alpha, beta := ssAlpha[ord-1], ssBeta[ord-1]
 	dt, nu := ns.Cfg.Dt, ns.Cfg.Nu
 	ns.ItersPressure, ns.ItersViscous = 0, 0
+	w := &ns.work
 
 	// ---- Region c (part 1): mesh velocity Helmholtz solve (the ALE
 	// extra solve). Solved for the *current* wall motion.
@@ -465,9 +604,10 @@ func (ns *NSALE) Step() {
 	// ---- Region a: transforms, nonlinear terms, averaging, RHS setup
 	// and (if enabled) the mesh update.
 	ns.clk.Mark(0)
-	// Build the operators for the current geometry (communicates in
-	// the diagonal assembly, so it stays outside the priced sections;
-	// its local work is priced through the localSys hook).
+	// Build the operators for the current geometry unless they already
+	// match it (communicates in the diagonal assembly, so it stays
+	// outside the priced sections; its local work is priced through
+	// the localSys hook).
 	lambdaV := gamma / (nu * dt)
 	ns.sysV.buildOperators(m, lambdaV)
 	ns.sysP.buildOperators(m, 0)
@@ -475,73 +615,62 @@ func (ns *NSALE) Step() {
 	ns.clk.BeginCompute()
 	// Stage 1+2: transforms and ALE nonlinear terms
 	// N = -((V - w_mesh) . grad) V at quadrature points of owned
-	// elements.
-	nOwn := len(ns.Own)
-	uq := make([][3][]float64, nOwn)
-	nq2 := make([][3][]float64, nOwn)
+	// elements, computed straight into the newest history levels.
+	uq, nq2 := ns.nextLevel(ns.histU, ord), ns.nextLevel(ns.histN, ord)
 	for oi, ei := range ns.Own {
 		el := m.Elems[ei]
-		nq := el.Ref.NQuad
-		var coefs [3][]float64
+		nm, nq := el.Ref.NModes, el.Ref.NQuad
 		for c := 0; c < 3; c++ {
-			coef := make([]float64, el.Ref.NModes)
+			coef := w.coef[c][:nm]
 			ns.scatterLocal(ns.sysV, oi, ns.U[c], coef)
-			phys := make([]float64, nq)
-			el.BwdTrans(coef, phys)
-			coefs[c] = coef
-			uq[oi][c] = phys
+			el.BwdTrans(coef, uq[c][oi])
 		}
-		var wq [3][]float64
 		for c := 0; c < 3; c++ {
-			coef := make([]float64, el.Ref.NModes)
+			coef := w.wcoef[:nm]
 			ns.scatterLocal(ns.sysV, oi, meshVel[c], coef)
-			phys := make([]float64, nq)
-			el.BwdTrans(coef, phys)
-			wq[c] = phys
+			el.BwdTrans(coef, w.wq[c][:nq])
 		}
-		grad := [][]float64{make([]float64, nq), make([]float64, nq), make([]float64, nq)}
+		u0, u1, u2 := uq[0][oi], uq[1][oi], uq[2][oi]
+		wq0, wq1, wq2 := w.wq[0], w.wq[1], w.wq[2]
+		grad := w.grad
 		for c := 0; c < 3; c++ {
-			el.PhysGrad(coefs[c], grad)
-			nl := make([]float64, nq)
+			el.PhysGrad(w.coef[c][:nm], grad)
+			nl := nq2[c][oi]
 			for q := 0; q < nq; q++ {
-				nl[q] = -((uq[oi][0][q]-wq[0][q])*grad[0][q] +
-					(uq[oi][1][q]-wq[1][q])*grad[1][q] +
-					(uq[oi][2][q]-wq[2][q])*grad[2][q])
+				nl[q] = -((u0[q]-wq0[q])*grad[0][q] +
+					(u1[q]-wq1[q])*grad[1][q] +
+					(u2[q]-wq2[q])*grad[2][q])
 			}
-			nq2[oi][c] = nl
 		}
 	}
 
 	// Stage 3: weight-averaging.
-	ns.histN = pushHistoryALE(ns.histN, nq2, ord)
-	ns.histU = pushHistoryALE(ns.histU, uq, ord)
-	uhat := make([][3][]float64, nOwn)
+	ns.histN = pushLevel(ns.histN, nq2, ord)
+	ns.histU = pushLevel(ns.histU, uq, ord)
 	for oi, ei := range ns.Own {
-		el := m.Elems[ei]
-		nq := el.Ref.NQuad
+		nq := m.Elems[ei].Ref.NQuad
 		for c := 0; c < 3; c++ {
-			h := make([]float64, nq)
+			h := w.uhat[oi][c]
+			clear(h)
 			for j := 0; j < ord; j++ {
 				blas.Daxpy(nq, alpha[j], ns.histU[j][c][oi], 1, h, 1)
 				blas.Daxpy(nq, dt*beta[j], ns.histN[j][c][oi], 1, h, 1)
 			}
-			uhat[oi][c] = h
 		}
-		_ = el
 	}
 
 	// Stage 4: pressure RHS (weak divergence of u_hat; natural
 	// pressure boundaries absorb the flux term since the farfield is
 	// pressure-Dirichlet and wall fluxes are near zero for no-slip).
-	prhs := make([]float64, len(ns.sysP.gdof))
+	prhs := w.prhs
+	clear(prhs)
 	for oi, ei := range ns.Own {
 		el := m.Elems[ei]
 		n, nq := el.Ref.NModes, el.Ref.NQuad
-		out := make([]float64, n)
-		tmp := make([]float64, nq)
-		dpar := make([]float64, nq)
+		out, tmp, dpar := w.out[:n], w.tmp[:nq], w.dpar[:nq]
+		clear(out)
 		for c := 0; c < 3; c++ {
-			blas.Dvmul(nq, uhat[oi][c], 1, el.WJ, 1, tmp, 1)
+			blas.Dvmul(nq, w.uhat[oi][c], 1, el.WJ, 1, tmp, 1)
 			for d := 0; d < 3; d++ {
 				blas.Dvmul(nq, tmp, 1, el.DxiDx[d][c], 1, dpar, 1)
 				el.Ref.IProductDerivAdd(d, 1.0/dt, dpar, out)
@@ -560,30 +689,29 @@ func (ns *NSALE) Step() {
 		}
 	}
 	minIt, maxIt := iterBounds(ns.pressureIters(), len(ns.sysP.gdof))
-	it, err := ns.sysP.pcg(m, ns.Pr, prhs, ns.Cfg.Tol, minIt, maxIt)
+	its, err := ns.sysP.pcg(m, [][]float64{ns.Pr}, [][]float64{prhs}, ns.Cfg.Tol, minIt, maxIt)
 	if err != nil {
 		panic(err)
 	}
-	ns.ItersPressure = it
+	ns.ItersPressure = its[0]
 
 	// ---- Region a (continued): viscous RHS.
 	ns.clk.Mark(0)
 	ns.clk.BeginCompute()
-	vrhs := [3][]float64{}
-	for c := 0; c < 3; c++ {
-		vrhs[c] = make([]float64, len(ns.sysV.gdof))
+	vrhs := w.vrhs[:]
+	for _, v := range vrhs {
+		clear(v)
 	}
 	for oi, ei := range ns.Own {
 		el := m.Elems[ei]
-		nq := el.Ref.NQuad
-		pcoef := make([]float64, el.Ref.NModes)
+		nm, nq := el.Ref.NModes, el.Ref.NQuad
+		pcoef := w.pcoef[:nm]
 		ns.scatterLocal(ns.sysP, oi, ns.Pr, pcoef)
-		gradP := [][]float64{make([]float64, nq), make([]float64, nq), make([]float64, nq)}
+		gradP := w.gradP
 		el.PhysGrad(pcoef, gradP)
-		out := make([]float64, el.Ref.NModes)
-		f := make([]float64, nq)
+		out, f := w.out[:nm], w.f[:nq]
 		for c := 0; c < 3; c++ {
-			blas.Dcopy(nq, uhat[oi][c], 1, f, 1)
+			blas.Dcopy(nq, w.uhat[oi][c], 1, f, 1)
 			blas.Daxpy(nq, -dt, gradP[c], 1, f, 1)
 			blas.Dscal(nq, 1/(nu*dt), f, 1)
 			el.IProduct(f, out)
@@ -591,9 +719,7 @@ func (ns *NSALE) Step() {
 		}
 	}
 	ns.clk.EndCompute()
-	for c := 0; c < 3; c++ {
-		ns.sysV.gs.Combine(vrhs[c], gs.Sum)
-	}
+	ns.sysV.gs.CombineFields(vrhs, gs.Sum)
 
 	// Mesh update (region a per the paper: "a term is added in the
 	// non-linear step, associated with the updating of the positions
@@ -609,11 +735,9 @@ func (ns *NSALE) Step() {
 	ns.clk.Mark(2)
 	ns.time += dt
 	ns.refreshDirichlet()
-	if ns.Cfg.MoveMesh {
-		// Geometry changed: rebuild the viscous operator before the
-		// solve (the matrices must match the new mesh).
-		ns.sysV.buildOperators(m, lambdaV)
-	}
+	// If the geometry moved, rebuild the viscous operator before the
+	// solve (the matrices must match the new mesh).
+	ns.sysV.buildOperators(m, lambdaV)
 	for c := 0; c < 3; c++ {
 		x := ns.U[c]
 		for l, g := range ns.sysV.gdof {
@@ -621,11 +745,13 @@ func (ns *NSALE) Step() {
 				x[l] = ns.dirU[c][l]
 			}
 		}
-		minIt, maxIt := iterBounds(ns.helmIters(), len(ns.sysV.gdof))
-		it, err := ns.sysV.pcg(m, x, vrhs[c], ns.Cfg.Tol, minIt, maxIt)
-		if err != nil {
-			panic(err)
-		}
+	}
+	minIt, maxIt = iterBounds(ns.helmIters(), len(ns.sysV.gdof))
+	its, err = ns.sysV.pcg(m, ns.U[:], vrhs, ns.Cfg.Tol, minIt, maxIt)
+	if err != nil {
+		panic(err)
+	}
+	for _, it := range its {
 		ns.ItersViscous += it
 	}
 	ns.clk.Mark(-1)
@@ -664,30 +790,28 @@ func iterBounds(exact, n int) (int, int) {
 
 // solveMeshVelocity computes the harmonic extension of the wall
 // velocity into the domain (zero at the farfield, natural on the z
-// boundaries): three Laplace PCG solves on the velocity system.
+// boundaries): one three-field Laplace PCG solve on the velocity
+// system. The field is the solver's work space, valid until the next
+// step.
 func (ns *NSALE) solveMeshVelocity() [3][]float64 {
-	var w [3][]float64
-	nl := len(ns.sysV.gdof)
+	w := ns.work.meshW
+	for c := 0; c < 3; c++ {
+		clear(w[c])
+	}
 	wall := [3]float64{}
 	if ns.Cfg.WallVelocity != nil {
 		wall = ns.Cfg.WallVelocity(ns.time)
 	}
-	moving := wall != [3]float64{}
-	for c := 0; c < 3; c++ {
-		w[c] = make([]float64, nl)
-	}
-	if !moving {
+	if wall == [3]float64{} {
 		return w
 	}
 	// Laplace operator (lambda tiny to keep SPD even if a rank's
 	// subdomain misses Dirichlet dofs).
 	ns.sysV.buildOperators(ns.M, 1e-10)
 	// Dirichlet: wall velocity on wall vertices, zero elsewhere.
-	dir := make([]float64, nl)
+	dir := ns.work.dir
 	for c := 0; c < 3; c++ {
-		for i := range dir {
-			dir[i] = 0
-		}
+		clear(dir)
 		for _, bf := range ns.M.BndFaces {
 			if bf.Tag != "wall" {
 				continue
@@ -706,12 +830,14 @@ func (ns *NSALE) solveMeshVelocity() [3][]float64 {
 				x[l] = dir[l]
 			}
 		}
-		rhs := make([]float64, nl)
-		minIt, maxIt := iterBounds(ns.helmIters(), nl)
-		it, err := ns.sysV.pcg(ns.M, x, rhs, ns.Cfg.Tol, minIt, maxIt)
-		if err != nil {
-			panic(err)
-		}
+	}
+	zero := ns.work.zero
+	minIt, maxIt := iterBounds(ns.helmIters(), len(dir))
+	its, err := ns.sysV.pcg(ns.M, w[:], [][]float64{zero, zero, zero}, ns.Cfg.Tol, minIt, maxIt)
+	if err != nil {
+		panic(err)
+	}
+	for _, it := range its {
 		ns.ItersViscous += it
 	}
 	return w
@@ -749,6 +875,8 @@ func (ns *NSALE) moveMesh(w [3][]float64, dt float64) {
 	if err := ns.M.MoveVertices(verts); err != nil {
 		panic(fmt.Sprintf("core: ALE mesh motion inverted an element: %v", err))
 	}
+	ns.sysV.invalidate()
+	ns.sysP.invalidate()
 }
 
 // scatterLocal extracts element-local coefficients from a local dof
@@ -769,18 +897,34 @@ func (ns *NSALE) gatherLocal(s *localSys, oi int, coef, x []float64) {
 	}
 }
 
-func pushHistoryALE(hist [][3][][]float64, newest [][3][]float64, depth int) [][3][][]float64 {
+// nextLevel returns the rows a new history level ([comp][ownIdx][quad])
+// is computed into: those of the level that pushLevel is about to drop
+// when hist already holds depth levels, fresh ones otherwise.
+func (ns *NSALE) nextLevel(hist [][3][][]float64, depth int) [3][][]float64 {
+	if len(hist) >= depth {
+		return hist[depth-1]
+	}
 	var lvl [3][][]float64
-	for c := 0; c < 3; c++ {
-		lvl[c] = make([][]float64, len(newest))
-		for oi := range newest {
-			lvl[c][oi] = newest[oi][c]
+	for c := range lvl {
+		lvl[c] = make([][]float64, len(ns.Own))
+		for oi, ei := range ns.Own {
+			lvl[c][oi] = make([]float64, ns.M.Elems[ei].Ref.NQuad)
 		}
 	}
-	hist = append([][3][][]float64{lvl}, hist...)
+	return lvl
+}
+
+// pushLevel makes lvl the newest level of hist, keeping at most depth
+// levels.
+func pushLevel(hist [][3][][]float64, lvl [3][][]float64, depth int) [][3][][]float64 {
 	if len(hist) > depth {
 		hist = hist[:depth]
 	}
+	if len(hist) < depth {
+		hist = append(hist, lvl)
+	}
+	copy(hist[1:], hist)
+	hist[0] = lvl
 	return hist
 }
 

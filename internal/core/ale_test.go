@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"runtime"
@@ -323,5 +324,172 @@ func TestALELongRunIsStationary(t *testing.T) {
 	// Under the forced parallel scheduler host time is ±3x run to run.
 	if os.Getenv(simnet.SchedulerEnv) == "" && late > 1.25*early {
 		t.Errorf("steps slowed down: median %.2f ms over steps 6-10, %.2f ms over the last five", early, late)
+	}
+}
+
+// TestPCGThreeFieldsMatchOneFieldSolves pins the multi-right-hand-side
+// PCG: a three-field solve leaves every field bit-identical to a solve
+// of its own, with the same iteration count, in tolerance mode and at
+// the extrapolation mode's exact counts (padded and truncated),
+// serially and on a domain-decomposed run (P=3 also takes the
+// Reduce+Bcast reductions). The fields converge at different
+// iterations, padding leaves a converged field exactly where tolerance
+// mode does, and the third field has a zero initial residual, so it
+// runs none.
+func TestPCGThreeFieldsMatchOneFieldSolves(t *testing.T) {
+	cfg := ALEConfig{Nu: 0.05, Dt: 2e-3, Order: 2, FarfieldVel: [3]float64{1, 0, 0}}
+	for _, p := range []int{1, 3} {
+		_, _, err := simnet.Run(p, aleTestNet(), func(n *simnet.Node) {
+			ns, err := NewNSALE(wingMesh(t, 2, 12, 2, 2), cfg, mpi.World(n), nil)
+			if err != nil {
+				panic(err)
+			}
+			s := ns.sysV
+			s.buildOperators(ns.M, 40)
+			// Consistent data: every value is a function of the global dof.
+			field := func(f int) (x, b []float64) {
+				x, b = make([]float64, len(s.gdof)), make([]float64, len(s.gdof))
+				for l, g := range s.gdof {
+					switch f {
+					case 0:
+						b[l] = math.Sin(0.37 * float64(g))
+					case 1:
+						b[l] = float64(1-2*(g%2)) * math.Cos(0.11*float64(g*g%97))
+					}
+					if !s.unk[l] && f < 2 {
+						x[l] = 0.25 * float64(f+1) * math.Cos(float64(g))
+					}
+				}
+				return x, b
+			}
+			// solve runs the three-field solve and each field alone, checks
+			// that they agree, and returns the three-field result.
+			solve := func(mode string, minIter, maxIter int) ([][]float64, []int) {
+				var xs, bs [][]float64
+				for f := 0; f < 3; f++ {
+					x, b := field(f)
+					xs, bs = append(xs, x), append(bs, b)
+				}
+				its, err := s.pcg(ns.M, xs, bs, 1e-8, minIter, maxIter)
+				if err != nil {
+					panic(err)
+				}
+				many := append([]int(nil), its...)
+				if many[2] != 0 {
+					t.Errorf("P=%d %s: the zero field ran %d iterations", p, mode, many[2])
+				}
+				for f := 0; f < 3; f++ {
+					x, b := field(f)
+					its, err := s.pcg(ns.M, [][]float64{x}, [][]float64{b}, 1e-8, minIter, maxIter)
+					if err != nil {
+						panic(err)
+					}
+					if its[0] != many[f] {
+						t.Errorf("P=%d %s field %d: %d iterations alone, %d in the three-field solve", p, mode, f, its[0], many[f])
+					}
+					for i := range x {
+						if math.Float64bits(x[i]) != math.Float64bits(xs[f][i]) {
+							t.Fatalf("P=%d %s field %d dof %d: %v alone, %v in the three-field solve", p, mode, f, i, x[i], xs[f][i])
+						}
+					}
+				}
+				return xs, many
+			}
+			converged, its := solve("tolerance", 0, 50*len(s.gdof))
+			if its[0] == its[1] || its[0] == 0 || its[1] == 0 {
+				t.Fatalf("P=%d: want two fields converging at different iterations, got %v", p, its)
+			}
+			// Padding past both convergence points must leave the solutions
+			// exactly where tolerance mode does; the truncated count stops
+			// both short.
+			top := max(its[0], its[1])
+			padded, _ := solve("padded", top+7, top+7)
+			for f := range padded {
+				for i := range padded[f] {
+					if math.Float64bits(padded[f][i]) != math.Float64bits(converged[f][i]) {
+						t.Fatalf("P=%d field %d dof %d: padding moved the converged solution from %v to %v", p, f, i, converged[f][i], padded[f][i])
+					}
+				}
+			}
+			solve("truncated", top/2, top/2)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestALEReusesOperatorsOnAStationaryMesh: once the order ramp is over
+// and the mesh does not move, a step builds no operator (the elemental
+// matrices stay the same arrays), and a run restored from a checkpoint,
+// into a fresh solver or into the running one, continues bit for bit.
+func TestALEReusesOperatorsOnAStationaryMesh(t *testing.T) {
+	cfg := ALEConfig{Nu: 0.05, Dt: 2e-3, Order: 2, FarfieldVel: [3]float64{1, 0, 0}}
+	_, _, err := simnet.Run(2, aleTestNet(), func(n *simnet.Node) {
+		comm := mpi.World(n)
+		ns, err := NewNSALE(wingMesh(t, 2, 12, 2, 2), cfg, comm, nil)
+		if err != nil {
+			panic(err)
+		}
+		ns.SetUniformInitial(1, 0, 0)
+		ns.Step()
+		ns.Step() // the order ramp changes lambda: a rebuild
+		sameMats := func(a, b [][]float64) bool {
+			for oi := range a {
+				if &a[oi][0] != &b[oi][0] {
+					return false
+				}
+			}
+			return true
+		}
+		matsV, matsP := append([][]float64(nil), ns.sysV.mats...), append([][]float64(nil), ns.sysP.mats...)
+		var buf bytes.Buffer
+		if err := ns.Checkpoint(&buf); err != nil {
+			panic(err)
+		}
+		saved := buf.Bytes()
+		for i := 0; i < 3; i++ {
+			ns.Step()
+		}
+		if !sameMats(matsV, ns.sysV.mats) || !sameMats(matsP, ns.sysP.mats) {
+			t.Errorf("rank %d: a steady stationary step rebuilt its operators", n.Rank)
+		}
+		var want [][]float64
+		for _, v := range [][]float64{ns.U[0], ns.U[1], ns.U[2], ns.Pr} {
+			want = append(want, append([]float64(nil), v...))
+		}
+		check := func(label string, got *NSALE) {
+			for i, v := range [][]float64{got.U[0], got.U[1], got.U[2], got.Pr} {
+				for j := range v {
+					if math.Float64bits(v[j]) != math.Float64bits(want[i][j]) {
+						t.Fatalf("rank %d %s: field %d dof %d is %v, the uninterrupted run has %v", n.Rank, label, i, j, v[j], want[i][j])
+					}
+				}
+			}
+		}
+		fresh, err := NewNSALE(wingMesh(t, 2, 12, 2, 2), cfg, comm, nil)
+		if err != nil {
+			panic(err)
+		}
+		if err := fresh.Restore(bytes.NewReader(saved)); err != nil {
+			panic(err)
+		}
+		for i := 0; i < 3; i++ {
+			fresh.Step()
+		}
+		check("restored into a fresh solver", fresh)
+		if err := ns.Restore(bytes.NewReader(saved)); err != nil {
+			panic(err)
+		}
+		for i := 0; i < 3; i++ {
+			ns.Step()
+		}
+		if sameMats(matsV, ns.sysV.mats) {
+			t.Errorf("rank %d: Restore re-tabulated the geometry but the operators were not rebuilt", n.Rank)
+		}
+		check("restored into the running solver", ns)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

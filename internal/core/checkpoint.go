@@ -168,6 +168,8 @@ func (ns *NSALE) Restore(r io.Reader) error {
 	if err := ns.M.MoveVertices(st.Verts); err != nil {
 		return fmt.Errorf("core: restoring checkpointed mesh geometry: %w", err)
 	}
+	ns.sysV.invalidate()
+	ns.sysP.invalidate()
 	ns.step = st.Step
 	ns.time = st.Time
 	ns.U = st.U

@@ -58,14 +58,13 @@ type GS struct {
 	// runs; 0 or 1 means no padding.
 	PadFactor float64
 
-	// Work space kept across calls so Combine and Dot allocate nothing:
-	// the pairwise pack buffer (reused for every neighbour's send, then
-	// for the receives), the pending sends, the packed tree vector, and
-	// the one-float cell Dot reduces in.
+	// Work space kept across calls so CombineFields and DotFields
+	// allocate nothing once it has grown to the widest call: the
+	// pairwise pack buffer (reused for every neighbour's send, then for
+	// the receives), the pending sends and the packed tree vector.
 	buf  []float64
 	reqs []*simnet.Request
 	tree []float64
-	cell [1]float64
 }
 
 // padded returns the exchanged length of an n-value message under
@@ -197,7 +196,19 @@ func New(comm *mpi.Comm, ids []int, pairwiseLimit int) *GS {
 // Combine performs the gather-scatter: after the call, vals[i] holds
 // op over all ranks' values at the same global id.
 func (g *GS) Combine(vals []float64, op Op) {
-	if g.comm.Size() == 1 {
+	g.CombineFields([][]float64{vals}, op)
+}
+
+// CombineFields is Combine over k fields at once, each a local vector
+// over this handle's dofs: every neighbour gets one message carrying
+// the k fields' shared values back to back, and the tree stage is one
+// packed reduction of k×treeLen values. Every field ends bit-identical
+// to a Combine of its own: its values are folded in the same neighbour
+// order, and the tree reduction is element-wise. All ranks must pass
+// the same k.
+func (g *GS) CombineFields(fields [][]float64, op Op) {
+	k := len(fields)
+	if g.comm.Size() == 1 || k == 0 {
 		return
 	}
 	// Pairwise stage: send this rank's *original* contribution to each
@@ -207,42 +218,34 @@ func (g *GS) Combine(vals []float64, op Op) {
 	g.reqs = g.reqs[:0]
 	for ni, r := range g.nbr {
 		idx := g.nbrIdx[ni]
-		g.buf = grown(g.buf, g.padded(len(idx)))
-		for j, li := range idx {
-			g.buf[j] = vals[li]
+		n := len(idx)
+		g.buf = grown(g.buf, g.padded(k*n))
+		for f, vals := range fields {
+			seg := g.buf[f*n : (f+1)*n]
+			for j, li := range idx {
+				seg[j] = vals[li]
+			}
 		}
-		clear(g.buf[len(idx):]) // the padding travels as zeros
+		clear(g.buf[k*n:]) // the padding travels as zeros
 		g.reqs = append(g.reqs, g.comm.Isend(r, tag, g.buf))
 	}
 	for ni, r := range g.nbr {
 		idx := g.nbrIdx[ni]
-		g.buf = grown(g.buf, g.padded(len(idx)))
+		n := len(idx)
+		g.buf = grown(g.buf, g.padded(k*n))
 		got := g.buf[:g.comm.RecvInto(r, tag, g.buf)]
-		switch op {
-		case Sum:
-			for j, li := range idx {
-				vals[li] += got[j]
-			}
-		case Min:
-			for j, li := range idx {
-				if got[j] < vals[li] {
-					vals[li] = got[j]
-				}
-			}
-		case Max:
-			for j, li := range idx {
-				if got[j] > vals[li] {
-					vals[li] = got[j]
-				}
-			}
+		for f, vals := range fields {
+			fold(op, vals, idx, got[f*n:(f+1)*n])
 		}
 	}
 	for _, rq := range g.reqs {
 		g.comm.Wait(rq)
 	}
-	// Tree stage: packed reduction over the many-shared ids.
+	// Tree stage: packed reduction over the many-shared ids, field f's
+	// values at offset f×treeLen.
 	if g.treeLen > 0 {
-		g.tree = grown(g.tree, g.padded(g.treeLen))
+		n := g.treeLen
+		g.tree = grown(g.tree, g.padded(k*n))
 		packed := g.tree
 		clear(packed)
 		if op == Min || op == Max {
@@ -250,16 +253,43 @@ func (g *GS) Combine(vals []float64, op Op) {
 			if op == Max {
 				inf = -1e308
 			}
-			for i := range packed[:g.treeLen] {
+			for i := range packed[:k*n] {
 				packed[i] = inf
 			}
 		}
-		for j, li := range g.treeIdx {
-			packed[g.treePos[j]] = vals[li]
+		for f, vals := range fields {
+			for j, li := range g.treeIdx {
+				packed[f*n+g.treePos[j]] = vals[li]
+			}
 		}
 		g.comm.AllreduceInto(packed, packed, op)
-		for j, li := range g.treeIdx {
-			vals[li] = packed[g.treePos[j]]
+		for f, vals := range fields {
+			for j, li := range g.treeIdx {
+				vals[li] = packed[f*n+g.treePos[j]]
+			}
+		}
+	}
+}
+
+// fold combines a neighbour's values got, one per index of idx, into
+// vals.
+func fold(op Op, vals []float64, idx []int, got []float64) {
+	switch op {
+	case Sum:
+		for j, li := range idx {
+			vals[li] += got[j]
+		}
+	case Min:
+		for j, li := range idx {
+			if got[j] < vals[li] {
+				vals[li] = got[j]
+			}
+		}
+	case Max:
+		for j, li := range idx {
+			if got[j] > vals[li] {
+				vals[li] = got[j]
+			}
 		}
 	}
 }
@@ -283,14 +313,25 @@ func (g *GS) MeanPairwiseLen() float64 {
 // vectors whose entries live on shared dofs: each global dof is
 // counted exactly once via the multiplicity weights.
 func (g *GS) Dot(a, b []float64) float64 {
-	var local float64
-	for i := range a {
-		local += a[i] * b[i] / g.Mult[i]
+	var d [1]float64
+	g.DotFields(d[:], [][]float64{a}, [][]float64{b})
+	return d[0]
+}
+
+// DotFields is Dot over k field pairs at once: dst[f] = Dot(a[f],
+// b[f]), with the k local sums reduced in one Allreduce of a k-vector.
+// Each dst[f] is bit-identical to its own Dot, because the reduction is
+// element-wise. All ranks must pass the same k.
+func (g *GS) DotFields(dst []float64, a, b [][]float64) {
+	for f, af := range a {
+		bf := b[f]
+		var local float64
+		for i := range af {
+			local += af[i] * bf[i] / g.Mult[i]
+		}
+		dst[f] = local
 	}
-	if g.comm.Size() == 1 {
-		return local
+	if g.comm.Size() > 1 {
+		g.comm.AllreduceInto(dst[:len(a)], dst[:len(a)], Sum)
 	}
-	g.cell[0] = local
-	g.comm.AllreduceInto(g.cell[:], g.cell[:], Sum)
-	return g.cell[0]
 }

@@ -193,6 +193,84 @@ func TestCombineMixedPlan(t *testing.T) {
 	}
 }
 
+// mixedIDs gives rank r of p a plan with every strategy in it: a corner
+// id every rank holds (the tree stage once p exceeds the pairwise limit
+// of 3), ring edges shared with each neighbour, ids shared by three
+// consecutive ranks (pairwise, so folded in neighbour order), and
+// private ids.
+func mixedIDs(r, p int) []int {
+	ids := []int{1000, 2000 + r, 2000 + (r+p-1)%p, 5000 + r, 5000 + r + 1}
+	for d := 0; d < 3 && d < p; d++ {
+		ids = append(ids, 3000+(r-d+p)%p)
+	}
+	seen := map[int]bool{}
+	var out []int
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// mixedVals are rounding-sensitive values for field f on rank r.
+func mixedVals(r, f, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		v[i] = math.Sin(float64(1+7*r+3*f+11*i)) * math.Pow(10, float64((r+i+f)%5-2))
+	}
+	return v
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestCombineFieldsMatchesCombinePerField(t *testing.T) {
+	const k = 3
+	for p := 2; p <= 8; p++ {
+		for _, op := range []Op{Sum, Min, Max} {
+			for _, pad := range []float64{0, 2.5} {
+				runWorld(t, p, func(c *mpi.Comm) {
+					r := c.Rank()
+					ids := mixedIDs(r, p)
+					g := New(c, ids, 3)
+					g.PadFactor = pad
+					if p > 3 && len(g.treeIdx) == 0 {
+						t.Errorf("p=%d rank %d: the corner id did not go through the tree", p, r)
+					}
+					many, one := make([][]float64, k), make([][]float64, k)
+					for f := range many {
+						many[f], one[f] = mixedVals(r, f, len(ids)), mixedVals(r, f, len(ids))
+					}
+					g.CombineFields(many, op)
+					for f := range one {
+						g.Combine(one[f], op)
+					}
+					for f := range many {
+						if !sameBits(many[f], one[f]) {
+							t.Errorf("p=%d op=%d pad=%g rank %d field %d: CombineFields %v, Combine %v", p, op, pad, r, f, many[f], one[f])
+						}
+					}
+					dots := make([]float64, k)
+					g.DotFields(dots, many, one)
+					for f := range many {
+						if d := g.Dot(many[f], one[f]); math.Float64bits(d) != math.Float64bits(dots[f]) {
+							t.Errorf("p=%d rank %d field %d: DotFields %v, Dot %v", p, r, f, dots[f], d)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
 func TestPadFactorKeepsValuesCorrect(t *testing.T) {
 	// Message padding inflates wire traffic but must not change the
 	// combined values.

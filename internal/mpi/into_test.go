@@ -183,6 +183,50 @@ func TestAllreduceIntoMatchesAllreduce(t *testing.T) {
 	}
 }
 
+// At a rank count that is not a power of two, AllreduceInto must be
+// Reduce onto rank 0 followed by Bcast from it, run in place: the same
+// values, and the same messages at the same virtual instants.
+func TestAllreduceIntoIsReduceThenBcast(t *testing.T) {
+	for _, p := range []int{3, 5, 6, 7, 12} {
+		for _, op := range []Op{Sum, Min, Max} {
+			label := fmt.Sprintf("p=%d op=%d", p, op)
+			data := func(r, round int) []float64 {
+				v := make([]float64, 3)
+				for i := range v {
+					v[i] = math.Sin(float64(1+r*7+i+round)) * math.Pow(10, float64((r+i)%4-1))
+				}
+				return v
+			}
+			got := make([][]float64, p)
+			into, intoCPU := runWorld(t, p, func(c *Comm) {
+				v := make([]float64, 3)
+				for round := 0; round < 3; round++ {
+					copy(v, data(c.Rank(), round))
+					c.AllreduceInto(v, v, op)
+					got[c.Rank()] = append(got[c.Rank()], v...)
+				}
+			})
+			want := make([][]float64, p)
+			ref, refCPU := runWorld(t, p, func(c *Comm) {
+				for round := 0; round < 3; round++ {
+					want[c.Rank()] = append(want[c.Rank()], c.Bcast(0, c.Reduce(0, data(c.Rank(), round), op))...)
+				}
+			})
+			for r := 0; r < p; r++ {
+				for i := range want[r] {
+					if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
+						t.Errorf("%s rank %d [%d]: AllreduceInto %v, Reduce+Bcast %v", label, r, i, got[r][i], want[r][i])
+					}
+				}
+				if math.Float64bits(into[r]) != math.Float64bits(ref[r]) || math.Float64bits(intoCPU[r]) != math.Float64bits(refCPU[r]) {
+					t.Errorf("%s rank %d: virtual wall/cpu %v/%v with AllreduceInto, %v/%v with Reduce+Bcast",
+						label, r, into[r], intoCPU[r], ref[r], refCPU[r])
+				}
+			}
+		}
+	}
+}
+
 // Reliable mode has no caller-owned path of its own: the Into forms
 // fall back to the framed protocol and copy, with the same results.
 func TestIntoFormsUnderReliability(t *testing.T) {

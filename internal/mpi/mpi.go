@@ -321,7 +321,8 @@ func (c *Comm) Allreduce(data []float64, op Op) []float64 {
 // AllreduceInto combines src across all ranks into dst on every rank;
 // the two must have equal length and may be the same slice. Power-of-two
 // sizes use recursive doubling; others fall back to Reduce + Bcast,
-// like MPICH.
+// like MPICH: the same binomial trees, tags and messages as those two
+// calls, run in dst and the communicator's scratch space.
 func (c *Comm) AllreduceInto(dst, src []float64, op Op) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("mpi: AllreduceInto needs equal lengths, got dst %d and src %d", len(dst), len(src)))
@@ -331,9 +332,9 @@ func (c *Comm) AllreduceInto(dst, src []float64, op Op) {
 	if p == 1 {
 		return
 	}
+	got := c.scratch(len(dst))
 	if p&(p-1) == 0 {
 		tag := c.nextTag()
-		got := c.scratch(len(dst))
 		for k := 1; k < p; k <<= 1 {
 			partner := r ^ k
 			c.SendrecvInto(partner, tag, dst, partner, tag, got)
@@ -341,7 +342,35 @@ func (c *Comm) AllreduceInto(dst, src []float64, op Op) {
 		}
 		return
 	}
-	copy(dst, c.Bcast(0, c.Reduce(0, dst, op)))
+	// Reduce onto rank 0: fold in each child's partial sum, then hand
+	// this subtree's to the parent.
+	tag := c.nextTag()
+	for mask := 1; mask < p; mask <<= 1 {
+		if r&mask != 0 {
+			c.Send(r&^mask, tag, dst)
+			break
+		}
+		if r|mask < p {
+			c.RecvInto(r|mask, tag, got)
+			op.apply(dst, got)
+		}
+	}
+	// Broadcast from rank 0: receive from the parent, forward to the
+	// children below that bit.
+	tag = c.nextTag()
+	mask := 1
+	for mask < p {
+		if r&mask != 0 {
+			c.RecvInto(r-mask, tag, dst)
+			break
+		}
+		mask <<= 1
+	}
+	for mask >>= 1; mask > 0; mask >>= 1 {
+		if r+mask < p {
+			c.Send(r+mask, tag, dst)
+		}
+	}
 }
 
 // scratch returns the communicator's work buffer cut to n floats;
