@@ -41,8 +41,8 @@ race-ckpt:
 
 # Force the host-parallel simnet scheduler (SchedAuto resolves to the
 # serial reference) and put every layer that runs rank goroutines —
-# the simulator itself, the MPI layer, all three solvers, faults, and
-# the supervisor — under the race detector.
+# the simulator itself, the MPI layer, all three solvers, the crash and
+# rank-stall faults, and the supervisor — under the race detector.
 race-simnet:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
 		./internal/simnet ./internal/mpi ./internal/fault \
@@ -82,13 +82,14 @@ race-spectral:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
 		./internal/spectral ./internal/fft
 
-# The checkpoint-record parser and the state codec inside it read bytes
-# from outside the program (restart files, farm journal entries); ten
-# seconds of native fuzzing each on top of the seed corpus plain
-# `go test` already runs.
+# The checkpoint-record parser, the state codec inside it and the farm
+# journal's replay read bytes from outside the program (restart files,
+# whatever a crash left in the journal); ten seconds of native fuzzing
+# each on top of the seed corpus plain `go test` already runs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 10s ./internal/engine
+	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 10s ./internal/farm
 
 # The gated benchmark at smoke sizes (under a second of measurement):
 # every workload runs, and the exit code is non-zero if an op fails or a

@@ -58,15 +58,11 @@ func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Sch
 	return diffRun{wall: wall, cpu: cpu, hashes: hashes, errStr: fmt.Sprint(runErr)}
 }
 
-// diffPlan builds the fault plan for the faulty half of the matrix:
-// link degradation, a NIC stall window, and a rank stall — faults the
-// raw-mode solver communicators survive (drops and crashes are covered
+// diffPlan builds the fault plan for the faulty half of the matrix: a
+// rank stall, which the solvers survive (crashes are covered
 // differentially at the primitive level in internal/simnet).
 func diffPlan(p int) *fault.Plan {
-	plan := fault.NewPlan(11).
-		DegradeLink(0, 1, 1e-3, 1e9, 2, 2.5).
-		StallNIC(0, 2e-3, 6e-3).
-		StallRank(p-1, 1e-3, 4e-3)
+	plan := fault.NewPlan(11).StallRank(p-1, 1e-3, 4e-3)
 	if err := plan.Err(); err != nil {
 		panic(err)
 	}

@@ -36,16 +36,13 @@ func TestSpectralBenchQuick(t *testing.T) {
 	}
 }
 
-// sendCounter is a simnet.Injector that injects nothing and counts the
-// eager messages each rank sends, each rank in its own slot.
+// sendCounter is a simnet.Injector and Dropper that injects nothing
+// and counts the inter-node eager messages each rank sends, each rank
+// in its own slot.
 type sendCounter struct{ sent []int64 }
 
 func (c *sendCounter) DropMessage(src, dst, n int, t float64) bool { c.sent[src]++; return false }
-func (c *sendCounter) LinkFactors(src, dst int, t float64) (float64, float64) {
-	return 1, 1
-}
-func (c *sendCounter) StallUntil(node int, t float64) float64 { return t }
-func (c *sendCounter) CrashTime(rank int) float64             { return math.Inf(1) }
+func (c *sendCounter) CrashTime(rank int) float64                  { return math.Inf(1) }
 
 // TestStepCostsMatchARecordedStep holds stepCosts, which the baseline
 // and its table print, to what a step of each solver does: the flops

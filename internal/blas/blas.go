@@ -168,43 +168,6 @@ func Dnrm2(n int, x []float64, incX int) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Dasum returns the sum of absolute values of x.
-func Dasum(n int, x []float64, incX int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	record(KernelDdot, n, n, 8*n)
-	var sum float64
-	for i := 0; i < n; i++ {
-		v := x[index(i, n, incX)]
-		if v < 0 {
-			v = -v
-		}
-		sum += v
-	}
-	return sum
-}
-
-// Idamax returns the index of the element of x with the largest
-// absolute value, or -1 if n <= 0.
-func Idamax(n int, x []float64, incX int) int {
-	if n <= 0 {
-		return -1
-	}
-	record(KernelDdot, n, 0, 8*n)
-	best, bestIdx := -1.0, -1
-	for i := 0; i < n; i++ {
-		v := x[index(i, n, incX)]
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best, bestIdx = v, i
-		}
-	}
-	return bestIdx
-}
-
 // Dvmul computes the element-wise (Hadamard) product z = x .* y.
 // It is not part of reference BLAS but is the workhorse of the
 // quadrature-space nonlinear terms (paper stage 2), so it is counted
@@ -225,26 +188,6 @@ func Dvmul(n int, x []float64, incX int, y []float64, incY int, z []float64, inc
 	}
 	for i := 0; i < n; i++ {
 		z[index(i, n, incZ)] = x[index(i, n, incX)] * y[index(i, n, incY)]
-	}
-}
-
-// Dvadd computes z = x + y element-wise.
-func Dvadd(n int, x []float64, incX int, y []float64, incY int, z []float64, incZ int) {
-	if n <= 0 {
-		return
-	}
-	record(KernelDaxpy, n, n, 24*n)
-	if incX == 1 && incY == 1 && incZ == 1 {
-		x = x[:n]
-		y = y[:n]
-		z = z[:n]
-		for i := range z {
-			z[i] = x[i] + y[i]
-		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		z[index(i, n, incZ)] = x[index(i, n, incX)] + y[index(i, n, incY)]
 	}
 }
 

@@ -157,32 +157,13 @@ func TestDnrm2OverflowSafe(t *testing.T) {
 	}
 }
 
-func TestDasum(t *testing.T) {
-	if got := Dasum(3, []float64{-1, 2, -3}, 1); got != 6 {
-		t.Fatalf("Dasum = %v, want 6", got)
-	}
-}
-
-func TestIdamax(t *testing.T) {
-	if got := Idamax(4, []float64{1, -7, 3, 5}, 1); got != 1 {
-		t.Fatalf("Idamax = %v, want 1", got)
-	}
-	if got := Idamax(0, nil, 1); got != -1 {
-		t.Fatalf("Idamax(0) = %v, want -1", got)
-	}
-}
-
-func TestDvmulDvadd(t *testing.T) {
+func TestDvmul(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}
 	z := make([]float64, 3)
 	Dvmul(3, x, 1, y, 1, z, 1)
 	if z[0] != 4 || z[1] != 10 || z[2] != 18 {
 		t.Fatalf("Dvmul = %v", z)
-	}
-	Dvadd(3, x, 1, y, 1, z, 1)
-	if z[0] != 5 || z[1] != 7 || z[2] != 9 {
-		t.Fatalf("Dvadd = %v", z)
 	}
 }
 
@@ -301,31 +282,6 @@ func TestDtrsvAllVariants(t *testing.T) {
 				if !almostEqual(b[i], xWant[i], 1e-9) {
 					t.Fatalf("ul=%v tr=%v: x[%d]=%v want %v", ul, tr, i, b[i], xWant[i])
 				}
-			}
-		}
-	}
-}
-
-func TestDsymv(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n := 9
-	full := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := rng.NormFloat64()
-			full[i*n+j] = v
-			full[j*n+i] = v
-		}
-	}
-	x := randVec(rng, n)
-	for _, ul := range []Uplo{Upper, Lower} {
-		y := make([]float64, n)
-		want := naiveGemv(NoTrans, n, n, 2.0, full, n, x, 0, y)
-		got := make([]float64, n)
-		Dsymv(ul, n, 2.0, full, n, x, 1, 0, got, 1)
-		for i := range want {
-			if !almostEqual(got[i], want[i], 1e-10) {
-				t.Fatalf("ul=%v: y[%d]=%v want %v", ul, i, got[i], want[i])
 			}
 		}
 	}

@@ -15,9 +15,9 @@ const (
 	// KernelDcopy covers pure data movement (dcopy, dswap, fill).
 	KernelDcopy Kernel = iota
 	// KernelDaxpy covers streaming multiply-add kernels
-	// (daxpy, dscal, element-wise multiply/add).
+	// (daxpy, dscal, element-wise multiply).
 	KernelDaxpy
-	// KernelDdot covers reduction kernels (ddot, dnrm2, dasum, idamax).
+	// KernelDdot covers reduction kernels (ddot, dnrm2).
 	KernelDdot
 	// KernelDgemv covers matrix-vector kernels (dgemv, dger, dtrsv,
 	// banded solves).

@@ -25,43 +25,40 @@ func stepsOf(t *testing.T, s Store) []int {
 	return steps
 }
 
-// KeepLast: 0 with a positive KeepEvery is a pure every-Nth policy: no
-// recent window survives, only the spaced history (which includes step
-// 0 — 0 is divisible by every N).
+// KeepLast: 0 is the zero policy: GC keeps every step.
 func TestRetentionKeepLastZero(t *testing.T) {
 	s := NewMemStore()
-	putSteps(t, s, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
-	removed, err := GC(s, Retention{KeepLast: 0, KeepEvery: 4})
+	putSteps(t, s, 0, 1, 2, 3, 4)
+	removed, err := GC(s, Retention{KeepLast: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(stepsOf(t, s)), "[0 4 8]"; got != want {
-		t.Fatalf("kept %s, want %s (removed %v)", got, want, removed)
+	if removed != nil {
+		t.Fatalf("zero policy removed %v", removed)
 	}
-	if len(removed) != 8 {
-		t.Fatalf("removed %v, want 8 steps", removed)
+	if got, want := fmt.Sprint(stepsOf(t, s)), "[0 1 2 3 4]"; got != want {
+		t.Fatalf("kept %s, want %s", got, want)
 	}
 }
 
-// KeepEvery larger than any step in the store degenerates to the
-// KeepLast window alone (plus step 0 when present, the only multiple).
-func TestRetentionEveryNthLargerThanStore(t *testing.T) {
+// A KeepLast window at least as large as the store removes nothing; one
+// step smaller removes exactly the oldest.
+func TestRetentionKeepLastLargerThanStore(t *testing.T) {
 	s := NewMemStore()
 	putSteps(t, s, 0, 3, 6, 9, 12)
-	if _, err := GC(s, Retention{KeepLast: 2, KeepEvery: 1000}); err != nil {
+	for _, keep := range []int{1000, 5} {
+		if removed, err := GC(s, Retention{KeepLast: keep}); err != nil || removed != nil {
+			t.Fatalf("KeepLast %d removed %v (err %v), want nothing", keep, removed, err)
+		}
+	}
+	removed, err := GC(s, Retention{KeepLast: 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprint(stepsOf(t, s)), "[0 9 12]"; got != want {
-		t.Fatalf("kept %s, want %s", got, want)
+	if fmt.Sprint(removed) != "[0]" {
+		t.Fatalf("KeepLast 4 removed %v, want [0]", removed)
 	}
-
-	// Without step 0 the giant modulus keeps nothing beyond the window.
-	s2 := NewMemStore()
-	putSteps(t, s2, 3, 6, 9, 12)
-	if _, err := GC(s2, Retention{KeepLast: 2, KeepEvery: 1000}); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := fmt.Sprint(stepsOf(t, s2)), "[9 12]"; got != want {
+	if got, want := fmt.Sprint(stepsOf(t, s)), "[3 6 9 12]"; got != want {
 		t.Fatalf("kept %s, want %s", got, want)
 	}
 }
@@ -98,7 +95,7 @@ func TestRetentionGCRacesWriter(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; i < steps/2; i++ {
-					if _, err := GC(s, Retention{KeepLast: 3, KeepEvery: 50}); err != nil {
+					if _, err := GC(s, Retention{KeepLast: 3}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -110,7 +107,7 @@ func TestRetentionGCRacesWriter(t *testing.T) {
 			}
 			// A final GC settles the survivors; the newest step must have
 			// survived every race and still verify.
-			if _, err := GC(s, Retention{KeepLast: 3, KeepEvery: 50}); err != nil {
+			if _, err := GC(s, Retention{KeepLast: 3}); err != nil {
 				t.Fatal(err)
 			}
 			step, states, err := Latest(s, 1)

@@ -28,7 +28,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 )
 
 // Record framing, all integers big-endian:
@@ -242,32 +241,13 @@ func LatestBelow(s Store, procs, below int) (int, [][]byte, error) {
 	return -1, nil, nil
 }
 
-// Retention is the GC policy: keep the newest KeepLast steps plus every
-// step divisible by KeepEvery. The zero value keeps everything.
+// Retention is the GC policy: keep the newest KeepLast steps. The zero
+// value keeps everything.
 type Retention struct {
-	KeepLast  int
-	KeepEvery int
+	KeepLast int
 }
 
-func (p Retention) zero() bool { return p.KeepLast == 0 && p.KeepEvery == 0 }
-
-// keep decides whether step survives GC given the store's sorted step
-// list.
-func (p Retention) keep(step int, steps []int) bool {
-	if p.zero() {
-		return true
-	}
-	if p.KeepEvery > 0 && step%p.KeepEvery == 0 {
-		return true
-	}
-	if p.KeepLast > 0 {
-		idx := sort.SearchInts(steps, step)
-		if len(steps)-idx <= p.KeepLast {
-			return true
-		}
-	}
-	return false
-}
+func (p Retention) zero() bool { return p.KeepLast <= 0 }
 
 // GC applies the retention policy, returning the steps removed.
 func GC(s Store, pol Retention) ([]int, error) {
@@ -279,10 +259,7 @@ func GC(s Store, pol Retention) ([]int, error) {
 		return nil, err
 	}
 	var removed []int
-	for _, step := range steps {
-		if pol.keep(step, steps) {
-			continue
-		}
+	for _, step := range steps[:max(0, len(steps)-pol.KeepLast)] {
 		if err := s.Delete(step); err != nil {
 			return removed, err
 		}

@@ -298,16 +298,15 @@ func TestRetentionGC(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			removed, err := GC(s, Retention{KeepLast: 2, KeepEvery: 30})
+			removed, err := GC(s, Retention{KeepLast: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Kept: 30/60/90 (every 30th) + 90/100 (last two).
-			if fmt.Sprint(removed) != "[10 20 40 50 70 80]" {
+			if fmt.Sprint(removed) != "[10 20 30 40 50 60 70 80]" {
 				t.Fatalf("removed %v", removed)
 			}
 			steps, _ := s.Steps()
-			if fmt.Sprint(steps) != "[30 60 90 100]" {
+			if fmt.Sprint(steps) != "[90 100]" {
 				t.Fatalf("kept %v", steps)
 			}
 			// The zero policy is keep-everything.

@@ -37,9 +37,7 @@ import (
 //	               (mtbf_s/delta_s/interval for cadence, exposed or
 //	               cost ratios for writer selection)
 //	escalate       the adaptive watchdog ladder took its next recovery
-//	               rung: to is the action ("retry-dt", "rollback",
-//	               "convict"), dt_scale the time-step reduction in
-//	               force after the decision
+//	               rung: to is the action ("rollback" or "convict")
 //
 // The spectral solvers (internal/spectral) add two online-diagnostic
 // events, emitted by rank 0 at the solver's DiagEvery cadence:
@@ -96,7 +94,6 @@ type Event struct {
 	MTBFS    float64 `json:"mtbf_s,omitempty"`
 	DeltaS   float64 `json:"delta_s,omitempty"`
 	Interval int     `json:"interval,omitempty"`
-	DtScale  float64 `json:"dt_scale,omitempty"`
 
 	// Spectral-diagnostic fields (spectrum/dissipation,
 	// internal/spectral). Bins is the shell-summed energy spectrum.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 )
@@ -31,7 +32,7 @@ func Handler(f *Farm) http.Handler {
 		// otherwise grow a journal entry toward the WAL's record limit.
 		r.Body = http.MaxBytesReader(w, r.Body, maxJobBody)
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+		if err := decodeSpec(r.Body, &spec); err != nil {
 			code := http.StatusBadRequest
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
@@ -93,6 +94,25 @@ func Handler(f *Farm) http.Handler {
 		})
 	}
 	return mux
+}
+
+// decodeSpec reads exactly one JobSpec from body: a field JobSpec does
+// not have (a misspelt "stepz" would otherwise run the default step
+// count) or anything after the object is an error naming it.
+func decodeSpec(body io.Reader, spec *JobSpec) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(spec); err != nil {
+		return err
+	}
+	switch err := dec.Decode(new(json.RawMessage)); err {
+	case io.EOF:
+		return nil
+	case nil:
+		return errors.New("trailing data after the job spec")
+	default:
+		return fmt.Errorf("trailing data after the job spec: %w", err)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

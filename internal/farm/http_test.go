@@ -196,3 +196,39 @@ func TestHTTPSubmitBodyTooLarge(t *testing.T) {
 		t.Fatalf("bounded spec rejected: %d %+v", resp2.StatusCode, st)
 	}
 }
+
+// A submission is exactly one JobSpec: an unknown field (a misspelt
+// "stepz" would silently run the default step count) or a second value
+// after the object is a 400 that names the problem, and nothing is
+// queued.
+func TestHTTPSubmitRejectsUnknownFieldsAndTrailingData(t *testing.T) {
+	f, srv := httpFarm(t, Config{Workers: 0})
+	for _, tc := range []struct{ body, want string }{
+		{`{"workload":"spin","stepz":500}`, `unknown field "stepz"`},
+		{`{"workload":"spin","steps":5}{"workload":"spin","steps":6}`, "trailing data"},
+		{`{"workload":"spin","steps":5} x`, "trailing data"},
+	} {
+		resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, tc.want) {
+			t.Errorf("%s: %d %q, want 400 naming %q", tc.body, resp.StatusCode, e.Error, tc.want)
+		}
+	}
+	if st := f.Snapshot(); st.Queued != 0 {
+		t.Errorf("rejected bodies queued %d jobs", st.Queued)
+	}
+	// Trailing whitespace is not data.
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"workload":"spin","steps":5}`+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Errorf("spec with a trailing newline got %d, want 201", resp.StatusCode)
+	}
+}

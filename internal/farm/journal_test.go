@@ -1,11 +1,13 @@
 package farm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -200,4 +202,96 @@ func TestJournalRejectsOversizedEntry(t *testing.T) {
 	if len(replayed) != 2 || replayed[0].Job != "j1" || replayed[1].Job != "j3" {
 		t.Fatalf("replayed %+v, want j1 and j3", replayed)
 	}
+}
+
+// FuzzOpenJournal: the journal is read back from whatever a crash (or a
+// damaged disk) left in the file. Whatever the bytes, OpenJournal must
+// not panic or fail; it leaves the file truncated to a prefix of them
+// that ends at a record boundary, a reopen replays the same entries,
+// and an Append after the reopen is replayed by the next open. Plain
+// `go test` runs the seeds only (`make fuzz-smoke` fuzzes).
+func FuzzOpenJournal(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "wal.nkj")
+	j, _, err := OpenJournal(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := j.Append(
+		&Entry{Job: "j1", Ev: EvSubmitted, Spec: &JobSpec{Workload: "spin", Steps: 10, Seed: 7}},
+		&Entry{Job: "j1", Ev: EvRunning, Attempt: 1, Worker: 2},
+		&Entry{Job: "j1", Ev: EvDone, Step: 10, Result: &Result{Hash: "abc", Steps: 10}},
+	); err != nil {
+		f.Fatal(err)
+	}
+	j.Close()
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(whole)
+	for _, cut := range []int{0, 2, 4, 9, len(whole) / 3, len(whole) / 2, len(whole) - 5, len(whole) - 1} {
+		f.Add(whole[:cut])
+	}
+	flipped := bytes.Clone(whole)
+	flipped[len(flipped)-1] ^= 0x5a // the last record's CRC trailer
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "wal.nkj")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, entries, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("OpenJournal: %v", err)
+		}
+		j.Close()
+		kept, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, kept) {
+			t.Fatalf("journal of %d bytes rewritten, not truncated, to %d", len(data), len(kept))
+		}
+		off := 0
+		for range entries {
+			if len(kept)-off < 4 {
+				t.Fatalf("%d entries replayed from %d bytes", len(entries), len(kept))
+			}
+			off += 4 + int(binary.BigEndian.Uint32(kept[off:]))
+		}
+		if off != len(kept) {
+			t.Fatalf("truncated to %d bytes, but its %d records end at byte %d", len(kept), len(entries), off)
+		}
+
+		j, again, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopen: %v", err)
+		}
+		if !sameEntries(again, entries) {
+			t.Fatalf("reopen replayed %+v, first open %+v", again, entries)
+		}
+		if err := j.Append(&Entry{Job: "fz", Ev: EvCancelled}); err != nil {
+			t.Fatalf("Append after reopen: %v", err)
+		}
+		j.Close()
+
+		j, third, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("open after Append: %v", err)
+		}
+		j.Close()
+		n := len(entries)
+		if len(third) != n+1 || !sameEntries(third[:n], entries) || third[n].Job != "fz" || third[n].Ev != EvCancelled {
+			t.Fatalf("after Append replayed %+v, want %+v then the appended entry", third, entries)
+		}
+		if n > 0 && third[n].Seq != entries[n-1].Seq+1 {
+			t.Fatalf("appended seq %d after %d", third[n].Seq, entries[n-1].Seq)
+		}
+	})
+}
+
+// sameEntries compares replays, an empty one equal to a nil one.
+func sameEntries(a, b []Entry) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
 }

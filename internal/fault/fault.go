@@ -1,17 +1,16 @@
 // Package fault builds deterministic fault-injection plans for the
-// simulated cluster. A Plan is a reproducible schedule of message
-// drops, link degradation windows, transient NIC stalls, and
-// whole-node crashes, derived from a seed plus explicit events. It
-// implements simnet.Injector structurally (this package does not
-// import simnet, so the simulator carries no dependency on it).
+// simulated cluster: the failures the paper's PC cluster could suffer
+// beneath a reliable TCP transport. A Plan schedules whole-node crashes
+// (at a fixed time or sampled from an MTBF), rank freezes that a
+// heartbeat detector must tell from a crash, and torn or bit-flipped
+// checkpoint records. It implements simnet.Injector, simnet.RankStaller
+// and simnet.PlanValidator structurally, and ckpt's record corrupter
+// (this package imports neither, so they carry no dependency on it).
 //
-// Determinism guarantee: every decision a Plan makes is a pure
-// function of (seed, event arguments). In particular, the drop
-// decision for the n-th message on a directed rank pair hashes
-// (seed, src, dst, n) — not any global message counter — so it is
-// independent of how concurrent ranks interleave. Two runs of the
-// same program under the same Plan produce identical virtual-time
-// traces and identical drop/retransmission counts.
+// Determinism guarantee: a Plan is fixed before the run starts —
+// sampled crash times are drawn from the seeded generator at build
+// time — so two runs of the same program under the same Plan produce
+// identical virtual-time traces.
 package fault
 
 import (
@@ -27,34 +26,18 @@ import (
 // Plans must be fully built before the run starts — the injector
 // methods are read-only during simulation.
 type Plan struct {
-	seed     int64
-	dropProb float64
+	seed int64
 
 	crashes    map[int]float64 // rank -> virtual crash time
-	degrades   []degradeWindow
-	stalls     []stallWindow
 	rankStalls []rankStall
 	corrupts   []recordCorrupt
 
 	rng *rand.Rand // for sampled (MTBF-style) events at build time
 
-	drops int // messages dropped so far (diagnostics)
-
 	// err records the first invalid builder call so the chaining API
 	// stays ergonomic; Err surfaces it and simnet's install-time
 	// ValidatePlan check rejects the run.
 	err error
-}
-
-type degradeWindow struct {
-	src, dst      int // -1 = any rank
-	from, to      float64
-	latMul, bwDiv float64
-}
-
-type stallWindow struct {
-	node     int
-	from, to float64
 }
 
 type rankStall struct {
@@ -77,8 +60,8 @@ type recordCorrupt struct {
 	bit        int     // bit flips
 }
 
-// NewPlan returns an empty plan whose sampled events (CrashRandom) and
-// drop decisions derive from seed.
+// NewPlan returns an empty plan whose sampled events (CrashRandom)
+// derive from seed.
 func NewPlan(seed int64) *Plan {
 	return &Plan{
 		seed:    seed,
@@ -99,17 +82,6 @@ func (p *Plan) setErr(format string, args ...any) {
 // the plan is installed, so a bad plan fails the run up front instead
 // of silently injecting nothing.
 func (p *Plan) Err() error { return p.err }
-
-// WithDrops sets the independent per-message drop probability for
-// inter-node eager messages. Returns the plan for chaining.
-func (p *Plan) WithDrops(prob float64) *Plan {
-	if prob < 0 || prob > 1 || math.IsNaN(prob) {
-		p.setErr("fault: drop probability %g outside [0, 1]", prob)
-		return p
-	}
-	p.dropProb = prob
-	return p
-}
 
 // Crash schedules rank to die at virtual time t (seconds). A second
 // call for the same rank keeps the earlier time.
@@ -140,42 +112,6 @@ func (p *Plan) CrashRandom(rank int, mtbf float64) float64 {
 	t := p.rng.ExpFloat64() * mtbf
 	p.Crash(rank, t)
 	return t
-}
-
-// DegradeLink multiplies the latency by latMul and divides the
-// bandwidth by bwDiv on the directed link src->dst during [from, to).
-// Either endpoint may be -1 to match any rank. Overlapping windows
-// compound multiplicatively.
-func (p *Plan) DegradeLink(src, dst int, from, to, latMul, bwDiv float64) *Plan {
-	if src < -1 || dst < -1 {
-		p.setErr("fault: degrade window on invalid link %d->%d", src, dst)
-		return p
-	}
-	if !(from >= 0) || !(to > from) {
-		p.setErr("fault: degrade window [%g, %g) is not a forward time interval", from, to)
-		return p
-	}
-	if latMul < 1 || bwDiv < 1 || math.IsNaN(latMul) || math.IsNaN(bwDiv) {
-		p.setErr("fault: degrade factors lat×%g bw÷%g must be >= 1", latMul, bwDiv)
-		return p
-	}
-	p.degrades = append(p.degrades, degradeWindow{src, dst, from, to, latMul, bwDiv})
-	return p
-}
-
-// StallNIC freezes the NIC of the given SMP node during [from, to):
-// no transfer may begin on it before to.
-func (p *Plan) StallNIC(node int, from, to float64) *Plan {
-	if node < 0 {
-		p.setErr("fault: NIC stall on negative node %d", node)
-		return p
-	}
-	if !(from >= 0) || !(to > from) {
-		p.setErr("fault: NIC stall window [%g, %g) is not a forward time interval", from, to)
-		return p
-	}
-	p.stalls = append(p.stalls, stallWindow{node, from, to})
-	return p
 }
 
 // StallRank freezes the whole process of a rank at virtual time at for
@@ -291,16 +227,6 @@ func (p *Plan) Validate(ranks int, horizon float64) error {
 			return err
 		}
 	}
-	for _, s := range p.stalls {
-		if s.node >= ranks {
-			return fmt.Errorf("fault: NIC stall on node %d out of range for a %d-node run", s.node, ranks)
-		}
-	}
-	for _, d := range p.degrades {
-		if d.src >= ranks || d.dst >= ranks {
-			return fmt.Errorf("fault: degrade window on link %d->%d out of range for a %d-rank run", d.src, d.dst, ranks)
-		}
-	}
 	for _, c := range p.corrupts {
 		if c.rank >= ranks {
 			return fmt.Errorf("fault: record corruption on rank %d out of range for a %d-rank run", c.rank, ranks)
@@ -314,21 +240,10 @@ func (p *Plan) Validate(ranks int, horizon float64) error {
 // count before the first event fires.
 func (p *Plan) ValidatePlan(ranks int) error { return p.Validate(ranks, 0) }
 
-// Drops returns the number of messages dropped so far.
-func (p *Plan) Drops() int { return p.drops }
-
-// Reset clears the run-time drop counter so the same plan can be
-// reused for a repeat run (e.g. a determinism check). The schedule
-// itself is immutable.
-func (p *Plan) Reset() { p.drops = 0 }
-
 // String summarizes the schedule for logs and reports.
 func (p *Plan) String() string {
 	var parts []string
 	parts = append(parts, fmt.Sprintf("seed=%d", p.seed))
-	if p.dropProb > 0 {
-		parts = append(parts, fmt.Sprintf("drop=%.3g", p.dropProb))
-	}
 	if len(p.crashes) > 0 {
 		ranks := make([]int, 0, len(p.crashes))
 		for r := range p.crashes {
@@ -338,13 +253,6 @@ func (p *Plan) String() string {
 		for _, r := range ranks {
 			parts = append(parts, fmt.Sprintf("crash(rank=%d,t=%.4gs)", r, p.crashes[r]))
 		}
-	}
-	for _, d := range p.degrades {
-		parts = append(parts, fmt.Sprintf("degrade(%d->%d,[%.4g,%.4g)s,lat×%.3g,bw÷%.3g)",
-			d.src, d.dst, d.from, d.to, d.latMul, d.bwDiv))
-	}
-	for _, s := range p.stalls {
-		parts = append(parts, fmt.Sprintf("stall(node=%d,[%.4g,%.4g)s)", s.node, s.from, s.to))
 	}
 	for _, s := range p.rankStalls {
 		parts = append(parts, fmt.Sprintf("freeze(rank=%d,t=%.4gs,dur=%.4gs)", s.rank, s.at, s.dur))
@@ -361,53 +269,6 @@ func (p *Plan) String() string {
 		parts = append(parts, fmt.Sprintf("INVALID: %v", p.err))
 	}
 	return "fault.Plan{" + strings.Join(parts, ", ") + "}"
-}
-
-// DropMessage implements the simnet.Injector drop decision: the n-th
-// inter-node eager message on the directed pair src->dst at virtual
-// time t is lost with probability dropProb, decided by hashing
-// (seed, src, dst, n).
-func (p *Plan) DropMessage(src, dst, n int, t float64) bool {
-	if p.dropProb <= 0 {
-		return false
-	}
-	if hash01(p.seed, src, dst, n) < p.dropProb {
-		p.drops++
-		return true
-	}
-	return false
-}
-
-// LinkFactors implements simnet.Injector: the product of all
-// degradation windows covering (src, dst, t).
-func (p *Plan) LinkFactors(src, dst int, t float64) (latMul, bwDiv float64) {
-	latMul, bwDiv = 1, 1
-	for _, d := range p.degrades {
-		if t < d.from || t >= d.to {
-			continue
-		}
-		if d.src != -1 && d.src != src {
-			continue
-		}
-		if d.dst != -1 && d.dst != dst {
-			continue
-		}
-		latMul *= d.latMul
-		bwDiv *= d.bwDiv
-	}
-	return latMul, bwDiv
-}
-
-// StallUntil implements simnet.Injector: the latest stall-window end
-// covering (node, t), or 0 when none does.
-func (p *Plan) StallUntil(node int, t float64) float64 {
-	var until float64
-	for _, s := range p.stalls {
-		if s.node == node && t >= s.from && t < s.to && s.to > until {
-			until = s.to
-		}
-	}
-	return until
 }
 
 // CrashTime implements simnet.Injector: the scheduled crash time for
@@ -429,18 +290,4 @@ func (p *Plan) RankStall(rank int) (start, dur float64) {
 		}
 	}
 	return start, dur
-}
-
-// hash01 maps (seed, src, dst, n) to a uniform float64 in [0, 1) with
-// a splitmix64-style finalizer. Pure and order-independent by
-// construction.
-func hash01(seed int64, src, dst, n int) float64 {
-	x := uint64(seed)
-	x ^= uint64(src)*0x9e3779b97f4a7c15 + uint64(dst)*0xbf58476d1ce4e5b9 + uint64(n)*0x94d049bb133111eb
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }

@@ -275,40 +275,6 @@ func SolveDense(n int, a []float64, b []float64) error {
 	return nil
 }
 
-// Dpttrf factors a symmetric positive definite tridiagonal matrix
-// given its diagonal d and sub-diagonal e (lengths n and n-1) into
-// L*D*L^T, in place.
-func Dpttrf(d, e []float64) error {
-	n := len(d)
-	for i := 0; i < n-1; i++ {
-		if d[i] <= 0 {
-			return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, i, d[i])
-		}
-		ei := e[i]
-		e[i] = ei / d[i]
-		d[i+1] -= e[i] * ei
-	}
-	if n > 0 && d[n-1] <= 0 {
-		return fmt.Errorf("%w (pivot %d = %g)", ErrNotPositiveDefinite, n-1, d[n-1])
-	}
-	return nil
-}
-
-// Dpttrs solves the tridiagonal system using factors from Dpttrf,
-// overwriting b.
-func Dpttrs(d, e, b []float64) {
-	n := len(d)
-	for i := 1; i < n; i++ {
-		b[i] -= e[i-1] * b[i-1]
-	}
-	for i := range b {
-		b[i] /= d[i]
-	}
-	for i := n - 2; i >= 0; i-- {
-		b[i] -= e[i] * b[i+1]
-	}
-}
-
 // Inverse computes the inverse of the n-by-n row-major matrix a,
 // returning a freshly allocated matrix; a is destroyed.
 func Inverse(n int, a []float64) ([]float64, error) {

@@ -229,40 +229,6 @@ func TestDgetrfSingular(t *testing.T) {
 	}
 }
 
-func TestDpttrfDpttrs(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 40
-	d := make([]float64, n)
-	e := make([]float64, n-1)
-	for i := range d {
-		d[i] = 4 + rng.Float64()
-	}
-	for i := range e {
-		e[i] = rng.NormFloat64() * 0.5
-	}
-	// Dense equivalent.
-	dense := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		dense[i*n+i] = d[i]
-		if i+1 < n {
-			dense[i*n+i+1] = e[i]
-			dense[(i+1)*n+i] = e[i]
-		}
-	}
-	xWant := make([]float64, n)
-	for i := range xWant {
-		xWant[i] = rng.NormFloat64()
-	}
-	b := matVec(n, dense, xWant)
-	if err := Dpttrf(d, e); err != nil {
-		t.Fatal(err)
-	}
-	Dpttrs(d, e, b)
-	if diff := maxAbsDiff(b, xWant); diff > 1e-9 {
-		t.Fatalf("error %g", diff)
-	}
-}
-
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := 12

@@ -226,33 +226,3 @@ func TestAllreduceIntoIsReduceThenBcast(t *testing.T) {
 		}
 	}
 }
-
-// Reliable mode has no caller-owned path of its own: the Into forms
-// fall back to the framed protocol and copy, with the same results.
-func TestIntoFormsUnderReliability(t *testing.T) {
-	for _, p := range []int{2, 5, 8} {
-		runWorld(t, p, func(c *Comm) {
-			c.SetReliability(DefaultReliability())
-			r := c.Rank()
-			send := sendBlocks(r, p, true)
-			recv := make([][]float64, p)
-			for src := range recv {
-				recv[src] = make([]float64, blockLen(src, r, true))
-			}
-			c.AlltoallInto(send, recv, AlgPairwise)
-			if err := sameBlocks(recv, c.Alltoall(send, AlgPairwise)); err != nil {
-				t.Errorf("p=%d rank %d: reliable AlltoallInto: %v", p, r, err)
-			}
-			v := []float64{float64(r + 1)}
-			c.AllreduceInto(v, v, Sum)
-			if want := float64(p*(p+1)) / 2; v[0] != want {
-				t.Errorf("p=%d rank %d: reliable AllreduceInto = %v, want %v", p, r, v[0], want)
-			}
-			next, prev := (r+1)%p, (r+p-1)%p
-			got := make([]float64, 2)
-			if k := c.SendrecvInto(next, 3, []float64{float64(r)}, prev, 3, got); k != 1 || got[0] != float64(prev) {
-				t.Errorf("p=%d rank %d: reliable SendrecvInto = %d floats %v", p, r, k, got)
-			}
-		})
-	}
-}

@@ -35,17 +35,10 @@ type Comm struct {
 	// vector, Bruck's staging blocks); collectives never nest, so one
 	// buffer serves them all.
 	work []float64
-
-	// Reliable-delivery state (see reliable.go); nil rel = raw mode.
-	rel         *Reliability
-	sendSeq     map[pairTag]int
-	recvSeq     map[pairTag]int
-	retransmits int
 }
 
 // Tag spaces: user tags occupy [0, collTagBase), collective tags
-// [collTagBase, collTagMax), and acknowledgment tags (reliable mode)
-// live at tag+ackTagBase in [1<<28, 1<<28+collTagMax).
+// [collTagBase, collTagMax).
 const (
 	// collTagBase separates collective traffic from user tags.
 	collTagBase = 1 << 24
@@ -103,20 +96,18 @@ func (c *Comm) CPUTime() float64 { return c.node.CPUTime() }
 // Compute accounts dt seconds of local computation.
 func (c *Comm) Compute(dt float64) { c.node.Compute(dt) }
 
-// Send performs a blocking standard-mode send. In reliable mode the
-// payload is acknowledged and retransmitted as needed; an exhausted
-// retry budget fails the run (use SendErr to handle it instead).
-func (c *Comm) Send(dst, tag int, data []float64) {
-	if err := c.SendErr(dst, tag, data); err != nil {
-		panic(err)
-	}
-}
+// Sleep advances the rank's virtual wall clock by dt seconds without
+// consuming CPU — blocking I/O such as writing a checkpoint.
+func (c *Comm) Sleep(dt float64) { c.node.Sleep(dt) }
+
+// Send performs a blocking standard-mode send.
+func (c *Comm) Send(dst, tag int, data []float64) { c.node.Send(dst, tag, data) }
 
 // Recv performs a blocking receive. Use AnySource / AnyTag for
-// wildcards. In reliable mode a crashed peer fails the run (use
-// RecvErr to handle it instead).
+// wildcards. A concrete src that has crashed fails the run with the
+// crashed-peer error instead of blocking into a simulator deadlock.
 func (c *Comm) Recv(src, tag int) []float64 {
-	data, err := c.RecvErr(src, tag)
+	data, err := c.node.RecvErr(src, tag)
 	if err != nil {
 		panic(err)
 	}
@@ -126,23 +117,11 @@ func (c *Comm) Recv(src, tag int) []float64 {
 // RecvInto is Recv into a buffer the caller owns, returning the payload
 // length; dst must be at least that long.
 func (c *Comm) RecvInto(src, tag int, dst []float64) int {
-	if c.rel == nil || src == c.Rank() || src == AnySource {
-		k, err := c.node.RecvIntoErr(src, tag, dst)
-		if err != nil {
-			panic(err)
-		}
-		return k
+	k, err := c.node.RecvIntoErr(src, tag, dst)
+	if err != nil {
+		panic(err)
 	}
-	return copyInto(dst, c.Recv(src, tag))
-}
-
-// copyInto is the reliable-mode fallback of the Into forms: the framed
-// protocol hands over a slice, which is copied to the caller's buffer.
-func copyInto(dst, got []float64) int {
-	if len(got) > len(dst) {
-		panic(fmt.Sprintf("mpi: %d-float payload does not fit the %d-float receive buffer", len(got), len(dst)))
-	}
-	return copy(dst, got)
+	return k
 }
 
 // Isend starts a nonblocking send; pass the request to Wait.
@@ -161,8 +140,7 @@ func (c *Comm) SetPhantomFactor(f float64) { c.node.SetPhantomFactor(f) }
 // and returns the received payload as fresh memory. The send is posted
 // nonblocking before the receive, so symmetric exchanges overlap both
 // directions (as MPI_Sendrecv does) and rendezvous transfers cannot
-// deadlock. In reliable mode both directions are acknowledged (see
-// sendrecvReliable).
+// deadlock.
 func (c *Comm) Sendrecv(dst, sendTag int, data []float64, src, recvTag int) []float64 {
 	return c.sendrecv(dst, sendTag, data, src, recvTag, nil)
 }
@@ -180,16 +158,6 @@ func (c *Comm) SendrecvInto(dst, sendTag int, data []float64, src, recvTag int, 
 // sendrecv is the one exchange: a nil recv asks for the payload as
 // fresh memory, anything else is filled and returned cut to length.
 func (c *Comm) sendrecv(dst, sendTag int, data []float64, src, recvTag int, recv []float64) []float64 {
-	if c.rel != nil && dst != c.Rank() && src != c.Rank() && src != AnySource {
-		out, err := c.sendrecvReliable(dst, sendTag, data, src, recvTag)
-		if err != nil {
-			panic(err)
-		}
-		if recv == nil {
-			return out
-		}
-		return recv[:copyInto(recv, out)]
-	}
 	req := c.node.Isend(dst, sendTag, data)
 	if recv == nil {
 		recv = c.node.Recv(src, recvTag)
@@ -201,15 +169,12 @@ func (c *Comm) sendrecv(dst, sendTag int, data []float64, src, recvTag int, recv
 }
 
 // nextTag returns a fresh collective tag in [collTagBase, collTagMax).
-// The sequence wraps before spilling past collTagMax into the
-// acknowledgment tag space. The wrap is safe: collectives are issued
-// in the same order on every rank with at most one in flight per
-// communicator, and each consumes all of its messages before
-// returning, so a reused tag can never match live traffic. (Reliable
-// mode can leave stale *duplicates* in flight, but their sequence
-// numbers are per (peer, tag) and monotone, so a reused tag discards
-// them as duplicates.) The Size()+1 margin keeps Bruck's tag+k round
-// offsets inside the bound.
+// The sequence wraps before spilling past collTagMax. The wrap is safe:
+// collectives are called in the same order on every rank with at most
+// one in flight per communicator, and each consumes all of its
+// messages before returning, so a reused tag can never match live
+// traffic. The Size()+1 margin keeps Bruck's tag+k round offsets
+// inside the bound.
 func (c *Comm) nextTag() int {
 	if collTagBase+c.seq+c.Size()+1 >= collTagMax {
 		c.seq = 0
@@ -219,12 +184,8 @@ func (c *Comm) nextTag() int {
 }
 
 // Barrier blocks until all ranks reach it (dissemination algorithm).
-// Each round is a Sendrecv, not Send-then-Recv: the dissemination
-// pattern is a ring, and in reliable mode a blocking acknowledged send
-// around a cycle would deadlock (every rank waiting for an ack only
-// its successor's receive can generate). Sendrecv makes progress on
-// both directions at once; tree-shaped collectives (Bcast, Reduce,
-// Gather) have no cycles and keep their plain sends.
+// Each round is a Sendrecv: the dissemination pattern is a ring, and
+// posting the send before the receive moves both directions at once.
 func (c *Comm) Barrier() {
 	p, r := c.Size(), c.Rank()
 	tag := c.nextTag()
@@ -514,7 +475,10 @@ func fill(recv [][]float64, i int, block []float64) {
 		recv[i] = append([]float64(nil), block...)
 		return
 	}
-	copyInto(recv[i], block)
+	if len(block) > len(recv[i]) {
+		panic(fmt.Sprintf("mpi: %d-float payload does not fit the %d-float receive buffer", len(block), len(recv[i])))
+	}
+	copy(recv[i], block)
 }
 
 // alltoallBruck implements the Bruck (1997) store-and-forward

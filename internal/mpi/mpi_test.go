@@ -1,11 +1,15 @@
 package mpi
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"nektar/internal/fault"
 	"nektar/internal/simnet"
 )
 
@@ -436,5 +440,62 @@ func TestSubWorldValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Recv from a crashed peer fails with the crashed-peer error, not a
+// deadlock: the supervisor's rank bodies rely on the panic to unwind.
+func TestRecvFromCrashedPeerFails(t *testing.T) {
+	plan := fault.NewPlan(0).Crash(1, 1e-5)
+	var recvErr error
+	_, _, err := simnet.RunWithFaults(2, testModel(), plan, func(n *simnet.Node) {
+		c := World(n)
+		if c.Rank() != 0 {
+			c.Compute(1) // dies before sending anything
+			return
+		}
+		defer func() {
+			if e, ok := recover().(error); ok {
+				recvErr = e
+			}
+		}()
+		c.Recv(1, 3)
+	})
+	var ce *simnet.CrashError
+	if !errors.As(err, &ce) {
+		t.Fatalf("want *CrashError from run, got %v", err)
+	}
+	if recvErr == nil || !strings.Contains(recvErr.Error(), "crashed") {
+		t.Fatalf("Recv panicked with %v, want the crashed-peer error", recvErr)
+	}
+}
+
+// Collective tags stay in [collTagBase, collTagMax): the sequence
+// wraps before Bruck's tag+k round offsets could spill past the bound,
+// and a wrapped tag still carries traffic.
+func TestNextTagStaysInCollectiveSpace(t *testing.T) {
+	var sawWrap bool
+	_, _, err := simnet.Run(2, testModel(), func(n *simnet.Node) {
+		c := World(n)
+		c.seq = collTagMax - collTagBase - 12 // a few tags under the bound
+		prev := 0
+		for i := 0; i < 20; i++ {
+			tag := c.nextTag()
+			if tag < collTagBase || tag+c.Size() >= collTagMax {
+				panic(fmt.Sprintf("collective tag %d outside [%d, %d)", tag, collTagBase, collTagMax))
+			}
+			if i > 0 && tag <= prev {
+				sawWrap = true
+			}
+			prev = tag
+			partner := 1 - c.Rank()
+			c.Sendrecv(partner, tag, []float64{float64(i)}, partner, tag)
+		}
+	})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if !sawWrap {
+		t.Fatal("sequence never wrapped; bound guard untested")
 	}
 }

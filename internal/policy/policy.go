@@ -20,9 +20,8 @@
 //     simulated cluster — the supervisor's writer starts with
 //     node-local files; the selector prices one striped write and
 //     switches the writer's mode when the fabric makes it affordable.
-//   - Ladder (ladder.go): the watchdog escalation ladder — retry with
-//     reduced dt, roll back deeper, convict and re-home — with
-//     per-rung budgets.
+//   - Ladder (ladder.go): the watchdog escalation ladder — roll back
+//     deeper once, then convict and re-home.
 //
 // The layer is on or off: a supervised run with a Config runs every
 // component live, one without runs none. Every decision is emitted as
@@ -81,15 +80,11 @@ const (
 	// genuinely low-latency fabrics).
 	maxStripePenalty = 2.0
 
-	// retryBudget is the escalation ladder's first rung: how many
-	// watchdog trips are answered with a dt-reduced retry before
-	// escalating. rollbackBudget is the second: how many are answered
-	// by rolling back one commit deeper. Past both the ladder convicts
-	// the tripping rank and re-homes it onto a spare.
-	retryBudget    = 2
+	// rollbackBudget is the escalation ladder's first rung: how many
+	// watchdog trips are answered by rolling back one commit deeper.
+	// Past it the ladder convicts the tripping rank and re-homes it
+	// onto a spare.
 	rollbackBudget = 1
-	// dtFactor is the time-step reduction applied per first-rung retry.
-	dtFactor = 0.5
 )
 
 // WithDefaults resolves zero fields to their defaults.

@@ -142,13 +142,10 @@ func TestCadenceAdopt(t *testing.T) {
 func TestLadderEscalates(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewLadder(Config{Trace: engine.NewTracer(&buf)})
-	wantActions := []Action{ActionRetryDt, ActionRetryDt, ActionRollback, ActionConvict, ActionConvict}
-	wantScales := []float64{0.5, 0.25, 0.25, 0.25, 0.25}
+	wantActions := []Action{ActionRollback, ActionConvict, ActionConvict}
 	for i, want := range wantActions {
-		d := l.Decide(i, 3, 100+i)
-		if d.Action != want || math.Abs(d.DtScale-wantScales[i]) > 1e-12 {
-			t.Fatalf("trip %d: decision %v scale %v, want %v scale %v",
-				i, d.Action, d.DtScale, want, wantScales[i])
+		if got := l.Decide(i, 3, 100+i); got != want {
+			t.Fatalf("trip %d: decision %v, want %v", i, got, want)
 		}
 	}
 	evs, err := engine.ReadEvents(&buf)

@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,31 +11,7 @@ import (
 // testInjector is a minimal Injector for exercising the hooks directly
 // (package fault provides the real implementation).
 type testInjector struct {
-	drop    func(src, dst, n int, t float64) bool
-	factors func(src, dst int, t float64) (float64, float64)
-	stall   func(node int, t float64) float64
-	crash   func(rank int) float64
-}
-
-func (ti *testInjector) DropMessage(src, dst, n int, t float64) bool {
-	if ti.drop == nil {
-		return false
-	}
-	return ti.drop(src, dst, n, t)
-}
-
-func (ti *testInjector) LinkFactors(src, dst int, t float64) (float64, float64) {
-	if ti.factors == nil {
-		return 1, 1
-	}
-	return ti.factors(src, dst, t)
-}
-
-func (ti *testInjector) StallUntil(node int, t float64) float64 {
-	if ti.stall == nil {
-		return 0
-	}
-	return ti.stall(node, t)
+	crash func(rank int) float64
 }
 
 func (ti *testInjector) CrashTime(rank int) float64 {
@@ -131,77 +108,57 @@ func TestRecvDeadlineDeliveredBeforeExpiry(t *testing.T) {
 	}
 }
 
-func TestSendLossyDrop(t *testing.T) {
-	inj := &testInjector{drop: func(src, dst, n int, t float64) bool {
-		return n == 0 // lose the first message on every pair
-	}}
-	var first, second bool
-	var got []float64
-	_, _, err := RunWithFaults(2, fastModel(), inj, func(n *Node) {
-		if n.Rank == 0 {
-			first = n.SendLossy(1, 5, []float64{1})
-			second = n.SendLossy(1, 5, []float64{2})
-		} else {
-			got = n.Recv(0, 5)
-		}
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if first || !second {
-		t.Fatalf("delivered = (%v, %v), want (false, true)", first, second)
-	}
-	if len(got) != 1 || got[0] != 2 {
-		t.Fatalf("receiver got %v, want the second payload [2]", got)
-	}
+// countingDropper is a Dropper that records what it is asked about
+// and drops the message numbered dropAt on the 0 -> 2 pair (never,
+// when dropAt < 0).
+type countingDropper struct {
+	testInjector
+	asked  [][3]int // (src, dst, n) per consultation
+	dropAt int
 }
 
-func TestLinkDegradationSlowsTransfer(t *testing.T) {
-	run := func(inj Injector) float64 {
-		wall, _, err := RunWithFaults(2, fastModel(), inj, func(n *Node) {
-			if n.Rank == 0 {
-				n.Send(1, 1, make([]float64, 1024))
-			} else {
-				n.Recv(0, 1)
-			}
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return wall[1]
-	}
-	base := run(nil)
-	degraded := run(&testInjector{factors: func(src, dst int, t float64) (float64, float64) {
-		return 10, 10
-	}})
-	if degraded <= base {
-		t.Fatalf("degraded receive time %v not slower than baseline %v", degraded, base)
-	}
+func (d *countingDropper) DropMessage(src, dst, n int, t float64) bool {
+	d.asked = append(d.asked, [3]int{src, dst, n})
+	return src == 0 && dst == 2 && n == d.dropAt
 }
 
-func TestNICStallDelaysTransfer(t *testing.T) {
-	run := func(inj Injector) float64 {
-		wall, _, err := RunWithFaults(2, fastModel(), inj, func(n *Node) {
-			if n.Rank == 0 {
-				n.Send(1, 1, []float64{1})
-			} else {
-				n.Recv(0, 1)
-			}
-		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+// A Dropper sees every inter-node eager send, numbered per directed
+// pair, and nothing else: not the shared-memory copy inside an SMP
+// node, not a rendezvous transfer, not a self-send. Asking to drop one
+// fails the run by name, because the network model is lossless.
+func TestDropperObservesEagerSendsAndCannotDrop(t *testing.T) {
+	model := fastModel()
+	model.RanksPerNode = 2 // ranks 0 and 1 share a node; rank 2 is remote
+	model.Intra = LinkModel{LatencyUS: 1, BandwidthMBs: 1000, OverheadUS: 1}
+	model.Inter.EagerLimit = 64
+	body := func(n *Node) {
+		if n.Rank != 0 {
+			n.Recv(0, 1)
+			n.Recv(0, 1)
+			return
 		}
-		return wall[1]
+		n.Send(n.Rank, 9, []float64{0}) // self
+		n.Recv(n.Rank, 9)
+		for _, dst := range []int{1, 2} {
+			n.Send(dst, 1, []float64{1})         // eager
+			n.Send(dst, 1, make([]float64, 100)) // rendezvous
+		}
+		n.SendControl(2, 3, make([]float64, 100)) // forced eager
 	}
-	base := run(nil)
-	stalled := run(&testInjector{stall: func(node int, t float64) float64 {
-		if node == 0 {
-			return 0.5 // source NIC frozen until t=0.5s
-		}
-		return 0
-	}})
-	if stalled < 0.5 || stalled <= base {
-		t.Fatalf("stalled receive time %v, want >= 0.5 (baseline %v)", stalled, base)
+	d := &countingDropper{dropAt: -1}
+	if _, _, err := RunWithFaults(3, model, d, body); err != nil {
+		t.Fatalf("RunWithFaults: %v", err)
+	}
+	if got, want := fmt.Sprint(d.asked), "[[0 2 0] [0 2 1]]"; got != want {
+		t.Fatalf("Dropper consulted on %s, want %s", got, want)
+	}
+	d = &countingDropper{dropAt: 1}
+	_, _, err := RunWithFaults(3, model, d, body)
+	if !errors.Is(err, ErrMessageDropped) {
+		t.Fatalf("err = %v, want ErrMessageDropped", err)
+	}
+	if !strings.Contains(err.Error(), "rank 0: eager message 1 to rank 2") {
+		t.Errorf("err = %v, want the dropped message named", err)
 	}
 }
 

@@ -71,8 +71,8 @@ func diffModels() map[string]Model {
 
 // diffBody is the primitive-coverage program: every rank computes,
 // exchanges eager and rendezvous rings, self-sends, probes a deadline
-// that times out, sleeps, and finishes with a lossy send acknowledged
-// under a deadline (the reliability-layer shape).
+// that times out, sleeps, and finishes with control sends answered
+// under a deadline (the supervisor's heartbeat shape).
 func diffBody(n *Node) {
 	p := n.P
 	next := (n.Rank + 1) % p
@@ -105,11 +105,9 @@ func diffBody(n *Node) {
 	n.Compute(1e-5)
 	n.Sleep(3e-5)
 
-	// Lossy payload with a deadline-based ack, retried once: the shape
-	// the mpi reliability layer drives, including the drop path when a
-	// plan is installed.
+	// Control payload with a deadline-based answer, resent once.
 	for attempt := 0; attempt < 2; attempt++ {
-		n.SendLossy(next, 4, []float64{float64(attempt)})
+		n.SendControl(next, 4, []float64{float64(attempt)})
 		if _, ok := n.RecvDeadline(next, 5, n.Clock()+8e-4); ok {
 			break
 		}
@@ -138,24 +136,6 @@ func TestSchedulerDifferentialFaultFree(t *testing.T) {
 func TestSchedulerDifferentialWithFaults(t *testing.T) {
 	mkInj := func(p int) Injector {
 		return &testStaller{
-			testInjector: testInjector{
-				drop: func(src, dst, n int, t float64) bool {
-					// Lose the first lossy payload on one ring edge.
-					return src == 0 && dst == 1%p && n == 2
-				},
-				factors: func(src, dst int, t float64) (float64, float64) {
-					if src == 0 && t > 1e-4 {
-						return 2.5, 3
-					}
-					return 1, 1
-				},
-				stall: func(node int, t float64) float64 {
-					if node == 0 && t < 3e-4 {
-						return 3e-4
-					}
-					return 0
-				},
-			},
 			rank:  p - 1,
 			start: 2e-4,
 			dur:   4e-4,

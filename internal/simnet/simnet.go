@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -14,28 +15,24 @@ import (
 // methods must be pure functions of their arguments (plus the
 // injector's own seed/state) so that a run is reproducible.
 type Injector interface {
-	// DropMessage reports whether the n-th eager message on the
-	// directed link src -> dst (counted per ordered rank pair) is lost
-	// in the network at virtual time t. The sender still pays its
-	// overhead and wire time — the bytes left the NIC — but the payload
-	// is never delivered. Rendezvous transfers are not dropped: their
-	// handshake stands in for the reliability a real implementation
-	// layers under large transfers.
-	DropMessage(src, dst, n int, t float64) bool
-	// LinkFactors returns multiplicative degradation factors for a
-	// transfer from rank src to rank dst starting at virtual time t:
-	// the link latency is multiplied by latMul and the transfer time by
-	// bwDiv (bandwidth divided by bwDiv). Values <= 1 mean no
-	// degradation.
-	LinkFactors(src, dst int, t float64) (latMul, bwDiv float64)
-	// StallUntil returns a virtual time before which the SMP node's NIC
-	// cannot begin a new transfer (a transient NIC stall); values <= t
-	// mean no stall.
-	StallUntil(node int, t float64) float64
 	// CrashTime returns the virtual time at which the rank dies, or
 	// +Inf for a rank that never crashes.
 	CrashTime(rank int) float64
 }
+
+// Dropper is an optional Injector extension consulted on every
+// inter-node eager send: n counts the earlier eager messages on the
+// directed pair src -> dst, t is the sender's clock. The network model
+// is lossless, as TCP made the paper's Ethernet, so Dropper observes
+// traffic and must return false; a true result fails the run with
+// ErrMessageDropped.
+type Dropper interface {
+	DropMessage(src, dst, n int, t float64) bool
+}
+
+// ErrMessageDropped reports that a Dropper asked to lose a message,
+// which the lossless network model cannot represent.
+var ErrMessageDropped = errors.New("simnet: the network is lossless, an injector cannot drop messages")
 
 // RankStaller is an optional Injector extension: a rank-stall fault
 // models a process freeze (OS thrashing, ECC scrub storm, a wedged
@@ -236,7 +233,7 @@ func (m *message) release() {
 }
 
 // releaseSender drops the sender-side share of a request whose handle
-// is being discarded without a Wait (SendLossy/SendControl).
+// is being discarded without a Wait (SendControl).
 func (r *Request) releaseSender() {
 	if r.m != nil {
 		m := r.m
@@ -297,16 +294,16 @@ type cluster struct {
 	par *parSched
 
 	// Fault injection (nil when the cluster is perfect).
-	inj     Injector
 	crashAt []float64 // per-rank crash time (+Inf = never)
 	crashed []bool
 	// Rank-stall faults (nil when the injector is not a RankStaller).
 	stallAt    []float64 // per-rank freeze time (+Inf = never)
 	stallDur   []float64
 	stallFired []bool
-	// msgSeq counts eager messages per directed rank pair for the
-	// injector's drop decision.
-	msgSeq map[[2]int]int
+	// dropper and msgSeq (eager messages per directed rank pair) are
+	// set only when the injector is a Dropper.
+	dropper Dropper
+	msgSeq  map[[2]int]int
 
 	fail error
 }
@@ -337,8 +334,8 @@ func Run(p int, model *Model, body func(n *Node)) (wall, cpu []float64, err erro
 }
 
 // RunWithFaults is Run with a fault-injection plan installed: inj is
-// consulted for message drops, link degradation, NIC stalls and node
-// crashes. A nil injector reproduces Run exactly. If any rank crashes
+// consulted for node crashes, and for rank stalls when it is a
+// RankStaller. A nil injector reproduces Run exactly. If any rank crashes
 // the returned error is a *CrashError (surviving ranks may still run
 // to completion; their clocks are reported as usual).
 func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall, cpu []float64, err error) {
@@ -378,8 +375,10 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 		ingressFree: make([]float64, nNodes),
 	}
 	if inj != nil {
-		c.inj = inj
-		c.msgSeq = map[[2]int]int{}
+		if d, ok := inj.(Dropper); ok {
+			c.dropper = d
+			c.msgSeq = map[[2]int]int{}
+		}
 		c.crashAt = make([]float64, p)
 		c.crashed = make([]bool, p)
 		for i := 0; i < p; i++ {
@@ -733,40 +732,22 @@ func (n *Node) Send(dst, tag int, data []float64) {
 // Isend starts a nonblocking standard-mode send and returns a request
 // to pass to Wait. The sender consumes its per-message CPU overhead
 // immediately; rendezvous transfers are booked when the receiver posts
-// the matching receive. Under fault injection, eager messages may be
-// silently dropped (the sender cannot tell).
+// the matching receive.
 func (n *Node) Isend(dst, tag int, data []float64) *Request {
-	r, _ := n.isend(dst, tag, data, false, true)
-	return r
+	return n.isend(dst, tag, data, false)
 }
 
-// SendLossy performs an eager-mode send regardless of the message size
-// (like a buffered MPI_Bsend) and reports whether the payload was
-// delivered — false only when the fault injector dropped it. The
-// reliability layer in package mpi builds its acknowledged-delivery
-// protocol on top of this; the return value exists for tests and must
-// not be consulted by protocol code (a real sender cannot observe a
-// drop).
-func (n *Node) SendLossy(dst, tag int, data []float64) bool {
-	r, delivered := n.isend(dst, tag, data, true, true)
-	r.releaseSender() // handle discarded without a Wait
-	return delivered
-}
-
-// SendControl performs an eager-mode send that is exempt from the
-// injector's drop decision (it still pays overhead and wire time, and
-// still sees link degradation and NIC stalls). It models the tiny
-// acknowledgment/control packets of a reliability protocol, which we
-// treat as riding a lossless control channel: in a blocking rank
-// model there is no persistent per-connection handler to re-serve a
-// lost final ack (the two-generals tail), so the loss model applies
-// to payload messages only.
+// SendControl performs an eager-mode send regardless of the message
+// size (like a buffered MPI_Bsend) and returns without a handle: it
+// pays overhead and wire time but never waits for the receiver. It
+// carries control traffic — heartbeats, halt orders — whose timing must
+// not turn into a rendezvous when a phantom factor inflates the timed
+// size of the sender's messages.
 func (n *Node) SendControl(dst, tag int, data []float64) {
-	r, _ := n.isend(dst, tag, data, true, false)
-	r.releaseSender() // handle discarded without a Wait
+	n.isend(dst, tag, data, true).releaseSender() // handle discarded without a Wait
 }
 
-func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (*Request, bool) {
+func (n *Node) isend(dst, tag int, data []float64, forceEager bool) *Request {
 	n.begin()
 	if dst == n.Rank {
 		// Self-send: buffer locally with no network cost.
@@ -783,7 +764,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 		m.posted = n.clock
 		n.queueFor(key).push(m)
 		n.yield()
-		return &m.req, true
+		return &m.req
 	}
 	c := n.net
 	link := c.model.link(n.Rank, dst)
@@ -802,7 +783,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 	n.clock += o
 	n.cpu += o
 
-	m := getMsg(2) // sender Request + receiver delivery (adjusted on drop)
+	m := getMsg(2) // sender Request + receiver delivery
 	m.key = msgKey{n.Rank, tag}
 	m.dst = dst
 	m.data = cp
@@ -812,26 +793,22 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 	m.posted = n.clock
 	dstNode := c.nodes[dst]
 	if !rendezv {
-		// Eager transfers cross the wire immediately; the injector may
-		// lose them in the network (inter-node links only — a
-		// shared-memory copy inside an SMP node cannot be dropped).
-		dropped := false
-		if droppable && c.inj != nil && c.model.nodeOf(n.Rank) != c.model.nodeOf(dst) {
+		// Eager transfers cross the wire immediately.
+		if c.dropper != nil && c.model.nodeOf(n.Rank) != c.model.nodeOf(dst) {
 			pair := [2]int{n.Rank, dst}
 			seq := c.msgSeq[pair]
 			c.msgSeq[pair] = seq + 1
-			dropped = c.inj.DropMessage(n.Rank, dst, seq, n.clock)
+			if c.dropper.DropMessage(n.Rank, dst, seq, n.clock) {
+				c.failOnce(fmt.Errorf("simnet: rank %d: eager message %d to rank %d: %w", n.Rank, seq, dst, ErrMessageDropped))
+				panic(poisonSignal{})
+			}
 		}
 		m.arrive = n.reserveTransfer(dst, size, n.clock, link)
 		m.ready = n.clock // eager: buffered, sender is free immediately
 		m.xferDone = true
-		if !dropped {
-			n.deliver(dstNode, m)
-		} else {
-			m.release() // the receiver share: nothing was delivered
-		}
+		n.deliver(dstNode, m)
 		n.yield()
-		return &m.req, !dropped
+		return &m.req
 	}
 	// Rendezvous: if the receiver is already waiting, transfer now;
 	// otherwise park until it posts the matching receive. The receiver's
@@ -841,33 +818,20 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager, droppable bool) (
 	c.lockPar()
 	if (dstNode.blockKind == blockRecv || dstNode.blockKind == blockRecvDeadline) &&
 		matches(dstNode.waitKey, m.key) {
-		start := max(n.clock, dstNode.clock) + n.linkLatency(link, dst, max(n.clock, dstNode.clock)) // handshake
+		start := max(n.clock, dstNode.clock) + link.LatencyUS*us // handshake
 		m.arrive = n.reserveTransfer(dst, size, start, link)
 		m.ready = m.arrive - link.LatencyUS*us // payload has left the NIC
 		m.xferDone = true
 		n.deliverLocked(dstNode, m)
 		c.unlockPar()
 		n.yield()
-		return &m.req, true
+		return &m.req
 	}
 	m.arrive = -1
 	n.deliverLocked(dstNode, m)
 	c.unlockPar()
 	n.yield()
-	return &m.req, true
-}
-
-// linkLatency returns the (possibly degraded) one-way latency of the
-// link to dst at virtual time t.
-func (n *Node) linkLatency(link *LinkModel, dst int, t float64) float64 {
-	lat := link.LatencyUS * us
-	if n.net.inj != nil {
-		latMul, _ := n.net.inj.LinkFactors(n.Rank, dst, t)
-		if latMul > 1 {
-			lat *= latMul
-		}
-	}
-	return lat
+	return &m.req
 }
 
 // Wait blocks until the send completes (for rendezvous, until the
@@ -907,34 +871,20 @@ func matches(want, have msgKey) bool {
 
 // reserveTransfer books the NIC and backplane resources for a transfer
 // starting no earlier than start, returning the arrival time at the
-// destination. Fault injection can degrade the link (latency and
-// bandwidth multipliers) and stall either NIC.
+// destination.
 func (n *Node) reserveTransfer(dst, size int, start float64, link *LinkModel) float64 {
 	c := n.net
 	srcNode := c.model.nodeOf(n.Rank)
 	dstNode := c.model.nodeOf(dst)
 	xfer := link.xfer(size)
 	lat := link.LatencyUS * us
-	if c.inj != nil {
-		latMul, bwDiv := c.inj.LinkFactors(n.Rank, dst, start)
-		if latMul > 1 {
-			lat *= latMul
-		}
-		if bwDiv > 1 {
-			xfer *= bwDiv
-		}
-	}
 
 	intra := c.model.sharedNode(n.Rank, dst)
 	if intra {
-		// Shared-memory copy: no NIC or backplane involvement (and no
-		// fault exposure beyond whole-node crashes).
+		// Shared-memory copy: no NIC or backplane involvement.
 		return start + lat + xfer
 	}
 	egBegin := max(start, c.egressFree[srcNode])
-	if c.inj != nil {
-		egBegin = max(egBegin, c.inj.StallUntil(srcNode, egBegin))
-	}
 	if link.HalfDuplex {
 		egBegin = max(egBegin, c.ingressFree[srcNode])
 	}
@@ -954,9 +904,6 @@ func (n *Node) reserveTransfer(dst, size int, start float64, link *LinkModel) fl
 	// Cut-through ingress serialization: the receive wire is busy for
 	// the transfer duration ending at arrival.
 	inBegin := max(arrive-xfer, c.ingressFree[dstNode])
-	if c.inj != nil {
-		inBegin = max(inBegin, c.inj.StallUntil(dstNode, inBegin))
-	}
 	arrive = inBegin + xfer
 	c.ingressFree[dstNode] = arrive
 	if link.HalfDuplex {
@@ -1137,8 +1084,8 @@ func (n *Node) freePayload(buf []float64) {
 
 // RecvDeadline blocks like Recv but gives up at the given absolute
 // virtual time, returning (nil, false) on expiry. The rank's clock
-// advances to the deadline on a timeout. The reliability layer's ack
-// timers are built on this.
+// advances to the deadline on a timeout. The supervisor's monitor
+// polls heartbeats with it.
 func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
 	n.begin()
 	key := msgKey{src, tag}
@@ -1182,7 +1129,7 @@ func (n *Node) consume(m *message) {
 		// accessed under the scheduler lock (Wait takes the same lock).
 		c := n.net
 		link := c.model.link(m.sender.Rank, n.Rank)
-		start := max(m.posted, n.clock) + m.sender.linkLatency(link, n.Rank, max(m.posted, n.clock))
+		start := max(m.posted, n.clock) + link.LatencyUS*us
 		c.lockPar()
 		m.arrive = m.sender.reserveTransfer(n.Rank, m.size, start, link)
 		m.ready = m.arrive - link.LatencyUS*us

@@ -3,8 +3,9 @@
 // global matrix in symmetric banded form and factors it with the
 // banded Cholesky (the paper's serial and Nektar-F solver strategy,
 // "direct solvers utilising the symmetric and banded nature of the
-// matrix"), and a diagonally preconditioned conjugate gradient
-// iterative solver (the Nektar-ALE strategy).
+// matrix"), and its statically condensed variant. The Nektar-ALE
+// strategy, a diagonally preconditioned conjugate gradient over the
+// distributed operator, lives with that solver in internal/core.
 //
 // Both solve the weak Helmholtz problem: find u with u = g on the
 // Dirichlet boundary and
@@ -16,11 +17,9 @@
 package solver
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
-	"nektar/internal/blas"
 	"nektar/internal/lapack"
 	"nektar/internal/mesh"
 )
@@ -73,126 +72,6 @@ func (d *Direct) Solve(rhs, dir []float64) []float64 {
 		copy(out[a.NSolve:], dir[a.NSolve:])
 	}
 	return out
-}
-
-// PCG is the matrix-free diagonally preconditioned conjugate gradient
-// solver over the assembled global operator.
-type PCG struct {
-	A      *mesh.Assembly
-	Lambda float64
-
-	MaxIter int
-	Tol     float64
-
-	elemMats [][]float64
-	diag     []float64 // inverse diagonal over unknowns
-
-	// Iters reports the iteration count of the last Solve.
-	Iters int
-}
-
-// NewPCG precomputes the elemental Helmholtz matrices and the global
-// diagonal preconditioner.
-func NewPCG(a *mesh.Assembly, lambda float64) *PCG {
-	p := &PCG{A: a, Lambda: lambda, MaxIter: 10 * a.NSolve, Tol: 1e-12}
-	p.elemMats = make([][]float64, len(a.Mesh.Elems))
-	diag := make([]float64, a.NGlobal)
-	for ei, el := range a.Mesh.Elems {
-		h := el.Helmholtz(lambda)
-		p.elemMats[ei] = h
-		n := el.Ref.NModes
-		l2g := a.L2G[ei]
-		for m := 0; m < n; m++ {
-			diag[l2g[m]] += h[m*n+m] // signs square to +1 on the diagonal
-		}
-	}
-	p.diag = make([]float64, a.NSolve)
-	for i := range p.diag {
-		p.diag[i] = 1 / diag[i]
-	}
-	return p
-}
-
-// Apply computes y = H x where x and y are global vectors (length
-// NGlobal); Dirichlet entries of x participate (used to form RHS
-// corrections) and Dirichlet entries of y receive gathered values too.
-func (p *PCG) Apply(x, y []float64) {
-	a := p.A
-	blas.Dfill(len(y), 0, y, 1)
-	for ei, el := range a.Mesh.Elems {
-		n := el.Ref.NModes
-		xl := make([]float64, n)
-		yl := make([]float64, n)
-		a.Scatter(ei, x, xl)
-		blas.Dgemv(blas.NoTrans, n, n, 1, p.elemMats[ei], n, xl, 1, 0, yl, 1)
-		a.Gather(ei, yl, y)
-	}
-}
-
-// ErrNoConvergence is returned when PCG fails to reach the tolerance
-// within MaxIter iterations.
-var ErrNoConvergence = errors.New("solver: PCG did not converge")
-
-// Solve computes the global solution like Direct.Solve but
-// iteratively. The residual tolerance is relative to the initial
-// residual norm.
-func (p *PCG) Solve(rhs, dir []float64) ([]float64, error) {
-	a := p.A
-	n := a.NSolve
-	b := make([]float64, n)
-	copy(b, rhs[:n])
-	// Dirichlet lift: b -= H * (0...0, dir).
-	if dir != nil {
-		xd := make([]float64, a.NGlobal)
-		copy(xd[n:], dir[n:])
-		hd := make([]float64, a.NGlobal)
-		p.Apply(xd, hd)
-		blas.Daxpy(n, -1, hd, 1, b, 1)
-	}
-
-	x := make([]float64, a.NGlobal) // unknown part iterated in place
-	r := make([]float64, n)
-	copy(r, b)
-	z := make([]float64, n)
-	blas.Dvmul(n, r, 1, p.diag, 1, z, 1)
-	pdir := make([]float64, a.NGlobal) // search direction (global for Apply)
-	copy(pdir, z)
-	hp := make([]float64, a.NGlobal)
-
-	rz := blas.Ddot(n, r, 1, z, 1)
-	r0 := blas.Dnrm2(n, r, 1)
-	if r0 == 0 {
-		r0 = 1
-	}
-	p.Iters = 0
-	for it := 0; it < p.MaxIter; it++ {
-		if blas.Dnrm2(n, r, 1) <= p.Tol*r0 {
-			break
-		}
-		p.Apply(pdir, hp)
-		php := blas.Ddot(n, pdir, 1, hp, 1)
-		if php <= 0 {
-			return nil, fmt.Errorf("solver: PCG operator not positive definite (p.Hp = %g)", php)
-		}
-		alpha := rz / php
-		blas.Daxpy(n, alpha, pdir, 1, x, 1)
-		blas.Daxpy(n, -alpha, hp, 1, r, 1)
-		blas.Dvmul(n, r, 1, p.diag, 1, z, 1)
-		rzNew := blas.Ddot(n, r, 1, z, 1)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := 0; i < n; i++ {
-			pdir[i] = z[i] + beta*pdir[i]
-		}
-		p.Iters = it + 1
-	}
-	if blas.Dnrm2(n, r, 1) > p.Tol*r0*10 {
-		return nil, fmt.Errorf("%w after %d iterations (residual %g)", ErrNoConvergence, p.Iters, blas.Dnrm2(n, r, 1)/r0)
-	}
-	if dir != nil {
-		copy(x[n:], dir[n:])
-	}
-	return x, nil
 }
 
 // WeakRHS assembles the global weak right-hand side integral f*phi_m

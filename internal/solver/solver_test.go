@@ -154,65 +154,6 @@ func TestPoissonHex3D(t *testing.T) {
 	}
 }
 
-func TestPCGMatchesDirect(t *testing.T) {
-	uex := func(x, y float64) float64 { return math.Sin(math.Pi*x) * math.Sin(math.Pi*y) }
-	f := func(x, y float64) float64 { return 2 * math.Pi * math.Pi * uex(x, y) }
-	m, err := mesh.RectQuad(5, 3, 2, 0, 1, 0, 1, func(x, y, z float64) string { return "d" })
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := mesh.NewAssembly(m, dirAll)
-	d, err := NewDirect(a, 0.7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := WeakRHSFunc(a, func(x, y, z float64) float64 { return f(x, y) })
-	dir := DirichletFromFunc(a, dirAll, uex)
-	uDirect := d.Solve(rhs, dir)
-
-	pcg := NewPCG(a, 0.7)
-	uPCG, err := pcg.Solve(rhs, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pcg.Iters == 0 {
-		t.Fatal("PCG did no iterations")
-	}
-	for i := range uDirect {
-		if math.Abs(uDirect[i]-uPCG[i]) > 1e-8 {
-			t.Fatalf("solution mismatch at dof %d: %v vs %v", i, uDirect[i], uPCG[i])
-		}
-	}
-}
-
-func TestPCG3DFlappingWingOperator(t *testing.T) {
-	// PCG on a 3D extruded wing-section mesh — the Nektar-ALE solver
-	// configuration.
-	m2, err := mesh.WingSection(2, 16, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m3, err := mesh.ExtrudeQuads(m2, 2, 2, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := mesh.NewAssembly(m3, func(tag string) bool { return tag == "wall" || tag == "farfield" })
-	pcg := NewPCG(a, 1.0)
-	rhs := WeakRHSFunc(a, func(x, y, z float64) float64 { return 1 })
-	u, err := pcg.Solve(rhs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Residual check through the direct solver's operator application.
-	var norm float64
-	for _, v := range u[:a.NSolve] {
-		norm += v * v
-	}
-	if norm == 0 {
-		t.Fatal("PCG returned the zero solution for nonzero forcing")
-	}
-}
-
 func TestWeakRHSLinearity(t *testing.T) {
 	m, err := mesh.RectQuad(3, 2, 2, 0, 1, 0, 1, nil)
 	if err != nil {

@@ -18,9 +18,6 @@ type adaptRuntime struct {
 	est    *policy.MTBFEstimator
 	ladder *policy.Ladder
 
-	// dtScale is the escalation ladder's current time-step reduction,
-	// applied through NewTunedSolver on every subsequent attempt.
-	dtScale float64
 	// interval/anchor persist the cadence controller's state: a retune
 	// survives the rollback that follows a failure.
 	interval int
@@ -45,7 +42,6 @@ func newAdaptRuntime(ac policy.Config, checkpointEvery int) (*adaptRuntime, erro
 		cfg:       ac,
 		est:       policy.NewMTBFEstimator(ac.PriorMTBFS, ac.Alpha),
 		ladder:    policy.NewLadder(ac),
-		dtScale:   1,
 		interval:  checkpointEvery,
 		writeMode: ckpt.WriteLocal,
 	}, nil
@@ -62,7 +58,6 @@ func (rt *adaptRuntime) attemptState() *attemptAdapt {
 		anchor:    rt.anchor,
 		writeMode: rt.writeMode,
 		probed:    rt.probed,
-		dtScale:   rt.dtScale,
 	}
 }
 
@@ -92,7 +87,6 @@ type attemptAdapt struct {
 	anchor    int
 	writeMode ckpt.WriteMode
 	probed    bool
-	dtScale   float64
 
 	ctl *policy.CadenceController
 	sel *policy.SimSelector

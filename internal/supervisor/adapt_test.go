@@ -3,6 +3,7 @@ package supervisor_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -70,102 +71,81 @@ func TestAdaptiveCrashCampaignRetunes(t *testing.T) {
 // estimator, so the ladder tests run at a known cadence.
 const tinyMTBFS = 1e-6
 
-// tunableCorruptingSolver trips the watchdog only while the ladder has
-// not yet reduced dt — the instability a smaller time step cures.
-type tunableCorruptingSolver struct {
-	supervisor.Solver
-	ns     *core.NSF
-	atStep int
-	sick   bool
-}
+// convictWatch is a trace sink that clears *sick once the ladder
+// convicts a node: the rank re-homed onto a spare leaves the faulty
+// hardware behind.
+type convictWatch struct{ sick *bool }
 
-func (c *tunableCorruptingSolver) Step() {
-	c.Solver.Step()
-	if c.sick && c.Solver.StepCount() == c.atStep {
-		c.ns.U[0][0][0] = math.NaN()
+func (w convictWatch) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"to":"convict"`)) {
+		*w.sick = false
 	}
+	return len(p), nil
 }
 
-// The ladder's first rung: one watchdog trip answered by a dt-reduced
-// retry that completes the run, recorded as an escalation and an
-// escalate trace event.
-func TestLadderRetryDtCuresInstability(t *testing.T) {
+// A node that corrupts rank 1's fields at the same step on every
+// attempt climbs the ladder without a wasted attempt: the first trip
+// rolls back one commit deeper, the second convicts the node, and the
+// rank re-homed onto a spare finishes bit-identical to the reference —
+// three attempts, escalations [rollback convict].
+func TestLadderRollsBackThenConvicts(t *testing.T) {
 	clean := nsfFactory(t)
 	cfg := baseConfig(2, clean)
 	ref := runReference(t, cfg)
 
-	var trace bytes.Buffer
-	cfg.NewSolver = nil
-	cfg.NewTunedSolver = func(comm *mpi.Comm, dtScale float64) (supervisor.Solver, error) {
+	sick := true
+	cfg.NewSolver = func(comm *mpi.Comm) (supervisor.Solver, error) {
 		s, err := clean(comm)
-		if err != nil {
-			return nil, err
+		if err != nil || comm.Rank() != 1 {
+			return s, err
 		}
-		if comm.Rank() == 1 {
-			// dtScale < 1 models the reduced time step taming the
-			// blow-up; the solver itself is unchanged so the recovered
-			// trajectory still matches the reference bit for bit.
-			return &tunableCorruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, sick: dtScale >= 1}, nil
-		}
-		return s, nil
+		return &corruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, active: &sick}, nil
 	}
-	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS, Trace: engine.NewTracer(&trace)}
+	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS, Trace: engine.NewTracer(convictWatch{&sick})}
 	tuneDetector(&cfg, ref)
 	got, err := supervisor.Run(cfg)
 	if err != nil {
 		t.Fatalf("supervised run: %v", err)
 	}
-	if got.Attempts != 2 || len(got.Trips) != 1 {
-		t.Fatalf("attempts=%d trips=%d, want one trip and one dt-reduced retry", got.Attempts, len(got.Trips))
+	var actions []string
+	for _, e := range got.Escalations {
+		if e.Rank != 1 || e.Step != 5 {
+			t.Errorf("escalation %+v, want rank 1 at step 5", e)
+		}
+		actions = append(actions, e.Action)
 	}
-	if len(got.Escalations) != 1 {
-		t.Fatalf("escalations = %+v, want exactly one", got.Escalations)
+	if fmt.Sprint(actions) != "[rollback convict]" {
+		t.Fatalf("escalations %v, want [rollback convict]", actions)
 	}
-	esc := got.Escalations[0]
-	if esc.Action != "retry-dt" || esc.DtScale != 0.5 || esc.Rank != 1 || esc.Step != 5 {
-		t.Fatalf("escalation = %+v, want retry-dt at half dt for rank 1 step 5", esc)
+	if got.Attempts != 3 || len(got.Trips) != 2 {
+		t.Fatalf("attempts=%d trips=%d, want three attempts and two trips", got.Attempts, len(got.Trips))
 	}
-	if len(got.Replacements) != 0 {
-		t.Errorf("first-rung escalation consumed hardware: %+v", got.Replacements)
+	if len(got.Replacements) != 1 {
+		t.Errorf("replacements %+v, want the convicted node's", got.Replacements)
 	}
 	assertBitIdentical(t, ref, got)
-	evs, err := engine.ReadEvents(&trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen bool
-	for _, e := range evs {
-		if e.Ev == engine.EvEscalate && e.To == "retry-dt" && e.DtScale == 0.5 {
-			seen = true
-		}
-	}
-	if !seen {
-		t.Error("no escalate trace event for the retry-dt rung")
-	}
 }
 
-// A persistently sick rank climbs the whole ladder: dt retries, then a
-// deeper rollback, then conviction (the node is replaced even though
-// the hardware never crashed), and finally a structured give-up.
+// A persistently sick rank climbs the whole ladder: a deeper rollback,
+// then conviction (the node is replaced even though the hardware never
+// crashed), and finally a structured give-up.
 func TestLadderEscalatesToConviction(t *testing.T) {
 	clean := nsfFactory(t)
 	cfg := baseConfig(2, clean)
 	ref := runReference(t, cfg)
 
+	sick := true
 	cfg.NewSolver = func(comm *mpi.Comm) (supervisor.Solver, error) {
 		s, err := clean(comm)
-		if err != nil {
-			return nil, err
+		if err != nil || comm.Rank() != 1 {
+			return s, err
 		}
-		if comm.Rank() == 1 {
-			return &tunableCorruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, sick: true}, nil
-		}
-		return s, nil
+		return &corruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, active: &sick}, nil
 	}
-	// The ladder's budgets: two dt retries (attempts 0-1), one deeper
-	// rollback (attempt 2), then conviction (attempt 3).
+	// The ladder's budget: one deeper rollback (attempt 0's trip), then
+	// conviction (attempts 1 and 2).
 	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS}
-	cfg.MaxRestarts = 3
+	cfg.MaxRestarts = 2
 	var trace bytes.Buffer
 	cfg.Trace = engine.NewTracer(&trace)
 	tuneDetector(&cfg, ref)
@@ -176,26 +156,27 @@ func TestLadderEscalatesToConviction(t *testing.T) {
 	}
 	// Checkpoints land at steps 2, 3 and 4 (the controller retunes to
 	// every step at step 2). The rollback rung demotes the step-4
-	// commit on the default in-memory store: attempts 1 and 2 resume
-	// from step 4, attempt 3 from the older step-3 checkpoint.
+	// commit on the default in-memory store, so attempt 1 resumes from
+	// the older step-3 checkpoint; it rewrites step 4 before tripping
+	// again, and attempt 2 resumes from there.
 	resumedFrom := map[int]int{}
 	for _, m := range rollbackMarks(t, &trace) {
 		resumedFrom[m.Attempt] = m.Step
 	}
-	if resumedFrom[1] != 4 || resumedFrom[2] != 4 || resumedFrom[3] != 3 {
-		t.Errorf("attempts resumed from steps %v, want 4, 4, then 3 after the deeper rollback", resumedFrom)
+	if resumedFrom[1] != 3 || resumedFrom[2] != 4 {
+		t.Errorf("attempts resumed from steps %v, want 3 after the deeper rollback, then 4", resumedFrom)
 	}
 	// The ladder's decisions are visible in the failure log: the
-	// convicted attempts carry a replacement node where plain watchdog
-	// rollbacks carry -1.
+	// convicted attempts carry a replacement node where the rolled-back
+	// one carries -1.
 	var convicted int
 	for _, f := range re.Failures {
 		if f.Cause == supervisor.CauseWatchdog && f.NewNode >= 0 {
 			convicted++
 		}
 	}
-	if convicted == 0 {
-		t.Fatalf("failures = %+v, want at least one convicted (re-homed) watchdog trip", re.Failures)
+	if len(re.Failures) != 3 || re.Failures[0].NewNode != -1 || convicted != 2 {
+		t.Fatalf("failures = %+v, want one rollback then two convicted (re-homed) watchdog trips", re.Failures)
 	}
 }
 

@@ -187,19 +187,7 @@ func (a *attempt) worker(n *simnet.Node) {
 	if err != nil {
 		panic(err)
 	}
-	if a.cfg.Rel != nil {
-		comm.SetReliability(a.cfg.Rel)
-	}
-	var s Solver
-	if a.cfg.NewTunedSolver != nil {
-		scale := 1.0
-		if a.ad != nil {
-			scale = a.ad.dtScale
-		}
-		s, err = a.cfg.NewTunedSolver(comm, scale)
-	} else {
-		s, err = a.cfg.NewSolver(comm)
-	}
+	s, err := a.cfg.NewSolver(comm)
 	if err != nil {
 		panic(err)
 	}
@@ -422,20 +410,6 @@ type nodeKeyedInjector struct {
 	staller simnet.RankStaller // nil when base has no rank stalls
 	nodeOf  []int              // rank -> physical node, monitor included
 	nodes   int                // physical nodes addressable by the plan
-}
-
-func (k *nodeKeyedInjector) DropMessage(src, dst, n int, t float64) bool {
-	return k.base.DropMessage(k.nodeOf[src], k.nodeOf[dst], n, t)
-}
-
-func (k *nodeKeyedInjector) LinkFactors(src, dst int, t float64) (latMul, bwDiv float64) {
-	return k.base.LinkFactors(k.nodeOf[src], k.nodeOf[dst], t)
-}
-
-// StallUntil already receives a physical node id (the simulator
-// resolves ranks through Model.NodeMap before booking NIC time).
-func (k *nodeKeyedInjector) StallUntil(node int, t float64) float64 {
-	return k.base.StallUntil(node, t)
 }
 
 func (k *nodeKeyedInjector) CrashTime(rank int) float64 {

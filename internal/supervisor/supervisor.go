@@ -4,8 +4,8 @@
 // hand (notice the dead PC, swap it, restart from restart files).
 //
 // A supervised run adds one extra simulated rank — the monitor — to
-// the solver's world. Solver ranks send a tiny heartbeat over the
-// lossless control channel after every step; the monitor feeds a
+// the solver's world. Solver ranks send a tiny eager heartbeat
+// (simnet.SendControl) after every step; the monitor feeds a
 // per-rank phi-accrual detector (detector.go) and, when a rank goes
 // silent past the adaptive timeout, broadcasts a halt order, so every
 // survivor stops at a consistent step boundary. The supervisor then
@@ -21,8 +21,7 @@
 // on a verdict with a one-flag Allreduce, so a NaN/Inf or a runaway
 // field magnitude makes every rank stop at the same step — before the
 // corrupt state can be staged into a checkpoint — and the run rolls
-// back and retries, with a policy hook (WatchdogConfig.OnTrip) for
-// reduced-dt strategies.
+// back and retries, with a hook (WatchdogConfig.OnTrip) called per trip.
 //
 // Because solver arithmetic never depends on the virtual clock, a
 // supervised run that survives any number of crashes, stalls, and
@@ -86,8 +85,7 @@ type WatchdogConfig struct {
 	// energy-divergence guard.
 	MaxGrowth float64
 	// OnTrip is called once per failed attempt caused by a watchdog
-	// trip, before the rollback rerun — the hook where a production
-	// policy would reduce dt or tighten solver tolerances.
+	// trip, before the rollback rerun.
 	OnTrip func(Trip)
 }
 
@@ -122,8 +120,6 @@ type Config struct {
 	// faults. Nil means fault-free. The plan applies to every attempt;
 	// fault times are relative to each attempt's start.
 	Faults simnet.Injector
-	// Rel enables reliable MPI delivery for the solver's traffic.
-	Rel *mpi.Reliability
 
 	// MaxRestarts is the retry budget: the number of failed attempts
 	// tolerated before giving up (default Spares+3).
@@ -156,10 +152,6 @@ type Config struct {
 	// writes), and watchdog trips climb the escalation ladder instead
 	// of plain rollback-and-retry.
 	Adapt *policy.Config
-	// NewTunedSolver supersedes NewSolver when set: dtScale carries the
-	// escalation ladder's current time-step reduction (1 = nominal).
-	// Required for the ladder's retry-dt rung to have any effect.
-	NewTunedSolver func(comm *mpi.Comm, dtScale float64) (Solver, error)
 	// SimDiskMBs, when > 0, prices each checkpoint from the record's
 	// stored size through the cluster's calibrated disk/network model,
 	// in node-local mode or in the striped mode the adaptive selector
@@ -173,8 +165,8 @@ func (cfg *Config) validate() error {
 	switch {
 	case cfg.Procs < 1 || cfg.Steps < 1:
 		return fmt.Errorf("supervisor: need at least one rank and one step")
-	case cfg.NewSolver == nil && cfg.NewTunedSolver == nil:
-		return fmt.Errorf("supervisor: NewSolver (or NewTunedSolver) is required")
+	case cfg.NewSolver == nil:
+		return fmt.Errorf("supervisor: NewSolver is required")
 	case cfg.Model == nil:
 		return fmt.Errorf("supervisor: Model is required")
 	case cfg.Model.RanksPerNode > 1 || cfg.Model.NodeMap != nil:
@@ -272,7 +264,6 @@ type Escalation struct {
 	Rank    int
 	Step    int
 	Action  string
-	DtScale float64
 }
 
 // RetryError is the structured give-up error: the retry budget or the
@@ -446,17 +437,14 @@ func Run(cfg Config) (*Result, error) {
 			if rt == nil {
 				continue
 			}
-			// Escalation ladder: retry with reduced dt, then roll back
-			// one commit deeper, then convict the tripping rank's node.
+			// Escalation ladder: roll back one commit deeper, then
+			// convict the tripping rank's node.
 			tr := trips[0]
-			dec := rt.ladder.Decide(attemptNo, tr.Rank, tr.Step)
+			act := rt.ladder.Decide(attemptNo, tr.Rank, tr.Step)
 			res.Escalations = append(res.Escalations, Escalation{
-				Attempt: attemptNo, Rank: tr.Rank, Step: tr.Step,
-				Action: dec.Action.String(), DtScale: dec.DtScale,
+				Attempt: attemptNo, Rank: tr.Rank, Step: tr.Step, Action: act.String(),
 			})
-			switch dec.Action {
-			case policy.ActionRetryDt:
-				rt.dtScale = dec.DtScale
+			switch act {
 			case policy.ActionRollback:
 				// The restart state itself is suspect: demote the newest
 				// commit and recompute through the bad region. The

@@ -316,8 +316,7 @@ func TestWatchdogNaNRollbackBitIdentical(t *testing.T) {
 	ref := runReference(t, cfg)
 
 	// Corrupt rank 1 at step 5 (checkpoints land at 2 and 4). The
-	// OnTrip policy hook "fixes" the instability so the retry is clean
-	// — the reduced-dt pattern at test scale.
+	// OnTrip hook "fixes" the instability so the retry is clean.
 	active := true
 	var hookTrips []supervisor.Trip
 	corrupting := func(comm *mpi.Comm) (supervisor.Solver, error) {
