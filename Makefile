@@ -60,10 +60,9 @@ race-sched-multi:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'Scheduler|ManyRanks' ./internal/simnet ./internal/mpi
 
-# The adaptive-resilience layer (estimator, cadence controller,
-# simulated-cluster write-mode selector, escalation ladder) runs inside
-# every rank goroutine and the supervisor's monitor; keep it race-clean
-# under repetition.
+# The adaptive-resilience layer (MTBF estimator, cadence controller)
+# runs inside every rank goroutine and the supervisor's monitor; keep it
+# race-clean under repetition.
 race-policy:
 	$(GO) test -race -count=2 ./internal/policy ./internal/supervisor
 

@@ -24,8 +24,8 @@ import (
 // same supervised Nektar-F campaign runs under seeded crash plans drawn
 // from several node-MTBF regimes on several cluster models, once per
 // static checkpoint cadence and once under the adaptive policy
-// (internal/policy: online MTBF estimation + live Young retuning +
-// runtime writer selection). The figure of merit is total virtual
+// (internal/policy: online MTBF estimation + live Young retuning). The
+// figure of merit is total virtual
 // time-to-solution, crashes, rollbacks, and checkpoint I/O included.
 //
 // The acceptance bar, recorded in BENCH_adapt.json: the adaptive policy
@@ -54,8 +54,7 @@ type AdaptbenchConfig struct {
 	// comparison: the probe measures delta (one checkpoint's virtual
 	// write cost) through ckpt.SimWriter at this bandwidth, the static
 	// runs charge exactly delta per checkpoint, and the adaptive runs'
-	// supervised writers price each write through the same model, in
-	// the mode the runtime selector picks.
+	// supervised writers price each write through the same model.
 	//
 	// The quantity Young's formula actually trades off is the
 	// dimensionless ratio delta/stepwall, and a demonstration-scale
@@ -147,10 +146,8 @@ type AdaptCell struct {
 
 	// Adaptive-layer end state from the cell's last campaign.
 	FinalInterval   int
-	WriteMode       string
 	MTBFEstimateS   float64
 	CadenceSwitches int
-	Escalations     int
 	Failures        int
 
 	// BitIdentical reports that every faulted run in the cell — static
@@ -246,7 +243,7 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 		fmt.Sprintf("Adaptbench: adaptive vs static checkpoint cadence — %s, P=%d (+%d spares), %d steps, %d seed(s)/cell",
 			cfg.Solver, cfg.Procs, cfg.Spares, cfg.Steps, cfg.Seeds),
 		"machine / node MTBF", "static walls (s)", "adaptive (s)", "vs best", "vs worst",
-		"final interval", "write mode", "campaign")
+		"final interval", "campaign")
 
 	for mi, name := range cfg.Machines {
 		mach, newSolver, err := clusterFor(name, cfg.Solver, cfg.Procs, cfg.Spares)
@@ -339,6 +336,7 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 				var tbuf bytes.Buffer
 				run := base
 				run.Faults = planFor(seed)
+				run.Trace = engine.NewTracer(&tbuf)
 				// The adaptive run's writer prices each checkpoint itself,
 				// in place of the static runs' flat charge.
 				run.CheckpointCostS = 0
@@ -353,7 +351,6 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 					// rate to move off the prior within one run; the
 					// default suits long production campaigns.
 					Alpha: 0.7,
-					Trace: engine.NewTracer(&tbuf),
 				}
 				res, serr := supervisor.Run(run)
 				if serr != nil {
@@ -364,7 +361,6 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 					cell.BitIdentical = false
 				}
 				cell.Failures += len(res.Failures)
-				cell.Escalations += len(res.Escalations)
 				evs, everr := engine.ReadEvents(&tbuf)
 				if everr != nil {
 					return nil, nil, fmt.Errorf("bench: reading adaptive trace: %w", everr)
@@ -390,16 +386,12 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 			cell.VsBest = cell.AdaptiveWallS / cell.BestStaticS
 			cell.VsWorst = cell.AdaptiveWallS / cell.WorstStaticS
 			cell.FinalInterval = lastAdaptive.FinalInterval
-			cell.WriteMode = lastAdaptive.WriteMode
 			cell.MTBFEstimateS = lastAdaptive.MTBFEstimateS
 			out.Cells = append(out.Cells, cell)
 			out.MaxVsBest = math.Max(out.MaxVsBest, cell.VsBest)
 			out.MaxGainVsWorst = math.Max(out.MaxGainVsWorst, 1-cell.VsWorst)
 
 			campaign := fmt.Sprintf("%d failures, %d retunes", cell.Failures, cell.CadenceSwitches)
-			if cell.Escalations > 0 {
-				campaign += fmt.Sprintf(", %d escalations", cell.Escalations)
-			}
 			if !cell.BitIdentical {
 				campaign += ", NOT bit-identical"
 			}
@@ -410,7 +402,6 @@ func RunAdaptbench(cfg AdaptbenchConfig) (*AdaptbenchResult, *report.Table, erro
 				fmt.Sprintf("%.3f", cell.VsBest),
 				fmt.Sprintf("%.3f", cell.VsWorst),
 				fmt.Sprintf("%d", cell.FinalInterval),
-				cell.WriteMode,
 				campaign,
 			)
 		}

@@ -26,7 +26,7 @@ func TestAdaptbenchQuickSweep(t *testing.T) {
 	if res.DeltaS["RoadRunner-eth"] <= 0 || res.RefWallS["RoadRunner-eth"] <= 0 {
 		t.Errorf("probe quantities missing: delta=%v ref=%v", res.DeltaS, res.RefWallS)
 	}
-	if c.WriteMode == "" || c.FinalInterval < 1 {
+	if c.FinalInterval < 1 {
 		t.Errorf("adaptive end state not reported: %+v", c)
 	}
 }

@@ -110,7 +110,7 @@ func commFactor(cfg ALEConfig, p int, probeDofs float64) float64 {
 
 // aleSolverConfig is the flapping-wing solver configuration shared by
 // all cells.
-func aleSolverConfig(scale *core.ALEScale) core.ALEConfig {
+func aleSolverConfig() core.ALEConfig {
 	return core.ALEConfig{
 		Nu: 1.0 / 1000, Dt: 2e-3, Order: 2,
 		FarfieldVel: [3]float64{1, 0, 0},
@@ -119,7 +119,6 @@ func aleSolverConfig(scale *core.ALEScale) core.ALEConfig {
 		},
 		MoveMesh: true,
 		Tol:      1e-6,
-		Scale:    scale,
 	}
 }
 
@@ -147,19 +146,16 @@ func RunALE(cfg ALEConfig) ([]SweepCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Probe pass: measure the per-neighbor interface so the
-		// phantom factor reproduces paper-scale message sizes.
-		probe, err := core.NewNSALE(m3, aleSolverConfig(nil), comm, nil)
+		ns, err := core.NewNSALE(m3, aleSolverConfig(), comm, &mach.CPU)
 		if err != nil {
 			return nil, err
 		}
+		// Size the phantom factor from the measured per-neighbor
+		// interface, so messages carry paper-scale sizes.
 		cellScale := *scale
-		all := comm.Allreduce([]float64{probe.MeanInterfaceDofs(), 1}, mpi.Sum)
+		all := comm.Allreduce([]float64{ns.MeanInterfaceDofs(), 1}, mpi.Sum)
 		cellScale.Comm = commFactor(cfg, p, all[0]/all[1])
-		ns, err := core.NewNSALE(m3, aleSolverConfig(&cellScale), comm, &mach.CPU)
-		if err != nil {
-			return nil, err
-		}
+		ns.SetScale(&cellScale)
 		ns.SetUniformInitial(1, 0, 0)
 		return ns, nil
 	})

@@ -206,13 +206,11 @@ func RunSupervise(cfg SuperviseConfig) (*report.Table, error) {
 		fmt.Sprintf("%d (%s)", len(got.Failures), strings.Join(handled, "; ")),
 		fmt.Sprintf("%d", got.StepsComputed), fmt.Sprintf("%.4g", got.VirtualWall), yesNO(identical))
 	if adaptive {
-		// The policy end state, in the campaign row's shape: what the
-		// controllers converged to and how often the ladder fired.
-		tbl.AddRow("policy end state (adaptive)", "—",
-			fmt.Sprintf("%d escalation(s)", len(got.Escalations)),
+		// The policy end state, in the campaign row's shape: the cadence
+		// and MTBF estimate the controllers converged to.
+		tbl.AddRow("policy end state (adaptive)", "—", "—",
 			fmt.Sprintf("ckpt every %d", got.FinalInterval),
-			fmt.Sprintf("MTBF est %.3g", got.MTBFEstimateS),
-			got.WriteMode+" writes")
+			fmt.Sprintf("MTBF est %.3g", got.MTBFEstimateS), "—")
 	}
 	if !identical {
 		return tbl, fmt.Errorf("bench: recovered trajectory is NOT bit-identical to the reference")

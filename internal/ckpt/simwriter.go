@@ -94,7 +94,7 @@ func (w *SimWriter) Submit(step int, state []byte, final bool) error {
 	}
 
 	w.stored = stats.Stored
-	cost := w.Price(w.Mode)
+	cost := w.price(w.Mode)
 	w.last = cost
 	w.stats.Snapshots++
 	w.stats.RawBytes += int64(stats.Raw)
@@ -110,12 +110,11 @@ func (w *SimWriter) Submit(step int, state []byte, final bool) error {
 	return nil
 }
 
-// Price charges this rank's virtual clock for writing the most recent
+// price charges this rank's virtual clock for writing the most recent
 // record in mode and returns the cost, without persisting anything and
-// without touching the writer's counters: the pure cost model, which a
-// write-mode probe uses to price the mode it is not in. Collective in
-// striped mode, like Submit.
-func (w *SimWriter) Price(mode WriteMode) float64 {
+// without touching the writer's counters. Collective in striped mode,
+// like Submit.
+func (w *SimWriter) price(mode WriteMode) float64 {
 	t0 := w.Comm.Wtime()
 	diskBytes := float64(w.stored)
 	if mode == WriteStriped && w.Comm.Size() > 1 {

@@ -11,9 +11,7 @@
 // before returning a payload, and Latest walks the store newest-first
 // for the youngest step at which EVERY rank's record still verifies,
 // skipping torn, bit-flipped, or incomplete steps. A Retention policy
-// (keep the last K steps plus every Nth) bounds the disk footprint of
-// a long campaign without losing the widely-spaced history that makes
-// deep rollback possible.
+// (keep the last K steps) bounds the disk footprint of a long campaign.
 //
 // The write path lives in writer.go (host-time asynchronous writer for
 // real processes) and simwriter.go (virtual-time cost model for ranks
@@ -208,22 +206,11 @@ func DecodeRecord(frame []byte) (Meta, []byte, error) {
 // and (-1, nil, nil) means the store holds nothing usable. Only
 // backend I/O failures (listing errors) are returned as errors.
 func Latest(s Store, procs int) (int, [][]byte, error) {
-	return LatestBelow(s, procs, -1)
-}
-
-// LatestBelow is Latest restricted to steps strictly below the given
-// bound; below < 0 means unbounded. The adaptive escalation ladder
-// uses it to roll back one commit deeper when resuming from the newest
-// checkpoint keeps tripping the watchdog at the same step.
-func LatestBelow(s Store, procs, below int) (int, [][]byte, error) {
 	steps, err := s.Steps()
 	if err != nil {
 		return -1, nil, err
 	}
 	for i := len(steps) - 1; i >= 0; i-- {
-		if below >= 0 && steps[i] >= below {
-			continue
-		}
 		states := make([][]byte, procs)
 		ok := true
 		for r := 0; r < procs; r++ {

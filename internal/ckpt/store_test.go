@@ -228,35 +228,6 @@ func TestLatestEmptyStore(t *testing.T) {
 	}
 }
 
-// LatestBelow restricts the commit scan for the escalation ladder's
-// deeper-rollback rung: strictly below the bound, unbounded when the
-// bound is negative, and empty when nothing older exists.
-func TestLatestBelow(t *testing.T) {
-	s := NewMemStore()
-	const procs = 2
-	for _, step := range []int{10, 20, 30} {
-		for r := 0; r < procs; r++ {
-			if _, err := s.Put(Meta{Kind: "nsf", Rank: r, Step: step}, payload(byte(step), 200)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, tc := range []struct{ below, want int }{
-		{-1, 30}, {30, 20}, {25, 20}, {20, 10}, {10, -1},
-	} {
-		step, states, err := LatestBelow(s, procs, tc.below)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if step != tc.want {
-			t.Errorf("LatestBelow(%d) = %d, want %d", tc.below, step, tc.want)
-		}
-		if tc.want >= 0 && !bytes.Equal(states[0], payload(byte(tc.want), 200)) {
-			t.Errorf("LatestBelow(%d) returned wrong states", tc.below)
-		}
-	}
-}
-
 // A DirStore must detect damage applied directly to the file on disk —
 // the e2e recovery scenario.
 func TestDirStoreOnDiskDamage(t *testing.T) {

@@ -41,14 +41,11 @@ type ALEConfig struct {
 
 	// Tol is the PCG relative tolerance (default 1e-8).
 	Tol float64
-
-	// Scale, when non-nil, runs in paper-scale extrapolation mode.
-	Scale *ALEScale
 }
 
-// ALEScale extrapolates a validation-scale ALE run to the paper's
-// problem size: per-region compute multipliers (indexed like
-// ALEStageNames), a GS message-size multiplier, and exact PCG
+// ALEScale (see NSALE.SetScale) extrapolates a validation-scale ALE
+// run to the paper's problem size: per-region compute multipliers
+// (indexed like ALEStageNames), a GS message-size multiplier, and exact PCG
 // iteration counts reflecting the paper-scale condition numbers (the
 // solver runs exactly that many iterations — padding with operator
 // applications if it converges early, truncating otherwise — so both
@@ -81,6 +78,10 @@ type NSALE struct {
 	Own    []int // elements owned by this rank
 
 	sysV, sysP *localSys
+
+	// scale, when non-nil, runs the paper-scale extrapolation mode
+	// (SetScale).
+	scale *ALEScale
 
 	U    [3][]float64 // local velocity dof values (consistent)
 	Pr   []float64    // local pressure dof values
@@ -446,15 +447,12 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 	}
 	ns.sysV = newLocalSys(ns.AV, ns.Own, comm, &ns.clk, 3)
 	ns.sysP = newLocalSys(ns.AP, ns.Own, comm, &ns.clk, 1)
-	if cfg.Scale != nil && cfg.Scale.Comm > 1 {
-		comm.SetPhantomFactor(cfg.Scale.Comm)
-	}
 	if cpu != nil {
 		ns.clk.Price(func(c *blas.Counts, stage int) float64 {
-			return cpu.ApplicationSeconds(c) * ns.Cfg.Scale.region(stage)
+			return cpu.ApplicationSeconds(c) * ns.scale.region(stage)
 		}, comm.Compute)
-		ns.sysV.priceBuilds = cfg.Scale == nil
-		ns.sysP.priceBuilds = cfg.Scale == nil
+		ns.sysV.priceBuilds = true
+		ns.sysP.priceBuilds = true
 	}
 
 	nl := len(ns.sysV.gdof)
@@ -764,20 +762,36 @@ func (ns *NSALE) MeanInterfaceDofs() float64 {
 	return ns.sysV.gs.MeanPairwiseLen()
 }
 
+// SetScale enables paper-scale extrapolation: per-region compute
+// multipliers, the gather-scatter message-size (phantom) factor, and
+// exact PCG iteration counts; operator builds stop being priced. Call
+// it before the first step.
+func (ns *NSALE) SetScale(sc *ALEScale) {
+	ns.scale = sc
+	if sc == nil {
+		return
+	}
+	if sc.Comm > 1 {
+		ns.Comm.SetPhantomFactor(sc.Comm)
+	}
+	ns.sysV.priceBuilds = false
+	ns.sysP.priceBuilds = false
+}
+
 // pressureIters / helmIters return the exact iteration counts of the
 // extrapolation mode (0 = run to convergence).
 func (ns *NSALE) pressureIters() int {
-	if ns.Cfg.Scale == nil {
+	if ns.scale == nil {
 		return 0
 	}
-	return ns.Cfg.Scale.PressureIters
+	return ns.scale.PressureIters
 }
 
 func (ns *NSALE) helmIters() int {
-	if ns.Cfg.Scale == nil {
+	if ns.scale == nil {
 		return 0
 	}
-	return ns.Cfg.Scale.HelmIters
+	return ns.scale.HelmIters
 }
 
 // iterBounds converts an exact target into pcg (min, max) bounds.

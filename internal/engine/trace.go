@@ -29,15 +29,11 @@ import (
 //	halt        a supervisor halt order ended the run at step
 //	done        the run reached its target step count
 //
-// The adaptive-resilience layer (internal/policy) adds two events:
+// The adaptive-resilience layer (internal/policy) adds one event:
 //
-//	policy_switch  a live policy changed its decision: policy names the
-//	               controller ("cadence" or "writer"), from/to the old
-//	               and new settings, and the evidence rides along
-//	               (mtbf_s/delta_s/interval for cadence, exposed or
-//	               cost ratios for writer selection)
-//	escalate       the adaptive watchdog ladder took its next recovery
-//	               rung: to is the action ("rollback" or "convict")
+//	policy_switch  the live cadence changed: policy names the controller
+//	               ("cadence"), from/to the old and new intervals, and
+//	               the evidence rides along (mtbf_s, delta_s, interval)
 //
 // The spectral solvers (internal/spectral) add two online-diagnostic
 // events, emitted by rank 0 at the solver's DiagEvery cadence:
@@ -58,7 +54,6 @@ const (
 	EvHalt         = "halt"
 	EvDone         = "done"
 	EvPolicySwitch = "policy_switch"
-	EvEscalate     = "escalate"
 	EvSpectrum     = "spectrum"
 	EvDissipation  = "dissipation"
 )
@@ -87,7 +82,7 @@ type Event struct {
 	// Final marks the run's end-state snapshot (checkpoint events).
 	Final bool `json:"final,omitempty"`
 
-	// Adaptive-policy fields (policy_switch/escalate, internal/policy).
+	// Adaptive-policy fields (policy_switch, internal/policy).
 	Policy   string  `json:"policy,omitempty"`
 	From     string  `json:"from,omitempty"`
 	To       string  `json:"to,omitempty"`

@@ -274,25 +274,3 @@ func SolveDense(n int, a []float64, b []float64) error {
 	Dgetrs(n, a, n, ipiv, b)
 	return nil
 }
-
-// Inverse computes the inverse of the n-by-n row-major matrix a,
-// returning a freshly allocated matrix; a is destroyed.
-func Inverse(n int, a []float64) ([]float64, error) {
-	ipiv, err := Dgetrf(n, a, n)
-	if err != nil {
-		return nil, err
-	}
-	inv := make([]float64, n*n)
-	col := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range col {
-			col[i] = 0
-		}
-		col[j] = 1
-		Dgetrs(n, a, n, ipiv, col)
-		for i := 0; i < n; i++ {
-			inv[i*n+j] = col[i]
-		}
-	}
-	return inv, nil
-}

@@ -229,36 +229,6 @@ func TestDgetrfSingular(t *testing.T) {
 	}
 }
 
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 12
-	a := make([]float64, n*n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-	}
-	for i := 0; i < n; i++ {
-		a[i*n+i] += 5
-	}
-	orig := append([]float64(nil), a...)
-	inv, err := Inverse(n, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod := make([]float64, n*n)
-	blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, orig, n, inv, n, 0, prod, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if math.Abs(prod[i*n+j]-want) > 1e-9 {
-				t.Fatalf("A*inv(A) deviates at (%d,%d): %g", i, j, prod[i*n+j])
-			}
-		}
-	}
-}
-
 func TestBandedSolveRecordsWork(t *testing.T) {
 	var c blas.Counts
 	blas.StartRecording(&c)

@@ -42,7 +42,7 @@ type CadenceController struct {
 	stepS  float64 // EW per-step duration, seconds
 	nobs   int
 
-	rank int // only the rank-0 controller carries a tracer
+	trace *engine.Tracer // nil on every rank but the one that reports
 }
 
 // YoungInterval is Young's optimal checkpoint period in seconds:
@@ -67,11 +67,11 @@ func YoungOverhead(deltaS, tauS, thetaS float64) float64 {
 // campaign's (interval >= 1, anchor) state, so a retuned cadence
 // survives rollback (every rank's controller must be built from the
 // same state). A campaign starts at (CheckpointEvery, 0), whose grid
-// {k*interval} is the static CheckpointEvery rule. rank labels trace
-// events; only rank 0's instance emits them, so a parallel run emits
-// each switch once.
-func NewCadence(cfg Config, rank, interval, anchor int) *CadenceController {
-	return &CadenceController{cfg: cfg.WithDefaults(), interval: interval, anchor: anchor, rank: rank}
+// {k*interval} is the static CheckpointEvery rule. trace, when set,
+// receives each retune as a policy_switch event; a parallel run hands
+// it to rank 0's instance only, so each switch is emitted once.
+func NewCadence(cfg Config, trace *engine.Tracer, interval, anchor int) *CadenceController {
+	return &CadenceController{cfg: cfg.WithDefaults(), interval: interval, anchor: anchor, trace: trace}
 }
 
 // Interval returns the current cadence in steps; Anchor the step it
@@ -123,9 +123,9 @@ func (c *CadenceController) Observe(step int, costS, stepWallS, mtbfS float64) {
 	if diff < band {
 		return
 	}
-	if c.cfg.Trace != nil && c.rank == 0 {
-		c.cfg.Trace.Emit(engine.Event{
-			Ev: engine.EvPolicySwitch, Rank: c.rank, Step: step,
+	if c.trace != nil {
+		c.trace.Emit(engine.Event{
+			Ev: engine.EvPolicySwitch, Step: step,
 			Policy: "cadence",
 			From:   strconv.Itoa(c.interval), To: strconv.Itoa(want),
 			MTBFS: mtbfS, DeltaS: c.deltaS, Interval: want,

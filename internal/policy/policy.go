@@ -1,13 +1,12 @@
 // Package policy is the adaptive-resilience layer: the components that
-// turn the static fault-tolerance knobs — checkpoint cadence, writer
-// choice, recovery strategy — into live controllers driven by what the
-// run actually observes. The paper's operators picked these by hand
-// per machine; `repro faultbench` picks them offline from a swept table;
-// this package closes the loop online, so a campaign tunes itself to
-// the failure rate and I/O cost it measures instead of the ones the
-// operator guessed.
+// turn the static checkpoint cadence into a live controller driven by
+// what the run actually observes. The paper's operators picked the
+// cadence by hand per machine; `repro faultbench` picks it offline from
+// a swept table; this package closes the loop online, so a campaign
+// tunes itself to the failure rate and I/O cost it measures instead of
+// the ones the operator guessed.
 //
-// Four components, wired together by internal/supervisor:
+// Two components, wired together by internal/supervisor:
 //
 //   - MTBFEstimator (mtbf.go): exponentially-weighted inter-failure
 //     intervals from the supervisor's verdict history, seeded from the
@@ -16,27 +15,16 @@
 //     checkpoint interval from the estimated MTBF and the measured
 //     per-checkpoint cost, with clamping and hysteresis; implements
 //     engine.CadencePolicy.
-//   - SimSelector (writer.go): runtime write-mode selection on the
-//     simulated cluster — the supervisor's writer starts with
-//     node-local files; the selector prices one striped write and
-//     switches the writer's mode when the fabric makes it affordable.
-//   - Ladder (ladder.go): the watchdog escalation ladder — roll back
-//     deeper once, then convict and re-home.
 //
-// The layer is on or off: a supervised run with a Config runs every
-// component live, one without runs none. Every decision is emitted as
-// a structured policy_switch or escalate trace event carrying its
-// evidence, so a recorded run explains every deviation from the static
-// configuration.
+// The layer is on or off: a supervised run with a Config runs both
+// components live, one without runs neither. Every retune is emitted
+// as a structured policy_switch trace event carrying its evidence, so
+// a recorded run explains every deviation from the static cadence.
 package policy
 
-import (
-	"fmt"
+import "fmt"
 
-	"nektar/internal/engine"
-)
-
-// Config parametrizes the adaptive layer: the three values some caller
+// Config parametrizes the adaptive layer: the two values some caller
 // chooses. The zero value of Alpha means "use the default";
 // WithDefaults resolves it.
 type Config struct {
@@ -50,13 +38,10 @@ type Config struct {
 	// or cost observation (default 0.3: the newest observation carries
 	// 30%, history decays geometrically).
 	Alpha float64
-
-	// Trace, when set, receives policy_switch and escalate events.
-	Trace *engine.Tracer
 }
 
-// The controllers' fixed tuning: constants rather than Config fields,
-// because every caller runs with these values.
+// The cadence controller's fixed tuning: constants rather than Config
+// fields, because every caller runs with these values.
 const (
 	// minInterval/maxInterval clamp the cadence controller: Young's
 	// formula near theta -> 0 or delta -> 0 would otherwise ask for
@@ -67,24 +52,6 @@ const (
 	// fraction of the current interval, so measurement noise cannot
 	// make the cadence thrash.
 	hysteresisFrac = 0.25
-
-	// probeAfter is the checkpoint count at which the writer selector
-	// runs its probe: enough submits to trust the local cost
-	// measurement.
-	probeAfter = 3
-	// maxStripePenalty bounds promotion to striped mode: the measured
-	// striped cost must not exceed this multiple of the local cost
-	// (striping doubles the restart-read bandwidth, so paying up to 2x
-	// on the write breaks even; BENCH_ckpt.json measures 6.4x on
-	// Ethernet and 2.5x on Myrinet, so promotion only fires on
-	// genuinely low-latency fabrics).
-	maxStripePenalty = 2.0
-
-	// rollbackBudget is the escalation ladder's first rung: how many
-	// watchdog trips are answered by rolling back one commit deeper.
-	// Past it the ladder convicts the tripping rank and re-homes it
-	// onto a spare.
-	rollbackBudget = 1
 )
 
 // WithDefaults resolves zero fields to their defaults.

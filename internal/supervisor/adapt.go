@@ -1,9 +1,6 @@
 package supervisor
 
-import (
-	"nektar/internal/ckpt"
-	"nektar/internal/policy"
-)
+import "nektar/internal/policy"
 
 // defaultAdaptInterval starts the cadence controller of a campaign
 // that disables static checkpointing (CheckpointEvery 0).
@@ -14,18 +11,13 @@ const defaultAdaptInterval = 10
 // attempt die with its rank goroutines). The supervisor's control
 // path is serial, so no locking.
 type adaptRuntime struct {
-	cfg    policy.Config
-	est    *policy.MTBFEstimator
-	ladder *policy.Ladder
+	cfg policy.Config
+	est *policy.MTBFEstimator
 
 	// interval/anchor persist the cadence controller's state: a retune
 	// survives the rollback that follows a failure.
 	interval int
 	anchor   int
-	// writeMode/probed persist the writer selector's verdict: the
-	// striping probe runs once per campaign.
-	writeMode ckpt.WriteMode
-	probed    bool
 }
 
 // newAdaptRuntime validates cfg and builds the campaign state, with
@@ -39,11 +31,9 @@ func newAdaptRuntime(ac policy.Config, checkpointEvery int) (*adaptRuntime, erro
 		checkpointEvery = defaultAdaptInterval
 	}
 	return &adaptRuntime{
-		cfg:       ac,
-		est:       policy.NewMTBFEstimator(ac.PriorMTBFS, ac.Alpha),
-		ladder:    policy.NewLadder(ac),
-		interval:  checkpointEvery,
-		writeMode: ckpt.WriteLocal,
+		cfg:      ac,
+		est:      policy.NewMTBFEstimator(ac.PriorMTBFS, ac.Alpha),
+		interval: checkpointEvery,
 	}, nil
 }
 
@@ -52,43 +42,33 @@ func newAdaptRuntime(ac policy.Config, checkpointEvery int) (*adaptRuntime, erro
 // collective), so the MTBF estimate is sampled once here and held.
 func (rt *adaptRuntime) attemptState() *attemptAdapt {
 	return &attemptAdapt{
-		cfg:       rt.cfg,
-		mtbfS:     rt.est.MTBFS(),
-		interval:  rt.interval,
-		anchor:    rt.anchor,
-		writeMode: rt.writeMode,
-		probed:    rt.probed,
+		cfg:      rt.cfg,
+		mtbfS:    rt.est.MTBFS(),
+		interval: rt.interval,
+		anchor:   rt.anchor,
 	}
 }
 
-// absorb reads back the state rank 0's controllers and writer reached,
-// so the next attempt resumes the tuning instead of restarting it. On
-// a crashed attempt they still hold their last consistent pre-crash
-// state (policy decisions are collective, so every rank agreed on it).
+// absorb reads back the state rank 0's controller reached, so the
+// next attempt resumes the tuning instead of restarting it. On a
+// crashed attempt it still holds its last consistent pre-crash state
+// (cadence decisions are collective, so every rank agreed on it).
 func (rt *adaptRuntime) absorb(ad *attemptAdapt) {
 	if ad.ctl != nil {
 		rt.interval = ad.ctl.Interval()
 		rt.anchor = ad.ctl.Anchor()
 	}
-	if ad.sel != nil {
-		rt.writeMode = ad.w.Mode
-		rt.probed = ad.sel.Probed()
-	}
 }
 
 // attemptAdapt is the adaptive layer's per-attempt state handed to the
-// rank bodies: frozen campaign inputs plus rank 0's live controllers
-// and writer for post-run read-back. Rank goroutines are serialized by
-// the simulator and only rank 0 writes the read-back slots.
+// rank bodies: frozen campaign inputs plus rank 0's live controller
+// for post-run read-back. Rank goroutines are serialized by the
+// simulator and only rank 0 writes the read-back slot.
 type attemptAdapt struct {
-	cfg       policy.Config
-	mtbfS     float64
-	interval  int
-	anchor    int
-	writeMode ckpt.WriteMode
-	probed    bool
+	cfg      policy.Config
+	mtbfS    float64
+	interval int
+	anchor   int
 
 	ctl *policy.CadenceController
-	sel *policy.SimSelector
-	w   *ckpt.SimWriter
 }

@@ -3,7 +3,6 @@ package supervisor_test
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"testing"
 
@@ -27,11 +26,12 @@ func TestAdaptiveCrashCampaignRetunes(t *testing.T) {
 	var trace bytes.Buffer
 	adaptive := cfg
 	adaptive.Faults = fault.NewPlan(3).Crash(1, 0.45*ref.VirtualWall)
+	adaptive.Trace = engine.NewTracer(&trace)
 	// Prior chosen so Young's interval differs clearly from the seeded
 	// cadence of 2 steps: with delta = 1e-4 s and theta = 100 s,
 	// tau_opt = sqrt(2*1e-4*100) ~= 0.14 s, far above the ~ms step
 	// time, so the controller must retune upward.
-	adaptive.Adapt = &policy.Config{PriorMTBFS: 100, Trace: engine.NewTracer(&trace)}
+	adaptive.Adapt = &policy.Config{PriorMTBFS: 100}
 	tuneDetector(&adaptive, ref)
 	got, err := supervisor.Run(adaptive)
 	if err != nil {
@@ -68,82 +68,27 @@ func TestAdaptiveCrashCampaignRetunes(t *testing.T) {
 
 // tinyMTBFS is a prior so pessimistic that Young's interval clamps to
 // one step at the first checkpoint; watchdog trips do not feed the
-// estimator, so the ladder tests run at a known cadence.
+// estimator, so the trip test runs at a known cadence.
 const tinyMTBFS = 1e-6
 
-// convictWatch is a trace sink that clears *sick once the ladder
-// convicts a node: the rank re-homed onto a spare leaves the faulty
-// hardware behind.
-type convictWatch struct{ sick *bool }
-
-func (w convictWatch) Write(p []byte) (int, error) {
-	if bytes.Contains(p, []byte(`"to":"convict"`)) {
-		*w.sick = false
-	}
-	return len(p), nil
-}
-
-// A node that corrupts rank 1's fields at the same step on every
-// attempt climbs the ladder without a wasted attempt: the first trip
-// rolls back one commit deeper, the second convicts the node, and the
-// rank re-homed onto a spare finishes bit-identical to the reference —
-// three attempts, escalations [rollback convict].
-func TestLadderRollsBackThenConvicts(t *testing.T) {
+// A trip that recurs at the same step on every attempt is deterministic
+// arithmetic, not a flaky node: the adaptive layer rolls back to the
+// newest verified commit and retries exactly like a static campaign,
+// retires no hardware, and gives up when the retry budget runs out.
+// Each failure names the step the next attempt really resumed from.
+func TestAdaptiveDeterministicTripRetiresNoHardware(t *testing.T) {
 	clean := nsfFactory(t)
 	cfg := baseConfig(2, clean)
 	ref := runReference(t, cfg)
 
-	sick := true
+	active := true
 	cfg.NewSolver = func(comm *mpi.Comm) (supervisor.Solver, error) {
 		s, err := clean(comm)
 		if err != nil || comm.Rank() != 1 {
 			return s, err
 		}
-		return &corruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, active: &sick}, nil
+		return &corruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, active: &active}, nil
 	}
-	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS, Trace: engine.NewTracer(convictWatch{&sick})}
-	tuneDetector(&cfg, ref)
-	got, err := supervisor.Run(cfg)
-	if err != nil {
-		t.Fatalf("supervised run: %v", err)
-	}
-	var actions []string
-	for _, e := range got.Escalations {
-		if e.Rank != 1 || e.Step != 5 {
-			t.Errorf("escalation %+v, want rank 1 at step 5", e)
-		}
-		actions = append(actions, e.Action)
-	}
-	if fmt.Sprint(actions) != "[rollback convict]" {
-		t.Fatalf("escalations %v, want [rollback convict]", actions)
-	}
-	if got.Attempts != 3 || len(got.Trips) != 2 {
-		t.Fatalf("attempts=%d trips=%d, want three attempts and two trips", got.Attempts, len(got.Trips))
-	}
-	if len(got.Replacements) != 1 {
-		t.Errorf("replacements %+v, want the convicted node's", got.Replacements)
-	}
-	assertBitIdentical(t, ref, got)
-}
-
-// A persistently sick rank climbs the whole ladder: a deeper rollback,
-// then conviction (the node is replaced even though the hardware never
-// crashed), and finally a structured give-up.
-func TestLadderEscalatesToConviction(t *testing.T) {
-	clean := nsfFactory(t)
-	cfg := baseConfig(2, clean)
-	ref := runReference(t, cfg)
-
-	sick := true
-	cfg.NewSolver = func(comm *mpi.Comm) (supervisor.Solver, error) {
-		s, err := clean(comm)
-		if err != nil || comm.Rank() != 1 {
-			return s, err
-		}
-		return &corruptingSolver{Solver: s, ns: s.(*core.NSF), atStep: 5, active: &sick}, nil
-	}
-	// The ladder's budget: one deeper rollback (attempt 0's trip), then
-	// conviction (attempts 1 and 2).
 	cfg.Adapt = &policy.Config{PriorMTBFS: tinyMTBFS}
 	cfg.MaxRestarts = 2
 	var trace bytes.Buffer
@@ -152,31 +97,29 @@ func TestLadderEscalatesToConviction(t *testing.T) {
 	_, err := supervisor.Run(cfg)
 	var re *supervisor.RetryError
 	if !errors.As(err, &re) {
-		t.Fatalf("err = %v, want *RetryError after the ladder runs out", err)
+		t.Fatalf("err = %v, want *RetryError", err)
 	}
-	// Checkpoints land at steps 2, 3 and 4 (the controller retunes to
-	// every step at step 2). The rollback rung demotes the step-4
-	// commit on the default in-memory store, so attempt 1 resumes from
-	// the older step-3 checkpoint; it rewrites step 4 before tripping
-	// again, and attempt 2 resumes from there.
+	if re.Reason != "retry budget exhausted" || re.Attempts != 3 || len(re.Failures) != 3 {
+		t.Fatalf("RetryError = %+v, want the retry budget exhausted after 3 attempts, one failure each", re)
+	}
 	resumedFrom := map[int]int{}
 	for _, m := range rollbackMarks(t, &trace) {
 		resumedFrom[m.Attempt] = m.Step
 	}
-	if resumedFrom[1] != 3 || resumedFrom[2] != 4 {
-		t.Errorf("attempts resumed from steps %v, want 3 after the deeper rollback, then 4", resumedFrom)
-	}
-	// The ladder's decisions are visible in the failure log: the
-	// convicted attempts carry a replacement node where the rolled-back
-	// one carries -1.
-	var convicted int
 	for _, f := range re.Failures {
-		if f.Cause == supervisor.CauseWatchdog && f.NewNode >= 0 {
-			convicted++
+		if f.Cause != supervisor.CauseWatchdog || f.Rank != 1 || f.TripStep != 5 {
+			t.Errorf("failure %+v, want rank 1's watchdog trip at step 5", f)
+		}
+		if f.NewNode != -1 {
+			t.Errorf("failure %+v retired rank 1's node onto spare %d", f, f.NewNode)
+		}
+		if next, ok := resumedFrom[f.Attempt+1]; ok && next != f.RestartStep {
+			t.Errorf("attempt %d failure says restart from step %d, attempt %d resumed from %d",
+				f.Attempt, f.RestartStep, f.Attempt+1, next)
 		}
 	}
-	if len(re.Failures) != 3 || re.Failures[0].NewNode != -1 || convicted != 2 {
-		t.Fatalf("failures = %+v, want one rollback then two convicted (re-homed) watchdog trips", re.Failures)
+	if len(resumedFrom) != 2 {
+		t.Errorf("rollback marks for attempts %v, want attempts 1 and 2", resumedFrom)
 	}
 }
 
@@ -194,7 +137,8 @@ func TestAdaptivePricesStoredRecord(t *testing.T) {
 	var trace bytes.Buffer
 	// Alpha 1 makes delta the first checkpoint's cost; a huge prior
 	// makes Young retune at that checkpoint.
-	cfg.Adapt = &policy.Config{PriorMTBFS: 1e9, Alpha: 1, Trace: engine.NewTracer(&trace)}
+	cfg.Adapt = &policy.Config{PriorMTBFS: 1e9, Alpha: 1}
+	cfg.Trace = engine.NewTracer(&trace)
 	if _, err := supervisor.Run(cfg); err != nil {
 		t.Fatalf("adaptive run: %v", err)
 	}

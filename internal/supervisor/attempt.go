@@ -61,19 +61,12 @@ type attempt struct {
 
 	final    [][]byte
 	done     []bool
-	trips    []*Trip
+	trips    []*engine.Trip
 	stepsRun []int
 	verdict  *verdict
 
 	// ad is the adaptive layer's per-attempt state (nil = static run).
 	ad *attemptAdapt
-
-	// Resolved knobs.
-	hbEvery     int
-	hbSeed      float64
-	hbThreshold float64
-	hbWindow    int
-	wdEvery     int
 }
 
 func newAttempt(cfg *Config, pool *simnet.SparePool, index, committedStep int, committed [][]byte) *attempt {
@@ -97,19 +90,8 @@ func newAttempt(cfg *Config, pool *simnet.SparePool, index, committedStep int, c
 		stallAt:       make([]float64, procs),
 		final:         make([][]byte, procs),
 		done:          make([]bool, procs),
-		trips:         make([]*Trip, procs),
+		trips:         make([]*engine.Trip, procs),
 		stepsRun:      make([]int, procs),
-		hbEvery:       cfg.Heartbeat.Every,
-		hbSeed:        cfg.Heartbeat.InitialInterval,
-		hbThreshold:   cfg.Heartbeat.Threshold,
-		hbWindow:      cfg.Heartbeat.Window,
-		wdEvery:       cfg.Watchdog.Every,
-	}
-	if a.hbEvery < 1 {
-		a.hbEvery = 1
-	}
-	if a.wdEvery < 1 {
-		a.wdEvery = 1
 	}
 	for r := range a.stallAt {
 		a.stallAt[r] = math.Inf(1)
@@ -205,23 +187,21 @@ func (a *attempt) worker(n *simnet.Node) {
 
 	// The rank's one checkpoint writer: it persists each record to the
 	// campaign's store and prices it from the stored size through the
-	// cluster's disk/network model (free when SimDiskMBs is 0).
+	// cluster's disk model (free when SimDiskMBs is 0).
 	w := &ckpt.SimWriter{Kind: a.cfg.Kind, Store: a.cfg.Store, Comm: comm, DiskMBs: a.cfg.SimDiskMBs}
 	// Adaptive wiring: every rank builds its own cadence controller
-	// (decisions are collective, so all instances hold identical state)
-	// and, when checkpoint writes are priced, its own selector of the
-	// writer's mode. Rank 0's instances are read back by the supervisor
-	// after the attempt.
+	// (decisions are collective, so all instances hold identical state).
+	// Rank 0's instance traces the retunes and is read back by the
+	// supervisor after the attempt.
 	var ctl *policy.CadenceController
-	var sel *policy.SimSelector
 	if a.ad != nil {
-		ctl = policy.NewCadence(a.ad.cfg, n.Rank, a.ad.interval, a.ad.anchor)
-		if a.cfg.SimDiskMBs > 0 {
-			w.Mode = a.ad.writeMode
-			sel = policy.NewSimSelector(a.ad.cfg, a.ad.probed)
-		}
+		var tr *engine.Tracer
 		if n.Rank == 0 {
-			a.ad.ctl, a.ad.sel, a.ad.w = ctl, sel, w
+			tr = a.cfg.Trace
+		}
+		ctl = policy.NewCadence(a.ad.cfg, tr, a.ad.interval, a.ad.anchor)
+		if n.Rank == 0 {
+			a.ad.ctl = ctl
 		}
 	}
 	// Per-step duration measurement for the cadence controller: virtual
@@ -229,7 +209,6 @@ func (a *attempt) worker(n *simnet.Node) {
 	lastMark := n.Clock()
 	stepsSince := 0
 
-	wd := &a.cfg.Watchdog
 	loop := engine.Loop{
 		Solver: s, Steps: a.cfg.Steps, Rank: n.Rank, Trace: a.cfg.Trace,
 		// A halt order parks in the inbox while we are inside a step;
@@ -251,9 +230,8 @@ func (a *attempt) worker(n *simnet.Node) {
 			a.stepsRun[n.Rank]++
 			stepsSince++
 		},
+		// The engine's default watchdog: NaN/Inf, sampled every step.
 		Watchdog: engine.Watchdog{
-			Disabled: wd.Disabled, Every: a.wdEvery,
-			MaxAbs: wd.MaxAbs, MaxGrowth: wd.MaxGrowth,
 			// The verdict must be collective: if any rank is sick, every
 			// rank exits at this same boundary — a lone exit would leave
 			// the others blocked in the next collective. The corrupt
@@ -266,23 +244,18 @@ func (a *attempt) worker(n *simnet.Node) {
 				return comm.Allreduce([]float64{flag}, mpi.Max)[0] > 0
 			},
 			OnTrip: func(tr engine.Trip) {
-				a.trips[n.Rank] = &Trip{Attempt: a.index, Rank: tr.Rank, Step: tr.Step, MaxAbs: tr.MaxAbs, Finite: tr.Finite}
+				a.trips[n.Rank] = &tr
 				n.SendControl(a.monitorRank(), ctlTag, []float64{ctlTrip, float64(tr.Rank), float64(tr.Step)})
 			},
 		},
 		PostStep: func(step int) {
-			if step%a.hbEvery == 0 || step == a.cfg.Steps {
-				n.SendControl(a.monitorRank(), ctlTag, []float64{ctlHeartbeat, float64(n.Rank), float64(step)})
-			}
+			n.SendControl(a.monitorRank(), ctlTag, []float64{ctlHeartbeat, float64(n.Rank), float64(step)})
 		},
 		CheckpointEvery: a.cfg.CheckpointEvery,
 		OnCheckpoint: func(step int, state []byte) {
 			t0 := n.Clock()
 			if werr := w.Submit(step, state, false); werr != nil {
 				panic(werr)
-			}
-			if sel != nil {
-				sel.Observe(w, step)
 			}
 			if a.cfg.CheckpointCostS > 0 {
 				n.Sleep(a.cfg.CheckpointCostS)
@@ -331,7 +304,7 @@ func (a *attempt) monitor(n *simnet.Node) {
 	procs := a.cfg.Procs
 	dets := make([]*PhiDetector, procs)
 	for r := range dets {
-		dets[r] = NewPhiDetector(a.hbThreshold, a.hbSeed, a.hbWindow)
+		dets[r] = NewPhiDetector(a.cfg.Heartbeat.Threshold, a.cfg.Heartbeat.InitialInterval, detectorWindow)
 	}
 	live := make([]bool, procs)
 	for r := range live {

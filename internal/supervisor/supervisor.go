@@ -17,11 +17,12 @@
 // return a structured *RetryError.
 //
 // A numerical-health watchdog rides the same step boundary: each rank
-// samples its solver fields (Solver.HealthSample) and the ranks agree
-// on a verdict with a one-flag Allreduce, so a NaN/Inf or a runaway
-// field magnitude makes every rank stop at the same step — before the
-// corrupt state can be staged into a checkpoint — and the run rolls
-// back and retries, with a hook (WatchdogConfig.OnTrip) called per trip.
+// samples its solver fields (Solver.HealthSample) after every step and
+// the ranks agree on a verdict with a one-flag Allreduce, so a NaN/Inf
+// makes every rank stop at the same step — before the corrupt state
+// can be staged into a checkpoint. A trip is answered like a crash
+// minus the spare: roll back to the newest verified commit and retry,
+// within the same retry budget.
 //
 // Because solver arithmetic never depends on the virtual clock, a
 // supervised run that survives any number of crashes, stalls, and
@@ -46,10 +47,10 @@ import (
 // switches on the concrete type.
 type Solver = engine.Solver
 
-// HeartbeatConfig tunes the failure detector.
+// HeartbeatConfig tunes the failure detector. Solver ranks heartbeat
+// after every step; the detector keeps a window of the newest
+// detectorWindow intervals.
 type HeartbeatConfig struct {
-	// Every is the heartbeat period in solver steps (default 1).
-	Every int
 	// InitialInterval primes the detector before the first heartbeat
 	// (virtual seconds; default 1). Pick the expected step duration —
 	// too large only delays the first possible detection.
@@ -57,37 +58,10 @@ type HeartbeatConfig struct {
 	// Threshold is the phi level at which a silent rank becomes a
 	// suspect (default 8).
 	Threshold float64
-	// Window is the detector's sliding interval window (default 32).
-	Window int
 }
 
-// Trip is one watchdog trip: a rank whose fields failed the health
-// check at a step.
-type Trip struct {
-	Attempt int
-	Rank    int
-	Step    int
-	MaxAbs  float64
-	Finite  bool
-}
-
-// WatchdogConfig tunes the numerical-health watchdog.
-type WatchdogConfig struct {
-	// Disabled turns the watchdog off entirely.
-	Disabled bool
-	// Every is the sampling period in solver steps (default 1).
-	Every int
-	// MaxAbs trips the watchdog when any field magnitude exceeds it
-	// (0 = no magnitude limit; NaN/Inf always trip).
-	MaxAbs float64
-	// MaxGrowth trips when the field magnitude exceeds MaxGrowth times
-	// the attempt's first sample (0 = no growth limit) — a cheap CFL /
-	// energy-divergence guard.
-	MaxGrowth float64
-	// OnTrip is called once per failed attempt caused by a watchdog
-	// trip, before the rollback rerun.
-	OnTrip func(Trip)
-}
+// detectorWindow is the phi detector's sliding interval window.
+const detectorWindow = 32
 
 // Config describes a supervised run.
 type Config struct {
@@ -126,7 +100,6 @@ type Config struct {
 	MaxRestarts int
 
 	Heartbeat HeartbeatConfig
-	Watchdog  WatchdogConfig
 
 	// Store holds every checkpoint of the campaign as a framed,
 	// compressed, CRC-protected record (internal/ckpt), written by one
@@ -146,16 +119,13 @@ type Config struct {
 
 	// Adapt, when set, turns on the adaptive-resilience layer
 	// (internal/policy): the live Young's-formula cadence replaces
-	// CheckpointEvery (which then seeds the initial interval), the MTBF
-	// estimator feeds on the campaign's crash and stall history, the
-	// runtime selector picks the writer's mode (when SimDiskMBs prices
-	// writes), and watchdog trips climb the escalation ladder instead
-	// of plain rollback-and-retry.
+	// CheckpointEvery (which then seeds the initial interval), and the
+	// MTBF estimator feeds on the campaign's crash and stall history.
+	// Its cadence retunes go to Trace as policy_switch events.
 	Adapt *policy.Config
 	// SimDiskMBs, when > 0, prices each checkpoint from the record's
-	// stored size through the cluster's calibrated disk/network model,
-	// in node-local mode or in the striped mode the adaptive selector
-	// may choose. 0 = free disk.
+	// stored size through the cluster's calibrated disk model, as a
+	// node-local write. 0 = free disk.
 	SimDiskMBs float64
 }
 
@@ -193,8 +163,8 @@ const (
 	CauseCrash Cause = iota
 	// CauseStall: the rank's process froze past the detector timeout.
 	CauseStall
-	// CauseWatchdog: the rank's fields failed the numerical-health
-	// check; the hardware is fine and no spare is consumed.
+	// CauseWatchdog: the rank's fields went non-finite; the hardware
+	// is fine, so no spare is consumed.
 	CauseWatchdog
 )
 
@@ -224,6 +194,9 @@ type Failure struct {
 	// NewNode is the spare the rank moved to (-1 for watchdog trips,
 	// which do not consume hardware).
 	NewNode int
+	// TripStep is the step whose fields tripped the watchdog (-1 for
+	// crashes and stalls). The trace's trip event carries the evidence.
+	TripStep int
 }
 
 // Result reports a completed supervised run.
@@ -232,8 +205,6 @@ type Result struct {
 	Attempts int
 	// Failures lists every handled failure, in detection order.
 	Failures []Failure
-	// Trips lists every watchdog trip.
-	Trips []Trip
 	// StepsComputed counts rank-0 solver steps across all attempts.
 	StepsComputed int
 	// VirtualWall is the campaign's total virtual wall time: for each
@@ -246,24 +217,11 @@ type Result struct {
 	// Replacements is the spare-pool history of the campaign.
 	Replacements []simnet.Replacement
 
-	// Escalations lists the adaptive ladder's decisions, in trip order
-	// (adaptive runs only).
-	Escalations []Escalation
-	// MTBFEstimateS, FinalInterval, and WriteMode snapshot the adaptive
-	// layer's end state: the cluster MTBF estimate (virtual seconds),
-	// the cadence in force, and the writer mode selected (adaptive runs
-	// only; zero values otherwise).
+	// MTBFEstimateS and FinalInterval snapshot the adaptive layer's end
+	// state: the cluster MTBF estimate (virtual seconds) and the
+	// cadence in force (adaptive runs only; zero values otherwise).
 	MTBFEstimateS float64
 	FinalInterval int
-	WriteMode     string
-}
-
-// Escalation records one adaptive-ladder decision.
-type Escalation struct {
-	Attempt int
-	Rank    int
-	Step    int
-	Action  string
 }
 
 // RetryError is the structured give-up error: the retry budget or the
@@ -344,7 +302,6 @@ func Run(cfg Config) (*Result, error) {
 			if rt != nil {
 				res.MTBFEstimateS = rt.est.MTBFS()
 				res.FinalInterval = rt.interval
-				res.WriteMode = rt.writeMode.String()
 			}
 			return res, nil
 		}
@@ -354,6 +311,8 @@ func Run(cfg Config) (*Result, error) {
 		// is the out-of-band node inspection a real supervisor performs
 		// before allocating hardware (IPMI says the node died; the
 		// process is alive but frozen; the fields went non-finite).
+		// A watchdog trip is recorded against the tripping rank only:
+		// the halted peers are healthy.
 		detectedAt := math.NaN()
 		if a.verdict != nil {
 			detectedAt = a.verdict.at
@@ -365,17 +324,16 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		for r := 0; r < cfg.Procs; r++ {
-			if _, dead := cause[r]; !dead && a.stallFired(r, wall[r]) {
+			if _, dead := cause[r]; dead {
+				continue
+			}
+			if a.stallFired(r, wall[r]) {
 				cause[r] = CauseStall
+			} else if a.trips[r] != nil {
+				cause[r] = CauseWatchdog
 			}
 		}
-		var trips []Trip
-		for r := 0; r < cfg.Procs; r++ {
-			if a.trips[r] != nil {
-				trips = append(trips, *a.trips[r])
-			}
-		}
-		if len(cause) == 0 && len(trips) == 0 {
+		if len(cause) == 0 {
 			return nil, fmt.Errorf(
 				"supervisor: attempt %d halted (verdict %v) but no crash, stall, or watchdog trip explains it — detector threshold too tight for this workload?",
 				attemptNo, a.verdictRanks())
@@ -397,81 +355,34 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		// Hardware failures consume spares; the rank keeps its id and
-		// moves onto the replacement node for the next attempt.
+		// moves onto the replacement node for the next attempt. A
+		// watchdog trip keeps its node: the retry from the commit above
+		// is the whole response.
 		for r := 0; r < cfg.Procs; r++ {
 			c, failed := cause[r]
 			if !failed {
 				continue
 			}
+			f := Failure{
+				Attempt: attemptNo, Rank: r, Cause: c,
+				DetectedAt: detectedAt, RestartStep: committedStep, NewNode: -1, TripStep: -1,
+			}
+			if c == CauseWatchdog {
+				f.TripStep = a.trips[r].Step
+				res.Failures = append(res.Failures, f)
+				continue
+			}
 			newNode, rerr := pool.Replace(r)
 			if rerr != nil {
-				res.Failures = append(res.Failures, Failure{
-					Attempt: attemptNo, Rank: r, Cause: c,
-					DetectedAt: detectedAt, RestartStep: committedStep, NewNode: -1,
-				})
+				res.Failures = append(res.Failures, f)
 				return nil, &RetryError{Reason: "spare pool exhausted", Attempts: res.Attempts, Failures: res.Failures}
 			}
-			res.Failures = append(res.Failures, Failure{
-				Attempt: attemptNo, Rank: r, Cause: c,
-				DetectedAt: detectedAt, RestartStep: committedStep, NewNode: newNode,
-			})
+			f.NewNode = newNode
+			res.Failures = append(res.Failures, f)
 			// Hardware failures feed the MTBF estimator at the
 			// campaign's cumulative virtual time of detection.
 			if rt != nil {
 				rt.est.ObserveFailure(res.VirtualWall)
-			}
-		}
-		// Watchdog trips roll back without consuming hardware — unless
-		// the adaptive ladder escalates to conviction below.
-		if len(trips) > 0 {
-			res.Trips = append(res.Trips, trips...)
-			for _, tr := range trips {
-				res.Failures = append(res.Failures, Failure{
-					Attempt: attemptNo, Rank: tr.Rank, Cause: CauseWatchdog,
-					DetectedAt: detectedAt, RestartStep: committedStep, NewNode: -1,
-				})
-			}
-			if cfg.Watchdog.OnTrip != nil {
-				cfg.Watchdog.OnTrip(trips[0])
-			}
-			if rt == nil {
-				continue
-			}
-			// Escalation ladder: roll back one commit deeper, then
-			// convict the tripping rank's node.
-			tr := trips[0]
-			act := rt.ladder.Decide(attemptNo, tr.Rank, tr.Step)
-			res.Escalations = append(res.Escalations, Escalation{
-				Attempt: attemptNo, Rank: tr.Rank, Step: tr.Step, Action: act.String(),
-			})
-			switch act {
-			case policy.ActionRollback:
-				// The restart state itself is suspect: demote the newest
-				// commit and recompute through the bad region. The
-				// demoted records are deleted so a later commit pass
-				// cannot resurrect them.
-				if committedStep < 0 {
-					break
-				}
-				drop := committedStep
-				committedStep, committed, serr = ckpt.LatestBelow(cfg.Store, cfg.Procs, drop)
-				if serr != nil {
-					return nil, fmt.Errorf("supervisor: reading checkpoint store for deep rollback: %w", serr)
-				}
-				if derr := cfg.Store.Delete(drop); derr != nil {
-					return nil, fmt.Errorf("supervisor: demoting checkpoint step %d: %w", drop, derr)
-				}
-			case policy.ActionConvict:
-				newNode, rerr := pool.Replace(tr.Rank)
-				if rerr != nil {
-					return nil, &RetryError{Reason: "spare pool exhausted", Attempts: res.Attempts, Failures: res.Failures}
-				}
-				for i := len(res.Failures) - 1; i >= 0; i-- {
-					if res.Failures[i].Cause == CauseWatchdog && res.Failures[i].Rank == tr.Rank {
-						res.Failures[i].NewNode = newNode
-						break
-					}
-				}
 			}
 		}
 	}
