@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet fmt test race bench-all bench-smoke race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke
+.PHONY: check build vet fmt test race bench-all bench-smoke race-ckpt race-simnet race-sched-single race-sched-multi race-farm race-spectral fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,12 @@ race-ckpt:
 
 # Force the host-parallel simnet scheduler (SchedAuto resolves to the
 # serial reference) and put every layer that runs rank goroutines —
-# the simulator itself, the MPI layer, all three solvers, the crash and
-# rank-stall faults, and the supervisor — under the race detector.
+# the simulator itself, the MPI layer and all three solvers — under
+# the race detector.
 race-simnet:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
-		./internal/simnet ./internal/mpi ./internal/fault \
-		./internal/core ./internal/supervisor ./internal/bench
+		./internal/simnet ./internal/mpi \
+		./internal/core ./internal/bench
 
 # The scheduler-equivalence suites (serial vs conservative-parallel
 # differential, resolver validation, P=2048 capacity) must hold on both
@@ -59,12 +59,6 @@ race-sched-single:
 race-sched-multi:
 	GOMAXPROCS=4 $(GO) test -race -count=1 \
 		-run 'Scheduler|ManyRanks' ./internal/simnet ./internal/mpi
-
-# The adaptive-resilience layer (MTBF estimator, cadence controller)
-# runs inside every rank goroutine and the supervisor's monitor; keep it
-# race-clean under repetition.
-race-policy:
-	$(GO) test -race -count=2 ./internal/policy ./internal/supervisor
 
 # The farm daemon runs a worker pool, retry timers, an HTTP server, and
 # chaos injection against one mutex-guarded state machine; hammer it
@@ -98,4 +92,4 @@ bench-smoke:
 	bash benchmark/run.sh -quick
 
 # Everything CI runs, in CI's order.
-check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-policy race-farm race-spectral fuzz-smoke bench-smoke
+check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-farm race-spectral fuzz-smoke bench-smoke

@@ -5,7 +5,7 @@
 // experiment runs in order; naming experiments runs just those, and a
 // name may be followed by that experiment's own flags:
 //
-//	repro -quick supervise -procs 2 -spares 2 trace
+//	repro -quick spectral -procs 4 -n 32 trace
 //
 // Unknown names print the registered list. -quick selects each
 // experiment's budget-limited configuration. -record also writes each

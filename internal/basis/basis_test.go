@@ -1,10 +1,13 @@
 package basis
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"nektar/internal/lapack"
 )
 
 func TestModifiedAVertexValues(t *testing.T) {
@@ -362,7 +365,7 @@ func TestForwardBackwardRoundTrip(t *testing.T) {
 		phys := make([]float64, r.NQuad)
 		r.BackwardTransform(coef, phys)
 		got := make([]float64, r.NModes)
-		r.ForwardTransform(phys, got)
+		forwardTransform(r, phys, got)
 		for i := range coef {
 			if math.Abs(got[i]-coef[i]) > 1e-9 {
 				t.Fatalf("%v: coef[%d] = %v, want %v", shape, i, got[i], coef[i])
@@ -415,7 +418,7 @@ func TestQuadraticProjectionExact(t *testing.T) {
 		phys[q] = x*x*y - 2*x*y + y*y + 1
 	}
 	coef := make([]float64, r.NModes)
-	r.ForwardTransform(phys, coef)
+	forwardTransform(r, phys, coef)
 	back := make([]float64, r.NQuad)
 	r.BackwardTransform(coef, back)
 	for q := range phys {
@@ -468,4 +471,22 @@ func TestHexEdgeAndFaceTables(t *testing.T) {
 			t.Fatalf("vertex %d appears in %d faces, want 3", v, fcnt[v])
 		}
 	}
+}
+
+// forwardTransform projects physical values at quadrature points onto
+// the modal space of the *reference* element (unit Jacobian): solves
+// M coef = B W phys, the oracle BackwardTransform is inverted against.
+func forwardTransform(r *Ref, phys, coef []float64) {
+	m := r.Mass(nil)
+	band := lapack.NewBandStorage(r.NModes, r.NModes-1)
+	for i := 0; i < r.NModes; i++ {
+		for j := 0; j <= i; j++ {
+			band.Set(i, j, m[i*r.NModes+j])
+		}
+	}
+	if err := lapack.Dpbtrf(band); err != nil {
+		panic(fmt.Sprintf("basis: reference mass not SPD: %v", err))
+	}
+	r.InnerProduct(phys, nil, coef)
+	lapack.Dpbtrs(band, coef)
 }

@@ -5,7 +5,6 @@ import (
 
 	"nektar/internal/blas"
 	"nektar/internal/jacobi"
-	"nektar/internal/lapack"
 )
 
 // Shape enumerates the reference element shapes.
@@ -132,10 +131,9 @@ type Ref struct {
 
 	Modes []Mode
 
-	massChol *lapack.BandStorage // cached elemental mass Cholesky (dense as band kd=n-1)
-	tensor   *tensorOps          // sum-factorization tables (quads)
-	tensor3  *tensorOps3         // sum-factorization tables (hexes)
-	tensorT  *tensorTri          // sum-factorization tables (triangles)
+	tensor  *tensorOps  // sum-factorization tables (quads)
+	tensor3 *tensorOps3 // sum-factorization tables (hexes)
+	tensorT *tensorTri  // sum-factorization tables (triangles)
 
 	// Triangle chain-rule factors at the quadrature points:
 	// d/dxi1 = triC1 * d/deta1; d/dxi2 = triC2 * d/deta1 + d/deta2.
@@ -230,27 +228,6 @@ func (r *Ref) Mass(jw []float64) []float64 {
 	mass := make([]float64, n*n)
 	blas.Dgemm(blas.NoTrans, blas.Trans, n, n, nq, 1, wb, nq, r.B, nq, 0, mass, n)
 	return mass
-}
-
-// ForwardTransform projects physical values at quadrature points onto
-// the modal space of the *reference* element (unit Jacobian): solves
-// M coef = B W phys. The mass Cholesky is cached across calls.
-func (r *Ref) ForwardTransform(phys, coef []float64) {
-	if r.massChol == nil {
-		m := r.Mass(nil)
-		band := lapack.NewBandStorage(r.NModes, r.NModes-1)
-		for i := 0; i < r.NModes; i++ {
-			for j := 0; j <= i; j++ {
-				band.Set(i, j, m[i*r.NModes+j])
-			}
-		}
-		if err := lapack.Dpbtrf(band); err != nil {
-			panic(fmt.Sprintf("basis: reference mass not SPD: %v", err))
-		}
-		r.massChol = band
-	}
-	r.InnerProduct(phys, nil, coef)
-	lapack.Dpbtrs(r.massChol, coef)
 }
 
 // sortModes orders boundary modes first (vertices, then edges, then

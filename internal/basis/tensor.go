@@ -72,9 +72,6 @@ func (r *Ref) initTensor() {
 	r.tensor = t
 }
 
-// Tensor reports whether the fast factorized paths are available.
-func (r *Ref) Tensor() bool { return r.tensor != nil || r.tensor3 != nil || r.tensorT != nil }
-
 // gatherTensor reorders boundary-first modal coefficients into the
 // (p, q) tensor layout.
 func (t *tensorOps) gather(coef, ct []float64) {

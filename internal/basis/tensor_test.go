@@ -11,7 +11,7 @@ import (
 
 func TestTensorAvailability(t *testing.T) {
 	for _, shape := range []Shape{Quad, Tri, Hex} {
-		if !NewRef(shape, 4).Tensor() {
+		if r := NewRef(shape, 4); r.tensor == nil && r.tensor3 == nil && r.tensorT == nil {
 			t.Fatalf("%v must have the sum-factorized path", shape)
 		}
 	}

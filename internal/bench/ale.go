@@ -54,10 +54,9 @@ var PaperALE = ALEConfig{
 	PressureIters: 90, HelmIters: 26,
 	MatrixFreeCalA: 1.0, MatrixFreeCalBC: 0.9,
 	Sweep: Sweep{
-		Steps:       1,
-		Machines:    []string{"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2", "RoadRunner-myr"},
-		Procs:       []int{16, 32, 64, 128},
-		CkptDiskMBs: 20,
+		Steps:    1,
+		Machines: []string{"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2", "RoadRunner-myr"},
+		Procs:    []int{16, 32, 64, 128},
 	},
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"nektar/internal/engine"
-	"nektar/internal/fault"
 	"nektar/internal/machine"
 	"nektar/internal/mpi"
 	"nektar/internal/simnet"
@@ -17,7 +16,7 @@ import (
 
 // Scheduler equivalence over the real solvers: every registered
 // workload, run under the serial and the parallel simnet scheduler,
-// with and without a fault plan, must produce bit-identical per-rank
+// must produce bit-identical per-rank
 // virtual wall/cpu clocks and bit-identical solver trajectories
 // (compared as hashes of the checkpoint stream — pure slices and ints,
 // so equal state encodes to equal bytes within one process).
@@ -28,18 +27,14 @@ type diffRun struct {
 	errStr    string
 }
 
-func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Scheduler, plan *fault.Plan) diffRun {
+func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Scheduler) diffRun {
 	t.Helper()
 	wl := tableEntry(wlName)
 	mach := machine.Muses()
 	model := *mach.Net
 	model.Scheduler = sched
-	var inj simnet.Injector
-	if plan != nil {
-		inj = plan
-	}
 	hashes := make([]string, p)
-	wall, cpu, runErr := simnet.RunWithFaults(p, &model, inj, func(n *simnet.Node) {
+	wall, cpu, runErr := simnet.Run(p, &model, func(n *simnet.Node) {
 		comm := mpi.World(n)
 		s, err := wl.New(wl.Default, comm, &mach.CPU)
 		if err != nil {
@@ -58,17 +53,6 @@ func runWorkloadDiff(t *testing.T, wlName string, p, steps int, sched simnet.Sch
 	return diffRun{wall: wall, cpu: cpu, hashes: hashes, errStr: fmt.Sprint(runErr)}
 }
 
-// diffPlan builds the fault plan for the faulty half of the matrix: a
-// rank stall, which the solvers survive (crashes are covered
-// differentially at the primitive level in internal/simnet).
-func diffPlan(p int) *fault.Plan {
-	plan := fault.NewPlan(11).StallRank(p-1, 1e-3, 4e-3)
-	if err := plan.Err(); err != nil {
-		panic(err)
-	}
-	return plan
-}
-
 func TestSchedulerDifferentialWorkloads(t *testing.T) {
 	ranks := map[string]int{"nsf": 4, "nsale": 3}
 	for _, name := range workload.Names() {
@@ -79,31 +63,25 @@ func TestSchedulerDifferentialWorkloads(t *testing.T) {
 		if wl := tableEntry(name); wl.Check(wl.Default, p) != nil {
 			continue // ns2d: one rank, nothing for two schedulers to order
 		}
-		for _, faulty := range []bool{false, true} {
-			label := fmt.Sprintf("%s/p=%d/faults=%v", name, p, faulty)
-			var planS, planP *fault.Plan
-			if faulty {
-				planS, planP = diffPlan(p), diffPlan(p)
+		label := fmt.Sprintf("%s/p=%d", name, p)
+		const steps = 2
+		serial := runWorkloadDiff(t, name, p, steps, simnet.SchedSerial)
+		par := runWorkloadDiff(t, name, p, steps, simnet.SchedParallel)
+		if serial.errStr != par.errStr {
+			t.Fatalf("%s: error diverged:\nserial:   %s\nparallel: %s", label, serial.errStr, par.errStr)
+		}
+		for r := 0; r < p; r++ {
+			if math.Float64bits(serial.wall[r]) != math.Float64bits(par.wall[r]) {
+				t.Errorf("%s: rank %d wall clock diverged: serial %v parallel %v",
+					label, r, serial.wall[r], par.wall[r])
 			}
-			const steps = 2
-			serial := runWorkloadDiff(t, name, p, steps, simnet.SchedSerial, planS)
-			par := runWorkloadDiff(t, name, p, steps, simnet.SchedParallel, planP)
-			if serial.errStr != par.errStr {
-				t.Fatalf("%s: error diverged:\nserial:   %s\nparallel: %s", label, serial.errStr, par.errStr)
+			if math.Float64bits(serial.cpu[r]) != math.Float64bits(par.cpu[r]) {
+				t.Errorf("%s: rank %d cpu clock diverged: serial %v parallel %v",
+					label, r, serial.cpu[r], par.cpu[r])
 			}
-			for r := 0; r < p; r++ {
-				if math.Float64bits(serial.wall[r]) != math.Float64bits(par.wall[r]) {
-					t.Errorf("%s: rank %d wall clock diverged: serial %v parallel %v",
-						label, r, serial.wall[r], par.wall[r])
-				}
-				if math.Float64bits(serial.cpu[r]) != math.Float64bits(par.cpu[r]) {
-					t.Errorf("%s: rank %d cpu clock diverged: serial %v parallel %v",
-						label, r, serial.cpu[r], par.cpu[r])
-				}
-				if serial.hashes[r] != par.hashes[r] {
-					t.Errorf("%s: rank %d trajectory hash diverged:\nserial:   %s\nparallel: %s",
-						label, r, serial.hashes[r], par.hashes[r])
-				}
+			if serial.hashes[r] != par.hashes[r] {
+				t.Errorf("%s: rank %d trajectory hash diverged:\nserial:   %s\nparallel: %s",
+					label, r, serial.hashes[r], par.hashes[r])
 			}
 		}
 	}

@@ -43,8 +43,7 @@ var PaperFourier = FourierConfig{
 			"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2",
 			"RoadRunner-eth", "RoadRunner-myr", "Muses",
 		},
-		Procs:       []int{2, 4, 8, 16, 32, 64, 128},
-		CkptDiskMBs: 20,
+		Procs: []int{2, 4, 8, 16, 32, 64, 128},
 	},
 }
 

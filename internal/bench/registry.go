@@ -72,21 +72,12 @@ var experiments = []Experiment{
 	entry(Experiment{Name: "table2_fig13-14_nektarf", Desc: "Nektar-F weak scaling: Table 2 + Figures 13-14"},
 		PaperFourier, with(PaperFourier, func(c *FourierConfig) { c.Procs, c.Steps = []int{2, 4, 8, 16}, 1 }),
 		fourierFlags, runTable2),
-	entry(Experiment{Name: "faultbench", Desc: "checkpoint-interval sweep + measured crash recovery"},
-		PaperFaultbench, with(PaperFaultbench, func(c *FaultbenchConfig) {
-			c.Procs, c.ProbeNt, c.ProbeNr, c.Order, c.Steps = 2, 6, 2, 3, 1
-		}), faultbenchFlags, runFaultbench),
-	entry(Experiment{Name: "ckptbench", Desc: "durable checkpoint store: async vs sync, local vs striped", Baseline: "ckpt"},
+	entry(Experiment{Name: "ckptbench", Desc: "durable checkpoint store: async vs sync host writers", Baseline: "ckpt"},
 		PaperCkptbench, with(PaperCkptbench, func(c *CkptbenchConfig) {
-			c.Nt, c.Nr, c.Order, c.Steps, c.Procs = 12, 3, 4, 6, 2
+			c.Nt, c.Nr, c.Order, c.Steps = 12, 3, 4, 6
 		}), nil, runCkptbench),
-	entry(Experiment{Name: "supervise", Desc: "self-healing runtime: crash+freeze campaign"},
-		PaperSupervise, with(PaperSupervise, func(c *SuperviseConfig) { c.Procs, c.Spares, c.Steps = 2, 2, 6 }),
-		superviseFlags, runSupervise),
-	entry(Experiment{Name: "adaptbench", Desc: "adaptive resilience vs static checkpoint cadence, fault-swept", Baseline: "adapt"},
-		PaperAdaptbench, QuickAdaptbench, nil, runAdaptbench),
-	entry(Experiment{Name: "trace", Desc: "engine per-step JSONL trace of a crash-recovery run"},
-		PaperTrace, with(PaperTrace, func(c *TraceConfig) { c.Procs, c.CrashNode, c.Steps = 2, 1, 6 }),
+	entry(Experiment{Name: "trace", Desc: "engine per-step JSONL trace of a checkpointed parallel run"},
+		PaperTrace, with(PaperTrace, func(c *TraceConfig) { c.Procs, c.Steps = 2, 6 }),
 		nil, runTrace),
 	entry(Experiment{Name: "farmbench", Desc: "job-farm chaos campaign: SIGKILL the daemon, audit the ledger", Baseline: "farm"},
 		PaperFarmbench, QuickFarmbench, nil, runFarmbench),

@@ -53,8 +53,8 @@ func TestRegistry(t *testing.T) {
 		})
 	}
 
-	if e, err := ExperimentByName("supervise"); err != nil || e.Name != "supervise" {
-		t.Fatalf("ExperimentByName(supervise) = %v, %v", e, err)
+	if e, err := ExperimentByName("trace"); err != nil || e.Name != "trace" {
+		t.Fatalf("ExperimentByName(trace) = %v, %v", e, err)
 	}
 	_, err := ExperimentByName("nosuch")
 	if err == nil {
@@ -122,20 +122,16 @@ func TestRecordEnvelope(t *testing.T) {
 
 // TestExperimentsRegenerate: the committed experiments/*.txt are
 // byte-for-byte what the registry produces, one subtest per file (so
-// `-run 'TestExperimentsRegenerate/supervise'` re-checks one table and
+// `-run 'TestExperimentsRegenerate/scalebench'` re-checks one table and
 // -v attributes the time). The three application
 // tables and the capacity sweep run at paper scale (minutes), so
 // -short, the race detector and a forced scheduler (all virtual-time,
 // so the bytes would not differ — only the wait) check the figures
-// alone. faultbench prices checkpoints by their encoded size and
-// supervise commits through the same records; they run last, after
-// every other experiment has encoded state in this process, because
-// their tables must not depend on that.
+// alone.
 func TestExperimentsRegenerate(t *testing.T) {
 	files := []string{"fig1-6_kernels", "fig7_pingpong", "fig8_alltoall", "fig9-10_basis"}
 	if !testing.Short() && !raceDetector && os.Getenv(simnet.SchedulerEnv) == "" {
-		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale", "scalebench",
-			"faultbench", "supervise")
+		files = append(files, "table1_fig12_serial", "table2_fig13-14_nektarf", "table3_fig15-16_nektarale", "scalebench")
 	}
 	for _, name := range files {
 		t.Run(name, func(t *testing.T) {

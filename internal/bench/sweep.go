@@ -24,7 +24,8 @@ type Instrument struct {
 	// the measured steps (every cell, all ranks interleaved).
 	Trace *engine.Tracer
 	// CkptDir, when set, streams a durable checkpoint every CkptEvery
-	// steps (plus the final state) into an on-disk store there.
+	// steps (plus the final state) into an on-disk store there. The
+	// writes run on the host: no table prices them in virtual time.
 	CkptDir   string
 	CkptEvery int
 
@@ -34,7 +35,7 @@ type Instrument struct {
 // flags registers -trace, -ckptdir and -ckpt-every on fs.
 func (in *Instrument) flags(fs *flag.FlagSet) {
 	fs.StringVar(&in.tracePath, "trace", "", "write the engine's per-step JSONL event stream to this file")
-	fs.StringVar(&in.CkptDir, "ckptdir", in.CkptDir, "write durable checkpoints under this directory")
+	fs.StringVar(&in.CkptDir, "ckptdir", in.CkptDir, "write durable checkpoints under this directory (host-side writes; the tables' virtual times do not include them)")
 	fs.IntVar(&in.CkptEvery, "ckpt-every", in.CkptEvery, "checkpoint cadence in steps (requires -ckptdir)")
 }
 
@@ -58,15 +59,12 @@ func (in *Instrument) instrumented(run func() error) error {
 
 // Sweep is the machine x P grid Tables 2 and 3 share. With CkptDir set
 // every measured cell gets its own store under it (<machine>-p<P>/),
-// written through the simulated cost model: each rank's record is
-// priced as a node-local restart-file write at CkptDiskMBs, and that
-// time lands in the cell's wall clock.
+// each rank writing its records synchronously on the host.
 type Sweep struct {
 	Steps    int // measured steps (after 1 warmup)
 	Machines []string
 	Procs    []int
 	Instrument
-	CkptDiskMBs float64
 }
 
 // flags registers -machines and -procs next to the Instrument flags.
@@ -155,8 +153,7 @@ func (sw Sweep) cell(kind string, mach *machine.Machine, p int, newSolver cellSo
 			Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true},
 			Trace: sw.Trace}
 		if store != nil {
-			loop.Sink = &ckpt.SimWriter{Kind: kind, Store: store, Comm: comm,
-				DiskMBs: sw.CkptDiskMBs, Trace: sw.Trace}
+			loop.Sink = ckpt.NewSyncWriter(store, ckpt.WriterConfig{Kind: kind, Rank: comm.Rank(), Trace: sw.Trace})
 			loop.CheckpointEvery = sw.CkptEvery
 		}
 		if _, lerr := loop.Run(); lerr != nil {

@@ -12,19 +12,19 @@ import (
 
 // The experiments build every solver by name from the table in
 // internal/workload; everything downstream — the driver loop,
-// checkpointing, recovery, the supervisor — goes through engine.Solver,
-// so a table entry is the only step needed to put a new solver under
-// the self-healing runtime.
+// checkpointing, tracing — goes through engine.Solver, so a table
+// entry is the only step needed to put a new solver under every
+// experiment.
 
-// rankSolver is one rank's solver factory, the shape the supervisor
-// and the checkpoint probes take.
+// rankSolver is one rank's solver factory, the shape the traced run
+// and the Nektar-F probes take.
 type rankSolver = func(comm *mpi.Comm) (engine.Solver, error)
 
-// clusterFor resolves the machine of a run of procs ranks plus spares
-// hot-spare nodes and the factory of the named workload's default
-// problem priced on it, with an actionable error — before any rank
-// starts — for each way the pairing cannot run.
-func clusterFor(machineName, name string, procs, spares int) (*machine.Machine, rankSolver, error) {
+// clusterFor resolves the machine of a run of procs ranks and the
+// factory of the named workload's default problem priced on it, with
+// an actionable error — before any rank starts — for each way the
+// pairing cannot run.
+func clusterFor(machineName, name string, procs int) (*machine.Machine, rankSolver, error) {
 	mach, err := machine.ByName(machineName)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w (see internal/machine for the catalogue)", err)
@@ -39,9 +39,9 @@ func clusterFor(machineName, name string, procs, spares int) (*machine.Machine, 
 	if err := wl.Check(wl.Default, procs); err != nil {
 		return nil, nil, fmt.Errorf("bench: %w", err)
 	}
-	if procs+spares > mach.MaxProcs {
-		return nil, nil, fmt.Errorf("bench: %d ranks + %d spares exceed the %d nodes of %s",
-			procs, spares, mach.MaxProcs, machineName)
+	if procs > mach.MaxProcs {
+		return nil, nil, fmt.Errorf("bench: %d ranks exceed the %d nodes of %s",
+			procs, mach.MaxProcs, machineName)
 	}
 	return mach, func(comm *mpi.Comm) (engine.Solver, error) { return wl.New(wl.Default, comm, &mach.CPU) }, nil
 }

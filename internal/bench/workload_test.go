@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"flag"
 	"strings"
 	"testing"
 
@@ -10,11 +9,10 @@ import (
 
 // TestClusterForRejectsThroughCheck: a (workload, procs) pair the
 // table's Check refuses is refused by clusterFor, which starts nothing
-// — the parent's power-of-two rule let turb2d on 16 ranks through to a
-// rank panic inside the supervised run — and every experiment that
-// takes a solver name reports that same error.
+// — a power-of-two rule alone would let turb2d on 16 ranks through to a
+// rank panic — and the traced run reports that same error.
 func TestClusterForRejectsThroughCheck(t *testing.T) {
-	_, _, err := clusterFor("RoadRunner-eth", "turb2d", 16, 2)
+	_, _, err := clusterFor("RoadRunner-eth", "turb2d", 16)
 	if err == nil {
 		t.Fatal("turb2d (N=16, M=24) accepted on 16 ranks")
 	}
@@ -23,17 +21,12 @@ func TestClusterForRejectsThroughCheck(t *testing.T) {
 			t.Errorf("error %q does not name %q", err, want)
 		}
 	}
-	sup := PaperSupervise
-	sup.Solver, sup.Procs = "turb2d", 16
-	if _, serr := RunSupervise(sup); serr == nil || serr.Error() != err.Error() {
-		t.Errorf("RunSupervise = %v, want clusterFor's %v", serr, err)
-	}
 	tr := PaperTrace
 	tr.Workload, tr.Procs = "turb2d", 16
-	if _, terr := RunTrace(tr, nil); terr == nil || terr.Error() != err.Error() {
+	if terr := RunTrace(tr, nil); terr == nil || terr.Error() != err.Error() {
 		t.Errorf("RunTrace = %v, want clusterFor's %v", terr, err)
 	}
-	if _, _, err := clusterFor("RoadRunner-eth", "nsf", 3, 0); err == nil || !strings.Contains(err.Error(), "power-of-two") {
+	if _, _, err := clusterFor("RoadRunner-eth", "nsf", 3); err == nil || !strings.Contains(err.Error(), "power-of-two") {
 		t.Errorf("nsf on 3 ranks: %v, want the power-of-two rule", err)
 	}
 }
@@ -42,21 +35,12 @@ func TestClusterForRejectsThroughCheck(t *testing.T) {
 // table's names, and answer an unknown one with the table's sentence.
 func TestWorkloadNamesAreTheTables(t *testing.T) {
 	for _, name := range workload.Names() {
-		if _, _, err := clusterFor("RoadRunner-eth", name, 1, 1); err != nil {
+		if _, _, err := clusterFor("RoadRunner-eth", name, 1); err != nil {
 			t.Errorf("clusterFor(%s) on one rank: %v", name, err)
 		}
 	}
 	_, want := workload.ByName("bogus")
-	if _, _, err := clusterFor("RoadRunner-eth", "bogus", 1, 1); err == nil || err.Error() != "bench: "+want.Error() {
+	if _, _, err := clusterFor("RoadRunner-eth", "bogus", 1); err == nil || err.Error() != "bench: "+want.Error() {
 		t.Errorf("unknown workload: %v, want bench: %v", err, want)
-	}
-	var help strings.Builder
-	e, _ := ExperimentByName("supervise")
-	fs := flag.NewFlagSet("supervise", flag.ContinueOnError)
-	fs.SetOutput(&help)
-	e.Bind(fs, false)
-	fs.PrintDefaults()
-	if !strings.Contains(help.String(), strings.Join(workload.Names(), ", ")) {
-		t.Errorf("supervise -solver help does not list the table's names:\n%s", help.String())
 	}
 }

@@ -24,8 +24,7 @@ import (
 type DirStore struct {
 	dir string
 
-	mu        sync.Mutex
-	corrupter Corrupter
+	mu sync.Mutex // serializes Put: a rewrite of one record shares its .tmp name
 }
 
 const fileExt = ".nkc"
@@ -50,13 +49,6 @@ func (s *DirStore) Path(step, rank int) string {
 	return filepath.Join(s.dir, fmt.Sprintf("step-%08d.rank-%04d%s", step, rank, fileExt))
 }
 
-// SetCorrupter installs a write-path fault injector (nil clears it).
-func (s *DirStore) SetCorrupter(c Corrupter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.corrupter = c
-}
-
 // Put implements Store.
 func (s *DirStore) Put(m Meta, state []byte) (Stats, error) {
 	frame, err := EncodeRecord(m, state)
@@ -65,9 +57,6 @@ func (s *DirStore) Put(m Meta, state []byte) (Stats, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.corrupter != nil {
-		frame = s.corrupter.CorruptRecord(m.Step, m.Rank, frame)
-	}
 	path := s.Path(m.Step, m.Rank)
 	if err := WriteFileAtomic(path, frame); err != nil {
 		return Stats{}, err

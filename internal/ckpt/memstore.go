@@ -9,24 +9,16 @@ import (
 // MemStore keeps framed records in memory: the staging tier for tests
 // and for simulated ranks that need durable-store semantics (validity
 // checking, retention) without a filesystem. Records still round-trip
-// through the full frame/CRC path, so a Corrupter damages them exactly
-// as it would on disk.
+// through the full frame/CRC path, so damage to a frame is caught
+// exactly as it would be on disk.
 type MemStore struct {
-	mu        sync.Mutex
-	frames    map[int]map[int][]byte // step -> rank -> frame
-	corrupter Corrupter
+	mu     sync.Mutex
+	frames map[int]map[int][]byte // step -> rank -> frame
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
 	return &MemStore{frames: map[int]map[int][]byte{}}
-}
-
-// SetCorrupter installs a write-path fault injector (nil clears it).
-func (s *MemStore) SetCorrupter(c Corrupter) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.corrupter = c
 }
 
 // Put implements Store.
@@ -37,9 +29,6 @@ func (s *MemStore) Put(m Meta, state []byte) (Stats, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.corrupter != nil {
-		frame = s.corrupter.CorruptRecord(m.Step, m.Rank, frame)
-	}
 	if s.frames[m.Step] == nil {
 		s.frames[m.Step] = map[int][]byte{}
 	}

@@ -13,9 +13,8 @@
 // skipping torn, bit-flipped, or incomplete steps. A Retention policy
 // (keep the last K steps) bounds the disk footprint of a long campaign.
 //
-// The write path lives in writer.go (host-time asynchronous writer for
-// real processes) and simwriter.go (virtual-time cost model for ranks
-// on the simulated cluster).
+// The write path lives in writer.go: a synchronous writer and a
+// double-buffered asynchronous one, both on host time.
 package ckpt
 
 import (
@@ -88,14 +87,6 @@ type NotFoundError struct {
 
 func (e *NotFoundError) Error() string {
 	return fmt.Sprintf("ckpt: no record for step %d rank %d", e.Step, e.Rank)
-}
-
-// Corrupter mutates a framed record on its way to the medium — the
-// hook internal/fault's torn-write/bit-flip injectors implement
-// (structurally; fault does not import this package). Production
-// writes pass through untouched when no corrupter is installed.
-type Corrupter interface {
-	CorruptRecord(step, rank int, frame []byte) []byte
 }
 
 // Store is one checkpoint tier: a set of framed records addressed by

@@ -161,17 +161,12 @@ func TestStorePutOpenListDelete(t *testing.T) {
 	}
 }
 
-// testCorrupter damages records matching (step, rank) via fn.
-type testCorrupter struct {
-	step, rank int
-	fn         func([]byte) []byte
-}
-
-func (c *testCorrupter) CorruptRecord(step, rank int, frame []byte) []byte {
-	if step == c.step && rank == c.rank {
-		return c.fn(frame)
-	}
-	return frame
+// damageFrame rewrites the stored frame of (step, rank) through fn, as a
+// torn write or a flipped bit on the medium would leave it.
+func damageFrame(s *MemStore, step, rank int, fn func([]byte) []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.frames[step][rank] = fn(s.frames[step][rank])
 }
 
 // Latest must fall back past corrupt and incomplete steps to the
@@ -196,9 +191,8 @@ func TestLatestFallsBackPastCorruption(t *testing.T) {
 			}
 			put(10)
 			put(20)
-			s.SetCorrupter(&testCorrupter{step: 30, rank: 1, fn: fn})
 			put(30) // newest, one rank damaged
-			s.SetCorrupter(nil)
+			damageFrame(s, 30, 1, fn)
 			for r := 0; r < procs-1; r++ { // step 40 incomplete: rank 2 missing
 				if _, err := s.Put(Meta{Kind: "nsf", Rank: r, Step: 40}, payload(40, 500)); err != nil {
 					t.Fatal(err)

@@ -51,7 +51,7 @@ type WriterConfig struct {
 // a whole campaign of Loop runs; Close stops the goroutine.
 //
 // Host wall-clock only: inside simnet rank bodies, real goroutines
-// would break the cooperative virtual-time scheduler — use SimWriter
+// would break the cooperative virtual-time scheduler — use SyncWriter
 // there.
 type AsyncWriter struct {
 	store Store
@@ -196,10 +196,10 @@ func (w *AsyncWriter) loop() {
 	}
 }
 
-// SyncWriter persists every snapshot inline on the step loop — the
-// pre-subsystem behavior, kept as the comparator ckptbench measures
-// the async writer against (and as the trivially-correct sink for
-// tests).
+// SyncWriter persists every snapshot inline on the step loop: the
+// comparator ckptbench measures the async writer against, and the sink
+// of ranks on the simulated cluster, where a background goroutine
+// would break the cooperative scheduler.
 type SyncWriter struct {
 	store Store
 	cfg   WriterConfig

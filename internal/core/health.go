@@ -4,7 +4,7 @@ import "math"
 
 // Numerical-health sampling hooks: each solver reports the largest
 // field magnitude on this rank and whether every sampled value is
-// finite. The supervisor's watchdog polls them once per step to catch
+// finite. The engine's watchdog polls them once per step to catch
 // NaN/Inf contamination and runaway growth (a blown CFL condition)
 // before the corruption reaches a checkpoint. The scan covers the
 // fields a restart depends on — velocity and pressure dofs — so a trip

@@ -4,9 +4,9 @@
 // (Table 1), Fourier-parallel 3D (Table 2), and ALE moving-mesh
 // (Table 3) — and this package holds the loop they all run under:
 // stepping, per-stage accounting, checkpoint cadence, the
-// numerical-health watchdog, and the supervision/recovery hooks.
-// A solver plugs in by implementing Solver; everything above it
-// (internal/supervisor, internal/bench, the commands) drives the
+// numerical-health watchdog, and the halt hook the job farm drains
+// through. A solver plugs in by implementing Solver; everything above
+// it (internal/bench, internal/farm, the commands) drives the
 // interface and never switches on the concrete solver type, so adding
 // a fourth workload is a one-file job.
 //
@@ -44,15 +44,6 @@ type Solver interface {
 	HealthSample() (maxAbs float64, finite bool)
 }
 
-// Trip records a watchdog trip: the driving rank's fields failed the
-// health check at a step.
-type Trip struct {
-	Rank   int
-	Step   int
-	MaxAbs float64
-	Finite bool
-}
-
 // Watchdog configures the loop's numerical-health check, sampled at
 // step boundaries before any state is checkpointed.
 type Watchdog struct {
@@ -71,14 +62,11 @@ type Watchdog struct {
 	// Agree turns the local verdict into a collective one (typically an
 	// Allreduce Max over ranks): every rank must leave the loop at the
 	// same step boundary, or survivors block in the next collective.
-	// Nil means the local verdict stands. Agree is called at every
-	// sampled boundary regardless of the local verdict, because a
-	// collective must be entered by all ranks.
+	// Nil means the local verdict stands, so a parallel run without it
+	// disables the watchdog. Agree is called at every sampled boundary
+	// regardless of the local verdict, because a collective must be
+	// entered by all ranks.
 	Agree func(bad bool) bool
-	// OnTrip fires on the rank whose own sample was bad, before the
-	// loop returns — the hook where the supervisor records the trip and
-	// notifies its monitor.
-	OnTrip func(Trip)
 }
 
 // Outcome classifies how a Loop run ended.
@@ -114,26 +102,21 @@ type Result struct {
 	StepsRun int
 	// Final is the solver's serialized end state (Completed runs only).
 	Final []byte
-	// Trip is set when this rank's own sample tripped the watchdog.
-	Trip *Trip
 }
 
 // Loop is the driver: one configured step loop over a Solver. The
 // zero value of every optional field means "feature off", so a bare
 // Loop{Solver: s, Steps: n} is a plain step loop.
 //
-// Per-step order, which fault-tolerance correctness depends on:
-// Poll (collective halt check) -> Step -> OnStep -> watchdog sample
-// and collective verdict -> PostStep -> checkpoint. A watchdog trip
-// exits before the checkpoint stage, so corrupt state is never staged;
-// OnStep runs immediately after Step so per-step accounting survives a
-// mid-loop crash unwinding the rank's goroutine.
+// Per-step order: Poll (halt check) -> Step -> OnStep -> watchdog
+// sample -> checkpoint. A watchdog trip exits before the checkpoint
+// stage, so corrupt state is never staged.
 type Loop struct {
 	Solver Solver
 	// Steps is the absolute target: the loop runs until
 	// Solver.StepCount() reaches it.
 	Steps int
-	// Rank labels trace events and trips (0 for serial runs).
+	// Rank labels trace events (0 for serial runs).
 	Rank int
 
 	// CheckpointEvery stages a checkpoint every so many steps (0
@@ -155,8 +138,8 @@ type Loop struct {
 	// returned Run means every submitted snapshot is on the medium.
 	Sink CheckpointSink
 
-	// Poll is the pre-step halt check (collective for parallel runs);
-	// returning true ends the loop with Outcome Halted.
+	// Poll is the pre-step halt check; returning true ends the loop
+	// with Outcome Halted.
 	Poll func() bool
 	// FinalOnHalt makes a Poll-ordered halt take the same snapshot path
 	// as completion: the state at the halted step boundary is marshalled
@@ -168,9 +151,6 @@ type Loop struct {
 	FinalOnHalt bool
 	// OnStep fires immediately after each Step, before the watchdog.
 	OnStep func(step int)
-	// PostStep fires after the watchdog verdict clears, before the
-	// checkpoint stage — the supervisor's heartbeat slot.
-	PostStep func(step int)
 
 	Watchdog Watchdog
 
@@ -191,10 +171,10 @@ type CadencePolicy interface {
 
 // CheckpointSink receives marshalled snapshots for durable storage off
 // the step loop's critical path. Submit may buffer (an asynchronous
-// writer) or persist inline charging its cost (a simulated-disk
-// writer); final marks the run's end-state snapshot. Drain blocks
-// until everything submitted is durable and returns the first write
-// error. internal/ckpt provides the implementations.
+// writer) or persist inline (a synchronous one); final marks the run's
+// end-state snapshot. Drain blocks until everything submitted is
+// durable and returns the first write error. internal/ckpt provides
+// the implementations.
 type CheckpointSink interface {
 	Submit(step int, state []byte, final bool) error
 	Drain() error
@@ -225,10 +205,10 @@ func (l *Loop) Validate() error {
 
 // Run executes the loop to its outcome. Errors are configuration,
 // serialization, or checkpoint-sink failures only; solver and
-// communication failures panic, matching the simulated cluster's
-// crash-unwinding model. When a Sink is configured it is drained on
-// every exit path, so a returned Run means every submitted snapshot is
-// durable.
+// communication failures panic, and the simulated cluster reports a
+// rank's panic as the run's error. When a Sink is configured it is
+// drained on every exit path, so a returned Run means every submitted
+// snapshot is durable.
 func (l *Loop) Run() (Result, error) {
 	if err := l.Validate(); err != nil {
 		return Result{}, err
@@ -296,18 +276,10 @@ func (l *Loop) run() (Result, error) {
 			if verdict {
 				res.Outcome = Tripped
 				if bad {
-					trip := Trip{Rank: l.Rank, Step: step, MaxAbs: maxAbs, Finite: finite}
-					res.Trip = &trip
 					l.trace(Event{Ev: EvTrip, Rank: l.Rank, Step: step, MaxAbs: maxAbs, Finite: &finite})
-					if l.Watchdog.OnTrip != nil {
-						l.Watchdog.OnTrip(trip)
-					}
 				}
 				return res, nil
 			}
-		}
-		if l.PostStep != nil {
-			l.PostStep(step)
 		}
 		if step < l.Steps && l.stageAt(step) {
 			if _, err := l.snapshot(step, false); err != nil {

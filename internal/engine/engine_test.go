@@ -195,23 +195,46 @@ func TestLoopWatchdogNaNTrips(t *testing.T) {
 		}
 		return 1
 	})
-	var got *Trip
-	loop := Loop{
-		Solver: s, Steps: 10, Rank: 7,
-		Watchdog: Watchdog{OnTrip: func(tr Trip) { got = &tr }},
-	}
+	loop := Loop{Solver: s, Steps: 10, Rank: 7}
 	res, err := loop.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != Tripped || res.StepsRun != 3 {
+	if res.Outcome != Tripped || res.StepsRun != 3 || res.Final != nil {
 		t.Fatalf("outcome %v stepsRun %d", res.Outcome, res.StepsRun)
 	}
-	if got == nil || got.Step != 3 || got.Rank != 7 || got.Finite {
-		t.Fatalf("trip %+v", got)
+}
+
+func TestLoopWatchdogMaxAbsTrips(t *testing.T) {
+	// A large but bounded field never trips; the first sample above
+	// MaxAbs does, and the trip event says why.
+	s := newFakeSolver(func(step int) float64 { return 1000 })
+	loop := Loop{Solver: s, Steps: 5, Watchdog: Watchdog{MaxAbs: 1000}}
+	if res, err := loop.Run(); err != nil || res.Outcome != Completed {
+		t.Fatalf("bounded field tripped: %v %v", res.Outcome, err)
 	}
-	if res.Trip == nil || res.Trip.Step != got.Step || res.Trip.Rank != got.Rank {
-		t.Fatalf("result trip %+v", res.Trip)
+	s2 := newFakeSolver(func(step int) float64 {
+		if step >= 4 {
+			return 2000
+		}
+		return 1
+	})
+	var buf bytes.Buffer
+	loop2 := Loop{Solver: s2, Steps: 10, Rank: 7, Watchdog: Watchdog{MaxAbs: 1000}, Trace: NewTracer(&buf)}
+	res, err := loop2.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Outcome != Tripped || res.StepsRun != 4 {
+		t.Fatalf("outcome %v stepsRun %d, want a trip at step 4", res.Outcome, res.StepsRun)
+	}
+	evs, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := evs[len(evs)-1]
+	if last.Ev != EvTrip || last.Step != 4 || last.Rank != 7 || last.MaxAbs != 2000 || last.Finite == nil || !*last.Finite {
+		t.Fatalf("last event %+v, want the trip at step 4 on rank 7 with max_abs 2000", last)
 	}
 }
 
@@ -235,19 +258,20 @@ func TestLoopWatchdogGrowthBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Outcome != Tripped || res.Trip == nil || res.Trip.Step != 4 {
-		t.Fatalf("outcome %v trip %+v", res.Outcome, res.Trip)
+	if res.Outcome != Tripped || res.StepsRun != 4 {
+		t.Fatalf("outcome %v stepsRun %d, want a trip at step 4", res.Outcome, res.StepsRun)
 	}
 }
 
 func TestLoopWatchdogAgreeIsCollective(t *testing.T) {
 	// Agree must be consulted at every sampled boundary (it hides a
 	// collective), and a true verdict ends the run even when the local
-	// sample was healthy — with no Trip recorded for this rank.
+	// sample was healthy — with no trip event emitted by this rank.
 	s := newFakeSolver(func(step int) float64 { return 1 })
 	calls := 0
+	var buf bytes.Buffer
 	loop := Loop{
-		Solver: s, Steps: 10,
+		Solver: s, Steps: 10, Trace: NewTracer(&buf),
 		Watchdog: Watchdog{Agree: func(bad bool) bool {
 			if bad {
 				t.Fatal("local sample should be healthy")
@@ -263,29 +287,41 @@ func TestLoopWatchdogAgreeIsCollective(t *testing.T) {
 	if res.Outcome != Tripped || res.StepsRun != 5 {
 		t.Fatalf("outcome %v stepsRun %d", res.Outcome, res.StepsRun)
 	}
-	if res.Trip != nil {
-		t.Fatal("a peer's trip must not be recorded as ours")
+	evs, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, ev := range evs {
+		if ev.Ev == EvTrip {
+			t.Fatalf("a peer's trip must not be traced as ours: %+v", ev)
+		}
+	}
+}
+
+// sampleLogger records each watchdog sample into a shared order log.
+type sampleLogger struct {
+	*fakeSolver
+	order *[]string
+}
+
+func (s sampleLogger) HealthSample() (float64, bool) {
+	*s.order = append(*s.order, "watchdog")
+	return s.fakeSolver.HealthSample()
 }
 
 func TestLoopHookOrder(t *testing.T) {
 	var order []string
-	s := newFakeSolver(func(step int) float64 { return 1 })
+	s := sampleLogger{newFakeSolver(func(step int) float64 { return 1 }), &order}
 	loop := Loop{
 		Solver: s, Steps: 2, CheckpointEvery: 1,
 		Poll:         func() bool { order = append(order, "poll"); return false },
 		OnStep:       func(step int) { order = append(order, "onstep") },
-		PostStep:     func(step int) { order = append(order, "poststep") },
 		OnCheckpoint: func(step int, state []byte) { order = append(order, "checkpoint") },
-		Watchdog: Watchdog{Agree: func(bad bool) bool {
-			order = append(order, "watchdog")
-			return false
-		}},
 	}
 	if _, err := loop.Run(); err != nil {
 		t.Fatal(err)
 	}
-	want := "poll onstep watchdog poststep checkpoint poll onstep watchdog poststep"
+	want := "poll onstep watchdog checkpoint poll onstep watchdog"
 	if got := strings.Join(order, " "); got != want {
 		t.Fatalf("hook order\n got %s\nwant %s", got, want)
 	}

@@ -23,13 +23,11 @@ import (
 //	            framed size and compression ratio, hidden_s the write
 //	            time overlapped with stepping, exposed_s the time the
 //	            step loop actually blocked (backpressure)
-//	rollback    a run resumed from the checkpoint at step (attempt is
-//	            the relaunch index)
 //	trip        the watchdog ended the run: max_abs/finite explain why
-//	halt        a supervisor halt order ended the run at step
+//	halt        a Poll-ordered halt ended the run at step
 //	done        the run reached its target step count
 //
-// The adaptive-resilience layer (internal/policy) adds one event:
+// The adaptive-cadence controller (internal/policy) adds one event:
 //
 //	policy_switch  the live cadence changed: policy names the controller
 //	               ("cadence"), from/to the old and new intervals, and
@@ -49,7 +47,6 @@ const (
 	EvCheckpoint   = "checkpoint"
 	EvCkptBegin    = "ckpt_begin"
 	EvCkptDone     = "ckpt_done"
-	EvRollback     = "rollback"
 	EvTrip         = "trip"
 	EvHalt         = "halt"
 	EvDone         = "done"
@@ -69,10 +66,9 @@ type Event struct {
 	PricedS float64 `json:"priced_s,omitempty"`
 	WallS   float64 `json:"wall_s,omitempty"`
 
-	Bytes   int     `json:"bytes,omitempty"`
-	Attempt int     `json:"attempt,omitempty"`
-	MaxAbs  float64 `json:"max_abs,omitempty"`
-	Finite  *bool   `json:"finite,omitempty"`
+	Bytes  int     `json:"bytes,omitempty"`
+	MaxAbs float64 `json:"max_abs,omitempty"`
+	Finite *bool   `json:"finite,omitempty"`
 
 	// Durable-write fields (ckpt_begin/ckpt_done, see internal/ckpt).
 	Stored   int     `json:"stored,omitempty"`

@@ -690,9 +690,9 @@ func (f *Farm) runJob(w int, j *Job) {
 	}
 }
 
-// attemptLoop builds (or resumes) the solver and drives one supervised
-// attempt. Chaos kills and timeouts unwind by panic, matching the
-// crash model, and surface as classified errors.
+// attemptLoop builds (or resumes) the solver and drives one attempt.
+// Chaos kills and timeouts unwind by panic, matching the crash model,
+// and surface as classified errors.
 func (f *Farm) attemptLoop(j *Job) (res engine.Result, lastStep int, err error) {
 	spec := j.Spec
 	solver, err := NewSolver(spec)
@@ -766,9 +766,8 @@ func (f *Farm) attemptLoop(j *Job) (res engine.Result, lastStep int, err error) 
 }
 
 // failLocked classifies a failed attempt, feeds the failure stream
-// into the MTBF estimator (hardware-ish causes only, mirroring the
-// supervisor's convention that watchdog trips don't consume hardware),
-// and either schedules a jittered exponential-backoff retry or marks
+// into the MTBF estimator (hardware-ish causes only: a watchdog trip
+// says nothing about the machine), and either schedules a jittered exponential-backoff retry or marks
 // the job failed when its budget is spent.
 func (f *Farm) failLocked(j *Job, cause, msg string) {
 	j.Cause, j.Err = cause, msg

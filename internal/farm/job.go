@@ -1,6 +1,6 @@
 // Package farm is the crash-safe multi-tenant job service: the
-// "simulation-as-a-service" front end that turns the repo's supervised
-// solver runs into something a farm of commodity nodes can serve
+// "simulation-as-a-service" front end that turns the repo's solver runs
+// into something a farm of commodity nodes can serve
 // unattended. The paper's question — can cheap PC/Linux clusters carry
 // real DNS workloads? — becomes, at service scale, whether the machine
 // *around* the solver survives the same abuse the solver already

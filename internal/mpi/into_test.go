@@ -209,7 +209,7 @@ func TestAllreduceIntoIsReduceThenBcast(t *testing.T) {
 			want := make([][]float64, p)
 			ref, refCPU := runWorld(t, p, func(c *Comm) {
 				for round := 0; round < 3; round++ {
-					want[c.Rank()] = append(want[c.Rank()], c.Bcast(0, c.Reduce(0, data(c.Rank(), round), op))...)
+					want[c.Rank()] = append(want[c.Rank()], c.Bcast(0, c.reduce(0, data(c.Rank(), round), op))...)
 				}
 			})
 			for r := 0; r < p; r++ {

@@ -2,7 +2,7 @@
 // use, implemented on the simulated cluster of package simnet: blocking
 // point-to-point operations plus the collectives MPICH/LAM implement on
 // top of them — Alltoall (pairwise exchange), Allreduce (recursive
-// doubling), Bcast (binomial tree), Reduce, Gather and Barrier
+// doubling), Bcast (binomial tree), Gather and Barrier
 // (dissemination).
 //
 // The paper's kernel-level Figure 8 benchmarks MPI_Alltoall, and its
@@ -58,12 +58,9 @@ func World(n *simnet.Node) *Comm { return &Comm{node: n} }
 
 // SubWorld wraps a simnet rank in a communicator spanning only ranks
 // [0, size) of the simulation. The solvers are written against
-// Size()/Rank(), so a sub-world is all the rank-replacement rewiring a
-// supervised run needs: extra simulated ranks (a failure-detection
-// monitor, future hot-spare processes) share the cluster without
-// participating in the solver's collectives, and after a restart the
-// replacement process simply adopts the failed rank's id inside the
-// same sub-world. The caller's rank must lie inside the sub-world;
+// Size()/Rank(), so extra simulated ranks (an out-of-band observer,
+// say) can share the cluster without participating in the solver's
+// collectives. The caller's rank must lie inside the sub-world;
 // traffic to ranks outside it uses the simnet.Node API directly.
 func SubWorld(n *simnet.Node, size int) (*Comm, error) {
 	if size < 1 || size > n.P {
@@ -96,33 +93,16 @@ func (c *Comm) CPUTime() float64 { return c.node.CPUTime() }
 // Compute accounts dt seconds of local computation.
 func (c *Comm) Compute(dt float64) { c.node.Compute(dt) }
 
-// Sleep advances the rank's virtual wall clock by dt seconds without
-// consuming CPU — blocking I/O such as writing a checkpoint.
-func (c *Comm) Sleep(dt float64) { c.node.Sleep(dt) }
-
 // Send performs a blocking standard-mode send.
 func (c *Comm) Send(dst, tag int, data []float64) { c.node.Send(dst, tag, data) }
 
 // Recv performs a blocking receive. Use AnySource / AnyTag for
-// wildcards. A concrete src that has crashed fails the run with the
-// crashed-peer error instead of blocking into a simulator deadlock.
-func (c *Comm) Recv(src, tag int) []float64 {
-	data, err := c.node.RecvErr(src, tag)
-	if err != nil {
-		panic(err)
-	}
-	return data
-}
+// wildcards.
+func (c *Comm) Recv(src, tag int) []float64 { return c.node.Recv(src, tag) }
 
 // RecvInto is Recv into a buffer the caller owns, returning the payload
 // length; dst must be at least that long.
-func (c *Comm) RecvInto(src, tag int, dst []float64) int {
-	k, err := c.node.RecvIntoErr(src, tag, dst)
-	if err != nil {
-		panic(err)
-	}
-	return k
-}
+func (c *Comm) RecvInto(src, tag int, dst []float64) int { return c.node.RecvInto(src, tag, dst) }
 
 // Isend starts a nonblocking send; pass the request to Wait.
 func (c *Comm) Isend(dst, tag int, data []float64) *simnet.Request {
@@ -341,33 +321,6 @@ func (c *Comm) scratch(n int) []float64 {
 		c.work = make([]float64, n)
 	}
 	return c.work[:n]
-}
-
-// Reduce combines data onto root (binomial tree); non-root ranks
-// receive nil.
-func (c *Comm) Reduce(root int, data []float64, op Op) []float64 {
-	p, r := c.Size(), c.Rank()
-	tag := c.nextTag()
-	acc := append([]float64(nil), data...)
-	if p == 1 {
-		return acc
-	}
-	vr := (r - root + p) % p
-	mask := 1
-	for mask < p {
-		if vr&mask != 0 {
-			dst := ((vr &^ mask) + root) % p
-			c.Send(dst, tag, acc)
-			return nil
-		}
-		if vr|mask < p {
-			src := ((vr | mask) + root) % p
-			got := c.Recv(src, tag)
-			op.apply(acc, got)
-		}
-		mask <<= 1
-	}
-	return acc
 }
 
 // Gather collects each rank's data at root; root receives a slice of

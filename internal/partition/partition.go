@@ -74,29 +74,6 @@ func (b *Builder) Graph() *Graph {
 	return g
 }
 
-// EdgeCut returns the total weight of edges crossing parts.
-func (g *Graph) EdgeCut(part []int) int {
-	cut := 0
-	for v := 0; v < g.N(); v++ {
-		for e := g.Xadj[v]; e < g.Xadj[v+1]; e++ {
-			u := g.Adjncy[e]
-			if u > v && part[u] != part[v] {
-				cut += g.Adjwgt[e]
-			}
-		}
-	}
-	return cut
-}
-
-// PartWeights returns the total vertex weight per part.
-func PartWeights(g *Graph, part []int, k int) []int {
-	w := make([]int, k)
-	for v, p := range part {
-		w[p] += g.Vwgt[v]
-	}
-	return w
-}
-
 // Partition splits the graph into k balanced parts, returning the part
 // id of each vertex.
 func Partition(g *Graph, k int) ([]int, error) {

@@ -63,7 +63,7 @@ func TestPartitionTrivial(t *testing.T) {
 
 func checkBalanceAndCut(t *testing.T, g *Graph, part []int, k int, maxImbalance float64, maxCut int) {
 	t.Helper()
-	w := PartWeights(g, part, k)
+	w := partWeights(g, part, k)
 	total := 0
 	for _, x := range w {
 		total += x
@@ -74,7 +74,7 @@ func checkBalanceAndCut(t *testing.T, g *Graph, part []int, k int, maxImbalance 
 			t.Fatalf("part %d weight %d, ideal %.1f (weights %v)", p, x, ideal, w)
 		}
 	}
-	if cut := g.EdgeCut(part); cut > maxCut {
+	if cut := edgeCut(g, part); cut > maxCut {
 		t.Fatalf("edge cut %d > %d", cut, maxCut)
 	}
 }
@@ -127,8 +127,8 @@ func TestPartitionBeatsNaiveStriping(t *testing.T) {
 	for v := range striped {
 		striped[v] = v * 4 / n
 	}
-	if g.EdgeCut(part) > g.EdgeCut(striped)*2 {
-		t.Fatalf("multilevel cut %d much worse than striping %d", g.EdgeCut(part), g.EdgeCut(striped))
+	if edgeCut(g, part) > edgeCut(g, striped)*2 {
+		t.Fatalf("multilevel cut %d much worse than striping %d", edgeCut(g, part), edgeCut(g, striped))
 	}
 }
 
@@ -147,7 +147,7 @@ func TestDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut := g.EdgeCut(part); cut != 0 {
+	if cut := edgeCut(g, part); cut != 0 {
 		t.Fatalf("cut = %d, want 0", cut)
 	}
 }
@@ -164,7 +164,7 @@ func TestWeightedVertices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := PartWeights(g, part, 2)
+	w := partWeights(g, part, 2)
 	if w[0] < 3 || w[0] > 5 || w[1] < 3 || w[1] > 5 {
 		t.Fatalf("weights %v not balanced", w)
 	}
@@ -243,7 +243,7 @@ func TestRandomWeightedGraphsBalanced(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		w := PartWeights(g, part, k)
+		w := partWeights(g, part, k)
 		total := 0
 		empty := false
 		for _, x := range w {
@@ -268,4 +268,27 @@ func TestRandomWeightedGraphsBalanced(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// edgeCut returns the total weight of edges crossing parts.
+func edgeCut(g *Graph, part []int) int {
+	cut := 0
+	for v := 0; v < g.N(); v++ {
+		for e := g.Xadj[v]; e < g.Xadj[v+1]; e++ {
+			u := g.Adjncy[e]
+			if u > v && part[u] != part[v] {
+				cut += g.Adjwgt[e]
+			}
+		}
+	}
+	return cut
+}
+
+// partWeights returns the total vertex weight per part.
+func partWeights(g *Graph, part []int, k int) []int {
+	w := make([]int, k)
+	for v, p := range part {
+		w[p] += g.Vwgt[v]
+	}
+	return w
 }

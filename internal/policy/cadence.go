@@ -27,8 +27,8 @@ import (
 // Determinism contract: in a parallel run every rank holds its own
 // controller instance, and checkpoint staging is collective, so every
 // instance must make identical decisions. Observe must therefore be
-// fed rank-identical inputs (the supervisor Allreduce-Maxes the
-// measured cost and step duration before calling it) at identical
+// fed rank-identical inputs (Allreduce-Max the measured cost and step
+// duration before calling it) at identical
 // steps (checkpoint boundaries — which all ranks share by
 // construction). ShouldCheckpoint is then a pure function of shared
 // state.
@@ -63,10 +63,10 @@ func YoungOverhead(deltaS, tauS, thetaS float64) float64 {
 	return deltaS/tauS + tauS/(2*thetaS)
 }
 
-// NewCadence builds a controller firing at anchor + k*interval: a
-// campaign's (interval >= 1, anchor) state, so a retuned cadence
-// survives rollback (every rank's controller must be built from the
-// same state). A campaign starts at (CheckpointEvery, 0), whose grid
+// NewCadence builds a controller firing at anchor + k*interval from an
+// (interval >= 1, anchor) state, so a retuned cadence survives a
+// restart (every rank's controller must be built from the same
+// state). A run starts at (CheckpointEvery, 0), whose grid
 // {k*interval} is the static CheckpointEvery rule. trace, when set,
 // receives each retune as a policy_switch event; a parallel run hands
 // it to rank 0's instance only, so each switch is emitted once.

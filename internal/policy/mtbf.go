@@ -1,27 +1,21 @@
 package policy
 
-// MTBFEstimator tracks the cluster's mean time between failures online
-// from the supervisor's verdict history, as an exponentially-weighted
-// mean of inter-failure intervals. The estimator is seeded with a
-// prior (from the fault plan's node MTBF divided by the rank count, or
-// the operator's -mtbf hint) so the cadence controller has something
-// to work with before the first failure; each observed failure then
-// pulls the estimate toward the measured rate with weight alpha:
+// MTBFEstimator tracks the cluster's mean time between failures online,
+// as an exponentially-weighted mean of inter-failure intervals. The
+// estimator is seeded with a prior so the cadence controller has
+// something to work with before the first failure; each observed
+// failure then pulls the estimate toward the measured rate with weight
+// alpha:
 //
 //	mean <- (1-alpha)*mean + alpha*dt
 //
-// where dt is the virtual time since the previous failure anywhere in
-// the cluster.
-//
-// The estimator observes failures only between attempts — on the
-// supervisor's serial control path — so it needs no locking, and the
-// estimate a given attempt sees is frozen for that attempt (every rank
-// reads the same value, which the collective cadence decision
-// requires).
+// where dt is the time since the previous failure anywhere in the
+// cluster. The estimator does no locking: its caller serializes
+// failure reports (the job farm holds its mutex).
 type MTBFEstimator struct {
 	alpha float64
 	mean  float64 // EW mean inter-failure interval, cluster level
-	lastT float64 // virtual time of the newest failure
+	lastT float64 // time of the newest failure
 }
 
 // minMTBFS floors the estimate: a burst of simultaneous failures must
@@ -29,7 +23,7 @@ type MTBFEstimator struct {
 const minMTBFS = 1e-6
 
 // NewMTBFEstimator seeds an estimator with the cluster-level prior (in
-// virtual seconds).
+// seconds).
 func NewMTBFEstimator(priorS, alpha float64) *MTBFEstimator {
 	if priorS < minMTBFS {
 		priorS = minMTBFS
@@ -40,8 +34,8 @@ func NewMTBFEstimator(priorS, alpha float64) *MTBFEstimator {
 	return &MTBFEstimator{alpha: alpha, mean: priorS}
 }
 
-// ObserveFailure records a hardware failure at cumulative campaign
-// virtual time t.
+// ObserveFailure records a hardware failure at cumulative run time t
+// (seconds).
 func (e *MTBFEstimator) ObserveFailure(t float64) {
 	dt := t - e.lastT
 	if dt < minMTBFS {
@@ -51,8 +45,8 @@ func (e *MTBFEstimator) ObserveFailure(t float64) {
 	e.lastT = t
 }
 
-// MTBFS returns the current cluster-level MTBF estimate in virtual
-// seconds (never below minMTBFS).
+// MTBFS returns the current cluster-level MTBF estimate in seconds
+// (never below minMTBFS).
 func (e *MTBFEstimator) MTBFS() float64 {
 	if e.mean < minMTBFS {
 		return minMTBFS

@@ -1,38 +1,32 @@
-// Package policy is the adaptive-resilience layer: the components that
-// turn the static checkpoint cadence into a live controller driven by
-// what the run actually observes. The paper's operators picked the
-// cadence by hand per machine; `repro faultbench` picks it offline from
-// a swept table; this package closes the loop online, so a campaign
-// tunes itself to the failure rate and I/O cost it measures instead of
-// the ones the operator guessed.
-//
-// Two components, wired together by internal/supervisor:
+// Package policy holds the checkpoint-interval arithmetic: Young's
+// first-order optimum, a live cadence controller built on it, and an
+// online MTBF estimator. The paper's operators picked the checkpoint
+// cadence by hand per machine; these components pick it from what a
+// run observes instead of what the operator guessed.
 //
 //   - MTBFEstimator (mtbf.go): exponentially-weighted inter-failure
-//     intervals from the supervisor's verdict history, seeded from the
-//     fault plan or a -mtbf hint.
+//     intervals, seeded from a prior. The job farm (internal/farm)
+//     reports its estimate in /v1/stats.
 //   - CadenceController (cadence.go): Young's-formula optimal
 //     checkpoint interval from the estimated MTBF and the measured
 //     per-checkpoint cost, with clamping and hysteresis; implements
-//     engine.CadencePolicy.
+//     engine.CadencePolicy for engine.Loop.Cadence.
 //
-// The layer is on or off: a supervised run with a Config runs both
-// components live, one without runs neither. Every retune is emitted
-// as a structured policy_switch trace event carrying its evidence, so
-// a recorded run explains every deviation from the static cadence.
+// Every retune is emitted as a structured policy_switch trace event
+// carrying its evidence, so a recorded run explains every deviation
+// from the static cadence.
 package policy
 
 import "fmt"
 
-// Config parametrizes the adaptive layer: the two values some caller
-// chooses. The zero value of Alpha means "use the default";
+// Config parametrizes the cadence controller: the two values some
+// caller chooses. The zero value of Alpha means "use the default";
 // WithDefaults resolves it.
 type Config struct {
-	// PriorMTBFS seeds the MTBF estimator: the expected CLUSTER-level
-	// mean time between failures in virtual seconds (a per-node MTBF
-	// hint divided by the rank count), from the fault plan or the
-	// operator's -mtbf flag. Required — with no failures yet observed,
-	// the prior is all the cadence controller has.
+	// PriorMTBFS is the expected CLUSTER-level mean time between
+	// failures in seconds (a per-node MTBF divided by the rank count).
+	// Required — with no failures yet observed, the prior is all the
+	// cadence controller has.
 	PriorMTBFS float64
 	// Alpha is the exponential weight given to each new inter-failure
 	// or cost observation (default 0.3: the newest observation carries
@@ -65,7 +59,7 @@ func (c Config) WithDefaults() Config {
 // Validate rejects configurations the controllers cannot run under.
 func (c Config) Validate() error {
 	if !(c.PriorMTBFS > 0) {
-		return fmt.Errorf("policy: the adaptive layer needs a positive PriorMTBFS, got %g (seed it from the fault plan or the -mtbf hint)", c.PriorMTBFS)
+		return fmt.Errorf("policy: the cadence controller needs a positive PriorMTBFS, got %g", c.PriorMTBFS)
 	}
 	return nil
 }

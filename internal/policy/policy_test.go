@@ -123,7 +123,7 @@ func TestCadenceClampsAndHysteresis(t *testing.T) {
 }
 
 // A controller built from a previous attempt's (interval, anchor)
-// adopts that grid, so a retune survives rollback.
+// adopts that grid, so a retune survives a restart.
 func TestCadenceAdopt(t *testing.T) {
 	c := NewCadence(Config{PriorMTBFS: 1}, nil, 8, 24)
 	if c.Interval() != 8 || c.Anchor() != 24 {

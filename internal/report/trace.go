@@ -9,7 +9,7 @@ import (
 // TraceBreakdown aggregates a recorded engine event stream into a
 // per-stage table: events, priced seconds, and virtual-wall seconds
 // per stage (first-seen order), followed by marker rows summarizing
-// the steps, checkpoints, durable writes, rollbacks, trips, and halts
+// the steps, checkpoints, durable writes, trips, and halts
 // the run saw.
 // This rebuilds the paper's per-stage breakdowns offline from a trace
 // instead of from live instrumentation.
@@ -20,7 +20,7 @@ func TraceBreakdown(evs []engine.Event, title string) *Table {
 	}
 	var order []string
 	stages := map[string]*agg{}
-	var steps, ckpts, ckptBytes, rollbacks, trips, halts, dones int
+	var steps, ckpts, ckptBytes, trips, halts, dones int
 	var stepPriced, stepWall float64
 	var writes, storedBytes int
 	var writeHidden, writeExposed float64
@@ -51,8 +51,6 @@ func TraceBreakdown(evs []engine.Event, title string) *Table {
 			storedBytes += e.Stored
 			writeHidden += e.HiddenS
 			writeExposed += e.ExposedS
-		case engine.EvRollback:
-			rollbacks++
 		case engine.EvTrip:
 			trips++
 		case engine.EvHalt:
@@ -88,7 +86,6 @@ func TraceBreakdown(evs []engine.Event, title string) *Table {
 			fmt.Sprintf("E=%.4g", lastEnergy),
 			fmt.Sprintf("eps=%.4g", lastDissipation))
 	}
-	t.AddRow("[rollbacks]", fmt.Sprintf("%d", rollbacks), "", "")
 	if trips > 0 {
 		t.AddRow("[watchdog trips]", fmt.Sprintf("%d", trips), "", "")
 	}

@@ -18,14 +18,13 @@ func TestTraceBreakdown(t *testing.T) {
 		{Ev: engine.EvCheckpoint, Rank: 0, Step: 2, Bytes: 100},
 		{Ev: engine.EvCkptDone, Rank: 0, Step: 2, Stored: 80, HiddenS: 0.25, ExposedS: 0.125},
 		{Ev: engine.EvCkptDone, Rank: 0, Step: 4, Stored: 80, HiddenS: 0.25, Final: true},
-		{Ev: engine.EvRollback, Rank: 0, Step: 2},
 		{Ev: engine.EvDone, Rank: 0, Step: 4},
 	}
 	var buf bytes.Buffer
 	TraceBreakdown(evs, "trace test").Write(&buf)
 	out := buf.String()
 	for _, want := range []string{
-		"solve", "rhs", "[steps]", "100 bytes", "[rollbacks]", "[completed ranks]",
+		"solve", "rhs", "[steps]", "100 bytes", "[completed ranks]",
 		"[durable writes]", "160 bytes stored", "0.125 exposed + 0.5 hidden",
 	} {
 		if !strings.Contains(out, want) {

@@ -16,17 +16,15 @@ package simnet
 //     blocked) is popped and discarded.
 //
 // Laziness is sound because election keys never decrease: a rank's key
-// is its virtual clock (or an absolute receive deadline), and virtual
-// clocks are monotone. A stale entry therefore always sorts at or
+// is its virtual clock, and virtual clocks are monotone. A stale entry therefore always sorts at or
 // before the rank's live entry, so discarding stale tops can never
 // skip past a smaller live candidate. Each event pushes O(1) entries
 // and each election pops the entries it invalidated, so the heap stays
 // O(live candidates) and admission costs O(log P).
 
 type electEntry struct {
-	key     float64
-	rank    int32
-	timeout bool // entry is a RecvDeadline expiry, not a runnable key
+	key  float64
+	rank int32
 }
 
 // electPQ is a hand-rolled binary min-heap over (key, rank).
@@ -82,20 +80,16 @@ func (pq *electPQ) pop() electEntry {
 }
 
 // electKeyOf returns rank n's current election candidacy: its frozen
-// key for in-flight/arrived/woken/doomed ranks, its deadline for a
-// rank blocked in RecvDeadline, or ok=false when the rank is not
-// electable at all. This is exactly the serial scheduler's candidate
-// set. Caller holds par.mu.
+// key for in-flight, arrived and woken ranks, or ok=false when the rank
+// is not electable at all. This is exactly the serial scheduler's
+// candidate set. Caller holds par.mu.
 func electKeyOf(n *Node) (electEntry, bool) {
 	switch n.status {
-	case stInFlight, stArrived, stDoomed:
+	case stInFlight, stArrived:
 		return electEntry{key: n.key, rank: int32(n.Rank)}, true
 	case stParked:
-		switch n.blockKind {
-		case blockNone:
+		if n.blockKind == blockNone {
 			return electEntry{key: n.key, rank: int32(n.Rank)}, true
-		case blockRecvDeadline:
-			return electEntry{key: n.deadline, rank: int32(n.Rank), timeout: true}, true
 		}
 	}
 	return electEntry{}, false
@@ -103,8 +97,8 @@ func electKeyOf(n *Node) (electEntry, bool) {
 
 // pushElect publishes rank n's current candidacy to the election heap;
 // a no-op when the rank is not electable. Call after any transition
-// that creates or re-keys a candidacy (release, wake, stall bump,
-// doom, deadline park, launch). Caller holds par.mu.
+// that creates or re-keys a candidacy (release, wake, launch). Caller
+// holds par.mu.
 func (c *cluster) pushElect(n *Node) {
 	e, ok := electKeyOf(n)
 	if !ok {

@@ -63,10 +63,8 @@ type Model struct {
 	RanksPerNode int
 	// NodeMap, when non-nil, overrides RanksPerNode with an explicit
 	// rank -> physical-node placement (len(NodeMap) must equal the run's
-	// rank count; node ids must be >= 0 but need not be dense). The
-	// supervisor uses it to keep hot-spare nodes addressable and to move
-	// a rank onto a replacement node between restart attempts, while the
-	// fault plan stays keyed by physical node.
+	// rank count; node ids must be >= 0 but need not be dense), such as
+	// a SparePool's placement after a rank moved onto a spare node.
 	NodeMap []int
 	// BackplaneMBs caps the aggregate inter-node traffic (an
 	// oversubscribed Ethernet switch); 0 = full crossbar.

@@ -20,25 +20,17 @@ package simnet
 // (running host code), wait for it to arrive at its next Node call;
 // admit it; run the call's shared-state mutations alone; repeat. Host
 // work overlaps freely across cores; shared-state events are admitted
-// in exactly the serial order, so message matching, resource booking,
-// fault firing and the virtual clocks are bit-identical to the serial
-// scheduler. DESIGN.md §10 gives the full argument; §13 covers the
-// indexed election and admission batching below.
+// in exactly the serial order, so message matching, resource booking
+// and the virtual clocks are bit-identical to the serial scheduler.
+// DESIGN.md §10 gives the full argument; §13 covers the indexed
+// election and admission batching below.
 //
-// Three refinements keep the common path fast and the fault semantics
-// exact:
+// Two refinements keep the common path fast:
 //
-//   - Compute/Sleep touch only the rank's own clock, invisible to every
-//     other rank, so they skip admission entirely: the rank bumps its
+//   - Compute touches only the rank's own clock, invisible to every
+//     other rank, so it skips admission entirely: the rank bumps its
 //     clock and releases (updating its frozen key) without parking.
 //     A long compute phase never serializes against the event loop.
-//
-//   - A rank whose release-time clock has passed its injected crash
-//     (or stall-adjusted crash) time must not run further host code:
-//     the serial scheduler would kill it at its next resume, before any
-//     of that code. It parks as "doomed", stays electable at its key,
-//     and the crash fires at its admission — same global order, no
-//     speculative side effects.
 //
 //   - Batched admission: a rank releasing an event whose next key still
 //     precedes every other electable candidate would win the very next
@@ -128,13 +120,10 @@ const (
 	// scheduler waits for its release.
 	stAdmitted
 	// stParked: parked at a blocked yield. blockKind distinguishes a
-	// true block (not electable, except RecvDeadline at its deadline)
-	// from a woken rank awaiting re-election (blockKind == blockNone).
+	// true block (not electable) from a woken rank awaiting re-election
+	// (blockKind == blockNone).
 	stParked
-	// stDoomed: parked at release because the rank's clock passed its
-	// injected crash time; electable at its key, dies on admission.
-	stDoomed
-	// stDone: goroutine finished (completed, crashed, or poisoned).
+	// stDone: goroutine finished (completed or poisoned).
 	stDone
 )
 
@@ -165,24 +154,6 @@ func (c *cluster) unlockPar() {
 	}
 }
 
-// applyStallLocked fires a due rank-stall fault. The serial scheduler
-// applies stalls in its election scan, which a parked runnable rank
-// passes through before it can be elected again; the parallel
-// equivalents of that instant are a rank's transition back to in-flight
-// or doomed (release), its wake from a blocked park, and launch.
-// Callers push a fresh election entry after the bump. Caller holds
-// par.mu.
-func (c *cluster) applyStallLocked(n *Node) {
-	if c.stallAt == nil || c.stallFired[n.Rank] || n.clock < c.stallAt[n.Rank] {
-		return
-	}
-	c.stallFired[n.Rank] = true
-	if d := c.stallDur[n.Rank]; d > 0 {
-		n.clock += d
-		n.key += d
-	}
-}
-
 // begin is the admission gate at the top of every Node call that
 // touches shared simulator state. The rank arrives with its election
 // key frozen at its last release and parks until the scheduler admits
@@ -206,43 +177,33 @@ func (n *Node) begin() {
 	if n.poison {
 		panic(poisonSignal{})
 	}
-	// No crash check here: the serial scheduler fires a crash at the
-	// start of a slice, which corresponds to parYield's release (below),
-	// not to arrival — the mutations this admission is about to run are
-	// still part of the rank's current slice.
 }
 
 // parYield ends a Node call under the parallel scheduler: the event's
 // mutations are complete, so publish the rank's next election key and
-// either return to in-flight host execution or park (blocked, or doomed
-// by a pending crash). Mirrors the serial yield()'s park/resume
-// contract: a parked rank returns from parYield admitted (woken) — or
-// panics if poisoned or crashed.
+// either return to in-flight host execution or park (blocked). Mirrors
+// the serial yield()'s park/resume contract: a parked rank returns from
+// parYield admitted (woken) — or panics if poisoned.
 func (c *cluster) parYield(n *Node) {
 	ps := c.par
 	ps.mu.Lock()
 	n.key = n.clock
 	if n.blockKind == blockNone {
-		c.applyStallLocked(n)
-		if c.crashAt == nil || c.crashed[n.Rank] || n.clock < c.crashAt[n.Rank] {
-			if n.status == stAdmitted && c.stillFirstLocked(n) {
-				// Batched admission: the next election would re-elect
-				// this rank, so keep the admission and skip the
-				// park/elect/resume handshake. The scheduler stays
-				// parked in its stAdmitted wait; no broadcast needed.
-				ps.mu.Unlock()
-				return
-			}
-			n.status = stInFlight
-			c.pushElect(n)
-			ps.cond.Broadcast()
+		if n.status == stAdmitted && c.stillFirstLocked(n) {
+			// Batched admission: the next election would re-elect this
+			// rank, so keep the admission and skip the
+			// park/elect/resume handshake. The scheduler stays parked
+			// in its stAdmitted wait; no broadcast needed.
 			ps.mu.Unlock()
 			return
 		}
-		n.status = stDoomed
-	} else {
-		n.status = stParked
+		n.status = stInFlight
+		c.pushElect(n)
+		ps.cond.Broadcast()
+		ps.mu.Unlock()
+		return
 	}
+	n.status = stParked
 	c.pushElect(n)
 	ps.cond.Broadcast()
 	ps.mu.Unlock()
@@ -250,7 +211,6 @@ func (c *cluster) parYield(n *Node) {
 	if n.poison {
 		panic(poisonSignal{})
 	}
-	n.maybeCrash()
 }
 
 // stillFirstLocked reports whether rank n's next event precedes every
@@ -269,20 +229,6 @@ func (c *cluster) stillFirstLocked(n *Node) bool {
 		return true
 	}
 	return n.key < e.key || (n.key == e.key && int32(n.Rank) < e.rank)
-}
-
-// parReleaseEarly releases admission without ending the rank's current
-// slice: RecvDeadline's timeout branch returns to the body mid-slice,
-// so stall and crash checks wait for the slice's real end (the next
-// yield), matching the serial scheduler.
-func (c *cluster) parReleaseEarly(n *Node) {
-	ps := c.par
-	ps.mu.Lock()
-	n.key = n.clock
-	n.status = stInFlight
-	c.pushElect(n)
-	ps.cond.Broadcast()
-	ps.mu.Unlock()
 }
 
 // parWait is Wait under the parallel scheduler. The transfer-complete
@@ -309,7 +255,6 @@ func (n *Node) parWait(r *Request) {
 		if n.poison {
 			panic(poisonSignal{})
 		}
-		n.maybeCrash()
 		ps.mu.Lock()
 		n.waitSend = nil
 	}
@@ -336,10 +281,7 @@ func (c *cluster) parRank(n *Node, body func(*Node), wg *sync.WaitGroup) {
 	}()
 	defer func() {
 		if r := recover(); r != nil {
-			switch r.(type) {
-			case crashSignal, poisonSignal:
-				// Expected unwinding; the cause is recorded elsewhere.
-			default:
+			if _, ok := r.(poisonSignal); !ok {
 				c.failOnce(fmt.Errorf("simnet: rank %d panicked: %v", n.Rank, r))
 			}
 		}
@@ -351,12 +293,8 @@ func (c *cluster) parRank(n *Node, body func(*Node), wg *sync.WaitGroup) {
 		ps.cond.Broadcast()
 		ps.mu.Unlock()
 	}()
-	// The serial scheduler applies a stall due at t=0 before the rank's
-	// first election; the parallel rank starts in flight, so apply it
-	// before any body code can observe the clock.
 	ps := c.par
 	ps.mu.Lock()
-	c.applyStallLocked(n)
 	c.pushElect(n)
 	ps.cond.Broadcast()
 	ps.mu.Unlock()
@@ -403,7 +341,7 @@ func (c *cluster) parRun() {
 			// The elected rank is still running host code. Nothing else
 			// may be admitted before it, so wait for it to transition:
 			// arrive at a Node call, park in Wait, finish — or move its
-			// own key with an admission-free Compute/Sleep release, which
+			// own key with an admission-free Compute release, which
 			// may change the election. Other ranks' host work continues
 			// on the remaining cores meanwhile. Its heap entry stays;
 			// a key move makes it stale and the next minElect drops it.
@@ -412,12 +350,6 @@ func (c *cluster) parRun() {
 				ps.cond.Wait()
 			}
 			continue // re-elect
-		}
-		if e.timeout {
-			// A RecvDeadline wait expired: wake the rank with its timeout
-			// flag set; it advances its own clock (serial semantics).
-			pick.blockKind = blockNone
-			pick.timedOut = true
 		}
 		pick.status = stAdmitted // invalidates the rank's heap entries
 		ps.mu.Unlock()

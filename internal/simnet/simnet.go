@@ -9,81 +9,24 @@ import (
 	"sync/atomic"
 )
 
-// Injector is the fault-injection hook set consulted by the simulator.
-// Package fault provides the standard deterministic implementation; the
-// interface lives here so simnet carries no dependency on it. All
-// methods must be pure functions of their arguments (plus the
-// injector's own seed/state) so that a run is reproducible.
+// Injector is the observation hook RunWithFaults installs, consulted
+// on every inter-node eager send: n counts the earlier eager messages
+// on the directed pair src -> dst, t is the sender's clock. It must be
+// a pure function of its arguments (plus its own state) so a run stays
+// reproducible. The network model is lossless, as TCP made the paper's
+// Ethernet, so an Injector observes traffic and must return false; a
+// true result fails the run with ErrMessageDropped.
 type Injector interface {
-	// CrashTime returns the virtual time at which the rank dies, or
-	// +Inf for a rank that never crashes.
-	CrashTime(rank int) float64
-}
-
-// Dropper is an optional Injector extension consulted on every
-// inter-node eager send: n counts the earlier eager messages on the
-// directed pair src -> dst, t is the sender's clock. The network model
-// is lossless, as TCP made the paper's Ethernet, so Dropper observes
-// traffic and must return false; a true result fails the run with
-// ErrMessageDropped.
-type Dropper interface {
 	DropMessage(src, dst, n int, t float64) bool
 }
 
-// ErrMessageDropped reports that a Dropper asked to lose a message,
+// ErrMessageDropped reports that an Injector asked to lose a message,
 // which the lossless network model cannot represent.
 var ErrMessageDropped = errors.New("simnet: the network is lossless, an injector cannot drop messages")
 
-// RankStaller is an optional Injector extension: a rank-stall fault
-// models a process freeze (OS thrashing, ECC scrub storm, a wedged
-// daemon) rather than a death. RankStall returns the virtual time at
-// which the rank freezes and the freeze duration in seconds; start =
-// +Inf (or dur <= 0) means the rank never stalls. The frozen rank's
-// wall clock jumps forward by dur at its first yield past start — it
-// consumes no CPU and sends nothing while frozen, then resumes exactly
-// where it was. Unlike a crash the rank eventually completes, so a
-// failure detector (not the simulator) must decide it is gone.
-type RankStaller interface {
-	RankStall(rank int) (start, dur float64)
-}
-
-// PlanValidator is an optional Injector extension consulted once when
-// the plan is installed: RunWithFaults rejects the run up front if the
-// plan references ranks outside [0, ranks) or carries other impossible
-// entries, instead of silently ignoring them mid-run. fault.Plan
-// implements it.
-type PlanValidator interface {
-	ValidatePlan(ranks int) error
-}
-
-// CrashError reports that one or more ranks crashed during a run (an
-// injected whole-node failure). Detail carries the blocked-rank
-// diagnosis when surviving ranks were left waiting on the dead ones.
-type CrashError struct {
-	Ranks  []int     // crashed ranks, ascending
-	Times  []float64 // crash times, aligned with Ranks
-	Detail string    // non-empty when survivors deadlocked
-}
-
-func (e *CrashError) Error() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "simnet: %d rank(s) crashed:", len(e.Ranks))
-	for i, r := range e.Ranks {
-		fmt.Fprintf(&b, " rank %d at t=%.6gs", r, e.Times[i])
-		if i < len(e.Ranks)-1 {
-			b.WriteString(",")
-		}
-	}
-	if e.Detail != "" {
-		fmt.Fprintf(&b, " (%s)", e.Detail)
-	}
-	return b.String()
-}
-
-// crashSignal unwinds a crashed rank's goroutine; poisonSignal unwinds
-// a rank poisoned by the scheduler's deadlock resolution. Both are
-// recognized by the recover handler and kept out of c.fail.
-type crashSignal struct{}
+// poisonSignal unwinds a rank poisoned by the scheduler's deadlock
+// resolution (or by a run-failing error); the recover handler
+// recognizes it and keeps it out of c.fail.
 type poisonSignal struct{}
 
 // Node is one simulated rank. All methods must be called from the
@@ -121,10 +64,6 @@ type Node struct {
 	// If blocked in Wait for a rendezvous send, the message involved.
 	waitSend  *message
 	blockKind blockKind
-	// Absolute wake-up time when blocked in RecvDeadline.
-	deadline float64
-	// Set by the scheduler when a RecvDeadline wait expired.
-	timedOut bool
 
 	// phantom multiplies the *timed* size of every outgoing message
 	// without inflating the payload. The paper-scale extrapolation
@@ -172,7 +111,6 @@ type blockKind int
 const (
 	blockNone blockKind = iota
 	blockRecv
-	blockRecvDeadline
 	blockSendRendezvous
 )
 
@@ -232,16 +170,6 @@ func (m *message) release() {
 	}
 }
 
-// releaseSender drops the sender-side share of a request whose handle
-// is being discarded without a Wait (SendControl).
-func (r *Request) releaseSender() {
-	if r.m != nil {
-		m := r.m
-		r.m = nil
-		m.release()
-	}
-}
-
 // msgQueue is one inbox FIFO. A head index instead of re-slicing keeps
 // the backing array alive across push/pop cycles, so a steady-state
 // exchange pattern reaches zero allocations per message.
@@ -293,17 +221,10 @@ type cluster struct {
 	// scheduler, which also turns every lockPar/unlockPar into a no-op.
 	par *parSched
 
-	// Fault injection (nil when the cluster is perfect).
-	crashAt []float64 // per-rank crash time (+Inf = never)
-	crashed []bool
-	// Rank-stall faults (nil when the injector is not a RankStaller).
-	stallAt    []float64 // per-rank freeze time (+Inf = never)
-	stallDur   []float64
-	stallFired []bool
-	// dropper and msgSeq (eager messages per directed rank pair) are
-	// set only when the injector is a Dropper.
-	dropper Dropper
-	msgSeq  map[[2]int]int
+	// inj and msgSeq (eager messages per directed rank pair) are set
+	// only when RunWithFaults installs an Injector.
+	inj    Injector
+	msgSeq map[[2]int]int
 
 	fail error
 }
@@ -318,26 +239,17 @@ func (c *cluster) failOnce(err error) {
 	c.mu.Unlock()
 }
 
-// isCrashed reports whether a rank has died (called from the single
-// running rank goroutine, so no lock is needed beyond the scheduler's
-// serialization).
-func (c *cluster) isCrashed(rank int) bool {
-	return c.crashed != nil && c.crashed[rank]
-}
-
 // Run simulates P ranks executing body concurrently under the given
-// network model on a perfect (fault-free) cluster. It returns the
+// network model. It returns the
 // per-rank virtual wall-clock and CPU times at exit, and an error if
 // the program deadlocked or a rank panicked.
 func Run(p int, model *Model, body func(n *Node)) (wall, cpu []float64, err error) {
 	return RunWithFaults(p, model, nil, body)
 }
 
-// RunWithFaults is Run with a fault-injection plan installed: inj is
-// consulted for node crashes, and for rank stalls when it is a
-// RankStaller. A nil injector reproduces Run exactly. If any rank crashes
-// the returned error is a *CrashError (surviving ranks may still run
-// to completion; their clocks are reported as usual).
+// RunWithFaults is Run with an Injector observing every inter-node
+// eager send. A nil injector reproduces Run exactly, and so does any
+// injector that returns false.
 func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall, cpu []float64, err error) {
 	if p < 1 {
 		return nil, nil, fmt.Errorf("simnet: need at least one rank")
@@ -361,13 +273,6 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 		}
 		nNodes = maxID + 1
 	}
-	if inj != nil {
-		if v, ok := inj.(PlanValidator); ok {
-			if err := v.ValidatePlan(p); err != nil {
-				return nil, nil, fmt.Errorf("simnet: rejecting fault plan: %w", err)
-			}
-		}
-	}
 	c := &cluster{
 		model:       model,
 		running:     p,
@@ -375,23 +280,8 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 		ingressFree: make([]float64, nNodes),
 	}
 	if inj != nil {
-		if d, ok := inj.(Dropper); ok {
-			c.dropper = d
-			c.msgSeq = map[[2]int]int{}
-		}
-		c.crashAt = make([]float64, p)
-		c.crashed = make([]bool, p)
-		for i := 0; i < p; i++ {
-			c.crashAt[i] = inj.CrashTime(i)
-		}
-		if rs, ok := inj.(RankStaller); ok {
-			c.stallAt = make([]float64, p)
-			c.stallDur = make([]float64, p)
-			c.stallFired = make([]bool, p)
-			for i := 0; i < p; i++ {
-				c.stallAt[i], c.stallDur[i] = rs.RankStall(i)
-			}
-		}
+		c.inj = inj
+		c.msgSeq = map[[2]int]int{}
 	}
 	c.nodes = make([]*Node, p)
 	for i := 0; i < p; i++ {
@@ -434,13 +324,11 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
-					switch r.(type) {
-					case crashSignal, poisonSignal:
-						// Expected unwinding; the cause is recorded
-						// elsewhere (crashed[], or the deadlock error).
-					default:
+					if _, ok := r.(poisonSignal); !ok {
 						c.failOnce(fmt.Errorf("simnet: rank %d panicked: %v", n.Rank, r))
 					}
+					// A poisoned rank's cause is already recorded (the
+					// deadlock or run-failing error).
 				}
 				// A finishing rank still holds the baton: it elects its
 				// successor before it goes.
@@ -466,10 +354,9 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 // elect is the serial scheduler: one pass over the rank states picks
 // who runs next. A rank is a candidate when it is runnable (blockKind
 // == blockNone — parked at <-resume, woken, freshly launched, or the
-// caller itself in the middle of yield) at its clock, or blocked in
-// RecvDeadline at its deadline; the minimum (time, rank) wins, which
-// does not depend on visit order, and maybeStall only ever moves the
-// visited rank's own clock. There is no scheduler goroutine: the rank
+// caller itself in the middle of yield) at its clock; the minimum
+// (time, rank) wins, which does not depend on visit order. There is no
+// scheduler goroutine: the rank
 // that holds the baton calls elect from yield or from its exit path
 // and hands the baton straight to the winner, so the election order —
 // and with it every clock, trajectory and error — is what a central
@@ -482,26 +369,12 @@ func (c *cluster) elect() *Node {
 		return c.firstLive()
 	}
 	var pick *Node
-	pickTimeout := false
-	var pickClock float64
 	for _, n := range c.nodes {
-		if n.done {
+		if n.done || n.blockKind != blockNone {
 			continue
 		}
-		switch n.blockKind {
-		case blockNone:
-			// Apply a pending rank-stall fault before electing a
-			// candidate: the freeze must reorder this rank against
-			// other ranks' deadlines, not fire after the rank has
-			// already been resumed at its pre-stall clock.
-			n.maybeStall()
-			if pick == nil || n.clock < pickClock || (n.clock == pickClock && n.Rank < pick.Rank) {
-				pick, pickClock, pickTimeout = n, n.clock, false
-			}
-		case blockRecvDeadline:
-			if pick == nil || n.deadline < pickClock || (n.deadline == pickClock && n.Rank < pick.Rank) {
-				pick, pickClock, pickTimeout = n, n.deadline, true
-			}
+		if pick == nil || n.clock < pick.clock || (n.clock == pick.clock && n.Rank < pick.Rank) {
+			pick = n
 		}
 	}
 	if pick == nil && c.running > 0 {
@@ -514,12 +387,6 @@ func (c *cluster) elect() *Node {
 			n.poison = !n.done
 		}
 		return c.firstLive()
-	}
-	if pickTimeout {
-		// A RecvDeadline wait expired: wake the rank with its timeout
-		// flag set; it advances its own clock.
-		pick.blockKind = blockNone
-		pick.timedOut = true
 	}
 	return pick
 }
@@ -543,21 +410,6 @@ func (c *cluster) collect(p int) (wall, cpu []float64, err error) {
 		wall[i] = n.clock
 		cpu[i] = n.cpu
 	}
-	if c.crashed != nil {
-		var ce CrashError
-		for i, dead := range c.crashed {
-			if dead {
-				ce.Ranks = append(ce.Ranks, i)
-				ce.Times = append(ce.Times, c.nodes[i].clock)
-			}
-		}
-		if len(ce.Ranks) > 0 {
-			if c.fail != nil {
-				ce.Detail = c.fail.Error()
-			}
-			return wall, cpu, &ce
-		}
-	}
 	return wall, cpu, c.fail
 }
 
@@ -577,7 +429,7 @@ func (c *cluster) deadlockError(running int) error {
 			continue
 		}
 		switch n.blockKind {
-		case blockRecv, blockRecvDeadline:
+		case blockRecv:
 			parts = append(parts, fmt.Sprintf(
 				"rank %d in Recv(src=%s, tag=%s) since t=%.6gs",
 				n.Rank, name(n.waitKey.src), name(n.waitKey.tag), n.clock))
@@ -590,20 +442,8 @@ func (c *cluster) deadlockError(running int) error {
 			parts = append(parts, fmt.Sprintf("rank %d blocked in an unknown state", n.Rank))
 		}
 	}
-	var crashNote string
-	if c.crashed != nil {
-		var dead []int
-		for i, d := range c.crashed {
-			if d {
-				dead = append(dead, i)
-			}
-		}
-		if len(dead) > 0 {
-			crashNote = fmt.Sprintf(" after rank(s) %v crashed", dead)
-		}
-	}
-	return fmt.Errorf("simnet: deadlock — all %d remaining rank(s) blocked%s: %s",
-		running, crashNote, strings.Join(parts, "; "))
+	return fmt.Errorf("simnet: deadlock — all %d remaining rank(s) blocked: %s",
+		running, strings.Join(parts, "; "))
 }
 
 // yield ends the rank's slice. Under the serial scheduler the rank
@@ -623,69 +463,6 @@ func (n *Node) yield() {
 	if n.poison {
 		panic(poisonSignal{})
 	}
-	n.maybeCrash()
-}
-
-// maybeStall applies a pending rank-stall fault: the first time the
-// rank's clock passes the scheduled freeze instant, its wall clock
-// jumps forward by the freeze duration (no CPU is consumed, nothing is
-// sent) and the rank carries on. The election applies it to every
-// runnable rank before comparing candidates, so the freeze correctly
-// reorders the rank against other ranks' receive deadlines.
-// A stall scheduled before a crash on the same rank can push the clock
-// past the crash time, in which case the crash wins — checked by
-// maybeCrash at the rank's next resume. Serial scheduler only; the
-// parallel scheduler uses applyStallLocked at the equivalent instants.
-func (n *Node) maybeStall() {
-	c := n.net
-	if c.stallAt == nil || c.stallFired[n.Rank] {
-		return
-	}
-	if n.clock < c.stallAt[n.Rank] {
-		return
-	}
-	c.stallFired[n.Rank] = true
-	if d := c.stallDur[n.Rank]; d > 0 {
-		n.clock += d
-	}
-}
-
-// maybeCrash kills the rank if its injected crash time has passed: the
-// clock is frozen at the crash instant, ranks blocked receiving from it
-// are woken (so error-returning receives can diagnose the death), and
-// the goroutine unwinds.
-func (n *Node) maybeCrash() {
-	c := n.net
-	if c.crashAt == nil {
-		return
-	}
-	t := c.crashAt[n.Rank]
-	if n.clock < t {
-		return
-	}
-	n.clock = t
-	if n.cpu > t {
-		n.cpu = t
-	}
-	c.lockPar()
-	c.crashed[n.Rank] = true
-	for _, peer := range c.nodes {
-		if peer == n || peer.done {
-			continue
-		}
-		if (peer.blockKind == blockRecv || peer.blockKind == blockRecvDeadline) &&
-			peer.waitKey.src == n.Rank {
-			peer.blockKind = blockNone
-			if c.par != nil {
-				c.applyStallLocked(peer)
-				c.pushElect(peer)
-			}
-			// Serial: the election scan sees the cleared blockKind
-			// directly; nothing else to record.
-		}
-	}
-	c.unlockPar()
-	panic(crashSignal{})
 }
 
 // Clock returns the rank's virtual wall-clock time in seconds
@@ -709,18 +486,6 @@ func (n *Node) Compute(dt float64) {
 	n.yield()
 }
 
-// Sleep advances the rank's wall clock by dt seconds without consuming
-// CPU — blocking I/O such as a checkpoint write. A negative or NaN dt
-// fails the run like Compute.
-func (n *Node) Sleep(dt float64) {
-	if dt < 0 || math.IsNaN(dt) {
-		n.net.failOnce(fmt.Errorf("simnet: rank %d: negative sleep time %g", n.Rank, dt))
-		panic(poisonSignal{})
-	}
-	n.clock += dt
-	n.yield()
-}
-
 // Send transmits data to rank dst with a tag. Standard-mode semantics:
 // eager messages buffer and return after the sender overhead;
 // rendezvous messages (size above the link's EagerLimit) block until
@@ -734,20 +499,6 @@ func (n *Node) Send(dst, tag int, data []float64) {
 // immediately; rendezvous transfers are booked when the receiver posts
 // the matching receive.
 func (n *Node) Isend(dst, tag int, data []float64) *Request {
-	return n.isend(dst, tag, data, false)
-}
-
-// SendControl performs an eager-mode send regardless of the message
-// size (like a buffered MPI_Bsend) and returns without a handle: it
-// pays overhead and wire time but never waits for the receiver. It
-// carries control traffic — heartbeats, halt orders — whose timing must
-// not turn into a rendezvous when a phantom factor inflates the timed
-// size of the sender's messages.
-func (n *Node) SendControl(dst, tag int, data []float64) {
-	n.isend(dst, tag, data, true).releaseSender() // handle discarded without a Wait
-}
-
-func (n *Node) isend(dst, tag int, data []float64, forceEager bool) *Request {
 	n.begin()
 	if dst == n.Rank {
 		// Self-send: buffer locally with no network cost.
@@ -770,7 +521,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager bool) *Request {
 	link := c.model.link(n.Rank, dst)
 	size := n.timedSize(len(data))
 	cp := n.newPayload(data)
-	rendezv := !forceEager && link.EagerLimit > 0 && size > link.EagerLimit
+	rendezv := link.EagerLimit > 0 && size > link.EagerLimit
 
 	// Sender CPU overhead: fixed protocol cost plus per-byte stack
 	// copies (TCP); DMA-driven networks set CPUCopyMBs to 0, and a
@@ -794,11 +545,11 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager bool) *Request {
 	dstNode := c.nodes[dst]
 	if !rendezv {
 		// Eager transfers cross the wire immediately.
-		if c.dropper != nil && c.model.nodeOf(n.Rank) != c.model.nodeOf(dst) {
+		if c.inj != nil && c.model.nodeOf(n.Rank) != c.model.nodeOf(dst) {
 			pair := [2]int{n.Rank, dst}
 			seq := c.msgSeq[pair]
 			c.msgSeq[pair] = seq + 1
-			if c.dropper.DropMessage(n.Rank, dst, seq, n.clock) {
+			if c.inj.DropMessage(n.Rank, dst, seq, n.clock) {
 				c.failOnce(fmt.Errorf("simnet: rank %d: eager message %d to rank %d: %w", n.Rank, seq, dst, ErrMessageDropped))
 				panic(poisonSignal{})
 			}
@@ -816,8 +567,7 @@ func (n *Node) isend(dst, tag int, data []float64, forceEager bool) *Request {
 	// non-admitted peer can be writing its own block state concurrently
 	// only inside Wait, which takes the same lock.
 	c.lockPar()
-	if (dstNode.blockKind == blockRecv || dstNode.blockKind == blockRecvDeadline) &&
-		matches(dstNode.waitKey, m.key) {
+	if dstNode.blockKind == blockRecv && matches(dstNode.waitKey, m.key) {
 		start := max(n.clock, dstNode.clock) + link.LatencyUS*us // handshake
 		m.arrive = n.reserveTransfer(dst, size, start, link)
 		m.ready = m.arrive - link.LatencyUS*us // payload has left the NIC
@@ -940,14 +690,10 @@ func (n *Node) queueFor(k msgKey) *msgQueue {
 func (n *Node) deliverLocked(dst *Node, m *message) {
 	c := n.net
 	dst.queueFor(m.key).push(m)
-	if (dst.blockKind == blockRecv || dst.blockKind == blockRecvDeadline) &&
-		matches(dst.waitKey, m.key) {
+	if dst.blockKind == blockRecv && matches(dst.waitKey, m.key) {
 		dst.blockKind = blockNone
 		if c.par != nil {
-			// Woken: electable again at its parked key. The serial
-			// scheduler's election scan would apply a due stall before
-			// the rank could be picked; do it at the wake instant.
-			c.applyStallLocked(dst)
+			// Woken: electable again at its parked key.
 			c.pushElect(dst)
 		}
 		// Serial: the election scan sees the cleared blockKind directly.
@@ -965,8 +711,7 @@ const (
 // rank's clock advances to the later of its own time and the message's
 // arrival time.
 func (n *Node) Recv(src, tag int) []float64 {
-	m, _ := n.recv(src, tag, false)
-	return m.take()
+	return n.recv(src, tag).take()
 }
 
 // RecvInto is Recv into a buffer the caller owns: the payload is copied
@@ -975,51 +720,19 @@ func (n *Node) Recv(src, tag int) []float64 {
 // identical to Recv. A dst shorter than the payload is a programming
 // error and panics.
 func (n *Node) RecvInto(src, tag int, dst []float64) int {
-	m, _ := n.recv(src, tag, false)
-	return n.takeInto(m, dst)
+	return n.takeInto(n.recv(src, tag), dst)
 }
 
-// RecvErr is Recv returning an error instead of waiting forever when
-// the awaited peer has crashed with no matching message buffered. With
-// src == AnySource the crash check is skipped (any live rank could
-// still satisfy the receive) and the call behaves like Recv.
-func (n *Node) RecvErr(src, tag int) ([]float64, error) {
-	m, err := n.recv(src, tag, true)
-	if err != nil {
-		return nil, err
-	}
-	return m.take(), nil
-}
-
-// RecvIntoErr is RecvInto with RecvErr's crashed-peer error.
-func (n *Node) RecvIntoErr(src, tag int, dst []float64) (int, error) {
-	m, err := n.recv(src, tag, true)
-	if err != nil {
-		return 0, err
-	}
-	return n.takeInto(m, dst), nil
-}
-
-// recv is the blocking receive behind Recv, RecvInto and their Err
-// forms: it waits for a match, consumes it and returns the message with
-// the receiver's share still held. With crashErr set, a crashed src
-// with nothing pending is an error instead of an endless wait.
-func (n *Node) recv(src, tag int, crashErr bool) (*message, error) {
+// recv is the blocking receive behind Recv and RecvInto: it waits for a
+// match, consumes it and returns the message with the receiver's share
+// still held.
+func (n *Node) recv(src, tag int) *message {
 	n.begin()
 	key := msgKey{src, tag}
 	for {
 		if m := n.takeMatch(key); m != nil {
 			n.consume(m)
-			return m, nil
-		}
-		if crashErr && src != AnySource && n.net.isCrashed(src) {
-			if n.net.par != nil {
-				// Returning mid-slice: release admission like the
-				// serial scheduler's yield-free error return.
-				n.net.parReleaseEarly(n)
-			}
-			return nil, fmt.Errorf("simnet: rank %d: peer rank %d crashed at t=%.6gs with no message for tag %d pending",
-				n.Rank, src, n.net.crashAt[src], tag)
+			return m
 		}
 		n.waitKey = key
 		n.blockKind = blockRecv
@@ -1082,41 +795,6 @@ func (n *Node) freePayload(buf []float64) {
 	n.freePayloadCount++
 }
 
-// RecvDeadline blocks like Recv but gives up at the given absolute
-// virtual time, returning (nil, false) on expiry. The rank's clock
-// advances to the deadline on a timeout. The supervisor's monitor
-// polls heartbeats with it.
-func (n *Node) RecvDeadline(src, tag int, deadline float64) ([]float64, bool) {
-	n.begin()
-	key := msgKey{src, tag}
-	for {
-		if m := n.takeMatch(key); m != nil {
-			n.consume(m)
-			return m.take(), true
-		}
-		if n.clock >= deadline {
-			if n.net.par != nil {
-				n.net.parReleaseEarly(n)
-			}
-			return nil, false
-		}
-		n.waitKey = key
-		n.deadline = deadline
-		n.blockKind = blockRecvDeadline
-		n.yield()
-		if n.timedOut {
-			n.timedOut = false
-			if n.clock < deadline {
-				n.clock = deadline
-			}
-			if n.net.par != nil {
-				n.net.parReleaseEarly(n)
-			}
-			return nil, false
-		}
-	}
-}
-
 // consume finishes the receipt of a matched message: runs a pending
 // rendezvous, advances the clock to the arrival time and charges the
 // receive-side protocol copies. The caller still holds the receiver's
@@ -1138,7 +816,6 @@ func (n *Node) consume(m *message) {
 		if m.sender.blockKind == blockSendRendezvous && m.sender.waitSend == m {
 			m.sender.blockKind = blockNone
 			if c.par != nil {
-				c.applyStallLocked(m.sender)
 				c.pushElect(m.sender)
 			}
 			// Serial: the election scan sees the cleared blockKind.

@@ -1,8 +1,10 @@
 package simnet
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -562,3 +564,217 @@ func TestComputeKeepsTheBaton(t *testing.T) {
 
 // raceDetector is set by race_test.go under -race.
 var raceDetector bool
+
+// countingInjector records what it is asked about and drops the
+// message numbered dropAt on the 0 -> 2 pair (never, when dropAt < 0).
+type countingInjector struct {
+	asked  [][3]int // (src, dst, n) per consultation
+	dropAt int
+}
+
+func (d *countingInjector) DropMessage(src, dst, n int, t float64) bool {
+	d.asked = append(d.asked, [3]int{src, dst, n})
+	return src == 0 && dst == 2 && n == d.dropAt
+}
+
+// An Injector (formerly Dropper) sees every inter-node eager send, numbered per directed
+// pair, and nothing else: not the shared-memory copy inside an SMP
+// node, not a rendezvous transfer, not a self-send. Asking to drop one
+// fails the run by name, because the network model is lossless.
+func TestDropperObservesEagerSendsAndCannotDrop(t *testing.T) {
+	model := fastModel()
+	model.RanksPerNode = 2 // ranks 0 and 1 share a node; rank 2 is remote
+	model.Intra = LinkModel{LatencyUS: 1, BandwidthMBs: 1000, OverheadUS: 1}
+	model.Inter.EagerLimit = 64
+	body := func(n *Node) {
+		if n.Rank != 0 {
+			n.Recv(0, 1)
+			n.Recv(0, 1)
+			if n.Rank == 2 {
+				n.Recv(0, 3)
+			}
+			return
+		}
+		n.Send(n.Rank, 9, []float64{0}) // self
+		n.Recv(n.Rank, 9)
+		for _, dst := range []int{1, 2} {
+			n.Send(dst, 1, []float64{1})         // eager
+			n.Send(dst, 1, make([]float64, 100)) // rendezvous
+		}
+		n.Send(2, 3, []float64{2}) // the pair's second eager message
+	}
+	d := &countingInjector{dropAt: -1}
+	if _, _, err := RunWithFaults(3, model, d, body); err != nil {
+		t.Fatalf("RunWithFaults: %v", err)
+	}
+	if got, want := fmt.Sprint(d.asked), "[[0 2 0] [0 2 1]]"; got != want {
+		t.Fatalf("Injector consulted on %s, want %s", got, want)
+	}
+	d = &countingInjector{dropAt: 1}
+	_, _, err := RunWithFaults(3, model, d, body)
+	if !errors.Is(err, ErrMessageDropped) {
+		t.Fatalf("err = %v, want ErrMessageDropped", err)
+	}
+	if !strings.Contains(err.Error(), "rank 0: eager message 1 to rank 2") {
+		t.Errorf("err = %v, want the dropped message named", err)
+	}
+}
+
+func TestFaultFreeInjectorMatchesRun(t *testing.T) {
+	body := func(n *Node) {
+		for i := 0; i < 5; i++ {
+			n.Compute(1e-4)
+			dst := (n.Rank + 1) % n.P
+			src := (n.Rank + n.P - 1) % n.P
+			r := n.Isend(dst, i, []float64{float64(i)})
+			n.Recv(src, i)
+			n.Wait(r)
+		}
+	}
+	w1, c1, err1 := Run(4, fastModel(), body)
+	w2, c2, err2 := RunWithFaults(4, fastModel(), &countingInjector{dropAt: -1}, body)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("errs: %v, %v", err1, err2)
+	}
+	for i := range w1 {
+		if w1[i] != w2[i] || c1[i] != c2[i] {
+			t.Fatalf("rank %d: plain run (%v,%v) != observed run (%v,%v)",
+				i, w1[i], c1[i], w2[i], c2[i])
+		}
+	}
+}
+
+// TestDeadlockErrorNamesBlockedRanks pins the deadlock diagnosis byte
+// for byte with one, two and all ranks blocked: whichever rank's
+// election finds no candidate — a blocked rank in its yield, or the
+// last runnable rank on its way out — must report the same text, and
+// Run must come back, which it does only once every rank goroutine has
+// unwound.
+func TestDeadlockErrorNamesBlockedRanks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    int
+		body func(n *Node)
+		want string
+	}{
+		{"one blocked, found by a finishing rank", 3, func(n *Node) {
+			if n.Rank == 0 {
+				n.Compute(1e-3)
+				n.Recv(2, 7)
+			}
+		}, "simnet: deadlock — all 1 remaining rank(s) blocked: rank 0 in Recv(src=2, tag=7) since t=0.001s"},
+		{"two blocked, found by the second to block", 3, func(n *Node) {
+			switch n.Rank {
+			case 0:
+				n.Recv(1, 9)
+			case 1:
+				n.Compute(2e-3)
+				n.Recv(0, 4)
+			}
+		}, "simnet: deadlock — all 2 remaining rank(s) blocked: rank 0 in Recv(src=1, tag=9) since t=0s; rank 1 in Recv(src=0, tag=4) since t=0.002s"},
+		{"all blocked", 4, func(n *Node) {
+			n.Compute(1e-4 * float64(n.Rank))
+			n.Recv((n.Rank+1)%n.P, n.Rank)
+		}, "simnet: deadlock — all 4 remaining rank(s) blocked: rank 0 in Recv(src=1, tag=0) since t=0s; rank 1 in Recv(src=2, tag=1) since t=0.0001s; rank 2 in Recv(src=3, tag=2) since t=0.0002s; rank 3 in Recv(src=0, tag=3) since t=0.0003s"},
+	} {
+		_, _, err := Run(tc.p, fastModel(), tc.body)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s:\n got %v\nwant %s", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestPanicMidSliceReportsFirstCause: a rank that panics while it holds
+// the baton must still pass it on — the others run to completion — and
+// the first panic in virtual time, not a later one, is the run's error.
+// (Serial scheduler by name: under the parallel one two independent
+// panics race in host time.)
+func TestPanicMidSliceReportsFirstCause(t *testing.T) {
+	t.Setenv(SchedulerEnv, "")
+	model := *fastModel()
+	model.Scheduler = SchedSerial
+	wall, _, err := Run(4, &model, func(n *Node) {
+		n.Compute(1e-3)
+		switch n.Rank {
+		case 1:
+			n.Send(0, 1, []float64{1})
+			panic("boom")
+		case 3:
+			n.Compute(1e-3)
+			panic("later")
+		}
+		if n.Rank == 0 {
+			n.Recv(1, 1)
+		}
+		n.Compute(5e-3)
+	})
+	if err == nil || err.Error() != "simnet: rank 1 panicked: boom" {
+		t.Fatalf("err = %v, want rank 1's panic", err)
+	}
+	if wall[0] < 6e-3 || wall[2] != 6e-3 {
+		t.Errorf("survivors stopped early: wall = %v", wall)
+	}
+}
+func TestDeadlockErrorNamesRendezvousPartner(t *testing.T) {
+	model := fastModel()
+	model.Inter.EagerLimit = 64 // force rendezvous for >8 doubles
+	_, _, err := Run(2, model, func(n *Node) {
+		if n.Rank == 0 {
+			n.Send(1, 2, make([]float64, 100)) // no matching receive
+		} else {
+			n.Compute(1e-3)
+		}
+	})
+	if err == nil {
+		t.Fatal("want deadlock error")
+	}
+	if !strings.Contains(err.Error(), "rank 0 in Wait for rendezvous send (dst=1, tag=2, 800 bytes)") {
+		t.Errorf("deadlock error %q missing rendezvous diagnosis", err.Error())
+	}
+}
+func TestNegativeComputeIsErrorNotPanic(t *testing.T) {
+	_, _, err := Run(2, fastModel(), func(n *Node) {
+		if n.Rank == 0 {
+			n.Compute(-1)
+		} else {
+			n.Compute(1e-3)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "negative compute time") {
+		t.Fatalf("err = %v, want negative-compute error", err)
+	}
+}
+func TestTimedSizeOverflowClamped(t *testing.T) {
+	_, _, err := Run(2, fastModel(), func(n *Node) {
+		if n.Rank == 0 {
+			n.SetPhantomFactor(1e300)
+			n.Send(1, 1, []float64{1})
+		} else {
+			n.Recv(0, 1)
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "overflows the timed size") {
+		t.Fatalf("err = %v, want timed-size overflow error", err)
+	}
+}
+func TestDeadlockErrorSendSendCycle(t *testing.T) {
+	// Two ranks in unmatched rendezvous sends to each other: both must
+	// be named with their destination and tag.
+	model := fastModel()
+	model.Inter.EagerLimit = 64
+	_, _, err := Run(2, model, func(n *Node) {
+		n.Send(1-n.Rank, 5+n.Rank, make([]float64, 100))
+	})
+	if err == nil {
+		t.Fatal("want deadlock error")
+	}
+	msg := err.Error()
+	for _, want := range []string{
+		"rank 0 in Wait for rendezvous send (dst=1, tag=5, 800 bytes)",
+		"rank 1 in Wait for rendezvous send (dst=0, tag=6, 800 bytes)",
+	} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("deadlock error %q missing %q", msg, want)
+		}
+	}
+}

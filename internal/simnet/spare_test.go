@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"math"
 	"strings"
 	"testing"
 )
@@ -123,98 +122,5 @@ func TestNodeMapValidation(t *testing.T) {
 	m2.NodeMap = []int{0, -1}
 	if _, _, err := Run(2, &m2, body); err == nil || !strings.Contains(err.Error(), "NodeMap") {
 		t.Errorf("negative node id: err = %v", err)
-	}
-}
-
-// testStaller adds the RankStaller hook to the basic test injector.
-type testStaller struct {
-	testInjector
-	start, dur float64
-	rank       int
-}
-
-func (ts *testStaller) RankStall(rank int) (float64, float64) {
-	if rank == ts.rank {
-		return ts.start, ts.dur
-	}
-	return math.Inf(1), 0
-}
-
-func TestRankStallFreezesProcessOnce(t *testing.T) {
-	// Rank 1 freezes for 10 virtual seconds at t=0.05: its clock jumps
-	// past the stall exactly once, and it stays alive (no CrashError).
-	inj := &testStaller{rank: 1, start: 0.05, dur: 10}
-	wall, _, err := RunWithFaults(2, fastModel(), inj, func(n *Node) {
-		for i := 0; i < 10; i++ {
-			n.Compute(0.01)
-		}
-	})
-	if err != nil {
-		t.Fatalf("RunWithFaults: %v", err)
-	}
-	if math.Abs(wall[0]-0.1) > 1e-12 {
-		t.Errorf("unstalled rank wall = %v, want 0.1", wall[0])
-	}
-	// 0.1s of compute plus one 10s freeze — not two.
-	if wall[1] < 10.1 || wall[1] >= 20 {
-		t.Errorf("stalled rank wall = %v, want exactly one 10s freeze on top of 0.1s compute", wall[1])
-	}
-}
-
-func TestRankStallDelaysDelivery(t *testing.T) {
-	// A frozen sender goes silent: the receiver's deadline poll sees
-	// nothing until the stall ends.
-	inj := &testStaller{rank: 0, start: 1e-4, dur: 5}
-	var got bool
-	var lateData bool
-	_, _, err := RunWithFaults(2, fastModel(), inj, func(n *Node) {
-		if n.Rank == 0 {
-			n.Compute(1e-3) // freezes at the first yield past 1e-4
-			n.Send(1, 1, []float64{42})
-			return
-		}
-		_, got = n.RecvDeadline(0, 1, 1.0) // expires during the freeze
-		data, ok := n.RecvDeadline(0, 1, 10.0)
-		lateData = ok && len(data) == 1 && data[0] == 42
-	})
-	if err != nil {
-		t.Fatalf("RunWithFaults: %v", err)
-	}
-	if got {
-		t.Error("message arrived while the sender was frozen")
-	}
-	if !lateData {
-		t.Error("message never arrived after the freeze ended")
-	}
-}
-
-// rejectingPlan implements PlanValidator and always refuses.
-type rejectingPlan struct {
-	testInjector
-}
-
-func (rp *rejectingPlan) ValidatePlan(ranks int) error {
-	return errUnvalidatable(ranks)
-}
-
-type errUnvalidatable int
-
-func (e errUnvalidatable) Error() string { return "plan invalid for this run shape" }
-
-func TestInstallTimePlanRejection(t *testing.T) {
-	// A plan that fails validation must reject the run before any rank
-	// executes — the body must never start.
-	ran := false
-	_, _, err := RunWithFaults(2, fastModel(), &rejectingPlan{}, func(n *Node) {
-		ran = true
-	})
-	if err == nil || !strings.Contains(err.Error(), "rejecting fault plan") {
-		t.Fatalf("err = %v, want install-time rejection", err)
-	}
-	if !strings.Contains(err.Error(), "plan invalid for this run shape") {
-		t.Fatalf("err = %v, want the validator's reason included", err)
-	}
-	if ran {
-		t.Fatal("body ran despite a rejected plan")
 	}
 }

@@ -5,13 +5,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"strings"
 	"testing"
 
+	"nektar/internal/ckpt"
 	"nektar/internal/engine"
+	"nektar/internal/machine"
+	"nektar/internal/mpi"
 	"nektar/internal/report"
+	"nektar/internal/simnet"
 )
 
 // Golden determinism hashes: SHA-256 over the raw float bits of the
@@ -109,8 +114,9 @@ func TestGoldenTrajectories(t *testing.T) {
 // TestCrashRecoverBitIdentical injects a crash at step k of an
 // engine-driven run, restores the last checkpoint into a fresh solver,
 // resumes to the end, and requires the final state hash to equal the
-// uninterrupted run's — the property the farm and the supervisor both
-// stand on.
+// uninterrupted run's — the property the farm's resumed jobs stand on.
+// The slab subtests do the same on four simulated ranks through a
+// checkpoint store whose newest record on one rank is damaged.
 func TestCrashRecoverBitIdentical(t *testing.T) {
 	const steps, ckptEvery, crashAt = 8, 2, 5
 	for _, forced := range []bool{false, true} {
@@ -172,6 +178,112 @@ func TestCrashRecoverBitIdentical(t *testing.T) {
 			}
 		})
 	}
+	for _, dmg := range []struct {
+		name string
+		fn   func([]byte) []byte
+	}{
+		{"turb2d_slab_torn", func(f []byte) []byte { return f[:len(f)/2] }},
+		{"turb2d_slab_bitflip", func(f []byte) []byte {
+			g := bytes.Clone(f)
+			g[len(g)/2] ^= 1
+			return g
+		}},
+	} {
+		t.Run(dmg.name, func(t *testing.T) { slabCrashRecover(t, dmg.fn) })
+	}
+}
+
+// damagedStore serves one record of its MemStore through a damaged
+// frame, as a torn write or a flipped bit on the medium leaves it.
+type damagedStore struct {
+	*ckpt.MemStore
+	step, rank int
+	frame      []byte
+}
+
+func (s *damagedStore) Open(step, rank int) ([]byte, ckpt.Meta, error) {
+	if step != s.step || rank != s.rank {
+		return s.MemStore.Open(step, rank)
+	}
+	m, state, err := ckpt.DecodeRecord(s.frame)
+	return state, m, err
+}
+
+// slabCrashRecover runs turb2d on P=4 slab ranks with a checkpoint
+// every 2 steps into a store, halts every rank after step 5, damages
+// rank 1's newest record (step 4) with damage, resumes every rank from
+// ckpt.Latest and requires each rank's final state to hash as in the
+// uninterrupted run: Latest must fall back to step 2.
+func slabCrashRecover(t *testing.T, damage func([]byte) []byte) {
+	const p, steps, ckptEvery, crashAt, bad = 4, 8, 2, 5, 1
+	run := func(body func(comm *mpi.Comm, s *Turb2D)) {
+		t.Helper()
+		_, _, err := simnet.Run(p, machine.Muses().Net, func(n *simnet.Node) {
+			comm := mpi.World(n)
+			s, err := NewTurb2D(goldenCfg(), comm, nil)
+			if err != nil {
+				panic(err)
+			}
+			body(comm, s)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := make([]string, p)
+	run(func(comm *mpi.Comm, s *Turb2D) {
+		for i := 0; i < steps; i++ {
+			s.Step()
+		}
+		want[comm.Rank()] = turbStateHash(s)
+	})
+
+	mem := ckpt.NewMemStore()
+	run(func(comm *mpi.Comm, s *Turb2D) {
+		loop := engine.Loop{
+			Solver: s, Steps: steps, Rank: comm.Rank(),
+			CheckpointEvery: ckptEvery,
+			Sink:            ckpt.NewSyncWriter(mem, ckpt.WriterConfig{Kind: "turb2d", Rank: comm.Rank()}),
+			Poll:            func() bool { return s.StepCount() >= crashAt },
+			Watchdog:        engine.Watchdog{Disabled: true},
+		}
+		if res, err := loop.Run(); err != nil || res.Outcome != engine.Halted {
+			panic(fmt.Sprintf("crash leg: outcome=%v err=%v", res.Outcome, err))
+		}
+	})
+	newest, m, err := mem.Open(4, bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := ckpt.EncodeRecord(m, newest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &damagedStore{MemStore: mem, step: 4, rank: bad, frame: damage(frame)}
+	step, states, err := ckpt.Latest(store, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step != 2 {
+		t.Fatalf("Latest resumed from step %d, want 2 (step 4 is damaged on rank %d)", step, bad)
+	}
+
+	got := make([]string, p)
+	run(func(comm *mpi.Comm, s *Turb2D) {
+		if err := s.Restore(bytes.NewReader(states[comm.Rank()])); err != nil {
+			panic(err)
+		}
+		loop := engine.Loop{Solver: s, Steps: steps, Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true}}
+		if res, err := loop.Run(); err != nil || res.Outcome != engine.Completed {
+			panic(fmt.Sprintf("resume leg: outcome=%v err=%v", res.Outcome, err))
+		}
+		got[comm.Rank()] = turbStateHash(s)
+	})
+	for r := range want {
+		if got[r] != want[r] {
+			t.Errorf("rank %d: recovered trajectory diverged:\n got %s\nwant %s", r, got[r], want[r])
+		}
+	}
 }
 
 // TestRestoreRejectsWrongRun: the layout guards refuse a checkpoint
@@ -218,7 +330,6 @@ func TestWatchdogTripsOnInjectedNaN(t *testing.T) {
 				s.w[1] = complex(math.NaN(), 0)
 			}
 		},
-		Watchdog: engine.Watchdog{Every: 1},
 	}
 	res, err := loop.Run()
 	if err != nil {

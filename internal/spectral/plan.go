@@ -117,10 +117,6 @@ func NewPlan2D(n int, padded bool, comm *mpi.Comm) (*Plan2D, error) {
 	return pl, nil
 }
 
-// SlabRows returns the per-rank row count of the N-grid slabs (spectral
-// ky rows and unpadded physical x rows).
-func (pl *Plan2D) SlabRows() int { return pl.nloc }
-
 // PadRows returns the per-rank row count of the padded physical slab.
 func (pl *Plan2D) PadRows() int { return pl.mloc }
 

@@ -80,7 +80,7 @@ type inversePipeline struct {
 
 var inversePipelines = []inversePipeline{
 	{"Inverse", false, (*Plan2D).Inverse, (*Plan2D).InversePair,
-		func(pl *Plan2D) (int, int) { return pl.SlabRows(), pl.N }},
+		func(pl *Plan2D) (int, int) { return pl.nloc, pl.N }},
 	{"InversePad", true, (*Plan2D).InversePad, (*Plan2D).InversePadPair,
 		func(pl *Plan2D) (int, int) { return pl.PadRows(), pl.M }},
 }

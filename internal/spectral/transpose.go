@@ -4,7 +4,7 @@
 // de-aliasing, Crank–Nicolson viscous step) and a white-noise-forced
 // variant using the Basdevant 4-FFT-per-stage nonlinear term. Both
 // implement engine.Solver, so checkpointing, corruption-aware recovery,
-// the health watchdog, and supervision come for free.
+// the health watchdog, and the job farm come for free.
 //
 // The parallel decomposition is the classic slab transpose: each rank
 // owns a contiguous band of spectral rows, one-dimensional FFTs run
