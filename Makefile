@@ -78,11 +78,15 @@ race-spectral:
 # The checkpoint-record parser, the state codec inside it and the farm
 # journal's replay read bytes from outside the program (restart files,
 # whatever a crash left in the journal); ten seconds of native fuzzing
-# each on top of the seed corpus plain `go test` already runs.
+# each on top of the seed corpus plain `go test` already runs. Each new
+# interesting input would otherwise be minimized for up to a minute,
+# during which the worker runs no new inputs: the smoke would stall
+# after its first find. A failing input is still reported, unminimized.
+FUZZ_SMOKE = -run '^$$' -fuzztime 10s -fuzzminimizetime 1x
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeRecord -fuzztime 10s ./internal/ckpt
-	$(GO) test -run '^$$' -fuzz FuzzDecodeState -fuzztime 10s ./internal/engine
-	$(GO) test -run '^$$' -fuzz FuzzOpenJournal -fuzztime 10s ./internal/farm
+	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzDecodeRecord ./internal/ckpt
+	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzDecodeState ./internal/engine
+	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzOpenJournal ./internal/farm
 
 # The gated benchmark at smoke sizes (under a second of measurement):
 # every workload runs, and the exit code is non-zero if an op fails or a

@@ -277,7 +277,7 @@ func BenchmarkAblationCondensedVsBanded(b *testing.B) {
 	}
 	a := mesh.NewAssembly(m, func(tag string) bool { return tag != "outflow" })
 	rhs := solver.WeakRHSFunc(a, func(x, y, z float64) float64 { return 1 })
-	cond, err := solver.NewCondensed(a, 1)
+	cond, err := solver.NewCondensed(a, solver.NewElemMatrices(m), 1)
 	if err != nil {
 		b.Fatal(err)
 	}

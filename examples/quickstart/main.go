@@ -31,7 +31,7 @@ func main() {
 			log.Fatal(err)
 		}
 		a := mesh.NewAssembly(m, func(tag string) bool { return tag == "dirichlet" })
-		helm, err := solver.NewCondensed(a, 1.0)
+		helm, err := solver.NewCondensed(a, solver.NewElemMatrices(m), 1.0)
 		if err != nil {
 			log.Fatal(err)
 		}

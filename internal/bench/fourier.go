@@ -105,8 +105,16 @@ func RunFourier(cfg FourierConfig) ([]SweepCell, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Rank r of every cell holds Fourier mode r, and its operators
+	// depend on nothing else, so the sweep factors each mode once and
+	// every cell reads the same table; it goes when the sweep returns.
+	ops, err := workload.NSFOperators(workload.Params{N: cfg.ProbeNt, Nr: cfg.ProbeNr, Order: cfg.Order},
+		seq(cfg.Sweep.maxRanks())...)
+	if err != nil {
+		return nil, err
+	}
 	return cfg.Sweep.run("nsf", 0, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
-		ns, err := nsfProbe(mach, cfg.Order, cfg.ProbeNt, cfg.ProbeNr)(comm)
+		ns, err := workload.NSFRank(ops, comm, &mach.CPU)
 		if err != nil {
 			return nil, err
 		}

@@ -128,6 +128,33 @@ func (sw Sweep) run(kind string, maxProcs int, newSolver cellSolver) ([]SweepCel
 	return out, nil
 }
 
+// maxRanks is the largest rank count of a cell run(kind, 0, ...) would
+// execute, 0 when it executes none.
+func (sw Sweep) maxRanks() int {
+	most := 0
+	for _, name := range sw.Machines {
+		mach, err := machine.ByName(name)
+		if err != nil {
+			continue // run reports the unknown machine
+		}
+		for _, p := range sw.Procs {
+			if p <= mach.MaxProcs {
+				most = max(most, p)
+			}
+		}
+	}
+	return most
+}
+
+// seq returns 0, 1, ..., n-1.
+func seq(n int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = i
+	}
+	return s
+}
+
 func (sw Sweep) cell(kind string, mach *machine.Machine, p int, newSolver cellSolver) (SweepCell, error) {
 	res := SweepCell{Machine: mach.Name, P: p}
 	var store *ckpt.DirStore

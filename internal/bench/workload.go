@@ -70,10 +70,3 @@ func bluffNS2D(order, nt, nr int) (*core.NS2D, error) {
 	ns.Step()
 	return ns, nil
 }
-
-// nsfProbe is the factory of the bluff-body Nektar-F solver on an
-// nt x nr O-grid, impulsively started.
-func nsfProbe(mach *machine.Machine, order, nt, nr int) rankSolver {
-	wl, p := tableEntry("nsf"), workload.Params{N: nt, Nr: nr, Order: order}
-	return func(comm *mpi.Comm) (engine.Solver, error) { return wl.New(p, comm, &mach.CPU) }
-}

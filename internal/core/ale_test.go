@@ -5,7 +5,7 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -261,17 +261,29 @@ func TestALEForcesOnWing(t *testing.T) {
 
 // TestALELongRunIsStationary pins what the benchmark's rebuild-per-cycle
 // workaround used to hide: a long ALE run must cost at step 40 what it
-// cost at step 10, in live heap and in time. Every collective draws a
-// fresh tag, and the simulator used to keep one inbox queue per tag
-// forever — 3.7 MB live at step 10 and 12.7 MB at step 40 at this shape
-// (flat at 0.8 MB now), and a step time that grew with it.
+// cost at step 10 in live heap, and its late steps what its early ones
+// cost in time. Every collective draws a fresh tag, and the simulator
+// used to keep one inbox queue per tag forever — 3.7 MB live at step
+// 10 and 12.7 MB at step 40 at this shape (flat at 0.8 MB now), and a
+// step time that grew with it.
+//
+// Each window of steps is judged by its fastest step: a shared host
+// only ever adds time to a step, so the minimum is what the step costs.
+// A neighbour's load can hold for a hundred milliseconds and more, long
+// enough to cover any fixed late window, so the late window, steps 41
+// on, grows from 20 steps until one of its steps is within the limit
+// of the early window's fastest, or up to 120 steps: a run that really
+// slowed down has no such step. The early window, steps 6-20, is as
+// wide as the young run allows; a slow one would only weaken the check.
 func TestALELongRunIsStationary(t *testing.T) {
 	if testing.Short() {
-		t.Skip("short mode: 40-step run skipped")
+		t.Skip("short mode: 60-step run skipped")
 	}
-	const p, steps = 4, 40
+	const p, minSteps, maxSteps, limit = 4, 60, 160, 1.25
+	// Under the forced parallel scheduler host time is ±3x run to run.
+	judged := os.Getenv(simnet.SchedulerEnv) == ""
 	mach := machine.Muses()
-	stepMS := make([]float64, steps)
+	var stepMS []float64
 	var heap10, heap40 uint64
 	_, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
 		comm := mpi.World(n)
@@ -294,17 +306,29 @@ func TestALELongRunIsStationary(t *testing.T) {
 			}
 			comm.Barrier()
 		}
-		for i := 0; i < steps; i++ {
+		for i := 0; ; i++ {
 			t0 := time.Now()
 			ns.Step()
 			if n.Rank == 0 {
-				stepMS[i] = float64(time.Since(t0)) / 1e6
+				stepMS = append(stepMS, float64(time.Since(t0))/1e6)
 			}
 			switch i + 1 {
 			case 10:
 				liveHeap(&heap10)
-			case steps:
+			case 40:
 				liveHeap(&heap40)
+			}
+			if i+1 < minSteps {
+				continue
+			}
+			// Rank 0 decides for all: stop once the late window has a
+			// step within the limit, or at maxSteps.
+			stop := 0.0
+			if n.Rank == 0 && (!judged || i+1 == maxSteps || slices.Min(stepMS[40:]) <= limit*slices.Min(stepMS[5:20])) {
+				stop = 1
+			}
+			if comm.Allreduce([]float64{stop}, mpi.Max)[0] == 1 {
+				break
 			}
 		}
 	})
@@ -312,18 +336,12 @@ func TestALELongRunIsStationary(t *testing.T) {
 		t.Fatal(err)
 	}
 	if limit := heap10 + heap10/10 + 1<<20; heap40 > limit {
-		t.Errorf("live heap grew from %d bytes at step 10 to %d at step %d (limit %d)", heap10, heap40, steps, limit)
+		t.Errorf("live heap grew from %d bytes at step 10 to %d at step 40 (limit %d)", heap10, heap40, limit)
 	}
-	median := func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Float64s(s)
-		return s[len(s)/2]
-	}
-	early, late := median(stepMS[5:10]), median(stepMS[steps-5:])
-	t.Logf("live heap %d -> %d bytes; step time median %.2f ms (steps 6-10) -> %.2f ms (last five)", heap10, heap40, early, late)
-	// Under the forced parallel scheduler host time is ±3x run to run.
-	if os.Getenv(simnet.SchedulerEnv) == "" && late > 1.25*early {
-		t.Errorf("steps slowed down: median %.2f ms over steps 6-10, %.2f ms over the last five", early, late)
+	early, late := slices.Min(stepMS[5:20]), slices.Min(stepMS[40:])
+	t.Logf("live heap %d -> %d bytes; fastest step %.2f ms (steps 6-20) -> %.2f ms (steps 41-%d)", heap10, heap40, early, late, len(stepMS))
+	if judged && late > limit*early {
+		t.Errorf("steps slowed down: fastest step %.2f ms over steps 6-20, %.2f ms over steps 41-%d", early, late, len(stepMS))
 	}
 }
 

@@ -98,21 +98,100 @@ type NSF struct {
 // Stages exposes the per-stage instrumentation (engine.Solver).
 func (ns *NSF) Stages() *timing.Stages { return ns.stages }
 
-// NewNSF constructs one rank of the Fourier-parallel solver. All ranks
-// must use identical meshes and configuration.
-func NewNSF(m *mesh.Mesh, cfg NSFConfig, comm *mpi.Comm, cpu *machine.CPU) (*NSF, error) {
+// NSFOperators is the read-only part of Nektar-F on one mesh and
+// configuration: the mesh, the velocity and pressure assemblies and,
+// per Fourier mode K, the two viscous Helmholtz operators and the
+// pressure Poisson operator — the banded condensed factors the paper's
+// Nektar-F builds once per mode. None of it depends on the rank count
+// or the machine, so one NSFOperators serves every rank that holds a
+// mode it has built, in any run of the same problem. Ranks only read
+// it: the fields, right-hand sides and scratch of a step belong to the
+// rank's NSF.
+type NSFOperators struct {
+	M      *mesh.Mesh
+	Cfg    NSFConfig
+	AV, AP *mesh.Assembly
+	modes  map[int]*nsfMode
+}
+
+// nsfMode is the condensed operators of one Fourier mode.
+type nsfMode struct {
+	helm [2]*solver.Condensed // one per time order, lambda = beta^2 + gamma/(nu dt)
+	pois *solver.Condensed    // lambda = beta^2
+}
+
+// NewNSFOperators numbers the mesh once for velocity and pressure and
+// factors the condensed operators of each listed Fourier mode, sharing
+// one set of elemental Laplacian and mass matrices among them.
+func NewNSFOperators(m *mesh.Mesh, cfg NSFConfig, modes ...int) (*NSFOperators, error) {
 	if cfg.Order < 1 || cfg.Order > 2 {
 		return nil, fmt.Errorf("core: time order must be 1 or 2")
 	}
+	isVelD := func(tag string) bool { _, ok := cfg.VelDirichlet[tag]; return ok }
+	isPresD := func(tag string) bool { return cfg.PresDirichlet[tag] }
+	ops := &NSFOperators{M: m, Cfg: cfg,
+		AV: mesh.NewAssembly(m, isVelD), AP: mesh.NewAssembly(m, isPresD),
+		modes: make(map[int]*nsfMode, len(modes))}
+	em := solver.NewElemMatrices(m)
+	for _, k := range modes {
+		if ops.modes[k] != nil {
+			continue
+		}
+		b2 := modeBeta(k, cfg.Lz) * modeBeta(k, cfg.Lz)
+		md := &nsfMode{}
+		var err error
+		for ord := 1; ord <= cfg.Order; ord++ {
+			lambda := b2 + ssGamma[ord-1]/(cfg.Nu*cfg.Dt)
+			md.helm[ord-1], err = solver.NewCondensed(ops.AV, em, lambda)
+			if err != nil {
+				return nil, fmt.Errorf("core: viscous operator: %w", err)
+			}
+		}
+		md.pois, err = solver.NewCondensed(ops.AP, em, b2)
+		if err != nil {
+			return nil, fmt.Errorf("core: pressure operator: %w", err)
+		}
+		ops.modes[k] = md
+	}
+	return ops, nil
+}
+
+// modeBeta is the spanwise wavenumber 2*pi*K/Lz of Fourier mode K.
+func modeBeta(k int, lz float64) float64 {
+	return 2 * 3.141592653589793 * float64(k) / lz
+}
+
+// NewNSF constructs one rank of the Fourier-parallel solver, building
+// the operators of its own mode. All ranks must use identical meshes
+// and configuration.
+func NewNSF(m *mesh.Mesh, cfg NSFConfig, comm *mpi.Comm, cpu *machine.CPU) (*NSF, error) {
+	ops, err := NewNSFOperators(m, cfg, comm.Rank())
+	if err != nil {
+		return nil, err
+	}
+	return ops.NewRank(comm, cpu)
+}
+
+// NewRank constructs one rank of the Fourier-parallel solver on the
+// shared operators: the rank holds Fourier mode comm.Rank(), which ops
+// must have built, and allocates its own fields.
+func (ops *NSFOperators) NewRank(comm *mpi.Comm, cpu *machine.CPU) (*NSF, error) {
+	m, cfg := ops.M, ops.Cfg
 	p := comm.Size()
 	nz := 2 * p
 	if nz&(nz-1) != 0 {
 		return nil, fmt.Errorf("core: Nektar-F needs a power-of-two plane count, got %d ranks", p)
 	}
+	md := ops.modes[comm.Rank()]
+	if md == nil {
+		return nil, fmt.Errorf("core: no operators built for Fourier mode %d", comm.Rank())
+	}
 	ns := &NSF{
 		M: m, Cfg: cfg, Comm: comm,
 		K:      comm.Rank(),
 		stages: timing.NewStages(StageNames...),
+		AV:     ops.AV, AP: ops.AP,
+		helm: md.helm, pois: md.pois,
 	}
 	ns.clk = timing.NewClock(ns.stages, comm.Wtime)
 	if cpu != nil {
@@ -120,26 +199,8 @@ func NewNSF(m *mesh.Mesh, cfg NSFConfig, comm *mpi.Comm, cpu *machine.CPU) (*NSF
 			return cpu.ApplicationSeconds(c) * ns.Scale.stage(stage)
 		}, comm.Compute)
 	}
-	ns.Beta = 2 * 3.141592653589793 * float64(ns.K) / cfg.Lz
-
-	isVelD := func(tag string) bool { _, ok := cfg.VelDirichlet[tag]; return ok }
+	ns.Beta = modeBeta(ns.K, cfg.Lz)
 	isPresD := func(tag string) bool { return cfg.PresDirichlet[tag] }
-	ns.AV = mesh.NewAssembly(m, isVelD)
-	ns.AP = mesh.NewAssembly(m, isPresD)
-
-	b2 := ns.Beta * ns.Beta
-	var err error
-	for ord := 1; ord <= cfg.Order; ord++ {
-		lambda := b2 + ssGamma[ord-1]/(cfg.Nu*cfg.Dt)
-		ns.helm[ord-1], err = solver.NewCondensed(ns.AV, lambda)
-		if err != nil {
-			return nil, fmt.Errorf("core: viscous operator: %w", err)
-		}
-	}
-	ns.pois, err = solver.NewCondensed(ns.AP, b2)
-	if err != nil {
-		return nil, fmt.Errorf("core: pressure operator: %w", err)
-	}
 
 	for _, be := range m.BndEdges {
 		if !isPresD(be.Tag) {
@@ -183,6 +244,7 @@ func NewNSF(m *mesh.Mesh, cfg NSFConfig, comm *mpi.Comm, cpu *machine.CPU) (*NSF
 	}
 	ns.nqTot = ns.eOff[len(m.Elems)]
 	ns.chunk = (ns.nqTot + p - 1) / p
+	var err error
 	ns.rplan, err = fft.NewRealPlan(nz)
 	if err != nil {
 		return nil, err

@@ -152,15 +152,16 @@ func NewNS2D(m *mesh.Mesh, cfg NS2DConfig) (*NS2D, error) {
 	ns.AV = mesh.NewAssembly(m, isVelD)
 	ns.AP = mesh.NewAssembly(m, isPresD)
 
+	em := solver.NewElemMatrices(m)
 	var err error
 	for ord := 1; ord <= cfg.Order; ord++ {
 		lambda := ssGamma[ord-1] / (cfg.Nu * cfg.Dt)
-		ns.helm[ord-1], err = solver.NewCondensed(ns.AV, lambda)
+		ns.helm[ord-1], err = solver.NewCondensed(ns.AV, em, lambda)
 		if err != nil {
 			return nil, fmt.Errorf("core: viscous operator: %w", err)
 		}
 	}
-	ns.pois, err = solver.NewCondensed(ns.AP, 0)
+	ns.pois, err = solver.NewCondensed(ns.AP, em, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: pressure operator: %w", err)
 	}

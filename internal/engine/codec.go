@@ -119,8 +119,12 @@ func EncodeState(w io.Writer, st any) error {
 	return nil
 }
 
-// decoder consumes the bytes that remain of a stream.
-type decoder struct{ b []byte }
+// decoder consumes the bytes that remain of a stream; made counts the
+// bytes of the slices it has allocated.
+type decoder struct {
+	b    []byte
+	made uint64
+}
 
 func (d *decoder) word() (uint64, error) {
 	if len(d.b) < 8 {
@@ -145,6 +149,7 @@ func (d *decoder) value(v reflect.Value) error {
 			return fmt.Errorf("slice of %d %v declared with %d bytes left", n, v.Type().Elem(), len(d.b))
 		}
 		v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
+		d.made += n * uint64(v.Type().Elem().Size())
 		fallthrough
 	case reflect.Array:
 		for i, n := 0, v.Len(); i < n; i++ {
@@ -195,39 +200,47 @@ func (d *decoder) value(v reflect.Value) error {
 // bytes, another version, another layout — is an error; on error *st
 // may be partly written.
 func DecodeState(r io.Reader, st any) error {
+	_, err := decodeState(r, st)
+	return err
+}
+
+// decodeState is DecodeState that also returns the bytes of the slices
+// it allocated for the decoded value, so tests can hold the decoder to
+// its allocation bound per call.
+func decodeState(r io.Reader, st any) (made uint64, err error) {
 	fail := func(err error) error { return fmt.Errorf("engine: decoding checkpoint: %w", err) }
 	v := reflect.ValueOf(st)
 	if v.Kind() != reflect.Pointer || v.IsNil() {
-		return fail(fmt.Errorf("state is a %T, not a pointer", st))
+		return 0, fail(fmt.Errorf("state is a %T, not a pointer", st))
 	}
 	v = v.Elem()
 	want, err := header(v.Type())
 	if err != nil {
-		return fail(err)
+		return 0, fail(err)
 	}
 	b, err := io.ReadAll(r)
 	if err != nil {
-		return fail(err)
+		return 0, fail(err)
 	}
 	nm := len(stateMagic)
 	switch {
 	case len(b) < len(want):
-		return fail(io.ErrUnexpectedEOF)
+		return 0, fail(io.ErrUnexpectedEOF)
 	case string(b[:nm]) != stateMagic:
-		return fail(fmt.Errorf("not a state stream (magic %q)", b[:nm]))
+		return 0, fail(fmt.Errorf("not a state stream (magic %q)", b[:nm]))
 	case b[nm] != stateVersion:
-		return fail(fmt.Errorf("stream version %d, this build reads version %d", b[nm], stateVersion))
+		return 0, fail(fmt.Errorf("stream version %d, this build reads version %d", b[nm], stateVersion))
 	case !bytes.Equal(b[:len(want)], want):
-		return fail(fmt.Errorf("stream was written from a different state layout than %v", v.Type()))
+		return 0, fail(fmt.Errorf("stream was written from a different state layout than %v", v.Type()))
 	}
-	d := decoder{b[len(want):]}
+	d := decoder{b: b[len(want):]}
 	if err := d.value(v); err != nil {
-		return fail(err)
+		return d.made, fail(err)
 	}
 	if len(d.b) != 0 {
-		return fail(fmt.Errorf("%d trailing bytes", len(d.b)))
+		return d.made, fail(fmt.Errorf("%d trailing bytes", len(d.b)))
 	}
-	return nil
+	return d.made, nil
 }
 
 // Marshal captures a solver's checkpoint as one byte slice.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -237,20 +236,13 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(greedy)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for name, st := range mirrors() {
-			// ReadAll's doubling plus three times the input for the
-			// decoded value stay under 16x. TotalAlloc is process-wide and
-			// a `-fuzz` worker's harness allocates beside the decode, so an
-			// overshoot must repeat to count.
-			var err error
-			got, limit := uint64(math.MaxUint64), uint64(16*len(data)+1<<12)
-			for try := 0; try < 3 && got > limit; try++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				err = decode(data, st)
-				runtime.ReadMemStats(&after)
-				got = min(got, after.TotalAlloc-before.TotalAlloc)
-			}
-			if got > limit {
+			// The decoder counts the bytes of every slice it makes, the
+			// only allocation that grows with what a stream claims: that
+			// count, for this call alone, must stay under 16x the input.
+			// The process-wide TotalAlloc would stop the world per decode
+			// and count whatever else the fuzz worker allocates.
+			got, err := engine.DecodeStateMade(bytes.NewReader(data), st)
+			if limit := uint64(16*len(data) + 1<<12); got > limit {
 				t.Fatalf("%s: decoding %d bytes allocated %d", name, len(data), got)
 			}
 			if err != nil {

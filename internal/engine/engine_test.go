@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -195,13 +197,89 @@ func TestLoopWatchdogNaNTrips(t *testing.T) {
 		}
 		return 1
 	})
-	loop := Loop{Solver: s, Steps: 10, Rank: 7}
+	var buf bytes.Buffer
+	loop := Loop{Solver: s, Steps: 10, Rank: 7, Trace: NewTracer(&buf)}
 	res, err := loop.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Outcome != Tripped || res.StepsRun != 3 || res.Final != nil {
 		t.Fatalf("outcome %v stepsRun %d", res.Outcome, res.StepsRun)
+	}
+	// The trip's max_abs is NaN, which plain JSON cannot carry; the
+	// event must still reach the stream and read back as NaN.
+	evs, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := evs[len(evs)-1]
+	if last.Ev != EvTrip || last.Step != 3 || last.Rank != 7 || !math.IsNaN(last.MaxAbs) || last.Finite == nil || *last.Finite {
+		t.Fatalf("last event %+v, want the trip at step 3 on rank 7 with max_abs NaN, finite false", last)
+	}
+}
+
+// TestTraceNonFiniteRoundTrip: NaN and both infinities, in scalar
+// fields and in spectrum bins, come back from ReadEvents as written,
+// the finite values beside them untouched; the caller's Bins slice is
+// not modified; and a nonfinite entry that names no float or holds a
+// finite value is refused.
+func TestTraceNonFiniteRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	tr := NewTracer(&buf)
+	bins := []float64{1.5, math.Inf(1), math.NaN(), -2}
+	in := []Event{
+		{Ev: EvStep, Step: 1, HostS: 0.25, PricedS: math.NaN(), WallS: math.Inf(-1)},
+		{Ev: EvSpectrum, Step: 2, Bins: bins, Energy: math.Inf(1), Enstrophy: 3},
+		{Ev: EvDissipation, Step: 3, Energy: 1, Dissipation: 0.5},
+	}
+	for _, e := range in {
+		tr.Emit(e)
+	}
+	if !math.IsInf(bins[1], 1) || !math.IsNaN(bins[2]) {
+		t.Fatalf("Emit changed the caller's bins: %v", bins)
+	}
+	out, err := ReadEvents(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out) != len(in) {
+		t.Fatalf("read %d events, wrote %d", len(out), len(in))
+	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	for i := range in {
+		a, b := in[i], out[i]
+		for _, name := range floatFields {
+			if x, y := *a.floatField(name), *b.floatField(name); !same(x, y) {
+				t.Errorf("event %d field %s: wrote %v, read %v", i, name, x, y)
+			}
+		}
+		if len(a.Bins) != len(b.Bins) {
+			t.Fatalf("event %d bins: wrote %v, read %v", i, a.Bins, b.Bins)
+		}
+		for j := range a.Bins {
+			if !same(a.Bins[j], b.Bins[j]) {
+				t.Errorf("event %d bin %d: wrote %v, read %v", i, j, a.Bins[j], b.Bins[j])
+			}
+		}
+	}
+	// Every float field of Event is in floatFields under its JSON name,
+	// or a non-finite value in it would never reach the stream.
+	et := reflect.TypeOf(Event{})
+	for i := 0; i < et.NumField(); i++ {
+		f := et.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if f.Type.Kind() == reflect.Float64 && !slices.Contains(floatFields[:], name) {
+			t.Errorf("Event.%s (json %q) is missing from floatFields", f.Name, name)
+		}
+	}
+	for _, bad := range []string{
+		`{"ev":"step","nonfinite":{"host_s":"1.5"}}`,
+		`{"ev":"step","nonfinite":{"nosuch":"NaN"}}`,
+		`{"ev":"spectrum","bins":[0],"nonfinite":{"bins.1":"NaN"}}`,
+	} {
+		if _, err := ReadEvents(strings.NewReader(bad)); err == nil {
+			t.Errorf("ReadEvents accepted %s", bad)
+		}
 	}
 }
 

@@ -5,12 +5,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
+	"strings"
 	"sync"
 )
 
 // Trace-event schema. One JSON object per line (JSONL); every event
-// carries ev, rank, and step. Seconds fields are deltas for the event's
-// step, not accumulators:
+// carries ev, rank, and step. JSON has no NaN or infinity, so a float
+// field holding one is written as 0 and spelled out, by JSON name, in a
+// "nonfinite" object ({"max_abs":"NaN"}, {"bins.3":"+Inf"}); ReadEvents
+// puts it back. Seconds fields are deltas for the event's step, not
+// accumulators:
 //
 //	step        one solver step finished; host_s/priced_s/wall_s are
 //	            the step's totals across all stages
@@ -115,9 +121,119 @@ func (t *Tracer) Emit(e Event) {
 	// Copying into the tracer-owned scratch keeps the argument from
 	// escaping; the step loop emits several events per step.
 	t.scratch = e
+	if !t.scratch.finite() {
+		// JSON has no NaN or Inf: such values travel as strings in a
+		// "nonfinite" object, their own fields left zero.
+		_ = t.enc.Encode(t.scratch.wire())
+		return
+	}
 	// Encoding can only fail on the writer; a trace is advisory
 	// instrumentation, so a broken sink must not kill the run.
 	_ = t.enc.Encode(&t.scratch)
+}
+
+// wireEvent is an event with non-finite floats on the wire: NonFinite
+// maps each such field's JSON name ("bins.i" for element i of Bins) to
+// strconv's spelling of the value ("NaN", "+Inf", "-Inf").
+type wireEvent struct {
+	Event
+	NonFinite map[string]string `json:"nonfinite,omitempty"`
+}
+
+// floatFields names the event's scalar float fields by JSON name.
+var floatFields = [...]string{"host_s", "priced_s", "wall_s", "max_abs", "ratio", "hidden_s",
+	"exposed_s", "mtbf_s", "delta_s", "energy", "enstrophy", "dissipation"}
+
+// floatField returns the scalar float field with the given JSON name,
+// nil for none.
+func (e *Event) floatField(name string) *float64 {
+	switch name {
+	case "host_s":
+		return &e.HostS
+	case "priced_s":
+		return &e.PricedS
+	case "wall_s":
+		return &e.WallS
+	case "max_abs":
+		return &e.MaxAbs
+	case "ratio":
+		return &e.Ratio
+	case "hidden_s":
+		return &e.HiddenS
+	case "exposed_s":
+		return &e.ExposedS
+	case "mtbf_s":
+		return &e.MTBFS
+	case "delta_s":
+		return &e.DeltaS
+	case "energy":
+		return &e.Energy
+	case "enstrophy":
+		return &e.Enstrophy
+	case "dissipation":
+		return &e.Dissipation
+	}
+	return nil
+}
+
+func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// finite reports whether every float in the event is finite, the only
+// case plain JSON encodes.
+func (e *Event) finite() bool {
+	for _, name := range floatFields {
+		if !isFinite(*e.floatField(name)) {
+			return false
+		}
+	}
+	for _, v := range e.Bins {
+		if !isFinite(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// wire moves the event's non-finite floats into NonFinite. The event's
+// Bins slice belongs to the caller, so a copy carries the zeroes.
+func (e Event) wire() *wireEvent {
+	w := &wireEvent{Event: e, NonFinite: map[string]string{}}
+	for _, name := range floatFields {
+		if f := w.floatField(name); !isFinite(*f) {
+			w.NonFinite[name] = strconv.FormatFloat(*f, 'g', -1, 64)
+			*f = 0
+		}
+	}
+	if len(e.Bins) > 0 {
+		w.Bins = append([]float64(nil), e.Bins...)
+		for i, v := range w.Bins {
+			if !isFinite(v) {
+				w.NonFinite["bins."+strconv.Itoa(i)] = strconv.FormatFloat(v, 'g', -1, 64)
+				w.Bins[i] = 0
+			}
+		}
+	}
+	return w
+}
+
+// restore puts the values of w.NonFinite back into their fields.
+func (w *wireEvent) restore() error {
+	for name, text := range w.NonFinite {
+		v, err := strconv.ParseFloat(text, 64)
+		if err != nil || isFinite(v) {
+			return fmt.Errorf("non-finite field %s = %q is not NaN or an infinity", name, text)
+		}
+		if f := w.floatField(name); f != nil {
+			*f = v
+			continue
+		}
+		i, err := strconv.Atoi(strings.TrimPrefix(name, "bins."))
+		if !strings.HasPrefix(name, "bins.") || err != nil || i < 0 || i >= len(w.Bins) {
+			return fmt.Errorf("non-finite field %q names no float of the event", name)
+		}
+		w.Bins[i] = v
+	}
+	return nil
 }
 
 // ReadEvents parses a JSONL trace stream back into events, for report
@@ -133,11 +249,14 @@ func ReadEvents(r io.Reader) ([]Event, error) {
 		if len(b) == 0 {
 			continue
 		}
-		var e Event
-		if err := json.Unmarshal(b, &e); err != nil {
+		var w wireEvent
+		if err := json.Unmarshal(b, &w); err != nil {
 			return nil, fmt.Errorf("engine: trace line %d: %w", line, err)
 		}
-		evs = append(evs, e)
+		if err := w.restore(); err != nil {
+			return nil, fmt.Errorf("engine: trace line %d: %w", line, err)
+		}
+		evs = append(evs, w.Event)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("engine: reading trace: %w", err)

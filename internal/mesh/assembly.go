@@ -1,7 +1,8 @@
 package mesh
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"nektar/internal/basis"
 	"nektar/internal/jacobi"
@@ -38,6 +39,41 @@ type Assembly struct {
 // after the unknowns. A nil dirichletTag means all-natural
 // (pure-Neumann) boundaries.
 func NewAssembly(m *Mesh, dirichletTag func(tag string) bool) *Assembly {
+	a, rawL2G, dir := rawNumbering(m, dirichletTag)
+
+	// Reorder: unknowns first in reverse Cuthill-McKee order over the
+	// dof-connectivity graph, Dirichlet dofs after.
+	perm := a.reorder(rawL2G, dir)
+
+	a.L2G = make([][]int, len(m.Elems))
+	for ei, l2g := range rawL2G {
+		nl := make([]int, len(l2g))
+		for mi, g := range l2g {
+			nl[mi] = perm[g]
+		}
+		a.L2G[ei] = nl
+	}
+	for v := range a.VertDof {
+		a.VertDof[v] = perm[a.VertDof[v]]
+	}
+	for e := range a.EdgeDof {
+		for k := range a.EdgeDof[e] {
+			a.EdgeDof[e][k] = perm[a.EdgeDof[e][k]]
+		}
+	}
+	for f := range a.FaceDof {
+		for k := range a.FaceDof[f] {
+			a.FaceDof[f][k] = perm[a.FaceDof[f][k]]
+		}
+	}
+	return a
+}
+
+// rawNumbering numbers the dofs entity by entity (vertices, edges,
+// faces, then element interiors), before any reordering: it returns
+// the assembly with its raw entity numbering and signs, each element's
+// raw local-to-global map, and which raw dofs are Dirichlet.
+func rawNumbering(m *Mesh, dirichletTag func(tag string) bool) (*Assembly, [][]int, []bool) {
 	a := &Assembly{Mesh: m}
 	p := m.Order
 	nEdgeModes := p - 1
@@ -158,32 +194,7 @@ func NewAssembly(m *Mesh, dirichletTag func(tag string) bool) *Assembly {
 		}
 	}
 
-	// Reorder: unknowns first in reverse Cuthill-McKee order over the
-	// dof-connectivity graph, Dirichlet dofs after.
-	perm := a.reorder(rawL2G, dir)
-
-	a.L2G = make([][]int, len(m.Elems))
-	for ei, l2g := range rawL2G {
-		nl := make([]int, len(l2g))
-		for mi, g := range l2g {
-			nl[mi] = perm[g]
-		}
-		a.L2G[ei] = nl
-	}
-	for v := range a.VertDof {
-		a.VertDof[v] = perm[a.VertDof[v]]
-	}
-	for e := range a.EdgeDof {
-		for k := range a.EdgeDof[e] {
-			a.EdgeDof[e][k] = perm[a.EdgeDof[e][k]]
-		}
-	}
-	for f := range a.FaceDof {
-		for k := range a.FaceDof[f] {
-			a.FaceDof[f][k] = perm[a.FaceDof[f][k]]
-		}
-	}
-	return a
+	return a, rawL2G, dir
 }
 
 // onFace reports whether both endpoints of a local hex edge belong to
@@ -203,40 +214,91 @@ func onFace(fv [4]int, ev [2]int) bool {
 // reorder computes the final permutation raw-dof -> new-dof: unknowns
 // get [0, NSolve) in reverse Cuthill-McKee order, Dirichlet dofs get
 // [NSolve, NGlobal).
+//
+// It runs in O(nnz) of the unknown-dof graph plus the per-visit sorts:
+// a stamp array yields each dof's distinct neighbours, one transpose
+// of that symmetric list puts every row in ascending order, and a BFS
+// visit that queues two or more neighbours orders its row by degree
+// with slices.SortFunc. That is the same pdqsort on the same ascending
+// input as the sort.Slice this numbering was first written with,
+// comparing by degree alone, so ties between equal degrees break
+// exactly as they always have (DESIGN.md §5.1; TestReorderMatchesOracle
+// keeps the original as the oracle).
 func (a *Assembly) reorder(rawL2G [][]int, dir []bool) []int {
 	n := a.NGlobal
-	// Adjacency between unknown dofs sharing an element.
-	adj := make([][]int, n)
+	// elemOf[at[g]:at[g+1]] lists the elements holding unknown dof g;
+	// bound caps the neighbour count, an element's u unknowns listing at
+	// most u of them for each.
+	at := make([]int, n+1)
+	bound := 0
 	for _, l2g := range rawL2G {
-		for _, gi := range l2g {
-			if dir[gi] {
-				continue
+		u := 0
+		for _, g := range l2g {
+			if !dir[g] {
+				at[g+1]++
+				u++
 			}
-			for _, gj := range l2g {
-				if gj != gi && !dir[gj] {
-					adj[gi] = append(adj[gi], gj)
+		}
+		bound += u * u
+	}
+	for g := 0; g < n; g++ {
+		at[g+1] += at[g]
+	}
+	elemOf := make([]int, at[n])
+	fill := append([]int(nil), at[:n]...)
+	for e, l2g := range rawL2G {
+		for _, g := range l2g {
+			if !dir[g] {
+				elemOf[fill[g]] = e
+				fill[g]++
+			}
+		}
+	}
+
+	// Distinct unknown neighbours of each unknown dof: row i is
+	// nbr[row[i]:row[i+1]], stamp[j] == i marking j as already listed.
+	stamp := make([]int, n)
+	for i := range stamp {
+		stamp[i] = -1
+	}
+	row := make([]int, n+1)
+	nbr := make([]int, 0, bound)
+	for i := 0; i < n; i++ {
+		row[i] = len(nbr)
+		if dir[i] {
+			continue
+		}
+		stamp[i] = i
+		for _, e := range elemOf[at[i]:at[i+1]] {
+			for _, j := range rawL2G[e] {
+				if !dir[j] && stamp[j] != i {
+					stamp[j] = i
+					nbr = append(nbr, j)
 				}
 			}
 		}
 	}
+	row[n] = len(nbr)
 	deg := make([]int, n)
-	for i := range adj {
-		sort.Ints(adj[i])
-		// Deduplicate.
-		out := adj[i][:0]
-		prev := -1
-		for _, v := range adj[i] {
-			if v != prev {
-				out = append(out, v)
-				prev = v
-			}
+	for i := range deg {
+		deg[i] = row[i+1] - row[i]
+	}
+	// The graph is symmetric, so scattering i into the rows of its
+	// neighbours, i ascending, rebuilds every row in ascending order.
+	adj := make([]int, len(nbr))
+	copy(fill, row[:n])
+	for i := 0; i < n; i++ {
+		for _, j := range nbr[row[i]:row[i+1]] {
+			adj[fill[j]] = i
+			fill[j]++
 		}
-		adj[i] = out
-		deg[i] = len(out)
 	}
 
+	byDeg := func(x, y int) int { return cmp.Compare(deg[x], deg[y]) }
 	visited := make([]bool, n)
-	var order []int
+	// order doubles as the BFS queue: a dof is appended when it is
+	// reached and visited when head passes it.
+	order := make([]int, 0, n)
 	for {
 		// Pick an unvisited unknown of minimum degree as BFS root.
 		root, best := -1, 1<<62
@@ -248,18 +310,28 @@ func (a *Assembly) reorder(rawL2G [][]int, dir []bool) []int {
 		if root < 0 {
 			break
 		}
-		queue := []int{root}
 		visited[root] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			nbrs := append([]int(nil), adj[v]...)
-			sort.Slice(nbrs, func(i, j int) bool { return deg[nbrs[i]] < deg[nbrs[j]] })
+		order = append(order, root)
+		for head := len(order) - 1; head < len(order); head++ {
+			v := order[head]
+			nbrs := adj[row[v]:row[v+1]]
+			// The sort only decides the order in which unvisited
+			// neighbours are queued: with fewer than two, it decides
+			// nothing. Most visits are such, since the first dof of an
+			// element to be visited reaches all the others.
+			fresh := 0
+			for _, w := range nbrs {
+				if !visited[w] {
+					fresh++
+				}
+			}
+			if fresh > 1 {
+				slices.SortFunc(nbrs, byDeg)
+			}
 			for _, w := range nbrs {
 				if !visited[w] {
 					visited[w] = true
-					queue = append(queue, w)
+					order = append(order, w)
 				}
 			}
 		}

@@ -37,9 +37,44 @@ type condElem struct {
 	g      []float64 // NInt x NBnd, Hii^{-1} Hib
 }
 
+// ElemMatrices holds every element's Laplacian L and mass matrix M of
+// one mesh: the two lambda-independent halves of the elemental
+// Helmholtz operator L + lambda*M. Built once, they serve every
+// condensed operator on the mesh, whatever its lambda or assembly;
+// they are only read after construction.
+type ElemMatrices struct {
+	mesh *mesh.Mesh
+	l, m [][]float64 // row-major NModes^2 per element
+}
+
+// NewElemMatrices computes the elemental Laplacian and mass matrices
+// of every element of m.
+func NewElemMatrices(m *mesh.Mesh) *ElemMatrices {
+	em := &ElemMatrices{mesh: m, l: make([][]float64, len(m.Elems)), m: make([][]float64, len(m.Elems))}
+	for ei, el := range m.Elems {
+		em.l[ei] = el.Laplacian()
+		em.m[ei] = el.Mass()
+	}
+	return em
+}
+
+// helmholtz returns element e's L + lambda*M in a new slice, with the
+// arithmetic of mesh.Element.Helmholtz, so the bits are the same.
+func (em *ElemMatrices) helmholtz(e int, lambda float64) []float64 {
+	h := append([]float64(nil), em.l[e]...)
+	if lambda != 0 {
+		blas.Daxpy(len(h), lambda, em.m[e], 1, h, 1)
+	}
+	return h
+}
+
 // NewCondensed builds and factors the condensed Helmholtz operator
-// L + lambda*M.
-func NewCondensed(a *mesh.Assembly, lambda float64) (*Condensed, error) {
+// L + lambda*M over assembly a, taking the elemental matrices from em,
+// which must belong to a's mesh.
+func NewCondensed(a *mesh.Assembly, em *ElemMatrices, lambda float64) (*Condensed, error) {
+	if em == nil || em.mesh != a.Mesh {
+		return nil, fmt.Errorf("solver: elemental matrices of another mesh than the assembly's")
+	}
 	c := &Condensed{A: a, Lambda: lambda}
 
 	// Identify boundary unknowns: assembly dofs reached by local
@@ -74,7 +109,7 @@ func NewCondensed(a *mesh.Assembly, lambda float64) (*Condensed, error) {
 	band := lapack.NewBandStorage(c.nb, kd)
 	c.elems = make([]condElem, len(a.Mesh.Elems))
 	for ei, el := range a.Mesh.Elems {
-		h := el.Helmholtz(lambda)
+		h := em.helmholtz(ei, lambda)
 		n := el.Ref.NModes
 		nbm := el.Ref.NBnd
 		nim := n - nbm

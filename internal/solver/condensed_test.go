@@ -26,7 +26,7 @@ func TestCondensedMatchesDirect(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cond, err := NewCondensed(a, 0.9)
+		cond, err := NewCondensed(a, NewElemMatrices(m), 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestCondensedPoissonSpectralAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mesh.NewAssembly(m, dirAll)
-	c, err := NewCondensed(a, 0)
+	c, err := NewCondensed(a, NewElemMatrices(m), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCondensedBandwidthMuchSmallerThanFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mesh.NewAssembly(m, nil)
-	c, err := NewCondensed(a, 1)
+	c, err := NewCondensed(a, NewElemMatrices(m), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCondensedPureNeumannWithMass(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mesh.NewAssembly(m, nil)
-	c, err := NewCondensed(a, 2)
+	c, err := NewCondensed(a, NewElemMatrices(m), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCondensedSolveCountsMatchRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := mesh.NewAssembly(m, func(tag string) bool { return tag != "outflow" })
-	c, err := NewCondensed(a, 1)
+	c, err := NewCondensed(a, NewElemMatrices(m), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,5 +143,35 @@ func TestCondensedSolveCountsMatchRecorded(t *testing.T) {
 	ratio := float64(gotFlops) / float64(wantFlops)
 	if ratio < 0.7 || ratio > 1.6 {
 		t.Fatalf("recorded gemv flops %d vs formula %d (ratio %.2f)", gotFlops, wantFlops, ratio)
+	}
+}
+
+// TestElemMatricesHelmholtz: the shared elemental matrices give every
+// element's Helmholtz operator bit for bit as mesh.Element.Helmholtz
+// does, at lambda zero and not, so a condensed operator built from them
+// is the one each rank used to build alone; and NewCondensed refuses
+// matrices of another mesh than the assembly's.
+func TestElemMatricesHelmholtz(t *testing.T) {
+	m, err := mesh.BluffBody(5, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := NewElemMatrices(m)
+	for _, lambda := range []float64{0, 0.9, 37.5} {
+		for ei, el := range m.Elems {
+			want, got := el.Helmholtz(lambda), em.helmholtz(ei, lambda)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("lambda %g element %d entry %d: %v, Element.Helmholtz %v", lambda, ei, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	other, err := mesh.BluffBody(5, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCondensed(mesh.NewAssembly(other, nil), em, 1); err == nil {
+		t.Fatal("NewCondensed accepted elemental matrices of another mesh")
 	}
 }

@@ -214,7 +214,7 @@ func newSolver(cfg Config, comm *mpi.Comm, cpu *machine.CPU) (*Turb2D, error) {
 	}
 	s.nloc = cfg.N / s.p
 	if cfg.Forced {
-		s.kmax = cfg.N / 3
+		s.kmax = truncK(cfg.N)
 	}
 	var err error
 	if s.plan, err = NewPlan2D(cfg.N, !cfg.Forced, comm); err != nil {
@@ -304,9 +304,16 @@ func mix64(x uint64) uint64 {
 // phase01 maps a hash to [0, 1).
 func phase01(h uint64) float64 { return float64(h>>11) / (1 << 53) }
 
+// truncK is the forced variant's 2/3-rule cutoff on an N grid: the
+// largest K with 3K < N. A product of two fields band-limited to |k| <=
+// K per direction reaches 2K, and its alias k - N then stays beyond K,
+// so the truncated product is exact; K = N/3 itself would let aliases
+// land on the band edge whenever 3 divides N.
+func truncK(n int) int { return (n - 1) / 3 }
+
 // inBand reports whether the mode survives this solver's de-aliasing
 // band: Nyquist lines are always out; the forced variant additionally
-// truncates by the 2/3 rule (|k| <= floor(N/3) per direction).
+// truncates by the 2/3 rule (|k| <= truncK(N) per direction).
 func (s *Turb2D) inBand(kx, ky int) bool {
 	h := s.Cfg.N / 2
 	if kx == h || ky == h || kx == -h || ky == -h {
@@ -324,25 +331,52 @@ func paoAmp(k, k0 float64) float64 {
 	return k * k * math.Exp(-(k/k0)*(k/k0))
 }
 
-// initPAO fills the slab with the random-phase PAO field. Every rank
-// walks ALL global modes in row-major order to accumulate the energy
-// normalization, so the resulting bits are independent of the
-// decomposition; only the local band is stored. Hermitian symmetry
-// (physical-real vorticity) is imposed by hashing the phase of each
-// conjugate pair's canonical member — the one with the smaller global
-// row-major index — and conjugating for the partner.
+// initPAO fills the slab with the random-phase PAO field. The energy
+// normalization sums over ALL global modes in row-major order on every
+// rank, so the resulting bits are independent of the decomposition;
+// only the local band is stored. Hermitian symmetry (physical-real
+// vorticity) is imposed by hashing the phase of each conjugate pair's
+// canonical member — the one with the smaller global row-major index —
+// and conjugating for the partner.
+//
+// The amplitude depends on |kx| and |ky| alone, so paoAmp is evaluated
+// once per unordered pair and read from a table by the sum and by the
+// fill. inBand is separable (a test on kx and a test on ky), so a row
+// whose ky is out of band is skipped whole; the additions the sum makes
+// and their order are the ones of a plain row-major walk.
 func (s *Turb2D) initPAO() {
-	n, k0 := s.Cfg.N, s.Cfg.K0
+	n, k0, h := s.Cfg.N, s.Cfg.K0, s.Cfg.N/2
+	amp := make([]float64, (h+1)*(h+1)) // amp[|ky|*(h+1)+|kx|]
+	for ay := 0; ay <= h; ay++ {
+		for ax := 0; ax <= ay; ax++ {
+			a := paoAmp(math.Sqrt(float64(ax*ax+ay*ay)), k0)
+			amp[ay*(h+1)+ax], amp[ax*(h+1)+ay] = a, a
+		}
+	}
+	inBand := make([]bool, n) // inBand[j]: wavenumber kAt(j, n) survives on both axes
+	for j := range inBand {
+		inBand[j] = s.inBand(kAt(j, n), 0)
+	}
+	absK := func(j int) int {
+		if k := kAt(j, n); k < 0 {
+			return -k
+		}
+		return j
+	}
 	sumE := 0.0
 	for g := 0; g < n; g++ {
+		if !inBand[g] {
+			continue
+		}
 		ky := kAt(g, n)
+		row := amp[absK(g)*(h+1):]
 		for j := 0; j < n; j++ {
 			kx := kAt(j, n)
-			if (kx == 0 && ky == 0) || !s.inBand(kx, ky) {
+			if (kx == 0 && ky == 0) || !inBand[j] {
 				continue
 			}
 			k2 := float64(kx*kx + ky*ky)
-			a := paoAmp(math.Sqrt(k2), k0)
+			a := row[absK(j)]
 			sumE += a * a / (2 * k2)
 		}
 	}
@@ -351,10 +385,11 @@ func (s *Turb2D) initPAO() {
 	for i := 0; i < s.nloc; i++ {
 		g := s.rank*s.nloc + i
 		ky := kAt(g, n)
+		row := amp[absK(g)*(h+1):]
 		for j := 0; j < n; j++ {
 			kx := kAt(j, n)
 			idx := i*n + j
-			if (kx == 0 && ky == 0) || !s.inBand(kx, ky) {
+			if (kx == 0 && ky == 0) || !inBand[g] || !inBand[j] {
 				s.w[idx] = 0
 				continue
 			}
@@ -365,8 +400,7 @@ func (s *Turb2D) initPAO() {
 				canon = pidx
 			}
 			theta := 2 * math.Pi * phase01(mix64(s.Cfg.Seed^mix64(canon+1)))
-			k2 := float64(kx*kx + ky*ky)
-			a := norm * paoAmp(math.Sqrt(k2), k0)
+			a := norm * row[absK(j)]
 			val := complex(a*math.Cos(theta), a*math.Sin(theta))
 			if gidx != canon {
 				val = complex(real(val), -imag(val))

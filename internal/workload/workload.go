@@ -193,24 +193,43 @@ var table = []Entry{
 			return checkOGrid(p)
 		},
 		build: func(p Params, comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
-			m, err := mesh.BluffBody(p.Order, p.N, p.Nr)
+			ops, err := NSFOperators(p, comm.Rank())
 			if err != nil {
 				return nil, err
 			}
-			vel, pres := BluffBCs()
-			ns, err := core.NewNSF(m, core.NSFConfig{Nu: 1.0 / re, Dt: dt, Order: 2, Lz: 2 * 3.141592653589793,
-				VelDirichlet: vel, PresDirichlet: pres}, comm, cpu)
-			if err != nil {
-				return nil, err
-			}
-			ns.SetUniformInitial(1, 0)
-			return ns, nil
+			return NSFRank(ops, comm, cpu)
 		},
 	},
 	spectralEntry("turb2d", "decaying 2D pseudospectral turbulence (slab-parallel, de-aliased)",
 		20, false, spectral.NewTurb2D),
 	spectralEntry("turbforce", "forced 2D pseudospectral turbulence (Basdevant form, banded white noise)",
 		21, true, spectral.NewForced),
+}
+
+// NSFOperators builds the nsf problem's mesh, assemblies and the
+// condensed operators of the listed Fourier modes: everything a rank
+// holding one of those modes only reads, in any nsf run of size p. A
+// caller that runs many cells of one problem builds it once and hands
+// it to NSFRank for each rank.
+func NSFOperators(p Params, modes ...int) (*core.NSFOperators, error) {
+	m, err := mesh.BluffBody(p.Order, p.N, p.Nr)
+	if err != nil {
+		return nil, err
+	}
+	vel, pres := BluffBCs()
+	return core.NewNSFOperators(m, core.NSFConfig{Nu: 1.0 / re, Dt: dt, Order: 2, Lz: 2 * 3.141592653589793,
+		VelDirichlet: vel, PresDirichlet: pres}, modes...)
+}
+
+// NSFRank builds one rank of the nsf problem on prebuilt operators,
+// impulsively started: the rank the nsf entry builds.
+func NSFRank(ops *core.NSFOperators, comm *mpi.Comm, cpu *machine.CPU) (engine.Solver, error) {
+	ns, err := ops.NewRank(comm, cpu)
+	if err != nil {
+		return nil, err
+	}
+	ns.SetUniformInitial(1, 0)
+	return ns, nil
 }
 
 // Names lists the table's entries and also, the names a caller
