@@ -75,10 +75,12 @@ race-spectral:
 	NEKTAR_SIMNET_SCHED=parallel $(GO) test -race -count=1 \
 		./internal/spectral ./internal/fft
 
-# The checkpoint-record parser, the state codec inside it and the farm
-# journal's replay read bytes from outside the program (restart files,
-# whatever a crash left in the journal); ten seconds of native fuzzing
-# each on top of the seed corpus plain `go test` already runs. Each new
+# The checkpoint-record parser, the state codec inside it, the trace
+# reader, the farm journal's replay and the farm's job-spec decoder
+# read bytes from outside the program (restart files, recorded traces,
+# whatever a crash left in the journal, POST /v1/jobs bodies); ten
+# seconds of native fuzzing each on top of the seed corpus plain
+# `go test` already runs. Each new
 # interesting input would otherwise be minimized for up to a minute,
 # during which the worker runs no new inputs: the smoke would stall
 # after its first find. A failing input is still reported, unminimized.
@@ -86,7 +88,9 @@ FUZZ_SMOKE = -run '^$$' -fuzztime 10s -fuzzminimizetime 1x
 fuzz-smoke:
 	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzDecodeRecord ./internal/ckpt
 	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzDecodeState ./internal/engine
+	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzReadEvents ./internal/engine
 	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzOpenJournal ./internal/farm
+	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzDecodeJobSpec ./internal/farm
 
 # The gated benchmark at smoke sizes (under a second of measurement):
 # every workload runs, and the exit code is non-zero if an op fails or a

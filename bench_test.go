@@ -23,7 +23,6 @@ import (
 	"nektar/internal/netpipe"
 	"nektar/internal/partition"
 	"nektar/internal/simnet"
-	"nektar/internal/solver"
 )
 
 // ---- Figures 1-3: Level 1 BLAS on the host, per working-set size.
@@ -266,36 +265,6 @@ func BenchmarkTable3NektarALEStep(b *testing.B) {
 }
 
 // ---- Ablations.
-
-// BenchmarkAblationCondensedVsBanded compares the statically condensed
-// solver against the full banded direct solver on the same system — the
-// design choice that makes the paper-scale serial run fit in memory.
-func BenchmarkAblationCondensedVsBanded(b *testing.B) {
-	m, err := mesh.BluffBody(6, 16, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	a := mesh.NewAssembly(m, func(tag string) bool { return tag != "outflow" })
-	rhs := solver.WeakRHSFunc(a, func(x, y, z float64) float64 { return 1 })
-	cond, err := solver.NewCondensed(a, solver.NewElemMatrices(m), 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir, err := solver.NewDirect(a, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("condensed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			cond.Solve(rhs, nil)
-		}
-	})
-	b.Run("banded", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dir.Solve(rhs, nil)
-		}
-	})
-}
 
 // BenchmarkAblationTensorVsMatrix compares the sum-factorized backward
 // transform against the tabulated-matrix path — the optimization that

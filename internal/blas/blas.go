@@ -22,8 +22,6 @@
 // machine to regenerate the paper's per-machine timings.
 package blas
 
-import "math"
-
 // Transpose selects the operation applied to a matrix operand.
 type Transpose int
 
@@ -138,34 +136,6 @@ func Ddot(n int, x []float64, incX int, y []float64, incY int) float64 {
 		sum += x[index(i, n, incX)] * y[index(i, n, incY)]
 	}
 	return sum
-}
-
-// Dnrm2 returns the Euclidean norm of x, guarding against overflow the
-// way the reference implementation does (scaled sum of squares).
-func Dnrm2(n int, x []float64, incX int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	record(KernelDdot, n, 2*n, 8*n)
-	scale, ssq := 0.0, 1.0
-	for i := 0; i < n; i++ {
-		v := x[index(i, n, incX)]
-		if v == 0 {
-			continue
-		}
-		if v < 0 {
-			v = -v
-		}
-		if scale < v {
-			r := scale / v
-			ssq = 1 + ssq*r*r
-			scale = v
-		} else {
-			r := v / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // Dvmul computes the element-wise (Hadamard) product z = x .* y.

@@ -141,22 +141,6 @@ func TestDdotMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestDnrm2(t *testing.T) {
-	x := []float64{3, 4}
-	if got := Dnrm2(2, x, 1); !almostEqual(got, 5, tol) {
-		t.Fatalf("Dnrm2 = %v, want 5", got)
-	}
-}
-
-func TestDnrm2OverflowSafe(t *testing.T) {
-	x := []float64{1e200, 1e200}
-	got := Dnrm2(2, x, 1)
-	want := 1e200 * math.Sqrt2
-	if !almostEqual(got, want, 1e-12) {
-		t.Fatalf("Dnrm2 = %v, want %v", got, want)
-	}
-}
-
 func TestDvmul(t *testing.T) {
 	x := []float64{1, 2, 3}
 	y := []float64{4, 5, 6}

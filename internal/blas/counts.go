@@ -17,7 +17,7 @@ const (
 	// KernelDaxpy covers streaming multiply-add kernels
 	// (daxpy, dscal, element-wise multiply).
 	KernelDaxpy
-	// KernelDdot covers reduction kernels (ddot, dnrm2).
+	// KernelDdot covers reduction kernels (ddot).
 	KernelDdot
 	// KernelDgemv covers matrix-vector kernels (dgemv, dger, dtrsv,
 	// banded solves).

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"io"
 	"math"
-	"strings"
 	"testing"
 
 	"nektar/internal/machine"
@@ -164,64 +162,5 @@ func TestNSFRejectsBadConfig(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNSFStatisticsAndIO(t *testing.T) {
-	model := &simnet.Model{
-		Name:  "test",
-		Inter: simnet.LinkModel{LatencyUS: 10, BandwidthMBs: 100, OverheadUS: 1},
-	}
-	var stats FlowStats
-	var hist [][]float64
-	var field strings.Builder
-	_, _, err := simnet.Run(2, model, func(n *simnet.Node) {
-		comm := mpi.World(n)
-		mf := channelMesh(t, 3, 3, 2, 3)
-		nsf, err := NewNSF(mf, nsfChannelCfg(0.1, 1e-3), comm, nil)
-		if err != nil {
-			panic(err)
-		}
-		nsf.SetUniformInitial(1, 0)
-		for i := 0; i < 3; i++ {
-			nsf.Step()
-		}
-		s := nsf.Statistics()
-		h := nsf.HistoryPoint(1.5, 0.0)
-		var w io.Writer
-		if comm.Rank() == 0 {
-			stats = s
-			hist = h
-			w = &field
-		}
-		if err := nsf.WriteField(w); err != nil {
-			panic(err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Energy <= 0 || math.IsNaN(stats.Energy) {
-		t.Fatalf("energy %v", stats.Energy)
-	}
-	if stats.MaxVel < 0.5 || stats.MaxVel > 3 {
-		t.Fatalf("max velocity %v for channel flow", stats.MaxVel)
-	}
-	if stats.CFL <= 0 {
-		t.Fatalf("CFL %v", stats.CFL)
-	}
-	if len(stats.ModeErgs) != 2 || stats.ModeErgs[0] <= stats.ModeErgs[1] {
-		t.Fatalf("mode spectrum %v: mean mode must dominate", stats.ModeErgs)
-	}
-	if len(hist) != 2 || len(hist[0]) != 6 {
-		t.Fatalf("history gather shape: %v", hist)
-	}
-	// Near mid-channel the streamwise velocity is close to its
-	// parabolic value.
-	if hist[0][0] < 0.3 || hist[0][0] > 1.5 {
-		t.Fatalf("history u = %v", hist[0][0])
-	}
-	if !strings.Contains(field.String(), "mean Fourier mode") || strings.Count(field.String(), "\n") < 10 {
-		t.Fatalf("field output too short:\n%.200s", field.String())
 	}
 }

@@ -6,6 +6,9 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"nektar/internal/mpi"
@@ -173,6 +176,29 @@ func TestGoldenNSALE(t *testing.T) {
 	for r, want := range []string{goldenALE0, goldenALE1} {
 		if want != "PRINT" && got[r] != want {
 			t.Fatalf("NSALE rank %d trajectory diverged from pre-refactor golden:\n got %s\nwant %s", r, got[r], want)
+		}
+	}
+}
+
+// TestGoldensWithoutFMA re-runs the pinned trajectories in a child
+// process with the runtime told the CPU has no FMA, which switches
+// math.Exp and the other amd64 routines with an FMA path to their
+// non-FMA code: the goldens must not depend on the host's features.
+func TestGoldensWithoutFMA(t *testing.T) {
+	tests := []string{"TestGoldenNS2D", "TestGoldenNSF", "TestGoldenNSALE"}
+	godebug := "cpu.fma=off"
+	if g := os.Getenv("GODEBUG"); g != "" {
+		godebug = g + "," + godebug
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^("+strings.Join(tests, "|")+")$", "-test.v")
+	cmd.Env = append(os.Environ(), "GODEBUG="+godebug)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("under GODEBUG=%s: %v\n%s", godebug, err, out)
+	}
+	for _, name := range tests {
+		if !strings.Contains(string(out), "--- PASS: "+name+" ") {
+			t.Fatalf("under GODEBUG=%s, %s did not pass:\n%s", godebug, name, out)
 		}
 	}
 }

@@ -44,29 +44,16 @@ type Solver interface {
 	HealthSample() (maxAbs float64, finite bool)
 }
 
-// Watchdog configures the loop's numerical-health check, sampled at
-// step boundaries before any state is checkpointed.
+// Watchdog configures the loop's numerical-health check, sampled after
+// every step before any state is checkpointed. The verdict is
+// rank-local: a rank that trips leaves the loop alone, and its peers
+// would block in their next collective, so parallel runs set Disabled.
 type Watchdog struct {
 	// Disabled turns the watchdog off entirely.
 	Disabled bool
-	// Every is the sampling period in steps (values < 1 mean 1).
-	Every int
 	// MaxAbs trips when any field magnitude exceeds it (0 = no limit;
 	// NaN/Inf always trip).
 	MaxAbs float64
-	// MaxGrowth trips when the magnitude exceeds MaxGrowth times the
-	// loop's first sample (0 = no growth limit). The baseline is taken
-	// after the first sample's own verdict, so the first sample can
-	// never trip on growth.
-	MaxGrowth float64
-	// Agree turns the local verdict into a collective one (typically an
-	// Allreduce Max over ranks): every rank must leave the loop at the
-	// same step boundary, or survivors block in the next collective.
-	// Nil means the local verdict stands, so a parallel run without it
-	// disables the watchdog. Agree is called at every sampled boundary
-	// regardless of the local verdict, because a collective must be
-	// entered by all ranks.
-	Agree func(bad bool) bool
 }
 
 // Outcome classifies how a Loop run ended.
@@ -125,13 +112,6 @@ type Loop struct {
 	// and charging any I/O cost.
 	CheckpointEvery int
 	OnCheckpoint    func(step int, state []byte)
-	// Cadence, when set, replaces the static CheckpointEvery rule with
-	// a live policy (see internal/policy's Young's-formula controller):
-	// it is consulted once per completed step, in step order, and its
-	// verdict decides whether that step stages a checkpoint. Setting
-	// both Cadence and CheckpointEvery is a configuration error — the
-	// two rules would be ambiguous.
-	Cadence CadencePolicy
 	// Sink, when set, receives every marshalled snapshot — the mid-run
 	// checkpoints and the final state — for durable storage (see
 	// internal/ckpt). The loop drains it on every exit path, so a
@@ -158,17 +138,6 @@ type Loop struct {
 	Trace *Tracer
 }
 
-// CadencePolicy decides the live checkpoint cadence. ShouldCheckpoint
-// is consulted exactly once per completed step (ascending step order,
-// never for the final step, whose snapshot is unconditional), so an
-// implementation may advance internal state in the call. In a parallel
-// run every rank must reach the same verdict at the same step —
-// checkpoint staging is collective — so implementations must be
-// deterministic functions of rank-identical inputs.
-type CadencePolicy interface {
-	ShouldCheckpoint(step int) bool
-}
-
 // CheckpointSink receives marshalled snapshots for durable storage off
 // the step loop's critical path. Submit may buffer (an asynchronous
 // writer) or persist inline (a synchronous one); final marks the run's
@@ -181,24 +150,15 @@ type CheckpointSink interface {
 }
 
 // Validate checks the loop configuration and returns a descriptive
-// error for each way a run cannot work: a nil Solver, a negative
+// error for each way a run cannot work: a nil Solver or a negative
 // checkpoint interval (a negative modulus would checkpoint on
-// arbitrary steps instead of never), a negative watchdog period
-// (silently clamping it would sample every step, the opposite of what
-// a negative value suggests the caller wanted), or an ambiguous
-// cadence (both the static interval and a live policy set).
+// arbitrary steps instead of never).
 func (l *Loop) Validate() error {
 	if l.Solver == nil {
 		return fmt.Errorf("engine: Loop.Solver is nil — the loop has nothing to step")
 	}
 	if l.CheckpointEvery < 0 {
 		return fmt.Errorf("engine: negative CheckpointEvery %d — use 0 to disable checkpointing", l.CheckpointEvery)
-	}
-	if l.Watchdog.Every < 0 {
-		return fmt.Errorf("engine: negative Watchdog.Every %d — use 0 for the every-step default or Disabled to turn the watchdog off", l.Watchdog.Every)
-	}
-	if l.Cadence != nil && l.CheckpointEvery > 0 {
-		return fmt.Errorf("engine: both CheckpointEvery (%d) and a live Cadence policy are set — pick one checkpoint rule", l.CheckpointEvery)
 	}
 	return nil
 }
@@ -224,12 +184,7 @@ func (l *Loop) Run() (Result, error) {
 
 func (l *Loop) run() (Result, error) {
 	s := l.Solver
-	wdEvery := l.Watchdog.Every
-	if wdEvery < 1 {
-		wdEvery = 1
-	}
 	res := Result{}
-	baseline := -1.0
 	// snap/cur are a reused snapshot pair: traceStep refills cur and the
 	// swap makes it the next step's baseline, so tracing allocates
 	// nothing per step.
@@ -261,27 +216,15 @@ func (l *Loop) run() (Result, error) {
 			snap, cur = cur, snap
 		}
 
-		if !l.Watchdog.Disabled && step%wdEvery == 0 {
+		if !l.Watchdog.Disabled {
 			maxAbs, finite := s.HealthSample()
-			bad := !finite ||
-				(l.Watchdog.MaxAbs > 0 && maxAbs > l.Watchdog.MaxAbs) ||
-				(l.Watchdog.MaxGrowth > 0 && baseline > 0 && maxAbs > l.Watchdog.MaxGrowth*baseline)
-			if baseline < 0 {
-				baseline = maxAbs
-			}
-			verdict := bad
-			if l.Watchdog.Agree != nil {
-				verdict = l.Watchdog.Agree(bad)
-			}
-			if verdict {
+			if !finite || (l.Watchdog.MaxAbs > 0 && maxAbs > l.Watchdog.MaxAbs) {
 				res.Outcome = Tripped
-				if bad {
-					l.trace(Event{Ev: EvTrip, Rank: l.Rank, Step: step, MaxAbs: maxAbs, Finite: &finite})
-				}
+				l.trace(Event{Ev: EvTrip, Rank: l.Rank, Step: step, MaxAbs: maxAbs, Finite: &finite})
 				return res, nil
 			}
 		}
-		if step < l.Steps && l.stageAt(step) {
+		if step < l.Steps && l.CheckpointEvery > 0 && step%l.CheckpointEvery == 0 {
 			if _, err := l.snapshot(step, false); err != nil {
 				return res, err
 			}
@@ -299,16 +242,6 @@ func (l *Loop) run() (Result, error) {
 	res.Outcome = Completed
 	l.trace(Event{Ev: EvDone, Rank: l.Rank, Step: s.StepCount()})
 	return res, nil
-}
-
-// stageAt is the checkpoint-cadence rule for one completed mid-run
-// step: the live policy when one is wired, the static interval
-// otherwise.
-func (l *Loop) stageAt(step int) bool {
-	if l.Cadence != nil {
-		return l.Cadence.ShouldCheckpoint(step)
-	}
-	return l.CheckpointEvery > 0 && step%l.CheckpointEvery == 0
 }
 
 // snapshot is the one marshal path: it serializes the solver, emits

@@ -33,12 +33,6 @@ import (
 //	halt        a Poll-ordered halt ended the run at step
 //	done        the run reached its target step count
 //
-// The adaptive-cadence controller (internal/policy) adds one event:
-//
-//	policy_switch  the live cadence changed: policy names the controller
-//	               ("cadence"), from/to the old and new intervals, and
-//	               the evidence rides along (mtbf_s, delta_s, interval)
-//
 // The spectral solvers (internal/spectral) add two online-diagnostic
 // events, emitted by rank 0 at the solver's DiagEvery cadence:
 //
@@ -48,17 +42,16 @@ import (
 //	dissipation  the scalar budget at step: energy, enstrophy, and the
 //	             dissipation rate 2*nu*enstrophy
 const (
-	EvStep         = "step"
-	EvStage        = "stage"
-	EvCheckpoint   = "checkpoint"
-	EvCkptBegin    = "ckpt_begin"
-	EvCkptDone     = "ckpt_done"
-	EvTrip         = "trip"
-	EvHalt         = "halt"
-	EvDone         = "done"
-	EvPolicySwitch = "policy_switch"
-	EvSpectrum     = "spectrum"
-	EvDissipation  = "dissipation"
+	EvStep        = "step"
+	EvStage       = "stage"
+	EvCheckpoint  = "checkpoint"
+	EvCkptBegin   = "ckpt_begin"
+	EvCkptDone    = "ckpt_done"
+	EvTrip        = "trip"
+	EvHalt        = "halt"
+	EvDone        = "done"
+	EvSpectrum    = "spectrum"
+	EvDissipation = "dissipation"
 )
 
 // Event is one trace record.
@@ -83,14 +76,6 @@ type Event struct {
 	ExposedS float64 `json:"exposed_s,omitempty"`
 	// Final marks the run's end-state snapshot (checkpoint events).
 	Final bool `json:"final,omitempty"`
-
-	// Adaptive-policy fields (policy_switch, internal/policy).
-	Policy   string  `json:"policy,omitempty"`
-	From     string  `json:"from,omitempty"`
-	To       string  `json:"to,omitempty"`
-	MTBFS    float64 `json:"mtbf_s,omitempty"`
-	DeltaS   float64 `json:"delta_s,omitempty"`
-	Interval int     `json:"interval,omitempty"`
 
 	// Spectral-diagnostic fields (spectrum/dissipation,
 	// internal/spectral). Bins is the shell-summed energy spectrum.
@@ -142,7 +127,7 @@ type wireEvent struct {
 
 // floatFields names the event's scalar float fields by JSON name.
 var floatFields = [...]string{"host_s", "priced_s", "wall_s", "max_abs", "ratio", "hidden_s",
-	"exposed_s", "mtbf_s", "delta_s", "energy", "enstrophy", "dissipation"}
+	"exposed_s", "energy", "enstrophy", "dissipation"}
 
 // floatField returns the scalar float field with the given JSON name,
 // nil for none.
@@ -162,10 +147,6 @@ func (e *Event) floatField(name string) *float64 {
 		return &e.HiddenS
 	case "exposed_s":
 		return &e.ExposedS
-	case "mtbf_s":
-		return &e.MTBFS
-	case "delta_s":
-		return &e.DeltaS
 	case "energy":
 		return &e.Energy
 	case "enstrophy":

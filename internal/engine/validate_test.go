@@ -21,92 +21,3 @@ func TestValidateRejectsNegativeCheckpointEvery(t *testing.T) {
 		t.Fatalf("negative-cadence Run err = %v", err)
 	}
 }
-
-func TestValidateRejectsNegativeWatchdogEvery(t *testing.T) {
-	s := newFakeSolver(func(step int) float64 { return 1 })
-	loop := Loop{Solver: s, Steps: 4, Watchdog: Watchdog{Every: -1}}
-	if _, err := loop.Run(); err == nil || !strings.Contains(err.Error(), "Watchdog.Every") {
-		t.Fatalf("negative-watchdog Run err = %v", err)
-	}
-}
-
-func TestValidateRejectsAmbiguousCheckpointRules(t *testing.T) {
-	s := newFakeSolver(func(step int) float64 { return 1 })
-	loop := Loop{Solver: s, Steps: 4, CheckpointEvery: 2,
-		Cadence: fixedCadence{3}, Watchdog: Watchdog{Disabled: true}}
-	if _, err := loop.Run(); err == nil || !strings.Contains(err.Error(), "pick one checkpoint rule") {
-		t.Fatalf("ambiguous-rules Run err = %v", err)
-	}
-}
-
-// fixedCadence checkpoints every n steps via the policy hook — the
-// live-policy analogue of CheckpointEvery, for hook plumbing tests.
-type fixedCadence struct{ n int }
-
-func (c fixedCadence) ShouldCheckpoint(step int) bool {
-	return c.n > 0 && step%c.n == 0
-}
-
-// recordingCadence logs every consultation so tests can assert the
-// hook contract: once per completed step, ascending, never the final
-// step.
-type recordingCadence struct {
-	asked []int
-	fire  func(step int) bool
-}
-
-func (c *recordingCadence) ShouldCheckpoint(step int) bool {
-	c.asked = append(c.asked, step)
-	return c.fire(step)
-}
-
-func TestCadencePolicyDrivesCheckpoints(t *testing.T) {
-	s := newFakeSolver(func(step int) float64 { return float64(step) })
-	pol := &recordingCadence{fire: func(step int) bool { return step%3 == 0 }}
-	var ckSteps []int
-	loop := Loop{
-		Solver: s, Steps: 10, Cadence: pol,
-		OnCheckpoint: func(step int, state []byte) { ckSteps = append(ckSteps, step) },
-		Watchdog:     Watchdog{Disabled: true},
-	}
-	res, err := loop.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Outcome != Completed {
-		t.Fatalf("outcome %v", res.Outcome)
-	}
-	// The policy was consulted once per completed step except the final
-	// one (whose snapshot is the end state, not a checkpoint).
-	if len(pol.asked) != 9 {
-		t.Fatalf("policy consulted at %v, want steps 1..9", pol.asked)
-	}
-	for i, step := range pol.asked {
-		if step != i+1 {
-			t.Fatalf("policy consulted at %v, want ascending 1..9", pol.asked)
-		}
-	}
-	if len(ckSteps) != 3 || ckSteps[0] != 3 || ckSteps[1] != 6 || ckSteps[2] != 9 {
-		t.Fatalf("checkpoint steps %v, want [3 6 9]", ckSteps)
-	}
-}
-
-func TestCadencePolicyMatchesStaticTrajectory(t *testing.T) {
-	// A policy that mimics CheckpointEvery must reproduce the static
-	// run bit for bit — the equivalence the adaptive layer's pinned
-	// mode relies on.
-	run := func(use Loop) []byte {
-		res, err := use.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Final
-	}
-	sA := newFakeSolver(func(step int) float64 { return 1.0 / float64(step) })
-	sB := newFakeSolver(func(step int) float64 { return 1.0 / float64(step) })
-	staticFinal := run(Loop{Solver: sA, Steps: 12, CheckpointEvery: 4, Watchdog: Watchdog{Disabled: true}})
-	policyFinal := run(Loop{Solver: sB, Steps: 12, Cadence: fixedCadence{4}, Watchdog: Watchdog{Disabled: true}})
-	if string(staticFinal) != string(policyFinal) {
-		t.Fatal("cadence-policy trajectory diverged from static run")
-	}
-}

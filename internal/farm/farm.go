@@ -14,7 +14,6 @@ import (
 
 	"nektar/internal/ckpt"
 	"nektar/internal/engine"
-	"nektar/internal/policy"
 )
 
 // Config parametrizes a Farm.
@@ -86,7 +85,7 @@ type Farm struct {
 	nextID   int64
 	draining atomic.Bool
 
-	est      *policy.MTBFEstimator
+	est      *MTBFEstimator
 	rng      *rand.Rand
 	t0       time.Time
 	ewmaJobS float64
@@ -147,7 +146,7 @@ func Open(cfg Config) (*Farm, error) {
 		jobs:     map[string]*Job{},
 		byKey:    map[string]string{},
 		q:        newFairQueue(),
-		est:      policy.NewMTBFEstimator(3600, 0.3),
+		est:      NewMTBFEstimator(3600, 0.3),
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		t0:       time.Now(),
 		failures: map[string]int64{},

@@ -232,3 +232,48 @@ func TestHTTPSubmitRejectsUnknownFieldsAndTrailingData(t *testing.T) {
 		t.Errorf("spec with a trailing newline got %d, want 201", resp.StatusCode)
 	}
 }
+
+// FuzzDecodeJobSpec: the POST /v1/jobs path, decodeSpec then Validate,
+// never panics, and a spec it accepts is one the farm can run whose
+// JSON encoding decodes back to the same spec.
+func FuzzDecodeJobSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"workload":"spin","steps":5,"seed":7}`,
+		`{"workload":"spin","steps":5,"work":64,"ckpt_every":2,"priority":-3,"tenant":"a","timeout_s":1.5,"retries":-1}` + "\n",
+		`{"workload":"turb2d","steps":40,"nt":256}`,
+		`{"workload":"turbforce","steps":2,"nt":8}`,
+		`{"workload":"ns2d","steps":2,"nt":4,"nr":2,"order":3}`,
+		`{"workload":"ns2d","steps":2,"nt":4611686018427387904,"nr":4611686018427387904,"order":4611686018427387904}`,
+		`{"workload":"nsf","steps":2}`,
+		`{"workload":"spin","stepz":500}`,
+		`{"workload":"spin","steps":5}{"workload":"spin","steps":6}`,
+		`{"workload":"spin","steps":5} x`,
+		`{"workload":"spin","steps":0}`,
+		`{"workload":"spin","steps":1,"timeout_s":-0}`,
+		`{"workload":"spin","steps":1,"tenant":"é\xff"}`,
+		`null`,
+		``,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var spec JobSpec
+		if decodeSpec(bytes.NewReader(body), &spec) != nil || spec.Validate() != nil {
+			return
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec %+v does not encode: %v", spec, err)
+		}
+		var back JobSpec
+		if err := decodeSpec(bytes.NewReader(enc), &back); err != nil {
+			t.Fatalf("re-encoded spec %s does not decode: %v", enc, err)
+		}
+		if back != spec {
+			t.Fatalf("spec %+v came back as %+v through %s", spec, back, enc)
+		}
+		if err := back.Validate(); err != nil {
+			t.Fatalf("spec %+v refused after its round trip: %v", back, err)
+		}
+	})
+}

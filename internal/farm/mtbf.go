@@ -1,11 +1,10 @@
-package policy
+package farm
 
 // MTBFEstimator tracks the cluster's mean time between failures online,
 // as an exponentially-weighted mean of inter-failure intervals. The
-// estimator is seeded with a prior so the cadence controller has
-// something to work with before the first failure; each observed
-// failure then pulls the estimate toward the measured rate with weight
-// alpha:
+// estimator is seeded with a prior so /v1/stats reports an estimate
+// before the first failure; each observed failure then pulls the
+// estimate toward the measured rate with weight alpha:
 //
 //	mean <- (1-alpha)*mean + alpha*dt
 //
@@ -19,7 +18,7 @@ type MTBFEstimator struct {
 }
 
 // minMTBFS floors the estimate: a burst of simultaneous failures must
-// not collapse the MTBF (and with it Young's interval) to zero.
+// not collapse the MTBF to zero.
 const minMTBFS = 1e-6
 
 // NewMTBFEstimator seeds an estimator with the cluster-level prior (in

@@ -398,40 +398,6 @@ func (a *Assembly) Bandwidth() int {
 	return kd
 }
 
-// AssembleBanded assembles per-element matrices (given by the callback
-// elemMat, row-major NModes^2) into the global banded system over the
-// unknown dofs, returning the band matrix and the coupling columns to
-// Dirichlet dofs as a sparse list used to form right-hand sides.
-func (a *Assembly) AssembleBanded(elemMat func(e int) []float64) (*lapack.BandStorage, []DirCoupling) {
-	kd := a.Bandwidth()
-	band := lapack.NewBandStorage(a.NSolve, kd)
-	var coup []DirCoupling
-	for ei := range a.Mesh.Elems {
-		mat := elemMat(ei)
-		l2g, sign := a.L2G[ei], a.Sign[ei]
-		n := len(l2g)
-		for mi := 0; mi < n; mi++ {
-			gi := l2g[mi]
-			if gi >= a.NSolve {
-				continue
-			}
-			for mj := 0; mj < n; mj++ {
-				gj := l2g[mj]
-				v := sign[mi] * sign[mj] * mat[mi*n+mj]
-				if v == 0 {
-					continue
-				}
-				if gj >= a.NSolve {
-					coup = append(coup, DirCoupling{Row: gi, Dir: gj, Val: v})
-				} else if gj <= gi {
-					band.Add(gi, gj, v)
-				}
-			}
-		}
-	}
-	return band, coup
-}
-
 // DirCoupling is one entry coupling an unknown row to a Dirichlet dof:
 // the assembled RHS gets rhs[Row] -= Val * dirichletValue[Dir].
 type DirCoupling struct {

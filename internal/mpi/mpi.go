@@ -20,7 +20,6 @@ package mpi
 
 import (
 	"fmt"
-	"math/bits"
 
 	"nektar/internal/simnet"
 )
@@ -28,7 +27,6 @@ import (
 // Comm is a communicator bound to one simulated rank.
 type Comm struct {
 	node *simnet.Node
-	size int // sub-world size override; 0 = full world
 	seq  int // collective sequence number for tag isolation
 
 	// work is the collectives' scratch space (AllreduceInto's partner
@@ -56,32 +54,11 @@ const (
 // World wraps a simnet rank in a communicator spanning all ranks.
 func World(n *simnet.Node) *Comm { return &Comm{node: n} }
 
-// SubWorld wraps a simnet rank in a communicator spanning only ranks
-// [0, size) of the simulation. The solvers are written against
-// Size()/Rank(), so extra simulated ranks (an out-of-band observer,
-// say) can share the cluster without participating in the solver's
-// collectives. The caller's rank must lie inside the sub-world;
-// traffic to ranks outside it uses the simnet.Node API directly.
-func SubWorld(n *simnet.Node, size int) (*Comm, error) {
-	if size < 1 || size > n.P {
-		return nil, fmt.Errorf("mpi: sub-world size %d outside [1, %d]", size, n.P)
-	}
-	if n.Rank >= size {
-		return nil, fmt.Errorf("mpi: rank %d cannot join a sub-world of size %d", n.Rank, size)
-	}
-	return &Comm{node: n, size: size}, nil
-}
-
 // Rank returns the caller's rank.
 func (c *Comm) Rank() int { return c.node.Rank }
 
 // Size returns the number of ranks in this communicator.
-func (c *Comm) Size() int {
-	if c.size > 0 {
-		return c.size
-	}
-	return c.node.P
-}
+func (c *Comm) Size() int { return c.node.P }
 
 // Wtime returns the virtual wall-clock time in seconds (MPI_Wtime).
 func (c *Comm) Wtime() float64 { return c.node.Clock() }
@@ -479,7 +456,3 @@ func (c *Comm) alltoallBruck(send, recv [][]float64, tag int) {
 		fill(recv, (r-i+p)%p, tmp[i*bl:(i+1)*bl])
 	}
 }
-
-// PowerOfTwo reports whether n is a power of two (exported for the
-// harnesses that choose Alltoall partnerings).
-func PowerOfTwo(n int) bool { return n > 0 && bits.OnesCount(uint(n)) == 1 }

@@ -296,14 +296,6 @@ func TestCollectiveCPUvsWall(t *testing.T) {
 	}
 }
 
-func TestPowerOfTwo(t *testing.T) {
-	for n, want := range map[int]bool{1: true, 2: true, 3: false, 8: true, 12: false, 0: false} {
-		if PowerOfTwo(n) != want {
-			t.Fatalf("PowerOfTwo(%d) = %v", n, !want)
-		}
-	}
-}
-
 func TestAlltoallBruck(t *testing.T) {
 	for _, p := range []int{2, 4, 5, 8, 9} {
 		alltoallBody(t, p, AlgBruck)
@@ -412,57 +404,6 @@ func TestRandomizedCollectiveSoak(t *testing.T) {
 		return err == nil && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSubWorldCollectivesSpanOnlyMembers(t *testing.T) {
-	// 3 simulated ranks; ranks 0-1 form a sub-world while rank 2 plays
-	// an out-of-band observer. Collectives on the sub-communicator must
-	// complete without rank 2 participating.
-	sums := make([]float64, 2)
-	_, _, err := simnet.Run(3, testModel(), func(n *simnet.Node) {
-		if n.Rank == 2 {
-			if _, serr := SubWorld(n, 2); serr == nil {
-				t.Error("rank 2 joined a 2-rank sub-world")
-			}
-			n.Compute(1e-5)
-			return
-		}
-		c, serr := SubWorld(n, 2)
-		if serr != nil {
-			panic(serr)
-		}
-		if c.Size() != 2 {
-			t.Errorf("sub-world Size = %d, want 2", c.Size())
-		}
-		v := c.Allreduce([]float64{float64(n.Rank + 1)}, Sum)
-		sums[n.Rank] = v[0]
-		c.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, s := range sums {
-		if s != 3 {
-			t.Errorf("rank %d: sub-world Allreduce sum = %v, want 3", r, s)
-		}
-	}
-}
-
-func TestSubWorldValidation(t *testing.T) {
-	_, _, err := simnet.Run(2, testModel(), func(n *simnet.Node) {
-		if _, serr := SubWorld(n, 0); serr == nil {
-			t.Error("zero-size sub-world accepted")
-		}
-		if _, serr := SubWorld(n, 3); serr == nil {
-			t.Error("oversized sub-world accepted")
-		}
-		if c, serr := SubWorld(n, 2); serr != nil || c.Size() != 2 {
-			t.Errorf("full-size sub-world: %v (size %d)", serr, c.Size())
-		}
-	})
-	if err != nil {
 		t.Fatal(err)
 	}
 }

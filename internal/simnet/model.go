@@ -61,11 +61,6 @@ type Model struct {
 	// RanksPerNode maps MPI ranks onto SMP nodes round-robin blocks:
 	// node = rank / RanksPerNode.
 	RanksPerNode int
-	// NodeMap, when non-nil, overrides RanksPerNode with an explicit
-	// rank -> physical-node placement (len(NodeMap) must equal the run's
-	// rank count; node ids must be >= 0 but need not be dense), such as
-	// a SparePool's placement after a rank moved onto a spare node.
-	NodeMap []int
 	// BackplaneMBs caps the aggregate inter-node traffic (an
 	// oversubscribed Ethernet switch); 0 = full crossbar.
 	BackplaneMBs float64
@@ -106,9 +101,6 @@ func (s Scheduler) String() string {
 
 // nodeOf returns the SMP node that hosts a rank.
 func (m *Model) nodeOf(rank int) int {
-	if m.NodeMap != nil {
-		return m.NodeMap[rank]
-	}
 	if m.RanksPerNode <= 1 {
 		return rank
 	}
@@ -118,7 +110,7 @@ func (m *Model) nodeOf(rank int) int {
 // sharedNode reports whether two ranks live on the same SMP node under
 // a placement that can co-locate ranks at all.
 func (m *Model) sharedNode(from, to int) bool {
-	if m.RanksPerNode <= 1 && m.NodeMap == nil {
+	if m.RanksPerNode <= 1 {
 		return false
 	}
 	return m.nodeOf(from) == m.nodeOf(to)

@@ -258,21 +258,6 @@ func RunWithFaults(p int, model *Model, inj Injector, body func(n *Node)) (wall,
 	if model.RanksPerNode > 1 {
 		nNodes = (p + model.RanksPerNode - 1) / model.RanksPerNode
 	}
-	if model.NodeMap != nil {
-		if len(model.NodeMap) != p {
-			return nil, nil, fmt.Errorf("simnet: NodeMap covers %d ranks, run has %d", len(model.NodeMap), p)
-		}
-		maxID := 0
-		for r, id := range model.NodeMap {
-			if id < 0 {
-				return nil, nil, fmt.Errorf("simnet: NodeMap[%d] = %d, node ids must be >= 0", r, id)
-			}
-			if id > maxID {
-				maxID = id
-			}
-		}
-		nNodes = maxID + 1
-	}
 	c := &cluster{
 		model:       model,
 		running:     p,

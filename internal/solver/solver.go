@@ -1,13 +1,14 @@
-// Package solver provides the global Helmholtz/Poisson solvers of the
-// spectral/hp element method: a direct solver that assembles the C0
-// global matrix in symmetric banded form and factors it with the
-// banded Cholesky (the paper's serial and Nektar-F solver strategy,
-// "direct solvers utilising the symmetric and banded nature of the
-// matrix"), and its statically condensed variant. The Nektar-ALE
-// strategy, a diagonally preconditioned conjugate gradient over the
-// distributed operator, lives with that solver in internal/core.
+// Package solver provides the global Helmholtz/Poisson solver of the
+// spectral/hp element method: a statically condensed direct solver
+// whose boundary system is held in symmetric banded form and factored
+// with the banded Cholesky (the paper's serial and Nektar-F solver
+// strategy, "direct solvers utilising the symmetric and banded nature
+// of the matrix"). The uncondensed banded solver it is checked against
+// lives in direct_test.go. The Nektar-ALE strategy, a diagonally
+// preconditioned conjugate gradient over the distributed operator,
+// lives with that solver in internal/core.
 //
-// Both solve the weak Helmholtz problem: find u with u = g on the
+// It solves the weak Helmholtz problem: find u with u = g on the
 // Dirichlet boundary and
 //
 //	integral grad(u).grad(v) + lambda*u*v = integral f*v
@@ -17,62 +18,10 @@
 package solver
 
 import (
-	"fmt"
 	"math"
 
-	"nektar/internal/lapack"
 	"nektar/internal/mesh"
 )
-
-// Direct is a factored global banded Helmholtz operator.
-type Direct struct {
-	A      *mesh.Assembly
-	Lambda float64
-
-	band *lapack.BandStorage
-	coup []mesh.DirCoupling
-}
-
-// NewDirect assembles and factors the global Helmholtz matrix
-// L + lambda*M over the unknown degrees of freedom.
-func NewDirect(a *mesh.Assembly, lambda float64) (*Direct, error) {
-	d := &Direct{A: a, Lambda: lambda}
-	band, coup := a.AssembleBanded(func(e int) []float64 {
-		return a.Mesh.Elems[e].Helmholtz(lambda)
-	})
-	if err := lapack.Dpbtrf(band); err != nil {
-		return nil, fmt.Errorf("solver: global Helmholtz factorization: %w", err)
-	}
-	d.band = band
-	d.coup = coup
-	return d, nil
-}
-
-// Bandwidth returns the half-bandwidth of the assembled system.
-func (d *Direct) Bandwidth() int { return d.band.Kd }
-
-// Solve computes the global solution for a weak right-hand side rhs
-// (length NGlobal, the gathered inner products integral f*phi) and
-// Dirichlet values dir (length NGlobal; only entries >= NSolve are
-// read; nil means homogeneous). The returned vector has length NGlobal
-// with Dirichlet entries filled in.
-func (d *Direct) Solve(rhs, dir []float64) []float64 {
-	a := d.A
-	b := make([]float64, a.NSolve)
-	copy(b, rhs[:a.NSolve])
-	if dir != nil {
-		for _, c := range d.coup {
-			b[c.Row] -= c.Val * dir[c.Dir]
-		}
-	}
-	lapack.Dpbtrs(d.band, b)
-	out := make([]float64, a.NGlobal)
-	copy(out, b)
-	if dir != nil {
-		copy(out[a.NSolve:], dir[a.NSolve:])
-	}
-	return out
-}
 
 // WeakRHS assembles the global weak right-hand side integral f*phi_m
 // for a forcing function given at quadrature points per element.

@@ -326,9 +326,11 @@ func (s *Turb2D) inBand(kx, ky int) bool {
 }
 
 // paoAmp is the PAO-style initial amplitude shape |what(k)| ~ k^2
-// exp(-(k/k0)^2), which peaks the energy spectrum near k0.
+// exp(-(k/k0)^2), which peaks the energy spectrum near k0. It calls the
+// package's portable exp, not math.Exp, so the initial field has the
+// same bits on every host.
 func paoAmp(k, k0 float64) float64 {
-	return k * k * math.Exp(-(k/k0)*(k/k0))
+	return k * k * exp(-(k/k0)*(k/k0))
 }
 
 // initPAO fills the slab with the random-phase PAO field. The energy
