@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: check build vet fmt test race bench-all bench-smoke race-ckpt race-simnet race-sched-single race-sched-multi race-farm race-spectral fuzz-smoke
+.PHONY: check build vet fmt test race bench-all bench-smoke race-ckpt race-simnet race-sched-single race-sched-multi race-farm race-spectral fuzz-smoke repro-smoke
 
 build:
 	$(GO) build ./...
@@ -92,6 +92,12 @@ fuzz-smoke:
 	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzOpenJournal ./internal/farm
 	$(GO) test $(FUZZ_SMOKE) -fuzz FuzzDecodeJobSpec ./internal/farm
 
+# Every registry experiment that runs in seconds at -quick, through the
+# repro front end: one pass over the registry, the flag parser and the
+# report writers, including Table 3 at P=16.
+repro-smoke:
+	$(GO) run ./cmd/repro -quick fig7_pingpong fig9-10_basis spectral spectral -procs 4 -n 32 -steps 4 ckptbench scalebench trace table3_fig15-16_nektarale -procs 16
+
 # The gated benchmark at smoke sizes (under a second of measurement):
 # every workload runs, and the exit code is non-zero if an op fails or a
 # cycles-bit-identical / slab-equals-serial / one-rank-energy / farm
@@ -100,4 +106,4 @@ bench-smoke:
 	bash benchmark/run.sh -quick
 
 # Everything CI runs, in CI's order.
-check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-farm race-spectral fuzz-smoke bench-smoke
+check: build vet fmt race race-ckpt race-simnet race-sched-single race-sched-multi race-farm race-spectral fuzz-smoke repro-smoke bench-smoke

@@ -34,13 +34,12 @@ type ALEConfig struct {
 	PressureIters int
 	HelmIters     int
 
-	// MatrixFreeCalA and MatrixFreeCalBC are small residual corrections
-	// between this library's assembled-matrix applies and the
-	// production code's matrix-free sum-factorized ones (the dominant
-	// difference — elemental matrix builds, which matrix-free codes
-	// never perform — is already excluded from the extrapolated
+	// MatrixFreeCalBC is a small residual correction of the solve
+	// regions (b, c) between this library's assembled-matrix applies
+	// and the production code's matrix-free sum-factorized ones (the
+	// dominant difference — elemental matrix builds, which matrix-free
+	// codes never perform — is already excluded from the extrapolated
 	// pricing). 0 means 1.
-	MatrixFreeCalA  float64
 	MatrixFreeCalBC float64
 
 	Sweep
@@ -52,7 +51,7 @@ var PaperALE = ALEConfig{
 	ProbeNt: 24, ProbeNr: 3, ProbeNz: 2, ProbeOrder: 3,
 	PaperElems: 15870, PaperOrder: 4,
 	PressureIters: 90, HelmIters: 26,
-	MatrixFreeCalA: 1.0, MatrixFreeCalBC: 0.9,
+	MatrixFreeCalBC: 0.9,
 	Sweep: Sweep{
 		Steps:    1,
 		Machines: []string{"AP3000", "NCSA", "SP2-Silver", "SP2-Thin2", "RoadRunner-myr"},
@@ -60,9 +59,9 @@ var PaperALE = ALEConfig{
 	},
 }
 
-// aleScale derives the extrapolation multipliers from the probe and
-// paper discretizations.
-func aleScale(cfg ALEConfig, probeElems int) *core.ALEScale {
+// aleScale derives the per-region compute multipliers from the probe
+// and paper discretizations; the message factor is set per cell.
+func aleScale(cfg ALEConfig, probeElems int) core.Scale {
 	nmP := (cfg.PaperOrder + 1) * (cfg.PaperOrder + 1) * (cfg.PaperOrder + 1)
 	nqP := (cfg.PaperOrder + 2) * (cfg.PaperOrder + 2) * (cfg.PaperOrder + 2)
 	nmPr := (cfg.ProbeOrder + 1) * (cfg.ProbeOrder + 1) * (cfg.ProbeOrder + 1)
@@ -73,19 +72,11 @@ func aleScale(cfg ALEConfig, probeElems int) *core.ALEScale {
 	// Regions b/c: PCG applies ~ elems * modes^2 per iteration; the
 	// iteration counts themselves are run exactly, so no extra factor.
 	ratioApply := elems * float64(nmP*nmP) / float64(nmPr*nmPr)
-	calA, calBC := cfg.MatrixFreeCalA, cfg.MatrixFreeCalBC
-	if calA == 0 {
-		calA = 1
-	}
+	calBC := cfg.MatrixFreeCalBC
 	if calBC == 0 {
 		calBC = 1
 	}
-	return &core.ALEScale{
-		Region:        [3]float64{ratioA * calA, ratioApply * calBC, ratioApply * calBC},
-		Comm:          1, // set per cell from the measured probe interface
-		PressureIters: cfg.PressureIters,
-		HelmIters:     cfg.HelmIters,
-	}
+	return core.Scale{Stage: [7]float64{ratioA, ratioApply * calBC, ratioApply * calBC}}
 }
 
 // commFactor sizes the phantom message factor for one (P, probe) cell:
@@ -108,16 +99,18 @@ func commFactor(cfg ALEConfig, p int, probeDofs float64) float64 {
 }
 
 // aleSolverConfig is the flapping-wing solver configuration shared by
-// all cells.
-func aleSolverConfig() core.ALEConfig {
+// all cells, its PCG solves pinned to cfg's paper-scale counts.
+func aleSolverConfig(cfg ALEConfig) core.ALEConfig {
 	return core.ALEConfig{
 		Nu: 1.0 / 1000, Dt: 2e-3, Order: 2,
 		FarfieldVel: [3]float64{1, 0, 0},
 		WallVelocity: func(t float64) [3]float64 {
 			return [3]float64{0, 0.3 * math.Cos(2*math.Pi*t), 0}
 		},
-		MoveMesh: true,
-		Tol:      1e-6,
+		MoveMesh:      true,
+		Tol:           1e-6,
+		PressureIters: cfg.PressureIters,
+		HelmIters:     cfg.HelmIters,
 	}
 }
 
@@ -140,18 +133,18 @@ func RunALE(cfg ALEConfig) ([]SweepCell, error) {
 	}
 	probeElems := len(m3.Elems)
 	scale := aleScale(cfg, probeElems)
-	return cfg.Sweep.run("nsale", probeElems, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
+	return cfg.Sweep.run(probeElems, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
 		m3, err := aleProbeMesh(cfg)
 		if err != nil {
 			return nil, err
 		}
-		ns, err := core.NewNSALE(m3, aleSolverConfig(), comm, &mach.CPU)
+		ns, err := core.NewNSALE(m3, aleSolverConfig(cfg), comm, &mach.CPU)
 		if err != nil {
 			return nil, err
 		}
 		// Size the phantom factor from the measured per-neighbor
 		// interface, so messages carry paper-scale sizes.
-		cellScale := *scale
+		cellScale := scale
 		all := comm.Allreduce([]float64{ns.MeanInterfaceDofs(), 1}, mpi.Sum)
 		cellScale.Comm = commFactor(cfg, p, all[0]/all[1])
 		ns.SetScale(&cellScale)

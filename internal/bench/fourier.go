@@ -22,7 +22,7 @@ import (
 //
 // The solver runs for real at probe scale on every simulated rank; the
 // compute pricing and message sizes are extrapolated to the paper
-// scale through core.ScaleConfig (element-count ratios for the
+// scale through core.Scale (element-count ratios for the
 // element-proportional stages, condensed-solve cost formulas for the
 // solve stages).
 type FourierConfig struct {
@@ -47,15 +47,12 @@ var PaperFourier = FourierConfig{
 	},
 }
 
-// solveStats captures the condensed-solver cost parameters of a mesh.
+// solveStats is what the extrapolation reads of a mesh: its element
+// count and the condensed-solve operation counts of its velocity and
+// pressure systems.
 type solveStats struct {
-	elems       int
-	nbV, kdV    int // velocity Schur
-	nbP, kdP    int // pressure Schur
-	niMode, nbm int // per-element interior/boundary mode counts
-	velCounts   blas.Counts
-	presCounts  blas.Counts
-	nElemsF     float64
+	elems                 float64
+	velCounts, presCounts blas.Counts
 }
 
 func gatherSolveStats(nt, nr, order int) (*solveStats, error) {
@@ -66,24 +63,23 @@ func gatherSolveStats(nt, nr, order int) (*solveStats, error) {
 	vel, pres := workload.BluffBCs()
 	isVelD := func(tag string) bool { _, ok := vel[tag]; return ok }
 	isPresD := func(tag string) bool { return pres[tag] }
-	av := mesh.NewAssembly(m, isVelD)
-	ap := mesh.NewAssembly(m, isPresD)
-	st := &solveStats{elems: len(m.Elems), nElemsF: float64(len(m.Elems))}
-	st.nbV, st.kdV = solver.SchurStats(av)
-	st.nbP, st.kdP = solver.SchurStats(ap)
 	ref := m.Elems[0].Ref
-	st.nbm = ref.NBnd
-	st.niMode = ref.NModes - ref.NBnd
-	st.velCounts = solver.CondensedSolveCounts(st.nbV, st.kdV, st.elems, st.niMode, st.nbm)
-	st.presCounts = solver.CondensedSolveCounts(st.nbP, st.kdP, st.elems, st.niMode, st.nbm)
-	return st, nil
+	counts := func(a *mesh.Assembly) blas.Counts {
+		nb, kd := solver.SchurStats(a)
+		return solver.CondensedSolveCounts(nb, kd, len(m.Elems), ref.NModes-ref.NBnd, ref.NBnd)
+	}
+	return &solveStats{
+		elems:      float64(len(m.Elems)),
+		velCounts:  counts(mesh.NewAssembly(m, isVelD)),
+		presCounts: counts(mesh.NewAssembly(m, isPresD)),
+	}, nil
 }
 
 // fourierScale derives the per-stage extrapolation multipliers for a
 // machine.
-func fourierScale(cpu *machine.CPU, probe, paper *solveStats) *core.ScaleConfig {
-	elemRatio := paper.nElemsF / probe.nElemsF
-	sc := &core.ScaleConfig{Comm: elemRatio}
+func fourierScale(cpu *machine.CPU, probe, paper *solveStats) *core.Scale {
+	elemRatio := paper.elems / probe.elems
+	sc := &core.Scale{Comm: elemRatio}
 	for i := range sc.Stage {
 		sc.Stage[i] = elemRatio
 	}
@@ -113,7 +109,7 @@ func RunFourier(cfg FourierConfig) ([]SweepCell, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cfg.Sweep.run("nsf", 0, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
+	return cfg.Sweep.run(0, func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solver, error) {
 		ns, err := workload.NSFRank(ops, comm, &mach.CPU)
 		if err != nil {
 			return nil, err

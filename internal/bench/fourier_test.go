@@ -20,7 +20,7 @@ type nsfCellRun struct {
 	u                 [][3][2][]float64
 }
 
-func runNSFCell(t *testing.T, mach *machine.Machine, p, steps int, sc *core.ScaleConfig,
+func runNSFCell(t *testing.T, mach *machine.Machine, p, steps int, sc *core.Scale,
 	mk func(comm *mpi.Comm) (engine.Solver, error)) nsfCellRun {
 	t.Helper()
 	r := nsfCellRun{priced: make([][]float64, p), stageWall: make([][]float64, p), u: make([][3][2][]float64, p)}

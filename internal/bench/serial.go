@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"nektar/internal/ckpt"
 	"nektar/internal/core"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
@@ -19,9 +18,6 @@ type SerialConfig struct {
 	Nt, Nr int
 	Order  int
 	Steps  int // measured steps (after a 2-step order ramp)
-
-	// Checkpoints go through the async background writer, so the step
-	// loop only pays the marshal.
 	Instrument
 }
 
@@ -64,16 +60,6 @@ func RunSerial(cfg SerialConfig) ([]SerialResult, *timing.Stages, error) {
 	st.Attach()
 	loop := engine.Loop{Solver: ns, Steps: ns.StepCount() + cfg.Steps,
 		Watchdog: engine.Watchdog{Disabled: true}, Trace: cfg.Trace}
-	if cfg.CkptDir != "" {
-		store, serr := ckpt.NewDirStore(cfg.CkptDir)
-		if serr != nil {
-			return nil, nil, serr
-		}
-		w := ckpt.NewAsyncWriter(store, ckpt.WriterConfig{Kind: "ns2d", Trace: cfg.Trace})
-		defer w.Close()
-		loop.Sink = w
-		loop.CheckpointEvery = cfg.CkptEvery
-	}
 	_, lerr := loop.Run()
 	st.Detach()
 	if lerr != nil {

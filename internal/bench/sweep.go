@@ -3,11 +3,9 @@ package bench
 import (
 	"flag"
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"strings"
 
-	"nektar/internal/ckpt"
 	"nektar/internal/cliutil"
 	"nektar/internal/engine"
 	"nektar/internal/machine"
@@ -23,28 +21,17 @@ type Instrument struct {
 	// Trace, when set, receives the engine's per-step event stream for
 	// the measured steps (every cell, all ranks interleaved).
 	Trace *engine.Tracer
-	// CkptDir, when set, streams a durable checkpoint every CkptEvery
-	// steps (plus the final state) into an on-disk store there. The
-	// writes run on the host: no table prices them in virtual time.
-	CkptDir   string
-	CkptEvery int
 
 	tracePath string // -trace: the file instrumented opens Trace on
 }
 
-// flags registers -trace, -ckptdir and -ckpt-every on fs.
+// flags registers -trace on fs.
 func (in *Instrument) flags(fs *flag.FlagSet) {
 	fs.StringVar(&in.tracePath, "trace", "", "write the engine's per-step JSONL event stream to this file")
-	fs.StringVar(&in.CkptDir, "ckptdir", in.CkptDir, "write durable checkpoints under this directory (host-side writes; the tables' virtual times do not include them)")
-	fs.IntVar(&in.CkptEvery, "ckpt-every", in.CkptEvery, "checkpoint cadence in steps (requires -ckptdir)")
 }
 
-// instrumented validates the checkpoint pair, opens the -trace file,
-// calls run and closes the file.
+// instrumented opens the -trace file, calls run and closes the file.
 func (in *Instrument) instrumented(run func() error) error {
-	if err := cliutil.CheckpointFlags(in.CkptDir, in.CkptEvery); err != nil {
-		return err
-	}
 	tracer, closeTrace, err := cliutil.Tracer(in.tracePath)
 	if err != nil {
 		return err
@@ -57,9 +44,7 @@ func (in *Instrument) instrumented(run func() error) error {
 	return err
 }
 
-// Sweep is the machine x P grid Tables 2 and 3 share. With CkptDir set
-// every measured cell gets its own store under it (<machine>-p<P>/),
-// each rank writing its records synchronously on the host.
+// Sweep is the machine x P grid Tables 2 and 3 share.
 type Sweep struct {
 	Steps    int // measured steps (after 1 warmup)
 	Machines []string
@@ -104,9 +89,8 @@ type cellSolver func(mach *machine.Machine, p int, comm *mpi.Comm) (engine.Solve
 // maxProcs, when positive) are reported "n/a" like the paper. In every
 // other cell each simulated rank builds its solver with newSolver,
 // takes one warm-up step (order ramp, eager caches), and drives the
-// measured steps through the engine loop between two barriers; kind
-// tags the cell's checkpoint records.
-func (sw Sweep) run(kind string, maxProcs int, newSolver cellSolver) ([]SweepCell, error) {
+// measured steps through the engine loop between two barriers.
+func (sw Sweep) run(maxProcs int, newSolver cellSolver) ([]SweepCell, error) {
 	var out []SweepCell
 	for _, name := range sw.Machines {
 		mach, err := machine.ByName(name)
@@ -118,7 +102,7 @@ func (sw Sweep) run(kind string, maxProcs int, newSolver cellSolver) ([]SweepCel
 				out = append(out, SweepCell{Machine: name, P: p, CPU: -1, Wall: -1})
 				continue
 			}
-			cell, err := sw.cell(kind, mach, p, newSolver)
+			cell, err := sw.cell(mach, p, newSolver)
 			if err != nil {
 				return nil, fmt.Errorf("%s P=%d: %w", name, p, err)
 			}
@@ -128,7 +112,7 @@ func (sw Sweep) run(kind string, maxProcs int, newSolver cellSolver) ([]SweepCel
 	return out, nil
 }
 
-// maxRanks is the largest rank count of a cell run(kind, 0, ...) would
+// maxRanks is the largest rank count of a cell run(0, ...) would
 // execute, 0 when it executes none.
 func (sw Sweep) maxRanks() int {
 	most := 0
@@ -155,16 +139,8 @@ func seq(n int) []int {
 	return s
 }
 
-func (sw Sweep) cell(kind string, mach *machine.Machine, p int, newSolver cellSolver) (SweepCell, error) {
+func (sw Sweep) cell(mach *machine.Machine, p int, newSolver cellSolver) (SweepCell, error) {
 	res := SweepCell{Machine: mach.Name, P: p}
-	var store *ckpt.DirStore
-	if sw.CkptDir != "" {
-		var err error
-		store, err = ckpt.NewDirStore(filepath.Join(sw.CkptDir, fmt.Sprintf("%s-p%d", mach.Name, p)))
-		if err != nil {
-			return res, err
-		}
-	}
 	_, _, err := simnet.Run(p, mach.Net, func(n *simnet.Node) {
 		comm := mpi.World(n)
 		ns, err := newSolver(mach, p, comm)
@@ -179,10 +155,6 @@ func (sw Sweep) cell(kind string, mach *machine.Machine, p int, newSolver cellSo
 		loop := engine.Loop{Solver: ns, Steps: ns.StepCount() + sw.Steps,
 			Rank: comm.Rank(), Watchdog: engine.Watchdog{Disabled: true},
 			Trace: sw.Trace}
-		if store != nil {
-			loop.Sink = ckpt.NewSyncWriter(store, ckpt.WriterConfig{Kind: kind, Rank: comm.Rank(), Trace: sw.Trace})
-			loop.CheckpointEvery = sw.CkptEvery
-		}
 		if _, lerr := loop.Run(); lerr != nil {
 			panic(lerr)
 		}

@@ -41,28 +41,16 @@ type ALEConfig struct {
 
 	// Tol is the PCG relative tolerance (default 1e-8).
 	Tol float64
-}
 
-// ALEScale (see NSALE.SetScale) extrapolates a validation-scale ALE
-// run to the paper's problem size: per-region compute multipliers
-// (indexed like ALEStageNames), a GS message-size multiplier, and exact PCG
-// iteration counts reflecting the paper-scale condition numbers (the
-// solver runs exactly that many iterations — padding with operator
-// applications if it converges early, truncating otherwise — so both
-// the priced compute and the per-iteration communication match the
-// paper-scale solve).
-type ALEScale struct {
-	Region        [3]float64
-	Comm          float64
-	PressureIters int
-	HelmIters     int
-}
-
-func (sc *ALEScale) region(i int) float64 {
-	if sc == nil || i < 0 || sc.Region[i] == 0 {
-		return 1
-	}
-	return sc.Region[i]
+	// PressureIters and HelmIters pin the iteration counts of the
+	// pressure and of the Helmholtz (viscous and mesh-velocity) PCG
+	// solves; 0 runs to convergence. The paper-scale extrapolation sets
+	// them to counts reflecting the paper-scale condition numbers: the
+	// solver runs exactly that many iterations, padding with operator
+	// applications if it converges early and truncating otherwise, so
+	// both the priced compute and the per-iteration communication match
+	// the paper-scale solve.
+	PressureIters, HelmIters int
 }
 
 // NSALE is one rank of the Nektar-ALE solver: element-based domain
@@ -81,7 +69,7 @@ type NSALE struct {
 
 	// scale, when non-nil, runs the paper-scale extrapolation mode
 	// (SetScale).
-	scale *ALEScale
+	scale *Scale
 
 	U    [3][]float64 // local velocity dof values (consistent)
 	Pr   []float64    // local pressure dof values
@@ -449,7 +437,7 @@ func NewNSALE(m *mesh.Mesh, cfg ALEConfig, comm *mpi.Comm, cpu *machine.CPU) (*N
 	ns.sysP = newLocalSys(ns.AP, ns.Own, comm, &ns.clk, 1)
 	if cpu != nil {
 		ns.clk.Price(func(c *blas.Counts, stage int) float64 {
-			return cpu.ApplicationSeconds(c) * ns.scale.region(stage)
+			return cpu.ApplicationSeconds(c) * ns.scale.stage(stage)
 		}, comm.Compute)
 		ns.sysV.priceBuilds = true
 		ns.sysP.priceBuilds = true
@@ -575,19 +563,11 @@ func (ns *NSALE) SetUniformInitial(u, v, w float64) {
 // Stages exposes the per-region instrumentation (engine.Solver).
 func (ns *NSALE) Stages() *timing.Stages { return ns.stages }
 
-func (ns *NSALE) order() int {
-	o := ns.step + 1
-	if o > ns.Cfg.Order {
-		o = ns.Cfg.Order
-	}
-	return o
-}
-
 // Step advances one time step: mesh velocity solve, ALE nonlinear
 // terms, mesh motion, pressure and viscous PCG solves.
 func (ns *NSALE) Step() {
 	m := ns.M
-	ord := ns.order()
+	ord := schemeOrder(ns.step, ns.Cfg.Order)
 	gamma := ssGamma[ord-1]
 	alpha, beta := ssAlpha[ord-1], ssBeta[ord-1]
 	dt, nu := ns.Cfg.Dt, ns.Cfg.Nu
@@ -686,7 +666,7 @@ func (ns *NSALE) Step() {
 			ns.Pr[i] = 0
 		}
 	}
-	minIt, maxIt := iterBounds(ns.pressureIters(), len(ns.sysP.gdof))
+	minIt, maxIt := iterBounds(ns.Cfg.PressureIters, len(ns.sysP.gdof))
 	its, err := ns.sysP.pcg(m, [][]float64{ns.Pr}, [][]float64{prhs}, ns.Cfg.Tol, minIt, maxIt)
 	if err != nil {
 		panic(err)
@@ -744,7 +724,7 @@ func (ns *NSALE) Step() {
 			}
 		}
 	}
-	minIt, maxIt = iterBounds(ns.helmIters(), len(ns.sysV.gdof))
+	minIt, maxIt = iterBounds(ns.Cfg.HelmIters, len(ns.sysV.gdof))
 	its, err = ns.sysV.pcg(m, ns.U[:], vrhs, ns.Cfg.Tol, minIt, maxIt)
 	if err != nil {
 		panic(err)
@@ -763,35 +743,16 @@ func (ns *NSALE) MeanInterfaceDofs() float64 {
 }
 
 // SetScale enables paper-scale extrapolation: per-region compute
-// multipliers, the gather-scatter message-size (phantom) factor, and
-// exact PCG iteration counts; operator builds stop being priced. Call
-// it before the first step.
-func (ns *NSALE) SetScale(sc *ALEScale) {
+// multipliers and the gather-scatter message-size (phantom) factor;
+// operator builds stop being priced. Call it before the first step.
+func (ns *NSALE) SetScale(sc *Scale) {
 	ns.scale = sc
 	if sc == nil {
 		return
 	}
-	if sc.Comm > 1 {
-		ns.Comm.SetPhantomFactor(sc.Comm)
-	}
+	ns.Comm.SetPhantomFactor(sc.Comm)
 	ns.sysV.priceBuilds = false
 	ns.sysP.priceBuilds = false
-}
-
-// pressureIters / helmIters return the exact iteration counts of the
-// extrapolation mode (0 = run to convergence).
-func (ns *NSALE) pressureIters() int {
-	if ns.scale == nil {
-		return 0
-	}
-	return ns.scale.PressureIters
-}
-
-func (ns *NSALE) helmIters() int {
-	if ns.scale == nil {
-		return 0
-	}
-	return ns.scale.HelmIters
 }
 
 // iterBounds converts an exact target into pcg (min, max) bounds.
@@ -846,7 +807,7 @@ func (ns *NSALE) solveMeshVelocity() [3][]float64 {
 		}
 	}
 	zero := ns.work.zero
-	minIt, maxIt := iterBounds(ns.helmIters(), len(dir))
+	minIt, maxIt := iterBounds(ns.Cfg.HelmIters, len(dir))
 	its, err := ns.sysV.pcg(ns.M, w[:], [][]float64{zero, zero, zero}, ns.Cfg.Tol, minIt, maxIt)
 	if err != nil {
 		panic(err)

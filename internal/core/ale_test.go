@@ -156,6 +156,67 @@ func TestALEFlappingWingSmoke(t *testing.T) {
 	}
 }
 
+// TestScaleCommInflatesOnlyWallTime pins the one message-inflation
+// path, Scale.Comm (simnet's phantom factor): it prices messages at the
+// inflated size and moves the probe's own payload. On RoadRunner-myr,
+// whose Myrinet GM stack charges no per-byte CPU copy, a P=4 cell at
+// Comm 8 leaves every rank's fields bit-identical and its virtual CPU
+// identical to the same cell at Comm 1; only the wall clock grows.
+func TestScaleCommInflatesOnlyWallTime(t *testing.T) {
+	const p, steps = 4, 2
+	mach := machine.RoadRunnerMyr()
+	cfg := ALEConfig{
+		Nu: 0.05, Dt: 2e-3, Order: 2,
+		FarfieldVel: [3]float64{1, 0, 0},
+		WallVelocity: func(t float64) [3]float64 {
+			return [3]float64{0, 0.3 * math.Cos(2*math.Pi*t), 0}
+		},
+		MoveMesh: true,
+	}
+	type cell struct {
+		wall, cpu []float64
+		fields    [][]float64 // per rank: u, v, w and the pressure, end to end
+	}
+	run := func(comm float64) cell {
+		c := cell{fields: make([][]float64, p)}
+		var err error
+		c.wall, c.cpu, err = simnet.Run(p, mach.Net, func(n *simnet.Node) {
+			ns, err := NewNSALE(wingMesh(t, 2, 12, 2, 2), cfg, mpi.World(n), &mach.CPU)
+			if err != nil {
+				panic(err)
+			}
+			ns.SetScale(&Scale{Comm: comm})
+			ns.SetUniformInitial(1, 0, 0)
+			for i := 0; i < steps; i++ {
+				ns.Step()
+			}
+			c.fields[n.Rank] = slices.Concat(ns.U[0], ns.U[1], ns.U[2], ns.Pr)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	plain, inflated := run(1), run(8)
+	for r := 0; r < p; r++ {
+		a, b := plain.fields[r], inflated.fields[r]
+		if len(a) != len(b) {
+			t.Fatalf("rank %d: %d values at Comm 1, %d at Comm 8", r, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("rank %d value %d: %v at Comm 1, %v at Comm 8", r, i, a[i], b[i])
+			}
+		}
+		if plain.cpu[r] != inflated.cpu[r] {
+			t.Errorf("rank %d: virtual CPU %v s at Comm 1, %v s at Comm 8", r, plain.cpu[r], inflated.cpu[r])
+		}
+	}
+	if w1, w8 := slices.Max(plain.wall), slices.Max(inflated.wall); w8 <= w1 {
+		t.Errorf("max wall %v s at Comm 8, not above %v s at Comm 1", w8, w1)
+	}
+}
+
 func TestALEStageAccounting(t *testing.T) {
 	cfg := ALEConfig{
 		Nu: 0.1, Dt: 5e-3, Order: 1,

@@ -46,3 +46,29 @@ var StageNames = []string{
 	"6 viscous RHS setup",
 	"7 viscous Helmholtz solve",
 }
+
+// schemeOrder is the scheme order of the step that follows step
+// completed ones: it ramps up from 1 so the multistep history fills,
+// then stays at maxOrder.
+func schemeOrder(step, maxOrder int) int { return min(step+1, maxOrder) }
+
+// Scale extrapolates a probe-scale parallel run to the paper's problem
+// size (DESIGN §5) for Nektar-F (NSF.SetScale) and Nektar-ALE
+// (NSALE.SetScale). Stage holds per-stage compute-time multipliers,
+// indexed like the solver's stage names (StageNames, ALEStageNames);
+// zero entries mean 1. Comm multiplies the timed size of every message
+// the rank sends (simnet's phantom factor; 1 or less sends the probe's
+// sizes): the payload, and so every value, stays the probe's own.
+type Scale struct {
+	Stage [7]float64
+	Comm  float64
+}
+
+// stage returns stage i's compute multiplier; a nil scale prices every
+// stage as measured.
+func (sc *Scale) stage(i int) float64 {
+	if sc == nil || i < 0 || sc.Stage[i] == 0 {
+		return 1
+	}
+	return sc.Stage[i]
+}

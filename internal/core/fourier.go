@@ -30,32 +30,6 @@ type NSFConfig struct {
 	PresDirichlet map[string]bool
 }
 
-// ScaleConfig extrapolates a validation-scale run to the paper's
-// problem size: per-stage compute-time multipliers and a transpose
-// message-size multiplier. The benchmark harness derives the
-// multipliers from the element-count ratio (stages whose work is
-// proportional to the element count) and from the banded-solve cost
-// formulas evaluated at the paper-scale mesh's assembled bandwidth
-// (the solve stages). Zero entries mean 1.
-type ScaleConfig struct {
-	Stage [7]float64
-	Comm  float64
-}
-
-func (sc *ScaleConfig) stage(i int) float64 {
-	if sc == nil || i < 0 || sc.Stage[i] == 0 {
-		return 1
-	}
-	return sc.Stage[i]
-}
-
-func (sc *ScaleConfig) comm() float64 {
-	if sc == nil || sc.Comm == 0 {
-		return 1
-	}
-	return sc.Comm
-}
-
 // NSF is one rank's share of the Nektar-F solver.
 type NSF struct {
 	M    *mesh.Mesh
@@ -65,8 +39,9 @@ type NSF struct {
 	K    int     // this rank's Fourier mode
 	Beta float64 // wavenumber 2*pi*K/Lz
 
-	// Scale, when non-nil, runs in paper-scale extrapolation mode.
-	Scale *ScaleConfig
+	// scale, when non-nil, runs the paper-scale extrapolation mode
+	// (SetScale).
+	scale *Scale
 
 	AV, AP *mesh.Assembly
 	helm   [2]*solver.Condensed
@@ -196,7 +171,7 @@ func (ops *NSFOperators) NewRank(comm *mpi.Comm, cpu *machine.CPU) (*NSF, error)
 	ns.clk = timing.NewClock(ns.stages, comm.Wtime)
 	if cpu != nil {
 		ns.clk.Price(func(c *blas.Counts, stage int) float64 {
-			return cpu.ApplicationSeconds(c) * ns.Scale.stage(stage)
+			return cpu.ApplicationSeconds(c) * ns.scale.stage(stage)
 		}, comm.Compute)
 	}
 	ns.Beta = modeBeta(ns.K, cfg.Lz)
@@ -254,9 +229,9 @@ func (ops *NSFOperators) NewRank(comm *mpi.Comm, cpu *machine.CPU) (*NSF, error)
 
 // SetScale enables paper-scale extrapolation: per-stage compute
 // multipliers plus the transpose message-size (phantom) factor.
-func (ns *NSF) SetScale(sc *ScaleConfig) {
-	ns.Scale = sc
-	if sc != nil && sc.Comm > 1 {
+func (ns *NSF) SetScale(sc *Scale) {
+	ns.scale = sc
+	if sc != nil {
 		ns.Comm.SetPhantomFactor(sc.Comm)
 	}
 }
@@ -294,19 +269,11 @@ func (ns *NSF) PerturbMode(amp float64) {
 	}
 }
 
-func (ns *NSF) order() int {
-	o := ns.step + 1
-	if o > ns.Cfg.Order {
-		o = ns.Cfg.Order
-	}
-	return o
-}
-
 // Step advances one time step on every rank collectively.
 func (ns *NSF) Step() {
 	m := ns.M
 	nel := len(m.Elems)
-	ord := ns.order()
+	ord := schemeOrder(ns.step, ns.Cfg.Order)
 	alpha, beta := ssAlpha[ord-1], ssBeta[ord-1]
 	dt, nu := ns.Cfg.Dt, ns.Cfg.Nu
 
@@ -351,7 +318,6 @@ func (ns *NSF) Step() {
 				uhat[ei][c][part] = h
 			}
 		}
-		_ = el
 	}
 	ns.clk.EndCompute()
 

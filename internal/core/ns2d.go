@@ -258,23 +258,12 @@ func (ns *NS2D) SetUniformInitial(u, v float64) {
 	ns.step = 0
 }
 
-// order returns the effective scheme order for the current step
-// (ramping up from 1 so the multistep history fills correctly).
-func (ns *NS2D) order() int {
-	o := ns.step + 1
-	if o > ns.Cfg.Order {
-		o = ns.Cfg.Order
-	}
-	return o
-}
-
 // Step advances the solution by one time step through the seven
 // instrumented stages.
 func (ns *NS2D) Step() {
 	m := ns.M
 	nel := len(m.Elems)
-	ord := ns.order()
-	gamma := ssGamma[ord-1]
+	ord := schemeOrder(ns.step, ns.Cfg.Order)
 	alpha := ssAlpha[ord-1]
 	beta := ssBeta[ord-1]
 	dt, nu := ns.Cfg.Dt, ns.Cfg.Nu
@@ -330,7 +319,6 @@ func (ns *NS2D) Step() {
 				blas.Daxpy(nq, dt*beta[j], ns.histN[j][c][ei], 1, h, 1)
 			}
 		}
-		_ = el
 	}
 
 	// --- Stage 4: pressure Poisson RHS: (1/dt) [ int u_hat . grad(phi)
@@ -412,7 +400,6 @@ func (ns *NS2D) Step() {
 	st.End()
 
 	ns.step++
-	_ = gamma
 }
 
 // pushHistory prepends the newest level and truncates to depth.

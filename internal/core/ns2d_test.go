@@ -196,11 +196,11 @@ func TestOrderRampUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	ns.SetUniformInitial(1, 0)
-	if ns.order() != 1 {
+	if schemeOrder(ns.step, ns.Cfg.Order) != 1 {
 		t.Fatal("first step must use order 1")
 	}
 	ns.Step()
-	if ns.order() != 2 {
+	if schemeOrder(ns.step, ns.Cfg.Order) != 2 {
 		t.Fatal("second step must use order 2")
 	}
 	if ns.StepCount() != 1 {

@@ -52,12 +52,6 @@ type GS struct {
 	// few processors".
 	PairwiseLimit int
 
-	// PadFactor inflates the exchanged message sizes (payload padded
-	// with zeros, ignored by the receiver). The benchmark harness uses
-	// it to emulate paper-scale interface sizes from validation-scale
-	// runs; 0 or 1 means no padding.
-	PadFactor float64
-
 	// Work space kept across calls so CombineFields and DotFields
 	// allocate nothing once it has grown to the widest call: the
 	// pairwise pack buffer (reused for every neighbour's send, then for
@@ -65,15 +59,6 @@ type GS struct {
 	buf  []float64
 	reqs []*simnet.Request
 	tree []float64
-}
-
-// padded returns the exchanged length of an n-value message under
-// PadFactor.
-func (g *GS) padded(n int) int {
-	if g.PadFactor <= 1 {
-		return n
-	}
-	return int(float64(n) * g.PadFactor)
 }
 
 // grown returns buf cut to n elements, reallocating only when it is too
@@ -219,20 +204,19 @@ func (g *GS) CombineFields(fields [][]float64, op Op) {
 	for ni, r := range g.nbr {
 		idx := g.nbrIdx[ni]
 		n := len(idx)
-		g.buf = grown(g.buf, g.padded(k*n))
+		g.buf = grown(g.buf, k*n)
 		for f, vals := range fields {
 			seg := g.buf[f*n : (f+1)*n]
 			for j, li := range idx {
 				seg[j] = vals[li]
 			}
 		}
-		clear(g.buf[k*n:]) // the padding travels as zeros
 		g.reqs = append(g.reqs, g.comm.Isend(r, tag, g.buf))
 	}
 	for ni, r := range g.nbr {
 		idx := g.nbrIdx[ni]
 		n := len(idx)
-		g.buf = grown(g.buf, g.padded(k*n))
+		g.buf = grown(g.buf, k*n)
 		got := g.buf[:g.comm.RecvInto(r, tag, g.buf)]
 		for f, vals := range fields {
 			fold(op, vals, idx, got[f*n:(f+1)*n])
@@ -245,7 +229,7 @@ func (g *GS) CombineFields(fields [][]float64, op Op) {
 	// values at offset f×treeLen.
 	if g.treeLen > 0 {
 		n := g.treeLen
-		g.tree = grown(g.tree, g.padded(k*n))
+		g.tree = grown(g.tree, k*n)
 		packed := g.tree
 		clear(packed)
 		if op == Min || op == Max {
@@ -253,7 +237,7 @@ func (g *GS) CombineFields(fields [][]float64, op Op) {
 			if op == Max {
 				inf = -1e308
 			}
-			for i := range packed[:k*n] {
+			for i := range packed {
 				packed[i] = inf
 			}
 		}

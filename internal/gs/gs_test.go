@@ -236,55 +236,34 @@ func TestCombineFieldsMatchesCombinePerField(t *testing.T) {
 	const k = 3
 	for p := 2; p <= 8; p++ {
 		for _, op := range []Op{Sum, Min, Max} {
-			for _, pad := range []float64{0, 2.5} {
-				runWorld(t, p, func(c *mpi.Comm) {
-					r := c.Rank()
-					ids := mixedIDs(r, p)
-					g := New(c, ids, 3)
-					g.PadFactor = pad
-					if p > 3 && len(g.treeIdx) == 0 {
-						t.Errorf("p=%d rank %d: the corner id did not go through the tree", p, r)
+			runWorld(t, p, func(c *mpi.Comm) {
+				r := c.Rank()
+				ids := mixedIDs(r, p)
+				g := New(c, ids, 3)
+				if p > 3 && len(g.treeIdx) == 0 {
+					t.Errorf("p=%d rank %d: the corner id did not go through the tree", p, r)
+				}
+				many, one := make([][]float64, k), make([][]float64, k)
+				for f := range many {
+					many[f], one[f] = mixedVals(r, f, len(ids)), mixedVals(r, f, len(ids))
+				}
+				g.CombineFields(many, op)
+				for f := range one {
+					g.Combine(one[f], op)
+				}
+				for f := range many {
+					if !sameBits(many[f], one[f]) {
+						t.Errorf("p=%d op=%d rank %d field %d: CombineFields %v, Combine %v", p, op, r, f, many[f], one[f])
 					}
-					many, one := make([][]float64, k), make([][]float64, k)
-					for f := range many {
-						many[f], one[f] = mixedVals(r, f, len(ids)), mixedVals(r, f, len(ids))
+				}
+				dots := make([]float64, k)
+				g.DotFields(dots, many, one)
+				for f := range many {
+					if d := g.Dot(many[f], one[f]); math.Float64bits(d) != math.Float64bits(dots[f]) {
+						t.Errorf("p=%d rank %d field %d: DotFields %v, Dot %v", p, r, f, dots[f], d)
 					}
-					g.CombineFields(many, op)
-					for f := range one {
-						g.Combine(one[f], op)
-					}
-					for f := range many {
-						if !sameBits(many[f], one[f]) {
-							t.Errorf("p=%d op=%d pad=%g rank %d field %d: CombineFields %v, Combine %v", p, op, pad, r, f, many[f], one[f])
-						}
-					}
-					dots := make([]float64, k)
-					g.DotFields(dots, many, one)
-					for f := range many {
-						if d := g.Dot(many[f], one[f]); math.Float64bits(d) != math.Float64bits(dots[f]) {
-							t.Errorf("p=%d rank %d field %d: DotFields %v, Dot %v", p, r, f, dots[f], d)
-						}
-					}
-				})
-			}
-		}
-	}
-}
-
-func TestPadFactorKeepsValuesCorrect(t *testing.T) {
-	// Message padding inflates wire traffic but must not change the
-	// combined values.
-	results := make([]float64, 2)
-	runWorld(t, 2, func(c *mpi.Comm) {
-		g := New(c, []int{5}, 2)
-		g.PadFactor = 8
-		vals := []float64{float64(c.Rank() + 1)}
-		g.Combine(vals, Sum)
-		results[c.Rank()] = vals[0]
-	})
-	for r, v := range results {
-		if v != 3 {
-			t.Fatalf("rank %d: %v, want 3", r, v)
+				}
+			})
 		}
 	}
 }
